@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 
 from .algebra import Polynomial, require_total
@@ -72,8 +73,17 @@ class PPA:
 
     # -- convenience -------------------------------------------------------
 
+    @cached_property
+    def _enabled_index(self) -> dict:
+        # built once per model: `trans` is never mutated after construction
+        index = {}
+        for s, a in self.trans:
+            index.setdefault(s, []).append(a)
+        return {s: tuple(sorted(acts, key=sort_key)) for s, acts in index.items()}
+
     def enabled(self, state):
-        return sorted((a for (s, a) in self.trans if s == state), key=sort_key)
+        """Actions enabled in `state`, in `sort_key` order."""
+        return list(self._enabled_index.get(state, ()))
 
     def dist(self, state, action) -> dict:
         return self.trans[(state, action)]
@@ -425,10 +435,8 @@ def reachable_states(m: PPA):
     frontier = [m.initial]
     while frontier:
         s = frontier.pop()
-        for (src, a), dist in m.trans.items():
-            if src != s:
-                continue
-            for t in dist:
+        for a in m.enabled(s):
+            for t in m.trans[(s, a)]:
                 if t not in seen:
                     seen.add(t)
                     frontier.append(t)
@@ -463,9 +471,7 @@ def canonical_form(m: PPA):
     queue = [m.initial]
     while queue:
         s = queue.pop(0)
-        edges = sorted(
-            ((m.label[(src, a)], sort_key(a), a) for (src, a) in m.trans if src == s),
-        )
+        edges = sorted((m.label[(s, a)], sort_key(a), a) for a in m.enabled(s))
         for _, _, a in edges:
             dist = m.trans[(s, a)]
             for t in sorted(dist, key=lambda t: (str(Polynomial.coerce(dist[t])), sort_key(t))):

@@ -327,12 +327,20 @@ _LOADERS = {
 
 
 def load_document(doc: dict):
+    """Decode a pacomp/1 document; malformed content raises ParseError."""
     kind = doc.get("type")
     if kind in ("box", "finite", "union"):
-        return region_from_jsonable(doc)
-    if kind not in _LOADERS:
+        load = region_from_jsonable
+    elif kind in _LOADERS:
+        load = _LOADERS[kind]
+    else:
         raise ParseError(f"unknown document type {kind!r}")
-    return _LOADERS[kind](doc)
+    try:
+        return load(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        # a missing field, a value of the wrong shape, or a model that fails
+        # its own consistency checks (e.g. an undeclared initial state)
+        raise ParseError(f"malformed {kind} document: {type(exc).__name__}: {exc}") from exc
 
 
 def dump_document(obj) -> dict:

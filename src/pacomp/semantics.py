@@ -428,14 +428,12 @@ def fair_check(m: PPA, sigma, fairness_sets, horizon: int):
             seen, stack, hit = {state}, [state], False
             while stack:
                 s = stack.pop()
-                for (src, a), dist in m.trans.items():
-                    if src != s:
-                        continue
-                    if m.label[(src, a)] in labels:
+                for a in m.enabled(s):
+                    if m.label[(s, a)] in labels:
                         hit = True
                         stack = []
                         break
-                    for t in dist:
+                    for t in m.trans[(s, a)]:
                         if t not in seen:
                             seen.add(t)
                             stack.append(t)

@@ -2,9 +2,17 @@
 
 Probabilistic objectives are safety languages given by bad-prefix DFAs;
 reward objectives are expected total rewards over transition labels.  All
-solvers are exact: optimal reachability is policy iteration finished by
-rational linear solves, and multi-objective achievability is an occupation-
-measure linear program over expected state-action frequencies.
+solvers are exact and end in two mechanisms:
+
+- one Markov-chain solver (`_chain_solve`): expected total gain per state,
+  INF on recurrent positive gain, the rest by one rational linear solve.
+  Reachability is the case with absorbing targets.  It evaluates fixed
+  strategies and witnesses, and drives the policy iteration behind optimal
+  reachability and maximal expected reward;
+- one occupation-measure LP builder (`_occupation_lp`): expected
+  state-action frequencies routing one unit of flow into a settle region,
+  solved by the exact simplex, for multi-objective achievability and
+  minimal expected reward.
 """
 
 from __future__ import annotations
@@ -194,6 +202,54 @@ def _sccs(nodes, succ):
     return sccs
 
 
+def _backward_reach(succ, seeds) -> set:
+    """Seeds plus every state of the successor map {s: successors} with a
+    path into them (least fixpoint, walked over predecessor lists)."""
+    preds = {}
+    for s, targets in succ.items():
+        for t in targets:
+            preds.setdefault(t, []).append(s)
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for s in preds.get(stack.pop(), ()):
+            if s not in seen:
+                seen.add(s)
+                stack.append(s)
+    return seen
+
+
+def _settle(states, acts, trans, keep):
+    """Greatest region in which a strategy can stay forever.
+
+    A state stays when it is a dead end, or when one of its actions accepted
+    by `keep(state, action)` has its support inside the region (greatest
+    fixpoint).  Returns the region and, for every state of it that is not a
+    dead end, the first such action in `acts` order.
+    """
+    stayers = {
+        s: [
+            (a, {t for t, p in trans[(s, a)].items() if p})
+            for a in acts.get(s, ())
+            if keep(s, a)
+        ]
+        for s in states
+    }
+    region = set(states)
+    while True:
+        stay = {}
+        for s in states:
+            if s in region:
+                for a, supp in stayers[s]:
+                    if supp <= region:
+                        stay[s] = a
+                        break
+        leaving = {s for s in region if acts.get(s) and s not in stay}
+        if not leaving:
+            return region, stay
+        region -= leaving
+
+
 def maximal_end_components(trans, states):
     """Maximal end components of an MDP given as {(s, a): dist}.
 
@@ -241,82 +297,123 @@ def maximal_end_components(trans, states):
 
 
 # ---------------------------------------------------------------------------
-# Exact optimal reachability
+# Markov chains: expected total gain, and reachability as a special case
 # ---------------------------------------------------------------------------
 
-def _policy_reach_values(pa: PPA, policy, targets):
-    """Exact P(reach targets) per state under a memoryless det policy."""
-    values = {s: Fraction(1) if s in targets else Fraction(0) for s in pa.states}
-    support = {}
-    for s in pa.states:
-        if s in targets or s not in policy:
-            continue
-        support[s] = pa.const_dist(s, policy[s])
-    # states that reach targets with positive probability under the policy
-    reach = set(targets)
-    changed = True
-    while changed:
-        changed = False
-        for s, dist in support.items():
-            if s in reach:
-                continue
-            if any(t in reach and p > 0 for t, p in dist.items()):
-                reach.add(s)
-                changed = True
-    unknown = sorted((s for s in support if s in reach), key=sort_key)
-    if unknown:
+def _chain_solve(chain, gain, init=None):
+    """Expected total gain per state of the Markov chain {s: {t: p > 0}}.
+
+    `gain` maps a state to the reward collected on leaving it.  A state is
+    INF when it can reach a closed SCC that has an internal edge and positive
+    gain, and 0 when it cannot reach positive gain; one exact linear solve
+    gives the rest.  With `init`, only values[init] is meant to be read, and
+    the solve is skipped when that value is already INF or 0.
+    """
+    succ = lambda s: chain.get(s, {})
+    # a closed SCC with an internal edge never reaches a dead end
+    trapped = set(chain) - _backward_reach(chain, [s for s in chain if not chain[s]])
+    recurrent = set()
+    if any(gain.get(s, 0) > 0 for s in trapped):
+        for comp in _sccs(trapped, succ):
+            if any(gain.get(s, 0) > 0 for s in comp) and all(
+                succ(s).keys() <= comp for s in comp
+            ):
+                recurrent |= comp
+    infinite = _backward_reach(chain, recurrent)
+    positive = _backward_reach(chain, {s for s in chain if gain.get(s, 0) > 0})
+    values = {
+        s: INF if s in infinite else Fraction(0)
+        for s in chain
+        if s in infinite or s not in positive
+    }
+    unknown = sorted((s for s in positive if s not in infinite), key=sort_key)
+    if unknown and (init is None or init not in values):
         idx = {s: i for i, s in enumerate(unknown)}
-        rows, rhs = [], []
+        rows = []
         for s in unknown:
             row = [Fraction(0)] * len(unknown)
             row[idx[s]] = Fraction(1)
-            b = Fraction(0)
-            for t, p in support[s].items():
-                if p == 0:
-                    continue
-                if t in targets:
-                    b += p
-                elif t in idx:
+            for t, p in chain[s].items():
+                if t in idx:
                     row[idx[t]] -= p
-                # other successors have value 0
             rows.append(row)
-            rhs.append(b)
-        sol = gauss_solve(rows, rhs)
-        for s, val in zip(unknown, sol):
-            values[s] = val
+        rhs = [gain.get(s, Fraction(0)) for s in unknown]
+        values.update(zip(unknown, gauss_solve(rows, rhs)))
     return values
 
 
-def max_reach(pa: PPA, targets):
-    """Optimal reachability probability with an attaining det strategy."""
-    if not pa.is_pa:
-        raise ValueError("max_reach needs a parameter-free model")
-    targets = frozenset(targets)
+def _reach_prob(chain, targets, init) -> Fraction:
+    """P(eventually targets) from `init`: the chain solve with the targets
+    made absorbing and each state's one-step mass into them as its gain."""
+    if init in targets:
+        return Fraction(1)
+    absorbed = {s: {} if s in targets else dist for s, dist in chain.items()}
+    gain = {
+        s: sum((p for t, p in dist.items() if t in targets), Fraction(0))
+        for s, dist in absorbed.items()
+    }
+    return _chain_solve(absorbed, gain, init)[init]
+
+
+def _rew(pa, rewards, s, a) -> Fraction:
+    return rewards.get(pa.label[(s, a)], Fraction(0))
+
+
+def _policy_iteration(pa, deciding, reward):
+    """Maximal expected total reward over det memoryless policies.
+
+    States in `deciding` pick one enabled action each, every other state
+    stops; `reward(s, a)` is collected on taking a in s.  The start policy
+    takes the first enabled action, and a state switches only on strict
+    improvement, so the returned policy depends on the model alone.  Returns
+    the policy and the value of every state under it.
+    """
     policy = {}
-    for s in pa.states:
-        if s in targets:
-            continue
+    for s in deciding:
         acts = pa.enabled(s)
         if acts:
             policy[s] = acts[0]
-    values = _policy_reach_values(pa, policy, targets)
     while True:
+        chain = {s: {} for s in pa.states}
+        for s, a in policy.items():
+            chain[s] = {t: p for t, p in pa.const_dist(s, a).items() if p}
+        values = _chain_solve(chain, {s: reward(s, a) for s, a in policy.items()})
         improved = False
         for s in sorted(policy, key=sort_key):
             best_a, best_v = policy[s], values[s]
             for a in pa.enabled(s):
-                v = sum(
-                    (p * values[t] for t, p in pa.const_dist(s, a).items()),
-                    Fraction(0),
-                )
+                succ = [(p, values[t]) for t, p in pa.const_dist(s, a).items() if p]
+                if any(val == INF for _, val in succ):
+                    v = INF
+                else:
+                    v = reward(s, a) + sum((p * val for p, val in succ), Fraction(0))
                 if v > best_v:
                     best_a, best_v = a, v
             if best_a != policy[s]:
                 policy[s] = best_a
                 improved = True
         if not improved:
-            break
-        values = _policy_reach_values(pa, policy, targets)
+            return policy, values
+
+
+# ---------------------------------------------------------------------------
+# Exact optimal reachability
+# ---------------------------------------------------------------------------
+
+def max_reach(pa: PPA, targets):
+    """Optimal reachability probability with an attaining det strategy."""
+    if not pa.is_pa:
+        raise ValueError("max_reach needs a parameter-free model")
+    targets = frozenset(targets)
+    # targets stop; the gain of an action is its one-step mass into them
+    policy, values = _policy_iteration(
+        pa,
+        [s for s in pa.states if s not in targets],
+        lambda s, a: sum(
+            (p for t, p in pa.const_dist(s, a).items() if t in targets), Fraction(0)
+        ),
+    )
+    values = {s: Fraction(1) if s in targets else values[s] for s in pa.states}
     strategy = MemorylessStrategy(
         {s: {a: Fraction(1)} for s, a in policy.items()}, complete=False
     )
@@ -336,103 +433,6 @@ def safety_prob(pa: PPA, obj: ProbObjective) -> Fraction:
 # Exact expected total reward
 # ---------------------------------------------------------------------------
 
-def _rew(pa, rewards, s, a) -> Fraction:
-    r = rewards.get(pa.label[(s, a)], Fraction(0))
-    return Polynomial.coerce(r).constant_value()
-
-
-def _policy_reward_values(pa, policy, rewards):
-    """Expected total reward per state under a memoryless det policy."""
-    support = {
-        s: pa.const_dist(s, a) for s, a in policy.items()
-    }
-    succ = lambda s: sorted(
-        (_support(support[s]) if s in support else frozenset()), key=sort_key
-    )
-    comps = _sccs(pa.states, succ)
-    # bottom components: no edge leaving
-    values = {}
-    infinite = set()
-    comp_of = {}
-    for comp in comps:
-        for s in comp:
-            comp_of[s] = comp
-    for comp in comps:
-        internal_edge = False
-        leaves = False
-        positive = False
-        for s in comp:
-            if s not in support:
-                continue
-            for t, p in support[s].items():
-                if p == 0:
-                    continue
-                if t in comp:
-                    internal_edge = True
-                else:
-                    leaves = True
-            if _rew(pa, rewards, s, policy[s]) > 0:
-                positive = True
-        if not leaves and internal_edge and positive:
-            infinite |= comp
-    # propagate infinity backwards through positive-probability edges
-    changed = True
-    while changed:
-        changed = False
-        for s, dist in support.items():
-            if s in infinite:
-                continue
-            if any(t in infinite and p > 0 for t, p in dist.items()):
-                infinite.add(s)
-                changed = True
-    # zero states: no positive reward reachable
-    gains = set()
-    for s in support:
-        if _rew(pa, rewards, s, policy[s]) > 0:
-            gains.add(s)
-    reach_gain = set(gains)
-    changed = True
-    while changed:
-        changed = False
-        for s, dist in support.items():
-            if s in reach_gain:
-                continue
-            if any(t in reach_gain and p > 0 for t, p in dist.items()):
-                reach_gain.add(s)
-                changed = True
-    solve_states = sorted(
-        (s for s in support if s in reach_gain and s not in infinite),
-        key=sort_key,
-    )
-    for s in pa.states:
-        if s in infinite:
-            values[s] = INF
-        elif s not in reach_gain:
-            values[s] = Fraction(0)
-    if solve_states:
-        idx = {s: i for i, s in enumerate(solve_states)}
-        rows, rhs = [], []
-        for s in solve_states:
-            row = [Fraction(0)] * len(solve_states)
-            row[idx[s]] = Fraction(1)
-            b = _rew(pa, rewards, s, policy[s])
-            for t, p in support[s].items():
-                if p == 0:
-                    continue
-                if t in idx:
-                    row[idx[t]] -= p
-                elif values.get(t, Fraction(0)) == INF:
-                    raise AssertionError("infinite successor not propagated")
-                else:
-                    b += p * values.get(t, Fraction(0))
-            rows.append(row)
-            rhs.append(b)
-        sol = gauss_solve(rows, rhs)
-        for s, val in zip(solve_states, sol):
-            values[s] = val
-    return values
-
-
 def _min_total_reward_lp(pa: PPA, rew_const):
     """Exact minimal expected total reward via an occupation-measure LP.
 
@@ -442,55 +442,23 @@ def _min_total_reward_lp(pa: PPA, rew_const):
     policy improvement is unsound here: zero-reward cycles create tied
     non-optimal fixpoints.
     """
-    reach = _reachable_support(pa)
+    states = sorted(_reachable_support(pa), key=sort_key)
+    acts = {s: pa.enabled(s) for s in states}
     trans = {
         (s, a): {t: p for t, p in pa.const_dist(s, a).items() if p}
-        for (s, a) in pa.trans
-        if s in reach
+        for s in states
+        for a in acts[s]
     }
     # greatest region that can avoid rewards forever
-    settle = set()
-    live = set(reach)
-    changed = True
-    while changed:
-        changed = False
-        for s in sorted(live, key=sort_key):
-            acts = [a for (q, a) in trans if q == s]
-            if not acts:
-                continue  # dead end: stays put for free
-            ok = any(
-                _rew(pa, rew_const, s, a) == 0 and set(trans[(s, a)]) <= live
-                for a in acts
-            )
-            if not ok:
-                live.discard(s)
-                changed = True
-    settle = live
-    action_keys = sorted(trans, key=sort_key)
-    settle_states = sorted(settle, key=sort_key)
-    y_index = {key: i for i, key in enumerate(action_keys)}
-    w_index = {s: len(action_keys) + i for i, s in enumerate(settle_states)}
-    lp = LinearProgram(len(action_keys) + len(settle_states))
-    inflow = {s: {} for s in reach}
-    for key, dist in trans.items():
-        for t, p in dist.items():
-            inflow[t][y_index[key]] = inflow[t].get(y_index[key], Fraction(0)) + p
-    for s in reach:
-        coeffs = {}
-        for (q, a) in trans:
-            if q == s:
-                coeffs[y_index[(q, a)]] = coeffs.get(y_index[(q, a)], Fraction(0)) + 1
-        if s in w_index:
-            coeffs[w_index[s]] = coeffs.get(w_index[s], Fraction(0)) + 1
-        for j, p in inflow[s].items():
-            coeffs[j] = coeffs.get(j, Fraction(0)) - p
-        lp.add_eq(coeffs, Fraction(1 if s == pa.initial else 0))
-    lp.add_eq({w_index[s]: Fraction(1) for s in settle_states}, Fraction(1))
+    settle, _ = _settle(
+        states, acts, trans, lambda s, a: _rew(pa, rew_const, s, a) == 0
+    )
+    lp, y_index, _ = _occupation_lp(pa.initial, states, trans, settle)
     objective = {}
-    for key in action_keys:
+    for key, j in y_index.items():
         r = _rew(pa, rew_const, *key)
         if r:
-            objective[y_index[key]] = r
+            objective[j] = r
     status, _, value = lp.solve(objective, maximize=False)
     if status != OPTIMAL:
         return INF  # no strategy can stop collecting reward almost surely
@@ -500,11 +468,13 @@ def _min_total_reward_lp(pa: PPA, rew_const):
 def exp_total_reward(pa: PPA, rewards, mode="max"):
     """Extremal expected total reward over complete strategies.
 
-    Returns a Fraction, or float infinity when divergence is optimal/forced.
-    The maximum is computed by policy iteration (safe: its tied fixpoints
-    coincide with the least Bellman fixpoint); the minimum by an exact
-    occupation-measure linear program.
+    `mode` is "max" or "min".  Returns a Fraction, or float infinity when
+    divergence is optimal/forced.  The maximum is computed by policy
+    iteration (safe: its tied fixpoints coincide with the least Bellman
+    fixpoint); the minimum by an exact occupation-measure linear program.
     """
+    if mode not in ("max", "min"):
+        raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
     if not pa.is_pa:
         raise ValueError("exp_total_reward needs a parameter-free model")
     rewards = {s: Polynomial.coerce(r) for s, r in dict(rewards).items()}
@@ -525,35 +495,9 @@ def exp_total_reward(pa: PPA, rewards, mode="max"):
         ):
             return INF
 
-    policy = {}
-    for s in pa.states:
-        acts = pa.enabled(s)
-        if acts:
-            policy[s] = acts[0]
-    better = (lambda a, b: a > b) if mode == "max" else (lambda a, b: a < b)
-    values = _policy_reward_values(pa, policy, rew_const)
-    while True:
-        improved = False
-        for s in sorted(policy, key=sort_key):
-            best_a, best_v = policy[s], values[s]
-            for a in pa.enabled(s):
-                v = _rew(pa, rew_const, s, a)
-                for t, p in pa.const_dist(s, a).items():
-                    if p == 0:
-                        continue
-                    tv = values[t]
-                    if tv == INF:
-                        v = INF
-                        break
-                    v += p * tv
-                if better(v, best_v):
-                    best_a, best_v = a, v
-            if best_a != policy[s]:
-                policy[s] = best_a
-                improved = True
-        if not improved:
-            break
-        values = _policy_reward_values(pa, policy, rew_const)
+    _, values = _policy_iteration(
+        pa, pa.states, lambda s, a: _rew(pa, rew_const, s, a)
+    )
     return values.get(pa.initial, Fraction(0))
 
 
@@ -562,10 +506,8 @@ def _reachable_support(pa: PPA):
     stack = [pa.initial]
     while stack:
         s = stack.pop()
-        for (src, a), dist in pa.trans.items():
-            if src != s:
-                continue
-            for t in _support(dist):
+        for a in pa.enabled(s):
+            for t in _support(pa.trans[(s, a)]):
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)
@@ -576,57 +518,30 @@ def _reachable_support(pa: PPA):
 # Fixed-strategy evaluation (used by monotonicity and witness re-checks)
 # ---------------------------------------------------------------------------
 
+def _induced_chain(pa: PPA, mix_of, rewards):
+    """Markov chain and expected one-step reward per state when every state
+    s plays the action mixture mix_of(s)."""
+    chain, gain = {}, {}
+    for s in pa.states:
+        dist, g = {}, Fraction(0)
+        for a, w in mix_of(s).items():
+            if w == 0 or (s, a) not in pa.trans:
+                continue
+            r = _rew(pa, rewards, s, a)
+            if r:
+                g += w * r
+            for t, p in pa.const_dist(s, a).items():
+                if p:
+                    dist[t] = dist.get(t, Fraction(0)) + w * p
+        chain[s], gain[s] = dist, g
+    return chain, gain
+
+
 def chain_language_prob(pa: PPA, sigma: MemorylessStrategy, dfa) -> Fraction:
     """Pr(L) of the chain induced by a memoryless (possibly partial) strategy."""
     product, bad = dfa_product(pa, dfa_absorb_accepting(dfa))
-    trans = {}
-    for (s, q) in product.states:
-        mix = sigma.choice.get(s, {})
-        dist = {}
-        for a, w in mix.items():
-            if w == 0 or ((s, q), a) not in product.trans:
-                continue
-            for t, p in product.const_dist((s, q), a).items():
-                if p:
-                    dist[t] = dist.get(t, Fraction(0)) + w * p
-        trans[(s, q)] = dist
-    return 1 - _chain_reach(trans, product.initial, bad)
-
-
-def _chain_reach(trans, init, targets) -> Fraction:
-    targets = frozenset(targets)
-    if init in targets:
-        return Fraction(1)
-    reach = set(targets)
-    changed = True
-    while changed:
-        changed = False
-        for s, dist in trans.items():
-            if s in reach:
-                continue
-            if any(t in reach and p > 0 for t, p in dist.items()):
-                reach.add(s)
-                changed = True
-    unknown = sorted((s for s in trans if s in reach and s not in targets), key=sort_key)
-    if init not in reach:
-        return Fraction(0)
-    idx = {s: i for i, s in enumerate(unknown)}
-    rows, rhs = [], []
-    for s in unknown:
-        row = [Fraction(0)] * len(unknown)
-        row[idx[s]] = Fraction(1)
-        b = Fraction(0)
-        for t, p in trans[s].items():
-            if p == 0:
-                continue
-            if t in targets:
-                b += p
-            elif t in idx:
-                row[idx[t]] -= p
-        rows.append(row)
-        rhs.append(b)
-    sol = gauss_solve(rows, rhs)
-    return sol[idx[init]] if init in idx else Fraction(0)
+    chain, _ = _induced_chain(product, lambda ps: sigma.choice.get(ps[0], {}), {})
+    return 1 - _reach_prob(chain, bad, product.initial)
 
 
 def chain_expected_reward(pa: PPA, sigma: MemorylessStrategy, rewards) -> Fraction:
@@ -634,93 +549,28 @@ def chain_expected_reward(pa: PPA, sigma: MemorylessStrategy, rewards) -> Fracti
     rew_const = {
         s: Polynomial.coerce(r).constant_value() for s, r in dict(rewards).items()
     }
-    gain = {}
-    trans = {}
-    for s in pa.states:
-        mix = sigma.choice.get(s, {})
-        dist = {}
-        g = Fraction(0)
-        for a, w in mix.items():
-            if w == 0 or (s, a) not in pa.trans:
-                continue
-            g += w * _rew(pa, rew_const, s, a)
-            for t, p in pa.const_dist(s, a).items():
-                if p:
-                    dist[t] = dist.get(t, Fraction(0)) + w * p
-        trans[s] = dist
-        gain[s] = g
-    # recurrent positive gain => infinite
-    succ = lambda s: sorted(_support(trans.get(s, {})), key=sort_key)
-    infinite = set()
-    for comp in _sccs(pa.states, succ):
-        internal = any(
-            t in comp and p > 0 for s in comp for t, p in trans.get(s, {}).items()
-        )
-        if internal and any(gain.get(s, 0) > 0 for s in comp):
-            # positive gain inside a cycle that the chain can repeat forever
-            leaves = any(
-                p > 0 and t not in comp
-                for s in comp
-                for t, p in trans.get(s, {}).items()
-            )
-            if not leaves:
-                infinite |= comp
-    changed = True
-    while changed:
-        changed = False
-        for s, dist in trans.items():
-            if s in infinite:
-                continue
-            if any(t in infinite and p > 0 for t, p in dist.items()):
-                infinite.add(s)
-                changed = True
-    if pa.initial in infinite:
-        return INF
-    reach_gain = {s for s in pa.states if gain.get(s, 0) > 0}
-    changed = True
-    while changed:
-        changed = False
-        for s, dist in trans.items():
-            if s in reach_gain:
-                continue
-            if any(t in reach_gain and p > 0 for t, p in dist.items()):
-                reach_gain.add(s)
-                changed = True
-    solve_states = sorted(
-        (s for s in pa.states if s in reach_gain and s not in infinite), key=sort_key
-    )
-    if pa.initial not in reach_gain:
-        return Fraction(0)
-    idx = {s: i for i, s in enumerate(solve_states)}
-    rows, rhs = [], []
-    for s in solve_states:
-        row = [Fraction(0)] * len(solve_states)
-        row[idx[s]] = Fraction(1)
-        b = gain.get(s, Fraction(0))
-        for t, p in trans.get(s, {}).items():
-            if p == 0:
-                continue
-            if t in idx:
-                row[idx[t]] -= p
-        rows.append(row)
-        rhs.append(b)
-    sol = gauss_solve(rows, rhs)
-    return sol[idx[pa.initial]] if pa.initial in idx else Fraction(0)
+    chain, gain = _induced_chain(pa, lambda s: sigma.choice.get(s, {}), rew_const)
+    return _chain_solve(chain, gain, pa.initial)[pa.initial]
 
 # ---------------------------------------------------------------------------
 # Multi-objective achievability (occupation-measure LP)
 # ---------------------------------------------------------------------------
 
 def _joint_product(pa: PPA, dfas):
-    """Reachable product of a PA with several absorbing bad-prefix DFAs."""
+    """Reachable product of a PA with several absorbing bad-prefix DFAs.
+
+    Returns the initial state, the sorted states, the actions of each state
+    in `sort_key` order, and the transition and label maps.
+    """
     init = (pa.initial, tuple(b.initial for b in dfas))
-    ptrans, plabel = {}, {}
+    acts, ptrans, plabel = {}, {}, {}
     seen = {init}
     stack = [init]
     while stack:
         ps = stack.pop()
         s, qs = ps
-        for a in pa.enabled(s):
+        acts[ps] = pa.enabled(s)
+        for a in acts[ps]:
             lab = pa.label[(s, a)]
             nqs = tuple(
                 b.trans[(q, lab)] if lab in b.alphabet else q
@@ -735,7 +585,7 @@ def _joint_product(pa: PPA, dfas):
                 if t not in seen:
                     seen.add(t)
                     stack.append(t)
-    return init, sorted(seen, key=sort_key), ptrans, plabel
+    return init, sorted(seen, key=sort_key), acts, ptrans, plabel
 
 
 def _signature(ps, dfas):
@@ -743,48 +593,34 @@ def _signature(ps, dfas):
     return frozenset(i for i, b in enumerate(dfas) if qs[i] in b.accepting)
 
 
-def _settle_region(states, ptrans, dfas, zero_reward_ok):
-    """Greatest per-layer closed region where a strategy can linger forever
-    without crossing signature layers or collecting reward."""
-    allowed = set()
-    for ps in states:
-        sig = _signature(ps, dfas)
-        acts = [a for (q, a) in ptrans if q == ps]
-        if not acts:
-            allowed.add(ps)  # dead end: trivially stays put
-    candidates = set(states) - allowed
-    live = set(candidates)
-    changed = True
-    while changed:
-        changed = False
-        for ps in sorted(live, key=sort_key):
-            sig = _signature(ps, dfas)
-            ok = False
-            for (q, a), dist in ptrans.items():
-                if q != ps or not zero_reward_ok((q, a)):
-                    continue
-                supp = {t for t, p in dist.items() if p > 0}
-                if all(
-                    (t in live or t in allowed) and _signature(t, dfas) == sig
-                    for t in supp
-                ):
-                    ok = True
-                    break
-            if not ok:
-                live.discard(ps)
-                changed = True
-    return allowed | live
+def _occupation_lp(init, states, trans, settle, extra=0):
+    """Occupation-measure LP of one unit of flow from `init` into `settle`.
 
-
-def _stay_action(ps, region, ptrans, dfas, zero_reward_ok):
-    sig = _signature(ps, dfas)
-    for (q, a), dist in sorted(ptrans.items(), key=lambda kv: sort_key(kv[0])):
-        if q != ps or not zero_reward_ok((q, a)):
-            continue
-        supp = {t for t, p in dist.items() if p > 0}
-        if all(t in region and _signature(t, dfas) == sig for t in supp):
-            return a
-    return None
+    Columns: y[(s, a)], the expected number of times a is taken in s, for the
+    keys of `trans` in `sort_key` order; then w[s], the probability of
+    settling in s, for the settle states in `sort_key` order; then `extra`
+    columns left to the caller.  Rows: one flow balance per state, in
+    `states` order, then sum(w) = 1.  Row and column order fix the simplex's
+    pivot path, so they must not change.
+    """
+    action_keys = sorted(trans, key=sort_key)
+    settle_states = sorted(settle, key=sort_key)
+    y_index = {key: i for i, key in enumerate(action_keys)}
+    w_index = {s: len(action_keys) + i for i, s in enumerate(settle_states)}
+    lp = LinearProgram(len(action_keys) + len(settle_states) + extra)
+    balance = {s: {} for s in states}
+    for key, j in y_index.items():
+        out = balance[key[0]]
+        out[j] = out.get(j, Fraction(0)) + 1
+        for t, p in trans[key].items():
+            if p:
+                balance[t][j] = balance[t].get(j, Fraction(0)) - p
+    for s, j in w_index.items():
+        balance[s][j] = Fraction(1)
+    for s in states:
+        lp.add_eq(balance[s], Fraction(1 if s == init else 0))
+    lp.add_eq({j: Fraction(1) for j in w_index.values()}, Fraction(1))
+    return lp, y_index, w_index
 
 
 def mo_achievable(pa: PPA, query, strategy_class="cmp"):
@@ -806,7 +642,7 @@ def mo_achievable(pa: PPA, query, strategy_class="cmp"):
     prob_objs = [o for o in query if isinstance(o, ProbObjective)]
     rew_objs = [o for o in query if isinstance(o, RewardObjective)]
     dfas = [dfa_absorb_accepting(o.dfa) for o in prob_objs]
-    init, states, ptrans, plabel = _joint_product(work, dfas)
+    init, states, acts, ptrans, plabel = _joint_product(work, dfas)
 
     rew_maps = []
     for o in rew_objs:
@@ -821,35 +657,17 @@ def mo_achievable(pa: PPA, query, strategy_class="cmp"):
                         "a reward objective meets an infinite-reward end component"
                     )
 
-    def zero_reward_ok(key):
-        return all(act_reward(key, j) == 0 for j in range(len(rew_objs)))
+    def lingers(ps, a):
+        """Staying on a may neither collect reward nor cross a signature layer."""
+        sig = _signature(ps, dfas)
+        return all(act_reward((ps, a), j) == 0 for j in range(len(rew_objs))) and all(
+            _signature(t, dfas) == sig for t, p in ptrans[(ps, a)].items() if p
+        )
 
-    settle = _settle_region(states, ptrans, dfas, zero_reward_ok)
-    action_keys = sorted(ptrans, key=sort_key)
-    settle_states = sorted(settle, key=sort_key)
-    y_index = {key: i for i, key in enumerate(action_keys)}
-    w_index = {ps: len(action_keys) + i for i, ps in enumerate(settle_states)}
+    settle, stay = _settle(states, acts, ptrans, lingers)
     strict = any(o.cmp in ("<", ">") for o in query)
-    t_index = len(action_keys) + len(settle_states)
-    nvars = t_index + (1 if strict else 0)
-
-    lp = LinearProgram(nvars)
-    inflow = {ps: {} for ps in states}
-    for key, dist in ptrans.items():
-        for t, p in dist.items():
-            if p:
-                inflow[t][y_index[key]] = inflow[t].get(y_index[key], Fraction(0)) + p
-    for ps in states:
-        coeffs = {}
-        for (q, a) in ptrans:
-            if q == ps:
-                coeffs[y_index[(q, a)]] = coeffs.get(y_index[(q, a)], Fraction(0)) + 1
-        if ps in w_index:
-            coeffs[w_index[ps]] = coeffs.get(w_index[ps], Fraction(0)) + 1
-        for j, p in inflow[ps].items():
-            coeffs[j] = coeffs.get(j, Fraction(0)) - p
-        lp.add_eq(coeffs, Fraction(1 if ps == init else 0))
-    lp.add_eq({w_index[ps]: Fraction(1) for ps in settle_states}, Fraction(1))
+    lp, y_index, w_index = _occupation_lp(init, states, ptrans, settle, int(strict))
+    t_index = lp.num_vars - 1  # the slack column, read only when strict
 
     def reach_expr(i):
         """Linear expression of P(eventually bad_i) plus its constant part."""
@@ -881,10 +699,10 @@ def mo_achievable(pa: PPA, query, strategy_class="cmp"):
             lp.add_lb(c, bound - const)
     for j, o in enumerate(rew_objs):
         coeffs = {}
-        for key in action_keys:
+        for key, col in y_index.items():
             r = act_reward(key, j)
             if r:
-                coeffs[y_index[key]] = r
+                coeffs[col] = r
         if o.cmp == ">=":
             lp.add_lb(coeffs, o.threshold)
         elif o.cmp == ">":
@@ -908,14 +726,14 @@ def mo_achievable(pa: PPA, query, strategy_class="cmp"):
         if status != OPTIMAL:
             return "unachievable", None
 
-    mix, settle_mass, stay = {}, {}, {}
+    mix, settle_mass = {}, {}
     for ps in states:
         total = Fraction(0)
         weights = {}
-        for (q, a) in ptrans:
-            if q == ps and x[y_index[(q, a)]] > 0:
-                weights[a] = x[y_index[(q, a)]]
-                total += x[y_index[(q, a)]]
+        for a in acts[ps]:
+            if x[y_index[(ps, a)]] > 0:
+                weights[a] = x[y_index[(ps, a)]]
+                total += x[y_index[(ps, a)]]
         w = x[w_index[ps]] if ps in w_index else Fraction(0)
         total += w
         if total == 0:
@@ -923,10 +741,6 @@ def mo_achievable(pa: PPA, query, strategy_class="cmp"):
         mix[ps] = {a: v / total for a, v in weights.items()}
         if w:
             settle_mass[ps] = w / total
-    for ps in settle:
-        act = _stay_action(ps, settle, ptrans, dfas, zero_reward_ok)
-        if act is not None:
-            stay[ps] = act
 
     values = _witness_values(
         init, states, ptrans, dfas, prob_objs, rew_objs, plabel, rew_maps,
@@ -984,68 +798,10 @@ def _witness_values(init, states, ptrans, dfas, prob_objs, rew_objs, plabel,
             for ps in states
             if i in _signature(ps, dfas)
         }
-        v = _chain_reach(trans, ("go", init), target)
-        out.append(("prob", 1 - v))
+        out.append(("prob", 1 - _reach_prob(trans, target, ("go", init))))
     for j, o in enumerate(rew_objs):
-        out.append(("reward", _chain_gain(trans, gain_of[j], ("go", init))))
+        out.append(("reward", _chain_solve(trans, gain_of[j], ("go", init))[("go", init)]))
     return out
-
-
-def _chain_gain(trans, gain, init):
-    """Expected total gain of a Markov chain; infinity on recurrent gain."""
-    nodes = set(trans) | {init}
-    succ = lambda s: sorted(
-        (t for t, p in trans.get(s, {}).items() if p > 0), key=sort_key
-    )
-    infinite = set()
-    for comp in _sccs(nodes, succ):
-        internal = any(
-            t in comp and p > 0 for s in comp for t, p in trans.get(s, {}).items()
-        )
-        leaves = any(
-            p > 0 and t not in comp
-            for s in comp
-            for t, p in trans.get(s, {}).items()
-        )
-        if internal and not leaves and any(gain.get(s, 0) > 0 for s in comp):
-            infinite |= comp
-    changed = True
-    while changed:
-        changed = False
-        for s in nodes:
-            if s in infinite:
-                continue
-            if any(t in infinite and p > 0 for t, p in trans.get(s, {}).items()):
-                infinite.add(s)
-                changed = True
-    if init in infinite:
-        return INF
-    reach_gain = {s for s in nodes if gain.get(s, 0) > 0}
-    changed = True
-    while changed:
-        changed = False
-        for s in nodes:
-            if s in reach_gain:
-                continue
-            if any(t in reach_gain and p > 0 for t, p in trans.get(s, {}).items()):
-                reach_gain.add(s)
-                changed = True
-    if init not in reach_gain:
-        return Fraction(0)
-    solve_states = sorted((s for s in reach_gain if s not in infinite), key=sort_key)
-    idx = {s: i for i, s in enumerate(solve_states)}
-    rows, rhs = [], []
-    for s in solve_states:
-        row = [Fraction(0)] * len(solve_states)
-        row[idx[s]] = Fraction(1)
-        b = gain.get(s, Fraction(0))
-        for t, p in trans.get(s, {}).items():
-            if p and t in idx:
-                row[idx[t]] -= p
-        rows.append(row)
-        rhs.append(b)
-    sol = gauss_solve(rows, rhs)
-    return sol[idx[init]]
 
 
 # ---------------------------------------------------------------------------

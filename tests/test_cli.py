@@ -79,6 +79,44 @@ def test_check_exit_codes_and_determinism(corpus_dir, tmp_path, capsys):
     failing = json.loads(out3)["report"]["verdict"]
     assert failing["status"] == "fails"
     assert failing["witness"]["valuation"]["p"] == "1/2"
+    # the witness strategy on the product with the guarantee's DFA
+    assert failing["witness"]["strategy"] == {
+        "kind": "product-memoryless",
+        "strategy_class": "cmp",
+        "values": {"objective-0": "29/40"},
+        "mix": {
+            "((s0,t0),(ok))": {"(s0_a,t0_a)": "1"},
+            "((s0,t1),(ok))": {"(s0_a,t1_a)": "1"},
+            "((s0,t2),(ok))": {"(s0_c,t2_c)": "1"},
+            "((s0,t3),(bad))": {},
+            "((s0,t3),(ok))": {"(fail,t3_f)": "1"},
+            "((s0,t4),(ok))": {},
+            "((s1,t1),(ok))": {},
+            "((s1,t2),(ok))": {},
+            "((s1,t3),(bad))": {},
+            "((s1,t3),(ok))": {"(fail,t3_f)": "1"},
+        },
+        "settle": {
+            "((s0,t3),(bad))": "1",
+            "((s0,t4),(ok))": "1",
+            "((s1,t1),(ok))": "1",
+            "((s1,t2),(ok))": "1",
+            "((s1,t3),(bad))": "1",
+        },
+        "stay": {
+            "((s0,t0),(ok))": ["s0_a", "t0_a"],
+            "((s0,t1),(ok))": ["s0_a", "t1_a"],
+            "((s0,t2),(ok))": ["s0_b", "b"],
+            "((s0,t3),(bad))": ["fail", "t3_f"],
+            "((s0,t3),(ok))": ["s0_b", "b"],
+            "((s0,t4),(ok))": ["s0_b", "b"],
+            "((s1,t1),(ok))": ["s1_b", "b"],
+            "((s1,t2),(ok))": ["s1_b", "b"],
+            "((s1,t3),(bad))": ["fail", "t3_f"],
+            "((s1,t3),(ok))": ["s1_b", "b"],
+            "((s1,t4),(ok))": ["s1_b", "b"],
+        },
+    }
 
 
 def test_malformed_polynomial_is_usage_error(corpus_dir, tmp_path, capsys):
@@ -89,6 +127,14 @@ def test_malformed_polynomial_is_usage_error(corpus_dir, tmp_path, capsys):
     code, _, err = run(capsys, "instantiate", "--model", str(broken), "--valuation", "p=1/10")
     assert code == 2
     assert "position" in err
+    # structurally malformed documents are format errors, not verdicts
+    good = json.load(open(corpus_dir / "retry.ppa.json"))
+    no_transitions = {k: v for k, v in good.items() if k != "transitions"}
+    for bad in (dict(good, initial="nowhere"), no_transitions):
+        json.dump(bad, open(broken, "w"))
+        code, _, err = run(capsys, "instantiate", "--model", str(broken), "--valuation", "p=1/10")
+        assert code == 2
+        assert err.startswith("format error:") and "Traceback" not in err
 
 
 def test_simulate_cli(corpus_dir, capsys):

@@ -22,6 +22,7 @@ from pacomp.semantics import MemorylessStrategy
 from pacomp.verify import (
     INF,
     ProbObjective,
+    chain_expected_reward,
     chain_language_prob,
     enumerate_memoryless,
     exp_total_reward,
@@ -34,6 +35,7 @@ from pacomp.verify import (
     reward_objective,
     safety,
     safety_prob,
+    solution_value,
 )
 
 from helpers import random_pa, random_safety_dfa
@@ -81,12 +83,10 @@ def test_max_reach_agrees_with_policy_enumeration():
             )
             reach_dfa = None
             # evaluate reach probability of this policy by linear solve
-            from pacomp.verify import _policy_reach_values
+            from pacomp.verify import _reach_prob
 
-            vals = _policy_reach_values(
-                pa, {s: a for s, a in zip(pa.states, combo) if a}, frozenset(target)
-            )
-            best = max(best, vals[pa.initial])
+            chain = {s: pa.const_dist(s, a) if a else {} for s, a in zip(pa.states, combo)}
+            best = max(best, _reach_prob(chain, frozenset(target), pa.initial))
         assert value == best
 
 
@@ -187,6 +187,39 @@ def test_expected_reward_max_picks_better_branch():
     # each visit to u pays 1 and returns to u with prob 1/2: expected 2 pays
     assert exp_total_reward(pa, {"pay": 1}, "max") == 2
     assert exp_total_reward(pa, {"pay": 1}, "min") == 0
+
+
+def test_chain_reward_divergence_and_zero():
+    loop = make_ppa(
+        ["s", "t", "u"],
+        "s",
+        set(),
+        {
+            ("s", "x"): ("a", {"s": 1}),
+            ("s", "y"): ("b", {"t": 1}),
+            ("t", "z"): ("b", {"t": 1}),
+            ("u", "w"): ("a", {"u": 1}),
+        },
+        {"a", "b"},
+    )
+    paid = reward_objective(">=", 0, {"a": 1})
+    cycle = MemorylessStrategy({"s": {"x": F(1)}, "t": {"z": F(1)}})
+    assert solution_value(loop, cycle, paid) == INF  # closed rewarded cycle
+    # the rewarded cycle at u is never reached
+    escape = MemorylessStrategy({"s": {"y": F(1)}, "t": {"z": F(1)}})
+    assert solution_value(loop, escape, paid) == 0
+
+
+def test_chain_reward_maximum_is_policy_iteration():
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(20):
+        m = random_pa(rng, "e", 3, ["a", "b", "c"], max_actions=2)
+        rew = {"a": F(rng.randint(1, 3), 2)}
+        best = max(chain_expected_reward(m, sigma, rew) for sigma in enumerate_memoryless(m))
+        assert exp_total_reward(m, rew, "max") == best
+        kinds.add(best == INF)
+    assert kinds == {True, False}  # divergent and finite maxima both occur
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +559,9 @@ def test_minimal_reward_escapes_tied_zero_cycles():
     rew = {"pay5": 5, "pay100": 100}
     assert exp_total_reward(pa, rew, "min") == 0
     assert exp_total_reward(pa, rew, "max") == 100
+    for mode in ("minimum", "Max"):
+        with pytest.raises(ValueError):
+            exp_total_reward(pa, rew, mode)
 
 
 def test_minimal_reward_forced_payment():
@@ -552,12 +588,8 @@ def test_minimal_reward_forced_payment():
         best = None
         decisions = [(s, m.enabled(s)) for s in m.states if m.enabled(s)]
         for combo in itertools.product(*(acts for _, acts in decisions)):
-            from pacomp.verify import _policy_reward_values
-
-            vals = _policy_reward_values(
-                m, {s: a for (s, _), a in zip(decisions, combo)}, rew
-            )
-            v = vals[m.initial]
+            policy = {s: {a: F(1)} for (s, _), a in zip(decisions, combo)}
+            v = chain_expected_reward(m, MemorylessStrategy(policy), rew)
             best = v if best is None else min(best, v)
         # memoryless deterministic policies attain the minimum here
         assert got == best
@@ -607,6 +639,14 @@ def test_mixed_probability_and_reward_query():
     assert status == "achievable"
     vals = list(wit["values"].values())
     assert vals[0] >= F(1, 4) and vals[1] >= 1
+    # the two-mode witness: mix actions, then settle and stay on zero reward
+    assert wit["mix"] == {
+        ("s", ("ok",)): {"gl": F(1, 2), "gr": F(1, 2)},
+        ("l", ("bad",)): {},
+        ("r", ("ok",)): {},
+    }
+    assert wit["settle"] == {("l", ("bad",)): 1, ("r", ("ok",)): 1}
+    assert wit["stay"] == {("s", ("ok",)): "gr"}
     tight = (
         ProbObjective(">=", F(1, 2), never_left.dfa),
         reward_objective(">=", F(3, 2), {"left": 2}),
