@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 holds/success, 1 fails (with witness), 2 usage or format error,
-3 unknown / attested-only conclusions.  Reports are deterministic JSON with
-rationals rendered as num/den strings; pass --timing to add wall-clock times
-(which breaks byte-stability on purpose).
+3 unknown / attested-only conclusions, 4 internal error (a bug, never a
+verdict).  Reports are deterministic JSON with rationals rendered as num/den
+strings; pass --timing to add wall-clock times (which breaks byte-stability
+on purpose).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
 from . import corpus, modelio
 from .algebra import Box, FiniteRegion, parse_rational
@@ -43,6 +45,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
+EXIT_INTERNAL = 4
 
 
 class _Inputs:
@@ -57,8 +60,9 @@ class _Inputs:
         self.digests[path] = digest_bytes(data)
         doc = json.loads(data.decode("utf-8"))
         # reports produced by structural commands are loadable as their result
-        if "report" in doc and isinstance(doc["report"], dict) and "result" in doc["report"]:
-            doc = doc["report"]["result"]
+        report = doc.get("report") if isinstance(doc, dict) else None
+        if isinstance(report, dict) and "result" in report:
+            doc = report["result"]
         return modelio.load_document(doc)
 
 
@@ -314,7 +318,7 @@ def cmd_rule(args):
         raw = fh.read()
     inputs.digests[args.script] = digest_bytes(raw)
     doc = json.loads(raw.decode("utf-8"))
-    if doc.get("type") != "proof-script":
+    if not isinstance(doc, dict) or doc.get("type") != "proof-script":
         raise ParseError("expected a proof-script document")
     env = {"models": {}, "queries": {}, "regions": {}}
     for name, entry in doc.get("models", {}).items():
@@ -640,12 +644,19 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"input/output error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except PacompError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug, e.g. a witness failing re-verification
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

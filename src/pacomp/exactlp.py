@@ -1,35 +1,85 @@
-"""Exact rational linear algebra: Gaussian elimination and a small simplex.
+"""Exact rational linear algebra: Gauss-Jordan elimination and a small simplex.
 
-Everything is `fractions.Fraction`; Bland's rule keeps the simplex finite.
-Problem sizes here are tiny (products of desk-scale automata), so clarity
-beats sparsity tricks.
+Both run on one pivot kernel, `_pivot`, over integer rows.  A row is a list
+of Python ints `r` with one denominator `d`, and entry j stands for the
+rational r[j] / d.  Invariant: d > 0 and gcd(d, *r) == 1, restored after
+every update.  A pivot changes, in every other row, only the columns where
+the pivot row is nonzero; the row is first multiplied through by one integer
+when the pivot row's denominator does not divide the row's entry in the
+pivot column.  No `Fraction` is built inside the loop.  Inputs may be any
+rationals and results are `Fraction`s; no float is involved.
+
+The simplex is two-phase with Bland's rule, which keeps it finite.
+Artificial variables never re-enter the basis, so their columns are never
+stored; only their basis labels `total + i` are.  Signs are read off the
+integers and the ratio test compares rhs/a within each row, where the row
+denominator cancels, so the pivot path is the one a `Fraction` tableau takes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
+def _int_row(values):
+    """The reduced integer row and positive denominator of a list of Fractions."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _reduce(row, den):
+    """Divide an integer row and its denominator by their common gcd."""
+    g = gcd(den, *row)
+    return (row, den) if g == 1 else ([v // g for v in row], den // g)
+
+
+def _pivot(rows, dens, r, c):
+    """Scale row r so its entry c is 1, then clear column c from the other rows."""
+    p = rows[r]
+    a = p[c]
+    if a < 0:
+        p = [-v for v in p]
+        a = -a
+    p, a = _reduce(p, a)
+    rows[r], dens[r] = p, a
+    nz = [(j, v) for j, v in enumerate(p) if v]
+    for i in range(len(rows)):
+        q = rows[i]
+        f = q[c]
+        if not f or i == r:
+            continue
+        # q/d - (f/d) * (p/a), over the denominator d * (a / gcd(f, a)).
+        g = gcd(f, a)
+        s, f, d = a // g, f // g, dens[i]
+        if s != 1:
+            q = [v * s for v in q]
+            d *= s
+        for j, v in nz:
+            q[j] -= f * v
+        rows[i], dens[i] = _reduce(q, d)
+
+
 def gauss_solve(rows, rhs):
     """Solve A x = b for square nonsingular A; returns a list of Fractions."""
     n = len(rows)
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
+    a, dens = [], []
+    for i, row in enumerate(rows):
+        ints, den = _int_row([Fraction(v) for v in row] + [Fraction(rhs[i])])
+        a.append(ints)
+        dens.append(den)
     for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:
             raise ValueError("singular linear system")
         a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [v - factor * p for v, p in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+        dens[col], dens[pivot] = dens[pivot], dens[col]
+        _pivot(a, dens, col, col)
+    return [Fraction(a[i][n], dens[i]) for i in range(n)]
 
 
 class LinearProgram:
@@ -50,71 +100,74 @@ class LinearProgram:
         self.ub.append(({k: -v for k, v in coeffs.items()}, -Fraction(rhs)))
 
     def solve(self, objective: dict, maximize=True):
-        """Two-phase simplex; returns (status, assignment list, value)."""
-        n = self.num_vars
-        n_slack = len(self.ub)
-        total = n + n_slack
-        rows = []
-        for coeffs, rhs in self.eq:
-            row = [Fraction(0)] * total
-            for j, v in coeffs.items():
-                row[j] += Fraction(v)
-            rows.append((row, Fraction(rhs)))
-        for k, (coeffs, rhs) in enumerate(self.ub):
-            row = [Fraction(0)] * total
-            for j, v in coeffs.items():
-                row[j] += Fraction(v)
-            row[n + k] = Fraction(1)
-            rows.append((row, Fraction(rhs)))
+        """Two-phase simplex; returns (status, assignment list, value).
 
-        m = len(rows)
-        tab = []
-        for row, rhs in rows:
+        The tableau is `rows` (columns: the variables, one slack per `ub`
+        row, then the right-hand side) with the reduced-cost row "[r | -z]"
+        appended last while a phase runs.
+        """
+        n = self.num_vars
+        total = n + len(self.ub)
+        slacks = [None] * len(self.eq) + list(range(n, total))
+        rows, dens = [], []
+        for (coeffs, rhs), slack in zip(self.eq + self.ub, slacks):
+            row = [Fraction(0)] * (total + 1)
+            for j, v in coeffs.items():
+                row[j] += Fraction(v)
+            if slack is not None:
+                row[slack] = Fraction(1)
+            row[total] = rhs
             if rhs < 0:
                 row = [-v for v in row]
-                rhs = -rhs
-            tab.append(row + [Fraction(0)] * m + [rhs])
-        for i in range(m):
-            tab[i][total + i] = Fraction(1)
+            ints, den = _int_row(row)
+            rows.append(ints)
+            dens.append(den)
+        m = len(rows)
         basis = [total + i for i in range(m)]
-        width = total + m
 
-        # Phase 1: minimize the sum of artificials (reduced-cost row "[r | -z]").
-        cost = [Fraction(0)] * (width + 1)
-        for i in range(m):
-            for j in range(total):
-                cost[j] -= tab[i][j]
-            cost[width] -= tab[i][width]
-        self._iterate(tab, basis, cost, width, artificial_from=total)
-        if cost[width] != 0:
+        # Phase 1: minimize the sum of artificials, whose cost row is minus
+        # the sum of all rows.
+        common = lcm(*dens)
+        cost = [0] * (total + 1)
+        for row, den in zip(rows, dens):
+            scale = common // den
+            for j, v in enumerate(row):
+                if v:
+                    cost[j] -= v * scale
+        cost, den = _reduce(cost, common)
+        rows.append(cost)
+        dens.append(den)
+        _iterate(rows, dens, basis)
+        dens.pop()
+        if rows.pop()[total]:
             return INFEASIBLE, None, None
 
         # Remove leftover artificial basics (degenerate rows).
         for i in range(m):
             if basis[i] >= total:
-                pivot_col = next(
-                    (j for j in range(total) if tab[i][j] != 0), None
-                )
+                pivot_col = next((j for j in range(total) if rows[i][j]), None)
                 if pivot_col is not None:
-                    self._pivot(tab, basis, i, pivot_col, width)
+                    _pivot(rows, dens, i, pivot_col)
+                    basis[i] = pivot_col
 
         # Phase 2: minimize -objective (or +objective when minimizing).
-        sign = Fraction(-1) if maximize else Fraction(1)
-        cost = [Fraction(0)] * (width + 1)
+        sign = -1 if maximize else 1
+        cost = [Fraction(0)] * (total + 1)
         for j, v in objective.items():
             cost[j] = sign * Fraction(v)
-        for i in range(m):
-            if cost[basis[i]] != 0:
-                factor = cost[basis[i]]
-                for j in range(width + 1):
-                    cost[j] -= factor * tab[i][j]
-        status = self._iterate(tab, basis, cost, width, artificial_from=total)
+        cost, den = _int_row(cost)
+        rows.append(cost)
+        dens.append(den)
+        for i, b in enumerate(basis):
+            if b < total and rows[m][b]:
+                _pivot(rows, dens, i, b)  # b is basic: only the cost row changes
+        status = _iterate(rows, dens, basis)
         if status == UNBOUNDED:
             return UNBOUNDED, None, None
         x = [Fraction(0)] * self.num_vars
         for i, b in enumerate(basis):
             if b < self.num_vars:
-                x[b] = tab[i][width]
+                x[b] = Fraction(rows[i][total], dens[i])
         value = sum(Fraction(v) * x[j] for j, v in objective.items())
         return OPTIMAL, x, value
 
@@ -122,39 +175,29 @@ class LinearProgram:
         status, x, _ = self.solve({}, maximize=True)
         return status == OPTIMAL, x
 
-    @staticmethod
-    def _pivot(tab, basis, row, col, width):
-        inv = 1 / tab[row][col]
-        tab[row] = [v * inv for v in tab[row]]
-        for r in range(len(tab)):
-            if r != row and tab[r][col] != 0:
-                factor = tab[r][col]
-                tab[r] = [v - factor * p for v, p in zip(tab[r], tab[row])]
-        basis[row] = col
 
-    def _iterate(self, tab, basis, cost, width, artificial_from):
-        m = len(tab)
-        while True:
-            # Bland's rule: smallest improving column; artificials never re-enter.
-            col = next(
-                (j for j in range(artificial_from) if cost[j] < 0), None
-            )
-            if col is None:
-                return OPTIMAL
-            best_row, best_ratio = None, None
-            for i in range(m):
-                if tab[i][col] > 0:
-                    ratio = tab[i][width] / tab[i][col]
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and basis[i] < basis[best_row])
-                    ):
-                        best_row, best_ratio = i, ratio
-            if best_row is None:
-                return UNBOUNDED
-            self._pivot(tab, basis, best_row, col, width)
-            if cost[col] != 0:
-                factor = cost[col]
-                for j in range(width + 1):
-                    cost[j] -= factor * tab[best_row][j]
+def _iterate(rows, dens, basis):
+    """Pivot until the cost row `rows[-1]` shows optimality or unboundedness."""
+    m = len(basis)
+    width = len(rows[m]) - 1
+    while True:
+        # Bland's rule: smallest improving column; artificials never re-enter.
+        cost = rows[m]
+        col = next((j for j in range(width) if cost[j] < 0), None)
+        if col is None:
+            return OPTIMAL
+        best_row = None
+        for i in range(m):
+            a = rows[i][col]
+            if a > 0:
+                b = rows[i][width]
+                if best_row is None:
+                    best_row, best_a, best_b = i, a, b
+                    continue
+                lhs, rhs = b * best_a, best_b * a  # b/a against best_b/best_a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best_row]):
+                    best_row, best_a, best_b = i, a, b
+        if best_row is None:
+            return UNBOUNDED
+        _pivot(rows, dens, best_row, col)
+        basis[best_row] = col

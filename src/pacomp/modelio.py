@@ -328,6 +328,8 @@ _LOADERS = {
 
 def load_document(doc: dict):
     """Decode a pacomp/1 document; malformed content raises ParseError."""
+    if not isinstance(doc, dict):
+        raise ParseError(f"expected a JSON object, got {type(doc).__name__}")
     kind = doc.get("type")
     if kind in ("box", "finite", "union"):
         load = region_from_jsonable

@@ -130,11 +130,36 @@ def test_malformed_polynomial_is_usage_error(corpus_dir, tmp_path, capsys):
     # structurally malformed documents are format errors, not verdicts
     good = json.load(open(corpus_dir / "retry.ppa.json"))
     no_transitions = {k: v for k, v in good.items() if k != "transitions"}
-    for bad in (dict(good, initial="nowhere"), no_transitions):
+    # so are documents that are not JSON objects at all
+    for bad in (dict(good, initial="nowhere"), no_transitions, [1, 2], 7):
         json.dump(bad, open(broken, "w"))
         code, _, err = run(capsys, "instantiate", "--model", str(broken), "--valuation", "p=1/10")
         assert code == 2
         assert err.startswith("format error:") and "Traceback" not in err
+    broken.write_bytes(b"\xff\xfe")  # not UTF-8
+    code, _, err = run(capsys, "instantiate", "--model", str(broken), "--valuation", "p=1/10")
+    assert code == 2 and err.startswith("format error:")
+    code, _, err = run(capsys, "instantiate", "--model", str(tmp_path), "--valuation", "p=1/10")
+    assert code == 2 and err.startswith("input/output error:")
+
+
+def test_internal_error_is_never_a_verdict(corpus_dir, capsys, monkeypatch):
+    def broken_solver(*args, **kwargs):
+        raise RuntimeError("witness failed exact re-verification")
+
+    monkeypatch.setattr("pacomp.cli.region_sat", broken_solver)
+    code, out, err = run(
+        capsys,
+        "check",
+        "--model", str(corpus_dir / "pipeline.ppa.json"),
+        "--objective", str(corpus_dir / "safe_guarantee.query.json"),
+        "--region", "finite:{p=1/2,q=1}",
+    )
+    assert code == 4
+    assert out == ""
+    assert err.startswith(
+        "internal error: RuntimeError: witness failed exact re-verification"
+    )
 
 
 def test_simulate_cli(corpus_dir, capsys):
