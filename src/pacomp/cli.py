@@ -16,9 +16,11 @@ import time
 import traceback
 
 from . import corpus, modelio
-from .algebra import Box, FiniteRegion, parse_rational
+from .algebra import Box, FiniteRegion, RegionUnion, parse_rational
 from .errors import PacompError, ParseError
 from .model import (
+    DFA,
+    PPA,
     alphabet_extend,
     compose,
     dfa_product,
@@ -36,7 +38,7 @@ from .proofrules import (
     apply_simulation_ag,
 )
 from .report import digest_bytes, make_report, render_report, scrub
-from .robust import conv_compose, interval_relax_compose, pa_reduce, rpa_compose
+from .robust import RPA, conv_compose, interval_relax_compose, pa_reduce, rpa_compose
 from .semantics import strategy_project, tabulate
 from .simulate import robust_strong_sim, strong_sim_region
 from .verify import ag_triple_check, monotone_check, region_sat
@@ -48,13 +50,38 @@ EXIT_UNKNOWN = 3
 EXIT_INTERNAL = 4
 
 
+QUERY = tuple
+REGION = (Box, FiniteRegion, RegionUnion)
+_KIND_NAMES = {PPA: "a ppa", RPA: "an rpa", DFA: "a dfa", QUERY: "a mo-query",
+               REGION: "a region"}
+
+
+def _decode(doc, expected):
+    """Decode a document and insist on the expected kind (None: any kind)."""
+    obj = modelio.load_document(doc)
+    if expected is not None and not isinstance(obj, expected):
+        raise ParseError(f"expected {_KIND_NAMES[expected]} document, got {doc.get('type')}")
+    return obj
+
+
+def positive_int(text):
+    """A resolution: an integer >= 1."""
+    try:
+        value = int(text)
+    except (TypeError, ValueError):
+        value = 0
+    if value < 1:
+        raise ValueError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 class _Inputs:
     """Tracks file digests so reports can echo what they consumed."""
 
     def __init__(self):
         self.digests = {}
 
-    def load(self, path):
+    def load(self, path, expected):
         with open(path, "rb") as fh:
             data = fh.read()
         self.digests[path] = digest_bytes(data)
@@ -63,14 +90,14 @@ class _Inputs:
         report = doc.get("report") if isinstance(doc, dict) else None
         if isinstance(report, dict) and "result" in report:
             doc = report["result"]
-        return modelio.load_document(doc)
+        return _decode(doc, expected)
 
 
 def parse_region_arg(text, inputs):
     """Parse --region: box.p=[0,0.1],q=[0,1] | finite:{p=1/10};{p=9/10} | @file."""
     text = text.strip()
     if text.startswith("@"):
-        return inputs.load(text[1:])
+        return inputs.load(text[1:], REGION)
     if text.startswith("box.") or text.startswith("box:"):
         body = text[4:]
         bounds = {}
@@ -148,13 +175,13 @@ def _structural(args, name, builder):
 
 def cmd_compose(args):
     return _structural(
-        args, "compose", lambda inp: compose(inp.load(args.left), inp.load(args.right))
+        args, "compose", lambda inp: compose(inp.load(args.left, PPA), inp.load(args.right, PPA))
     )
 
 
 def cmd_instantiate(args):
     def build(inp):
-        m = inp.load(args.model)
+        m = inp.load(args.model, PPA)
         return instantiate(m, parse_valuation_arg(args.valuation))
 
     return _structural(args, "instantiate", build)
@@ -164,22 +191,22 @@ def cmd_extend(args):
     return _structural(
         args,
         "extend",
-        lambda inp: alphabet_extend(inp.load(args.model), set(args.symbols.split(","))),
+        lambda inp: alphabet_extend(inp.load(args.model, PPA), set(args.symbols.split(","))),
     )
 
 
 def cmd_tau(args):
-    return _structural(args, "tau", lambda inp: tau_extend(inp.load(args.model)))
+    return _structural(args, "tau", lambda inp: tau_extend(inp.load(args.model, PPA)))
 
 
 def cmd_prune(args):
-    return _structural(args, "prune", lambda inp: prune_unreachable(inp.load(args.model)))
+    return _structural(args, "prune", lambda inp: prune_unreachable(inp.load(args.model, PPA)))
 
 
 def cmd_product(args):
     inputs = _Inputs()
-    m = inputs.load(args.model)
-    b = inputs.load(args.dfa)
+    m = inputs.load(args.model, PPA)
+    b = inputs.load(args.dfa, DFA)
     product, bad = dfa_product(m, b)
     report = make_report(
         "product",
@@ -191,8 +218,8 @@ def cmd_product(args):
 
 def cmd_check(args):
     inputs = _Inputs()
-    m = inputs.load(args.model)
-    query = inputs.load(args.objective)
+    m = inputs.load(args.model, PPA)
+    query = inputs.load(args.objective, QUERY)
     region = parse_region_arg(args.region, inputs) if args.region else FiniteRegion.of([{}])
     started = time.monotonic()
     verdict = region_sat(m, region, query, args.strategy_class, args.resolution)
@@ -209,9 +236,9 @@ def cmd_check(args):
 
 def cmd_triple(args):
     inputs = _Inputs()
-    m = inputs.load(args.model)
-    assumption = inputs.load(args.assumption)
-    guarantee = inputs.load(args.guarantee)
+    m = inputs.load(args.model, PPA)
+    assumption = inputs.load(args.assumption, QUERY)
+    guarantee = inputs.load(args.guarantee, QUERY)
     region = parse_region_arg(args.region, inputs) if args.region else FiniteRegion.of([{}])
     verdict = ag_triple_check(
         m, region, assumption, guarantee, args.strategy_class, args.resolution
@@ -222,8 +249,8 @@ def cmd_triple(args):
 
 def cmd_monotone(args):
     inputs = _Inputs()
-    m = inputs.load(args.model)
-    query = inputs.load(args.objective)
+    m = inputs.load(args.model, PPA)
+    query = inputs.load(args.objective, QUERY)
     if len(query) != 1:
         raise ParseError("monotonicity checks take a single-objective query")
     region = parse_region_arg(args.region, inputs)
@@ -237,9 +264,9 @@ def cmd_monotone(args):
 
 def cmd_project(args):
     inputs = _Inputs()
-    left = inputs.load(args.left)
-    right = inputs.load(args.right)
-    sigma = inputs.load(args.strategy)
+    left = inputs.load(args.left, PPA)
+    right = inputs.load(args.right, PPA)
+    sigma = inputs.load(args.strategy, None)
     composed = compose(left, right)
     v = parse_valuation_arg(args.valuation) if args.valuation else {}
     inst = instantiate(composed, v)
@@ -253,8 +280,8 @@ def cmd_project(args):
 
 def cmd_simulate(args):
     inputs = _Inputs()
-    left = inputs.load(args.left)
-    right = inputs.load(args.right)
+    left = inputs.load(args.left, PPA)
+    right = inputs.load(args.right, PPA)
     region = parse_region_arg(args.region, inputs) if args.region else FiniteRegion.of([{}])
     if args.robust:
         rel = robust_strong_sim(left, right, region, args.resolution)
@@ -271,28 +298,53 @@ def cmd_simulate(args):
     return _emit(args, report, EXIT_HOLDS if verdict.holds else EXIT_FAILS)
 
 
+# rule -> (function, script arguments, attestation notes of its fairness
+# variant or None when it has none)
 _RULES = {
     "asymmetric": (
         apply_asymmetric,
         ("m1", "m2", "r1", "r2", "assumption", "guarantee"),
+        2,
     ),
     "circular": (
         apply_circular,
         ("m1", "m2", "r1", "r2", "r3", "a1", "a2", "guarantee"),
+        3,
     ),
     "conjunction": (
         apply_conjunction,
         ("m", "r1", "r2", "a1", "g1", "a2", "g2"),
+        2,
     ),
     "monotonicity": (
         apply_monotonicity,
         ("m1", "m2", "r1", "r2", "objective", "param", "direction"),
+        2,
     ),
     "simulation": (
         apply_simulation_ag,
         ("m1", "m2", "m_assume", "m_guarantee", "r1", "r2"),
+        None,
     ),
 }
+
+
+def _script_check(cond, message):
+    if not cond:
+        raise ParseError(f"proof script: {message}")
+
+
+def _script_fairness(rule, fair, n_notes):
+    _script_check(n_notes is not None, f"rule {rule!r} has no fairness variant")
+    _script_check(isinstance(fair, dict), "'fairness' must be an object")
+    sets, notes = fair.get("sets", []), fair.get("notes", [])
+    _script_check(isinstance(sets, list) and all(isinstance(x, list) for x in sets),
+                  "fairness 'sets' must be a list of lists")
+    _script_check(isinstance(notes, list) and all(isinstance(x, str) and x for x in notes),
+                  "fairness 'notes' must be a list of non-empty strings")
+    _script_check(len(notes) == n_notes,
+                  f"rule {rule!r} needs {n_notes} fairness notes, got {len(notes)}")
+    return FairnessAttestation(tuple(tuple(x) for x in sets), tuple(notes))
 
 
 def _resolve_script_value(key, value, env, inputs):
@@ -320,38 +372,41 @@ def cmd_rule(args):
     doc = json.loads(raw.decode("utf-8"))
     if not isinstance(doc, dict) or doc.get("type") != "proof-script":
         raise ParseError("expected a proof-script document")
-    env = {"models": {}, "queries": {}, "regions": {}}
-    for name, entry in doc.get("models", {}).items():
-        env["models"][name] = (
-            inputs.load(entry[1:]) if isinstance(entry, str) and entry.startswith("@")
-            else modelio.load_document(entry)
-        )
-    for name, entry in doc.get("queries", {}).items():
-        env["queries"][name] = modelio.query_from_jsonable(entry)
-    for name, entry in doc.get("regions", {}).items():
-        env["regions"][name] = modelio.region_from_jsonable(entry)
+    env = {}
+    for key, expected in (("models", PPA), ("queries", QUERY), ("regions", REGION)):
+        section = doc.get(key, {})
+        _script_check(isinstance(section, dict), f"{key!r} must be an object")
+        env[key] = {
+            name: inputs.load(entry[1:], expected)
+            if isinstance(entry, str) and entry.startswith("@")
+            else _decode(entry, expected)
+            for name, entry in section.items()
+        }
+    applications = doc.get("applications", [])
+    _script_check(isinstance(applications, list)
+                  and all(isinstance(app_doc, dict) for app_doc in applications),
+                  "'applications' must be a list of objects")
     certificate = []
     worst = EXIT_HOLDS
-    for app_doc in doc.get("applications", []):
+    for app_doc in applications:
         rule = app_doc.get("rule")
         if rule not in _RULES:
             raise ParseError(f"unknown rule {rule!r} in proof script")
-        fn, arg_names = _RULES[rule]
+        fn, arg_names, n_notes = _RULES[rule]
         kwargs = {}
         for name in arg_names:
             if name not in app_doc:
                 raise ParseError(f"rule {rule!r} needs argument {name!r}")
             kwargs[name] = _resolve_script_value(name, app_doc[name], env, inputs)
         if "resolution" in app_doc:
-            kwargs["resolution"] = int(app_doc["resolution"])
+            try:
+                kwargs["resolution"] = positive_int(app_doc["resolution"])
+            except ValueError as exc:
+                raise ParseError(f"proof script: 'resolution' {exc}") from exc
         if rule == "simulation" and "robust" in app_doc:
             kwargs["robust"] = bool(app_doc["robust"])
         if "fairness" in app_doc:
-            fair = app_doc["fairness"]
-            kwargs["fairness"] = FairnessAttestation(
-                tuple(tuple(s) for s in fair.get("sets", ())),
-                tuple(fair.get("notes", ())),
-            )
+            kwargs["fairness"] = _script_fairness(rule, app_doc["fairness"], n_notes)
         app = fn(**kwargs)
         certificate.append(
             {
@@ -383,14 +438,14 @@ def cmd_rule(args):
 
 def _rpa_binary(args, name, op):
     inputs = _Inputs()
-    result = op(inputs.load(args.left), inputs.load(args.right))
+    result = op(inputs.load(args.left, RPA), inputs.load(args.right, RPA))
     report = make_report(name, inputs.digests, {"result": modelio.dump_document(result)})
     return _emit(args, report, EXIT_HOLDS)
 
 
 def cmd_rpa_compose(args):
     inputs = _Inputs()
-    left, right = inputs.load(args.left), inputs.load(args.right)
+    left, right = inputs.load(args.left, RPA), inputs.load(args.right, RPA)
     composed = rpa_compose(left, right)
     # product sets have no finite serialization; report the structure instead
     body = {
@@ -415,15 +470,15 @@ def cmd_rpa_relax(args):
 
 
 def cmd_rpa_reduce(args):
-    return _structural(args, "rpa-reduce", lambda inp: pa_reduce(inp.load(args.model)))
+    return _structural(args, "rpa-reduce", lambda inp: pa_reduce(inp.load(args.model, RPA)))
 
 
 def cmd_rpa_rule(args):
     inputs = _Inputs()
-    u1 = inputs.load(args.left)
-    u2 = inputs.load(args.right)
-    assumption = inputs.load(args.assumption)
-    guarantee = inputs.load(args.guarantee)
+    u1 = inputs.load(args.left, RPA)
+    u2 = inputs.load(args.right, RPA)
+    assumption = inputs.load(args.assumption, QUERY)
+    guarantee = inputs.load(args.guarantee, QUERY)
     app = apply_rpa_rules(args.variant, u1, u2, assumption, guarantee)
     body = {
         "rule": app.rule,
@@ -543,7 +598,7 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--objective", required=True, help="mo-query JSON file")
     p.add_argument("--region", default=None)
-    p.add_argument("--resolution", type=int, default=1)
+    p.add_argument("--resolution", type=positive_int, default=1)
     p.add_argument("--class", dest="strategy_class", choices=("cmp", "prt"), default="cmp")
     common(p)
     p.set_defaults(fn=cmd_check)
@@ -553,7 +608,7 @@ def build_parser():
     p.add_argument("--assumption", required=True)
     p.add_argument("--guarantee", required=True)
     p.add_argument("--region", default=None)
-    p.add_argument("--resolution", type=int, default=1)
+    p.add_argument("--resolution", type=positive_int, default=1)
     p.add_argument("--class", dest="strategy_class", choices=("cmp", "prt"), default="prt")
     common(p)
     p.set_defaults(fn=cmd_triple)
@@ -564,7 +619,7 @@ def build_parser():
     p.add_argument("--region", required=True)
     p.add_argument("--param", required=True)
     p.add_argument("--direction", choices=("up", "down"), required=True)
-    p.add_argument("--resolution", type=int, default=1)
+    p.add_argument("--resolution", type=positive_int, default=1)
     p.add_argument("--grid-denominator", type=int, default=1)
     p.add_argument("--class", dest="strategy_class", choices=("cmp", "prt"), default="cmp")
     common(p)
@@ -584,7 +639,7 @@ def build_parser():
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--region", default=None)
-    p.add_argument("--resolution", type=int, default=1)
+    p.add_argument("--resolution", type=positive_int, default=1)
     p.add_argument("--robust", action="store_true")
     common(p)
     p.set_defaults(fn=cmd_simulate)

@@ -25,7 +25,7 @@ from .model import (
 from .proofrules import (
     apply_asymmetric,
     apply_monotonicity,
-    apply_rpa_asymmetric,
+    apply_rpa_rules,
     interleaving_threshold,
     reward_sum,
 )
@@ -228,7 +228,7 @@ def _anchors():
     def robust_rule_contrast():
         trivial = (ProbObjective(">=", F(0), corpus.trivial_dfa(("a", "b"))),)
         goal = (safety(corpus.no_c_dfa(), F(1, 10)),)
-        app = apply_rpa_asymmetric(u1, u2, trivial, goal)
+        app = apply_rpa_rules("asymmetric", u1, u2, trivial, goal)
         conv_val = safety_prob(pa_reduce(conv_compose(u1, u2)), goal[0])
         relax_val = safety_prob(pa_reduce(interval_relax_compose(u1, u2)), goal[0])
         return (

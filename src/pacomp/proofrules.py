@@ -4,17 +4,20 @@ Each rule checks its alphabet side conditions, dispatches premise checks to
 the verify/simulate modules, and assembles a conclusion with a confidence
 label.  Fairness-quantified rule variants are constructible only with
 externally attested premises and always carry the attested confidence.
+The robust rules for convex rPAs are these rules applied to PA-reductions
+(`apply_rpa_rules`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import Polynomial, region_intersect
+from .algebra import FiniteRegion, Polynomial, region_intersect
 from .errors import SideConditionError
 from .model import alphabet_extend, compose
-from .robust import alphabet_extend_rpa, pa_reduce
+from .robust import pa_reduce
 from .simulate import robust_strong_sim, strong_sim_region
 from .verify import (
     ProbObjective,
@@ -27,7 +30,6 @@ from .verify import (
     reward_objective,
     _checked_samples,
 )
-from .algebra import FiniteRegion
 
 CHECKED = "checked-per-sample"
 ATTESTED = "attested"
@@ -108,51 +110,29 @@ def conjoin(q1, q2) -> tuple:
     return tuple(out)
 
 
+def _sat_premise(description, m, region, query, resolution):
+    """The model satisfies the query on the region under complete strategies."""
+    return Premise(
+        "region-sat", description, region_sat(m, region, query, "cmp", resolution)
+    )
+
+
+def _triple_premise(description, m, region, assumption, guarantee, resolution):
+    """The triple on `m` extended by the assumption's alphabet, partial strategies."""
+    return Premise(
+        "ag-triple", description,
+        ag_triple_check(alphabet_extend(m, query_alphabet(assumption)), region,
+                        assumption, guarantee, "prt", resolution),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Asymmetric and circular rules
 # ---------------------------------------------------------------------------
 
 def apply_asymmetric(m1, m2, r1, r2, assumption, guarantee,
                      resolution=1, fairness=None) -> RuleApplication:
-    sig_a, sig_g = query_alphabet(assumption), query_alphabet(guarantee)
-    _require(sig_a <= m1.alphabet, "assumption alphabet must lie inside component 1's")
-    _require(
-        sig_g <= m2.alphabet | sig_a,
-        "guarantee alphabet must lie inside component 2's plus the assumption's",
-    )
-    side = [
-        f"{sorted(sig_a)} within component-1 alphabet",
-        f"{sorted(sig_g)} within component-2 alphabet plus assumption's",
-    ]
-    conclusion = {
-        "kind": "region-sat",
-        "model": "m1 || m2",
-        "region": region_intersect(r1, r2),
-        "query": guarantee,
-        "strategy_class": "cmp",
-    }
-    if fairness is not None:
-        premises = _attested_premises(
-            ["component 1 satisfies the assumption (fair)",
-             "component 2 triple assumption => guarantee (fair)"],
-            fairness.notes,
-        )
-        return _finish("asymmetric-fair", premises, side, conclusion, ATTESTED)
-    _require(is_safe_query(assumption) and is_safe_query(guarantee),
-             "the complete-strategy asymmetric rule needs safety mo-queries")
-    p1 = Premise(
-        "region-sat",
-        "component 1 satisfies the assumption on its region",
-        region_sat(m1, r1, assumption, "cmp", resolution),
-    )
-    p2 = Premise(
-        "ag-triple",
-        "extended component 2 satisfies assumption => guarantee",
-        ag_triple_check(
-            alphabet_extend(m2, sig_a), r2, assumption, guarantee, "prt", resolution
-        ),
-    )
-    return _finish("asymmetric", [p1, p2], side, conclusion)
+    return apply_asym_n([m1, m2], [r1, r2], [assumption], guarantee, resolution, fairness)
 
 
 def apply_circular(m1, m2, r1, r2, r3, a1, a2, guarantee,
@@ -182,56 +162,36 @@ def apply_circular(m1, m2, r1, r2, r3, a1, a2, guarantee,
         return _finish("circular-fair", premises, side, conclusion, ATTESTED)
     _require(all(is_safe_query(q) for q in (a1, a2, guarantee)),
              "the complete-strategy circular rule needs safety mo-queries")
-    p1 = Premise(
-        "ag-triple", "assumption-1 => assumption-2 on extended component 1",
-        ag_triple_check(alphabet_extend(m1, s1), r1, a1, a2, "prt", resolution),
-    )
-    p2 = Premise(
-        "ag-triple", "assumption-2 => guarantee on extended component 2",
-        ag_triple_check(alphabet_extend(m2, s2), r2, a2, guarantee, "prt", resolution),
-    )
-    p3 = Premise(
-        "region-sat", "component 2 satisfies assumption 1",
-        region_sat(m2, r3, a1, "cmp", resolution),
-    )
-    return _finish("circular", [p1, p2, p3], side, conclusion)
+    premises = [
+        _triple_premise("assumption-1 => assumption-2 on extended component 1",
+                        m1, r1, a1, a2, resolution),
+        _triple_premise("assumption-2 => guarantee on extended component 2",
+                        m2, r2, a2, guarantee, resolution),
+        _sat_premise("component 2 satisfies assumption 1", m2, r3, a1, resolution),
+    ]
+    return _finish("circular", premises, side, conclusion)
 
 
 def apply_asym_n(models, regions, assumptions, guarantee,
-                 resolution=1) -> RuleApplication:
+                 resolution=1, fairness=None) -> RuleApplication:
+    """ASYM-N: component 1 meets the first assumption, and each later component
+    turns the previous query into the next; at n = 2 this is the asymmetric rule."""
     n = len(models)
     _require(n >= 2, "the chained rule needs at least two components")
     if len(regions) != n or len(assumptions) != n - 1:
         raise ValueError("need one region per component and n-1 assumptions")
     queries = list(assumptions) + [guarantee]
-    _require(query_alphabet(queries[0]) <= models[0].alphabet,
-             "first assumption alphabet must lie inside component 1's")
+    sigmas = [query_alphabet(q) for q in queries]
+    _require(sigmas[0] <= models[0].alphabet,
+             "assumption alphabet must lie inside component 1's")
+    side = [f"{sorted(sigmas[0])} within component-1 alphabet"]
     for i in range(1, n):
-        prev = query_alphabet(queries[i - 1])
+        name = "guarantee" if i == n - 1 else f"assumption {i + 1}"
         _require(
-            query_alphabet(queries[i]) <= models[i].alphabet | prev,
-            f"query {i} alphabet must lie inside component {i + 1}'s plus the previous",
+            sigmas[i] <= models[i].alphabet | sigmas[i - 1],
+            f"{name} alphabet must lie inside component {i + 1}'s plus the assumption's",
         )
-    _require(all(is_safe_query(q) for q in queries), "chained rule needs safety queries")
-    side = [f"{n}-component alphabet chain"]
-    premises = [
-        Premise(
-            "region-sat", "component 1 satisfies the first assumption",
-            region_sat(models[0], regions[0], queries[0], "cmp", resolution),
-        )
-    ]
-    for i in range(1, n):
-        prev_alpha = query_alphabet(queries[i - 1])
-        premises.append(
-            Premise(
-                "ag-triple",
-                f"component {i + 1} triple link",
-                ag_triple_check(
-                    alphabet_extend(models[i], prev_alpha),
-                    regions[i], queries[i - 1], queries[i], "prt", resolution,
-                ),
-            )
-        )
+        side.append(f"{sorted(sigmas[i])} within component-{i + 1} alphabet plus assumption's")
     region = regions[0]
     for r in regions[1:]:
         region = region_intersect(region, r)
@@ -242,7 +202,26 @@ def apply_asym_n(models, regions, assumptions, guarantee,
         "query": guarantee,
         "strategy_class": "cmp",
     }
-    return _finish("asymmetric-n", premises, side, conclusion)
+    rule = "asymmetric" if n == 2 else "asymmetric-n"
+    if fairness is not None:
+        premises = _attested_premises(
+            ["component 1 satisfies the assumption (fair)"]
+            + [f"component {i + 1} triple assumption => guarantee (fair)"
+               for i in range(1, n)],
+            fairness.notes,
+        )
+        return _finish(f"{rule}-fair", premises, side, conclusion, ATTESTED)
+    _require(all(is_safe_query(q) for q in queries),
+             "the complete-strategy asymmetric rule needs safety mo-queries")
+    premises = [
+        _sat_premise("component 1 satisfies the assumption on its region",
+                     models[0], regions[0], queries[0], resolution)
+    ] + [
+        _triple_premise(f"extended component {i + 1} satisfies assumption => guarantee",
+                        models[i], regions[i], queries[i - 1], queries[i], resolution)
+        for i in range(1, n)
+    ]
+    return _finish(rule, premises, side, conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +252,11 @@ def apply_conjunction(m, r1, r2, a1, g1, a2, g2,
             ["first triple (fair)", "second triple (fair)"], fairness.notes
         )
         return _finish("conjunction-fair", premises, side, conclusion, ATTESTED)
-    p1 = Premise(
-        "ag-triple", "first triple",
-        ag_triple_check(alphabet_extend(m, query_alphabet(a1)), r1, a1, g1, "prt", resolution),
-    )
-    p2 = Premise(
-        "ag-triple", "second triple",
-        ag_triple_check(alphabet_extend(m, query_alphabet(a2)), r2, a2, g2, "prt", resolution),
-    )
-    return _finish("conjunction", [p1, p2], side, conclusion)
+    premises = [
+        _triple_premise("first triple", m, r1, a1, g1, resolution),
+        _triple_premise("second triple", m, r2, a2, g2, resolution),
+    ]
+    return _finish("conjunction", premises, side, conclusion)
 
 
 def interleaving_threshold(p1, p2) -> Fraction:
@@ -316,15 +291,11 @@ def apply_interleaving(m1, m2, r1, r2, a1, a2, dfa1, p1, dfa2, p2,
         return _finish("interleaving-fair", premises, side, conclusion, ATTESTED)
     _require(is_safe_query((g1, g2)) and all(is_safe_query(q) for q in (a1, a2)),
              "the partial-strategy interleaving rule needs safety queries")
-    pr1 = Premise(
-        "ag-triple", "component 1 bound",
-        ag_triple_check(alphabet_extend(m1, query_alphabet(a1)), r1, a1, (g1,), "prt", resolution),
-    )
-    pr2 = Premise(
-        "ag-triple", "component 2 bound",
-        ag_triple_check(alphabet_extend(m2, query_alphabet(a2)), r2, a2, (g2,), "prt", resolution),
-    )
-    return _finish("interleaving", [pr1, pr2], side, conclusion)
+    premises = [
+        _triple_premise("component 1 bound", m1, r1, a1, (g1,), resolution),
+        _triple_premise("component 2 bound", m2, r2, a2, (g2,), resolution),
+    ]
+    return _finish("interleaving", premises, side, conclusion)
 
 
 def reward_sum(rw1, rw2) -> dict:
@@ -359,21 +330,13 @@ def apply_reward_sum(m1, m2, r1, r2, a1, a2, rw1, thr1, rw2, thr2,
     if fairness is not None:
         premises = _attested_premises([d + " (fair)" for d in descriptions], fairness.notes)
         return _finish("reward-sum-fair", premises, side, conclusion, ATTESTED)
-    pr1 = Premise(
-        "ag-triple", descriptions[0],
-        ag_triple_check(
-            alphabet_extend(m1, query_alphabet(a1)), r1, a1,
-            (reward_objective(cmp, thr1, rw1),), "prt", resolution,
-        ),
-    )
-    pr2 = Premise(
-        "ag-triple", descriptions[1],
-        ag_triple_check(
-            alphabet_extend(m2, query_alphabet(a2)), r2, a2,
-            (reward_objective(cmp, thr2, rw2),), "prt", resolution,
-        ),
-    )
-    return _finish("reward-sum", [pr1, pr2], side, conclusion)
+    premises = [
+        _triple_premise(descriptions[0], m1, r1, a1,
+                        (reward_objective(cmp, thr1, rw1),), resolution),
+        _triple_premise(descriptions[1], m2, r2, a2,
+                        (reward_objective(cmp, thr2, rw2),), resolution),
+    ]
+    return _finish("reward-sum", premises, side, conclusion)
 
 
 # ---------------------------------------------------------------------------
@@ -461,179 +424,47 @@ def apply_simulation_ag(m1, m2, m_assume, m_guarantee, r1, r2,
 # Rules for polytopic robust automata (premises on PA-reductions)
 # ---------------------------------------------------------------------------
 
-def _trivial_region():
-    return FiniteRegion.of([{}])
-
-
-def apply_rpa_asymmetric(u1, u2, assumption, guarantee, resolution=1) -> RuleApplication:
-    sig_a, sig_g = query_alphabet(assumption), query_alphabet(guarantee)
-    _require(sig_a <= u1.alphabet, "assumption alphabet must lie inside component 1's")
-    _require(sig_g <= u2.alphabet | sig_a,
-             "guarantee alphabet must lie inside component 2's plus the assumption's")
-    _require(is_safe_query(assumption) and is_safe_query(guarantee),
-             "robust rules are restricted to safety mo-queries")
-    side = ["alphabet chain", "polytopic components (reductions exist)"]
-    p1 = Premise(
-        "region-sat", "reduced component 1 satisfies the assumption",
-        region_sat(pa_reduce(u1), _trivial_region(), assumption, "cmp", resolution),
-    )
-    p2 = Premise(
-        "ag-triple", "reduced extended component 2 triple",
-        ag_triple_check(
-            pa_reduce(alphabet_extend_rpa(u2, sig_a)), _trivial_region(),
-            assumption, guarantee, "prt", resolution,
-        ),
-    )
-    conclusion = {
-        "kind": "rpa-sat",
-        "model": "u1 ||conv u2 (over-approximates the standard composition)",
-        "query": guarantee,
-        "strategy_class": "cmp",
-    }
-    return _finish("rpa-asymmetric", [p1, p2], side, conclusion)
-
-
-def apply_rpa_circular(u1, u2, a1, a2, guarantee, resolution=1) -> RuleApplication:
-    s1, s2 = query_alphabet(a1), query_alphabet(a2)
-    _require(s1 <= u2.alphabet, "first assumption alphabet must lie inside component 2's")
-    _require(s2 <= u1.alphabet | s1,
-             "second assumption alphabet must lie inside component 1's plus the first's")
-    _require(query_alphabet(guarantee) <= u2.alphabet | s2,
-             "guarantee alphabet must lie inside component 2's plus assumption 2's")
-    _require(all(is_safe_query(q) for q in (a1, a2, guarantee)),
-             "robust rules are restricted to safety mo-queries")
-    side = ["circular alphabet chain"]
-    p1 = Premise(
-        "ag-triple", "reduced component 1: assumption-1 => assumption-2",
-        ag_triple_check(pa_reduce(alphabet_extend_rpa(u1, s1)), _trivial_region(),
-                        a1, a2, "prt", resolution),
-    )
-    p2 = Premise(
-        "ag-triple", "reduced component 2: assumption-2 => guarantee",
-        ag_triple_check(pa_reduce(alphabet_extend_rpa(u2, s2)), _trivial_region(),
-                        a2, guarantee, "prt", resolution),
-    )
-    p3 = Premise(
-        "region-sat", "reduced component 2 satisfies assumption 1",
-        region_sat(pa_reduce(u2), _trivial_region(), a1, "cmp", resolution),
-    )
-    conclusion = {
-        "kind": "rpa-sat",
-        "model": "u1 ||conv u2 (over-approximates the standard composition)",
-        "query": guarantee,
-        "strategy_class": "cmp",
-    }
-    return _finish("rpa-circular", [p1, p2, p3], side, conclusion)
-
-
-def apply_rpa_conjunction(u, r_unused, a1, g1, a2, g2, resolution=1) -> RuleApplication:
-    _require(all(is_safe_query(q) for q in (a1, g1, a2, g2)),
-             "robust rules are restricted to safety mo-queries")
-    for a, g in ((a1, g1), (a2, g2)):
-        _require(query_alphabet(g) <= u.alphabet | query_alphabet(a),
-                 "guarantee alphabets must lie inside the model's plus its assumption's")
-    side = ["guarantee alphabets within model + assumption alphabets"]
-    p1 = Premise(
-        "ag-triple", "first reduced triple",
-        ag_triple_check(pa_reduce(alphabet_extend_rpa(u, query_alphabet(a1))),
-                        _trivial_region(), a1, g1, "prt", resolution),
-    )
-    p2 = Premise(
-        "ag-triple", "second reduced triple",
-        ag_triple_check(pa_reduce(alphabet_extend_rpa(u, query_alphabet(a2))),
-                        _trivial_region(), a2, g2, "prt", resolution),
-    )
-    conclusion = {
-        "kind": "rpa-triple",
-        "model": "u extended to the joint assumption alphabet",
-        "assumption": conjoin(a1, a2),
-        "guarantee": conjoin(g1, g2),
-        "strategy_class": "prt",
-    }
-    return _finish("rpa-conjunction", [p1, p2], side, conclusion)
-
-
-def apply_rpa_asym_n(models, assumptions, guarantee, resolution=1) -> RuleApplication:
-    n = len(models)
-    _require(n >= 2, "the chained rule needs at least two components")
-    queries = list(assumptions) + [guarantee]
-    _require(query_alphabet(queries[0]) <= models[0].alphabet, "first assumption alphabet")
-    for i in range(1, n):
-        _require(
-            query_alphabet(queries[i])
-            <= models[i].alphabet | query_alphabet(queries[i - 1]),
-            f"query {i} alphabet chain",
-        )
-    _require(all(is_safe_query(q) for q in queries),
-             "robust rules are restricted to safety mo-queries")
-    side = [f"{n}-component alphabet chain"]
-    premises = [
-        Premise(
-            "region-sat", "reduced component 1 satisfies the first assumption",
-            region_sat(pa_reduce(models[0]), _trivial_region(), queries[0], "cmp", resolution),
-        )
-    ]
-    for i in range(1, n):
-        premises.append(
-            Premise(
-                "ag-triple", f"reduced component {i + 1} link",
-                ag_triple_check(
-                    pa_reduce(alphabet_extend_rpa(models[i], query_alphabet(queries[i - 1]))),
-                    _trivial_region(), queries[i - 1], queries[i], "prt", resolution,
-                ),
-            )
-        )
-    conclusion = {
-        "kind": "rpa-sat",
-        "model": " ||conv ".join(f"u{i + 1}" for i in range(n)),
-        "query": guarantee,
-        "strategy_class": "cmp",
-    }
-    return _finish("rpa-asymmetric-n", premises, side, conclusion)
-
-
-def apply_rpa_interleaving(u1, u2, a1, a2, dfa1, p1, dfa2, p2, resolution=1) -> RuleApplication:
-    left = u1.alphabet | query_alphabet(a1)
-    right = u2.alphabet | query_alphabet(a2)
-    _require(not (left & right),
-             "interleaving needs disjoint component-plus-assumption alphabets")
-    side = ["component + assumption alphabets disjoint"]
-    from .model import dfa_union_bad
-
-    threshold = interleaving_threshold(p1, p2)
-    g1 = ProbObjective(">=", Fraction(p1), dfa1)
-    g2 = ProbObjective(">=", Fraction(p2), dfa2)
-    pr1 = Premise(
-        "ag-triple", "reduced component 1 bound",
-        ag_triple_check(pa_reduce(alphabet_extend_rpa(u1, query_alphabet(a1))),
-                        _trivial_region(), a1, (g1,), "prt", resolution),
-    )
-    pr2 = Premise(
-        "ag-triple", "reduced component 2 bound",
-        ag_triple_check(pa_reduce(alphabet_extend_rpa(u2, query_alphabet(a2))),
-                        _trivial_region(), a2, (g2,), "prt", resolution),
-    )
-    conclusion = {
-        "kind": "rpa-triple",
-        "model": "(u1 ||conv u2) extended to the joint assumption alphabet",
-        "assumption": conjoin(a1, a2),
-        "guarantee": (ProbObjective(">=", threshold, dfa_union_bad(dfa1, dfa2)),),
-        "threshold": threshold,
-        "strategy_class": "prt",
-    }
-    return _finish("rpa-interleaving", [pr1, pr2], side, conclusion)
-
-
+# robust rule -> (pPA rule, component arguments, region arguments); asym-n
+# takes one list of components and one list of regions
 _RPA_RULES = {
-    "asymmetric": apply_rpa_asymmetric,
-    "circular": apply_rpa_circular,
-    "conjunction": apply_rpa_conjunction,
-    "asym-n": apply_rpa_asym_n,
-    "interleaving": apply_rpa_interleaving,
+    "asymmetric": (apply_asymmetric, 2, 2),
+    "circular": (apply_circular, 2, 3),
+    "conjunction": (apply_conjunction, 1, 2),
+    "asym-n": (apply_asym_n, 1, 1),
+    "interleaving": (apply_interleaving, 2, 2),
 }
+_RPA_KINDS = {"region-sat": "rpa-sat", "ag-triple": "rpa-triple"}
 
 
-def apply_rpa_rules(rule, *args, **kwargs) -> RuleApplication:
+def _reduced(component):
+    if isinstance(component, (list, tuple)):
+        return [pa_reduce(u) for u in component]
+    return pa_reduce(component)
+
+
+def apply_rpa_rules(rule, *args, resolution=1) -> RuleApplication:
+    """A robust rule is the pPA rule applied to the PA-reductions of its components.
+
+    Sound for convex (polytopic) rPAs: the reduction of a convex composition is
+    the composition of the reductions, and reduction commutes with alphabet
+    extension up to isomorphism.  Reductions have no parameters, so every
+    region is the trivial one and the robust conclusion carries none.
+    """
     if rule not in _RPA_RULES:
         raise ValueError(f"unknown robust rule {rule!r}")
-    return _RPA_RULES[rule](*args, **kwargs)
+    fn, n_components, n_regions = _RPA_RULES[rule]
+    components = [_reduced(u) for u in args[:n_components]]
+    trivial = FiniteRegion.of([{}])
+    region = [trivial] * len(components[0]) if isinstance(components[0], list) else trivial
+    app = fn(*components, *[region] * n_regions, *args[n_components:], resolution=resolution)
+    conclusion = None
+    if app.conclusion is not None:
+        conclusion = {k: v for k, v in app.conclusion.items() if k != "region"}
+        conclusion["kind"] = _RPA_KINDS[conclusion["kind"]]
+        model = re.sub(r"\bm(\d*)\b", r"u\1", conclusion["model"]).replace("||", "||conv")
+        if conclusion["kind"] == "rpa-sat":
+            model += " (over-approximates the standard composition)"
+        conclusion["model"] = model
+    premises = [replace(p, description=f"reduced {p.description}") for p in app.premises]
+    return RuleApplication(f"rpa-{app.rule}", premises, app.side_conditions, conclusion,
+                           app.confidence, app.status, app.failure)

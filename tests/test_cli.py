@@ -226,8 +226,8 @@ def _write_goal_query(tmp_path, corpus_dir):
     return path
 
 
-def test_rule_script_certificate(corpus_dir, tmp_path, capsys):
-    script = {
+def _asymmetric_script(corpus_dir):
+    return {
         "format": "pacomp/1",
         "type": "proof-script",
         "models": {
@@ -264,6 +264,10 @@ def test_rule_script_certificate(corpus_dir, tmp_path, capsys):
             }
         ],
     }
+
+
+def test_rule_script_certificate(corpus_dir, tmp_path, capsys):
+    script = _asymmetric_script(corpus_dir)
     path = tmp_path / "demo.agproof.json"
     json.dump(script, open(path, "w"))
     code, out, _ = run(capsys, "rule", "--script", str(path))
@@ -283,6 +287,163 @@ def test_rule_script_certificate(corpus_dir, tmp_path, capsys):
     code2, out2, _ = run(capsys, "rule", "--script", str(path))
     assert code2 == 3
     assert json.loads(out2)["report"]["certificate"][0]["confidence"] == "attested"
+
+
+def test_asymmetric_certificate_is_pinned(corpus_dir, tmp_path, capsys):
+    guarantee = json.load(open(corpus_dir / "safe_guarantee.query.json"))["objectives"]
+    conclusion = {
+        "kind": "region-sat",
+        "model": "m1 || m2",
+        "query": guarantee,
+        "region": {
+            "type": "finite",
+            "valuations": [
+                [["p", "0"], ["q", "0"]],
+                [["p", "0"], ["q", "1"]],
+                [["p", "1/10"], ["q", "1/2"]],
+            ],
+        },
+        "strategy_class": "cmp",
+    }
+    side_conditions = [
+        "['a', 'b'] within component-1 alphabet",
+        "['a', 'b', 'c', 'fail'] within component-2 alphabet plus assumption's",
+    ]
+
+    def premise(kind, description, status, attestation=None):
+        return {"kind": kind, "description": description, "status": status,
+                "attestation": attestation, "witness": None}
+
+    script = _asymmetric_script(corpus_dir)
+    path = tmp_path / "pinned.agproof.json"
+    json.dump(script, open(path, "w"))
+    code, out, _ = run(capsys, "rule", "--script", str(path))
+    assert code == 0
+    assert json.loads(out)["report"]["certificate"] == [{
+        "id": "step-1",
+        "rule": "asymmetric",
+        "status": "concluded",
+        "confidence": "checked-per-sample",
+        "side_conditions": side_conditions,
+        "premises": [
+            premise("region-sat", "component 1 satisfies the assumption on its region", "holds"),
+            premise("ag-triple", "extended component 2 satisfies assumption => guarantee",
+                    "holds"),
+        ],
+        "conclusion": conclusion,
+    }]
+
+    script["applications"][0]["fairness"] = {"sets": [["a"]], "notes": ["ev A", "ev B"]}
+    json.dump(script, open(path, "w"))
+    code, out, _ = run(capsys, "rule", "--script", str(path))
+    assert code == 3
+    assert json.loads(out)["report"]["certificate"] == [{
+        "id": "step-1",
+        "rule": "asymmetric-fair",
+        "status": "concluded",
+        "confidence": "attested",
+        "side_conditions": side_conditions,
+        "premises": [
+            premise("attested", "component 1 satisfies the assumption (fair)", "attested",
+                    "ev A"),
+            premise("attested", "component 2 triple assumption => guarantee (fair)",
+                    "attested", "ev B"),
+        ],
+        "conclusion": conclusion,
+    }]
+
+
+def test_rpa_rule_report_is_pinned(corpus_dir, tmp_path, capsys):
+    goal = _write_goal_query(tmp_path, corpus_dir)
+    code, out, _ = run(
+        capsys,
+        "rpa-rule",
+        "--left", str(corpus_dir / "interval_retry.rpa.json"),
+        "--right", str(corpus_dir / "interval_responder.rpa.json"),
+        "--assumption", str(_write_trivial_query(tmp_path)),
+        "--guarantee", str(goal),
+    )
+    assert code == 0
+    assert json.loads(out)["report"] == {
+        "rule": "rpa-asymmetric",
+        "status": "concluded",
+        "confidence": "checked-per-sample",
+        "conclusion": {
+            "kind": "rpa-sat",
+            "model": "u1 ||conv u2 (over-approximates the standard composition)",
+            "query": json.load(open(goal))["objectives"],
+            "strategy_class": "cmp",
+        },
+        "premises": [
+            {"description": "reduced component 1 satisfies the assumption on its region",
+             "status": "holds"},
+            {"description": "reduced extended component 2 satisfies assumption => guarantee",
+             "status": "holds"},
+        ],
+    }
+
+
+_MALFORMED_SCRIPTS = {
+    "application-not-an-object": lambda s: s.update(applications=[5]),
+    "models-not-an-object": lambda s: s.update(models=["x"]),
+    "box-without-bounds": lambda s: s["regions"].update(r1={"type": "box"}),
+    "resolution-not-an-integer": lambda s: s["applications"][0].update(resolution="abc"),
+    "resolution-zero": lambda s: s["applications"][0].update(resolution=0),
+    "fairness-not-an-object": lambda s: s["applications"][0].update(fairness=["x"]),
+    "fairness-note-missing": lambda s: s["applications"][0].update(
+        fairness={"sets": [["a"]], "notes": ["external evidence A"]}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_SCRIPTS))
+def test_malformed_proof_script_is_usage_error(case, corpus_dir, tmp_path, capsys):
+    script = _asymmetric_script(corpus_dir)
+    _MALFORMED_SCRIPTS[case](script)
+    path = tmp_path / "malformed.agproof.json"
+    json.dump(script, open(path, "w"))
+    code, out, err = run(capsys, "rule", "--script", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("format error:") and "Traceback" not in err
+
+
+def test_resolution_must_be_positive(corpus_dir, capsys):
+    check = [
+        "check",
+        "--model", str(corpus_dir / "pipeline.ppa.json"),
+        "--objective", str(corpus_dir / "safe_guarantee.query.json"),
+    ]
+    simulate = [
+        "simulate",
+        "--left", str(corpus_dir / "handoff_fixed.ppa.json"),
+        "--right", str(corpus_dir / "split_responder.ppa.json"),
+    ]
+    for argv in (check, simulate):
+        for bad in ("0", "-1", "abc"):
+            code, out, err = run(capsys, *argv, "--resolution", bad)
+            assert code == 2 and out == ""
+            assert "--resolution" in err and "Traceback" not in err
+
+
+def test_wrong_document_kind_is_usage_error(corpus_dir, tmp_path, capsys):
+    ppa = str(corpus_dir / "retry.ppa.json")
+    rpa = str(corpus_dir / "interval_retry.rpa.json")
+    query = str(_write_goal_query(tmp_path, corpus_dir))
+    to_rpa = [
+        ["rpa-reduce", "--model", ppa],
+        ["rpa-conv", "--left", ppa, "--right", rpa],
+        ["rpa-relax", "--left", rpa, "--right", ppa],
+        ["rpa-compose", "--left", ppa, "--right", rpa],
+        ["rpa-rule", "--left", ppa, "--right", rpa, "--assumption", query,
+         "--guarantee", query],
+    ]
+    for argv in to_rpa:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "format error: expected an rpa document, got ppa\n"
+    code, out, err = run(capsys, "simulate", "--left", rpa, "--right", ppa)
+    assert code == 2 and out == ""
+    assert err == "format error: expected a ppa document, got rpa\n"
 
 
 def test_paper_suite_cli(tmp_path, capsys):

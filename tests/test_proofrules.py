@@ -32,6 +32,8 @@ from pacomp.verify import (
     safety_prob,
 )
 
+from helpers import random_polytopic_rpa, random_safety_dfa
+
 
 def standard_setup():
     m1, m2 = corpus.retry_component(), corpus.pipeline_component()
@@ -117,6 +119,10 @@ def test_asym_n_reduces_to_asymmetric():
     direct = apply_asymmetric(m1, m2, r1, r2, A, G, resolution=4)
     assert chained.concluded == direct.concluded
     assert chained.conclusion["region"] == direct.conclusion["region"]
+    assert chained.side_conditions == direct.side_conditions
+    assert [(p.kind, p.description, p.verdict.status) for p in chained.premises] == [
+        (p.kind, p.description, p.verdict.status) for p in direct.premises
+    ]
 
 
 def test_asym_n_with_unit_third_component():
@@ -342,6 +348,57 @@ def test_rpa_rule_side_condition_and_dispatch():
 def test_rpa_conjunction():
     u2 = corpus.interval_responder()
     no_c = (safety(corpus.no_c_dfa(), F(1, 10)),)
-    app = apply_rpa_rules("conjunction", u2, None, no_c, no_c, no_c, no_c)
+    app = apply_rpa_rules("conjunction", u2, no_c, no_c, no_c, no_c)
     assert app.concluded
     assert len(app.conclusion["guarantee"]) == 1  # idempotent conjunction
+
+
+def _random_safety_query(rng, alphabet, threshold=None):
+    dfa = random_safety_dfa(rng, sorted(alphabet), allow_empty=False)
+    return (safety(dfa, F(rng.randint(0, 4), 8) if threshold is None else threshold),)
+
+
+def test_robust_rules_are_sound_on_random_polytopic_pairs():
+    rng = random.Random(61)
+    concluded = {"asymmetric": 0, "circular": 0, "asym-n": 0}
+    for _ in range(30):
+        u1 = random_polytopic_rpa(rng, "u", ["a", "b"], n_states=2)
+        u2 = random_polytopic_rpa(rng, "w", ["a", "c"], n_states=rng.randint(2, 3))
+        joint = pa_reduce(conv_compose(u1, u2))
+        # assumptions at their exact worst case, so the plain premises hold
+        a_dfa = random_safety_dfa(rng, ["a", "b"], allow_empty=False)
+        A = (safety(a_dfa, safety_prob(pa_reduce(u1), safety(a_dfa, 0))),)
+        a1_dfa = random_safety_dfa(rng, ["a", "c"], allow_empty=False)
+        A1 = (safety(a1_dfa, safety_prob(pa_reduce(u2), safety(a1_dfa, 0))),)
+        G = _random_safety_query(rng, {"a", "b", "c"})
+        apps = {
+            "asymmetric": apply_rpa_rules("asymmetric", u1, u2, A, G),
+            "circular": apply_rpa_rules(
+                "circular", u1, u2, A1, _random_safety_query(rng, {"a", "b", "c"}), G
+            ),
+            "asym-n": apply_rpa_rules("asym-n", [u1, u2], [A], G),
+        }
+        for rule, app in apps.items():
+            if app.concluded:
+                concluded[rule] += 1
+                assert safety_prob(joint, G[0]) >= G[0].threshold
+    assert min(concluded.values()) >= 5, concluded
+
+
+def test_rpa_interleaving_rule():
+    rng = random.Random(67)
+    u1 = random_polytopic_rpa(rng, "u", ["a", "b"], n_states=2)
+    u2 = random_polytopic_rpa(rng, "w", ["c", "d"], n_states=2)
+    trivial1 = (safety(dfa_forbid_symbols((), {"a", "b"}), 1),)
+    trivial2 = (safety(dfa_forbid_symbols((), {"c", "d"}), 1),)
+    dfa1 = random_safety_dfa(rng, ["a", "b"], allow_empty=False)
+    dfa2 = random_safety_dfa(rng, ["c", "d"], allow_empty=False)
+    p1 = safety_prob(pa_reduce(u1), safety(dfa1, 0))
+    p2 = safety_prob(pa_reduce(u2), safety(dfa2, 0))
+    app = apply_rpa_rules("interleaving", u1, u2, trivial1, trivial2, dfa1, p1, dfa2, p2)
+    assert app.rule == "rpa-interleaving" and app.concluded
+    assert app.conclusion["kind"] == "rpa-triple"
+    assert app.conclusion["threshold"] == interleaving_threshold(p1, p2)
+    guarantee = app.conclusion["guarantee"][0]
+    joint = pa_reduce(conv_compose(u1, u2))
+    assert safety_prob(joint, guarantee) >= guarantee.threshold
