@@ -106,7 +106,7 @@ def parse_region_arg(text, inputs):
                 raise ParseError(f"bad box axis {chunk!r}")
             name, rng = chunk.split("=", 1)
             rng = rng.strip()
-            if not (rng.startswith("[") and rng.endswith("]")):
+            if not (rng.startswith("[") and rng.endswith("]")) or rng.count(",") != 1:
                 raise ParseError(f"bad interval {rng!r} for {name!r}")
             lo, hi = rng[1:-1].split(",")
             bounds[name.strip()] = (parse_rational(lo), parse_rational(hi))
@@ -117,13 +117,7 @@ def parse_region_arg(text, inputs):
             chunk = chunk.strip()
             if not (chunk.startswith("{") and chunk.endswith("}")):
                 raise ParseError(f"bad finite valuation {chunk!r}")
-            val = {}
-            for item in chunk[1:-1].split(","):
-                if not item.strip():
-                    continue
-                name, value = item.split("=", 1)
-                val[name.strip()] = parse_rational(value)
-            vals.append(val)
+            vals.append(parse_valuation_arg(chunk[1:-1]))
         return FiniteRegion.of(vals)
     raise ParseError(f"unrecognized region syntax {text!r}")
 
@@ -151,6 +145,8 @@ def parse_valuation_arg(text):
     for item in text.split(","):
         if not item.strip():
             continue
+        if "=" not in item:
+            raise ParseError(f"bad valuation item {item!r}: expected name=value")
         name, value = item.split("=", 1)
         val[name.strip()] = parse_rational(value)
     return val

@@ -246,38 +246,32 @@ def rpa_compose(u1: RPA, u2: RPA) -> RPA:
 
 
 def interval_extreme_points(uset: IntervalSet, cap=GENERATOR_CAP):
-    """Extreme points of the interval polytope, by order-based saturation.
+    """Extreme points of the interval polytope, by bound assignment.
 
-    For every priority order over successors, start all entries at their lower
-    bounds and greedily raise them to the upper bounds until the mass reaches
-    one; deduplicate.  This enumerates exactly the vertices of the polytope
-    (box intersected with the probability simplex).
+    At a vertex of the box intersected with the probability simplex, every
+    entry but at most one sits at a bound.  So each candidate picks one free
+    successor and a lower or upper bound for every other one; the free entry
+    takes the remaining mass and the candidate is a vertex iff that lies
+    within its own bounds.  The cap limits the n * 2**(n-1) candidates.
     """
     if not isinstance(uset, IntervalSet):
         raise NotIntervalRPA("extreme points are defined on interval sets here")
-    support = list(uset.support)
-    bounds = dict(uset.bounds)
-    total_lo = sum((lo for lo, _ in bounds.values()), Fraction(0))
-    seen = {}
-    count_guard = 0
-    for order in itertools.permutations(support):
-        count_guard += 1
-        if count_guard > cap:
-            raise GeneratorBudgetExceeded(
-                f"extreme-point enumeration exceeds the cap of {cap}"
-            )
-        dist = {s: bounds[s][0] for s in support}
-        slack = 1 - total_lo
-        for s in order:
-            if slack == 0:
-                break
-            room = bounds[s][1] - bounds[s][0]
-            take = min(room, slack)
-            dist[s] += take
-            slack -= take
-        if slack != 0:
-            raise InfeasibleIntervalSet("interval bounds admit no distribution")
-        seen[freeze_dist(dist)] = dict(dist)
+    support = uset.support
+    n = len(support)
+    if n * 2 ** (n - 1) > cap:
+        raise GeneratorBudgetExceeded(
+            f"extreme-point enumeration exceeds the cap of {cap}"
+        )
+    seen = set()
+    for free, (_, (lo, hi)) in enumerate(uset.bounds):
+        others = uset.bounds[:free] + uset.bounds[free + 1:]
+        for picked in itertools.product(*(b for _, b in others)):
+            rest = 1 - sum(picked, Fraction(0))
+            if lo <= rest <= hi:
+                values = picked[:free] + (rest,) + picked[free:]
+                seen.add(tuple((s, p) for s, p in zip(support, values) if p))
+    if not seen:
+        raise InfeasibleIntervalSet("interval bounds admit no distribution")
     return [dict(d) for d in sorted(seen, key=sort_key)]
 
 
@@ -300,14 +294,16 @@ def conv_compose(u1: RPA, u2: RPA) -> RPA:
     hulls of the exact product sets.
     """
     composed = rpa_compose(u1, u2)
+    gens = {}
     utrans = {}
     for (s, a), pset in composed.utrans.items():
         lab = composed.label[(s, a)]
-        gens1 = generators(pset.left)
-        gens2 = generators(pset.right)
+        for uset in (pset.left, pset.right):
+            if uset not in gens:
+                gens[uset] = generators(uset)
         prods = []
-        for d1 in gens1:
-            for d2 in gens2:
+        for d1 in gens[pset.left]:
+            for d2 in gens[pset.right]:
                 prods.append(
                     {
                         (t1, t2): p1 * p2
@@ -381,24 +377,6 @@ def pa_reduce(u: RPA, cap=GENERATOR_CAP) -> PPA:
         trans=trans,
         alphabet=u.alphabet,
         composed_of=None,
-    )
-
-
-def alphabet_extend_rpa(u: RPA, sigma) -> RPA:
-    """Add singleton-Dirac self-loops for the fresh symbols."""
-    fresh = frozenset(sigma) - u.alphabet
-    if set(u.actions) & fresh:
-        raise ActionAlphabetClash("new symbols collide with existing actions")
-    utrans = {key: (u.label[key], uset) for key, uset in u.utrans.items()}
-    for s in u.states:
-        for sym in fresh:
-            utrans[(s, ("loop", sym))] = (sym, VertexSet.dirac(s))
-    return make_rpa(
-        states=u.states,
-        initial=u.initial,
-        utrans=utrans,
-        alphabet=u.alphabet | fresh,
-        composed_of=u.composed_of,
     )
 
 

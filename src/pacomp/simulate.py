@@ -6,6 +6,7 @@ the bipartite graph induced by the candidate relation.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 from .algebra import region_samples, valuation_key
@@ -26,9 +27,9 @@ def _maxflow(source, sink, arcs):
     flow = Fraction(0)
     while True:
         parent = {source: None}
-        queue = [source]
+        queue = deque([source])
         while queue and sink not in parent:
-            u = queue.pop(0)
+            u = queue.popleft()
             for v in adj.get(u, []):
                 if v not in parent and capacity.get((u, v), 0) > 0:
                     parent[v] = u
@@ -54,8 +55,9 @@ def _maxflow(source, sink, arcs):
 def dist_leq(mu1, mu2, rel) -> bool:
     """Distribution lifting of a relation: mu1(A) <= mu2(rel(A)) for all A.
 
-    Decided by checking that one unit of flow can be routed from mu1's support
-    to mu2's support along related pairs.
+    For a Dirac mu1 on s this is the single Hall condition mu1(s) <=
+    mu2(rel(s)); otherwise it is decided by checking that all of mu1's mass
+    can be routed as flow to mu2's support along related pairs.
     """
     mu1 = {s: Fraction(p) for s, p in mu1.items() if Fraction(p) != 0}
     mu2 = {s: Fraction(p) for s, p in mu2.items() if Fraction(p) != 0}
@@ -63,7 +65,10 @@ def dist_leq(mu1, mu2, rel) -> bool:
     total2 = sum(mu2.values(), Fraction(0))
     if total1 > total2:
         return False
-    pairs = set(rel)
+    pairs = rel if isinstance(rel, (set, frozenset)) else set(rel)
+    if len(mu1) == 1:
+        (s, p), = mu1.items()
+        return sum((q for t, q in mu2.items() if (s, t) in pairs), Fraction(0)) >= p
     arcs = [("src", ("l", s), p) for s, p in mu1.items()]
     arcs += [(("r", t), "snk", p) for t, p in mu2.items()]
     for s in mu1:
@@ -71,22 +76,6 @@ def dist_leq(mu1, mu2, rel) -> bool:
             if (s, t) in pairs:
                 arcs.append((("l", s), ("r", t), total1))
     return _maxflow("src", "snk", arcs) == total1
-
-
-def dist_leq_bruteforce(mu1, mu2, rel) -> bool:
-    """Direct subset-quantified definition; exponential, for cross-checking."""
-    mu1 = {s: Fraction(p) for s, p in mu1.items() if Fraction(p) != 0}
-    mu2 = {s: Fraction(p) for s, p in mu2.items()}
-    support = sorted(mu1, key=sort_key)
-    pairs = set(rel)
-    for mask in range(1 << len(support)):
-        subset = [s for i, s in enumerate(support) if mask >> i & 1]
-        lhs = sum((mu1[s] for s in subset), Fraction(0))
-        image = {t for t in mu2 if any((s, t) in pairs for s in subset)}
-        rhs = sum((mu2[t] for t in image), Fraction(0))
-        if lhs > rhs:
-            return False
-    return True
 
 
 def _pair_ok(n1: PPA, n2: PPA, s1, s2, rel) -> bool:
@@ -106,25 +95,32 @@ def _pair_ok(n1: PPA, n2: PPA, s1, s2, rel) -> bool:
     return True
 
 
-def strong_sim(n1: PPA, n2: PPA):
-    """Greatest strong simulation containing the initial pair, or None.
+def _greatest_sim(m1: PPA, m2: PPA, instances):
+    """Greatest relation whose pairs pass the matching clause at every instance.
 
-    Greatest-fixpoint computation: start from all pairs and repeatedly remove
-    pairs violating the matching clause, in a deterministic order.
+    Greatest-fixpoint computation: start from all pairs of `m1` and `m2`
+    states and sweep them in a deterministic order, removing a pair as soon as
+    it fails at any instance, until a sweep removes nothing.  Returns the
+    relation, or None when it misses the initial pair.
     """
-    if not (n1.is_pa and n2.is_pa):
-        raise ValueError("strong simulation is checked on parameter-free models")
-    rel = {(s1, s2) for s1 in n1.states for s2 in n2.states}
+    rel = {(s1, s2) for s1 in m1.states for s2 in m2.states}
     changed = True
     while changed:
         changed = False
         for pair in sorted(rel, key=sort_key):
-            if not _pair_ok(n1, n2, pair[0], pair[1], rel):
+            if not all(_pair_ok(i1, i2, pair[0], pair[1], rel) for i1, i2 in instances):
                 rel.discard(pair)
                 changed = True
-    if (n1.initial, n2.initial) not in rel:
+    if (m1.initial, m2.initial) not in rel:
         return None
     return frozenset(rel)
+
+
+def strong_sim(n1: PPA, n2: PPA):
+    """Greatest strong simulation containing the initial pair, or None."""
+    if not (n1.is_pa and n2.is_pa):
+        raise ValueError("strong simulation is checked on parameter-free models")
+    return _greatest_sim(n1, n2, [(n1, n2)])
 
 
 def is_strong_sim(n1: PPA, n2: PPA, rel) -> bool:
@@ -175,16 +171,4 @@ def robust_strong_sim(m1: PPA, m2: PPA, region, resolution=1):
             (s1, s2) for s1 in m1.states for s2 in m2.states
         )
     instances = [(instantiate(m1, v), instantiate(m2, v)) for v in samples]
-    rel = {(s1, s2) for s1 in m1.states for s2 in m2.states}
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(rel, key=sort_key):
-            for i1, i2 in instances:
-                if not _pair_ok(i1, i2, pair[0], pair[1], rel):
-                    rel.discard(pair)
-                    changed = True
-                    break
-    if (m1.initial, m2.initial) not in rel:
-        return None
-    return frozenset(rel)
+    return _greatest_sim(m1, m2, instances)

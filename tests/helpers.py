@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
 from pacomp.algebra import Polynomial
-from pacomp.model import DFA, make_ppa
-from pacomp.robust import IntervalSet, VertexSet, make_rpa
+from pacomp.errors import ActionAlphabetClash, GeneratorBudgetExceeded, InfeasibleIntervalSet
+from pacomp.model import DFA, make_ppa, sort_key
+from pacomp.robust import RPA, IntervalSet, VertexSet, freeze_dist, make_rpa
 from pacomp.semantics import TabularStrategy, path_last
 
 
@@ -133,3 +135,71 @@ def enumerate_paths(pa, horizon):
         out.extend(nxt)
         frontier = nxt
     return out
+
+
+def dist_leq_bruteforce(mu1, mu2, rel) -> bool:
+    """Direct subset-quantified definition; exponential, for cross-checking."""
+    mu1 = {s: Fraction(p) for s, p in mu1.items() if Fraction(p) != 0}
+    mu2 = {s: Fraction(p) for s, p in mu2.items()}
+    support = sorted(mu1, key=sort_key)
+    pairs = set(rel)
+    for mask in range(1 << len(support)):
+        subset = [s for i, s in enumerate(support) if mask >> i & 1]
+        lhs = sum((mu1[s] for s in subset), Fraction(0))
+        image = {t for t in mu2 if any((s, t) in pairs for s in subset)}
+        rhs = sum((mu2[t] for t in image), Fraction(0))
+        if lhs > rhs:
+            return False
+    return True
+
+
+def interval_extreme_points_by_orders(uset: IntervalSet, cap=10_000):
+    """Extreme points of the interval polytope, by order-based saturation.
+
+    For every priority order over successors, start all entries at their lower
+    bounds and greedily raise them to the upper bounds until the mass reaches
+    one; deduplicate.  This enumerates exactly the vertices of the polytope
+    (box intersected with the probability simplex), in n! orders.
+    """
+    support = list(uset.support)
+    bounds = dict(uset.bounds)
+    total_lo = sum((lo for lo, _ in bounds.values()), Fraction(0))
+    seen = {}
+    count_guard = 0
+    for order in itertools.permutations(support):
+        count_guard += 1
+        if count_guard > cap:
+            raise GeneratorBudgetExceeded(
+                f"extreme-point enumeration exceeds the cap of {cap}"
+            )
+        dist = {s: bounds[s][0] for s in support}
+        slack = 1 - total_lo
+        for s in order:
+            if slack == 0:
+                break
+            room = bounds[s][1] - bounds[s][0]
+            take = min(room, slack)
+            dist[s] += take
+            slack -= take
+        if slack != 0:
+            raise InfeasibleIntervalSet("interval bounds admit no distribution")
+        seen[freeze_dist(dist)] = dict(dist)
+    return [dict(d) for d in sorted(seen, key=sort_key)]
+
+
+def alphabet_extend_rpa(u: RPA, sigma) -> RPA:
+    """Add singleton-Dirac self-loops for the fresh symbols."""
+    fresh = frozenset(sigma) - u.alphabet
+    if set(u.actions) & fresh:
+        raise ActionAlphabetClash("new symbols collide with existing actions")
+    utrans = {key: (u.label[key], uset) for key, uset in u.utrans.items()}
+    for s in u.states:
+        for sym in fresh:
+            utrans[(s, ("loop", sym))] = (sym, VertexSet.dirac(s))
+    return make_rpa(
+        states=u.states,
+        initial=u.initial,
+        utrans=utrans,
+        alphabet=u.alphabet | fresh,
+        composed_of=u.composed_of,
+    )

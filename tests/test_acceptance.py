@@ -49,7 +49,6 @@ from pacomp.semantics import (
 )
 from pacomp.simulate import (
     dist_leq,
-    dist_leq_bruteforce,
     is_strong_sim,
     robust_strong_sim,
     strong_sim,
@@ -65,7 +64,13 @@ from pacomp.verify import (
     safety_prob,
 )
 
-from helpers import random_dist, random_pa, random_polytopic_rpa, random_safety_dfa
+from helpers import (
+    dist_leq_bruteforce,
+    random_dist,
+    random_pa,
+    random_polytopic_rpa,
+    random_safety_dfa,
+)
 
 
 def report(criterion, ok, note=""):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from pacomp import corpus, modelio
 from pacomp.algebra import Box, FiniteRegion
 from pacomp.cli import main, parse_region_arg, parse_valuation_arg
+from pacomp.errors import ParseError
 
 
 class _NoInputs:
@@ -423,6 +425,32 @@ def test_resolution_must_be_positive(corpus_dir, capsys):
             code, out, err = run(capsys, *argv, "--resolution", bad)
             assert code == 2 and out == ""
             assert "--resolution" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "option, value, named",
+    [
+        ("--valuation", "p", "'p'"),
+        ("--region", "finite:{p}", "'p'"),
+        ("--region", "box.p=[0]", "'[0]' for 'p'"),
+    ],
+)
+def test_malformed_valuation_and_region_items_are_usage_errors(
+    corpus_dir, capsys, option, value, named
+):
+    model = str(corpus_dir / "handoff_parametric.ppa.json")
+    if option == "--valuation":
+        with pytest.raises(ParseError, match=re.escape(named)):
+            parse_valuation_arg(value)
+        argv = ["instantiate", "--model", model, "--valuation", value]
+    else:
+        with pytest.raises(ParseError, match=re.escape(named)):
+            parse_region_arg(value, _NoInputs())
+        query = str(corpus_dir / "safe_guarantee.query.json")
+        argv = ["check", "--model", model, "--objective", query, "--region", value]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("format error:") and named in err
 
 
 def test_wrong_document_kind_is_usage_error(corpus_dir, tmp_path, capsys):

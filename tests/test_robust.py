@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -16,7 +17,6 @@ from pacomp.robust import (
     IntervalSet,
     ProductSet,
     VertexSet,
-    alphabet_extend_rpa,
     conv_compose,
     fix_nature,
     generators,
@@ -29,7 +29,12 @@ from pacomp.robust import (
 )
 from pacomp.verify import chain_language_prob, max_reach, safety, safety_prob
 
-from helpers import random_dist, random_polytopic_rpa
+from helpers import (
+    alphabet_extend_rpa,
+    interval_extreme_points_by_orders,
+    random_dist,
+    random_polytopic_rpa,
+)
 
 
 def in_convex_hull(dist, gens):
@@ -90,6 +95,49 @@ def test_interval_extreme_points_span_the_set():
                     mix[s] = mix.get(s, F(0)) + F(weight, tot) * p
             assert uset.contains(mix)
             assert in_convex_hull(mix, gens)
+
+
+def _random_interval_bounds(rng, n, stratum):
+    """Bounds around a random distribution on n successors.
+
+    Strata: free widths; some point intervals; upper bounds summing to one;
+    entries reaching 0 or 1.
+    """
+    states = [f"s{i}" for i in range(n)]
+    weights = [rng.randint(0, 4) for _ in states]
+    weights[rng.randrange(len(states))] += 1
+    center = [F(w, sum(weights)) for w in weights]
+    bounds = {}
+    for s, p in zip(states, center):
+        lo = max(F(0), p - F(rng.randint(0, 3), 10))
+        hi = min(F(1), p + F(rng.randint(0, 3), 10))
+        if stratum == 1 and rng.random() < 0.5:
+            lo = hi = p
+        elif stratum == 2:
+            hi = p
+        elif stratum == 3 and rng.random() < 0.5:
+            lo, hi = rng.choice([(F(0), hi), (lo, F(1)), (F(0), F(1))])
+        bounds[s] = (lo, hi)
+    return bounds
+
+
+def test_interval_extreme_points_match_the_order_oracle():
+    rng = random.Random(17)
+    for case in range(200):
+        # the oracle walks all 5040 orders at support 7, so few sets have it
+        n = 7 if case % 40 == 0 else rng.randint(1, 6)
+        uset = IntervalSet.of(_random_interval_bounds(rng, n, case % 4))
+        assert interval_extreme_points(uset) == interval_extreme_points_by_orders(uset)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_symmetric_interval_vertices_beyond_support_seven(n):
+    """Bounds [0, 1/k] on n successors: the C(n, k) k-subsets carrying 1/k."""
+    states = [f"s{i}" for i in range(n)]
+    for k in (1, 2, 3, n // 2, n - 1):
+        gens = interval_extreme_points(IntervalSet.of({s: (0, F(1, k)) for s in states}))
+        assert len(gens) == math.comb(n, k)
+        assert all(sorted(g.values()) == [F(1, k)] * k for g in gens)
 
 
 def test_interval_bounds_validated():

@@ -1,22 +1,24 @@
 import random
 from fractions import Fraction as F
 
+import networkx as nx
 import pytest
+from networkx.algorithms.flow import edmonds_karp
 
 from pacomp import corpus
 from pacomp.algebra import FiniteRegion
 from pacomp.errors import IllDefinedValuationInRegion
 from pacomp.model import compose, instantiate
 from pacomp.simulate import (
+    _maxflow,
     dist_leq,
-    dist_leq_bruteforce,
     is_strong_sim,
     robust_strong_sim,
     strong_sim,
     strong_sim_region,
 )
 
-from helpers import random_dist, random_pa
+from helpers import dist_leq_bruteforce, random_dist, random_pa
 
 REGION = FiniteRegion.of([{"p": F(1, 10)}, {"p": F(9, 10)}])
 
@@ -56,6 +58,55 @@ def test_dist_leq_agrees_with_bruteforce():
             if rng.random() < 0.35
         }
         assert dist_leq(mu1, mu2, rel) == dist_leq_bruteforce(mu1, mu2, rel)
+
+
+def _networkx_flow(arcs, source, sink):
+    graph = nx.DiGraph()
+    graph.add_nodes_from([source, sink])
+    for u, v, cap in arcs:
+        old = graph.edges[u, v]["capacity"] if graph.has_edge(u, v) else F(0)
+        graph.add_edge(u, v, capacity=old + cap)
+    return nx.maximum_flow_value(graph, source, sink, flow_func=edmonds_karp)
+
+
+def test_maxflow_agrees_with_networkx():
+    rng = random.Random(29)
+    for _ in range(150):
+        nodes = list(range(rng.randint(2, 7)))
+        arcs = []
+        for _ in range(rng.randint(0, 18)):
+            u, v = rng.sample(nodes, 2)
+            arcs.append((u, v, F(rng.randint(0, 9), rng.randint(1, 6))))
+        got = _maxflow(0, nodes[-1], arcs)
+        assert got == _networkx_flow(arcs, 0, nodes[-1])
+        assert isinstance(got, F)
+
+
+def test_dist_leq_agrees_with_networkx():
+    """Lifting holds iff the bipartite network carries all of mu1's mass.
+
+    Strata: general mu1, Dirac mu1 (decided without a flow), empty relation.
+    """
+    rng = random.Random(31)
+    left_states = ["a", "b", "c", "d", "e"]
+    right_states = ["v", "w", "x", "y", "z"]
+    for case in range(240):
+        stratum = case % 3
+        mu1 = random_dist(rng, left_states, max_support=1 if stratum == 1 else 5)
+        mu2 = random_dist(rng, right_states, max_support=5)
+        if rng.random() < 0.25:
+            mu2 = {t: p * F(rng.randint(1, 4), 4) for t, p in mu2.items()}
+        density = rng.choice([0.35, 0.7, 0.9])
+        rel = set() if stratum == 2 else {
+            (l, r) for l in left_states for r in right_states if rng.random() < density
+        }
+        arcs = [("src", ("l", s), p) for s, p in mu1.items()]
+        arcs += [(("r", t), "snk", p) for t, p in mu2.items()]
+        arcs += [(("l", s), ("r", t), F(1)) for (s, t) in rel if s in mu1 and t in mu2]
+        expected = _networkx_flow(arcs, "src", "snk") == sum(mu1.values())
+        assert dist_leq(mu1, mu2, rel) == expected
+        assert dist_leq(mu1, mu2, sorted(rel)) == expected
+        assert dist_leq_bruteforce(mu1, mu2, rel) == expected
 
 
 def test_strong_sim_goldens():
