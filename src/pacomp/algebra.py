@@ -89,7 +89,10 @@ class Polynomial:
             for var, exp in mono:
                 if var not in valuation:
                     raise MissingParameter(f"parameter {var!r} unassigned")
-                prod *= Fraction(valuation[var]) ** exp
+                x = valuation[var]
+                if not isinstance(x, Fraction):
+                    x = Fraction(x)
+                prod *= x if exp == 1 else x ** exp
             total += prod
         return total
 

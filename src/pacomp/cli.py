@@ -343,21 +343,43 @@ def _script_fairness(rule, fair, n_notes):
     return FairnessAttestation(tuple(tuple(x) for x in sets), tuple(notes))
 
 
-def _resolve_script_value(key, value, env, inputs):
-    if key in ("param", "direction", "robust"):
+# script argument -> the section its value names; "param" and "direction"
+# are given inline
+_SCRIPT_ARGS = {
+    **dict.fromkeys(("m", "m1", "m2", "m_assume", "m_guarantee"), "models"),
+    **dict.fromkeys(("r1", "r2", "r3"), "regions"),
+    **dict.fromkeys(
+        ("assumption", "guarantee", "a1", "a2", "g1", "g2", "objective"), "queries"
+    ),
+}
+
+
+def _resolve_script_value(app_id, key, value, env, inputs):
+    """The rule argument that a script entry names, checked against its kind."""
+    where = f"application {app_id!r} argument {key!r}"
+    if key == "param":
+        _script_check(isinstance(value, str) and value != "",
+                      f"{where} must be a parameter name, got {value!r}")
         return value
-    if key.startswith("r") or key == "region":
-        if isinstance(value, str) and value in env["regions"]:
-            return env["regions"][value]
-        return parse_region_arg(value, inputs) if isinstance(value, str) else value
-    if key == "objective" and isinstance(value, str) and value in env["queries"]:
-        query = env["queries"][value]
-        return query[0]
-    if isinstance(value, str):
-        for table in ("models", "queries"):
-            if value in env[table]:
-                return env[table][value]
-    return value
+    if key == "direction":
+        _script_check(value in ("up", "down"),
+                      f"{where} must be 'up' or 'down', got {value!r}")
+        return value
+    section = _SCRIPT_ARGS[key]
+    _script_check(isinstance(value, str),
+                  f"{where} must be a string naming an entry of {section!r}, got {value!r}")
+    if value in env[section]:
+        found = env[section][value]
+        if key == "objective":
+            _script_check(len(found) > 0, f"{where} names an empty query {value!r}")
+            return found[0]
+        return found
+    if section == "regions":
+        try:
+            return parse_region_arg(value, inputs)
+        except ParseError as exc:
+            raise ParseError(f"proof script: {where}: {exc}") from exc
+    raise ParseError(f"proof script: {where} names no entry of {section!r}: {value!r}")
 
 
 def cmd_rule(args):
@@ -389,11 +411,12 @@ def cmd_rule(args):
         if rule not in _RULES:
             raise ParseError(f"unknown rule {rule!r} in proof script")
         fn, arg_names, n_notes = _RULES[rule]
+        app_id = app_doc.get("id", rule)
         kwargs = {}
         for name in arg_names:
             if name not in app_doc:
                 raise ParseError(f"rule {rule!r} needs argument {name!r}")
-            kwargs[name] = _resolve_script_value(name, app_doc[name], env, inputs)
+            kwargs[name] = _resolve_script_value(app_id, name, app_doc[name], env, inputs)
         if "resolution" in app_doc:
             try:
                 kwargs["resolution"] = positive_int(app_doc["resolution"])
@@ -406,7 +429,7 @@ def cmd_rule(args):
         app = fn(**kwargs)
         certificate.append(
             {
-                "id": app_doc.get("id", rule),
+                "id": app_id,
                 "rule": app.rule,
                 "status": app.status,
                 "confidence": app.confidence,

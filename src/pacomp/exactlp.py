@@ -26,10 +26,16 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def _int_row(values):
-    """The reduced integer row and positive denominator of a list of Fractions."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+def _int_row(entries, width):
+    """The integer row of `width` columns and positive denominator of the
+    sparse rational row {column: value}.  It is already reduced: every prime
+    power of the lcm denominator divides some entry's denominator exactly,
+    and that entry's numerator is prime to it."""
+    den = lcm(1, *(v.denominator for v in entries.values()))
+    row = [0] * width
+    for j, v in entries.items():
+        row[j] = v.numerator * (den // v.denominator)
+    return row, den
 
 
 def _reduce(row, den):
@@ -69,7 +75,9 @@ def gauss_solve(rows, rhs):
     n = len(rows)
     a, dens = [], []
     for i, row in enumerate(rows):
-        ints, den = _int_row([Fraction(v) for v in row] + [Fraction(rhs[i])])
+        entries = {j: Fraction(v) for j, v in enumerate(row) if v}
+        entries[n] = Fraction(rhs[i])
+        ints, den = _int_row(entries, n + 1)
         a.append(ints)
         dens.append(den)
     for col in range(n):
@@ -83,7 +91,11 @@ def gauss_solve(rows, rhs):
 
 
 class LinearProgram:
-    """max c.x subject to equality/inequality rows over nonnegative variables."""
+    """max c.x subject to equality/inequality rows over nonnegative variables.
+
+    Rows are sparse {column: coefficient} dicts of exact rationals (ints or
+    Fractions); `solve` turns each into its integer row directly.
+    """
 
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
@@ -111,15 +123,13 @@ class LinearProgram:
         slacks = [None] * len(self.eq) + list(range(n, total))
         rows, dens = [], []
         for (coeffs, rhs), slack in zip(self.eq + self.ub, slacks):
-            row = [Fraction(0)] * (total + 1)
-            for j, v in coeffs.items():
-                row[j] += Fraction(v)
+            entries = dict(coeffs)
             if slack is not None:
-                row[slack] = Fraction(1)
-            row[total] = rhs
+                entries[slack] = 1
+            entries[total] = rhs
             if rhs < 0:
-                row = [-v for v in row]
-            ints, den = _int_row(row)
+                entries = {j: -v for j, v in entries.items()}
+            ints, den = _int_row(entries, total + 1)
             rows.append(ints)
             dens.append(den)
         m = len(rows)
@@ -152,10 +162,9 @@ class LinearProgram:
 
         # Phase 2: minimize -objective (or +objective when minimizing).
         sign = -1 if maximize else 1
-        cost = [Fraction(0)] * (total + 1)
-        for j, v in objective.items():
-            cost[j] = sign * Fraction(v)
-        cost, den = _int_row(cost)
+        cost, den = _int_row(
+            {j: sign * Fraction(v) for j, v in objective.items()}, total + 1
+        )
         rows.append(cost)
         dens.append(den)
         for i, b in enumerate(basis):

@@ -20,8 +20,8 @@ def _maxflow(source, sink, arcs):
     capacity = {}
     adj = {}
     for u, v, cap in arcs:
-        capacity[(u, v)] = capacity.get((u, v), Fraction(0)) + Fraction(cap)
-        capacity.setdefault((v, u), Fraction(0))
+        capacity[(u, v)] = capacity[(u, v)] + cap if (u, v) in capacity else cap
+        capacity.setdefault((v, u), 0)
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     flow = Fraction(0)
@@ -57,10 +57,12 @@ def dist_leq(mu1, mu2, rel) -> bool:
 
     For a Dirac mu1 on s this is the single Hall condition mu1(s) <=
     mu2(rel(s)); otherwise it is decided by checking that all of mu1's mass
-    can be routed as flow to mu2's support along related pairs.
+    can be routed as flow to mu2's support along related pairs.  The
+    probabilities are exact rationals (ints or Fractions) and are used as
+    they are.
     """
-    mu1 = {s: Fraction(p) for s, p in mu1.items() if Fraction(p) != 0}
-    mu2 = {s: Fraction(p) for s, p in mu2.items() if Fraction(p) != 0}
+    mu1 = {s: p for s, p in mu1.items() if p}
+    mu2 = {s: p for s, p in mu2.items() if p}
     total1 = sum(mu1.values(), Fraction(0))
     total2 = sum(mu2.values(), Fraction(0))
     if total1 > total2:

@@ -13,6 +13,20 @@ solvers are exact and end in two mechanisms:
   state-action frequencies routing one unit of flow into a settle region,
   solved by the exact simplex, for multi-objective achievability and
   minimal expected reward.
+
+Multi-objective queries split each sample's work into structure and values
+(`_MoQuery`).  The structure is built once per region check and query: the
+joint DFA product of the parametric model (its tau extension for partial
+strategies), the reach targets, and the index of every transition
+probability and reward among the model's distinct polynomials.  The settle
+set, `stay` map, end-component check and LP layout depend only on which of
+those values are zero (and on the rewards' signs), so they are built once per
+such sign pattern: graph-preserving samples share one, and a sample with a
+smaller support, such as a p = 0 corner, gets its own from the same code.
+Per sample, each distinct polynomial is evaluated once, the LP's
+coefficients are filled in and solved, and a witness is built only when the
+query is achievable.  `mo_achievable` is the same path on a parameter-free
+model.  Nothing is kept beyond one call.
 """
 
 from __future__ import annotations
@@ -25,6 +39,7 @@ from .errors import (
     AlphabetMismatch,
     EmptyRegion,
     IllDefinedValuationInRegion,
+    MissingParameter,
     NotGraphPreserving,
     UnboundedReward,
 )
@@ -453,13 +468,17 @@ def _min_total_reward_lp(pa: PPA, rew_const):
     settle, _ = _settle(
         states, acts, trans, lambda s, a: _rew(pa, rew_const, s, a) == 0
     )
-    lp, y_index, _ = _occupation_lp(pa.initial, states, trans, settle)
+    values, support = [], {}
+    for key, dist in trans.items():
+        support[key] = tuple((t, len(values) + i) for i, t in enumerate(dist))
+        values.extend(dist.values())
+    num_vars, rows, y_index, _ = _occupation_lp(pa.initial, states, support, settle)
     objective = {}
     for key, j in y_index.items():
         r = _rew(pa, rew_const, *key)
         if r:
             objective[j] = r
-    status, _, value = lp.solve(objective, maximize=False)
+    status, _, value = _lp_at(num_vars, rows, values).solve(objective, maximize=False)
     if status != OPTIMAL:
         return INF  # no strategy can stop collecting reward almost surely
     return value
@@ -518,109 +537,341 @@ def _reachable_support(pa: PPA):
 # Fixed-strategy evaluation (used by monotonicity and witness re-checks)
 # ---------------------------------------------------------------------------
 
-def _induced_chain(pa: PPA, mix_of, rewards):
+def _const_trans(pa: PPA) -> dict:
+    """Every transition's nonzero probabilities, as plain rationals."""
+    return {
+        key: {t: p for t, p in pa.const_dist(*key).items() if p} for key in pa.trans
+    }
+
+
+def _induced_chain(pa: PPA, dists, mix_of, rewards):
     """Markov chain and expected one-step reward per state when every state
-    s plays the action mixture mix_of(s)."""
+    s plays the action mixture mix_of(s); `dists` is `_const_trans(pa)`."""
     chain, gain = {}, {}
     for s in pa.states:
         dist, g = {}, Fraction(0)
         for a, w in mix_of(s).items():
-            if w == 0 or (s, a) not in pa.trans:
+            if w == 0 or (s, a) not in dists:
                 continue
             r = _rew(pa, rewards, s, a)
             if r:
                 g += w * r
-            for t, p in pa.const_dist(s, a).items():
-                if p:
-                    dist[t] = dist.get(t, Fraction(0)) + w * p
+            for t, p in dists[(s, a)].items():
+                if w != 1:
+                    p = w * p
+                dist[t] = dist[t] + p if t in dist else p
         chain[s], gain[s] = dist, g
     return chain, gain
 
 
+def _language_prob_of(pa: PPA, dfa):
+    """sigma -> Pr(L) of the chain that sigma induces on `pa`; the product
+    with L's bad-prefix DFA and its transition table are built once."""
+    product, bad = dfa_product(pa, dfa_absorb_accepting(dfa))
+    dists = _const_trans(product)
+
+    def prob(sigma: MemorylessStrategy) -> Fraction:
+        chain, _ = _induced_chain(
+            product, dists, lambda ps: sigma.choice.get(ps[0], {}), {}
+        )
+        return 1 - _reach_prob(chain, bad, product.initial)
+
+    return prob
+
+
+def _expected_reward_of(pa: PPA, rewards):
+    """sigma -> expected total reward of the chain that sigma induces on `pa`."""
+    rew_const = {
+        s: Polynomial.coerce(r).constant_value() for s, r in dict(rewards).items()
+    }
+    dists = _const_trans(pa)
+
+    def reward(sigma: MemorylessStrategy) -> Fraction:
+        chain, gain = _induced_chain(
+            pa, dists, lambda s: sigma.choice.get(s, {}), rew_const
+        )
+        return _chain_solve(chain, gain, pa.initial)[pa.initial]
+
+    return reward
+
+
 def chain_language_prob(pa: PPA, sigma: MemorylessStrategy, dfa) -> Fraction:
     """Pr(L) of the chain induced by a memoryless (possibly partial) strategy."""
-    product, bad = dfa_product(pa, dfa_absorb_accepting(dfa))
-    chain, _ = _induced_chain(product, lambda ps: sigma.choice.get(ps[0], {}), {})
-    return 1 - _reach_prob(chain, bad, product.initial)
+    return _language_prob_of(pa, dfa)(sigma)
 
 
 def chain_expected_reward(pa: PPA, sigma: MemorylessStrategy, rewards) -> Fraction:
     """Expected total reward of the induced chain; infinity on divergence."""
-    rew_const = {
-        s: Polynomial.coerce(r).constant_value() for s, r in dict(rewards).items()
-    }
-    chain, gain = _induced_chain(pa, lambda s: sigma.choice.get(s, {}), rew_const)
-    return _chain_solve(chain, gain, pa.initial)[pa.initial]
+    return _expected_reward_of(pa, rewards)(sigma)
 
 # ---------------------------------------------------------------------------
 # Multi-objective achievability (occupation-measure LP)
 # ---------------------------------------------------------------------------
 
-def _joint_product(pa: PPA, dfas):
-    """Reachable product of a PA with several absorbing bad-prefix DFAs.
-
-    Returns the initial state, the sorted states, the actions of each state
-    in `sort_key` order, and the transition and label maps.
-    """
-    init = (pa.initial, tuple(b.initial for b in dfas))
-    acts, ptrans, plabel = {}, {}, {}
-    seen = {init}
-    stack = [init]
-    while stack:
-        ps = stack.pop()
-        s, qs = ps
-        acts[ps] = pa.enabled(s)
-        for a in acts[ps]:
-            lab = pa.label[(s, a)]
-            nqs = tuple(
-                b.trans[(q, lab)] if lab in b.alphabet else q
-                for b, q in zip(dfas, qs)
-            )
-            dist = {}
-            for t, p in pa.const_dist(s, a).items():
-                dist[(t, nqs)] = dist.get((t, nqs), Fraction(0)) + p
-            ptrans[(ps, a)] = dist
-            plabel[(ps, a)] = lab
-            for t in dist:
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-    return init, sorted(seen, key=sort_key), acts, ptrans, plabel
+def _fill(form, values):
+    """The coefficients of a row template {column: (c, plus, minus)} at one
+    value vector: c plus the values indexed by `plus`, minus those indexed by
+    `minus`."""
+    out = {}
+    for j, (c, plus, minus) in form.items():
+        for k in plus:
+            c = c + values[k] if c else values[k]
+        for k in minus:
+            c = c - values[k] if c else -values[k]
+        out[j] = c
+    return out
 
 
-def _signature(ps, dfas):
-    _, qs = ps
-    return frozenset(i for i, b in enumerate(dfas) if qs[i] in b.accepting)
+def _lp_at(num_vars, rows, values):
+    """The LinearProgram of ("eq" | "ub" | "lb", template, rhs) rows at one
+    value vector."""
+    lp = LinearProgram(num_vars)
+    add = {"eq": lp.add_eq, "ub": lp.add_ub, "lb": lp.add_lb}
+    for kind, form, rhs in rows:
+        add[kind](_fill(form, values), rhs)
+    return lp
 
 
-def _occupation_lp(init, states, trans, settle, extra=0):
+def _occupation_lp(init, states, support, settle, extra=0):
     """Occupation-measure LP of one unit of flow from `init` into `settle`.
 
+    `support` maps each (state, action) key to its successors with nonzero
+    probability, as (successor, k) pairs: the probability is entry k of a
+    value vector, and the rows are templates over that vector (`_lp_at`).
     Columns: y[(s, a)], the expected number of times a is taken in s, for the
-    keys of `trans` in `sort_key` order; then w[s], the probability of
+    keys of `support` in `sort_key` order; then w[s], the probability of
     settling in s, for the settle states in `sort_key` order; then `extra`
     columns left to the caller.  Rows: one flow balance per state, in
     `states` order, then sum(w) = 1.  Row and column order fix the simplex's
-    pivot path, so they must not change.
+    pivot path, so they must not change.  Returns the number of columns, the
+    rows, y_index and w_index.
     """
-    action_keys = sorted(trans, key=sort_key)
+    action_keys = sorted(support, key=sort_key)
     settle_states = sorted(settle, key=sort_key)
     y_index = {key: i for i, key in enumerate(action_keys)}
     w_index = {s: len(action_keys) + i for i, s in enumerate(settle_states)}
-    lp = LinearProgram(len(action_keys) + len(settle_states) + extra)
     balance = {s: {} for s in states}
     for key, j in y_index.items():
-        out = balance[key[0]]
-        out[j] = out.get(j, Fraction(0)) + 1
-        for t, p in trans[key].items():
-            if p:
-                balance[t][j] = balance[t].get(j, Fraction(0)) - p
+        balance[key[0]][j] = (1, (), ())
+        for t, k in support[key]:
+            c, _, minus = balance[t].get(j, (0, (), ()))
+            balance[t][j] = (c, (), minus + (k,))
     for s, j in w_index.items():
-        balance[s][j] = Fraction(1)
-    for s in states:
-        lp.add_eq(balance[s], Fraction(1 if s == init else 0))
-    lp.add_eq({j: Fraction(1) for j in w_index.values()}, Fraction(1))
-    return lp, y_index, w_index
+        balance[s][j] = (1, (), ())
+    rows = [("eq", balance[s], 1 if s == init else 0) for s in states]
+    rows.append(("eq", {j: (1, (), ()) for j in w_index.values()}, 1))
+    return len(action_keys) + len(settle_states) + extra, rows, y_index, w_index
+
+
+# comparison -> (row kind, coefficient of the shared slack column)
+_PROB_ROW = {">=": ("ub", 0), ">": ("ub", 1), "<=": ("lb", 0), "<": ("lb", -1)}
+_REWARD_ROW = {">=": ("lb", 0), ">": ("lb", -1), "<=": ("ub", 0), "<": ("ub", 1)}
+
+
+class _MoQuery:
+    """One conjunction of objectives on one model, for any number of samples.
+
+    The structure is built once: the joint product of the model (its tau
+    extension for partial strategies) with the objectives' absorbing
+    bad-prefix DFAs, each state's signature (the DFAs in an accepting state),
+    and the reach-target sets.  Transition probabilities and rewards refer by
+    index to the distinct polynomials in `polys`, so a sample's values are one
+    evaluation of each.  What depends on which values are zero, and on the
+    signs of the rewards -- the end-component check, the settle set and
+    `stay` map, and the LP layout -- is built once per sign pattern
+    (`_layout`).  Each sample then only fills in the LP's coefficients,
+    solves it, and builds a witness when the conjunction is achievable.
+    """
+
+    def __init__(self, m: PPA, query, strategy_class):
+        for obj in query:
+            if not obj.alphabet <= m.alphabet:
+                raise AlphabetMismatch(
+                    f"objective alphabet {sorted(obj.alphabet)} exceeds the model's"
+                )
+        work = tau_extend(m) if strategy_class == "prt" else m
+        self.strategy_class = strategy_class
+        self.prob_objs = [o for o in query if isinstance(o, ProbObjective)]
+        self.rew_objs = [o for o in query if isinstance(o, RewardObjective)]
+        self.strict = any(o.cmp in ("<", ">") for o in query)
+        self.polys, slots = [], {}
+
+        def slot(poly):
+            poly = Polynomial.coerce(poly)
+            if poly not in slots:
+                slots[poly] = len(self.polys)
+                self.polys.append(poly)
+            return slots[poly]
+
+        entries = {
+            key: tuple((t, slot(p)) for t, p in dist.items())
+            for key, dist in work.trans.items()
+        }
+        dfas = [dfa_absorb_accepting(o.dfa) for o in self.prob_objs]
+        init = (work.initial, tuple(b.initial for b in dfas))
+        acts, ptrans, plabel = {}, {}, {}
+        seen = {init}
+        stack = [init]
+        while stack:
+            ps = stack.pop()
+            s, qs = ps
+            acts[ps] = work.enabled(s)
+            for a in acts[ps]:
+                lab = work.label[(s, a)]
+                nqs = tuple(
+                    b.trans[(q, lab)] if lab in b.alphabet else q
+                    for b, q in zip(dfas, qs)
+                )
+                ptrans[(ps, a)] = tuple(((t, nqs), k) for t, k in entries[(s, a)])
+                plabel[(ps, a)] = lab
+                for t, _ in ptrans[(ps, a)]:
+                    if t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+        self.init, self.states = init, sorted(seen, key=sort_key)
+        self.acts, self.ptrans, self.plabel = acts, ptrans, plabel
+        self.signature = {
+            ps: frozenset(i for i, b in enumerate(dfas) if ps[1][i] in b.accepting)
+            for ps in self.states
+        }
+        self.targets = [
+            frozenset(ps for ps in self.states if i in self.signature[ps])
+            for i in range(len(dfas))
+        ]
+        self.reward_slots = [
+            {sym: slot(r) for sym, r in o.rewards} for o in self.rew_objs
+        ]
+        self._layouts = {}
+
+    def _reward(self, values, key, j):
+        """Reward of reward objective j on the product transition `key`."""
+        k = self.reward_slots[j].get(self.plabel[key])
+        return Fraction(0) if k is None else values[k]
+
+    def _layout(self, values):
+        """Settle set, stay map and LP rows for the sign pattern of `values`."""
+        n_rew = len(self.rew_objs)
+
+        def reward(key, j):
+            return self._reward(values, key, j)
+
+        support = {
+            key: tuple((t, k) for t, k in dist if values[k])
+            for key, dist in self.ptrans.items()
+        }
+        trans = {key: {t: values[k] for t, k in dist} for key, dist in support.items()}
+        if n_rew:
+            for comp, actions in maximal_end_components(trans, self.states):
+                for key in actions:
+                    if any(reward(key, j) > 0 for j in range(n_rew)):
+                        raise UnboundedReward(
+                            "a reward objective meets an infinite-reward end component"
+                        )
+        sig = self.signature
+
+        def lingers(ps, a):
+            """Staying on a may neither collect reward nor cross a signature layer."""
+            return all(reward((ps, a), j) == 0 for j in range(n_rew)) and all(
+                sig[t] == sig[ps] for t in trans[(ps, a)]
+            )
+
+        settle, stay = _settle(self.states, self.acts, trans, lingers)
+        num_vars, rows, y_index, w_index = _occupation_lp(
+            self.init, self.states, support, settle, int(self.strict)
+        )
+        t_index = num_vars - 1  # the slack column, used only when strict
+        for o, target in zip(self.prob_objs, self.targets):
+            # P(eventually target) = const + sum of y[key] * (mass of key into target)
+            form = {}
+            for key, dist in support.items():
+                if key[0] not in target:
+                    plus = tuple(k for t, k in dist if t in target)
+                    if plus:
+                        form[y_index[key]] = (0, plus, ())
+            const = 1 if self.init in target else 0
+            if o.cmp in _PROB_ROW:
+                kind, slack = _PROB_ROW[o.cmp]
+                if slack:
+                    form[t_index] = (slack, (), ())
+                rows.append((kind, form, 1 - o.threshold - const))
+        for j, o in enumerate(self.rew_objs):
+            form = {}
+            for key, col in y_index.items():
+                k = self.reward_slots[j].get(self.plabel[key])
+                if k is not None and values[k]:
+                    form[col] = (0, (k,), ())
+            if o.cmp in _REWARD_ROW:
+                kind, slack = _REWARD_ROW[o.cmp]
+                if slack:
+                    form[t_index] = (slack, (), ())
+                rows.append((kind, form, o.threshold))
+        if self.strict:
+            rows.append(("ub", {t_index: (1, (), ())}, 1))
+        return num_vars, rows, y_index, w_index, stay
+
+    def solve(self, v):
+        """("achievable", witness) or ("unachievable", None) at valuation v."""
+        values = [p.evaluate(v) for p in self.polys]
+        signs = tuple((x > 0) - (x < 0) for x in values)
+        if signs not in self._layouts:
+            self._layouts[signs] = self._layout(values)
+        num_vars, rows, y_index, w_index, stay = self._layouts[signs]
+        lp = _lp_at(num_vars, rows, values)
+        if self.strict:
+            status, x, value = lp.solve({num_vars - 1: Fraction(1)}, maximize=True)
+            if status != OPTIMAL or value <= 0:
+                return "unachievable", None
+        else:
+            status, x, _ = lp.solve({})
+            if status != OPTIMAL:
+                return "unachievable", None
+        return "achievable", self._witness(values, x, y_index, w_index, stay)
+
+    def _witness(self, values, x, y_index, w_index, stay):
+        """The two-mode witness strategy of the LP solution x, re-verified exactly."""
+        mix, settle_mass = {}, {}
+        for ps in self.states:
+            total = Fraction(0)
+            weights = {}
+            for a in self.acts[ps]:
+                freq = x[y_index[(ps, a)]]
+                if freq > 0:
+                    weights[a] = freq
+                    total += freq
+            w = x[w_index[ps]] if ps in w_index else Fraction(0)
+            total += w
+            if total == 0:
+                continue
+            mix[ps] = {a: v / total for a, v in weights.items()}
+            if w:
+                settle_mass[ps] = w / total
+
+        trans = {
+            key: {t: values[k] for t, k in dist if values[k]}
+            for key, dist in self.ptrans.items()
+        }
+        rewards = [
+            {key: self._reward(values, key, j) for key in self.ptrans}
+            for j in range(len(self.rew_objs))
+        ]
+        vals = _witness_values(
+            self.init, self.states, trans, self.targets, rewards, mix, settle_mass, stay
+        )
+        objectives = self.prob_objs + self.rew_objs
+        for o, val in zip(objectives, vals):
+            if not _cmp(val, o.cmp, o.threshold):
+                raise RuntimeError("internal: witness failed exact re-verification")
+        return {
+            "kind": "product-memoryless",
+            "strategy_class": self.strategy_class,
+            "mix": mix,
+            "settle": settle_mass,
+            "stay": dict(stay),
+            "values": {
+                (o.name or f"objective-{k}"): val
+                for k, (o, val) in enumerate(zip(objectives, vals))
+            },
+        }
 
 
 def mo_achievable(pa: PPA, query, strategy_class="cmp"):
@@ -629,178 +880,47 @@ def mo_achievable(pa: PPA, query, strategy_class="cmp"):
     Returns ("achievable", witness) or ("unachievable", None).  Partial
     strategies are handled by checking complete strategies of the tau
     extension.  Strict comparisons are decided by maximizing a shared rational
-    slack; every witness is re-evaluated exactly before being reported.
+    slack; every witness is re-evaluated exactly before being reported.  This
+    is the query's structure on `pa` solved at its (constant) values; region
+    checks reuse one structure across their samples.
     """
     if not pa.is_pa:
         raise ValueError("mo_achievable needs a parameter-free model")
-    for obj in query:
-        if not obj.alphabet <= pa.alphabet:
-            raise AlphabetMismatch(
-                f"objective alphabet {sorted(obj.alphabet)} exceeds the model's"
-            )
-    work = tau_extend(pa) if strategy_class == "prt" else pa
-    prob_objs = [o for o in query if isinstance(o, ProbObjective)]
-    rew_objs = [o for o in query if isinstance(o, RewardObjective)]
-    dfas = [dfa_absorb_accepting(o.dfa) for o in prob_objs]
-    init, states, acts, ptrans, plabel = _joint_product(work, dfas)
-
-    rew_maps = []
-    for o in rew_objs:
-        rew_maps.append({s: Polynomial.coerce(r).constant_value() for s, r in o.rewards})
-    def act_reward(key, j):
-        return rew_maps[j].get(plabel[key], Fraction(0))
-    if rew_objs:
-        for comp, actions in maximal_end_components(ptrans, states):
-            for key in actions:
-                if any(act_reward(key, j) > 0 for j in range(len(rew_objs))):
-                    raise UnboundedReward(
-                        "a reward objective meets an infinite-reward end component"
-                    )
-
-    def lingers(ps, a):
-        """Staying on a may neither collect reward nor cross a signature layer."""
-        sig = _signature(ps, dfas)
-        return all(act_reward((ps, a), j) == 0 for j in range(len(rew_objs))) and all(
-            _signature(t, dfas) == sig for t, p in ptrans[(ps, a)].items() if p
-        )
-
-    settle, stay = _settle(states, acts, ptrans, lingers)
-    strict = any(o.cmp in ("<", ">") for o in query)
-    lp, y_index, w_index = _occupation_lp(init, states, ptrans, settle, int(strict))
-    t_index = lp.num_vars - 1  # the slack column, read only when strict
-
-    def reach_expr(i):
-        """Linear expression of P(eventually bad_i) plus its constant part."""
-        target = {ps for ps in states if i in _signature(ps, dfas)}
-        coeffs = {}
-        const = Fraction(1) if init in target else Fraction(0)
-        for key, dist in ptrans.items():
-            if key[0] in target:
-                continue
-            mass = sum((p for t, p in dist.items() if t in target), Fraction(0))
-            if mass:
-                coeffs[y_index[key]] = coeffs.get(y_index[key], Fraction(0)) + mass
-        return coeffs, const
-
-    for i, o in enumerate(prob_objs):
-        coeffs, const = reach_expr(i)
-        bound = 1 - o.threshold
-        if o.cmp == ">=":
-            lp.add_ub(coeffs, bound - const)
-        elif o.cmp == ">":
-            c = dict(coeffs)
-            c[t_index] = Fraction(1)
-            lp.add_ub(c, bound - const)
-        elif o.cmp == "<=":
-            lp.add_lb(coeffs, bound - const)
-        elif o.cmp == "<":
-            c = dict(coeffs)
-            c[t_index] = Fraction(-1)
-            lp.add_lb(c, bound - const)
-    for j, o in enumerate(rew_objs):
-        coeffs = {}
-        for key, col in y_index.items():
-            r = act_reward(key, j)
-            if r:
-                coeffs[col] = r
-        if o.cmp == ">=":
-            lp.add_lb(coeffs, o.threshold)
-        elif o.cmp == ">":
-            c = dict(coeffs)
-            c[t_index] = Fraction(-1)
-            lp.add_lb(c, o.threshold)
-        elif o.cmp == "<=":
-            lp.add_ub(coeffs, o.threshold)
-        elif o.cmp == "<":
-            c = dict(coeffs)
-            c[t_index] = Fraction(1)
-            lp.add_ub(c, o.threshold)
-
-    if strict:
-        lp.add_ub({t_index: Fraction(1)}, Fraction(1))
-        status, x, value = lp.solve({t_index: Fraction(1)}, maximize=True)
-        if status != OPTIMAL or value <= 0:
-            return "unachievable", None
-    else:
-        status, x, _ = lp.solve({})
-        if status != OPTIMAL:
-            return "unachievable", None
-
-    mix, settle_mass = {}, {}
-    for ps in states:
-        total = Fraction(0)
-        weights = {}
-        for a in acts[ps]:
-            if x[y_index[(ps, a)]] > 0:
-                weights[a] = x[y_index[(ps, a)]]
-                total += x[y_index[(ps, a)]]
-        w = x[w_index[ps]] if ps in w_index else Fraction(0)
-        total += w
-        if total == 0:
-            continue
-        mix[ps] = {a: v / total for a, v in weights.items()}
-        if w:
-            settle_mass[ps] = w / total
-
-    values = _witness_values(
-        init, states, ptrans, dfas, prob_objs, rew_objs, plabel, rew_maps,
-        mix, settle_mass, stay,
-    )
-    for o, (kind, val) in zip(list(prob_objs) + list(rew_objs), values):
-        if not _cmp(val, o.cmp, o.threshold):
-            raise RuntimeError("internal: witness failed exact re-verification")
-    witness = {
-        "kind": "product-memoryless",
-        "strategy_class": strategy_class,
-        "mix": mix,
-        "settle": settle_mass,
-        "stay": stay,
-        "values": {
-            (o.name or f"objective-{k}"): val
-            for k, (o, (_, val)) in enumerate(
-                zip(list(prob_objs) + list(rew_objs), values)
-            )
-        },
-    }
-    return "achievable", witness
+    return _MoQuery(pa, query, strategy_class).solve({})
 
 
-def _witness_values(init, states, ptrans, dfas, prob_objs, rew_objs, plabel,
-                    rew_maps, mix, settle_mass, stay):
-    """Exact objective values of the two-mode witness strategy."""
-    trans = {}
-    gain_of = [dict() for _ in rew_objs]
+def _witness_values(init, states, trans, targets, rewards, mix, settle_mass, stay):
+    """Exact objective values of the two-mode witness strategy.
+
+    `trans` holds each key's nonzero probabilities.  One value per target
+    set (the probability of never reaching it), then one per reward map
+    {key: reward} (the expected total reward).
+    """
+    chain = {}
+    gain_of = [dict() for _ in rewards]
     for ps in states:
         dist = {}
         for a, wgt in mix.get(ps, {}).items():
-            for t, p in ptrans[(ps, a)].items():
-                if p:
-                    dist[("go", t)] = dist.get(("go", t), Fraction(0)) + wgt * p
-            for j in range(len(rew_objs)):
-                r = rew_maps[j].get(plabel[(ps, a)], Fraction(0))
+            for t, p in trans[(ps, a)].items():
+                dist[("go", t)] = dist.get(("go", t), Fraction(0)) + wgt * p
+            for gain, rew in zip(gain_of, rewards):
+                r = rew[(ps, a)]
                 if r:
-                    gain_of[j][("go", ps)] = gain_of[j].get(("go", ps), Fraction(0)) + wgt * r
+                    gain[("go", ps)] = gain.get(("go", ps), Fraction(0)) + wgt * r
         sm = settle_mass.get(ps, Fraction(0))
         if sm:
             dist[("stay", ps)] = dist.get(("stay", ps), Fraction(0)) + sm
-        trans[("go", ps)] = dist
+        chain[("go", ps)] = dist
     for ps, a in stay.items():
-        trans[("stay", ps)] = {
-            ("stay", t): p for t, p in ptrans[(ps, a)].items() if p
-        }
+        chain[("stay", ps)] = {("stay", t): p for t, p in trans[(ps, a)].items()}
     for ps in states:
-        trans.setdefault(("stay", ps), {})
+        chain.setdefault(("stay", ps), {})
     out = []
-    for i, o in enumerate(prob_objs):
-        target = {
-            (mode, ps)
-            for mode in ("go", "stay")
-            for ps in states
-            if i in _signature(ps, dfas)
-        }
-        out.append(("prob", 1 - _reach_prob(trans, target, ("go", init))))
-    for j, o in enumerate(rew_objs):
-        out.append(("reward", _chain_solve(trans, gain_of[j], ("go", init))[("go", init)]))
+    for target in targets:
+        marked = {(mode, ps) for mode in ("go", "stay") for ps in target}
+        out.append(1 - _reach_prob(chain, marked, ("go", init)))
+    for gain in gain_of:
+        out.append(_chain_solve(chain, gain, ("go", init))[("go", init)])
     return out
 
 
@@ -841,13 +961,11 @@ def region_sat(m: PPA, region, query, strategy_class="cmp", resolution=1) -> Ver
     samples = _checked_samples(m, region, resolution)
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
+    checks = [_MoQuery(m, (obj.negate(),), strategy_class) for obj in query]
     details = []
     for v in samples:
-        pa = instantiate(m, v)
-        for obj in query:
-            status, wit = mo_achievable(
-                pa, (instantiate_objective(obj, v).negate(),), strategy_class
-            )
+        for obj, check in zip(query, checks):
+            status, wit = check.solve(v)
             if status == "achievable":
                 return Verdict(
                     "fails",
@@ -875,13 +993,13 @@ def ag_triple_check(
     samples = _checked_samples(m, region, resolution)
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
+    checks = [
+        _MoQuery(m, tuple(assumption) + (g.negate(),), strategy_class) for g in guarantee
+    ]
     details = []
     for v in samples:
-        pa = instantiate(m, v)
-        inst_a = tuple(instantiate_objective(o, v) for o in assumption)
-        for g in guarantee:
-            bad = inst_a + (instantiate_objective(g, v).negate(),)
-            status, wit = mo_achievable(pa, bad, strategy_class)
+        for g, check in zip(guarantee, checks):
+            status, wit = check.solve(v)
             if status == "achievable":
                 return Verdict(
                     "fails",
@@ -950,11 +1068,17 @@ def enumerate_memoryless(m: PPA, denominator=1, cap=20000):
     return results
 
 
+def _solution_function(m_inst: PPA, objective):
+    """sigma -> value of the solution function at one instantiated model,
+    with its DFA product built once rather than once per strategy."""
+    if isinstance(objective, RewardObjective):
+        return _expected_reward_of(m_inst, objective.reward_map())
+    return _language_prob_of(m_inst, objective.dfa)
+
+
 def solution_value(m_inst: PPA, sigma: MemorylessStrategy, objective):
     """Value of the solution function at one instantiated model and strategy."""
-    if isinstance(objective, RewardObjective):
-        return chain_expected_reward(m_inst, sigma, objective.reward_map())
-    return chain_language_prob(m_inst, sigma, objective.dfa)
+    return _solution_function(m_inst, objective)(sigma)
 
 
 def monotone_check(
@@ -988,16 +1112,18 @@ def monotone_check(
     groups = {}
     for v in samples:
         if param not in v:
-            raise ValueError(f"samples do not assign parameter {param!r}")
+            raise MissingParameter(f"samples do not assign parameter {param!r}")
         rest = tuple(sorted((k, val) for k, val in v.items() if k != param))
         groups.setdefault(rest, []).append(v)
-    inst_cache = {}
+    functions = {}  # valuation key -> solution function, built on first use
 
-    def inst(v):
+    def function(v):
         key = valuation_key(v)
-        if key not in inst_cache:
-            inst_cache[key] = instantiate(work, v)
-        return inst_cache[key]
+        if key not in functions:
+            functions[key] = _solution_function(
+                instantiate(work, v), instantiate_objective(objective, v)
+            )
+        return functions[key]
 
     ordered_pairs = []
     for rest, vs in sorted(groups.items()):
@@ -1011,8 +1137,7 @@ def monotone_check(
             for v in (lo, hi):
                 key = valuation_key(v)
                 if key not in cache:
-                    obj = instantiate_objective(objective, v)
-                    cache[key] = solution_value(inst(v), sigma, obj)
+                    cache[key] = function(v)(sigma)
             f_lo, f_hi = cache[valuation_key(lo)], cache[valuation_key(hi)]
             ok = f_lo <= f_hi if direction == "up" else f_lo >= f_hi
             if not ok:

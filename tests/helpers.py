@@ -6,11 +6,19 @@ import itertools
 import random
 from fractions import Fraction
 
-from pacomp.algebra import Polynomial
+from pacomp.algebra import Polynomial, valuation_key
 from pacomp.errors import ActionAlphabetClash, GeneratorBudgetExceeded, InfeasibleIntervalSet
-from pacomp.model import DFA, make_ppa, sort_key
+from pacomp.model import DFA, instantiate, make_ppa, sort_key, tau_extend
 from pacomp.robust import RPA, IntervalSet, VertexSet, freeze_dist, make_rpa
 from pacomp.semantics import TabularStrategy, path_last
+from pacomp.verify import (
+    Verdict,
+    _checked_samples,
+    enumerate_memoryless,
+    instantiate_objective,
+    mo_achievable,
+    solution_value,
+)
 
 
 def random_dist(rng: random.Random, states, max_support=3):
@@ -203,3 +211,83 @@ def alphabet_extend_rpa(u: RPA, sigma) -> RPA:
         alphabet=u.alphabet | fresh,
         composed_of=u.composed_of,
     )
+
+
+# ---------------------------------------------------------------------------
+# Per-sample references for the region checks: every sample is instantiated
+# and solved anew, with no structure shared between samples.
+# ---------------------------------------------------------------------------
+
+def region_sat_per_sample(m, region, query, strategy_class="cmp", resolution=1):
+    samples = _checked_samples(m, region, resolution)
+    if samples is None:
+        return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
+    details = []
+    for v in samples:
+        pa = instantiate(m, v)
+        for obj in query:
+            status, wit = mo_achievable(
+                pa, (instantiate_objective(obj, v).negate(),), strategy_class
+            )
+            if status == "achievable":
+                return Verdict(
+                    "fails",
+                    witness={"valuation": v, "objective": obj, "strategy": wit},
+                    details=details,
+                )
+        details.append({"valuation": valuation_key(v), "ok": True})
+    return Verdict("holds", details=details)
+
+
+def ag_triple_check_per_sample(m, region, assumption, guarantee, strategy_class="prt",
+                               resolution=1):
+    samples = _checked_samples(m, region, resolution)
+    if samples is None:
+        return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
+    details = []
+    for v in samples:
+        pa = instantiate(m, v)
+        inst_a = tuple(instantiate_objective(o, v) for o in assumption)
+        for g in guarantee:
+            bad = inst_a + (instantiate_objective(g, v).negate(),)
+            status, wit = mo_achievable(pa, bad, strategy_class)
+            if status == "achievable":
+                return Verdict(
+                    "fails",
+                    witness={"valuation": v, "violated": g, "strategy": wit},
+                    details=details,
+                )
+        details.append({"valuation": valuation_key(v), "ok": True})
+    return Verdict("holds", details=details)
+
+
+def monotone_check_per_sample(m, region, objective, param, direction, strategy_class="cmp",
+                              resolution=1):
+    """Every (strategy, valuation) pair instantiates and builds its DFA product anew."""
+    samples = _checked_samples(m, region, resolution)
+    caveat = "per enumerated strategy class; sound per sampled valuation"
+    if samples is None:
+        return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
+    work = tau_extend(m) if strategy_class == "prt" else m
+    groups = {}
+    for v in samples:
+        rest = tuple(sorted((k, val) for k, val in v.items() if k != param))
+        groups.setdefault(rest, []).append(v)
+    pairs = []
+    for _, vs in sorted(groups.items()):
+        vs.sort(key=lambda v: v[param])
+        pairs.extend(zip(vs, vs[1:]))
+    for sigma in enumerate_memoryless(work):
+        for lo, hi in pairs:
+            f_lo, f_hi = (
+                solution_value(instantiate(work, v), sigma, instantiate_objective(objective, v))
+                for v in (lo, hi)
+            )
+            if not (f_lo <= f_hi if direction == "up" else f_lo >= f_hi):
+                return Verdict(
+                    "fails",
+                    witness={"strategy": sigma.choice, "low": lo, "high": hi,
+                             "value_low": f_lo, "value_high": f_hi},
+                    caveat=caveat,
+                )
+    return Verdict("holds", caveat=caveat)

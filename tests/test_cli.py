@@ -409,6 +409,58 @@ def test_malformed_proof_script_is_usage_error(case, corpus_dir, tmp_path, capsy
     assert err.startswith("format error:") and "Traceback" not in err
 
 
+def _monotonicity_script(corpus_dir):
+    script = _asymmetric_script(corpus_dir)
+    script["applications"] = [{
+        "id": "mono", "rule": "monotonicity", "m1": "m1", "m2": "m2",
+        "r1": "r2", "r2": "r2", "objective": "A", "param": "p", "direction": "down",
+    }]
+    return script
+
+
+_UNRESOLVABLE_ARGUMENTS = {
+    "unknown-model": (_asymmetric_script, "m1", "nosuch"),
+    "query-as-model": (_asymmetric_script, "m2", "A"),
+    "unknown-query": (_asymmetric_script, "assumption", "nosuch"),
+    "number-as-region": (_asymmetric_script, "r1", 5),
+    "inline-region-object": (
+        _asymmetric_script, "r1", {"type": "box", "bounds": [["p", ["0", "1/10"]]]}
+    ),
+    "unparsable-region-text": (_asymmetric_script, "r2", "nosuch"),
+    "sideways-direction": (_monotonicity_script, "direction", "sideways"),
+    "number-as-parameter": (_monotonicity_script, "param", 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNRESOLVABLE_ARGUMENTS))
+def test_unresolvable_script_argument_is_usage_error(case, corpus_dir, tmp_path, capsys):
+    build, key, value = _UNRESOLVABLE_ARGUMENTS[case]
+    script = build(corpus_dir)
+    app = script["applications"][0]
+    app[key] = value
+    path = tmp_path / "unresolvable.agproof.json"
+    json.dump(script, open(path, "w"))
+    code, out, err = run(capsys, "rule", "--script", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("format error: proof script:") and "Traceback" not in err
+    assert f"application {app['id']!r} argument {key!r}" in err
+
+
+def test_monotonicity_script_with_valid_arguments_runs(corpus_dir, tmp_path, capsys):
+    script = _monotonicity_script(corpus_dir)
+    path = tmp_path / "mono.agproof.json"
+    json.dump(script, open(path, "w"))
+    code, out, _ = run(capsys, "rule", "--script", str(path))
+    assert code in (0, 1)
+    assert json.loads(out)["report"]["certificate"][0]["id"] == "mono"
+    # a parameter the samples do not assign is an input error, not a crash
+    script["applications"][0]["param"] = "zzz"
+    json.dump(script, open(path, "w"))
+    code, out, err = run(capsys, "rule", "--script", str(path))
+    assert code == 2 and out == ""
+    assert "MissingParameter" in err and "'zzz'" in err
+
+
 def test_resolution_must_be_positive(corpus_dir, capsys):
     check = [
         "check",
@@ -657,3 +709,45 @@ def test_monotone_cli(corpus_dir, tmp_path, capsys):
     assert code2 == 1
     witness = json.loads(out2)["report"]["verdict"]["witness"]
     assert witness["value_low"] != witness["value_high"]
+
+
+# Full report bytes of three region runs on the composed corpus model,
+# recorded before each region check built its product once and refilled only
+# the coefficients per sample.  The check passes 9 samples, including the
+# non-graph-preserving p = 0 corner, and fails at p = 1/8, q = 1.
+_GOLDEN_REGION = "box.p=[0,1/2],q=[1/5,1]"
+_GOLDEN_RUNS = {
+    "check_prt_box.json": [
+        "check", "--model", "composed.ppa.json", "--objective", "safe_guarantee.query.json",
+        "--region", _GOLDEN_REGION, "--resolution", "3", "--class", "prt",
+    ],
+    "triple_box.json": [
+        "triple", "--model", "composed.ppa.json", "--assumption", "safe_assumption.query.json",
+        "--guarantee", "safe_guarantee.query.json", "--region", _GOLDEN_REGION,
+        "--resolution", "3",
+    ],
+    "monotone_p_up_box.json": [
+        "monotone", "--model", "composed.ppa.json", "--objective", "safe_guarantee.query.json",
+        "--region", _GOLDEN_REGION, "--param", "p", "--direction", "up", "--resolution", "3",
+    ],
+}
+_GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
+def test_region_reports_match_golden_bytes(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the reports name their inputs by relative path
+    assert main(["corpus", "--out", "."]) == 0
+    assert main(["compose", "--left", "retry.ppa.json", "--right", "pipeline.ppa.json",
+                 "--out", "composed.ppa.json"]) == 0
+    capsys.readouterr()
+    code, out, _ = run(capsys, *_GOLDEN_RUNS[name])
+    with open(os.path.join(_GOLDEN_DIR, name), encoding="utf-8") as fh:
+        expected = fh.read()
+    assert code == 1
+    assert out == expected
+    if name == "check_prt_box.json":
+        verdict = json.loads(out)["report"]["verdict"]
+        assert verdict["witness"]["valuation"] == {"p": "1/8", "q": "1"}
+        assert len(verdict["details"]) == 9
+        assert verdict["details"][0]["valuation"] == [["p", "0"], ["q", "1/5"]]

@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from pacomp import corpus
-from pacomp.algebra import Box, FiniteRegion, parse_poly, poly_eval
+from pacomp.algebra import Box, FiniteRegion, Polynomial, parse_poly, poly_eval
 from pacomp.errors import (
     AlphabetMismatch,
+    PacompError,
     IllDefinedValuationInRegion,
     UnboundedReward,
 )
@@ -17,6 +18,7 @@ from pacomp.model import (
     dfa_forbid_symbols,
     instantiate,
     make_ppa,
+    tau_extend,
 )
 from pacomp.semantics import MemorylessStrategy
 from pacomp.verify import (
@@ -38,7 +40,14 @@ from pacomp.verify import (
     solution_value,
 )
 
-from helpers import random_pa, random_safety_dfa
+from helpers import (
+    ag_triple_check_per_sample,
+    monotone_check_per_sample,
+    random_pa,
+    random_parametric_pair,
+    random_safety_dfa,
+    region_sat_per_sample,
+)
 
 SOLUTION = parse_poly("1 - (1/10*p^2 + (p - p^2)*q)")
 V = {"p": F(1, 10), "q": F(1, 10)}
@@ -652,3 +661,81 @@ def test_mixed_probability_and_reward_query():
         reward_objective(">=", F(3, 2), {"left": 2}),
     )
     assert mo_achievable(fork, tight, "cmp")[0] == "unachievable"
+
+
+def _outcome(check, *args):
+    """The verdict of a region check, or the type and message of its error."""
+    try:
+        return check(*args)
+    except PacompError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_region_checks_match_per_sample_reference():
+    # one structure per region (and sign pattern) must give the verdict,
+    # failing valuation and full witness of solving every sample anew;
+    # the p = 0 and p = 1 corners are not graph-preserving, the reward p
+    # vanishes at p = 0, and (1 - 2p)^2 at the graph-preserving p = 1/2
+    rng = random.Random(71)
+    p = Polynomial.var("p")
+    rewards = (p, (1 - 2 * p) * (1 - 2 * p))
+    seen = set()
+    for case in range(16):
+        m = compose(*random_parametric_pair(rng))
+        alphabet = sorted(m.alphabet)
+        prob = ProbObjective(rng.choice([">=", ">", "<=", "<"]), F(rng.randint(0, 4), 4),
+                             random_safety_dfa(rng, alphabet, allow_empty=False))
+        assumption = (safety(random_safety_dfa(rng, alphabet, allow_empty=False),
+                             F(rng.randint(0, 4), 4)),)
+        reward = reward_objective(rng.choice([">=", ">", "<=", "<"]), F(rng.randint(0, 3), 2),
+                                  {rng.choice(alphabet): rng.choice(rewards)})
+        query = rng.choice([(prob,), (prob, reward), (reward,)])
+        box = Box.of({"p": (0, rng.choice([F(1, 2), F(1)]))})
+        resolution = rng.randint(1, 2)
+        for cls in ("cmp", "prt"):
+            got = _outcome(region_sat, m, box, query, cls, resolution)
+            assert got == _outcome(region_sat_per_sample, m, box, query, cls, resolution)
+            seen.add(("sat", reward in query, getattr(got, "status", "error")))
+            got = _outcome(ag_triple_check, m, box, assumption, query, cls, resolution)
+            assert got == _outcome(
+                ag_triple_check_per_sample, m, box, assumption, query, cls, resolution
+            )
+            seen.add(("triple", reward in query, getattr(got, "status", "error")))
+            work = tau_extend(m) if cls == "prt" else m
+            if len(enumerate_memoryless(work)) <= 64:
+                for objective in query:
+                    args = (m, box, objective, "p", rng.choice(["up", "down"]), cls, resolution)
+                    got = _outcome(monotone_check, *args)
+                    assert got == _outcome(monotone_check_per_sample, *args)
+                    seen.add(("monotone", objective is reward, getattr(got, "status", "error")))
+    # both verdicts, with and without a reward objective, occur
+    for kind in ("sat", "triple"):
+        for with_reward in (False, True):
+            assert {(kind, with_reward, "holds"), (kind, with_reward, "fails")} <= seen
+    assert {("monotone", False, "holds"), ("monotone", False, "fails")} <= seen
+
+
+def test_reward_that_vanishes_at_a_graph_preserving_sample():
+    # (1 - 4p)^2 is zero at p = 1/4 and positive at 3/8, where the b-loop is
+    # an end component with positive reward; both samples preserve the graph,
+    # so only the reward's sign tells their structures apart
+    p = Polynomial.var("p")
+    m = make_ppa(
+        ["s0", "s1", "s2"], "s0", {"p"},
+        {
+            ("s0", "x"): ("a", {"s1": p, "s2": 1 - p}),
+            ("s1", "y"): ("b", {"s1": 1}),
+            ("s2", "z"): ("c", {"s2": 1}),
+        },
+        {"a", "b", "c"},
+    )
+    reward = reward_objective("<=", 1, {"b": (1 - 4 * p) * (1 - 4 * p)})
+    box = Box.of({"p": (F(1, 4), F(1, 2))})
+    for cls in ("cmp", "prt"):
+        expected = _outcome(region_sat_per_sample, m, box, (reward,), cls)
+        assert expected[0] == "UnboundedReward"
+        assert _outcome(region_sat, m, box, (reward,), cls) == expected
+        trivial = (safety(dfa_forbid_symbols((), m.alphabet), 0),)
+        assert _outcome(ag_triple_check, m, box, trivial, (reward,), cls) == _outcome(
+            ag_triple_check_per_sample, m, box, trivial, (reward,), cls
+        )
