@@ -16,11 +16,9 @@ import time
 import traceback
 
 from . import corpus, modelio
-from .algebra import Box, FiniteRegion, RegionUnion, parse_rational
+from .algebra import FiniteRegion
 from .errors import PacompError, ParseError
 from .model import (
-    DFA,
-    PPA,
     alphabet_extend,
     compose,
     dfa_product,
@@ -28,17 +26,10 @@ from .model import (
     prune_unreachable,
     tau_extend,
 )
-from .proofrules import (
-    FairnessAttestation,
-    apply_asymmetric,
-    apply_circular,
-    apply_conjunction,
-    apply_monotonicity,
-    apply_rpa_rules,
-    apply_simulation_ag,
-)
+from .modelio import parse_region_arg, parse_valuation_arg
+from .proofrules import apply_rpa_rules
 from .report import digest_bytes, make_report, render_report, scrub
-from .robust import RPA, conv_compose, interval_relax_compose, pa_reduce, rpa_compose
+from .robust import conv_compose, interval_relax_compose, pa_reduce, rpa_compose
 from .semantics import strategy_project, tabulate
 from .simulate import robust_strong_sim, strong_sim_region
 from .verify import ag_triple_check, monotone_check, region_sat
@@ -48,20 +39,6 @@ EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
 EXIT_INTERNAL = 4
-
-
-QUERY = tuple
-REGION = (Box, FiniteRegion, RegionUnion)
-_KIND_NAMES = {PPA: "a ppa", RPA: "an rpa", DFA: "a dfa", QUERY: "a mo-query",
-               REGION: "a region"}
-
-
-def _decode(doc, expected):
-    """Decode a document and insist on the expected kind (None: any kind)."""
-    obj = modelio.load_document(doc)
-    if expected is not None and not isinstance(obj, expected):
-        raise ParseError(f"expected {_KIND_NAMES[expected]} document, got {doc.get('type')}")
-    return obj
 
 
 def positive_int(text):
@@ -81,7 +58,8 @@ class _Inputs:
     def __init__(self):
         self.digests = {}
 
-    def load(self, path, expected):
+    def load(self, path, kind):
+        """Decode the document of `kind` (see `modelio.load_document`) in `path`."""
         with open(path, "rb") as fh:
             data = fh.read()
         self.digests[path] = digest_bytes(data)
@@ -90,69 +68,12 @@ class _Inputs:
         report = doc.get("report") if isinstance(doc, dict) else None
         if isinstance(report, dict) and "result" in report:
             doc = report["result"]
-        return _decode(doc, expected)
-
-
-def parse_region_arg(text, inputs):
-    """Parse --region: box.p=[0,0.1],q=[0,1] | finite:{p=1/10};{p=9/10} | @file."""
-    text = text.strip()
-    if text.startswith("@"):
-        return inputs.load(text[1:], REGION)
-    if text.startswith("box.") or text.startswith("box:"):
-        body = text[4:]
-        bounds = {}
-        for chunk in _split_axes(body):
-            if "=" not in chunk:
-                raise ParseError(f"bad box axis {chunk!r}")
-            name, rng = chunk.split("=", 1)
-            rng = rng.strip()
-            if not (rng.startswith("[") and rng.endswith("]")) or rng.count(",") != 1:
-                raise ParseError(f"bad interval {rng!r} for {name!r}")
-            lo, hi = rng[1:-1].split(",")
-            bounds[name.strip()] = (parse_rational(lo), parse_rational(hi))
-        return Box.of(bounds)
-    if text.startswith("finite:"):
-        vals = []
-        for chunk in text[len("finite:"):].split(";"):
-            chunk = chunk.strip()
-            if not (chunk.startswith("{") and chunk.endswith("}")):
-                raise ParseError(f"bad finite valuation {chunk!r}")
-            vals.append(parse_valuation_arg(chunk[1:-1]))
-        return FiniteRegion.of(vals)
-    raise ParseError(f"unrecognized region syntax {text!r}")
-
-
-def _split_axes(body):
-    """Split 'p=[0,1],q=[0,1]' at commas that separate axes, not bounds."""
-    parts, depth, current = [], 0, ""
-    for ch in body:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append(current)
-            current = ""
-        else:
-            current += ch
-    if current:
-        parts.append(current)
-    return parts
-
-
-def parse_valuation_arg(text):
-    val = {}
-    for item in text.split(","):
-        if not item.strip():
-            continue
-        if "=" not in item:
-            raise ParseError(f"bad valuation item {item!r}: expected name=value")
-        name, value = item.split("=", 1)
-        val[name.strip()] = parse_rational(value)
-    return val
+        return modelio.load_document(doc, kind, self)
 
 
 def _emit(args, report, code):
+    if args.timing:  # measured from just after argument parsing in `main`
+        report["timing"] = {"seconds": time.monotonic() - args.started}
     text = render_report(report)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -171,13 +92,14 @@ def _structural(args, name, builder):
 
 def cmd_compose(args):
     return _structural(
-        args, "compose", lambda inp: compose(inp.load(args.left, PPA), inp.load(args.right, PPA))
+        args, "compose",
+        lambda inp: compose(inp.load(args.left, "ppa"), inp.load(args.right, "ppa")),
     )
 
 
 def cmd_instantiate(args):
     def build(inp):
-        m = inp.load(args.model, PPA)
+        m = inp.load(args.model, "ppa")
         return instantiate(m, parse_valuation_arg(args.valuation))
 
     return _structural(args, "instantiate", build)
@@ -187,22 +109,22 @@ def cmd_extend(args):
     return _structural(
         args,
         "extend",
-        lambda inp: alphabet_extend(inp.load(args.model, PPA), set(args.symbols.split(","))),
+        lambda inp: alphabet_extend(inp.load(args.model, "ppa"), set(args.symbols.split(","))),
     )
 
 
 def cmd_tau(args):
-    return _structural(args, "tau", lambda inp: tau_extend(inp.load(args.model, PPA)))
+    return _structural(args, "tau", lambda inp: tau_extend(inp.load(args.model, "ppa")))
 
 
 def cmd_prune(args):
-    return _structural(args, "prune", lambda inp: prune_unreachable(inp.load(args.model, PPA)))
+    return _structural(args, "prune", lambda inp: prune_unreachable(inp.load(args.model, "ppa")))
 
 
 def cmd_product(args):
     inputs = _Inputs()
-    m = inputs.load(args.model, PPA)
-    b = inputs.load(args.dfa, DFA)
+    m = inputs.load(args.model, "ppa")
+    b = inputs.load(args.dfa, "dfa")
     product, bad = dfa_product(m, b)
     report = make_report(
         "product",
@@ -214,27 +136,24 @@ def cmd_product(args):
 
 def cmd_check(args):
     inputs = _Inputs()
-    m = inputs.load(args.model, PPA)
-    query = inputs.load(args.objective, QUERY)
+    m = inputs.load(args.model, "ppa")
+    query = inputs.load(args.objective, "mo-query")
     region = parse_region_arg(args.region, inputs) if args.region else FiniteRegion.of([{}])
-    started = time.monotonic()
     verdict = region_sat(m, region, query, args.strategy_class, args.resolution)
-    timing = {"seconds": time.monotonic() - started} if args.timing else None
     report = make_report(
         "check",
         inputs.digests,
         {"verdict": verdict, "strategy_class": args.strategy_class,
          "resolution": args.resolution},
-        timing,
     )
     return _emit(args, report, EXIT_HOLDS if verdict.holds else EXIT_FAILS)
 
 
 def cmd_triple(args):
     inputs = _Inputs()
-    m = inputs.load(args.model, PPA)
-    assumption = inputs.load(args.assumption, QUERY)
-    guarantee = inputs.load(args.guarantee, QUERY)
+    m = inputs.load(args.model, "ppa")
+    assumption = inputs.load(args.assumption, "mo-query")
+    guarantee = inputs.load(args.guarantee, "mo-query")
     region = parse_region_arg(args.region, inputs) if args.region else FiniteRegion.of([{}])
     verdict = ag_triple_check(
         m, region, assumption, guarantee, args.strategy_class, args.resolution
@@ -245,8 +164,8 @@ def cmd_triple(args):
 
 def cmd_monotone(args):
     inputs = _Inputs()
-    m = inputs.load(args.model, PPA)
-    query = inputs.load(args.objective, QUERY)
+    m = inputs.load(args.model, "ppa")
+    query = inputs.load(args.objective, "mo-query")
     if len(query) != 1:
         raise ParseError("monotonicity checks take a single-objective query")
     region = parse_region_arg(args.region, inputs)
@@ -260,9 +179,9 @@ def cmd_monotone(args):
 
 def cmd_project(args):
     inputs = _Inputs()
-    left = inputs.load(args.left, PPA)
-    right = inputs.load(args.right, PPA)
-    sigma = inputs.load(args.strategy, None)
+    left = inputs.load(args.left, "ppa")
+    right = inputs.load(args.right, "ppa")
+    sigma = inputs.load(args.strategy, "strategy")
     composed = compose(left, right)
     v = parse_valuation_arg(args.valuation) if args.valuation else {}
     inst = instantiate(composed, v)
@@ -276,8 +195,8 @@ def cmd_project(args):
 
 def cmd_simulate(args):
     inputs = _Inputs()
-    left = inputs.load(args.left, PPA)
-    right = inputs.load(args.right, PPA)
+    left = inputs.load(args.left, "ppa")
+    right = inputs.load(args.right, "ppa")
     region = parse_region_arg(args.region, inputs) if args.region else FiniteRegion.of([{}])
     if args.robust:
         rel = robust_strong_sim(left, right, region, args.resolution)
@@ -294,138 +213,11 @@ def cmd_simulate(args):
     return _emit(args, report, EXIT_HOLDS if verdict.holds else EXIT_FAILS)
 
 
-# rule -> (function, script arguments, attestation notes of its fairness
-# variant or None when it has none)
-_RULES = {
-    "asymmetric": (
-        apply_asymmetric,
-        ("m1", "m2", "r1", "r2", "assumption", "guarantee"),
-        2,
-    ),
-    "circular": (
-        apply_circular,
-        ("m1", "m2", "r1", "r2", "r3", "a1", "a2", "guarantee"),
-        3,
-    ),
-    "conjunction": (
-        apply_conjunction,
-        ("m", "r1", "r2", "a1", "g1", "a2", "g2"),
-        2,
-    ),
-    "monotonicity": (
-        apply_monotonicity,
-        ("m1", "m2", "r1", "r2", "objective", "param", "direction"),
-        2,
-    ),
-    "simulation": (
-        apply_simulation_ag,
-        ("m1", "m2", "m_assume", "m_guarantee", "r1", "r2"),
-        None,
-    ),
-}
-
-
-def _script_check(cond, message):
-    if not cond:
-        raise ParseError(f"proof script: {message}")
-
-
-def _script_fairness(rule, fair, n_notes):
-    _script_check(n_notes is not None, f"rule {rule!r} has no fairness variant")
-    _script_check(isinstance(fair, dict), "'fairness' must be an object")
-    sets, notes = fair.get("sets", []), fair.get("notes", [])
-    _script_check(isinstance(sets, list) and all(isinstance(x, list) for x in sets),
-                  "fairness 'sets' must be a list of lists")
-    _script_check(isinstance(notes, list) and all(isinstance(x, str) and x for x in notes),
-                  "fairness 'notes' must be a list of non-empty strings")
-    _script_check(len(notes) == n_notes,
-                  f"rule {rule!r} needs {n_notes} fairness notes, got {len(notes)}")
-    return FairnessAttestation(tuple(tuple(x) for x in sets), tuple(notes))
-
-
-# script argument -> the section its value names; "param" and "direction"
-# are given inline
-_SCRIPT_ARGS = {
-    **dict.fromkeys(("m", "m1", "m2", "m_assume", "m_guarantee"), "models"),
-    **dict.fromkeys(("r1", "r2", "r3"), "regions"),
-    **dict.fromkeys(
-        ("assumption", "guarantee", "a1", "a2", "g1", "g2", "objective"), "queries"
-    ),
-}
-
-
-def _resolve_script_value(app_id, key, value, env, inputs):
-    """The rule argument that a script entry names, checked against its kind."""
-    where = f"application {app_id!r} argument {key!r}"
-    if key == "param":
-        _script_check(isinstance(value, str) and value != "",
-                      f"{where} must be a parameter name, got {value!r}")
-        return value
-    if key == "direction":
-        _script_check(value in ("up", "down"),
-                      f"{where} must be 'up' or 'down', got {value!r}")
-        return value
-    section = _SCRIPT_ARGS[key]
-    _script_check(isinstance(value, str),
-                  f"{where} must be a string naming an entry of {section!r}, got {value!r}")
-    if value in env[section]:
-        found = env[section][value]
-        if key == "objective":
-            _script_check(len(found) > 0, f"{where} names an empty query {value!r}")
-            return found[0]
-        return found
-    if section == "regions":
-        try:
-            return parse_region_arg(value, inputs)
-        except ParseError as exc:
-            raise ParseError(f"proof script: {where}: {exc}") from exc
-    raise ParseError(f"proof script: {where} names no entry of {section!r}: {value!r}")
-
-
 def cmd_rule(args):
     inputs = _Inputs()
-    with open(args.script, "rb") as fh:
-        raw = fh.read()
-    inputs.digests[args.script] = digest_bytes(raw)
-    doc = json.loads(raw.decode("utf-8"))
-    if not isinstance(doc, dict) or doc.get("type") != "proof-script":
-        raise ParseError("expected a proof-script document")
-    env = {}
-    for key, expected in (("models", PPA), ("queries", QUERY), ("regions", REGION)):
-        section = doc.get(key, {})
-        _script_check(isinstance(section, dict), f"{key!r} must be an object")
-        env[key] = {
-            name: inputs.load(entry[1:], expected)
-            if isinstance(entry, str) and entry.startswith("@")
-            else _decode(entry, expected)
-            for name, entry in section.items()
-        }
-    applications = doc.get("applications", [])
-    _script_check(isinstance(applications, list)
-                  and all(isinstance(app_doc, dict) for app_doc in applications),
-                  "'applications' must be a list of objects")
     certificate = []
     worst = EXIT_HOLDS
-    for app_doc in applications:
-        rule = app_doc.get("rule")
-        if rule not in _RULES:
-            raise ParseError(f"unknown rule {rule!r} in proof script")
-        fn, arg_names, n_notes = _RULES[rule]
-        app_id = app_doc.get("id", rule)
-        kwargs = {}
-        for name in arg_names:
-            if name not in app_doc:
-                raise ParseError(f"rule {rule!r} needs argument {name!r}")
-            kwargs[name] = _resolve_script_value(app_id, name, app_doc[name], env, inputs)
-        if "resolution" in app_doc:
-            try:
-                kwargs["resolution"] = positive_int(app_doc["resolution"])
-            except ValueError as exc:
-                raise ParseError(f"proof script: 'resolution' {exc}") from exc
-        if rule == "simulation" and "robust" in app_doc:
-            kwargs["robust"] = bool(app_doc["robust"])
-        if "fairness" in app_doc:
-            kwargs["fairness"] = _script_fairness(rule, app_doc["fairness"], n_notes)
+    for app_id, fn, kwargs in inputs.load(args.script, "proof-script"):
         app = fn(**kwargs)
         certificate.append(
             {
@@ -457,14 +249,14 @@ def cmd_rule(args):
 
 def _rpa_binary(args, name, op):
     inputs = _Inputs()
-    result = op(inputs.load(args.left, RPA), inputs.load(args.right, RPA))
+    result = op(inputs.load(args.left, "rpa"), inputs.load(args.right, "rpa"))
     report = make_report(name, inputs.digests, {"result": modelio.dump_document(result)})
     return _emit(args, report, EXIT_HOLDS)
 
 
 def cmd_rpa_compose(args):
     inputs = _Inputs()
-    left, right = inputs.load(args.left, RPA), inputs.load(args.right, RPA)
+    left, right = inputs.load(args.left, "rpa"), inputs.load(args.right, "rpa")
     composed = rpa_compose(left, right)
     # product sets have no finite serialization; report the structure instead
     body = {
@@ -489,15 +281,15 @@ def cmd_rpa_relax(args):
 
 
 def cmd_rpa_reduce(args):
-    return _structural(args, "rpa-reduce", lambda inp: pa_reduce(inp.load(args.model, RPA)))
+    return _structural(args, "rpa-reduce", lambda inp: pa_reduce(inp.load(args.model, "rpa")))
 
 
 def cmd_rpa_rule(args):
     inputs = _Inputs()
-    u1 = inputs.load(args.left, RPA)
-    u2 = inputs.load(args.right, RPA)
-    assumption = inputs.load(args.assumption, QUERY)
-    guarantee = inputs.load(args.guarantee, QUERY)
+    u1 = inputs.load(args.left, "rpa")
+    u2 = inputs.load(args.right, "rpa")
+    assumption = inputs.load(args.assumption, "mo-query")
+    guarantee = inputs.load(args.guarantee, "mo-query")
     app = apply_rpa_rules(args.variant, u1, u2, assumption, guarantee)
     body = {
         "rule": app.rule,
@@ -573,9 +365,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
-        if out:
-            p.add_argument("--out", help="write the JSON report to this file")
+    def common(p):
+        p.add_argument("--out", help="write the JSON report to this file")
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timing (breaks byte-stability)")
 
@@ -710,6 +501,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    args.started = time.monotonic()
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -36,6 +36,27 @@ class WellDefinedness(enum.Enum):
     NEITHER = "neither"
 
 
+def check_automaton(m, trans, supports):
+    """The invariants a PPA and an RPA share; `trans` maps (state, action) to a
+    distribution or an uncertainty set, and `supports` yields each entry's
+    (state, action) with its successor states."""
+    state_set = set(m.states)
+    if m.initial not in state_set:
+        raise ValueError("initial state not declared")
+    if m.label.keys() != trans.keys():
+        raise ValueError("label must be defined exactly on the transitions")
+    if set(m.actions) & m.alphabet:
+        raise ActionAlphabetClash("actions and alphabet symbols must be disjoint")
+    action_set = set(m.actions)
+    for (s, a), succ in supports:
+        if s not in state_set or a not in action_set:
+            raise ValueError(f"transition at undeclared (state, action) {(s, a)!r}")
+        if not state_set.issuperset(succ):
+            raise ValueError("distribution supports undeclared states")
+        if m.label[(s, a)] not in m.alphabet:
+            raise ValueError(f"label of {(s, a)!r} not in alphabet")
+
+
 @dataclass(frozen=True)
 class PPA:
     """Parametric probabilistic automaton.
@@ -55,21 +76,7 @@ class PPA:
     composed_of: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        state_set = set(self.states)
-        if self.initial not in state_set:
-            raise ValueError("initial state not declared")
-        if set(self.label) != set(self.trans):
-            raise ValueError("label must be defined exactly on dom(trans)")
-        if set(self.actions) & set(self.alphabet):
-            raise ActionAlphabetClash("actions and alphabet symbols must be disjoint")
-        action_set = set(self.actions)
-        for (s, a), dist in self.trans.items():
-            if s not in state_set or a not in action_set:
-                raise ValueError(f"transition at undeclared (state, action) {(s, a)!r}")
-            if not set(dist) <= state_set:
-                raise ValueError("distribution supports undeclared states")
-            if self.label[(s, a)] not in self.alphabet:
-                raise ValueError(f"label of {(s, a)!r} not in alphabet")
+        check_automaton(self, self.trans, self.trans.items())
 
     # -- convenience -------------------------------------------------------
 
@@ -308,6 +315,13 @@ class DFA:
     accepting: frozenset
 
     def __post_init__(self):
+        states = set(self.states)
+        if self.initial not in states:
+            raise ValueError("initial state not declared")
+        for (q, sym), target in self.trans.items():
+            if q not in states or target not in states:
+                raise ValueError(f"DFA transition {(q, sym)!r} -> {target!r} "
+                                 "at an undeclared state")
         for q in self.states:
             for sym in self.alphabet:
                 if (q, sym) not in self.trans:

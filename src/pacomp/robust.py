@@ -18,7 +18,7 @@ from .errors import (
     NonPolytopicComponent,
     NotIntervalRPA,
 )
-from .model import PPA, make_ppa, sort_key
+from .model import PPA, check_automaton, make_ppa, sort_key
 
 GENERATOR_CAP = 10_000
 
@@ -175,15 +175,7 @@ class RPA:
     composed_of: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.initial not in set(self.states):
-            raise ValueError("initial state not declared")
-        if set(self.label) != set(self.utrans):
-            raise ValueError("label must be defined exactly on dom(utrans)")
-        if set(self.actions) & set(self.alphabet):
-            raise ActionAlphabetClash("actions and alphabet symbols must be disjoint")
-
-    def enabled(self, state):
-        return sorted((a for (s, a) in self.utrans if s == state), key=sort_key)
+        check_automaton(self, self.utrans, ((k, u.support) for k, u in self.utrans.items()))
 
 
 def make_rpa(states, initial, utrans, alphabet, composed_of=None) -> RPA:

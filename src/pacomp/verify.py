@@ -928,7 +928,7 @@ def _witness_values(init, states, trans, targets, rewards, mix, settle_mass, sta
 # Region-level checks
 # ---------------------------------------------------------------------------
 
-def _checked_samples(m, region, resolution, graph_preserving=False, filter_gp=False):
+def _checked_samples(m, region, resolution, filter_gp=False):
     try:
         samples = region_samples(region, resolution)
     except EmptyRegion:
@@ -940,13 +940,8 @@ def _checked_samples(m, region, resolution, graph_preserving=False, filter_gp=Fa
             raise IllDefinedValuationInRegion(
                 f"sample {dict(sorted(v.items()))} does not instantiate to a PA"
             )
-        if wd is not WellDefinedness.GRAPH_PRESERVING:
-            if graph_preserving:
-                raise NotGraphPreserving(
-                    f"sample {dict(sorted(v.items()))} is not graph-preserving"
-                )
-            if filter_gp:
-                continue
+        if filter_gp and wd is not WellDefinedness.GRAPH_PRESERVING:
+            continue
         out.append(v)
     if filter_gp and not out:
         raise NotGraphPreserving("no graph-preserving sample in the region")
@@ -1091,7 +1086,6 @@ def monotone_check(
     resolution=1,
     grid_denominator=1,
     max_strategies=20000,
-    require_graph_preserving=False,
 ) -> Verdict:
     """Check monotonicity of the solution function in one parameter.
 
@@ -1101,9 +1095,7 @@ def monotone_check(
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
-    samples = _checked_samples(
-        m, region, resolution, graph_preserving=require_graph_preserving
-    )
+    samples = _checked_samples(m, region, resolution)
     caveat = "per enumerated strategy class; sound per sampled valuation"
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 from fractions import Fraction as F
 
@@ -526,6 +527,96 @@ def test_wrong_document_kind_is_usage_error(corpus_dir, tmp_path, capsys):
     assert err == "format error: expected a ppa document, got rpa\n"
 
 
+# Single-field mutations of valid documents: a seeded sample of at most 50
+# fields per document, each dropped or replaced by a seeded pick of these
+# values.  None of them may exit 4.
+_REPLACEMENTS = ("<delete>", None, True, 0, -1, 2.5, "", "zz", "1/0", [], {}, [[]])
+
+
+def _field_paths(doc, prefix=()):
+    if not isinstance(doc, (dict, list)):
+        return
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+def _mutated(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    if value == "<delete>":
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return doc
+
+
+def test_single_field_mutations_never_exit_4(corpus_dir, tmp_path, capsys):
+    def load(name):
+        return json.load(open(corpus_dir / name))
+
+    composed = tmp_path / "composed.ppa.json"
+    assert main(["compose", "--left", str(corpus_dir / "retry.ppa.json"),
+                 "--right", str(corpus_dir / "pipeline.ppa.json"), "--out", str(composed)]) == 0
+    guarantee = str(corpus_dir / "safe_guarantee.query.json")
+    script = _asymmetric_script(corpus_dir)
+    script["applications"][0].update(
+        resolution=1, fairness={"sets": [["a"]], "notes": ["ev A", "ev B"]}
+    )
+    mutant = str(tmp_path / "mutant.json")
+    cases = {
+        "retry": (load("retry.ppa.json"), [
+            "check", "--model", mutant, "--objective",
+            str(corpus_dir / "safe_assumption.query.json"), "--region", "finite:{p=1/10}"]),
+        "guarantee": (load("safe_guarantee.query.json"), [
+            "check", "--model", str(composed), "--objective", mutant,
+            "--region", "finite:{p=1/10,q=1/2}"]),
+        "dfa": (load("no_fail.dfa.json"), [
+            "product", "--model", str(composed), "--dfa", mutant]),
+        "interval-rpa": (load("interval_retry.rpa.json"), ["rpa-reduce", "--model", mutant]),
+        "vertex-rpa": (load("two_point_responder.rpa.json"), ["rpa-reduce", "--model", mutant]),
+        "box": ({"type": "box", "bounds": [["p", ["0", "1/10"]], ["q", ["0", "1"]]]}, [
+            "check", "--model", str(composed), "--objective", guarantee,
+            "--region", "@" + mutant]),
+        "script": (script, ["rule", "--script", mutant]),
+    }
+    rng = random.Random(2408)
+    runs = 0
+    for name, (doc, argv) in cases.items():
+        paths = list(_field_paths(doc))
+        for path in rng.sample(paths, min(len(paths), 50)):
+            value = rng.choice(_REPLACEMENTS)
+            with open(mutant, "w") as fh:
+                json.dump(_mutated(doc, path, value), fh)
+            code, out, err = run(capsys, *argv)
+            assert code != 4, (name, path, value, err)
+            if code == 2:
+                assert out == "" and "Traceback" not in err, (name, path, value, err)
+            runs += 1
+    assert runs > 250
+
+
+def test_timing_is_measured_for_every_command(corpus_dir, tmp_path, capsys):
+    script = tmp_path / "demo.agproof.json"
+    json.dump(_asymmetric_script(corpus_dir), open(script, "w"))
+    for argv in (
+        ["compose", "--left", str(corpus_dir / "retry.ppa.json"),
+         "--right", str(corpus_dir / "pipeline.ppa.json")],
+        ["rpa-reduce", "--model", str(corpus_dir / "interval_retry.rpa.json")],
+        ["rule", "--script", str(script)],
+    ):
+        code, plain, _ = run(capsys, *argv)
+        timed_code, timed, _ = run(capsys, *argv, "--timing")
+        assert code == timed_code == 0
+        timing = json.loads(timed).pop("timing")
+        assert json.loads(plain).pop("timing") == {"measured": False}
+        assert set(timing) == {"seconds"} and timing["seconds"] >= 0
+        assert {k: v for k, v in json.loads(timed).items() if k != "timing"} == \
+            {k: v for k, v in json.loads(plain).items() if k != "timing"}
+
+
 def test_paper_suite_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "paper-suite", "--out", str(tmp_path / "suite.json"))
     assert code == 0
@@ -714,21 +805,51 @@ def test_monotone_cli(corpus_dir, tmp_path, capsys):
 # Full report bytes of three region runs on the composed corpus model,
 # recorded before each region check built its product once and refilled only
 # the coefficients per sample.  The check passes 9 samples, including the
-# non-graph-preserving p = 0 corner, and fails at p = 1/8, q = 1.
+# non-graph-preserving p = 0 corner, and fails at p = 1/8, q = 1.  The rule,
+# rpa-rule, rpa-reduce and compose reports were recorded before proof scripts
+# and documents were checked by one decoder in `modelio`.
 _GOLDEN_REGION = "box.p=[0,1/2],q=[1/5,1]"
 _GOLDEN_RUNS = {
-    "check_prt_box.json": [
+    "check_prt_box.json": (1, [
         "check", "--model", "composed.ppa.json", "--objective", "safe_guarantee.query.json",
         "--region", _GOLDEN_REGION, "--resolution", "3", "--class", "prt",
-    ],
-    "triple_box.json": [
+    ]),
+    "triple_box.json": (1, [
         "triple", "--model", "composed.ppa.json", "--assumption", "safe_assumption.query.json",
         "--guarantee", "safe_guarantee.query.json", "--region", _GOLDEN_REGION,
         "--resolution", "3",
-    ],
-    "monotone_p_up_box.json": [
+    ]),
+    "monotone_p_up_box.json": (1, [
         "monotone", "--model", "composed.ppa.json", "--objective", "safe_guarantee.query.json",
         "--region", _GOLDEN_REGION, "--param", "p", "--direction", "up", "--resolution", "3",
+    ]),
+    "rule_fair_asym_and_sim.json": (3, ["rule", "--script", "golden.agproof.json"]),
+    "rpa_rule_interval.json": (0, [
+        "rpa-rule", "--left", "interval_retry.rpa.json", "--right", "interval_responder.rpa.json",
+        "--assumption", "trivial.query.json", "--guarantee", "goal.query.json",
+    ]),
+    "rpa_reduce_two_point.json": (0, ["rpa-reduce", "--model", "two_point_responder.rpa.json"]),
+    "compose_guard.json": (0, [
+        "compose", "--left", "split_responder.ppa.json", "--right", "handoff_parametric.ppa.json",
+    ]),
+}
+# an attested asymmetric application and a robust simulation application,
+# with models and queries by file, regions inline, by name and as text
+_GOLDEN_SCRIPT = {
+    "format": "pacomp/1",
+    "type": "proof-script",
+    "models": {"m1": "@retry.ppa.json", "m2": "@pipeline.ppa.json",
+               "h": "@handoff_parametric.ppa.json", "s": "@split_responder.ppa.json",
+               "g": "@guard.ppa.json"},
+    "queries": {"A": "@safe_assumption.query.json", "G": "@safe_guarantee.query.json"},
+    "regions": {"r1": {"type": "box", "bounds": [["p", ["0", "1/10"]]]},
+                "r": {"type": "finite", "valuations": [[["p", "1/10"]], [["p", "9/10"]]]}},
+    "applications": [
+        {"id": "asym-fair", "rule": "asymmetric", "m1": "m1", "m2": "m2", "r1": "r1",
+         "r2": "box.p=[0,1/2],q=[1/5,1]", "assumption": "A", "guarantee": "G",
+         "resolution": 2, "fairness": {"sets": [["a"]], "notes": ["ev A", "ev B"]}},
+        {"id": "sim", "rule": "simulation", "m1": "h", "m2": "s", "m_assume": "h",
+         "m_guarantee": "g", "r1": "r", "r2": "r", "robust": True},
     ],
 }
 _GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
@@ -740,14 +861,22 @@ def test_region_reports_match_golden_bytes(name, tmp_path, monkeypatch, capsys):
     assert main(["corpus", "--out", "."]) == 0
     assert main(["compose", "--left", "retry.ppa.json", "--right", "pipeline.ppa.json",
                  "--out", "composed.ppa.json"]) == 0
+    assert main(["compose", "--left", "split_responder.ppa.json",
+                 "--right", "handoff_parametric.ppa.json", "--out", "guard.ppa.json"]) == 0
+    _write_trivial_query(tmp_path)
+    _write_goal_query(tmp_path, tmp_path)
+    with open("golden.agproof.json", "w", encoding="utf-8") as fh:
+        json.dump(_GOLDEN_SCRIPT, fh, indent=2, sort_keys=True)
     capsys.readouterr()
-    code, out, _ = run(capsys, *_GOLDEN_RUNS[name])
+    expected_code, argv = _GOLDEN_RUNS[name]
+    code, out, _ = run(capsys, *argv)
     with open(os.path.join(_GOLDEN_DIR, name), encoding="utf-8") as fh:
         expected = fh.read()
-    assert code == 1
+    assert code == expected_code
     assert out == expected
     if name == "check_prt_box.json":
         verdict = json.loads(out)["report"]["verdict"]
         assert verdict["witness"]["valuation"] == {"p": "1/8", "q": "1"}
         assert len(verdict["details"]) == 9
         assert verdict["details"][0]["valuation"] == [["p", "0"], ["q", "1/5"]]
+

@@ -7,6 +7,7 @@ from pacomp import corpus, modelio
 from pacomp.algebra import Polynomial, parse_poly
 from pacomp.errors import ActionAlphabetClash, AlphabetMismatch
 from pacomp.model import (
+    DFA,
     WellDefinedness,
     alphabet_extend,
     compose,
@@ -199,3 +200,11 @@ def test_roundtrip_randomized():
         m = random_pa(rng, "m", 3, ["a", "b", "c"])
         doc = modelio.ppa_to_jsonable(m)
         assert modelio.ppa_to_jsonable(modelio.ppa_from_jsonable(doc)) == doc
+
+
+def test_dfa_rejects_undeclared_states():
+    alphabet = frozenset({"a"})
+    with pytest.raises(ValueError, match="initial state"):
+        DFA(("ok",), "nowhere", alphabet, {("ok", "a"): "ok"}, frozenset())
+    with pytest.raises(ValueError, match="undeclared state"):
+        DFA(("ok",), "ok", alphabet, {("ok", "a"): "bad"}, frozenset())

@@ -479,3 +479,33 @@ def test_conv_compose_associative_on_values():
         dfa = random_safety_dfa(dfa_rng, ["a", "b", "c"], allow_empty=False)
         obj = safety(dfa, F(1, 2))
         assert safety_prob(left, obj) == safety_prob(right, obj)
+
+
+@pytest.mark.parametrize("defect", ["undeclared-state", "undeclared-successor",
+                                    "label-outside-alphabet"])
+def test_rpa_checks_the_same_invariants_as_a_ppa(defect):
+    from pacomp import modelio
+    from pacomp.errors import ParseError
+
+    doc = modelio.rpa_to_jsonable(corpus.interval_retry())
+    entry = doc["transitions"][0]
+    if defect == "undeclared-state":
+        entry["state"] = "nowhere"
+    elif defect == "undeclared-successor":
+        entry["interval"][0][0] = "nowhere"
+    else:
+        entry["label"] = "zz"
+    # the document no longer loads, so no later construction meets the defect
+    with pytest.raises(ParseError):
+        modelio.load_document(doc)
+    u = corpus.interval_retry()
+    utrans = {key: (u.label[key], uset) for key, uset in u.utrans.items()}
+    (s, a), (label, uset) = next(iter(utrans.items()))
+    if defect == "undeclared-state":
+        utrans[("nowhere", a)] = utrans.pop((s, a))
+    elif defect == "undeclared-successor":
+        utrans[(s, a)] = (label, VertexSet.dirac("nowhere"))
+    else:
+        utrans[(s, a)] = ("zz", uset)
+    with pytest.raises(ValueError):
+        make_rpa(u.states, u.initial, utrans, u.alphabet)
