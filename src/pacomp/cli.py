@@ -5,6 +5,13 @@ Exit codes: 0 holds/success, 1 fails (with witness), 2 usage or format error,
 verdict).  Reports are deterministic JSON with rationals rendered as num/den
 strings; pass --timing to add wall-clock times (which breaks byte-stability
 on purpose).
+
+Every command is one row of `COMMANDS`: its help, its usage (the options it
+takes, each defined once in `_OPTIONS`) and a handler `(args, inputs) ->
+(report body, exit code)`.  `main` alone parses, loads, assembles the report
+and writes it.  `corpus` and `paper-suite` print text themselves; their
+handlers return no body, except `paper-suite --out`, whose report `main`
+writes to that file.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import json
 import sys
 import time
 import traceback
+from typing import NamedTuple
 
 from . import corpus, modelio
 from .algebra import FiniteRegion
@@ -71,150 +79,90 @@ class _Inputs:
         return modelio.load_document(doc, kind, self)
 
 
-def _emit(args, report, code):
-    if args.timing:  # measured from just after argument parsing in `main`
-        report["timing"] = {"seconds": time.monotonic() - args.started}
-    text = render_report(report)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return code
+def _exit(holds):
+    return EXIT_HOLDS if holds else EXIT_FAILS
 
 
-def _structural(args, name, builder):
-    inputs = _Inputs()
-    result = builder(inputs)
-    report = make_report(name, inputs.digests, {"result": modelio.dump_document(result)})
-    return _emit(args, report, EXIT_HOLDS)
+def _pair(args, inputs, kind):
+    return inputs.load(args.left, kind), inputs.load(args.right, kind)
 
 
-def cmd_compose(args):
-    return _structural(
-        args, "compose",
-        lambda inp: compose(inp.load(args.left, "ppa"), inp.load(args.right, "ppa")),
-    )
+def _region(args, inputs):
+    """--region, or the single empty valuation when it is not given."""
+    return parse_region_arg(args.region, inputs) if args.region else FiniteRegion.of([{}])
 
 
-def cmd_instantiate(args):
-    def build(inp):
-        m = inp.load(args.model, "ppa")
-        return instantiate(m, parse_valuation_arg(args.valuation))
-
-    return _structural(args, "instantiate", build)
-
-
-def cmd_extend(args):
-    return _structural(
-        args,
-        "extend",
-        lambda inp: alphabet_extend(inp.load(args.model, "ppa"), set(args.symbols.split(","))),
-    )
+def _goal(inputs, path):
+    """A query to check; without objectives it would hold vacuously."""
+    query = inputs.load(path, "mo-query")
+    if not query:
+        raise ParseError(f"{path}: the query to check has no objectives")
+    return query
 
 
-def cmd_tau(args):
-    return _structural(args, "tau", lambda inp: tau_extend(inp.load(args.model, "ppa")))
+def _built(result):
+    """The report body of a structural command: its result, loadable as input."""
+    return {"result": modelio.dump_document(result)}, EXIT_HOLDS
 
 
-def cmd_prune(args):
-    return _structural(args, "prune", lambda inp: prune_unreachable(inp.load(args.model, "ppa")))
+def _product(args, inputs):
+    product, bad = dfa_product(inputs.load(args.model, "ppa"), inputs.load(args.dfa, "dfa"))
+    body = {"result": modelio.dump_document(product), "bad_states": sorted(bad, key=repr)}
+    return body, EXIT_HOLDS
 
 
-def cmd_product(args):
-    inputs = _Inputs()
+def _check(args, inputs):
     m = inputs.load(args.model, "ppa")
-    b = inputs.load(args.dfa, "dfa")
-    product, bad = dfa_product(m, b)
-    report = make_report(
-        "product",
-        inputs.digests,
-        {"result": modelio.dump_document(product), "bad_states": sorted(bad, key=repr)},
-    )
-    return _emit(args, report, EXIT_HOLDS)
+    query = _goal(inputs, args.objective)
+    verdict = region_sat(m, _region(args, inputs), query, args.strategy_class, args.resolution)
+    body = {"verdict": verdict, "strategy_class": args.strategy_class,
+            "resolution": args.resolution}
+    return body, _exit(verdict.holds)
 
 
-def cmd_check(args):
-    inputs = _Inputs()
-    m = inputs.load(args.model, "ppa")
-    query = inputs.load(args.objective, "mo-query")
-    region = parse_region_arg(args.region, inputs) if args.region else FiniteRegion.of([{}])
-    verdict = region_sat(m, region, query, args.strategy_class, args.resolution)
-    report = make_report(
-        "check",
-        inputs.digests,
-        {"verdict": verdict, "strategy_class": args.strategy_class,
-         "resolution": args.resolution},
-    )
-    return _emit(args, report, EXIT_HOLDS if verdict.holds else EXIT_FAILS)
-
-
-def cmd_triple(args):
-    inputs = _Inputs()
+def _triple(args, inputs):
     m = inputs.load(args.model, "ppa")
     assumption = inputs.load(args.assumption, "mo-query")
-    guarantee = inputs.load(args.guarantee, "mo-query")
-    region = parse_region_arg(args.region, inputs) if args.region else FiniteRegion.of([{}])
-    verdict = ag_triple_check(
-        m, region, assumption, guarantee, args.strategy_class, args.resolution
-    )
-    report = make_report("triple", inputs.digests, {"verdict": verdict})
-    return _emit(args, report, EXIT_HOLDS if verdict.holds else EXIT_FAILS)
+    guarantee = _goal(inputs, args.guarantee)
+    verdict = ag_triple_check(m, _region(args, inputs), assumption, guarantee,
+                              args.strategy_class, args.resolution)
+    return {"verdict": verdict}, _exit(verdict.holds)
 
 
-def cmd_monotone(args):
-    inputs = _Inputs()
+def _monotone(args, inputs):
     m = inputs.load(args.model, "ppa")
     query = inputs.load(args.objective, "mo-query")
     if len(query) != 1:
         raise ParseError("monotonicity checks take a single-objective query")
-    region = parse_region_arg(args.region, inputs)
     verdict = monotone_check(
-        m, region, query[0], args.param, args.direction,
+        m, _region(args, inputs), query[0], args.param, args.direction,
         args.strategy_class, args.resolution, args.grid_denominator,
     )
-    report = make_report("monotone", inputs.digests, {"verdict": verdict})
-    return _emit(args, report, EXIT_HOLDS if verdict.holds else EXIT_FAILS)
+    return {"verdict": verdict}, _exit(verdict.holds)
 
 
-def cmd_project(args):
-    inputs = _Inputs()
-    left = inputs.load(args.left, "ppa")
-    right = inputs.load(args.right, "ppa")
+def _project(args, inputs):
+    left, right = _pair(args, inputs, "ppa")
     sigma = inputs.load(args.strategy, "strategy")
-    composed = compose(left, right)
-    v = parse_valuation_arg(args.valuation) if args.valuation else {}
-    inst = instantiate(composed, v)
+    inst = instantiate(compose(left, right),
+                       parse_valuation_arg(args.valuation) if args.valuation else {})
     tab = tabulate(inst, sigma, args.horizon) if not hasattr(sigma, "table") else sigma
-    proj = strategy_project(inst, tab, args.side, args.horizon)
-    report = make_report(
-        "project", inputs.digests, {"result": modelio.dump_document(proj)}
-    )
-    return _emit(args, report, EXIT_HOLDS)
+    return _built(strategy_project(inst, tab, args.side, args.horizon))
 
 
-def cmd_simulate(args):
-    inputs = _Inputs()
-    left = inputs.load(args.left, "ppa")
-    right = inputs.load(args.right, "ppa")
-    region = parse_region_arg(args.region, inputs) if args.region else FiniteRegion.of([{}])
-    if args.robust:
-        rel = robust_strong_sim(left, right, region, args.resolution)
-        ok = rel is not None
-        body = {
-            "robust": True,
-            "holds": ok,
-            "relation": sorted(rel, key=repr) if ok else None,
-        }
-        report = make_report("simulate", inputs.digests, body)
-        return _emit(args, report, EXIT_HOLDS if ok else EXIT_FAILS)
-    verdict = strong_sim_region(left, right, region, args.resolution)
-    report = make_report("simulate", inputs.digests, {"robust": False, "verdict": verdict})
-    return _emit(args, report, EXIT_HOLDS if verdict.holds else EXIT_FAILS)
+def _simulate(args, inputs):
+    left, right = _pair(args, inputs, "ppa")
+    region = _region(args, inputs)
+    if not args.robust:
+        verdict = strong_sim_region(left, right, region, args.resolution)
+        return {"robust": False, "verdict": verdict}, _exit(verdict.holds)
+    rel = robust_strong_sim(left, right, region, args.resolution)
+    ok = rel is not None
+    body = {"robust": True, "holds": ok, "relation": sorted(rel, key=repr) if ok else None}
+    return body, _exit(ok)
 
 
-def cmd_rule(args):
-    inputs = _Inputs()
+def _rule(args, inputs):
     certificate = []
     worst = EXIT_HOLDS
     for app_id, fn, kwargs in inputs.load(args.script, "proof-script"):
@@ -243,21 +191,11 @@ def cmd_rule(args):
             worst = max(worst, EXIT_FAILS)
         elif app.confidence == "attested":
             worst = max(worst, EXIT_UNKNOWN)
-    report = make_report("rule", inputs.digests, {"certificate": certificate})
-    return _emit(args, report, worst)
+    return {"certificate": certificate}, worst
 
 
-def _rpa_binary(args, name, op):
-    inputs = _Inputs()
-    result = op(inputs.load(args.left, "rpa"), inputs.load(args.right, "rpa"))
-    report = make_report(name, inputs.digests, {"result": modelio.dump_document(result)})
-    return _emit(args, report, EXIT_HOLDS)
-
-
-def cmd_rpa_compose(args):
-    inputs = _Inputs()
-    left, right = inputs.load(args.left, "rpa"), inputs.load(args.right, "rpa")
-    composed = rpa_compose(left, right)
+def _rpa_compose(args, inputs):
+    composed = rpa_compose(*_pair(args, inputs, "rpa"))
     # product sets have no finite serialization; report the structure instead
     body = {
         "states": len(composed.states),
@@ -268,29 +206,14 @@ def cmd_rpa_compose(args):
             for (s, a) in sorted(composed.utrans, key=repr)
         ],
     }
-    report = make_report("rpa-compose", inputs.digests, body)
-    return _emit(args, report, EXIT_HOLDS)
+    return body, EXIT_HOLDS
 
 
-def cmd_rpa_conv(args):
-    return _rpa_binary(args, "rpa-conv", conv_compose)
-
-
-def cmd_rpa_relax(args):
-    return _rpa_binary(args, "rpa-relax", interval_relax_compose)
-
-
-def cmd_rpa_reduce(args):
-    return _structural(args, "rpa-reduce", lambda inp: pa_reduce(inp.load(args.model, "rpa")))
-
-
-def cmd_rpa_rule(args):
-    inputs = _Inputs()
-    u1 = inputs.load(args.left, "rpa")
-    u2 = inputs.load(args.right, "rpa")
+def _rpa_rule(args, inputs):
+    u1, u2 = _pair(args, inputs, "rpa")
     assumption = inputs.load(args.assumption, "mo-query")
     guarantee = inputs.load(args.guarantee, "mo-query")
-    app = apply_rpa_rules(args.variant, u1, u2, assumption, guarantee)
+    app = apply_rpa_rules("asymmetric", u1, u2, assumption, guarantee)
     body = {
         "rule": app.rule,
         "status": app.status,
@@ -301,11 +224,10 @@ def cmd_rpa_rule(args):
             for p in app.premises
         ],
     }
-    report = make_report("rpa-rule", inputs.digests, body)
-    return _emit(args, report, EXIT_HOLDS if app.concluded else EXIT_FAILS)
+    return body, _exit(app.concluded)
 
 
-def cmd_paper_suite(args):
+def _paper_suite(args, inputs):
     from .paper_suite import run_suite
 
     results = run_suite()
@@ -314,16 +236,12 @@ def cmd_paper_suite(args):
         if r["detail"]:
             line += f" ({r['detail']})"
         print(line)
-    ok = all(r["pass"] for r in results)
-    if args.out:
-        report = make_report("paper-suite", {}, {"results": results})
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(render_report(report))
     print(f"{sum(r['pass'] for r in results)}/{len(results)} anchors pass")
-    return EXIT_HOLDS if ok else EXIT_FAILS
+    body = {"results": results} if args.out else None
+    return body, _exit(all(r["pass"] for r in results))
 
 
-def cmd_corpus(args):
+def _corpus(args, inputs):
     import os
 
     from .verify import safety
@@ -354,156 +272,133 @@ def cmd_corpus(args):
             fh.write("\n")
         written.append(name)
     print("\n".join(written))
-    return EXIT_HOLDS
+    return None, EXIT_HOLDS
 
 
-def build_parser():
+# Every option, defined once as argparse keywords.  A row's usage names the
+# options its command takes: bare ones are required, bracketed ones optional,
+# and `[--opt=value]` sets that command's default.
+_OPTIONS = {
+    "--objective": {"help": "mo-query JSON file"},
+    "--valuation": {"help": "e.g. p=1/10,q=0.1"},
+    "--symbols": {"help": "comma-separated symbols"},
+    "--region": {"help": "box.p=[0,0.1],q=[0,1], finite:{p=1/10};{p=9/10} or @file; "
+                         "default: the single empty valuation"},
+    "--resolution": {"type": positive_int, "default": 1},
+    "--class": {"dest": "strategy_class", "choices": ("cmp", "prt"), "default": "cmp"},
+    "--direction": {"choices": ("up", "down")},
+    "--grid-denominator": {"type": int, "default": 1},
+    "--side": {"type": int, "choices": (1, 2)},
+    "--horizon": {"type": int, "default": 4},
+    "--robust": {"action": "store_true"},
+    "--out": {"help": "write the JSON report to this file (corpus: the directory to fill)"},
+    "--timing": {"action": "store_true",
+                 "help": "include wall-clock timing (breaks byte-stability)"},
+}
+
+
+class _Command(NamedTuple):
+    help: str
+    usage: str  # its options, see `_OPTIONS`
+    run: object  # (args, inputs) -> (report body or None, exit code)
+    report: bool = True  # takes [--out] [--timing]; False for the text commands
+
+
+COMMANDS = {
+    "compose": _Command("parallel composition of two models", "--left --right",
+                        lambda a, i: _built(compose(*_pair(a, i, "ppa")))),
+    "instantiate": _Command(
+        "substitute a valuation", "--model --valuation",
+        lambda a, i: _built(instantiate(i.load(a.model, "ppa"),
+                                        parse_valuation_arg(a.valuation)))),
+    "extend": _Command(
+        "alphabet extension with fresh self-loops", "--model --symbols",
+        lambda a, i: _built(alphabet_extend(i.load(a.model, "ppa"), set(a.symbols.split(","))))),
+    "tau": _Command("sink extension mapping partial to complete", "--model",
+                    lambda a, i: _built(tau_extend(i.load(a.model, "ppa")))),
+    "prune": _Command("drop unreachable states", "--model",
+                      lambda a, i: _built(prune_unreachable(i.load(a.model, "ppa")))),
+    "product": _Command("bad-prefix DFA product", "--model --dfa", _product),
+    "check": _Command("region satisfaction of a mo-query",
+                      "--model --objective [--region] [--resolution] [--class]", _check),
+    "triple": _Command("assume-guarantee triple over a region", "--model --assumption "
+                       "--guarantee [--region] [--resolution] [--class=prt]", _triple),
+    "monotone": _Command("monotonicity of the solution function",
+                         "--model --objective --region --param --direction [--resolution] "
+                         "[--grid-denominator] [--class]", _monotone),
+    "project": _Command("project a composed-model strategy",
+                        "--left --right --strategy [--valuation] --side [--horizon]", _project),
+    "simulate": _Command("strong or robust-strong simulation",
+                         "--left --right [--region] [--resolution] [--robust]", _simulate),
+    "rule": _Command("run a proof script and emit a certificate", "--script", _rule),
+    "rpa-compose": _Command("robust composition (compose)", "--left --right", _rpa_compose),
+    "rpa-conv": _Command("robust composition (conv)", "--left --right",
+                         lambda a, i: _built(conv_compose(*_pair(a, i, "rpa")))),
+    "rpa-relax": _Command("robust composition (relax)", "--left --right",
+                          lambda a, i: _built(interval_relax_compose(*_pair(a, i, "rpa")))),
+    "rpa-reduce": _Command("PA-reduction of a polytopic robust model", "--model",
+                           lambda a, i: _built(pa_reduce(i.load(a.model, "rpa")))),
+    "rpa-rule": _Command("robust asymmetric assume-guarantee rule",
+                         "--left --right --assumption --guarantee", _rpa_rule),
+    "paper-suite": _Command("golden regression over the demo corpus", "[--out]", _paper_suite,
+                            report=False),
+    "corpus": _Command("export the bundled demo corpus", "--out", _corpus, report=False),
+}
+
+
+def _parser(name):
+    """The parser of command `name` alone."""
+    row = COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"pacomp {name}", description=row.help)
+    usage = row.usage + (" [--out] [--timing]" if row.report else "")
+    for item in usage.split():
+        flag, _, default = item.strip("[]").partition("=")
+        keywords = dict(_OPTIONS.get(flag, {}), required=not item.startswith("["))
+        if default:
+            keywords["default"] = default
+        parser.add_argument(flag, **keywords)
+    return parser
+
+
+def _listing():
+    """The top-level parser: it lists every command and rejects unknown ones."""
     parser = argparse.ArgumentParser(
         prog="pacomp",
+        usage="%(prog)s [-h] command [option ...]",
         description="Compositional verification for parametric and robust "
         "probabilistic automata",
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="commands (options: pacomp <command> --help):\n"
+        + "\n".join(f"  {n:<12} {row.help}" for n, row in COMMANDS.items()),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", help="write the JSON report to this file")
-        p.add_argument("--timing", action="store_true",
-                       help="include wall-clock timing (breaks byte-stability)")
-
-    p = sub.add_parser("compose", help="parallel composition of two models")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_compose)
-
-    p = sub.add_parser("instantiate", help="substitute a valuation")
-    p.add_argument("--model", required=True)
-    p.add_argument("--valuation", required=True, help="e.g. p=1/10,q=0.1")
-    common(p)
-    p.set_defaults(fn=cmd_instantiate)
-
-    p = sub.add_parser("extend", help="alphabet extension with fresh self-loops")
-    p.add_argument("--model", required=True)
-    p.add_argument("--symbols", required=True, help="comma-separated symbols")
-    common(p)
-    p.set_defaults(fn=cmd_extend)
-
-    p = sub.add_parser("tau", help="sink extension mapping partial to complete")
-    p.add_argument("--model", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_tau)
-
-    p = sub.add_parser("prune", help="drop unreachable states")
-    p.add_argument("--model", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_prune)
-
-    p = sub.add_parser("product", help="bad-prefix DFA product")
-    p.add_argument("--model", required=True)
-    p.add_argument("--dfa", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_product)
-
-    p = sub.add_parser("check", help="region satisfaction of a mo-query")
-    p.add_argument("--model", required=True)
-    p.add_argument("--objective", required=True, help="mo-query JSON file")
-    p.add_argument("--region", default=None)
-    p.add_argument("--resolution", type=positive_int, default=1)
-    p.add_argument("--class", dest="strategy_class", choices=("cmp", "prt"), default="cmp")
-    common(p)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("triple", help="assume-guarantee triple over a region")
-    p.add_argument("--model", required=True)
-    p.add_argument("--assumption", required=True)
-    p.add_argument("--guarantee", required=True)
-    p.add_argument("--region", default=None)
-    p.add_argument("--resolution", type=positive_int, default=1)
-    p.add_argument("--class", dest="strategy_class", choices=("cmp", "prt"), default="prt")
-    common(p)
-    p.set_defaults(fn=cmd_triple)
-
-    p = sub.add_parser("monotone", help="monotonicity of the solution function")
-    p.add_argument("--model", required=True)
-    p.add_argument("--objective", required=True)
-    p.add_argument("--region", required=True)
-    p.add_argument("--param", required=True)
-    p.add_argument("--direction", choices=("up", "down"), required=True)
-    p.add_argument("--resolution", type=positive_int, default=1)
-    p.add_argument("--grid-denominator", type=int, default=1)
-    p.add_argument("--class", dest="strategy_class", choices=("cmp", "prt"), default="cmp")
-    common(p)
-    p.set_defaults(fn=cmd_monotone)
-
-    p = sub.add_parser("project", help="project a composed-model strategy")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--strategy", required=True)
-    p.add_argument("--valuation", default=None)
-    p.add_argument("--side", type=int, choices=(1, 2), required=True)
-    p.add_argument("--horizon", type=int, default=4)
-    common(p)
-    p.set_defaults(fn=cmd_project)
-
-    p = sub.add_parser("simulate", help="strong or robust-strong simulation")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--region", default=None)
-    p.add_argument("--resolution", type=positive_int, default=1)
-    p.add_argument("--robust", action="store_true")
-    common(p)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("rule", help="run a proof script and emit a certificate")
-    p.add_argument("--script", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_rule)
-
-    for name, fn, needs in (
-        ("rpa-compose", cmd_rpa_compose, "lr"),
-        ("rpa-conv", cmd_rpa_conv, "lr"),
-        ("rpa-relax", cmd_rpa_relax, "lr"),
-    ):
-        p = sub.add_parser(name, help=f"robust composition ({name.split('-')[1]})")
-        p.add_argument("--left", required=True)
-        p.add_argument("--right", required=True)
-        common(p)
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("rpa-reduce", help="PA-reduction of a polytopic robust model")
-    p.add_argument("--model", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_rpa_reduce)
-
-    p = sub.add_parser("rpa-rule", help="robust assume-guarantee rule")
-    p.add_argument("--variant", choices=("asymmetric",), default="asymmetric")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p.add_argument("--assumption", required=True)
-    p.add_argument("--guarantee", required=True)
-    common(p)
-    p.set_defaults(fn=cmd_rpa_rule)
-
-    p = sub.add_parser("paper-suite", help="golden regression over the demo corpus")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_paper_suite)
-
-    p = sub.add_parser("corpus", help="export the bundled demo corpus")
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_corpus)
-
+    parser.add_argument("command", choices=COMMANDS, metavar="command",
+                        help="one of the commands below")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        if not argv or argv[0] not in COMMANDS:  # --help, or a missing or unknown command
+            argv[:1] = [_listing().parse_args(argv[:1]).command]
+        name, args = argv[0], _parser(argv[0]).parse_args(argv[1:])
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    args.started = time.monotonic()
+    started = time.monotonic()
     try:
-        return args.fn(args)
+        inputs = _Inputs()
+        body, code = COMMANDS[name].run(args, inputs)
+        if body is not None:
+            report = make_report(name, inputs.digests, body)
+            if getattr(args, "timing", False):  # measured from just after parsing
+                report["timing"] = {"seconds": time.monotonic() - started}
+            text = render_report(report)
+            if args.out:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            else:
+                sys.stdout.write(text)
+        return code
     except ParseError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_USAGE

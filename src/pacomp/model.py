@@ -322,6 +322,9 @@ class DFA:
             if q not in states or target not in states:
                 raise ValueError(f"DFA transition {(q, sym)!r} -> {target!r} "
                                  "at an undeclared state")
+        if not self.accepting <= states:
+            raise ValueError("DFA accepting state not declared: "
+                             + ", ".join(sorted(map(repr, self.accepting - states))))
         for q in self.states:
             for sym in self.alphabet:
                 if (q, sym) not in self.trans:

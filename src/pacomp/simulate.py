@@ -9,10 +9,9 @@ from __future__ import annotations
 from collections import deque
 from fractions import Fraction
 
-from .algebra import region_samples, valuation_key
-from .errors import EmptyRegion, IllDefinedValuationInRegion
-from .model import PPA, WellDefinedness, instantiate, sort_key, well_defined
-from .verify import Verdict
+from .algebra import valuation_key
+from .model import PPA, instantiate, sort_key
+from .verify import Verdict, _checked_samples
 
 
 def _maxflow(source, sink, arcs):
@@ -133,23 +132,9 @@ def is_strong_sim(n1: PPA, n2: PPA, rel) -> bool:
     return all(_pair_ok(n1, n2, s1, s2, rel) for (s1, s2) in rel)
 
 
-def _sim_samples(m1: PPA, m2: PPA, region, resolution):
-    try:
-        samples = region_samples(region, resolution)
-    except EmptyRegion:
-        return None
-    for v in samples:
-        for m in (m1, m2):
-            if well_defined(m, v) is WellDefinedness.NEITHER:
-                raise IllDefinedValuationInRegion(
-                    f"sample {dict(sorted(v.items()))} ill-defined for a model"
-                )
-    return samples
-
-
 def strong_sim_region(m1: PPA, m2: PPA, region, resolution=1) -> Verdict:
     """Per-valuation strong simulation; witnessing relations may differ."""
-    samples = _sim_samples(m1, m2, region, resolution)
+    samples = _checked_samples(region, resolution, m1, m2)
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
     details = []
@@ -167,7 +152,7 @@ def robust_strong_sim(m1: PPA, m2: PPA, region, resolution=1):
     Joint greatest fixpoint: a pair is removed as soon as it fails the
     matching clause at any sampled valuation.  Returns the relation or None.
     """
-    samples = _sim_samples(m1, m2, region, resolution)
+    samples = _checked_samples(region, resolution, m1, m2)
     if samples is None:
         return frozenset(
             (s1, s2) for s1 in m1.states for s2 in m2.states

@@ -928,19 +928,21 @@ def _witness_values(init, states, trans, targets, rewards, mix, settle_mass, sta
 # Region-level checks
 # ---------------------------------------------------------------------------
 
-def _checked_samples(m, region, resolution, filter_gp=False):
+def _checked_samples(region, resolution, *models, filter_gp=False):
+    """The region's samples, each of which instantiates every model to a PA
+    (only the graph-preserving ones with `filter_gp`); None for an empty region."""
     try:
         samples = region_samples(region, resolution)
     except EmptyRegion:
         return None
     out = []
     for v in samples:
-        wd = well_defined(m, v)
-        if wd is WellDefinedness.NEITHER:
+        kinds = {well_defined(m, v) for m in models}
+        if WellDefinedness.NEITHER in kinds:
             raise IllDefinedValuationInRegion(
                 f"sample {dict(sorted(v.items()))} does not instantiate to a PA"
             )
-        if filter_gp and wd is not WellDefinedness.GRAPH_PRESERVING:
+        if filter_gp and kinds != {WellDefinedness.GRAPH_PRESERVING}:
             continue
         out.append(v)
     if filter_gp and not out:
@@ -953,7 +955,7 @@ def region_sat(m: PPA, region, query, strategy_class="cmp", resolution=1) -> Ver
     for obj in query:
         if not obj.alphabet <= m.alphabet:
             raise AlphabetMismatch("objective alphabet exceeds the model alphabet")
-    samples = _checked_samples(m, region, resolution)
+    samples = _checked_samples(region, resolution, m)
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
     checks = [_MoQuery(m, (obj.negate(),), strategy_class) for obj in query]
@@ -985,7 +987,7 @@ def ag_triple_check(
                 "triple objective alphabets must lie inside the model alphabet; "
                 "extend the model first"
             )
-    samples = _checked_samples(m, region, resolution)
+    samples = _checked_samples(region, resolution, m)
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
     checks = [
@@ -1095,7 +1097,7 @@ def monotone_check(
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
-    samples = _checked_samples(m, region, resolution)
+    samples = _checked_samples(region, resolution, m)
     caveat = "per enumerated strategy class; sound per sampled valuation"
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")

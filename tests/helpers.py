@@ -219,7 +219,7 @@ def alphabet_extend_rpa(u: RPA, sigma) -> RPA:
 # ---------------------------------------------------------------------------
 
 def region_sat_per_sample(m, region, query, strategy_class="cmp", resolution=1):
-    samples = _checked_samples(m, region, resolution)
+    samples = _checked_samples(region, resolution, m)
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
     details = []
@@ -241,7 +241,7 @@ def region_sat_per_sample(m, region, query, strategy_class="cmp", resolution=1):
 
 def ag_triple_check_per_sample(m, region, assumption, guarantee, strategy_class="prt",
                                resolution=1):
-    samples = _checked_samples(m, region, resolution)
+    samples = _checked_samples(region, resolution, m)
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
     details = []
@@ -264,7 +264,7 @@ def ag_triple_check_per_sample(m, region, assumption, guarantee, strategy_class=
 def monotone_check_per_sample(m, region, objective, param, direction, strategy_class="cmp",
                               resolution=1):
     """Every (strategy, valuation) pair instantiates and builds its DFA product anew."""
-    samples = _checked_samples(m, region, resolution)
+    samples = _checked_samples(region, resolution, m)
     caveat = "per enumerated strategy class; sound per sampled valuation"
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")

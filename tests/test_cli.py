@@ -527,6 +527,74 @@ def test_wrong_document_kind_is_usage_error(corpus_dir, tmp_path, capsys):
     assert err == "format error: expected a ppa document, got rpa\n"
 
 
+def _compose_corpus(corpus_dir, tmp_path):
+    path = str(tmp_path / "composed.ppa.json")
+    assert main(["compose", "--left", str(corpus_dir / "retry.ppa.json"),
+                 "--right", str(corpus_dir / "pipeline.ppa.json"), "--out", path]) == 0
+    return path
+
+
+def test_dfa_accepting_an_undeclared_state_is_usage_error(corpus_dir, tmp_path, capsys):
+    # the real query fails here (exit 1); with accepting ["zz"] it used to hold
+    query = json.load(open(corpus_dir / "safe_guarantee.query.json"))
+    query["objectives"][0]["dfa"]["accepting"] = ["zz"]
+    path = tmp_path / "zz.query.json"
+    json.dump(query, open(path, "w"))
+    code, out, err = run(capsys, "check", "--model", _compose_corpus(corpus_dir, tmp_path),
+                         "--objective", str(path), "--region", "finite:{p=1/2,q=1}")
+    assert code == 2 and out == ""
+    assert err == "format error: $.objectives[0].dfa: DFA accepting state not declared: 'zz'\n"
+
+
+def test_empty_query_under_check_is_usage_error(corpus_dir, tmp_path, capsys):
+    composed = _compose_corpus(corpus_dir, tmp_path)
+    empty = str(tmp_path / "empty.query.json")
+    json.dump({"format": "pacomp/1", "type": "mo-query", "objectives": []}, open(empty, "w"))
+    guarantee = str(corpus_dir / "safe_guarantee.query.json")
+    region = ["--region", "finite:{p=1/2,q=1}"]
+    for argv in (["check", "--model", composed, "--objective", empty],
+                 ["triple", "--model", composed, "--assumption", guarantee, "--guarantee", empty]):
+        code, out, err = run(capsys, *argv, *region)
+        assert code == 2 and out == ""
+        assert err == f"format error: {empty}: the query to check has no objectives\n"
+    # an empty assumption stays legal: the triple then checks its guarantee alone
+    code, out, _ = run(capsys, "triple", "--model", composed, "--assumption", empty,
+                       "--guarantee", guarantee, *region)
+    assert code == 1 and json.loads(out)["report"]["verdict"]["status"] == "fails"
+
+
+_COMMAND_NAMES = (
+    "compose", "instantiate", "extend", "tau", "prune", "product", "check", "triple",
+    "monotone", "project", "simulate", "rule", "rpa-compose", "rpa-conv", "rpa-relax",
+    "rpa-reduce", "rpa-rule", "paper-suite", "corpus",
+)
+
+
+def test_top_level_help_lists_every_command(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    listed = [line.split()[0] for line in out.split("--help):\n", 1)[1].splitlines()]
+    assert listed == list(_COMMAND_NAMES)
+    for name in _COMMAND_NAMES:
+        code, out, _ = run(capsys, name, "--help")
+        assert code == 0 and out.startswith(f"usage: pacomp {name} ")
+
+
+def test_usage_errors_exit_2_with_nothing_on_stdout(capsys):
+    for argv, named in (
+        ((), "command"),
+        (("nosuch",), "invalid choice: 'nosuch'"),
+        (("check", "--model", "m.json"), "--objective"),
+        (("monotone", "--model", "m.json", "--objective", "q.json", "--param", "p",
+          "--direction", "up"), "--region"),
+        (("triple", "--model", "m.json", "--assumption", "a.json", "--guarantee", "g.json",
+          "--class", "zz"), "invalid choice: 'zz'"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert named in err and "Traceback" not in err, argv
+
+
 # Single-field mutations of valid documents: a seeded sample of at most 50
 # fields per document, each dropped or replaced by a seeded pick of these
 # values.  None of them may exit 4.
@@ -807,7 +875,9 @@ def test_monotone_cli(corpus_dir, tmp_path, capsys):
 # the coefficients per sample.  The check passes 9 samples, including the
 # non-graph-preserving p = 0 corner, and fails at p = 1/8, q = 1.  The rule,
 # rpa-rule, rpa-reduce and compose reports were recorded before proof scripts
-# and documents were checked by one decoder in `modelio`.
+# and documents were checked by one decoder in `modelio`; the simulate,
+# product, project, instantiate, extend, tau, prune and rpa-compose/-conv/-relax
+# reports before every command became a row of one command table in `cli`.
 _GOLDEN_REGION = "box.p=[0,1/2],q=[1/5,1]"
 _GOLDEN_RUNS = {
     "check_prt_box.json": (1, [
@@ -832,6 +902,40 @@ _GOLDEN_RUNS = {
     "compose_guard.json": (0, [
         "compose", "--left", "split_responder.ppa.json", "--right", "handoff_parametric.ppa.json",
     ]),
+    "simulate_finite.json": (0, [
+        "simulate", "--left", "handoff_fixed.ppa.json", "--right", "split_responder.ppa.json",
+        "--region", "finite:{p=1/10};{p=9/10}",
+    ]),
+    "simulate_robust_box.json": (0, [
+        "simulate", "--robust", "--left", "handoff_parametric.ppa.json",
+        "--right", "split_responder.ppa.json", "--region", "box.p=[1/10,9/10]",
+        "--resolution", "2",
+    ]),
+    "product_no_fail.json": (0, [
+        "product", "--model", "composed.ppa.json", "--dfa", "no_fail.dfa.json",
+    ]),
+    "project_side_2.json": (0, [
+        "project", "--left", "retry.ppa.json", "--right", "pipeline.ppa.json",
+        "--strategy", "sigma.json", "--valuation", "p=1/10,q=1/10", "--side", "2",
+        "--horizon", "3",
+    ]),
+    "instantiate_handoff.json": (0, [
+        "instantiate", "--model", "handoff_parametric.ppa.json", "--valuation", "p=1/10",
+    ]),
+    "extend_pipeline_b.json": (0, [
+        "extend", "--model", "pipeline.ppa.json", "--symbols", "b,z",
+    ]),
+    "tau_retry.json": (0, ["tau", "--model", "retry.ppa.json"]),
+    "prune_guard.json": (0, ["prune", "--model", "guard.ppa.json"]),
+    "rpa_compose_interval.json": (0, [
+        "rpa-compose", "--left", "interval_retry.rpa.json", "--right", "interval_responder.rpa.json",
+    ]),
+    "rpa_conv_half_two_point.json": (0, [
+        "rpa-conv", "--left", "half_retry.rpa.json", "--right", "two_point_responder.rpa.json",
+    ]),
+    "rpa_relax_interval.json": (0, [
+        "rpa-relax", "--left", "interval_retry.rpa.json", "--right", "interval_responder.rpa.json",
+    ]),
 }
 # an attested asymmetric application and a robust simulation application,
 # with models and queries by file, regions inline, by name and as text
@@ -855,18 +959,31 @@ _GOLDEN_SCRIPT = {
 _GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
 
-@pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
-def test_region_reports_match_golden_bytes(name, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)  # the reports name their inputs by relative path
+def _write_golden_inputs(workdir):
+    """Write every input of `_GOLDEN_RUNS` into `workdir`, the current directory."""
+    from pacomp.model import compose, instantiate
+
     assert main(["corpus", "--out", "."]) == 0
     assert main(["compose", "--left", "retry.ppa.json", "--right", "pipeline.ppa.json",
                  "--out", "composed.ppa.json"]) == 0
     assert main(["compose", "--left", "split_responder.ppa.json",
                  "--right", "handoff_parametric.ppa.json", "--out", "guard.ppa.json"]) == 0
-    _write_trivial_query(tmp_path)
-    _write_goal_query(tmp_path, tmp_path)
+    _write_trivial_query(workdir)
+    _write_goal_query(workdir, workdir)
     with open("golden.agproof.json", "w", encoding="utf-8") as fh:
         json.dump(_GOLDEN_SCRIPT, fh, indent=2, sort_keys=True)
+    left, right = (modelio.load_document(json.load(open(name)))
+                   for name in ("retry.ppa.json", "pipeline.ppa.json"))
+    sigma = corpus.priority_strategy(instantiate(compose(left, right),
+                                                 {"p": F(1, 10), "q": F(1, 10)}))
+    with open("sigma.json", "w", encoding="utf-8") as fh:
+        json.dump(modelio.strategy_to_jsonable(sigma), fh)
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
+def test_region_reports_match_golden_bytes(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the reports name their inputs by relative path
+    _write_golden_inputs(tmp_path)
     capsys.readouterr()
     expected_code, argv = _GOLDEN_RUNS[name]
     code, out, _ = run(capsys, *argv)

@@ -208,3 +208,5 @@ def test_dfa_rejects_undeclared_states():
         DFA(("ok",), "nowhere", alphabet, {("ok", "a"): "ok"}, frozenset())
     with pytest.raises(ValueError, match="undeclared state"):
         DFA(("ok",), "ok", alphabet, {("ok", "a"): "bad"}, frozenset())
+    with pytest.raises(ValueError, match="accepting state not declared: 'bad'"):
+        DFA(("ok",), "ok", alphabet, {("ok", "a"): "ok"}, frozenset({"bad"}))
