@@ -84,6 +84,11 @@ def _require(cond, message):
         raise SideConditionError(message)
 
 
+def _require_guarantees(*queries):
+    """A guarantee without objectives would conclude nothing."""
+    _require(all(queries), "a guarantee query must have at least one objective")
+
+
 def _attested_premises(descriptions, notes):
     if notes is None or len(notes) != len(descriptions):
         raise ValueError("fairness variants need one attestation note per premise")
@@ -137,6 +142,7 @@ def apply_asymmetric(m1, m2, r1, r2, assumption, guarantee,
 
 def apply_circular(m1, m2, r1, r2, r3, a1, a2, guarantee,
                    resolution=1, fairness=None) -> RuleApplication:
+    _require_guarantees(guarantee)
     s1, s2, sg = query_alphabet(a1), query_alphabet(a2), query_alphabet(guarantee)
     _require(s1 <= m2.alphabet, "first assumption alphabet must lie inside component 2's")
     _require(s2 <= m1.alphabet | s1,
@@ -178,6 +184,7 @@ def apply_asym_n(models, regions, assumptions, guarantee,
     turns the previous query into the next; at n = 2 this is the asymmetric rule."""
     n = len(models)
     _require(n >= 2, "the chained rule needs at least two components")
+    _require_guarantees(guarantee)
     if len(regions) != n or len(assumptions) != n - 1:
         raise ValueError("need one region per component and n-1 assumptions")
     queries = list(assumptions) + [guarantee]
@@ -230,6 +237,7 @@ def apply_asym_n(models, regions, assumptions, guarantee,
 
 def apply_conjunction(m, r1, r2, a1, g1, a2, g2,
                       resolution=1, fairness=None) -> RuleApplication:
+    _require_guarantees(g1, g2)
     _require(all(is_safe_query(q) for q in (a1, g1, a2, g2)) or fairness is not None,
              "the partial-strategy conjunction rule needs safety mo-queries")
     for a, g in ((a1, g1), (a2, g2)):
@@ -344,8 +352,7 @@ def apply_reward_sum(m1, m2, r1, r2, a1, a2, rw1, thr1, rw2, thr2,
 # ---------------------------------------------------------------------------
 
 def apply_monotonicity(m1, m2, r1, r2, objective, param, direction,
-                       resolution=1, grid_denominator=1, max_strategies=20000,
-                       fairness=None) -> RuleApplication:
+                       resolution=1, grid_denominator=1, fairness=None) -> RuleApplication:
     sigma = objective.alphabet
     _require(sigma <= m1.alphabet | m2.alphabet,
              "objective alphabet must lie inside the joint alphabet")
@@ -375,7 +382,7 @@ def apply_monotonicity(m1, m2, r1, r2, objective, param, direction,
                 "monotone", f"component {i} monotone in {param!r}",
                 monotone_check(
                     ext, region, objective, param, direction, "prt",
-                    resolution, grid_denominator, max_strategies,
+                    resolution, grid_denominator,
                 ),
             )
         )

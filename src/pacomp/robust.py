@@ -267,12 +267,12 @@ def interval_extreme_points(uset: IntervalSet, cap=GENERATOR_CAP):
     return [dict(d) for d in sorted(seen, key=sort_key)]
 
 
-def generators(uset, cap=GENERATOR_CAP):
+def generators(uset):
     """Finite generator list of a polytopic uncertainty set."""
     if isinstance(uset, VertexSet):
         return [dict(d) for d in uset.dists]
     if isinstance(uset, IntervalSet):
-        return interval_extreme_points(uset, cap)
+        return interval_extreme_points(uset)
     raise NonPolytopicComponent(
         f"no finite generators for {type(uset).__name__}"
     )
@@ -349,7 +349,7 @@ def interval_relax_compose(u1: RPA, u2: RPA) -> RPA:
     )
 
 
-def pa_reduce(u: RPA, cap=GENERATOR_CAP) -> PPA:
+def pa_reduce(u: RPA) -> PPA:
     """PA-reduction: one action per (action, generator) pair.
 
     Nature's choices become strategy choices of a finite PA; valid for
@@ -358,7 +358,7 @@ def pa_reduce(u: RPA, cap=GENERATOR_CAP) -> PPA:
     trans = {}
     for (s, a), uset in u.utrans.items():
         lab = u.label[(s, a)]
-        for gen in generators(uset, cap):
+        for gen in generators(uset):
             frozen = freeze_dist(gen)
             action = (a, frozen)
             trans[(s, action)] = (lab, {t: Polynomial.const(p) for t, p in frozen})

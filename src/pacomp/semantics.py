@@ -28,25 +28,6 @@ def path_prefix(path: Path, steps: int) -> Path:
     return path[: 2 * steps + 1]
 
 
-def path_states(path: Path):
-    return path[0::2]
-
-
-def path_actions(path: Path):
-    return path[1::2]
-
-
-def validate_path(m: PPA, path: Path, initial=True):
-    if initial and path[0] != m.initial:
-        raise ValueError("path does not start in the initial state")
-    for i in range(path_len(path)):
-        s, a, t = path[2 * i], path[2 * i + 1], path[2 * i + 2]
-        if (s, a) not in m.trans:
-            raise ValueError(f"step {(s, a)!r} not in dom(trans)")
-        if t not in m.trans[(s, a)]:
-            raise ValueError(f"successor {t!r} outside the declared support")
-
-
 # ---------------------------------------------------------------------------
 # Strategies
 # ---------------------------------------------------------------------------

@@ -14,19 +14,22 @@ solvers are exact and end in two mechanisms:
   solved by the exact simplex, for multi-objective achievability and
   minimal expected reward.
 
-Multi-objective queries split each sample's work into structure and values
-(`_MoQuery`).  The structure is built once per region check and query: the
-joint DFA product of the parametric model (its tau extension for partial
-strategies), the reach targets, and the index of every transition
-probability and reward among the model's distinct polynomials.  The settle
-set, `stay` map, end-component check and LP layout depend only on which of
-those values are zero (and on the rewards' signs), so they are built once per
-such sign pattern: graph-preserving samples share one, and a sample with a
-smaller support, such as a p = 0 corner, gets its own from the same code.
-Per sample, each distinct polynomial is evaluated once, the LP's
-coefficients are filled in and solved, and a witness is built only when the
-query is achievable.  `mo_achievable` is the same path on a parameter-free
-model.  Nothing is kept beyond one call.
+One query structure (`_MoQuery`) serves the LP checks, the re-check of
+their witnesses and the values of fixed strategies.  It is built once per
+query and model: the joint DFA product of the parametric model (its tau
+extension for partial strategies), the reach targets, and the index of every
+transition probability and reward among the model's distinct polynomials.
+At a valuation each distinct polynomial is evaluated once.  The settle set,
+`stay` map, end-component check and LP layout depend only on which values
+are zero (and on the rewards' signs), so they are built once per such sign
+pattern: graph-preserving samples share one, and a sample with a smaller
+support, such as a p = 0 corner, gets its own.  Per sample, the LP's
+coefficients are filled in and solved, and a witness is built and re-checked
+only when the query is achievable.  A strategy's values are the witness
+re-check without settle mass: `chain_language_prob`, `chain_expected_reward`
+and `solution_value` are the structure on an instantiated model, and
+`monotone_check` asks one structure at every sampled valuation.  The region
+checks share one sample loop.  Nothing is kept beyond one call.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .model import (
     WellDefinedness,
     dfa_absorb_accepting,
     dfa_product,
-    instantiate,
     sort_key,
     tau_extend,
     well_defined,
@@ -57,6 +59,7 @@ from .model import (
 from .semantics import MemorylessStrategy
 
 INF = float("inf")
+STRATEGY_CAP = 20_000  # most strategies `enumerate_memoryless` returns
 
 _NEGATION = {">=": "<", ">": "<=", "<=": ">", "<": ">="}
 
@@ -117,10 +120,6 @@ def safety(dfa, threshold) -> ProbObjective:
 def reward_objective(cmp, threshold, rewards, name="") -> RewardObjective:
     items = tuple(sorted(((str(s), Polynomial.coerce(r)) for s, r in dict(rewards).items())))
     return RewardObjective(cmp, Fraction(threshold), items, name)
-
-
-def mo_query(*objectives) -> tuple:
-    return tuple(objectives)
 
 
 def query_alphabet(query) -> frozenset:
@@ -534,77 +533,6 @@ def _reachable_support(pa: PPA):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-strategy evaluation (used by monotonicity and witness re-checks)
-# ---------------------------------------------------------------------------
-
-def _const_trans(pa: PPA) -> dict:
-    """Every transition's nonzero probabilities, as plain rationals."""
-    return {
-        key: {t: p for t, p in pa.const_dist(*key).items() if p} for key in pa.trans
-    }
-
-
-def _induced_chain(pa: PPA, dists, mix_of, rewards):
-    """Markov chain and expected one-step reward per state when every state
-    s plays the action mixture mix_of(s); `dists` is `_const_trans(pa)`."""
-    chain, gain = {}, {}
-    for s in pa.states:
-        dist, g = {}, Fraction(0)
-        for a, w in mix_of(s).items():
-            if w == 0 or (s, a) not in dists:
-                continue
-            r = _rew(pa, rewards, s, a)
-            if r:
-                g += w * r
-            for t, p in dists[(s, a)].items():
-                if w != 1:
-                    p = w * p
-                dist[t] = dist[t] + p if t in dist else p
-        chain[s], gain[s] = dist, g
-    return chain, gain
-
-
-def _language_prob_of(pa: PPA, dfa):
-    """sigma -> Pr(L) of the chain that sigma induces on `pa`; the product
-    with L's bad-prefix DFA and its transition table are built once."""
-    product, bad = dfa_product(pa, dfa_absorb_accepting(dfa))
-    dists = _const_trans(product)
-
-    def prob(sigma: MemorylessStrategy) -> Fraction:
-        chain, _ = _induced_chain(
-            product, dists, lambda ps: sigma.choice.get(ps[0], {}), {}
-        )
-        return 1 - _reach_prob(chain, bad, product.initial)
-
-    return prob
-
-
-def _expected_reward_of(pa: PPA, rewards):
-    """sigma -> expected total reward of the chain that sigma induces on `pa`."""
-    rew_const = {
-        s: Polynomial.coerce(r).constant_value() for s, r in dict(rewards).items()
-    }
-    dists = _const_trans(pa)
-
-    def reward(sigma: MemorylessStrategy) -> Fraction:
-        chain, gain = _induced_chain(
-            pa, dists, lambda s: sigma.choice.get(s, {}), rew_const
-        )
-        return _chain_solve(chain, gain, pa.initial)[pa.initial]
-
-    return reward
-
-
-def chain_language_prob(pa: PPA, sigma: MemorylessStrategy, dfa) -> Fraction:
-    """Pr(L) of the chain induced by a memoryless (possibly partial) strategy."""
-    return _language_prob_of(pa, dfa)(sigma)
-
-
-def chain_expected_reward(pa: PPA, sigma: MemorylessStrategy, rewards) -> Fraction:
-    """Expected total reward of the induced chain; infinity on divergence."""
-    return _expected_reward_of(pa, rewards)(sigma)
-
-# ---------------------------------------------------------------------------
 # Multi-objective achievability (occupation-measure LP)
 # ---------------------------------------------------------------------------
 
@@ -681,6 +609,8 @@ class _MoQuery:
     `stay` map, and the LP layout -- is built once per sign pattern
     (`_layout`).  Each sample then only fills in the LP's coefficients,
     solves it, and builds a witness when the conjunction is achievable.
+    `strategy_values` evaluates fixed strategies of `model` on the same
+    product.
     """
 
     def __init__(self, m: PPA, query, strategy_class):
@@ -690,7 +620,7 @@ class _MoQuery:
                     f"objective alphabet {sorted(obj.alphabet)} exceeds the model's"
                 )
         work = tau_extend(m) if strategy_class == "prt" else m
-        self.strategy_class = strategy_class
+        self.model, self.strategy_class = work, strategy_class
         self.prob_objs = [o for o in query if isinstance(o, ProbObjective)]
         self.rew_objs = [o for o in query if isinstance(o, RewardObjective)]
         self.strict = any(o.cmp in ("<", ">") for o in query)
@@ -747,6 +677,35 @@ class _MoQuery:
         """Reward of reward objective j on the product transition `key`."""
         k = self.reward_slots[j].get(self.plabel[key])
         return Fraction(0) if k is None else values[k]
+
+    def _chain_parts(self, values):
+        """Each product transition's nonzero probabilities, and each reward
+        objective's reward per product transition, at one value vector."""
+        trans = {
+            key: {t: values[k] for t, k in dist if values[k]}
+            for key, dist in self.ptrans.items()
+        }
+        rewards = [
+            {key: self._reward(values, key, j) for key in self.ptrans}
+            for j in range(len(self.rew_objs))
+        ]
+        return trans, rewards
+
+    def strategy_values(self, v):
+        """sigma -> the exact values at valuation v of the probability
+        objectives, then the reward objectives, under the memoryless strategy
+        sigma of `self.model`; missing mass stops, and mass on an action the
+        state does not enable is ignored."""
+        trans, rewards = self._chain_parts([p.evaluate(v) for p in self.polys])
+
+        def values(sigma):
+            choice = sigma.choice
+            mix = {ps: choice[ps[0]] for ps in self.states if ps[0] in choice}
+            return _witness_values(
+                self.init, self.states, trans, self.targets, rewards, mix, {}, {}
+            )
+
+        return values
 
     def _layout(self, values):
         """Settle set, stay map and LP rows for the sign pattern of `values`."""
@@ -846,14 +805,7 @@ class _MoQuery:
             if w:
                 settle_mass[ps] = w / total
 
-        trans = {
-            key: {t: values[k] for t, k in dist if values[k]}
-            for key, dist in self.ptrans.items()
-        }
-        rewards = [
-            {key: self._reward(values, key, j) for key in self.ptrans}
-            for j in range(len(self.rew_objs))
-        ]
+        trans, rewards = self._chain_parts(values)
         vals = _witness_values(
             self.init, self.states, trans, self.targets, rewards, mix, settle_mass, stay
         )
@@ -892,29 +844,41 @@ def mo_achievable(pa: PPA, query, strategy_class="cmp"):
 def _witness_values(init, states, trans, targets, rewards, mix, settle_mass, stay):
     """Exact objective values of the two-mode witness strategy.
 
-    `trans` holds each key's nonzero probabilities.  One value per target
-    set (the probability of never reaching it), then one per reward map
-    {key: reward} (the expected total reward).
+    `trans` holds each key's nonzero probabilities.  Go-mode state ps plays
+    mix[ps] (mass on a key outside `trans` is ignored) and settles with
+    settle_mass[ps]; stay-mode ps plays stay[ps] forever.  One value per
+    target set (the probability of never reaching it), then one per reward
+    map {key: reward} (the expected total reward).
     """
     chain = {}
-    gain_of = [dict() for _ in rewards]
+    gain_of = [{} for _ in rewards]
     for ps in states:
-        dist = {}
+        go, dist = ("go", ps), {}
         for a, wgt in mix.get(ps, {}).items():
-            for t, p in trans[(ps, a)].items():
-                dist[("go", t)] = dist.get(("go", t), Fraction(0)) + wgt * p
+            key = (ps, a)
+            if not wgt or key not in trans:
+                continue
+            for t, p in trans[key].items():
+                if wgt != 1:
+                    p = wgt * p
+                t = ("go", t)
+                dist[t] = dist[t] + p if t in dist else p
             for gain, rew in zip(gain_of, rewards):
-                r = rew[(ps, a)]
+                r = rew[key]
                 if r:
-                    gain[("go", ps)] = gain.get(("go", ps), Fraction(0)) + wgt * r
-        sm = settle_mass.get(ps, Fraction(0))
-        if sm:
-            dist[("stay", ps)] = dist.get(("stay", ps), Fraction(0)) + sm
-        chain[("go", ps)] = dist
-    for ps, a in stay.items():
-        chain[("stay", ps)] = {("stay", t): p for t, p in trans[(ps, a)].items()}
-    for ps in states:
+                    if wgt != 1:
+                        r = wgt * r
+                    gain[go] = gain[go] + r if go in gain else r
+        if settle_mass.get(ps):
+            dist[("stay", ps)] = settle_mass[ps]
+        chain[go] = dist
+    # stay nodes exist only where settling or a stay step reaches them
+    for ps in settle_mass:
         chain.setdefault(("stay", ps), {})
+    for ps, a in stay.items():
+        chain[("stay", ps)] = succ = {("stay", t): p for t, p in trans[(ps, a)].items()}
+        for t in succ:
+            chain.setdefault(t, {})
     out = []
     for target in targets:
         marked = {(mode, ps) for mode in ("go", "stay") for ps in target}
@@ -922,6 +886,25 @@ def _witness_values(init, states, trans, targets, rewards, mix, settle_mass, sta
     for gain in gain_of:
         out.append(_chain_solve(chain, gain, ("go", init))[("go", init)])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Fixed-strategy values (the solution function at one valuation)
+# ---------------------------------------------------------------------------
+
+def solution_value(m_inst: PPA, sigma: MemorylessStrategy, objective):
+    """Value of the solution function at one instantiated model and strategy."""
+    return _MoQuery(m_inst, (objective,), "cmp").strategy_values({})(sigma)[0]
+
+
+def chain_language_prob(pa: PPA, sigma: MemorylessStrategy, dfa) -> Fraction:
+    """Pr(L) of the chain induced by a memoryless (possibly partial) strategy."""
+    return solution_value(pa, sigma, safety(dfa, 0))
+
+
+def chain_expected_reward(pa: PPA, sigma: MemorylessStrategy, rewards) -> Fraction:
+    """Expected total reward of the induced chain; infinity on divergence."""
+    return solution_value(pa, sigma, reward_objective(">=", 0, rewards))
 
 
 # ---------------------------------------------------------------------------
@@ -950,27 +933,35 @@ def _checked_samples(region, resolution, *models, filter_gp=False):
     return out
 
 
+def _sample_loop(m, region, resolution, strategy_class, cases, key):
+    """Fails at the first sample at which the violation query of some
+    (objective, violation query) case is achievable; the witness names that
+    objective under `key`."""
+    samples = _checked_samples(region, resolution, m)
+    if samples is None:
+        return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
+    checks = [(obj, _MoQuery(m, bad, strategy_class)) for obj, bad in cases]
+    details = []
+    for v in samples:
+        for obj, check in checks:
+            status, wit = check.solve(v)
+            if status == "achievable":
+                return Verdict(
+                    "fails",
+                    witness={"valuation": v, key: obj, "strategy": wit},
+                    details=details,
+                )
+        details.append({"valuation": valuation_key(v), "ok": True})
+    return Verdict("holds", details=details)
+
+
 def region_sat(m: PPA, region, query, strategy_class="cmp", resolution=1) -> Verdict:
     """Holds iff at every sampled valuation no strategy violates any objective."""
     for obj in query:
         if not obj.alphabet <= m.alphabet:
             raise AlphabetMismatch("objective alphabet exceeds the model alphabet")
-    samples = _checked_samples(region, resolution, m)
-    if samples is None:
-        return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
-    checks = [_MoQuery(m, (obj.negate(),), strategy_class) for obj in query]
-    details = []
-    for v in samples:
-        for obj, check in zip(query, checks):
-            status, wit = check.solve(v)
-            if status == "achievable":
-                return Verdict(
-                    "fails",
-                    witness={"valuation": v, "objective": obj, "strategy": wit},
-                    details=details,
-                )
-        details.append({"valuation": valuation_key(v), "ok": True})
-    return Verdict("holds", details=details)
+    cases = [(obj, (obj.negate(),)) for obj in query]
+    return _sample_loop(m, region, resolution, strategy_class, cases, "objective")
 
 
 def ag_triple_check(
@@ -987,24 +978,8 @@ def ag_triple_check(
                 "triple objective alphabets must lie inside the model alphabet; "
                 "extend the model first"
             )
-    samples = _checked_samples(region, resolution, m)
-    if samples is None:
-        return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
-    checks = [
-        _MoQuery(m, tuple(assumption) + (g.negate(),), strategy_class) for g in guarantee
-    ]
-    details = []
-    for v in samples:
-        for g, check in zip(guarantee, checks):
-            status, wit = check.solve(v)
-            if status == "achievable":
-                return Verdict(
-                    "fails",
-                    witness={"valuation": v, "violated": g, "strategy": wit},
-                    details=details,
-                )
-        details.append({"valuation": valuation_key(v), "ok": True})
-    return Verdict("holds", details=details)
+    cases = [(g, tuple(assumption) + (g.negate(),)) for g in guarantee]
+    return _sample_loop(m, region, resolution, strategy_class, cases, "violated")
 
 
 # ---------------------------------------------------------------------------
@@ -1034,12 +1009,12 @@ def _weight_profiles(actions, denominator):
     return profiles
 
 
-def enumerate_memoryless(m: PPA, denominator=1, cap=20000):
+def enumerate_memoryless(m: PPA, denominator=1):
     """Complete memoryless strategies over reachable decision points.
 
     Deterministic choices for denominator 1; otherwise the rational grid with
     the given step.  Enumeration follows the declared transition structure, so
-    it is valuation-independent.
+    it is valuation-independent.  More than STRATEGY_CAP strategies raise.
     """
     results = []
 
@@ -1049,8 +1024,8 @@ def enumerate_memoryless(m: PPA, denominator=1, cap=20000):
         )
         if not undecided:
             results.append(MemorylessStrategy(dict(choice), complete=True))
-            if len(results) > cap:
-                raise ValueError(f"strategy enumeration exceeds cap {cap}")
+            if len(results) > STRATEGY_CAP:
+                raise ValueError(f"strategy enumeration exceeds cap {STRATEGY_CAP}")
             return
         s = undecided[0]
         for profile in _weight_profiles(m.enabled(s), denominator):
@@ -1065,19 +1040,6 @@ def enumerate_memoryless(m: PPA, denominator=1, cap=20000):
     return results
 
 
-def _solution_function(m_inst: PPA, objective):
-    """sigma -> value of the solution function at one instantiated model,
-    with its DFA product built once rather than once per strategy."""
-    if isinstance(objective, RewardObjective):
-        return _expected_reward_of(m_inst, objective.reward_map())
-    return _language_prob_of(m_inst, objective.dfa)
-
-
-def solution_value(m_inst: PPA, sigma: MemorylessStrategy, objective):
-    """Value of the solution function at one instantiated model and strategy."""
-    return _solution_function(m_inst, objective)(sigma)
-
-
 def monotone_check(
     m: PPA,
     region,
@@ -1087,13 +1049,13 @@ def monotone_check(
     strategy_class="cmp",
     resolution=1,
     grid_denominator=1,
-    max_strategies=20000,
 ) -> Verdict:
     """Check monotonicity of the solution function in one parameter.
 
     Quantification is over the enumerated strategy class (memoryless complete
     on the model, or on its tau extension for partial strategies) and the
-    sampled axis-aligned valuation pairs; the verdict says so.
+    sampled axis-aligned valuation pairs; the verdict says so.  One query
+    structure serves every valuation and strategy.
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
@@ -1101,22 +1063,20 @@ def monotone_check(
     caveat = "per enumerated strategy class; sound per sampled valuation"
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
-    work = tau_extend(m) if strategy_class == "prt" else m
-    strategies = enumerate_memoryless(work, grid_denominator, max_strategies)
     groups = {}
     for v in samples:
         if param not in v:
             raise MissingParameter(f"samples do not assign parameter {param!r}")
         rest = tuple(sorted((k, val) for k, val in v.items() if k != param))
         groups.setdefault(rest, []).append(v)
-    functions = {}  # valuation key -> solution function, built on first use
+    query = _MoQuery(m, (objective,), strategy_class)
+    strategies = enumerate_memoryless(query.model, grid_denominator)
+    functions = {}  # valuation key -> strategy_values at it, built on first use
 
     def function(v):
         key = valuation_key(v)
         if key not in functions:
-            functions[key] = _solution_function(
-                instantiate(work, v), instantiate_objective(objective, v)
-            )
+            functions[key] = query.strategy_values(v)
         return functions[key]
 
     ordered_pairs = []
@@ -1131,7 +1091,7 @@ def monotone_check(
             for v in (lo, hi):
                 key = valuation_key(v)
                 if key not in cache:
-                    cache[key] = function(v)(sigma)
+                    cache[key] = function(v)(sigma)[0]
             f_lo, f_hi = cache[valuation_key(lo)], cache[valuation_key(hi)]
             ok = f_lo <= f_hi if direction == "up" else f_lo >= f_hi
             if not ok:

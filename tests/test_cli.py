@@ -563,6 +563,31 @@ def test_empty_query_under_check_is_usage_error(corpus_dir, tmp_path, capsys):
     assert code == 1 and json.loads(out)["report"]["verdict"]["status"] == "fails"
 
 
+def test_empty_guarantee_under_a_rule_is_usage_error(corpus_dir, tmp_path, capsys):
+    empty = {"format": "pacomp/1", "type": "mo-query", "objectives": []}
+    json.dump(empty, open(tmp_path / "empty.query.json", "w"))
+    message = "error: SideConditionError: a guarantee query must have at least one objective\n"
+    code, out, err = run(
+        capsys, "rpa-rule",
+        "--left", str(corpus_dir / "interval_retry.rpa.json"),
+        "--right", str(corpus_dir / "interval_responder.rpa.json"),
+        "--assumption", str(_write_trivial_query(tmp_path)),
+        "--guarantee", str(tmp_path / "empty.query.json"),
+    )
+    assert (code, out, err) == (2, "", message)
+    # a proof script's asymmetric guarantee, and the second guarantee of a conjunction
+    conjunction = {"id": "conj", "rule": "conjunction", "m": "m1", "r1": "r1", "r2": "r1",
+                   "a1": "A", "g1": "A", "a2": "A", "g2": "E"}
+    for application in (dict(_asymmetric_script(corpus_dir)["applications"][0], guarantee="E"),
+                        conjunction):
+        script = _asymmetric_script(corpus_dir)
+        script["queries"]["E"] = empty
+        script["applications"] = [application]
+        path = tmp_path / "empty-guarantee.agproof.json"
+        json.dump(script, open(path, "w"))
+        assert run(capsys, "rule", "--script", str(path)) == (2, "", message)
+
+
 _COMMAND_NAMES = (
     "compose", "instantiate", "extend", "tau", "prune", "product", "check", "triple",
     "monotone", "project", "simulate", "rule", "rpa-compose", "rpa-conv", "rpa-relax",
@@ -849,7 +874,7 @@ def test_structural_commands_produce_loadable_results(corpus_dir, tmp_path, caps
 
 def test_monotone_cli(corpus_dir, tmp_path, capsys):
     from pacomp.model import dfa_forbid_symbols
-    from pacomp.verify import safety
+    from pacomp.verify import reward_objective, safety
 
     narrow = (safety(dfa_forbid_symbols({"fail"}, {"a", "c", "fail"}), 1),)
     query_path = tmp_path / "mono.query.json"
@@ -868,6 +893,11 @@ def test_monotone_cli(corpus_dir, tmp_path, capsys):
     assert code2 == 1
     witness = json.loads(out2)["report"]["verdict"]["witness"]
     assert witness["value_low"] != witness["value_high"]
+    # a reward symbol outside the model's alphabet is an input error
+    stray = (reward_objective(">=", 0, {"zz": 1}),)
+    json.dump(modelio.query_to_jsonable(stray), open(query_path, "w"))
+    code3, out3, err3 = run(capsys, *base, "--direction", "up")
+    assert (code3, out3) == (2, "") and err3.startswith("error: AlphabetMismatch: ")
 
 
 # Full report bytes of three region runs on the composed corpus model,

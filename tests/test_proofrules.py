@@ -111,6 +111,9 @@ def test_circular_side_conditions():
     bad_a1 = (safety(corpus.limit_one_a_dfa(), F(9, 10)),)  # alphabet {a, b}
     with pytest.raises(SideConditionError):
         apply_circular(m1, m2, r1, r2, r2, bad_a1, A, G)
+    # an empty guarantee would conclude nothing
+    with pytest.raises(SideConditionError, match="at least one objective"):
+        apply_circular(m1, m2, r1, r2, r2, G, G, ())
 
 
 def test_asym_n_reduces_to_asymmetric():

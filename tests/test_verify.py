@@ -530,6 +530,60 @@ def test_monotone_check_reward_objective():
     assert verdict.status == "fails"
 
 
+def test_fixed_strategy_values_by_hand():
+    # s loops on x (label a) with probability 1 - p and otherwise ends in g;
+    # y (label b) ends in g; the a-loop at u is never reached
+    p = Polynomial.var("p")
+    m = make_ppa(
+        ["s", "g", "u"], "s", {"p"},
+        {("s", "x"): ("a", {"s": 1 - p, "g": p}), ("s", "y"): ("b", {"g": 1}),
+         ("u", "w"): ("a", {"u": 1})},
+        {"a", "b"},
+    )
+    one_a = safety(corpus.limit_one_a_dfa(), 0)  # at most one a
+    paid = reward_objective(">=", 0, {"a": 1, "b": 2})
+    mixture = {"s": {"x": F(1, 2), "y": F(1, 2)}}
+    partial = {"s": {"x": F(1, 2)}}  # the other half stops
+    disabled = {"s": {"x": F(1, 2), "z": F(1, 2)}, "g": {"x": F(1)}}  # z, x ignored
+    # by hand: Pr(at most one a) = 1/2 + 1/2 (p + (1-p)/2) = 3/4 + p/4 under all three;
+    # reward R = 1/2 (1 + (1-p) R) + 1/2 * 2 = 3/(1+p) under the mixture, and
+    # R = 1/2 (1 + (1-p) R) = 1/(1+p) when the other half stops
+    for q in (F(1, 4), F(1, 2)):
+        inst = instantiate(m, {"p": q})
+        for choice, reward in ((mixture, 3 / (1 + q)), (partial, 1 / (1 + q)),
+                               (disabled, 1 / (1 + q))):
+            sigma = MemorylessStrategy(choice)
+            assert chain_language_prob(inst, sigma, one_a.dfa) == F(3, 4) + q / 4
+            assert chain_expected_reward(inst, sigma, paid.reward_map()) == reward
+        # the unreachable rewarded cycle adds nothing
+        sigma = MemorylessStrategy({"s": {"y": F(1)}, "u": {"w": F(1)}})
+        assert chain_expected_reward(inst, sigma, {"a": 1, "b": 2}) == 2
+        with pytest.raises(AlphabetMismatch):
+            chain_expected_reward(inst, sigma, {"zz": 1})
+
+    # monotone_check's witness is the first violating strategy of the class and
+    # carries the same values: with step 1/2 the class starts y, then the mixture
+    lo, hi = {"p": F(1, 4)}, {"p": F(1, 2)}
+    region = FiniteRegion.of([lo, hi])
+    for obj, direction, cls, witness, values in (
+        (one_a, "down", "cmp", mixture, (F(13, 16), F(7, 8))),
+        (paid, "up", "cmp", mixture, (F(12, 5), F(2))),
+        # on the tau extension, stopping half of the time comes before the mixture
+        (paid, "up", "prt", {"s": {"x": F(1, 2), ("tau",): F(1, 2)}}, (F(4, 5), F(2, 3))),
+    ):
+        verdict = monotone_check(m, region, obj, "p", direction, cls, grid_denominator=2)
+        w = verdict.witness
+        assert verdict.status == "fails" and (w["low"], w["high"]) == (lo, hi)
+        assert {s: w["strategy"][s] for s in witness} == witness
+        assert (w["value_low"], w["value_high"]) == values
+        work = tau_extend(m) if cls == "prt" else m
+        sigma = MemorylessStrategy(w["strategy"])
+        for v, value in zip((lo, hi), values):
+            assert solution_value(instantiate(work, v), sigma, obj) == value
+    with pytest.raises(AlphabetMismatch):
+        monotone_check(m, region, reward_objective(">=", 0, {"zz": 1}), "p", "up")
+
+
 def test_partial_equals_complete_on_sink_extension():
     # partial-strategy achievability on a model coincides with complete-
     # strategy achievability on its sink extension, and optimal reachability
