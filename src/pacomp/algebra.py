@@ -67,6 +67,9 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return not self.terms or set(self.terms) == {()}
 
@@ -279,8 +282,11 @@ def parse_poly(text: str) -> Polynomial:
     return result
 
 
-def poly_eval(poly: Polynomial, valuation) -> Fraction:
-    return Polynomial.coerce(poly).evaluate(valuation)
+def poly_eval(poly, valuation) -> Fraction:
+    """Value of a polynomial at a valuation; a rational is its own value."""
+    if isinstance(poly, Polynomial):
+        return poly.evaluate(valuation)
+    return poly if isinstance(poly, Fraction) else Fraction(poly)
 
 
 # ---------------------------------------------------------------------------

@@ -61,9 +61,11 @@ def check_automaton(m, trans, supports):
 class PPA:
     """Parametric probabilistic automaton.
 
-    `trans` maps (state, action) to a parametric distribution (state ->
-    Polynomial); `label` is total exactly on dom(trans).  A PA is the special
-    case with no parameters and constant distributions.
+    `trans` maps (state, action) to a distribution (state -> probability);
+    `label` is total exactly on dom(trans).  The entry form is a model
+    invariant: a model with parameters holds `Polynomial`s whose variables
+    are all in `params`, and a model with no parameters (a PA) holds exact
+    `Fraction`s.  `make_ppa` normalises its input to that form.
     """
 
     states: tuple
@@ -77,6 +79,21 @@ class PPA:
 
     def __post_init__(self):
         check_automaton(self, self.trans, self.trans.items())
+        form = Polynomial if self.params else Fraction
+        # one monomial set, not a variable set per entry: this runs per construction
+        monos, misfits = set(), []
+        for key, dist in self.trans.items():
+            for p in dist.values():
+                if isinstance(p, Polynomial):
+                    monos.update(p.terms)
+                if not isinstance(p, form):
+                    misfits.append((key, p))
+        stray = {var for mono in monos for var, _ in mono} - self.params
+        if stray:
+            raise ValueError(f"transition probabilities use undeclared parameters {sorted(stray)}")
+        if misfits:
+            key, p = misfits[0]
+            raise ValueError(f"probability {p!r} of {key!r} is not a {form.__name__}")
 
     # -- convenience -------------------------------------------------------
 
@@ -97,39 +114,32 @@ class PPA:
 
     @property
     def is_pa(self) -> bool:
-        if self.params:
-            return False
-        return all(
-            all(Polynomial.coerce(p).is_constant() for p in d.values())
-            for d in self.trans.values()
-        )
+        return not self.params
 
-    def const_dist(self, state, action) -> dict:
-        """Distribution as plain rationals; only valid on parameter-free models."""
-        return {
-            s: Polynomial.coerce(p).constant_value()
-            for s, p in self.trans[(state, action)].items()
-        }
 
-    def prob(self, state, action, succ) -> Fraction:
-        d = self.trans.get((state, action))
-        if d is None or succ not in d:
-            return Fraction(0)
-        return Polynomial.coerce(d[succ]).constant_value()
+def _rational(p):
+    """A parameter-free entry as a Fraction; a polynomial with variables is
+    left for the PPA check to reject."""
+    if isinstance(p, Polynomial):
+        return p.constant_value() if p.is_constant() else p
+    return p if isinstance(p, Fraction) else Fraction(p)
 
 
 def make_ppa(states, initial, params, trans, alphabet, composed_of=None) -> PPA:
-    """Build a pPA from `trans` given as {(state, action): (label, dist)}."""
+    """Build a pPA from `trans` given as {(state, action): (label, dist)};
+    entries are stored in the form `params` decides (see `PPA`)."""
+    params = frozenset(params)
+    entry = Polynomial.coerce if params else _rational
     tmap, lmap, actions = {}, {}, []
     for (s, a), (lab, dist) in trans.items():
-        tmap[(s, a)] = {t: Polynomial.coerce(p) for t, p in dist.items()}
+        tmap[(s, a)] = {t: entry(p) for t, p in dist.items()}
         lmap[(s, a)] = lab
         if a not in actions:
             actions.append(a)
     return PPA(
         states=tuple(states),
         initial=initial,
-        params=frozenset(params),
+        params=params,
         actions=tuple(sorted(actions, key=sort_key)),
         trans=tmap,
         label=lmap,
@@ -139,7 +149,7 @@ def make_ppa(states, initial, params, trans, alphabet, composed_of=None) -> PPA:
 
 
 def dirac(state) -> dict:
-    return {state: Polynomial.const(1)}
+    return {state: Fraction(1)}
 
 
 # ---------------------------------------------------------------------------
@@ -153,9 +163,10 @@ def instantiate(m: PPA, v) -> PPA:
     result see parameter-free components.
     """
     require_total(v, m.params)
+    if not m.params:
+        return m
     trans = {
-        key: {s: Polynomial.const(Polynomial.coerce(p).evaluate(v)) for s, p in dist.items()}
-        for key, dist in m.trans.items()
+        key: {s: p.evaluate(v) for s, p in dist.items()} for key, dist in m.trans.items()
     }
     composed_of = m.composed_of
     if composed_of is not None:
@@ -168,15 +179,15 @@ def instantiate(m: PPA, v) -> PPA:
 
 def well_defined(m: PPA, v) -> WellDefinedness:
     require_total(v, m.params)
+    parametric = bool(m.params)
     graph_preserving = True
     for dist in m.trans.values():
         total = Fraction(0)
-        for poly in dist.values():
-            poly = Polynomial.coerce(poly)
-            value = poly.evaluate(v)
+        for p in dist.values():
+            value = p.evaluate(v) if parametric else p
             if not 0 <= value <= 1:
                 return WellDefinedness.NEITHER
-            if (value == 0) != poly.is_zero():
+            if parametric and (value == 0) != p.is_zero():
                 graph_preserving = False
             total += value
         if total != 1:
@@ -210,14 +221,14 @@ def compose(m1: PPA, m2: PPA) -> PPA:
                 if m2.label[(s2, a2)] != lab:
                     continue
                 dist = {
-                    (t1, t2): Polynomial.coerce(p1) * Polynomial.coerce(p2)
+                    (t1, t2): p1 * p2
                     for t1, p1 in d1.items()
                     for t2, p2 in d2.items()
                 }
                 trans[((s1, s2), (a1, a2))] = (lab, dist)
         else:
             for s2 in m2.states:
-                dist = {(t1, s2): Polynomial.coerce(p1) for t1, p1 in d1.items()}
+                dist = {(t1, s2): p1 for t1, p1 in d1.items()}
                 trans[((s1, s2), (a1, lab))] = (lab, dist)
 
     for (s2, a2), d2 in m2.trans.items():
@@ -225,7 +236,7 @@ def compose(m1: PPA, m2: PPA) -> PPA:
         if lab in shared:
             continue
         for s1 in m1.states:
-            dist = {(s1, t2): Polynomial.coerce(p2) for t2, p2 in d2.items()}
+            dist = {(s1, t2): p2 for t2, p2 in d2.items()}
             trans[((s1, s2), (lab, a2))] = (lab, dist)
 
     return make_ppa(

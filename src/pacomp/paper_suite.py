@@ -60,7 +60,7 @@ def _anchors():
         return len(comp.states) == 10 and comp.alphabet == frozenset("abc") | {"fail"}
 
     def instantiation_entry():
-        return instantiate(m2, v).const_dist("t0", "t0_a") == {
+        return instantiate(m2, v).dist("t0", "t0_a") == {
             "t1": F(9, 10),
             "t2": F(1, 10),
         }

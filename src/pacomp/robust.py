@@ -10,7 +10,6 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Polynomial
 from .errors import (
     ActionAlphabetClash,
     GeneratorBudgetExceeded,
@@ -361,7 +360,7 @@ def pa_reduce(u: RPA) -> PPA:
         for gen in generators(uset):
             frozen = freeze_dist(gen)
             action = (a, frozen)
-            trans[(s, action)] = (lab, {t: Polynomial.const(p) for t, p in frozen})
+            trans[(s, action)] = (lab, dict(frozen))
     return make_ppa(
         states=u.states,
         initial=u.initial,
@@ -401,7 +400,7 @@ def fix_nature(u: RPA, choices) -> PPA:
                 }
             else:
                 dist = gen[0]
-        trans[(s, a)] = (lab, {t: Polynomial.const(p) for t, p in dist.items() if p})
+        trans[(s, a)] = (lab, {t: p for t, p in dist.items() if p})
     return make_ppa(
         states=u.states,
         initial=u.initial,

@@ -87,24 +87,14 @@ def empty_strategy() -> TabularStrategy:
 def validate_strategy(m: PPA, sigma) -> None:
     """Check mass only on enabled actions and per-path totals at most one."""
     if isinstance(sigma, MemorylessStrategy):
-        items = ((s, d) for s, d in sigma.choice.items())
-        for s, d in items:
-            total = Fraction(0)
-            for a, p in d.items():
-                if (s, a) not in m.trans:
-                    raise ValueError(f"mass on disabled action {(s, a)!r}")
-                if p < 0:
-                    raise ValueError("negative strategy mass")
-                total += p
-            if total > 1:
-                raise ValueError("strategy mass exceeds one")
-        return
-    for path, d in sigma.table.items():
-        last = path_last(path)
+        rows = sigma.choice.items()
+    else:
+        rows = ((path_last(path), d) for path, d in sigma.table.items())
+    for s, d in rows:
         total = Fraction(0)
         for a, p in d.items():
-            if (last, a) not in m.trans:
-                raise ValueError(f"mass on disabled action {(last, a)!r}")
+            if (s, a) not in m.trans:
+                raise ValueError(f"mass on disabled action {(s, a)!r}")
             if p < 0:
                 raise ValueError("negative strategy mass")
             total += p
@@ -125,7 +115,7 @@ def tabulate(m: PPA, sigma, horizon: int) -> TabularStrategy:
             for a, pa in dist.items():
                 if pa == 0:
                     continue
-                for t, prob in m.const_dist(path_last(path), a).items():
+                for t, prob in m.dist(path_last(path), a).items():
                     if prob == 0:
                         continue
                     ext = path + (a, t)
@@ -161,7 +151,7 @@ def cyl_prob(m: PPA, sigma, path: Path) -> Fraction:
     for i in range(path_len(path)):
         prefix = path_prefix(path, i)
         s, a, t = path[2 * i], path[2 * i + 1], path[2 * i + 2]
-        total *= sigma.mass(prefix, a) * m.prob(s, a, t)
+        total *= sigma.mass(prefix, a) * m.trans.get((s, a), {}).get(t, 0)
         if total == 0:
             return Fraction(0)
     return total
@@ -195,7 +185,7 @@ def measure(m: PPA, sigma, horizon: int) -> PathMeasure:
                 if pa == 0:
                     continue
                 used += pa
-                for t, prob in m.const_dist(path_last(path), a).items():
+                for t, prob in m.dist(path_last(path), a).items():
                     if prob == 0:
                         continue
                     ext = path + (a, t)
@@ -312,7 +302,7 @@ def _lift_measure(composed, sigma, pi_i, side, horizon):
             if pa == 0 or (s, a) not in composed.trans:
                 continue
             comp_act = _moves(a, side, comps)
-            dist = composed.const_dist(s, a)
+            dist = composed.dist(s, a)
             if comp_act is not None:
                 if comp_act != pi_i[2 * idx + 1]:
                     continue

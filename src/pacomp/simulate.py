@@ -83,12 +83,12 @@ def _pair_ok(n1: PPA, n2: PPA, s1, s2, rel) -> bool:
     """Matching clause of strong simulation for one pair."""
     for a1 in n1.enabled(s1):
         lab = n1.label[(s1, a1)]
-        mu1 = n1.const_dist(s1, a1)
+        mu1 = n1.dist(s1, a1)
         matched = False
         for a2 in n2.enabled(s2):
             if n2.label[(s2, a2)] != lab:
                 continue
-            if dist_leq(mu1, n2.const_dist(s2, a2), rel):
+            if dist_leq(mu1, n2.dist(s2, a2), rel):
                 matched = True
                 break
         if not matched:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Polynomial, region_samples, valuation_key
+from .algebra import Polynomial, poly_eval, region_samples, valuation_key
 from .errors import (
     AlphabetMismatch,
     EmptyRegion,
@@ -135,10 +135,7 @@ def is_safe_query(query) -> bool:
 
 def instantiate_objective(obj, v):
     if isinstance(obj, RewardObjective):
-        items = tuple(
-            (sym, Polynomial.const(Polynomial.coerce(r).evaluate(v)))
-            for sym, r in obj.rewards
-        )
+        items = tuple((sym, poly_eval(r, v)) for sym, r in obj.rewards)
         return RewardObjective(obj.cmp, obj.threshold, items, obj.name)
     return obj
 
@@ -162,9 +159,7 @@ class Verdict:
 # ---------------------------------------------------------------------------
 
 def _support(dist) -> frozenset:
-    return frozenset(
-        t for t, p in dist.items() if not Polynomial.coerce(p).is_zero()
-    )
+    return frozenset(t for t, p in dist.items() if p)
 
 
 def _sccs(nodes, succ):
@@ -390,13 +385,13 @@ def _policy_iteration(pa, deciding, reward):
     while True:
         chain = {s: {} for s in pa.states}
         for s, a in policy.items():
-            chain[s] = {t: p for t, p in pa.const_dist(s, a).items() if p}
+            chain[s] = {t: p for t, p in pa.dist(s, a).items() if p}
         values = _chain_solve(chain, {s: reward(s, a) for s, a in policy.items()})
         improved = False
         for s in sorted(policy, key=sort_key):
             best_a, best_v = policy[s], values[s]
             for a in pa.enabled(s):
-                succ = [(p, values[t]) for t, p in pa.const_dist(s, a).items() if p]
+                succ = [(p, values[t]) for t, p in pa.dist(s, a).items() if p]
                 if any(val == INF for _, val in succ):
                     v = INF
                 else:
@@ -424,7 +419,7 @@ def max_reach(pa: PPA, targets):
         pa,
         [s for s in pa.states if s not in targets],
         lambda s, a: sum(
-            (p for t, p in pa.const_dist(s, a).items() if t in targets), Fraction(0)
+            (p for t, p in pa.dist(s, a).items() if t in targets), Fraction(0)
         ),
     )
     values = {s: Fraction(1) if s in targets else values[s] for s in pa.states}
@@ -459,7 +454,7 @@ def _min_total_reward_lp(pa: PPA, rew_const):
     states = sorted(_reachable_support(pa), key=sort_key)
     acts = {s: pa.enabled(s) for s in states}
     trans = {
-        (s, a): {t: p for t, p in pa.const_dist(s, a).items() if p}
+        (s, a): {t: p for t, p in pa.dist(s, a).items() if p}
         for s in states
         for a in acts[s]
     }
@@ -495,13 +490,11 @@ def exp_total_reward(pa: PPA, rewards, mode="max"):
         raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
     if not pa.is_pa:
         raise ValueError("exp_total_reward needs a parameter-free model")
-    rewards = {s: Polynomial.coerce(r) for s, r in dict(rewards).items()}
-    for sym, r in rewards.items():
-        if r.constant_value() < 0:
-            raise ValueError("rewards must be nonnegative")
-    if not set(rewards) <= pa.alphabet:
+    rew_const = {s: Polynomial.coerce(r).constant_value() for s, r in dict(rewards).items()}
+    if any(r < 0 for r in rew_const.values()):
+        raise ValueError("rewards must be nonnegative")
+    if not set(rew_const) <= pa.alphabet:
         raise AlphabetMismatch("reward alphabet exceeds model alphabet")
-    rew_const = {s: r.constant_value() for s, r in rewards.items()}
 
     if mode == "min":
         return _min_total_reward_lp(pa, rew_const)
@@ -603,11 +596,11 @@ class _MoQuery:
     extension for partial strategies) with the objectives' absorbing
     bad-prefix DFAs, each state's signature (the DFAs in an accepting state),
     and the reach-target sets.  Transition probabilities and rewards refer by
-    index to the distinct polynomials in `polys`, so a sample's values are one
-    evaluation of each.  What depends on which values are zero, and on the
-    signs of the rewards -- the end-component check, the settle set and
-    `stay` map, and the LP layout -- is built once per sign pattern
-    (`_layout`).  Each sample then only fills in the LP's coefficients,
+    index to the distinct entries in `polys` (polynomials, or the rationals
+    of a parameter-free model), so a sample's values are one `poly_eval` of
+    each.  What depends on which values are zero, and on the signs of the
+    rewards -- the end-component check, the settle set and `stay` map, and
+    the LP layout -- is built once per sign pattern (`_layout`).  Each sample then only fills in the LP's coefficients,
     solves it, and builds a witness when the conjunction is achievable.
     `strategy_values` evaluates fixed strategies of `model` on the same
     product.
@@ -627,7 +620,6 @@ class _MoQuery:
         self.polys, slots = [], {}
 
         def slot(poly):
-            poly = Polynomial.coerce(poly)
             if poly not in slots:
                 slots[poly] = len(self.polys)
                 self.polys.append(poly)
@@ -696,7 +688,7 @@ class _MoQuery:
         objectives, then the reward objectives, under the memoryless strategy
         sigma of `self.model`; missing mass stops, and mass on an action the
         state does not enable is ignored."""
-        trans, rewards = self._chain_parts([p.evaluate(v) for p in self.polys])
+        trans, rewards = self._chain_parts([poly_eval(p, v) for p in self.polys])
 
         def values(sigma):
             choice = sigma.choice
@@ -770,7 +762,7 @@ class _MoQuery:
 
     def solve(self, v):
         """("achievable", witness) or ("unachievable", None) at valuation v."""
-        values = [p.evaluate(v) for p in self.polys]
+        values = [poly_eval(p, v) for p in self.polys]
         signs = tuple((x > 0) - (x < 0) for x in values)
         if signs not in self._layouts:
             self._layouts[signs] = self._layout(values)

@@ -66,7 +66,7 @@ def random_parametric_pair(rng: random.Random, params=("p",)):
 def random_safety_dfa(rng: random.Random, alphabet, n_states=2, allow_empty=True):
     states = [f"q{i}" for i in range(n_states)]
     trans = {
-        (q, sym): rng.choice(states) for q in states for sym in alphabet
+        (q, sym): rng.choice(states) for q in states for sym in sorted(alphabet)
     }
     k = rng.randint(0 if allow_empty else 1, n_states - 1)
     accepting = frozenset(rng.sample(states[1:], k=k)) if k else frozenset()
@@ -91,7 +91,7 @@ def random_tabular_strategy(rng: random.Random, pa, horizon, complete=False):
             dist = {a: Fraction(w, total) for a, w in zip(chosen, weights)}
             table[path] = dist
             for a in chosen:
-                for t, prob in pa.const_dist(path_last(path), a).items():
+                for t, prob in pa.dist(path_last(path), a).items():
                     if prob:
                         nxt.add(path + (a, t))
         frontier = nxt

@@ -146,6 +146,22 @@ def test_malformed_polynomial_is_usage_error(corpus_dir, tmp_path, capsys):
     assert code == 2 and err.startswith("input/output error:")
 
 
+def test_undeclared_parameter_is_usage_error(corpus_dir, tmp_path, capsys):
+    # a parameter missing from "params" is malformed input, rejected at load
+    # time: not a vacuous "holds", nor a MissingParameter when sampling
+    doc = json.load(open(corpus_dir / "retry.ppa.json"))
+    stray_q = json.loads(json.dumps(doc))
+    stray_q["transitions"][0]["dist"] = [["s0", "q"], ["s1", "1 - q"]]
+    query = str(corpus_dir / "safe_assumption.query.json")
+    for bad, stray in ((dict(doc, params=[]), "p"), (stray_q, "q")):
+        path = tmp_path / "undeclared.ppa.json"
+        json.dump(bad, open(path, "w"))
+        code, out, err = run(capsys, "check", "--model", str(path), "--objective", query,
+                             "--region", "box.p=[0,1/10]")
+        assert code == 2 and out == ""
+        assert err == f"format error: transition probabilities use undeclared parameters ['{stray}']\n"
+
+
 def test_internal_error_is_never_a_verdict(corpus_dir, capsys, monkeypatch):
     def broken_solver(*args, **kwargs):
         raise RuntimeError("witness failed exact re-verification")

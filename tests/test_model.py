@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacomp import corpus, modelio
 from pacomp.algebra import Polynomial, parse_poly
@@ -10,6 +12,7 @@ from pacomp.model import (
     DFA,
     WellDefinedness,
     alphabet_extend,
+    canonical_form,
     compose,
     dfa_forbid_symbols,
     dfa_product,
@@ -33,7 +36,7 @@ ONE = Polynomial.const(1)
 def test_instantiate_pipeline_entry():
     m2 = corpus.pipeline_component()
     inst = instantiate(m2, {"p": F(1, 10), "q": F(1, 10)})
-    assert inst.const_dist("t0", "t0_a") == {"t1": F(9, 10), "t2": F(1, 10)}
+    assert inst.dist("t0", "t0_a") == {"t1": F(9, 10), "t2": F(1, 10)}
     assert inst.params == frozenset()
 
 
@@ -41,14 +44,51 @@ def test_instantiate_pa_identity():
     pa = corpus.handoff_fixed()
     again = instantiate(pa, {})
     assert again.trans.keys() == pa.trans.keys()
-    assert again.const_dist("s1", "s1_b") == pa.const_dist("s1", "s1_b")
+    assert again.dist("s1", "s1_b") == pa.dist("s1", "s1_b")
 
 
 def test_instantiate_out_of_range_is_representable():
     m1 = corpus.retry_component()
     inst = instantiate(m1, {"p": 2})
-    assert inst.trans[("s0", "s0_a")]["s1"].constant_value() == -1
+    assert inst.trans[("s0", "s0_a")]["s1"] == F(-1)
     assert well_defined(m1, {"p": 2}) is WellDefinedness.NEITHER
+
+
+def _rebuild(m, params, entry):
+    trans = {key: (m.label[key], {t: entry(p) for t, p in dist.items()})
+             for key, dist in m.trans.items()}
+    return make_ppa(m.states, m.initial, params, trans, m.alphabet)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 4))
+def test_parameters_decide_the_entry_form(seed, k):
+    rng = random.Random(seed)
+    m1, m2 = random_parametric_pair(rng)
+    pa = random_pa(rng, "x", rng.randint(1, 4), ["a", "c"])
+    v = {"p": F(k, 4)}
+    for m in (m1, m2, compose(m1, m2), compose(m1, pa)):
+        inst = instantiate(m, v)
+        for model in (inst,) + (inst.composed_of or ()):
+            assert all(type(p) is F for d in model.trans.values() for p in d.values())
+        assert m.params and not m.is_pa
+        assert not inst.params and inst.is_pa
+        # a parameter-free model holds the same Fractions however they are passed
+        as_poly = _rebuild(inst, (), Polynomial.const)
+        as_rational = _rebuild(inst, (), lambda q: q)
+        assert as_poly == as_rational == inst
+        assert canonical_form(as_poly) == canonical_form(as_rational)
+    assert pa.is_pa and instantiate(pa, v) == pa
+
+
+def test_undeclared_parameters_are_rejected():
+    m1 = corpus.retry_component()
+    with pytest.raises(ValueError, match=r"undeclared parameters \['p'\]"):
+        _rebuild(m1, (), lambda p: p)
+    with pytest.raises(ValueError, match=r"undeclared parameters \['p'\]"):
+        _rebuild(m1, {"q"}, lambda p: p)
+    # constant entries stay polynomials when the model declares parameters
+    assert not _rebuild(corpus.handoff_fixed(), {"p"}, lambda p: p).is_pa
 
 
 def test_well_defined_trichotomy():
@@ -104,7 +144,7 @@ def test_instantiate_commutes_with_compose():
         right = compose(instantiate(m1, v), instantiate(m2, v))
         assert left.trans.keys() == right.trans.keys()
         for key in left.trans:
-            assert left.const_dist(*key) == right.const_dist(*key)
+            assert left.dist(*key) == right.dist(*key)
 
 
 def test_compose_associative_up_to_renaming():

@@ -285,7 +285,7 @@ def test_pa_reduce_structure():
     # a Dirac-only robust model reduces to an isomorphic plain model
     d1 = make_rpa(["x"], "x", {("x", "x_l"): ("a", VertexSet.dirac("x"))}, {"a"})
     red2 = pa_reduce(d1)
-    assert len(red2.trans) == 1 and red2.const_dist("x", list(red2.actions)[0]) == {"x": F(1)}
+    assert len(red2.trans) == 1 and red2.dist("x", list(red2.actions)[0]) == {"x": F(1)}
 
 
 def test_reduce_commutes_with_alphabet_extension():

@@ -94,7 +94,7 @@ def test_max_reach_agrees_with_policy_enumeration():
             # evaluate reach probability of this policy by linear solve
             from pacomp.verify import _reach_prob
 
-            chain = {s: pa.const_dist(s, a) if a else {} for s, a in zip(pa.states, combo)}
+            chain = {s: pa.dist(s, a) if a else {} for s, a in zip(pa.states, combo)}
             best = max(best, _reach_prob(chain, frozenset(target), pa.initial))
         assert value == best
 
