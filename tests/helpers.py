@@ -79,7 +79,7 @@ def random_tabular_strategy(rng: random.Random, pa, horizon, complete=False):
     frontier = {(pa.initial,)}
     for _ in range(horizon):
         nxt = set()
-        for path in frontier:
+        for path in sorted(frontier, key=sort_key):
             acts = pa.enabled(path_last(path))
             if not acts:
                 continue
