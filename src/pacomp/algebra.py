@@ -8,6 +8,7 @@ ever touches floating point.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -287,6 +288,76 @@ def poly_eval(poly, valuation) -> Fraction:
     if isinstance(poly, Polynomial):
         return poly.evaluate(valuation)
     return poly if isinstance(poly, Fraction) else Fraction(poly)
+
+
+class PolyTable:
+    """Distinct polynomials in integer form, evaluated together at a valuation.
+
+    `slot(p)` registers a polynomial or a rational and returns its index;
+    equal entries share one slot.  `at(v)` returns one value vector (D, nums):
+    a positive integer D and one integer per slot, with nums[k] / D the value
+    of slot k at v.  The table is compiled on the first evaluation after a
+    registration: every coefficient is scaled to the lcm L of all coefficient
+    denominators, and a parameter x = a/b of highest exponent d contributes
+    b**d to D = L * prod(b**d), so a monomial's value is the integer
+    prod(a**e * b**(d - e)) and no `Fraction` is built per sample.  A table
+    without variables has a single vector, computed when it is compiled.
+    """
+
+    __slots__ = ("polys", "_index", "_code", "_fixed")
+
+    def __init__(self):
+        self.polys, self._index, self._code, self._fixed = [], {}, None, None
+
+    def slot(self, poly) -> int:
+        k = self._index.get(poly)
+        if k is None:
+            k = self._index[poly] = len(self.polys)
+            self.polys.append(poly)
+            self._code = None
+        return k
+
+    def _compile(self):
+        terms = [Polynomial.coerce(p).terms for p in self.polys]
+        # first-appearance order, so a missing parameter is reported as
+        # evaluating the slots one by one would report it
+        degree = {}
+        for t in terms:
+            for mono in t:
+                for var, e in mono:
+                    degree[var] = max(degree.get(var, 0), e)
+        scale = math.lcm(1, *(c.denominator for t in terms for c in t.values()))
+        monos, rows = {}, []  # exponent vector -> its index, in insertion order
+        for t in terms:
+            row = []
+            for mono, c in t.items():
+                exps = tuple(dict(mono).get(var, 0) for var in degree)
+                j = monos.setdefault(exps, len(monos))
+                row.append((c.numerator * (scale // c.denominator), j))
+            rows.append(row)
+        self._code = (tuple(degree.items()), scale, list(monos), rows)
+        self._fixed = None if degree else self._evaluate({})
+
+    def _evaluate(self, v):
+        degree, den, monos, rows = self._code
+        powers = []
+        for var, d in degree:
+            if var not in v:
+                raise MissingParameter(f"parameter {var!r} unassigned")
+            x = v[var]
+            if not isinstance(x, Fraction):
+                x = Fraction(x)
+            a, b = x.numerator, x.denominator
+            powers.append([a ** e * b ** (d - e) for e in range(d + 1)])
+            den *= b ** d
+        values = [math.prod(p[e] for p, e in zip(powers, exps)) for exps in monos]
+        return den, [sum(c * values[j] for c, j in row) for row in rows]
+
+    def at(self, v):
+        """The value vector (D, nums) at valuation v."""
+        if self._code is None:
+            self._compile()
+        return self._fixed or self._evaluate(v)
 
 
 # ---------------------------------------------------------------------------

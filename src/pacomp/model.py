@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 
-from .algebra import Polynomial, require_total
+from .algebra import Polynomial, PolyTable, require_total
 from .errors import ActionAlphabetClash, AlphabetMismatch
 
 TAU_SYMBOL = "tau"
@@ -177,22 +177,64 @@ def instantiate(m: PPA, v) -> PPA:
     return replace(m, params=frozenset(), trans=trans, composed_of=composed_of)
 
 
-def well_defined(m: PPA, v) -> WellDefinedness:
-    require_total(v, m.params)
-    parametric = bool(m.params)
-    graph_preserving = True
-    for dist in m.trans.values():
-        total = Fraction(0)
-        for p in dist.values():
-            value = p.evaluate(v) if parametric else p
-            if not 0 <= value <= 1:
+def well_definedness(table: PolyTable, models):
+    """The joint well-definedness of `models` at a value vector of `table`.
+
+    Registers every transition entry of the models in `table` and returns a
+    function from a vector (D, nums) to a `WellDefinedness`.  Each distinct
+    distribution row is checked once per vector: NEITHER when an entry is
+    outside [0, D] or the row does not sum to D; otherwise GRAPH_PRESERVING
+    when every nonzero polynomial has a nonzero value.  Rows whose entries are
+    all constant do not depend on the valuation, so they are checked at the
+    first vector only; a PA consists of such rows.
+    """
+    rows = {
+        tuple(sorted(table.slot(p) for p in dist.values()))
+        for m in models
+        for dist in m.trans.values()
+    }
+    polys = table.polys
+
+    def constant(row):
+        return all(not isinstance(polys[k], Polynomial) or polys[k].is_constant() for k in row)
+
+    def checker(rows):
+        slots = sorted({k for row in rows for k in row})
+        live = [k for k in slots if polys[k]]
+
+        def check(den, nums):
+            if any(not 0 <= nums[k] <= den for k in slots) or any(
+                sum(nums[k] for k in row) != den for row in rows
+            ):
                 return WellDefinedness.NEITHER
-            if parametric and (value == 0) != p.is_zero():
-                graph_preserving = False
-            total += value
-        if total != 1:
-            return WellDefinedness.NEITHER
-    return WellDefinedness.GRAPH_PRESERVING if graph_preserving else WellDefinedness.WELL_DEFINED
+            if all(nums[k] for k in live):
+                return WellDefinedness.GRAPH_PRESERVING
+            return WellDefinedness.WELL_DEFINED
+
+        return check
+
+    check_fixed = checker([row for row in rows if constant(row)])
+    check_varying = checker([row for row in rows if not constant(row)])
+    fixed = None
+
+    def kind(point):
+        nonlocal fixed
+        if fixed is None:
+            fixed = check_fixed(*point)
+        if fixed is WellDefinedness.NEITHER:
+            return fixed
+        varying = check_varying(*point)
+        return fixed if varying is WellDefinedness.GRAPH_PRESERVING else varying
+
+    return kind
+
+
+def well_defined(m: PPA, v) -> WellDefinedness:
+    """Whether `m` instantiates at v to a PA, and to a graph-preserving one:
+    the check of `well_definedness` at one sample."""
+    require_total(v, m.params)
+    table = PolyTable()
+    return well_definedness(table, [m])(table.at(v))
 
 
 # ---------------------------------------------------------------------------

@@ -459,9 +459,12 @@ _TYPES = {
     "objective": ({"kind": frozenset({"prob", "reward"}),
                    "cmp": frozenset({"<", "<=", ">", ">="}), "threshold": "rat",
                    "?dfa": "dfa", "?rewards": [("str", "poly")], "?name": "str"}, _objective),
-    "box": ({"bounds": [("str", ("rat", "rat"))]}, lambda f, *_: Box.of(dict(f["bounds"]))),
+    "box": ({"bounds": [("str", ("rat", "rat"))]},
+            lambda f, path, _: _located(f"{path}.bounds", _box, f["bounds"])),
     "finite": ({"valuations": [[("str", "rat")]]},
-               lambda f, *_: FiniteRegion.of(dict(v) for v in f["valuations"])),
+               lambda f, path, _: FiniteRegion.of(
+                   _located(f"{path}.valuations[{i}]", _named, v, "valuation")
+                   for i, v in enumerate(f["valuations"]))),
     "union": ({"parts": ["region"]}, lambda f, *_: RegionUnion.of(f["parts"])),
     "strategy": ({"kind": frozenset({"memoryless", "tabular"}), "?complete": "bool",
                   "?horizon": "int", "?choice": [("id", _RATIONAL_DIST)],
@@ -491,6 +494,32 @@ def ppa_from_jsonable(doc: dict) -> PPA:
     return load_document(doc, "ppa")
 
 
+def _located(path, build, *args):
+    """build(*args), with its ParseError reported at the JSON path `path`."""
+    try:
+        return build(*args)
+    except ParseError as exc:
+        _fail(path, str(exc))
+
+
+def _named(pairs, what):
+    """The dict of (parameter, value) pairs; naming a parameter twice would
+    silently drop one of its values, so it is malformed."""
+    out = {}
+    for name, value in pairs:
+        if name in out:
+            raise ParseError(f"{what} names parameter {name!r} twice")
+        out[name] = value
+    return out
+
+
+def _box(axes):
+    """The Box of (parameter, (lo, hi)) axes: at least one, each parameter once."""
+    if not axes:
+        raise ParseError("a box region needs at least one axis")
+    return Box.of(_named(axes, "box"))
+
+
 def parse_region_arg(text, inputs):
     """Parse region text: box.p=[0,0.1],q=[0,1] | finite:{p=1/10};{p=9/10} | @file."""
     text = text.strip()
@@ -498,7 +527,7 @@ def parse_region_arg(text, inputs):
         return inputs.load(text[1:], "region")
     if text.startswith("box.") or text.startswith("box:"):
         body = text[4:]
-        bounds = {}
+        axes = []
         for chunk in _split_axes(body):
             if "=" not in chunk:
                 raise ParseError(f"bad box axis {chunk!r}")
@@ -507,8 +536,8 @@ def parse_region_arg(text, inputs):
             if not (rng.startswith("[") and rng.endswith("]")) or rng.count(",") != 1:
                 raise ParseError(f"bad interval {rng!r} for {name!r}")
             lo, hi = rng[1:-1].split(",")
-            bounds[name.strip()] = (parse_rational(lo), parse_rational(hi))
-        return Box.of(bounds)
+            axes.append((name.strip(), (parse_rational(lo), parse_rational(hi))))
+        return _box(axes)
     if text.startswith("finite:"):
         vals = []
         for chunk in text[len("finite:"):].split(";"):
@@ -539,15 +568,15 @@ def _split_axes(body):
 
 
 def parse_valuation_arg(text):
-    val = {}
+    items = []
     for item in text.split(","):
         if not item.strip():
             continue
         if "=" not in item:
             raise ParseError(f"bad valuation item {item!r}: expected name=value")
         name, value = item.split("=", 1)
-        val[name.strip()] = parse_rational(value)
-    return val
+        items.append((name.strip(), parse_rational(value)))
+    return _named(items, "valuation")
 
 
 def dump_document(obj) -> dict:

@@ -2,18 +2,18 @@
 
 The distribution lifting is decided exactly by a max-flow check on the
 bipartite graph induced by the candidate relation, after a per-successor Hall
-condition that rejects most non-liftings without a flow.  Simulation scales
-each instance's probabilities once to integers over a common denominator, so
-the liftings it decides run on ints.
+condition that rejects most non-liftings without a flow.  Each instance's
+probabilities are the integer value vector of both models' distinct
+polynomials (`PolyTable`) at its valuation, all over one denominator, so the
+liftings simulation decides run on ints.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
 
-from .algebra import valuation_key
-from .model import PPA, instantiate, sort_key
+from .algebra import PolyTable, valuation_key
+from .model import PPA, sort_key
 from .verify import Verdict, _checked_samples
 
 
@@ -85,20 +85,31 @@ def dist_leq(mu1, mu2, rel) -> bool:
     return _maxflow("src", "snk", arcs) == total1
 
 
-def _scaled(n1: PPA, n2: PPA):
-    """The integer tables of one instance, over a common denominator.
+def _slotted(table: PolyTable, *models):
+    """Each model's transitions as {(state, action): ((successor, slot), ...)},
+    with every entry registered in `table`."""
+    return [
+        {key: tuple((t, table.slot(p)) for t, p in dist.items()) for key, dist in m.trans.items()}
+        for m in models
+    ]
 
-    Each table maps (state, action) to {successor: p * D} with zero entries
-    dropped, where D is the lcm of every entry denominator in both models.
-    """
-    scale = math.lcm(*(
-        p.denominator for n in (n1, n2) for dist in n.trans.values() for p in dist.values()
-    ))
+
+def _instance(slotted, nums):
+    """The integer tables of one instance: each maps (state, action) to
+    {successor: numerator} at one table vector, zero entries dropped.  All
+    numerators share the vector's denominator D."""
     return tuple(
-        {key: {t: p.numerator * (scale // p.denominator) for t, p in dist.items() if p}
-         for key, dist in n.trans.items()}
-        for n in (n1, n2)
+        {key: {t: nums[k] for t, k in row if nums[k]} for key, row in table.items()}
+        for table in slotted
     )
+
+
+def _scaled(n1: PPA, n2: PPA):
+    """The integer tables of two PAs: the one vector of their entries' table,
+    whose D is the lcm of every entry denominator."""
+    table = PolyTable()
+    slotted = _slotted(table, n1, n2)
+    return _instance(slotted, table.at({})[1])
 
 
 def _pair_ok(m1: PPA, m2: PPA, instance, s1, s2, rel) -> bool:
@@ -118,7 +129,7 @@ def _pair_ok(m1: PPA, m2: PPA, instance, s1, s2, rel) -> bool:
 def _greatest_sim(m1: PPA, m2: PPA, instances):
     """Greatest relation whose pairs pass the matching clause at every instance.
 
-    `instances` holds the `_scaled` tables of instances of `m1` and `m2`,
+    `instances` holds the `_instance` tables of instances of `m1` and `m2`,
     which share their transitions and labels.  Greatest-fixpoint computation:
     start from all pairs of `m1` and `m2` states and sweep them in a
     deterministic order, removing a pair as soon as it fails at any instance,
@@ -156,12 +167,14 @@ def is_strong_sim(n1: PPA, n2: PPA, rel) -> bool:
 
 def strong_sim_region(m1: PPA, m2: PPA, region, resolution=1) -> Verdict:
     """Per-valuation strong simulation; witnessing relations may differ."""
-    samples = _checked_samples(region, resolution, m1, m2)
+    table = PolyTable()
+    slotted = _slotted(table, m1, m2)
+    samples = _checked_samples(region, resolution, m1, m2, table=table)
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
     details = []
-    for v in samples:
-        rel = strong_sim(instantiate(m1, v), instantiate(m2, v))
+    for v, (_, nums) in samples:
+        rel = _greatest_sim(m1, m2, [_instance(slotted, nums)])
         if rel is None:
             return Verdict("fails", witness={"valuation": v}, details=details)
         details.append({"valuation": valuation_key(v), "relation": sorted(rel, key=sort_key)})
@@ -174,10 +187,11 @@ def robust_strong_sim(m1: PPA, m2: PPA, region, resolution=1):
     Joint greatest fixpoint: a pair is removed as soon as it fails the
     matching clause at any sampled valuation.  Returns the relation or None.
     """
-    samples = _checked_samples(region, resolution, m1, m2)
+    table = PolyTable()
+    slotted = _slotted(table, m1, m2)
+    samples = _checked_samples(region, resolution, m1, m2, table=table)
     if samples is None:
         return frozenset(
             (s1, s2) for s1 in m1.states for s2 in m2.states
         )
-    instances = [_scaled(instantiate(m1, v), instantiate(m2, v)) for v in samples]
-    return _greatest_sim(m1, m2, instances)
+    return _greatest_sim(m1, m2, [_instance(slotted, nums) for _, (_, nums) in samples])

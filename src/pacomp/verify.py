@@ -17,13 +17,16 @@ solvers are exact and end in two mechanisms:
 One query structure (`_MoQuery`) serves the LP checks, the re-check of
 their witnesses and the values of fixed strategies.  It is built once per
 query and model: the joint DFA product of the parametric model (its tau
-extension for partial strategies), the reach targets, and the index of every
-transition probability and reward among the model's distinct polynomials.
-At a valuation each distinct polynomial is evaluated once.  The settle set,
-`stay` map, end-component check and LP layout depend only on which values
-are zero (and on the rewards' signs), so they are built once per such sign
-pattern: graph-preserving samples share one, and a sample with a smaller
-support, such as a p = 0 corner, gets its own.  Per sample, the LP's
+extension for partial strategies), the reach targets, and the slot of every
+transition probability and reward in a `PolyTable` of distinct polynomials.
+A region check builds one table for its queries and the well-definedness
+check: each sample is one integer value vector of it, from which the sample
+is validated (`_checked_samples`, for every sample before the first solve)
+and then solved.  The settle set, `stay` map, end-component check and LP
+layout depend only on which values are zero (and on the rewards' signs), so
+they are built once per such sign pattern: graph-preserving samples share
+one, and a sample with a smaller support, such as a p = 0 corner, gets its
+own.  Per sample, the LP's
 coefficients are filled in and solved, and a witness is built and re-checked
 only when the query is achievable.  A strategy's values are the witness
 re-check without settle mass: `chain_language_prob`, `chain_expected_reward`
@@ -37,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Polynomial, poly_eval, region_samples, valuation_key
+from .algebra import Polynomial, PolyTable, poly_eval, region_samples, require_total, valuation_key
 from .errors import (
     AlphabetMismatch,
     EmptyRegion,
@@ -54,7 +57,7 @@ from .model import (
     dfa_product,
     sort_key,
     tau_extend,
-    well_defined,
+    well_definedness,
 )
 from .semantics import MemorylessStrategy
 
@@ -596,35 +599,24 @@ class _MoQuery:
     extension for partial strategies) with the objectives' absorbing
     bad-prefix DFAs, each state's signature (the DFAs in an accepting state),
     and the reach-target sets.  Transition probabilities and rewards refer by
-    index to the distinct entries in `polys` (polynomials, or the rationals
-    of a parameter-free model), so a sample's values are one `poly_eval` of
-    each.  What depends on which values are zero, and on the signs of the
-    rewards -- the end-component check, the settle set and `stay` map, and
-    the LP layout -- is built once per sign pattern (`_layout`).  Each sample then only fills in the LP's coefficients,
-    solves it, and builds a witness when the conjunction is achievable.
-    `strategy_values` evaluates fixed strategies of `model` on the same
-    product.
+    index to their slots in a `PolyTable` that the caller may share with other
+    queries and the well-definedness check, so a sample is one value vector
+    of that table.  What depends on which values are zero, and on the signs
+    of the rewards -- the end-component check, the settle set and `stay` map,
+    and the LP layout -- is built once per sign pattern (`_layout`).  Each
+    sample then only fills in the LP's coefficients, solves it, and builds a
+    witness when the conjunction is achievable.  `strategy_values` evaluates
+    fixed strategies of `model` on the same product.  The objectives'
+    alphabets are the caller's to check (`_require_alphabet`).
     """
 
-    def __init__(self, m: PPA, query, strategy_class):
-        for obj in query:
-            if not obj.alphabet <= m.alphabet:
-                raise AlphabetMismatch(
-                    f"objective alphabet {sorted(obj.alphabet)} exceeds the model's"
-                )
+    def __init__(self, m: PPA, query, strategy_class, table: PolyTable):
         work = tau_extend(m) if strategy_class == "prt" else m
         self.model, self.strategy_class = work, strategy_class
         self.prob_objs = [o for o in query if isinstance(o, ProbObjective)]
         self.rew_objs = [o for o in query if isinstance(o, RewardObjective)]
         self.strict = any(o.cmp in ("<", ">") for o in query)
-        self.polys, slots = [], {}
-
-        def slot(poly):
-            if poly not in slots:
-                slots[poly] = len(self.polys)
-                self.polys.append(poly)
-            return slots[poly]
-
+        slot = table.slot
         entries = {
             key: tuple((t, slot(p)) for t, p in dist.items())
             for key, dist in work.trans.items()
@@ -683,12 +675,12 @@ class _MoQuery:
         ]
         return trans, rewards
 
-    def strategy_values(self, v):
-        """sigma -> the exact values at valuation v of the probability
-        objectives, then the reward objectives, under the memoryless strategy
-        sigma of `self.model`; missing mass stops, and mass on an action the
-        state does not enable is ignored."""
-        trans, rewards = self._chain_parts([poly_eval(p, v) for p in self.polys])
+    def strategy_values(self, point):
+        """sigma -> the exact values at the table vector `point` of the
+        probability objectives, then the reward objectives, under the
+        memoryless strategy sigma of `self.model`; missing mass stops, and
+        mass on an action the state does not enable is ignored."""
+        trans, rewards = self._chain_parts(_values(point))
 
         def values(sigma):
             choice = sigma.choice
@@ -760,10 +752,11 @@ class _MoQuery:
             rows.append(("ub", {t_index: (1, (), ())}, 1))
         return num_vars, rows, y_index, w_index, stay
 
-    def solve(self, v):
-        """("achievable", witness) or ("unachievable", None) at valuation v."""
-        values = [poly_eval(p, v) for p in self.polys]
-        signs = tuple((x > 0) - (x < 0) for x in values)
+    def solve(self, point):
+        """("achievable", witness) or ("unachievable", None) at the table
+        vector `point`."""
+        signs = tuple((n > 0) - (n < 0) for n in point[1])
+        values = _values(point)
         if signs not in self._layouts:
             self._layouts[signs] = self._layout(values)
         num_vars, rows, y_index, w_index, stay = self._layouts[signs]
@@ -818,6 +811,20 @@ class _MoQuery:
         }
 
 
+def _values(point):
+    """The rational values of a table vector (D, nums)."""
+    den, nums = point
+    return [Fraction(n, den) for n in nums]
+
+
+def _require_alphabet(m: PPA, query):
+    for obj in query:
+        if not obj.alphabet <= m.alphabet:
+            raise AlphabetMismatch(
+                f"objective alphabet {sorted(obj.alphabet)} exceeds the model's"
+            )
+
+
 def mo_achievable(pa: PPA, query, strategy_class="cmp"):
     """Exact achievability of a conjunction of objectives by one strategy.
 
@@ -830,7 +837,9 @@ def mo_achievable(pa: PPA, query, strategy_class="cmp"):
     """
     if not pa.is_pa:
         raise ValueError("mo_achievable needs a parameter-free model")
-    return _MoQuery(pa, query, strategy_class).solve({})
+    _require_alphabet(pa, query)
+    table = PolyTable()
+    return _MoQuery(pa, query, strategy_class, table).solve(table.at({}))
 
 
 def _witness_values(init, states, trans, targets, rewards, mix, settle_mass, stay):
@@ -886,7 +895,10 @@ def _witness_values(init, states, trans, targets, rewards, mix, settle_mass, sta
 
 def solution_value(m_inst: PPA, sigma: MemorylessStrategy, objective):
     """Value of the solution function at one instantiated model and strategy."""
-    return _MoQuery(m_inst, (objective,), "cmp").strategy_values({})(sigma)[0]
+    _require_alphabet(m_inst, (objective,))
+    table = PolyTable()
+    query = _MoQuery(m_inst, (objective,), "cmp", table)
+    return query.strategy_values(table.at({}))(sigma)[0]
 
 
 def chain_language_prob(pa: PPA, sigma: MemorylessStrategy, dfa) -> Fraction:
@@ -903,23 +915,30 @@ def chain_expected_reward(pa: PPA, sigma: MemorylessStrategy, rewards) -> Fracti
 # Region-level checks
 # ---------------------------------------------------------------------------
 
-def _checked_samples(region, resolution, *models, filter_gp=False):
+def _checked_samples(region, resolution, *models, table=None, filter_gp=False):
     """The region's samples, each of which instantiates every model to a PA
-    (only the graph-preserving ones with `filter_gp`); None for an empty region."""
+    (only the graph-preserving ones with `filter_gp`), as (valuation, vector)
+    pairs: the vector is `table`'s value vector at the sample, after the
+    models' entries are registered in it.  None for an empty region."""
     try:
         samples = region_samples(region, resolution)
     except EmptyRegion:
         return None
+    table = PolyTable() if table is None else table
+    kind_at = well_definedness(table, models)
     out = []
     for v in samples:
-        kinds = {well_defined(m, v) for m in models}
-        if WellDefinedness.NEITHER in kinds:
+        for m in models:
+            require_total(v, m.params)
+        point = table.at(v)
+        kind = kind_at(point)
+        if kind is WellDefinedness.NEITHER:
             raise IllDefinedValuationInRegion(
                 f"sample {dict(sorted(v.items()))} does not instantiate to a PA"
             )
-        if filter_gp and kinds != {WellDefinedness.GRAPH_PRESERVING}:
+        if filter_gp and kind is not WellDefinedness.GRAPH_PRESERVING:
             continue
-        out.append(v)
+        out.append((v, point))
     if filter_gp and not out:
         raise NotGraphPreserving("no graph-preserving sample in the region")
     return out
@@ -929,14 +948,15 @@ def _sample_loop(m, region, resolution, strategy_class, cases, key):
     """Fails at the first sample at which the violation query of some
     (objective, violation query) case is achievable; the witness names that
     objective under `key`."""
-    samples = _checked_samples(region, resolution, m)
+    table = PolyTable()
+    checks = [(obj, _MoQuery(m, bad, strategy_class, table)) for obj, bad in cases]
+    samples = _checked_samples(region, resolution, m, table=table)
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
-    checks = [(obj, _MoQuery(m, bad, strategy_class)) for obj, bad in cases]
     details = []
-    for v in samples:
+    for v, point in samples:
         for obj, check in checks:
-            status, wit = check.solve(v)
+            status, wit = check.solve(point)
             if status == "achievable":
                 return Verdict(
                     "fails",
@@ -1051,24 +1071,27 @@ def monotone_check(
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
-    samples = _checked_samples(region, resolution, m)
+    table = PolyTable()
+    query = _MoQuery(m, (objective,), strategy_class, table)
+    samples = _checked_samples(region, resolution, m, table=table)
     caveat = "per enumerated strategy class; sound per sampled valuation"
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
-    groups = {}
-    for v in samples:
+    groups, points = {}, {}
+    for v, point in samples:
         if param not in v:
             raise MissingParameter(f"samples do not assign parameter {param!r}")
         rest = tuple(sorted((k, val) for k, val in v.items() if k != param))
         groups.setdefault(rest, []).append(v)
-    query = _MoQuery(m, (objective,), strategy_class)
+        points[valuation_key(v)] = point
+    _require_alphabet(m, (objective,))
     strategies = enumerate_memoryless(query.model, grid_denominator)
     functions = {}  # valuation key -> strategy_values at it, built on first use
 
     def function(v):
         key = valuation_key(v)
         if key not in functions:
-            functions[key] = query.strategy_values(v)
+            functions[key] = query.strategy_values(points[key])
         return functions[key]
 
     ordered_pairs = []

@@ -6,14 +6,19 @@ import itertools
 import random
 from fractions import Fraction
 
-from pacomp.algebra import Polynomial, valuation_key
-from pacomp.errors import ActionAlphabetClash, GeneratorBudgetExceeded, InfeasibleIntervalSet
-from pacomp.model import DFA, instantiate, make_ppa, sort_key, tau_extend
+from pacomp.algebra import Polynomial, region_samples, require_total, valuation_key
+from pacomp.errors import (
+    ActionAlphabetClash,
+    EmptyRegion,
+    GeneratorBudgetExceeded,
+    IllDefinedValuationInRegion,
+    InfeasibleIntervalSet,
+)
+from pacomp.model import DFA, WellDefinedness, instantiate, make_ppa, sort_key, tau_extend
 from pacomp.robust import RPA, IntervalSet, VertexSet, freeze_dist, make_rpa
 from pacomp.semantics import TabularStrategy, path_last
 from pacomp.verify import (
     Verdict,
-    _checked_samples,
     enumerate_memoryless,
     instantiate_objective,
     mo_achievable,
@@ -214,12 +219,46 @@ def alphabet_extend_rpa(u: RPA, sigma) -> RPA:
 
 
 # ---------------------------------------------------------------------------
-# Per-sample references for the region checks: every sample is instantiated
-# and solved anew, with no structure shared between samples.
+# Per-sample references for the region checks: every sample is checked entry
+# by entry in Fractions, instantiated and solved anew, with no structure
+# shared between samples.
 # ---------------------------------------------------------------------------
 
+def well_defined_reference(m, v):
+    """`model.well_defined` by evaluating every transition entry in Fractions."""
+    require_total(v, m.params)
+    graph_preserving = True
+    for dist in m.trans.values():
+        total = Fraction(0)
+        for p in dist.values():
+            value = Polynomial.coerce(p).evaluate(v)
+            if not 0 <= value <= 1:
+                return WellDefinedness.NEITHER
+            if (value == 0) != (p == 0):
+                graph_preserving = False
+            total += value
+        if total != 1:
+            return WellDefinedness.NEITHER
+    return WellDefinedness.GRAPH_PRESERVING if graph_preserving else WellDefinedness.WELL_DEFINED
+
+
+def checked_samples_reference(region, resolution, m):
+    """The region's samples, each checked by `well_defined_reference`; None
+    for an empty region."""
+    try:
+        samples = region_samples(region, resolution)
+    except EmptyRegion:
+        return None
+    for v in samples:
+        if well_defined_reference(m, v) is WellDefinedness.NEITHER:
+            raise IllDefinedValuationInRegion(
+                f"sample {dict(sorted(v.items()))} does not instantiate to a PA"
+            )
+    return samples
+
+
 def region_sat_per_sample(m, region, query, strategy_class="cmp", resolution=1):
-    samples = _checked_samples(region, resolution, m)
+    samples = checked_samples_reference(region, resolution, m)
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
     details = []
@@ -241,7 +280,7 @@ def region_sat_per_sample(m, region, query, strategy_class="cmp", resolution=1):
 
 def ag_triple_check_per_sample(m, region, assumption, guarantee, strategy_class="prt",
                                resolution=1):
-    samples = _checked_samples(region, resolution, m)
+    samples = checked_samples_reference(region, resolution, m)
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
     details = []
@@ -264,7 +303,7 @@ def ag_triple_check_per_sample(m, region, assumption, guarantee, strategy_class=
 def monotone_check_per_sample(m, region, objective, param, direction, strategy_class="cmp",
                               resolution=1):
     """Every (strategy, valuation) pair instantiates and builds its DFA product anew."""
-    samples = _checked_samples(region, resolution, m)
+    samples = checked_samples_reference(region, resolution, m)
     caveat = "per enumerated strategy class; sound per sampled valuation"
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")

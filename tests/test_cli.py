@@ -522,6 +522,39 @@ def test_malformed_valuation_and_region_items_are_usage_errors(
     assert err.startswith("format error:") and named in err
 
 
+@pytest.mark.parametrize(
+    "region, message",
+    [
+        ("box.p=[0,1/10],p=[1/2,1]", "box names parameter 'p' twice"),
+        ({"bounds": [["p", ["0", "1/10"]], ["p", ["1/2", "1"]]]},
+         "$.bounds: box names parameter 'p' twice"),
+        ("finite:{p=1/10,p=1/2}", "valuation names parameter 'p' twice"),
+        ({"valuations": [[["p", "1/10"]], [["p", "1/10"], ["p", "1/2"]]]},
+         "$.valuations[1]: valuation names parameter 'p' twice"),
+        ("box.", "a box region needs at least one axis"),
+        ({"bounds": []}, "$.bounds: a box region needs at least one axis"),
+    ],
+    ids=["box-text-repeat", "box-json-repeat", "finite-text-repeat", "finite-json-repeat",
+         "box-text-empty", "box-json-empty"],
+)
+def test_region_dropping_an_axis_or_a_value_is_usage_error(
+    corpus_dir, tmp_path, capsys, region, message
+):
+    # each of these used to be checked on a smaller region than written:
+    # the last interval or value of a repeated name, or no valuation at all
+    # (a vacuous "holds" for a model with parameter p)
+    if isinstance(region, dict):
+        kind = "box" if "bounds" in region else "finite"
+        path = tmp_path / f"{kind}.region.json"
+        json.dump({"format": "pacomp/1", "type": kind, **region}, open(path, "w"))
+        region = "@" + str(path)
+    code, out, err = run(capsys, "check", "--model", str(corpus_dir / "retry.ppa.json"),
+                         "--objective", str(corpus_dir / "safe_assumption.query.json"),
+                         "--region", region)
+    assert (code, out) == (2, "")
+    assert err == f"format error: {message}\n"
+
+
 def test_wrong_document_kind_is_usage_error(corpus_dir, tmp_path, capsys):
     ppa = str(corpus_dir / "retry.ppa.json")
     rpa = str(corpus_dir / "interval_retry.rpa.json")

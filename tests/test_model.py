@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacomp import corpus, modelio
-from pacomp.algebra import Polynomial, parse_poly
+from pacomp.algebra import Box, Polynomial, PolyTable, parse_poly, region_samples
 from pacomp.errors import ActionAlphabetClash, AlphabetMismatch
 from pacomp.model import (
     DFA,
@@ -24,9 +24,10 @@ from pacomp.model import (
     tau_parts,
     unit_ppa,
     well_defined,
+    well_definedness,
 )
 
-from helpers import random_pa, random_parametric_pair
+from helpers import random_pa, random_parametric_pair, well_defined_reference
 
 P = Polynomial.var("p")
 Q = Polynomial.var("q")
@@ -95,6 +96,80 @@ def test_well_defined_trichotomy():
     m1 = corpus.retry_component()
     assert well_defined(m1, {"p": F(1, 10)}) is WellDefinedness.GRAPH_PRESERVING
     assert well_defined(m1, {"p": 0}) is WellDefinedness.WELL_DEFINED
+
+
+def _oracle_models(rng):
+    """pPAs over p and q whose compositions have entries of degree 2 and 3
+    with negative coefficients, a PA, and a pPA composed with the PA."""
+    m1, m2 = random_parametric_pair(rng)
+    _, n2 = random_parametric_pair(rng, ("q",))
+    pa = random_pa(rng, "x", rng.randint(1, 3), ["a", "c"])
+    return [corpus.retry_component(), m1, m2, compose(m1, m2), compose(m1, n2),
+            compose(compose(m1, m2), n2), pa, compose(m1, pa)]
+
+
+# p reaches below 0 and above 1, so every WellDefinedness value occurs
+_ORACLE_BOX = Box.of({"p": (F(-1, 2), F(3, 2)), "q": (F(0), F(1, 3))})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 3))
+def test_poly_table_vector_matches_evaluate(seed, resolution):
+    rng = random.Random(seed)
+    entries = [p for m in _oracle_models(rng) for d in m.trans.values() for p in d.values()]
+    monos = [(), (("p", 1),), (("q", 1),), (("p", 2),), (("p", 1), ("q", 1)), (("q", 3),)]
+    entries += [
+        Polynomial({mono: F(rng.randint(-9, 9), rng.randint(1, 12)) for mono in monos})
+        for _ in range(3)
+    ]
+    table = PolyTable()
+    slots = [table.slot(p) for p in entries]
+    assert len(table.polys) == len(set(slots))
+    for v in region_samples(_ORACLE_BOX, resolution):
+        den, nums = table.at(v)
+        assert type(den) is int and den > 0
+        assert len(nums) == len(table.polys) and all(type(n) is int for n in nums)
+        for p, k in zip(entries, slots):
+            assert F(nums[k], den) == Polynomial.coerce(p).evaluate(v)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32))
+def test_well_defined_matches_entrywise_reference(seed):
+    models = _oracle_models(random.Random(seed))
+    seen = set()
+    for v in region_samples(_ORACLE_BOX, 3):  # p in {-1/2, 0, 1/2, 1, 3/2}
+        for m in models:
+            want = well_defined_reference(m, v)
+            assert well_defined(m, v) is want
+            seen.add(want)
+        # one table for all models decides their joint kind
+        table = PolyTable()
+        kind = well_definedness(table, models)(table.at(v))
+        kinds = {well_defined_reference(m, v) for m in models}
+        if WellDefinedness.NEITHER in kinds:
+            assert kind is WellDefinedness.NEITHER
+        else:
+            assert (kind is WellDefinedness.GRAPH_PRESERVING) == (
+                kinds == {WellDefinedness.GRAPH_PRESERVING})
+    assert seen == set(WellDefinedness)
+
+
+def test_constant_rows_are_checked_at_the_first_vector_only():
+    pa, m = corpus.handoff_fixed(), corpus.retry_component()
+    table = PolyTable()
+    kind = well_definedness(table, [pa, m])
+    den, nums = table.at({"p": F(1, 10)})
+    assert kind((den, nums)) is WellDefinedness.GRAPH_PRESERVING
+    # the PA's entries cannot change with the valuation, so a later vector
+    # is read only at the parametric rows
+    constant = {k for k, p in enumerate(table.polys)
+                if not isinstance(p, Polynomial) or p.is_constant()}
+    assert constant and len(constant) < len(nums)
+    later = table.at({"p": 0})
+    broken = [-1 if k in constant else n for k, n in enumerate(later[1])]
+    assert kind((later[0], broken)) is WellDefinedness.WELL_DEFINED
+    assert kind(table.at({"p": 2})) is WellDefinedness.NEITHER
 
 
 def test_compose_structure():

@@ -7,9 +7,10 @@ import pytest
 from networkx.algorithms.flow import edmonds_karp
 
 from pacomp import corpus
-from pacomp.algebra import Box, FiniteRegion, region_samples
+from pacomp.algebra import Box, FiniteRegion, PolyTable, region_samples
 from pacomp.errors import IllDefinedValuationInRegion
-from pacomp.model import compose, instantiate, make_ppa
+from pacomp.model import compose, dfa_forbid_symbols, instantiate, make_ppa, sort_key
+from pacomp.verify import region_sat, safety
 from pacomp.simulate import (
     _maxflow,
     dist_leq,
@@ -267,6 +268,11 @@ def test_simulation_relations_match_naive_fixpoint():
             instances = [(instantiate(n1, v), instantiate(n2, v)) for v in samples]
             rel = robust_strong_sim(n1, n2, box, 2)
             assert rel == _naive_greatest_sim(n1, n2, instances)
+            verdict = strong_sim_region(n1, n2, box, 2)
+            per_sample = [strong_sim(*inst) for inst in instances]
+            assert verdict.holds == all(r is not None for r in per_sample)
+            got = [d["relation"] for d in verdict.details]
+            assert got == [sorted(r, key=sort_key) for r in per_sample[:len(got)]]
 
 
 def test_strong_sim_region_golden():
@@ -300,6 +306,26 @@ def test_robust_relation_is_strong_sim_at_every_sample():
     rel = robust_strong_sim(m1pp, m2p, REGION)
     for v in ({"p": F(1, 10)}, {"p": F(9, 10)}):
         assert is_strong_sim(instantiate(m1pp, v), instantiate(m2p, v), rel)
+
+
+def test_parameter_free_models_are_evaluated_once_per_call(monkeypatch):
+    evaluations = []
+    evaluate = PolyTable._evaluate
+    monkeypatch.setattr(PolyTable, "_evaluate",
+                        lambda table, v: evaluations.append(v) or evaluate(table, v))
+    box = Box.of({"p": (F(0), F(1))})  # 5 samples; neither model has a parameter
+    pa1, pa2 = corpus.handoff_fixed(), random_pa(random.Random(3), "x", 3, ["a", "b"])
+    objective = safety(dfa_forbid_symbols({"b"}, pa1.alphabet), F(1, 2))
+    for call in (lambda: robust_strong_sim(pa1, pa2, box, 3),
+                 lambda: strong_sim_region(pa1, pa2, box, 3),
+                 lambda: region_sat(pa1, box, (objective,), resolution=3)):
+        evaluations.clear()
+        call()
+        assert evaluations == [{}]
+    # a parametric side is evaluated at every sample, the PA side with it
+    evaluations.clear()
+    robust_strong_sim(corpus.handoff_parametric(), pa2, box, 3)
+    assert [v["p"] for v in evaluations] == [F(k, 4) for k in range(5)]
 
 
 def test_simulation_rejects_ill_defined_samples():
