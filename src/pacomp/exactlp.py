@@ -9,7 +9,17 @@ when the pivot row's denominator does not divide the row's entry in the
 pivot column.  No `Fraction` is built inside the loop.  Inputs may be any
 rationals and results are `Fraction`s; no float is involved.
 
-The simplex is two-phase with Bland's rule, which keeps it finite.
+The simplex is two-phase.  Each pivot enters the column with the most
+negative reduced cost (Dantzig's rule; smallest index on ties) and leaves by
+the minimum ratio, ties to the smallest basis label.  Dantzig's rule alone
+can cycle on a degenerate program, so `_iterate` remembers the bases seen
+since the last nondegenerate pivot (one whose row has a nonzero rhs) and
+switches to Bland's smallest-index rule when a degenerate pivot lands on one
+of them, until the next nondegenerate pivot.  That keeps it finite: each
+nondegenerate pivot strictly improves the phase objective, so no basis
+recurs across stretches, and Bland's rule cannot cycle within one.  The
+optimal value does not depend on the pricing, but where an LP has several
+optimal vertices the one returned does.
 Artificial variables never re-enter the basis, so their columns are never
 stored; only their basis labels `total + i` are.  Signs are read off the
 integers and the ratio test compares rhs/a within each row, where the row
@@ -189,10 +199,17 @@ def _iterate(rows, dens, basis):
     """Pivot until the cost row `rows[-1]` shows optimality or unboundedness."""
     m = len(basis)
     width = len(rows[m]) - 1
+    seen, bland = {frozenset(basis)}, False
     while True:
-        # Bland's rule: smallest improving column; artificials never re-enter.
+        # Dantzig's rule (the cost row has one denominator), or Bland's rule
+        # while a degenerate stretch has revisited a basis; artificials never
+        # re-enter.
         cost = rows[m]
-        col = next((j for j in range(width) if cost[j] < 0), None)
+        if bland:
+            col = next((j for j in range(width) if cost[j] < 0), None)
+        else:
+            low = min(cost[:width], default=0)
+            col = cost.index(low) if low < 0 else None
         if col is None:
             return OPTIMAL
         best_row = None
@@ -210,3 +227,8 @@ def _iterate(rows, dens, basis):
             return UNBOUNDED
         _pivot(rows, dens, best_row, col)
         basis[best_row] = col
+        if best_b:  # nondegenerate: the phase objective strictly improved
+            seen, bland = set(), False
+        key = frozenset(basis)
+        bland = bland or key in seen
+        seen.add(key)

@@ -376,7 +376,7 @@ def apply_monotonicity(m1, m2, r1, r2, objective, param, direction,
     for i, (m, r) in enumerate(((m1, r1), (m2, r2)), start=1):
         ext = alphabet_extend(m, sigma)
         samples = _checked_samples(r, resolution, ext, filter_gp=True)
-        region = FiniteRegion.of(v for v, _ in samples)
+        region = r if samples is None else FiniteRegion.of(v for v, _ in samples)
         premises.append(
             Premise(
                 "monotone", f"component {i} monotone in {param!r}",

@@ -478,6 +478,18 @@ def test_monotonicity_script_with_valid_arguments_runs(corpus_dir, tmp_path, cap
     assert "MissingParameter" in err and "'zzz'" in err
 
 
+def test_monotonicity_script_on_an_empty_region_is_vacuous(corpus_dir, tmp_path, capsys):
+    script = _monotonicity_script(corpus_dir)
+    script["regions"]["r2"] = {"type": "finite", "valuations": []}
+    path = tmp_path / "mono-empty.agproof.json"
+    json.dump(script, open(path, "w"))
+    code, out, err = run(capsys, "rule", "--script", str(path))
+    assert code == 0 and err == ""
+    (application,) = json.loads(out)["report"]["certificate"]
+    assert application["status"] == "concluded"
+    assert [p["status"] for p in application["premises"]] == ["holds", "holds"]
+
+
 def test_resolution_must_be_positive(corpus_dir, capsys):
     check = [
         "check",

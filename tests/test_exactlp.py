@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from pacomp import exactlp
 from pacomp.exactlp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, gauss_solve
 
 sympy = pytest.importorskip("sympy")
@@ -134,9 +135,32 @@ def _assert_optimal_point(n, eqs, ubs, lbs, objective, x, value):
     assert type(value) in (F, int) and dot(objective) == value
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(programs())
-def test_simplex_agrees_with_vertex_enumeration(program):
+@st.composite
+def degenerate_programs(draw):
+    """A small LP with highly degenerate vertices: every row is tight at an
+    anchor point with many zero coordinates, most right-hand sides are 0, and
+    rows repeat, some rescaled."""
+    n = draw(st.integers(2, 4))
+    anchor = [draw(st.sampled_from([F(0), F(0), F(1), F(1, 2)])) for _ in range(n)]
+
+    def row():
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        coeffs = {j: draw(rationals.filter(bool)) for j in cols}
+        return coeffs, sum(v * anchor[j] for j, v in coeffs.items())
+
+    rows = [row() for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs, rhs = draw(st.sampled_from(rows))
+        scale = draw(st.sampled_from([F(1), F(1), F(2), F(-1, 3)]))
+        rows.append(({j: v * scale for j, v in coeffs.items()}, rhs * scale))
+    kinds = [draw(st.sampled_from(["eq", "ub", "lb"])) for _ in rows]
+    eqs, ubs, lbs = ([r for r, k in zip(rows, kinds) if k == kind] for kind in ("eq", "ub", "lb"))
+    objective = {j: draw(rationals) for j in draw(
+        st.lists(st.integers(0, n - 1), max_size=n, unique=True))}
+    return n, eqs, ubs, lbs, objective, draw(st.booleans())
+
+
+def _agrees_with_vertex_enumeration(program):
     n, eqs, ubs, lbs, objective, maximize = program
     status, x, value = _build(n, eqs, ubs, lbs).solve(objective, maximize)
     expected_status, expected_value = _oracle(*program)
@@ -146,6 +170,48 @@ def test_simplex_agrees_with_vertex_enumeration(program):
         _assert_optimal_point(n, eqs, ubs, lbs, objective, x, value)
     else:
         assert x is None and value is None
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(programs())
+def test_simplex_agrees_with_vertex_enumeration(program):
+    _agrees_with_vertex_enumeration(program)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(degenerate_programs())
+def test_simplex_on_degenerate_programs_agrees_with_vertex_enumeration(program):
+    _agrees_with_vertex_enumeration(program)
+
+
+def test_dantzig_cycle_is_broken(monkeypatch):
+    """Beale's (1955) program, on which Dantzig's rule with this ratio test
+    cycles through six degenerate bases from the slack basis:
+    minimize -3/4 x3 + 20 x4 - 1/2 x5 + 6 x6 subject to
+    1/4 x3 - 8 x4 - x5 + 9 x6 + x0 = 0, 1/2 x3 - 12 x4 - 1/2 x5 + 3 x6 + x1 = 0,
+    x5 + x2 = 1, x >= 0.  Its optimum is -5/4 at x3 = x5 = 1, x0 = 3/4."""
+    entries = [
+        {0: F(1), 3: F(1, 4), 4: F(-8), 5: F(-1), 6: F(9)},
+        {1: F(1), 3: F(1, 2), 4: F(-12), 5: F(-1, 2), 6: F(3)},
+        {2: F(1), 5: F(1), 7: F(1)},
+        {3: F(-3, 4), 4: F(20), 5: F(-1, 2), 6: F(6)},  # the cost row [c | -z]
+    ]
+    rows, dens = map(list, zip(*(exactlp._int_row(e, 8) for e in entries)))
+    basis = [0, 1, 2]
+    visited = []  # the basis before each pivot
+
+    def bounded_pivot(*args):
+        visited.append(frozenset(basis))
+        assert len(visited) < 50, "the simplex cycles"
+        return pivot(*args)
+
+    pivot = exactlp._pivot
+    monkeypatch.setattr(exactlp, "_pivot", bounded_pivot)
+    assert exactlp._iterate(rows, dens, basis) == OPTIMAL
+    assert F(-rows[3][7], dens[3]) == F(-5, 4)
+    x = {b: F(rows[i][7], dens[i]) for i, b in enumerate(basis)}
+    assert {j: v for j, v in x.items() if v} == {0: F(3, 4), 3: F(1), 5: F(1)}
+    assert visited.count(frozenset([0, 1, 2])) == 2  # Dantzig's rule came back to the start
 
 
 def test_redundant_equalities_leave_an_artificial_basic():

@@ -275,6 +275,17 @@ def test_monotonicity_rule_matches_direct_check():
         assert apply_monotonicity(m1, m2, box, box, const, "q", direction, resolution=1).concluded
 
 
+def test_monotonicity_rule_on_an_empty_region_is_vacuous():
+    m1, m2 = corpus.retry_component(), corpus.pipeline_component()
+    obj = safety(corpus.no_fail_dfa(), 1)
+    box = Box.of({"p": (0, 1), "q": (0, 1)})
+    r2 = FiniteRegion.of([])
+    app = apply_monotonicity(m1, m2, box, r2, obj, "q", "down", resolution=1)
+    assert app.concluded and app.premises[0].verdict.holds
+    second = app.premises[1].verdict
+    assert second.holds and second.caveat == "region denotes no valuation; vacuously holds"
+
+
 def test_simulation_ag_rule():
     m1, m2 = corpus.handoff_fixed(), corpus.split_responder()
     region = FiniteRegion.of([{"p": F(1, 10)}, {"p": F(9, 10)}])

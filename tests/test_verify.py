@@ -292,6 +292,19 @@ def test_strict_thresholds():
     assert mo_achievable(pa, (ProbObjective(">", F(9, 10), dfa),), "cmp")[0] == "achievable"
 
 
+def test_large_occupation_lp_probe():
+    # two 8-state random components: a 116-row, 430-column occupation LP
+    rng = random.Random(5)
+    m1 = random_pa(rng, "l", 8, ["a", "b"])
+    m2 = random_pa(rng, "r", 8, ["a", "c"])
+    comp = compose(m1, m2)
+    obj = safety(random_safety_dfa(rng, sorted(comp.alphabet)), F(1, 2))
+    status, wit = mo_achievable(comp, (obj,), "prt")
+    assert status == "achievable"
+    (value,) = wit["values"].values()
+    assert value >= obj.threshold
+
+
 def test_prt_class_via_sink_extension():
     # stopping dodges the second 'a', which no complete strategy of this
     # one-action chain can do
