@@ -92,11 +92,18 @@ def _region(args, inputs):
     return parse_region_arg(args.region, inputs) if args.region else FiniteRegion.of([{}])
 
 
-def _goal(inputs, path):
-    """A query to check; without objectives it would hold vacuously."""
+def _query(inputs, path, m, goal=False):
+    """The query in `path` on the model `m`.  Its rewards may use only the
+    model's parameters, as its transitions may; a query to check (`goal`)
+    without objectives would hold vacuously."""
     query = inputs.load(path, "mo-query")
-    if not query:
+    if goal and not query:
         raise ParseError(f"{path}: the query to check has no objectives")
+    for i, obj in enumerate(query):
+        stray = {x for _, r in getattr(obj, "rewards", ()) for x in r.variables()} - m.params
+        if stray:
+            raise ParseError(f"{path}: $.objectives[{i}].rewards use undeclared "
+                             f"parameters {sorted(stray)}")
     return query
 
 
@@ -113,7 +120,7 @@ def _product(args, inputs):
 
 def _check(args, inputs):
     m = inputs.load(args.model, "ppa")
-    query = _goal(inputs, args.objective)
+    query = _query(inputs, args.objective, m, goal=True)
     verdict = region_sat(m, _region(args, inputs), query, args.strategy_class, args.resolution)
     body = {"verdict": verdict, "strategy_class": args.strategy_class,
             "resolution": args.resolution}
@@ -122,8 +129,8 @@ def _check(args, inputs):
 
 def _triple(args, inputs):
     m = inputs.load(args.model, "ppa")
-    assumption = inputs.load(args.assumption, "mo-query")
-    guarantee = _goal(inputs, args.guarantee)
+    assumption = _query(inputs, args.assumption, m)
+    guarantee = _query(inputs, args.guarantee, m, goal=True)
     verdict = ag_triple_check(m, _region(args, inputs), assumption, guarantee,
                               args.strategy_class, args.resolution)
     return {"verdict": verdict}, _exit(verdict.holds)
@@ -131,7 +138,7 @@ def _triple(args, inputs):
 
 def _monotone(args, inputs):
     m = inputs.load(args.model, "ppa")
-    query = inputs.load(args.objective, "mo-query")
+    query = _query(inputs, args.objective, m)
     if len(query) != 1:
         raise ParseError("monotonicity checks take a single-objective query")
     verdict = monotone_check(

@@ -22,11 +22,11 @@ TAU_SINK = ("tau-sink",)
 def sort_key(x):
     """Total order over heterogeneous identifiers (strings, tuples, numbers)."""
     if isinstance(x, tuple):
-        return (2, tuple(sort_key(i) for i in x))
+        return (2, tuple(map(sort_key, x)))
     if isinstance(x, str):
         return (0, x)
     if isinstance(x, (int, Fraction)):
-        return (1, Fraction(x))
+        return (1, x)
     return (3, repr(x))
 
 
@@ -62,7 +62,9 @@ class PPA:
     """Parametric probabilistic automaton.
 
     `trans` maps (state, action) to a distribution (state -> probability);
-    `label` is total exactly on dom(trans).  The entry form is a model
+    `label` is total exactly on dom(trans).  `actions` is in `sort_key` order
+    (`make_ppa` sorts it once), and `enabled` orders a state's actions by
+    their rank in it without sorting again.  The entry form is a model
     invariant: a model with parameters holds `Polynomial`s whose variables
     are all in `params`, and a model with no parameters (a PA) holds exact
     `Fraction`s.  `make_ppa` normalises its input to that form.
@@ -100,10 +102,11 @@ class PPA:
     @cached_property
     def _enabled_index(self) -> dict:
         # built once per model: `trans` is never mutated after construction
+        rank = {a: i for i, a in enumerate(self.actions)}
         index = {}
         for s, a in self.trans:
             index.setdefault(s, []).append(a)
-        return {s: tuple(sorted(acts, key=sort_key)) for s, acts in index.items()}
+        return {s: tuple(sorted(acts, key=rank.__getitem__)) for s, acts in index.items()}
 
     def enabled(self, state):
         """Actions enabled in `state`, in `sort_key` order."""
@@ -130,12 +133,11 @@ def make_ppa(states, initial, params, trans, alphabet, composed_of=None) -> PPA:
     entries are stored in the form `params` decides (see `PPA`)."""
     params = frozenset(params)
     entry = Polynomial.coerce if params else _rational
-    tmap, lmap, actions = {}, {}, []
+    tmap, lmap, actions = {}, {}, {}
     for (s, a), (lab, dist) in trans.items():
         tmap[(s, a)] = {t: entry(p) for t, p in dist.items()}
         lmap[(s, a)] = lab
-        if a not in actions:
-            actions.append(a)
+        actions[a] = None
     return PPA(
         states=tuple(states),
         initial=initial,
@@ -476,18 +478,21 @@ def dfa_product(m: PPA, b: DFA):
     if not b.alphabet <= m.alphabet:
         raise AlphabetMismatch("DFA alphabet must be contained in the model alphabet")
     states = tuple((s, q) for s in m.states for q in b.states)
-    trans = {}
+    trans, label = {}, {}
     for (s, a), dist in m.trans.items():
         lab = m.label[(s, a)]
         for q in b.states:
             q2 = b.trans[(q, lab)] if lab in b.alphabet else q
-            new_dist = {(t, q2): p for t, p in dist.items()}
-            trans[((s, q), a)] = (lab, new_dist)
-    product = make_ppa(
+            trans[((s, q), a)] = {(t, q2): p for t, p in dist.items()}
+            label[((s, q), a)] = lab
+    # the entries are already in their form and the actions sorted
+    product = PPA(
         states=states,
         initial=(m.initial, b.initial),
         params=m.params,
+        actions=m.actions,
         trans=trans,
+        label=label,
         alphabet=m.alphabet,
         composed_of=m.composed_of,
     )

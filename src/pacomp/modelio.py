@@ -354,12 +354,14 @@ def _rpa(f, *_):
     return make_rpa(f["states"], f["initial"], utrans, f["alphabet"])
 
 
-def _objective(f, *_):
+def _objective(f, path, _):
     if f["kind"] == "prob":
         return ProbObjective(f["cmp"], f["threshold"], _need(f, "dfa"), f.get("name", ""))
-    return RewardObjective(
-        f["cmp"], f["threshold"], tuple(_need(f, "rewards")), f.get("name", "")
-    )
+    rewards = tuple(_need(f, "rewards"))
+    for i, (sym, r) in enumerate(rewards):
+        if r.is_constant() and r.constant_value() < 0:
+            _fail(f"{path}.rewards[{i}]", f"the reward {r} of {sym!r} is negative")
+    return RewardObjective(f["cmp"], f["threshold"], rewards, f.get("name", ""))
 
 
 def _strategy(f, *_):

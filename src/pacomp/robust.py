@@ -22,8 +22,26 @@ from .model import PPA, check_automaton, make_ppa, sort_key
 GENERATOR_CAP = 10_000
 
 
-def freeze_dist(dist) -> tuple:
-    items = tuple(
+class FrozenDist(tuple):
+    """A distribution as a tuple of (state, nonzero Fraction) pairs in
+    `sort_key` order of the states.  It compares, orders and encodes as that
+    plain tuple, but computes its hash once: a vertex is part of the name of
+    every action of a PA-reduction, so it is hashed on each lookup."""
+
+    def __new__(cls, items):
+        self = super().__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # string hashes differ between processes
+        return FrozenDist, (tuple(self),)
+
+
+def freeze_dist(dist) -> FrozenDist:
+    items = FrozenDist(
         (s, Fraction(p)) for s, p in sorted(dist.items(), key=lambda kv: sort_key(kv[0]))
         if Fraction(p) != 0
     )
@@ -72,7 +90,7 @@ class IntervalSet:
 class VertexSet:
     """An explicit finite set of distributions (not implicitly convexified)."""
 
-    dists: tuple  # deduplicated tuple of frozen distributions
+    dists: tuple  # deduplicated FrozenDists in `sort_key` order
 
     @staticmethod
     def of(dists) -> "VertexSet":
@@ -236,8 +254,10 @@ def rpa_compose(u1: RPA, u2: RPA) -> RPA:
     )
 
 
-def interval_extreme_points(uset: IntervalSet, cap=GENERATOR_CAP):
-    """Extreme points of the interval polytope, by bound assignment.
+def _vertices(uset, cap=GENERATOR_CAP) -> tuple:
+    """The vertices of a polytopic set as `FrozenDist`s in `sort_key` order:
+    a vertex set's own distributions, or the extreme points of an interval
+    set by bound assignment.
 
     At a vertex of the box intersected with the probability simplex, every
     entry but at most one sits at a bound.  So each candidate picks one free
@@ -245,8 +265,12 @@ def interval_extreme_points(uset: IntervalSet, cap=GENERATOR_CAP):
     takes the remaining mass and the candidate is a vertex iff that lies
     within its own bounds.  The cap limits the n * 2**(n-1) candidates.
     """
+    if isinstance(uset, VertexSet):
+        return uset.dists
     if not isinstance(uset, IntervalSet):
-        raise NotIntervalRPA("extreme points are defined on interval sets here")
+        raise NonPolytopicComponent(
+            f"no finite generators for {type(uset).__name__}"
+        )
     support = uset.support
     n = len(support)
     if n * 2 ** (n - 1) > cap:
@@ -260,21 +284,22 @@ def interval_extreme_points(uset: IntervalSet, cap=GENERATOR_CAP):
             rest = 1 - sum(picked, Fraction(0))
             if lo <= rest <= hi:
                 values = picked[:free] + (rest,) + picked[free:]
-                seen.add(tuple((s, p) for s, p in zip(support, values) if p))
+                seen.add(FrozenDist((s, p) for s, p in zip(support, values) if p))
     if not seen:
         raise InfeasibleIntervalSet("interval bounds admit no distribution")
-    return [dict(d) for d in sorted(seen, key=sort_key)]
+    return tuple(sorted(seen, key=sort_key))
+
+
+def interval_extreme_points(uset: IntervalSet, cap=GENERATOR_CAP):
+    """Extreme points of the interval polytope, as dicts (see `_vertices`)."""
+    if not isinstance(uset, IntervalSet):
+        raise NotIntervalRPA("extreme points are defined on interval sets here")
+    return [dict(d) for d in _vertices(uset, cap)]
 
 
 def generators(uset):
-    """Finite generator list of a polytopic uncertainty set."""
-    if isinstance(uset, VertexSet):
-        return [dict(d) for d in uset.dists]
-    if isinstance(uset, IntervalSet):
-        return interval_extreme_points(uset)
-    raise NonPolytopicComponent(
-        f"no finite generators for {type(uset).__name__}"
-    )
+    """Finite generator list of a polytopic uncertainty set, as dicts."""
+    return [dict(d) for d in _vertices(uset)]
 
 
 def conv_compose(u1: RPA, u2: RPA) -> RPA:
@@ -291,18 +316,15 @@ def conv_compose(u1: RPA, u2: RPA) -> RPA:
         lab = composed.label[(s, a)]
         for uset in (pset.left, pset.right):
             if uset not in gens:
-                gens[uset] = generators(uset)
-        prods = []
-        for d1 in gens[pset.left]:
-            for d2 in gens[pset.right]:
-                prods.append(
-                    {
-                        (t1, t2): p1 * p2
-                        for t1, p1 in d1.items()
-                        for t2, p2 in d2.items()
-                    }
-                )
-        utrans[(s, a)] = (lab, VertexSet.of(prods))
+                gens[uset] = _vertices(uset)
+        # a product of two vertices is a distribution, and its pairs come out
+        # in `sort_key` order, so it is frozen as it is built
+        prods = {
+            FrozenDist(((t1, t2), p1 * p2) for t1, p1 in d1 for t2, p2 in d2)
+            for d1 in gens[pset.left]
+            for d2 in gens[pset.right]
+        }
+        utrans[(s, a)] = (lab, VertexSet(tuple(sorted(prods, key=sort_key))))
     return make_rpa(
         states=composed.states,
         initial=composed.initial,
@@ -357,10 +379,8 @@ def pa_reduce(u: RPA) -> PPA:
     trans = {}
     for (s, a), uset in u.utrans.items():
         lab = u.label[(s, a)]
-        for gen in generators(uset):
-            frozen = freeze_dist(gen)
-            action = (a, frozen)
-            trans[(s, action)] = (lab, dict(frozen))
+        for vertex in _vertices(uset):
+            trans[(s, (a, vertex))] = (lab, dict(vertex))
     return make_ppa(
         states=u.states,
         initial=u.initial,

@@ -21,8 +21,8 @@ extension for partial strategies), the reach targets, and the slot of every
 transition probability and reward in a `PolyTable` of distinct polynomials.
 A region check builds one table for its queries and the well-definedness
 check: each sample is one integer value vector of it, from which the sample
-is validated (`_checked_samples`, for every sample before the first solve)
-and then solved.  The settle set, `stay` map, end-component check and LP
+is validated (`_checked_samples`, and `_require_nonnegative_rewards` for the
+rewards, for every sample before the first solve) and then solved.  The settle set, `stay` map, end-component check and LP
 layout depend only on which values are zero (and on the rewards' signs), so
 they are built once per such sign pattern: graph-preserving samples share
 one, and a sample with a smaller support, such as a p = 0 corner, gets its
@@ -47,6 +47,7 @@ from .errors import (
     IllDefinedValuationInRegion,
     MissingParameter,
     NotGraphPreserving,
+    SideConditionError,
     UnboundedReward,
 )
 from .exactlp import OPTIMAL, LinearProgram, gauss_solve
@@ -657,6 +658,14 @@ class _MoQuery:
         ]
         self._layouts = {}
 
+    def negative_reward(self, point):
+        """A symbol whose reward is negative at the table vector `point`, or
+        None: expected total rewards are defined here for nonnegative
+        rewards only."""
+        nums = point[1]
+        return next((sym for slots in self.reward_slots for sym, k in slots.items()
+                     if nums[k] < 0), None)
+
     def _reward(self, values, key, j):
         """Reward of reward objective j on the product transition `key`."""
         k = self.reward_slots[j].get(self.plabel[key])
@@ -839,7 +848,12 @@ def mo_achievable(pa: PPA, query, strategy_class="cmp"):
         raise ValueError("mo_achievable needs a parameter-free model")
     _require_alphabet(pa, query)
     table = PolyTable()
-    return _MoQuery(pa, query, strategy_class, table).solve(table.at({}))
+    mo_query = _MoQuery(pa, query, strategy_class, table)
+    point = table.at({})
+    sym = mo_query.negative_reward(point)
+    if sym is not None:
+        raise ValueError(f"the reward of {sym!r} is negative")
+    return mo_query.solve(point)
 
 
 def _witness_values(init, states, trans, targets, rewards, mix, settle_mass, stay):
@@ -944,6 +958,19 @@ def _checked_samples(region, resolution, *models, table=None, filter_gp=False):
     return out
 
 
+def _require_nonnegative_rewards(queries, samples):
+    """Reject the first sample at which a reward of one of the `_MoQuery`s is
+    negative; run on every sample before the first solve, like
+    `_checked_samples`."""
+    for v, point in samples:
+        for query in queries:
+            sym = query.negative_reward(point)
+            if sym is not None:
+                raise SideConditionError(
+                    f"the reward of {sym!r} is negative at the sample {dict(sorted(v.items()))}"
+                )
+
+
 def _sample_loop(m, region, resolution, strategy_class, cases, key):
     """Fails at the first sample at which the violation query of some
     (objective, violation query) case is achievable; the witness names that
@@ -953,6 +980,7 @@ def _sample_loop(m, region, resolution, strategy_class, cases, key):
     samples = _checked_samples(region, resolution, m, table=table)
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
+    _require_nonnegative_rewards([check for _, check in checks], samples)
     details = []
     for v, point in samples:
         for obj, check in checks:
@@ -1077,6 +1105,7 @@ def monotone_check(
     caveat = "per enumerated strategy class; sound per sampled valuation"
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
+    _require_nonnegative_rewards([query], samples)
     groups, points = {}, {}
     for v, point in samples:
         if param not in v:

@@ -15,7 +15,7 @@ from pacomp.errors import (
     InfeasibleIntervalSet,
 )
 from pacomp.model import DFA, WellDefinedness, instantiate, make_ppa, sort_key, tau_extend
-from pacomp.robust import RPA, IntervalSet, VertexSet, freeze_dist, make_rpa
+from pacomp.robust import RPA, IntervalSet, VertexSet, freeze_dist, generators, make_rpa
 from pacomp.semantics import TabularStrategy, path_last
 from pacomp.verify import (
     Verdict,
@@ -198,6 +198,17 @@ def interval_extreme_points_by_orders(uset: IntervalSet, cap=10_000):
             raise InfeasibleIntervalSet("interval bounds admit no distribution")
         seen[freeze_dist(dist)] = dict(dist)
     return [dict(d) for d in sorted(seen, key=sort_key)]
+
+
+def pa_reduce_reference(u: RPA):
+    """`robust.pa_reduce` as first written: every generator dict of every
+    uncertainty set is frozen anew, and `make_ppa` sorts and coerces."""
+    trans = {}
+    for (s, a), uset in u.utrans.items():
+        for gen in generators(uset):
+            frozen = freeze_dist(gen)
+            trans[(s, (a, frozen))] = (u.label[(s, a)], dict(frozen))
+    return make_ppa(u.states, u.initial, frozenset(), trans, u.alphabet)
 
 
 def alphabet_extend_rpa(u: RPA, sigma) -> RPA:

@@ -624,6 +624,47 @@ def test_empty_query_under_check_is_usage_error(corpus_dir, tmp_path, capsys):
     assert code == 1 and json.loads(out)["report"]["verdict"]["status"] == "fails"
 
 
+def _reward_query(tmp_path, reward, threshold="0"):
+    path = str(tmp_path / "reward.query.json")
+    objective = {"kind": "reward", "cmp": ">=", "threshold": threshold,
+                 "rewards": [["a", reward]]}
+    json.dump({"format": "pacomp/1", "type": "mo-query", "objectives": [objective]},
+              open(path, "w"))
+    return path
+
+
+def test_negative_reward_is_usage_error(corpus_dir, tmp_path, capsys):
+    retry = str(corpus_dir / "retry.ppa.json")
+    # a negative constant is rejected at load time, with its JSON path
+    negative = _reward_query(tmp_path, "-1", threshold="-1")
+    code, out, err = run(capsys, "check", "--model", retry, "--objective", negative,
+                         "--region", "finite:{p=1/2}")
+    assert (code, out) == (2, "")
+    assert err == "format error: $.objectives[0].rewards[0]: the reward -1 of 'a' is negative\n"
+    # a parametric reward is checked at every sample, before the first solve
+    code, out, err = run(capsys, "check", "--model", retry,
+                         "--objective", _reward_query(tmp_path, "p - 1/2"),
+                         "--region", "finite:{p=1};{p=1/4}")
+    assert (code, out) == (2, "")
+    assert err == ("error: SideConditionError: the reward of 'a' is negative at the sample "
+                   "{'p': Fraction(1, 4)}\n")
+    _, _, err = run(capsys, "check", "--model", retry,
+                    "--objective", _reward_query(tmp_path, "p - 1/2"), "--region", "finite:{p=1}")
+    assert "negative" not in err
+
+
+def test_reward_over_an_undeclared_parameter_is_usage_error(corpus_dir, tmp_path, capsys):
+    retry = str(corpus_dir / "retry.ppa.json")
+    stray = _reward_query(tmp_path, "2*r")
+    message = f"format error: {stray}: $.objectives[0].rewards use undeclared parameters ['r']\n"
+    safe = str(corpus_dir / "safe_assumption.query.json")
+    region = ["--region", "box.p=[0,1]"]
+    for argv in (["check", "--objective", stray],
+                 ["triple", "--assumption", stray, "--guarantee", safe],
+                 ["triple", "--assumption", safe, "--guarantee", stray]):
+        assert run(capsys, argv[0], "--model", retry, *argv[1:], *region) == (2, "", message)
+
+
 def test_empty_guarantee_under_a_rule_is_usage_error(corpus_dir, tmp_path, capsys):
     empty = {"format": "pacomp/1", "type": "mo-query", "objectives": []}
     json.dump(empty, open(tmp_path / "empty.query.json", "w"))

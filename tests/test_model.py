@@ -20,6 +20,7 @@ from pacomp.model import (
     instantiate,
     isomorphic,
     make_ppa,
+    sort_key,
     tau_extend,
     tau_parts,
     unit_ppa,
@@ -27,7 +28,15 @@ from pacomp.model import (
     well_definedness,
 )
 
-from helpers import random_pa, random_parametric_pair, well_defined_reference
+from pacomp.robust import pa_reduce
+
+from helpers import (
+    random_pa,
+    random_parametric_pair,
+    random_polytopic_rpa,
+    random_safety_dfa,
+    well_defined_reference,
+)
 
 P = Polynomial.var("p")
 Q = Polynomial.var("q")
@@ -289,6 +298,32 @@ def test_dfa_product_alphabet_mismatch():
     stray = dfa_forbid_symbols({"z"}, {"a", "z"})
     with pytest.raises(AlphabetMismatch):
         dfa_product(m1, stray)
+
+
+_IDS = ("z", "a", 0, 3, F(1, 2), F(-2), ("a", 1), ("a", F(1, 3)), ("b",), (("a",), "c"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_enabled_is_the_sort_key_order(seed):
+    # `make_ppa` sorts the actions once and `enabled` keeps their rank, so it
+    # must list a state's actions as sorting them by `sort_key` would
+    rng = random.Random(seed)
+    mixed = make_ppa(["s", "t"], "s", set(), {
+        (rng.choice("st"), a): ("go", {rng.choice("st"): F(1)})
+        for a in rng.sample(_IDS, rng.randint(1, len(_IDS)))
+    }, {"go"})
+    m1 = random_pa(rng, "x", rng.randint(2, 4), ["a", "b"])
+    m2 = random_pa(rng, "y", rng.randint(2, 4), ["a", "c"])
+    both = compose(m1, m2)
+    product, _ = dfa_product(both, random_safety_dfa(rng, ["a", "b", "c"]))
+    reduced = pa_reduce(random_polytopic_rpa(rng, "u", ["a", "b"], rng.randint(2, 4)))
+    for m in (mixed, m1, both, product, reduced):
+        at = {}
+        for s, a in m.trans:
+            at.setdefault(s, []).append(a)
+        for s in m.states:
+            assert m.enabled(s) == sorted(at.get(s, []), key=sort_key)
 
 
 def test_model_roundtrip_all_bundled():

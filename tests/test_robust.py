@@ -1,9 +1,12 @@
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacomp import corpus
 from pacomp.errors import (
@@ -12,13 +15,15 @@ from pacomp.errors import (
     NonPolytopicComponent,
 )
 from pacomp.exactlp import LinearProgram
-from pacomp.model import compose, isomorphic
+from pacomp.model import compose, isomorphic, sort_key
+from pacomp.modelio import ppa_to_jsonable
 from pacomp.robust import (
     IntervalSet,
     ProductSet,
     VertexSet,
     conv_compose,
     fix_nature,
+    freeze_dist,
     generators,
     interval_extreme_points,
     interval_relax_compose,
@@ -32,6 +37,7 @@ from pacomp.verify import chain_language_prob, max_reach, safety, safety_prob
 from helpers import (
     alphabet_extend_rpa,
     interval_extreme_points_by_orders,
+    pa_reduce_reference,
     random_dist,
     random_polytopic_rpa,
 )
@@ -509,3 +515,44 @@ def test_rpa_checks_the_same_invariants_as_a_ppa(defect):
         utrans[(s, a)] = ("zz", uset)
     with pytest.raises(ValueError):
         make_rpa(u.states, u.initial, utrans, u.alphabet)
+
+
+# ---------------------------------------------------------------------------
+# PA-reduction against its first form
+# ---------------------------------------------------------------------------
+
+def test_frozen_vertex_behaves_as_its_plain_tuple():
+    vertex = freeze_dist({"t": F(1, 3), ("s", 1): F(2, 3)})
+    plain = (("t", F(1, 3)), (("s", 1), F(2, 3)))
+    assert vertex == plain and hash(vertex) == hash(plain)
+    assert sort_key(vertex) == sort_key(plain) and {plain: 1}[vertex] == 1
+    assert pickle.loads(pickle.dumps(vertex)) == vertex
+    u = make_rpa(["t", ("s", 1)], "t", {("t", "go"): ("a", VertexSet.of([dict(plain)]))}, {"a"})
+    reduced = pa_reduce(u)
+    assert reduced.actions == (("go", plain),)
+    assert ppa_to_jsonable(reduced)["transitions"][0]["action"] == {"t": [
+        "go", {"t": [{"t": ["t", {"q": "1/3"}]}, {"t": [{"t": ["s", 1]}, {"q": "2/3"}]}]}]}
+
+
+def _same_model(got, want):
+    assert (got.states, got.initial, got.alphabet) == (want.states, want.initial, want.alphabet)
+    assert got.actions == want.actions
+    assert got.trans == want.trans and got.label == want.label
+    for s in want.states:
+        assert got.enabled(s) == want.enabled(s)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_pa_reduce_matches_its_reference(seed):
+    rng = random.Random(seed)
+    u1 = random_polytopic_rpa(rng, "l", ["a", "b"], rng.randint(2, 4))
+    u2 = random_polytopic_rpa(rng, "r", ["a", "c"], rng.randint(2, 4))
+    conv = conv_compose(u1, u2)
+    for u in (u1, u2, conv):
+        _same_model(pa_reduce(u), pa_reduce_reference(u))
+    # each composed set: the products of the generator dicts, frozen by `VertexSet.of`
+    for key, pset in rpa_compose(u1, u2).utrans.items():
+        prods = [{(t1, t2): p1 * p2 for t1, p1 in d1.items() for t2, p2 in d2.items()}
+                 for d1 in generators(pset.left) for d2 in generators(pset.right)]
+        assert conv.utrans[key].dists == VertexSet.of(prods).dists

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pacomp import corpus
 from pacomp.algebra import Box, FiniteRegion, Polynomial, parse_poly, poly_eval
@@ -10,8 +12,10 @@ from pacomp.errors import (
     AlphabetMismatch,
     PacompError,
     IllDefinedValuationInRegion,
+    SideConditionError,
     UnboundedReward,
 )
+from pacomp.exactlp import OPTIMAL, LinearProgram
 from pacomp.model import (
     alphabet_extend,
     compose,
@@ -20,6 +24,7 @@ from pacomp.model import (
     make_ppa,
     tau_extend,
 )
+from pacomp.robust import pa_reduce
 from pacomp.semantics import MemorylessStrategy
 from pacomp.verify import (
     INF,
@@ -45,6 +50,7 @@ from helpers import (
     monotone_check_per_sample,
     random_pa,
     random_parametric_pair,
+    random_polytopic_rpa,
     random_safety_dfa,
     region_sat_per_sample,
 )
@@ -97,6 +103,45 @@ def test_max_reach_agrees_with_policy_enumeration():
             chain = {s: pa.dist(s, a) if a else {} for s, a in zip(pa.states, combo)}
             best = max(best, _reach_prob(chain, frozenset(target), pa.initial))
         assert value == best
+
+
+def _reach_lp_values(pa, targets):
+    """Maximal reachability by the standard LP: minimise the sum of x[s]
+    subject to x[s] >= sum_t P(s, a, t) x[t] for every enabled action, with
+    x = 1 on the targets and x = 0 where the targets are unreachable."""
+    reaches, grew = set(targets), True
+    while grew:
+        grew = False
+        for (s, a), dist in pa.trans.items():
+            if s not in reaches and any(p and t in reaches for t, p in dist.items()):
+                reaches.add(s)
+                grew = True
+    unknown = [s for s in pa.states if s in reaches and s not in targets]
+    col = {s: i for i, s in enumerate(unknown)}
+    lp = LinearProgram(len(unknown))
+    for s in unknown:
+        for a in pa.enabled(s):
+            row = {col[s]: F(1)}
+            for t, p in pa.dist(s, a).items():
+                if t in col:
+                    row[col[t]] = row.get(col[t], F(0)) - p
+            lp.add_lb(row, sum((p for t, p in pa.dist(s, a).items() if t in targets), F(0)))
+    status, x, _ = lp.solve({i: F(1) for i in range(len(unknown))}, maximize=False)
+    assert status == OPTIMAL
+    return {s: F(1) if s in targets else x[col[s]] if s in col else F(0) for s in pa.states}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_max_reach_agrees_with_the_reachability_lp(seed):
+    rng = random.Random(seed)
+    pa = random_pa(rng, "x", rng.randint(2, 6), ["a", "b"], max_actions=3)
+    reduced = pa_reduce(random_polytopic_rpa(rng, "u", ["a", "b"], rng.randint(2, 4)))
+    for m in (pa, reduced):
+        targets = frozenset(rng.sample(m.states, rng.randint(1, 2)))
+        value, _, values = max_reach(m, targets)
+        assert values == _reach_lp_values(m, targets)
+        assert value == values[m.initial]
 
 
 def test_max_reach_strategy_attains_value():
@@ -333,6 +378,28 @@ def test_unbounded_reward_rejected():
     rew = reward_objective(">=", 5, {"a": 1})
     with pytest.raises(UnboundedReward):
         mo_achievable(loop, (rew,), "cmp")
+
+
+def test_negative_reward_rejected(monkeypatch):
+    pa = instantiate(corpus.pipeline_component(), V)
+
+    def no_lp(*args):
+        raise AssertionError("an LP was built for a negative reward")
+
+    monkeypatch.setattr("pacomp.verify.LinearProgram", no_lp)
+    for cmp in (">=", "<="):
+        with pytest.raises(ValueError, match="the reward of 'a' is negative"):
+            mo_achievable(pa, (reward_objective(cmp, -1, {"a": -1}),), "cmp")
+    # a parametric reward is checked at every sample before the first solve
+    m2 = corpus.pipeline_component()
+    signed = reward_objective(">=", 0, {"a": Polynomial.var("p") - F(1, 2)})
+    box = Box.of({"p": (0, 1), "q": (0, 1)})
+    for check in (lambda: region_sat(m2, box, (signed,)),
+                  lambda: ag_triple_check(m2, box, (), (signed,)),
+                  lambda: monotone_check(m2, box, signed, "p", "up")):
+        with pytest.raises(SideConditionError, match="the reward of 'a' is negative at the sample "
+                           r"\{'p': Fraction\(0, 1\), 'q': Fraction\(0, 1\)\}"):
+            check()
 
 
 def test_alphabet_mismatch_rejected():
