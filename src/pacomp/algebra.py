@@ -15,8 +15,6 @@ from fractions import Fraction
 
 from .errors import EmptyRegion, MissingParameter, ParseError
 
-Rational = Fraction
-
 # A monomial is a sorted tuple of (parameter, exponent) pairs with exponent >= 1.
 # The empty tuple is the constant monomial.
 Mono = tuple
@@ -65,9 +63,6 @@ class Polynomial:
             return value
         return Polynomial.const(value)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -81,9 +76,6 @@ class Polynomial:
 
     def variables(self) -> frozenset:
         return frozenset(v for mono in self.terms for v, _ in mono)
-
-    def degree(self) -> int:
-        return max((sum(e for _, e in m) for m in self.terms), default=0)
 
     def evaluate(self, valuation) -> Fraction:
         """Exact substitution; raises MissingParameter on uncovered variables."""

@@ -38,7 +38,7 @@ from .modelio import parse_region_arg, parse_valuation_arg
 from .proofrules import apply_rpa_rules
 from .report import digest_bytes, make_report, render_report, scrub
 from .robust import conv_compose, interval_relax_compose, pa_reduce, rpa_compose
-from .semantics import strategy_project, tabulate
+from .semantics import strategy_project, tabulate, validate_strategy
 from .simulate import robust_strong_sim, strong_sim_region
 from .verify import ag_triple_check, monotone_check, region_sat
 
@@ -153,6 +153,10 @@ def _project(args, inputs):
     sigma = inputs.load(args.strategy, "strategy")
     inst = instantiate(compose(left, right),
                        parse_valuation_arg(args.valuation) if args.valuation else {})
+    try:
+        validate_strategy(inst, sigma)
+    except ValueError as exc:
+        raise ParseError(f"{args.strategy}: {exc}") from None
     tab = tabulate(inst, sigma, args.horizon) if not hasattr(sigma, "table") else sigma
     return _built(strategy_project(inst, tab, args.side, args.horizon))
 

@@ -385,9 +385,6 @@ class DFA:
                 if (q, sym) not in self.trans:
                     raise ValueError(f"DFA not total: missing {(q, sym)!r}")
 
-    def step(self, q, sym):
-        return self.trans.get((q, sym), q)
-
 
 def dfa_forbid_symbols(symbols, alphabet) -> DFA:
     """Bad-prefix automaton for "no symbol of `symbols` ever occurs"."""

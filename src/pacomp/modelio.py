@@ -364,11 +364,16 @@ def _objective(f, path, _):
     return RewardObjective(f["cmp"], f["threshold"], rewards, f.get("name", ""))
 
 
-def _strategy(f, *_):
+def _strategy(f, path, _):
     if f["kind"] == "memoryless":
         choice = {s: dict(d) for s, d in _need(f, "choice")}
         return MemorylessStrategy(choice, complete=f.get("complete", True))
-    table = {tuple(path): dict(d) for path, d in _need(f, "table")}
+    rows = _need(f, "table")
+    for i, (history, _dist) in enumerate(rows):
+        if len(history) % 2 == 0:
+            _fail(f"{path}.table[{i}]", "a history alternates states and actions, "
+                  f"so its length is odd, not {len(history)}")
+    table = {tuple(history): dict(d) for history, d in rows}
     return TabularStrategy(table, horizon=_need(f, "horizon"), complete=f.get("complete", False))
 
 

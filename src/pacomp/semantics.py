@@ -75,11 +75,6 @@ def memoryless(choice, complete=True) -> MemorylessStrategy:
     return MemorylessStrategy(norm, complete)
 
 
-def deterministic(choice) -> MemorylessStrategy:
-    """Memoryless strategy playing one fixed action per state."""
-    return memoryless({s: {a: Fraction(1)} for s, a in choice.items()})
-
-
 def empty_strategy() -> TabularStrategy:
     return TabularStrategy({}, horizon=0, complete=False)
 
@@ -105,26 +100,11 @@ def validate_strategy(m: PPA, sigma) -> None:
 def tabulate(m: PPA, sigma, horizon: int) -> TabularStrategy:
     """Tabulate a strategy on the positive-measure histories up to `horizon`."""
     table = {}
-    frontier = {(m.initial,): Fraction(1)}
-    for _ in range(horizon):
-        nxt = {}
-        for path, mass in frontier.items():
-            dist = sigma.dist(path)
-            if dist:
-                table[path] = dict(dist)
-            for a, pa in dist.items():
-                if pa == 0:
-                    continue
-                for t, prob in m.dist(path_last(path), a).items():
-                    if prob == 0:
-                        continue
-                    ext = path + (a, t)
-                    nxt[ext] = nxt.get(ext, Fraction(0)) + mass * pa * prob
-        frontier = nxt
-        if not frontier:
-            break
-    complete = getattr(sigma, "complete", False)
-    return TabularStrategy(table, horizon, complete)
+    for path in _walk(m, sigma, horizon)[0]:
+        dist = sigma.dist(path)
+        if dist and path_len(path) < horizon:
+            table[path] = dict(dist)
+    return TabularStrategy(table, horizon, getattr(sigma, "complete", False))
 
 
 # ---------------------------------------------------------------------------
@@ -157,50 +137,55 @@ def cyl_prob(m: PPA, sigma, path: Path) -> Fraction:
     return total
 
 
+def _check_table_depth(sigma, horizon: int, purpose: str) -> None:
+    # beyond its table a tabular strategy stops, which is fine for partial
+    # strategies but contradicts a completeness claim
+    if isinstance(sigma, TabularStrategy) and sigma.complete and sigma.horizon < horizon:
+        raise HorizonExceedsStrategyTable(
+            f"complete strategy tabulated to {sigma.horizon}, {purpose} needs {horizon}"
+        )
+
+
+def _walk(m: PPA, sigma, horizon: int):
+    """The positive-measure initial paths up to `horizon`, shortest first.
+
+    Returns each path's cylinder probability, and the mass each path shorter
+    than `horizon` stops with.  Only actions in `m.trans` are followed: mass
+    on an action the state does not enable leads nowhere.
+    """
+    probs = {(m.initial,): Fraction(1)}
+    stopped = {}
+    frontier = list(probs.items())
+    for _ in range(horizon):
+        nxt = []
+        for path, mass in frontier:
+            dist = sigma.dist(path)
+            used = sum(dist.values(), Fraction(0))
+            if used != 1:
+                stopped[path] = mass * (1 - used)
+            s = path[-1]
+            for a, pa in dist.items():
+                if pa and (s, a) in m.trans:
+                    weight = mass * pa
+                    nxt.extend(
+                        (path + (a, t), weight * prob)
+                        for t, prob in m.trans[(s, a)].items() if prob
+                    )
+        probs.update(nxt)
+        frontier = nxt
+        if not frontier:
+            break
+    return probs, stopped
+
+
 def measure(m: PPA, sigma, horizon: int) -> PathMeasure:
     """All positive-measure initial paths up to `horizon`, with probabilities."""
     if not m.is_pa:
         raise ValueError("measures need a parameter-free model; instantiate first")
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    # beyond its table a tabular strategy stops, which is fine for partial
-    # strategies but contradicts a completeness claim
-    if (
-        isinstance(sigma, TabularStrategy)
-        and sigma.complete
-        and sigma.horizon < horizon
-    ):
-        raise HorizonExceedsStrategyTable(
-            f"complete strategy tabulated to {sigma.horizon}, measure needs {horizon}"
-        )
-    probs = {(m.initial,): Fraction(1)}
-    stopped = {}
-    frontier = {(m.initial,): Fraction(1)}
-    for _ in range(horizon):
-        nxt = {}
-        for path, mass in frontier.items():
-            dist = sigma.dist(path)
-            used = Fraction(0)
-            for a, pa in dist.items():
-                if pa == 0:
-                    continue
-                used += pa
-                for t, prob in m.dist(path_last(path), a).items():
-                    if prob == 0:
-                        continue
-                    ext = path + (a, t)
-                    add = mass * pa * prob
-                    if add:
-                        nxt[ext] = nxt.get(ext, Fraction(0)) + add
-        for path, mass in frontier.items():
-            dist = sigma.dist(path)
-            rest = mass * (1 - sum(dist.values(), Fraction(0)))
-            if rest:
-                stopped[path] = stopped.get(path, Fraction(0)) + rest
-        probs.update(nxt)
-        frontier = nxt
-        if not frontier:
-            break
+    _check_table_depth(sigma, horizon, "measure")
+    probs, stopped = _walk(m, sigma, horizon)
     return PathMeasure(probs, horizon, stopped)
 
 
@@ -214,21 +199,19 @@ def _component_parts(composed: PPA):
     return composed.composed_of
 
 
-def _moves(action_pair, side, components):
-    """The component action if `side` moves in this composed step, else None."""
-    part = action_pair[side - 1]
-    return part if part in set(components[side - 1].actions) else None
+def _own_actions(composed: PPA, side: int) -> set:
+    """The actions of component `side`: a composed step moves it iff its
+    `side` part is one of them."""
+    return set(_component_parts(composed)[side - 1].actions)
 
 
 def path_project(pi: Path, composed: PPA, side: int) -> Path:
     """Restrict a composed path to the steps its `side` component performs."""
-    comps = _component_parts(composed)
+    own = _own_actions(composed, side)
     out = [pi[0][side - 1]]
-    for i in range(path_len(pi)):
-        act, succ = pi[2 * i + 1], pi[2 * i + 2]
-        comp_act = _moves(act, side, comps)
-        if comp_act is not None:
-            out.extend([comp_act, succ[side - 1]])
+    for act, succ in zip(pi[1::2], pi[2::2]):
+        if act[side - 1] in own:
+            out.extend([act[side - 1], succ[side - 1]])
     return tuple(out)
 
 
@@ -238,7 +221,7 @@ def lifted_paths(pi_i: Path, composed: PPA, side: int, horizon: int):
     Zero-probability transitions are traversable, so enumeration follows the
     declared transition structure, not any particular strategy's support.
     """
-    comps = _component_parts(composed)
+    own = _own_actions(composed, side)
     results = []
 
     def expand(path, idx):
@@ -248,9 +231,8 @@ def lifted_paths(pi_i: Path, composed: PPA, side: int, horizon: int):
             return
         s = path_last(path)
         for a in composed.enabled(s):
-            comp_act = _moves(a, side, comps)
-            if comp_act is not None:
-                if idx >= path_len(pi_i) or comp_act != pi_i[2 * idx + 1]:
+            if a[side - 1] in own:
+                if idx >= path_len(pi_i) or a[side - 1] != pi_i[2 * idx + 1]:
                     continue
                 want = pi_i[2 * idx + 2]
                 for t in sorted(composed.trans[(s, a)], key=sort_key):
@@ -279,95 +261,36 @@ def union_cylinder_prob(m: PPA, sigma, paths) -> Fraction:
     return total
 
 
-def _lift_measure(composed, sigma, pi_i, side, horizon):
-    """Measure of the lifted-path set, summing prefix-minimal cylinders.
-
-    Enumerates along the strategy/transition support only: paths outside it
-    have measure zero and minimality of a support path is unaffected because a
-    lifted proper prefix of a support path is itself a support path.
-    """
-    comps = _component_parts(composed)
-    target_len = path_len(pi_i)
-    total = Fraction(0)
-
-    def expand(path, idx, mass):
-        nonlocal total
-        if idx == target_len:
-            total += mass
-            return
-        if path_len(path) >= horizon or mass == 0:
-            return
-        s = path_last(path)
-        for a, pa in sigma.dist(path).items():
-            if pa == 0 or (s, a) not in composed.trans:
-                continue
-            comp_act = _moves(a, side, comps)
-            dist = composed.dist(s, a)
-            if comp_act is not None:
-                if comp_act != pi_i[2 * idx + 1]:
-                    continue
-                want = pi_i[2 * idx + 2]
-                for t, prob in dist.items():
-                    if prob and t[side - 1] == want:
-                        expand(path + (a, t), idx + 1, mass * pa * prob)
-            else:
-                for t, prob in dist.items():
-                    if prob:
-                        expand(path + (a, t), idx, mass * pa * prob)
-
-    if pi_i[0] == composed.initial[side - 1]:
-        expand((composed.initial,), 0, Fraction(1))
-    return total
-
-
 def strategy_project(composed: PPA, sigma, side: int, horizon: int) -> TabularStrategy:
     """Project a composed-model strategy to one component.
 
     Entry at (pi_i, a_i) is the conditional probability, under the composed
     measure, that component `side` performs `a_i` next given that its observed
     history is `pi_i`; zero when the conditioning event has measure zero.
+    Both events are read off one walk of the composed measure to
+    `horizon + 1`: the prefix-minimal lifts of `pi_i` are the walked paths
+    that project to it and are initial or end with a `side` move, so their
+    cylinders are disjoint and `lifted[pi_i]` is the measure of their union.
     """
-    comps = _component_parts(composed)
-    component = comps[side - 1]
-    if (
-        isinstance(sigma, TabularStrategy)
-        and sigma.complete
-        and sigma.horizon < horizon
-    ):
-        raise HorizonExceedsStrategyTable(
-            f"complete strategy tabulated to {sigma.horizon}, projection needs {horizon}"
-        )
+    own = _own_actions(composed, side)
+    _check_table_depth(sigma, horizon, "projection")
+    lifted = {}
+    for path, prob in _walk(composed, sigma, horizon + 1)[0].items():
+        if len(path) == 1 or path[-2][side - 1] in own:
+            pi_i = path_project(path, composed, side)
+            lifted[pi_i] = lifted.get(pi_i, Fraction(0)) + prob
+    numers = {}
+    for pi_i, mass in lifted.items():
+        if len(pi_i) > 1:
+            row = numers.setdefault(pi_i[:-2], {})
+            row[pi_i[-2]] = row.get(pi_i[-2], Fraction(0)) + mass
     table = {}
-    lift_cache = {}
-
-    def lift(pi_i):
-        if pi_i not in lift_cache:
-            lift_cache[pi_i] = _lift_measure(composed, sigma, pi_i, side, horizon + 1)
-        return lift_cache[pi_i]
-
-    def visit(pi_i):
-        if path_len(pi_i) >= horizon:
-            return
-        denom = lift(pi_i)
-        if denom == 0:
-            # no composed path projects here with positive measure, so every
-            # extension has a zero denominator as well: all entries stay 0
-            return
-        entry = {}
-        last = path_last(pi_i)
-        for a in component.enabled(last):
-            numer = Fraction(0)
-            for t in sorted(component.trans[(last, a)], key=sort_key):
-                numer += lift(pi_i + (a, t))
-            if numer:
-                entry[a] = numer / denom
-        if entry:
-            table[pi_i] = entry
-        for a in component.enabled(last):
-            for t in sorted(component.trans[(last, a)], key=sort_key):
-                visit(pi_i + (a, t))
-
-    visit((component.initial,))
+    for pi_i, row in numers.items():
+        denom = lifted.get(pi_i)
+        if denom and path_len(pi_i) < horizon:
+            entry = {a: numer / denom for a, numer in row.items() if numer}
+            if entry:
+                table[pi_i] = entry
     return TabularStrategy(table, horizon, complete=False)
 
 
@@ -413,6 +336,7 @@ def fair_check(m: PPA, sigma, fairness_sets, horizon: int):
 
     for fset in fairness_sets:
         labels = frozenset(fset)
+        touches = _strategy_touches(m, sigma, pm, labels)
         for path in frontier:
             visited = any(
                 m.label[(path[2 * i], path[2 * i + 1])] in labels
@@ -427,9 +351,7 @@ def fair_check(m: PPA, sigma, fairness_sets, horizon: int):
             )
             if enabled_now:
                 continue
-            if not can_reach_label(path_last(path), labels):
-                return ("violated-witness", path, labels)
-            if not _strategy_touches(m, sigma, pm, labels):
+            if not (touches and can_reach_label(path_last(path), labels)):
                 return ("violated-witness", path, labels)
     return ("fair-up-to-horizon", None, None)
 

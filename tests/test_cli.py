@@ -863,6 +863,52 @@ def test_project_and_triple_cli(corpus_dir, tmp_path, capsys):
     assert code2 == 2  # assumption alphabet {a,b} exceeds the bare pipeline's
 
 
+@pytest.mark.parametrize(
+    "defect", ["disabled action", "total above one", "negative mass", "empty history"]
+)
+def test_project_rejects_an_invalid_strategy(corpus_dir, tmp_path, capsys, defect):
+    from pacomp.model import compose, instantiate
+    from pacomp.semantics import MemorylessStrategy, TabularStrategy
+
+    left, right = (
+        modelio.load_document(json.load(open(corpus_dir / name)))
+        for name in ("retry.ppa.json", "pipeline.ppa.json")
+    )
+    composed = instantiate(compose(left, right), {"p": F(1, 10), "q": F(1, 10)})
+    choice = {s: dict(d) for s, d in corpus.priority_strategy(composed).choice.items()}
+    s = composed.initial
+    (a, _), = choice[s].items()
+    if defect == "disabled action":
+        other = next(x for t in composed.states for x in composed.enabled(t)
+                     if x not in composed.enabled(s))
+        choice[s] = {other: F(1)}
+    elif defect == "total above one":
+        other = next(x for x in composed.enabled(s) if x != a)
+        choice[s] = {a: F(1), other: F(1)}
+    elif defect == "negative mass":
+        choice[s] = {a: F(-1, 2)}
+    sigma = MemorylessStrategy(choice)
+    if defect == "empty history":
+        sigma = TabularStrategy({(): {a: F(1)}}, horizon=2)
+    strategy_path = tmp_path / "sigma.json"
+    json.dump(modelio.strategy_to_jsonable(sigma), open(strategy_path, "w"))
+    code, out, err = run(
+        capsys,
+        "project",
+        "--left", str(corpus_dir / "retry.ppa.json"),
+        "--right", str(corpus_dir / "pipeline.ppa.json"),
+        "--strategy", str(strategy_path),
+        "--valuation", "p=1/10,q=1/10",
+        "--side", "2",
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("format error:") and "Traceback" not in err
+    # a malformed history fails at load, with its JSON path; the rest are
+    # checked against the composed model and name the strategy file
+    where = "$.table[0]: " if defect == "empty history" else f"{strategy_path}: "
+    assert where in err
+
+
 def test_region_and_strategy_documents_roundtrip():
     from pacomp.algebra import Box, FiniteRegion, RegionUnion
 

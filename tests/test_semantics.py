@@ -193,6 +193,49 @@ def test_measure_preservation_small():
             assert lhs == rhs, (side, pi)
 
 
+def _check_projection_definition(comp, sigma, horizon):
+    """Every projected entry at (pi, a) is sum_t U(pi a t) / U(pi), or 0 when
+    U(pi) = 0, where U(x) is the measure of the union of the cylinders of the
+    composed paths up to horizon + 1 that lift x."""
+    checked = 0
+    for side in (1, 2):
+        component = comp.composed_of[side - 1]
+        proj = strategy_project(comp, sigma, side, horizon)
+        lifted = {}
+
+        def u(x):
+            if x not in lifted:
+                paths = lifted_paths(x, comp, side, horizon + 1)
+                lifted[x] = union_cylinder_prob(comp, sigma, paths)
+            return lifted[x]
+
+        histories = enumerate_paths(component, horizon - 1)
+        assert set(proj.table) <= set(histories)
+        for pi in histories:
+            last = pi[-1]
+            for a in component.enabled(last):
+                numer = sum((u(pi + (a, t)) for t in component.trans[(last, a)]), F(0))
+                want = numer / u(pi) if u(pi) else F(0)
+                assert proj.mass(pi, a) == want, (side, pi, a)
+                checked += 1
+    return checked
+
+
+def test_projection_matches_its_definition():
+    cv = composed_instance()
+    assert _check_projection_definition(cv, corpus.priority_strategy(cv), 4) > 0
+    rng = random.Random(29)
+    for _ in range(20):
+        left = random_pa(rng, "l", rng.randint(2, 4), ["a", "b"])
+        right = random_pa(rng, "r", rng.randint(2, 4), ["a", "c"])
+        comp = compose(left, right)
+        horizon = rng.randint(2, 3)
+        # tabulated one step deeper, so that a lift may end in a move made
+        # after an idle step at the horizon
+        sigma = random_tabular_strategy(rng, comp, horizon + 1, complete=rng.random() < 0.5)
+        assert _check_projection_definition(comp, sigma, horizon) > 0
+
+
 def test_union_cylinder_prob_counts_minimal_paths_once():
     cv = composed_instance()
     sigma = tabulate(cv, corpus.priority_strategy(cv), 3)
