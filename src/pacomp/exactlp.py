@@ -6,8 +6,10 @@ rational r[j] / d.  Invariant: d > 0 and gcd(d, *r) == 1, restored after
 every update.  A pivot changes, in every other row, only the columns where
 the pivot row is nonzero; the row is first multiplied through by one integer
 when the pivot row's denominator does not divide the row's entry in the
-pivot column.  No `Fraction` is built inside the loop.  Inputs may be any
-rationals and results are `Fraction`s; no float is involved.
+pivot column.  No `Fraction` is built inside the loop.  `gauss_solve` takes
+integer rows as they are (denominator 1): scale a rational equation by the
+lcm of its denominators first.  The simplex takes rational rows and scales
+each to integers once.  Results are `Fraction`s; no float is involved.
 
 The simplex is two-phase.  Each pivot enters the column with the most
 negative reduced cost (Dantzig's rule; smallest index on ties) and leaves by
@@ -81,15 +83,10 @@ def _pivot(rows, dens, r, c):
 
 
 def gauss_solve(rows, rhs):
-    """Solve A x = b for square nonsingular A; returns a list of Fractions."""
+    """Solve A x = b for a square nonsingular integer matrix A and integer
+    vector b; returns a list of Fractions."""
     n = len(rows)
-    a, dens = [], []
-    for i, row in enumerate(rows):
-        entries = {j: Fraction(v) for j, v in enumerate(row) if v}
-        entries[n] = Fraction(rhs[i])
-        ints, den = _int_row(entries, n + 1)
-        a.append(ints)
-        dens.append(den)
+    a, dens = [[*row, b] for row, b in zip(rows, rhs)], [1] * n
     for col in range(n):
         pivot = next((r for r in range(col, n) if a[r][col]), None)
         if pivot is None:

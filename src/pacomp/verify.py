@@ -5,10 +5,12 @@ reward objectives are expected total rewards over transition labels.  All
 solvers are exact and end in two mechanisms:
 
 - one Markov-chain solver (`_chain_solve`): expected total gain per state,
-  INF on recurrent positive gain, the rest by one rational linear solve.
-  Reachability is the case with absorbing targets.  It evaluates fixed
-  strategies and witnesses, and drives the policy iteration behind optimal
-  reachability and maximal expected reward;
+  INF on recurrent positive gain, the rest by one exact solve of integer
+  rows, each a state's probabilities and gain as numerators over its own
+  denominator.  Reachability is the case with absorbing targets.  It
+  evaluates fixed strategies and witnesses, and drives the policy iteration
+  behind optimal reachability and maximal expected reward, which scales the
+  model to integers once and compares backups as integer dot products;
 - one occupation-measure LP builder (`_occupation_lp`): expected
   state-action frequencies routing one unit of flow into a settle region,
   solved by the exact simplex, for multi-objective achievability and
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .algebra import Polynomial, PolyTable, poly_eval, region_samples, require_total, valuation_key
 from .errors import (
@@ -215,13 +218,18 @@ def _sccs(nodes, succ):
     return sccs
 
 
-def _backward_reach(succ, seeds) -> set:
-    """Seeds plus every state of the successor map {s: successors} with a
-    path into them (least fixpoint, walked over predecessor lists)."""
+def _predecessors(succ) -> dict:
+    """The predecessor lists of the successor map {s: successors}."""
     preds = {}
     for s, targets in succ.items():
         for t in targets:
             preds.setdefault(t, []).append(s)
+    return preds
+
+
+def _backward_reach(preds, seeds) -> set:
+    """Seeds plus every state with a path into them, walked over the
+    predecessor lists `preds` (least fixpoint)."""
     seen = set(seeds)
     stack = list(seen)
     while stack:
@@ -313,18 +321,21 @@ def maximal_end_components(trans, states):
 # Markov chains: expected total gain, and reachability as a special case
 # ---------------------------------------------------------------------------
 
-def _chain_solve(chain, gain, init=None):
-    """Expected total gain per state of the Markov chain {s: {t: p > 0}}.
+def _chain_solve(chain, gain, den, init=None):
+    """Expected total gain per state of a Markov chain given as integer rows.
 
-    `gain` maps a state to the reward collected on leaving it.  A state is
-    INF when it can reach a closed SCC that has an internal edge and positive
-    gain, and 0 when it cannot reach positive gain; one exact linear solve
-    gives the rest.  With `init`, only values[init] is meant to be read, and
-    the solve is skipped when that value is already INF or 0.
+    Row s is {t: n > 0}, the probabilities n / den[s], and gain[s] / den[s]
+    is collected on leaving s.  A state is INF when it can reach a closed SCC
+    that has an internal edge and positive gain, and 0 when it cannot reach
+    positive gain; one exact solve of the integer rows (den[s] on the
+    diagonal, minus the numerators) gives the rest.  With `init`, only
+    values[init] is meant to be read, and the solve is skipped when that
+    value is already INF or 0.
     """
     succ = lambda s: chain.get(s, {})
+    preds = _predecessors(chain)
     # a closed SCC with an internal edge never reaches a dead end
-    trapped = set(chain) - _backward_reach(chain, [s for s in chain if not chain[s]])
+    trapped = set(chain) - _backward_reach(preds, [s for s in chain if not chain[s]])
     recurrent = set()
     if any(gain.get(s, 0) > 0 for s in trapped):
         for comp in _sccs(trapped, succ):
@@ -332,10 +343,11 @@ def _chain_solve(chain, gain, init=None):
                 succ(s).keys() <= comp for s in comp
             ):
                 recurrent |= comp
-    infinite = _backward_reach(chain, recurrent)
-    positive = _backward_reach(chain, {s for s in chain if gain.get(s, 0) > 0})
+    infinite = _backward_reach(preds, recurrent)
+    positive = _backward_reach(preds, {s for s in chain if gain.get(s, 0) > 0})
+    zero = Fraction(0)
     values = {
-        s: INF if s in infinite else Fraction(0)
+        s: INF if s in infinite else zero
         for s in chain
         if s in infinite or s not in positive
     }
@@ -344,64 +356,89 @@ def _chain_solve(chain, gain, init=None):
         idx = {s: i for i, s in enumerate(unknown)}
         rows = []
         for s in unknown:
-            row = [Fraction(0)] * len(unknown)
-            row[idx[s]] = Fraction(1)
-            for t, p in chain[s].items():
+            row = [0] * len(unknown)
+            row[idx[s]] = den[s]
+            for t, n in chain[s].items():
                 if t in idx:
-                    row[idx[t]] -= p
+                    row[idx[t]] -= n
             rows.append(row)
-        rhs = [gain.get(s, Fraction(0)) for s in unknown]
+        rhs = [gain.get(s, 0) for s in unknown]
         values.update(zip(unknown, gauss_solve(rows, rhs)))
     return values
 
 
-def _reach_prob(chain, targets, init) -> Fraction:
-    """P(eventually targets) from `init`: the chain solve with the targets
-    made absorbing and each state's one-step mass into them as its gain."""
+def _reach_prob(chain, den, targets, init) -> Fraction:
+    """P(eventually targets) from `init` in the integer rows of
+    `_chain_solve`: the chain solve with the targets made absorbing and each
+    state's one-step mass into them as its gain."""
     if init in targets:
         return Fraction(1)
     absorbed = {s: {} if s in targets else dist for s, dist in chain.items()}
     gain = {
-        s: sum((p for t, p in dist.items() if t in targets), Fraction(0))
+        s: sum(n for t, n in dist.items() if t in targets)
         for s, dist in absorbed.items()
     }
-    return _chain_solve(absorbed, gain, init)[init]
+    return _chain_solve(absorbed, gain, den, init)[init]
 
 
 def _rew(pa, rewards, s, a) -> Fraction:
     return rewards.get(pa.label[(s, a)], Fraction(0))
 
 
-def _policy_iteration(pa, deciding, reward):
+def _policy_iteration(pa, deciding, rewards, targets=frozenset()):
     """Maximal expected total reward over det memoryless policies.
 
     States in `deciding` pick one enabled action each, every other state
-    stops; `reward(s, a)` is collected on taking a in s.  The start policy
-    takes the first enabled action, and a state switches only on strict
-    improvement, so the returned policy depends on the model alone.  Returns
-    the policy and the value of every state under it.
+    stops; taking a in s collects the reward of its label in `rewards` plus
+    its one-step mass into `targets`.  The start policy takes the first
+    enabled action, and a state switches only on strict improvement, so the
+    returned policy depends on the model alone.  The actions are scaled once
+    to integer numerators over one denominator D, and each round's finite
+    values to integers x over their common denominator V, so an action's
+    backup R + sum(P_t * X_t) beats the value X_s iff the integer
+    R*V + sum(P_t * x_t) exceeds D * x_s.  Returns the policy and the value
+    of every state under it.
     """
     policy = {}
     for s in deciding:
         acts = pa.enabled(s)
         if acts:
             policy[s] = acts[0]
+    gains = {(s, a): rewards.get(pa.label[(s, a)], 0) for s in policy for a in pa.enabled(s)}
+    den = lcm(
+        *(r.denominator for r in gains.values()),
+        *(p.denominator for key in gains for p in pa.trans[key].values()),
+    )
+    scaled = {}
+    for key, r in gains.items():
+        succ = {t: p.numerator * (den // p.denominator) for t, p in pa.trans[key].items() if p}
+        mass = sum(n for t, n in succ.items() if t in targets)
+        scaled[key] = (r.numerator * (den // r.denominator) + mass, succ)
+    options = {
+        s: [(a, *scaled[(s, a)]) for a in pa.enabled(s)] for s in sorted(policy, key=sort_key)
+    }
+    row_den = dict.fromkeys(pa.states, den)
     while True:
-        chain = {s: {} for s in pa.states}
+        chain, gain = {s: {} for s in pa.states}, {}
         for s, a in policy.items():
-            chain[s] = {t: p for t, p in pa.dist(s, a).items() if p}
-        values = _chain_solve(chain, {s: reward(s, a) for s, a in policy.items()})
+            gain[s], chain[s] = scaled[(s, a)]
+        values = _chain_solve(chain, gain, row_den)
+        finite = {s: v for s, v in values.items() if v is not INF}
+        scale = lcm(*(v.denominator for v in finite.values()))
+        x = {s: v.numerator * (scale // v.denominator) for s, v in finite.items()}
+        inf = values.keys() - x.keys()
         improved = False
-        for s in sorted(policy, key=sort_key):
-            best_a, best_v = policy[s], values[s]
-            for a in pa.enabled(s):
-                succ = [(p, values[t]) for t, p in pa.dist(s, a).items() if p]
-                if any(val == INF for _, val in succ):
-                    v = INF
-                else:
-                    v = reward(s, a) + sum((p * val for p, val in succ), Fraction(0))
-                if v > best_v:
-                    best_a, best_v = a, v
+        for s, opts in options.items():
+            if s in inf:
+                continue  # no backup exceeds INF
+            best_a, best = policy[s], den * x[s]
+            for a, r, succ in opts:
+                if inf and not inf.isdisjoint(succ):
+                    best_a = a  # an INF backup, which no later action exceeds
+                    break
+                v = r * scale + sum(n * x[t] for t, n in succ.items())
+                if v > best:
+                    best_a, best = a, v
             if best_a != policy[s]:
                 policy[s] = best_a
                 improved = True
@@ -420,11 +457,7 @@ def max_reach(pa: PPA, targets):
     targets = frozenset(targets)
     # targets stop; the gain of an action is its one-step mass into them
     policy, values = _policy_iteration(
-        pa,
-        [s for s in pa.states if s not in targets],
-        lambda s, a: sum(
-            (p for t, p in pa.dist(s, a).items() if t in targets), Fraction(0)
-        ),
+        pa, [s for s in pa.states if s not in targets], {}, targets
     )
     values = {s: Fraction(1) if s in targets else values[s] for s in pa.states}
     strategy = MemorylessStrategy(
@@ -510,9 +543,7 @@ def exp_total_reward(pa: PPA, rewards, mode="max"):
         ):
             return INF
 
-    _, values = _policy_iteration(
-        pa, pa.states, lambda s, a: _rew(pa, rew_const, s, a)
-    )
+    _, values = _policy_iteration(pa, pa.states, rew_const)
     return values.get(pa.initial, Fraction(0))
 
 
@@ -669,34 +700,34 @@ class _MoQuery:
     def _reward(self, values, key, j):
         """Reward of reward objective j on the product transition `key`."""
         k = self.reward_slots[j].get(self.plabel[key])
-        return Fraction(0) if k is None else values[k]
+        return 0 if k is None else values[k]
 
-    def _chain_parts(self, values):
-        """Each product transition's nonzero probabilities, and each reward
-        objective's reward per product transition, at one value vector."""
+    def _chain_parts(self, point):
+        """The denominator D of the table vector `point`, each product
+        transition's nonzero probabilities, and each reward objective's
+        reward per product transition, as integer numerators over D."""
+        den, nums = point
         trans = {
-            key: {t: values[k] for t, k in dist if values[k]}
+            key: {t: nums[k] for t, k in dist if nums[k]}
             for key, dist in self.ptrans.items()
         }
         rewards = [
-            {key: self._reward(values, key, j) for key in self.ptrans}
+            {key: self._reward(nums, key, j) for key in self.ptrans}
             for j in range(len(self.rew_objs))
         ]
-        return trans, rewards
+        return den, trans, rewards
 
     def strategy_values(self, point):
         """sigma -> the exact values at the table vector `point` of the
         probability objectives, then the reward objectives, under the
         memoryless strategy sigma of `self.model`; missing mass stops, and
         mass on an action the state does not enable is ignored."""
-        trans, rewards = self._chain_parts(_values(point))
+        parts = self._chain_parts(point)
 
         def values(sigma):
             choice = sigma.choice
             mix = {ps: choice[ps[0]] for ps in self.states if ps[0] in choice}
-            return _witness_values(
-                self.init, self.states, trans, self.targets, rewards, mix, {}, {}
-            )
+            return _witness_values(self.init, self.states, parts, self.targets, mix, {}, {})
 
         return values
 
@@ -778,9 +809,9 @@ class _MoQuery:
             status, x, _ = lp.solve({})
             if status != OPTIMAL:
                 return "unachievable", None
-        return "achievable", self._witness(values, x, y_index, w_index, stay)
+        return "achievable", self._witness(point, x, y_index, w_index, stay)
 
-    def _witness(self, values, x, y_index, w_index, stay):
+    def _witness(self, point, x, y_index, w_index, stay):
         """The two-mode witness strategy of the LP solution x, re-verified exactly."""
         mix, settle_mass = {}, {}
         for ps in self.states:
@@ -799,9 +830,8 @@ class _MoQuery:
             if w:
                 settle_mass[ps] = w / total
 
-        trans, rewards = self._chain_parts(values)
         vals = _witness_values(
-            self.init, self.states, trans, self.targets, rewards, mix, settle_mass, stay
+            self.init, self.states, self._chain_parts(point), self.targets, mix, settle_mass, stay
         )
         objectives = self.prob_objs + self.rew_objs
         for o, val in zip(objectives, vals):
@@ -856,50 +886,51 @@ def mo_achievable(pa: PPA, query, strategy_class="cmp"):
     return mo_query.solve(point)
 
 
-def _witness_values(init, states, trans, targets, rewards, mix, settle_mass, stay):
+def _witness_values(init, states, parts, targets, mix, settle_mass, stay):
     """Exact objective values of the two-mode witness strategy.
 
-    `trans` holds each key's nonzero probabilities.  Go-mode state ps plays
-    mix[ps] (mass on a key outside `trans` is ignored) and settles with
-    settle_mass[ps]; stay-mode ps plays stay[ps] forever.  One value per
-    target set (the probability of never reaching it), then one per reward
-    map {key: reward} (the expected total reward).
+    `parts` is `_MoQuery._chain_parts` at one table vector: D, each key's
+    nonzero probabilities and each reward map {key: reward}, as integer
+    numerators over D.  Go-mode state ps plays mix[ps] (mass on a key
+    outside the transitions is ignored) and settles with settle_mass[ps];
+    stay-mode ps plays stay[ps] forever.  A go row is over D times the lcm of
+    its weights' denominators, a stay row over D.  One value per target set
+    (the probability of never reaching it), then one per reward map (the
+    expected total reward).
     """
-    chain = {}
+    den, trans, rewards = parts
+    chain, row_den = {}, {}
     gain_of = [{} for _ in rewards]
     for ps in states:
         go, dist = ("go", ps), {}
-        for a, wgt in mix.get(ps, {}).items():
-            key = (ps, a)
-            if not wgt or key not in trans:
-                continue
-            for t, p in trans[key].items():
-                if wgt != 1:
-                    p = wgt * p
+        weights = [(a, w) for a, w in mix.get(ps, {}).items() if w and (ps, a) in trans]
+        settle = settle_mass.get(ps, 0)
+        scale = lcm(settle.denominator, *(w.denominator for _, w in weights))
+        for a, w in weights:
+            f, key = w.numerator * (scale // w.denominator), (ps, a)
+            for t, n in trans[key].items():
                 t = ("go", t)
-                dist[t] = dist[t] + p if t in dist else p
+                dist[t] = dist.get(t, 0) + f * n
             for gain, rew in zip(gain_of, rewards):
-                r = rew[key]
-                if r:
-                    if wgt != 1:
-                        r = wgt * r
-                    gain[go] = gain[go] + r if go in gain else r
-        if settle_mass.get(ps):
-            dist[("stay", ps)] = settle_mass[ps]
-        chain[go] = dist
+                if rew[key]:
+                    gain[go] = gain.get(go, 0) + f * rew[key]
+        if settle:
+            dist[("stay", ps)] = settle.numerator * (scale // settle.denominator) * den
+        chain[go], row_den[go] = dist, scale * den
     # stay nodes exist only where settling or a stay step reaches them
     for ps in settle_mass:
         chain.setdefault(("stay", ps), {})
     for ps, a in stay.items():
-        chain[("stay", ps)] = succ = {("stay", t): p for t, p in trans[(ps, a)].items()}
+        chain[("stay", ps)] = succ = {("stay", t): n for t, n in trans[(ps, a)].items()}
+        row_den[("stay", ps)] = den
         for t in succ:
             chain.setdefault(t, {})
     out = []
     for target in targets:
         marked = {(mode, ps) for mode in ("go", "stay") for ps in target}
-        out.append(1 - _reach_prob(chain, marked, ("go", init)))
+        out.append(1 - _reach_prob(chain, row_den, marked, ("go", init)))
     for gain in gain_of:
-        out.append(_chain_solve(chain, gain, ("go", init))[("go", init)])
+        out.append(_chain_solve(chain, gain, row_den, ("go", init))[("go", init)])
     return out
 
 

@@ -18,7 +18,11 @@ from pacomp.model import DFA, WellDefinedness, instantiate, make_ppa, sort_key, 
 from pacomp.robust import RPA, IntervalSet, VertexSet, freeze_dist, generators, make_rpa
 from pacomp.semantics import TabularStrategy, path_last
 from pacomp.verify import (
+    INF,
     Verdict,
+    _backward_reach,
+    _predecessors,
+    _sccs,
     enumerate_memoryless,
     instantiate_objective,
     mo_achievable,
@@ -209,6 +213,95 @@ def pa_reduce_reference(u: RPA):
             frozen = freeze_dist(gen)
             trans[(s, (a, frozen))] = (u.label[(s, a)], dict(frozen))
     return make_ppa(u.states, u.initial, frozenset(), trans, u.alphabet)
+
+
+def fraction_solve(rows, rhs):
+    """Gauss-Jordan elimination in Fractions: the solution of the square
+    system rows . x = rhs; ValueError when it is singular."""
+    n = len(rows)
+    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            raise ValueError("singular linear system")
+        a[col], a[pivot] = a[pivot], a[col]
+        head = a[col][col]
+        a[col] = [v / head for v in a[col]]
+        for r in range(n):
+            f = a[r][col]
+            if r != col and f:
+                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
+    return [row[n] for row in a]
+
+
+def chain_solve_reference(chain, gain, init=None):
+    """`verify._chain_solve` as it was before its rows became integers: the
+    chain {s: {t: p > 0}} and the gains are Fractions, solved by
+    `fraction_solve`."""
+    succ = lambda s: chain.get(s, {})
+    preds = _predecessors(chain)
+    # a closed SCC with an internal edge never reaches a dead end
+    trapped = set(chain) - _backward_reach(preds, [s for s in chain if not chain[s]])
+    recurrent = set()
+    if any(gain.get(s, 0) > 0 for s in trapped):
+        for comp in _sccs(trapped, succ):
+            if any(gain.get(s, 0) > 0 for s in comp) and all(
+                succ(s).keys() <= comp for s in comp
+            ):
+                recurrent |= comp
+    infinite = _backward_reach(preds, recurrent)
+    positive = _backward_reach(preds, {s for s in chain if gain.get(s, 0) > 0})
+    values = {
+        s: INF if s in infinite else Fraction(0)
+        for s in chain
+        if s in infinite or s not in positive
+    }
+    unknown = sorted((s for s in positive if s not in infinite), key=sort_key)
+    if unknown and (init is None or init not in values):
+        idx = {s: i for i, s in enumerate(unknown)}
+        rows = []
+        for s in unknown:
+            row = [Fraction(0)] * len(unknown)
+            row[idx[s]] = Fraction(1)
+            for t, p in chain[s].items():
+                if t in idx:
+                    row[idx[t]] -= p
+            rows.append(row)
+        rhs = [gain.get(s, Fraction(0)) for s in unknown]
+        values.update(zip(unknown, fraction_solve(rows, rhs)))
+    return values
+
+
+def policy_iteration_reference(pa, deciding, reward):
+    """`verify._policy_iteration` as it was in Fraction arithmetic: every
+    round re-evaluates every enabled action's backup as a Fraction, and
+    `reward(s, a)` is a Fraction."""
+    policy = {}
+    for s in deciding:
+        acts = pa.enabled(s)
+        if acts:
+            policy[s] = acts[0]
+    while True:
+        chain = {s: {} for s in pa.states}
+        for s, a in policy.items():
+            chain[s] = {t: p for t, p in pa.dist(s, a).items() if p}
+        values = chain_solve_reference(chain, {s: reward(s, a) for s, a in policy.items()})
+        improved = False
+        for s in sorted(policy, key=sort_key):
+            best_a, best_v = policy[s], values[s]
+            for a in pa.enabled(s):
+                succ = [(p, values[t]) for t, p in pa.dist(s, a).items() if p]
+                if any(val == INF for _, val in succ):
+                    v = INF
+                else:
+                    v = reward(s, a) + sum((p * val for p, val in succ), Fraction(0))
+                if v > best_v:
+                    best_a, best_v = a, v
+            if best_a != policy[s]:
+                policy[s] = best_a
+                improved = True
+        if not improved:
+            return policy, values
 
 
 def alphabet_extend_rpa(u: RPA, sigma) -> RPA:

@@ -12,6 +12,7 @@ report the infeasible program {x0 + x1 = 1, x0 = 0, x1 = 0} as optimal at
 
 from fractions import Fraction as F
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -257,13 +258,21 @@ def square_systems(draw):
 @settings(max_examples=100, deadline=None)
 @given(square_systems())
 def test_gauss_solve_agrees_with_sympy(system):
+    """`gauss_solve` takes integer rows: each rational equation goes in
+    multiplied by the lcm of its denominators, which keeps its solutions."""
     rows, rhs = system
     a = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
     b = sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in rhs])
+    int_rows, int_rhs = [], []
+    for row, c in zip(rows, rhs):
+        scale = lcm(*(v.denominator for v in row), c.denominator)
+        int_rows.append([int(v * scale) for v in row])
+        int_rhs.append(int(c * scale))
+    assert all(type(v) is int for row in int_rows for v in row + int_rhs)
     if a.det() == 0:
         with pytest.raises(ValueError):
-            gauss_solve(rows, rhs)
+            gauss_solve(int_rows, int_rhs)
         return
-    x = gauss_solve(rows, rhs)
+    x = gauss_solve(int_rows, int_rhs)
     assert all(type(v) is F for v in x)
     assert x == [F(int(v.p), int(v.q)) for v in a.LUsolve(b)]

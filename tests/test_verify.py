@@ -15,7 +15,7 @@ from pacomp.errors import (
     SideConditionError,
     UnboundedReward,
 )
-from pacomp.exactlp import OPTIMAL, LinearProgram
+from pacomp.exactlp import INFEASIBLE, OPTIMAL, LinearProgram
 from pacomp.model import (
     alphabet_extend,
     compose,
@@ -28,6 +28,7 @@ from pacomp.robust import pa_reduce
 from pacomp.semantics import MemorylessStrategy
 from pacomp.verify import (
     INF,
+    _policy_iteration,
     ProbObjective,
     chain_expected_reward,
     chain_language_prob,
@@ -47,7 +48,9 @@ from pacomp.verify import (
 
 from helpers import (
     ag_triple_check_per_sample,
+    fraction_solve,
     monotone_check_per_sample,
+    policy_iteration_reference,
     random_pa,
     random_parametric_pair,
     random_polytopic_rpa,
@@ -79,29 +82,46 @@ def test_max_reach_all_states_target():
     assert max_reach(pa, set(pa.states))[0] == 1
 
 
+def _reach_by_fraction_solve(chain, targets, init):
+    """P(eventually targets) from `init` in the chain {s: {t: p}}: 1 on the
+    targets, 0 where they are unreachable, and otherwise one Fraction solve
+    of x[s] = sum_t p(s, t) x[t] over the states that reach them."""
+    reaches, grew = set(targets), True
+    while grew:
+        grew = False
+        for s, dist in chain.items():
+            if s not in reaches and any(p and t in reaches for t, p in dist.items()):
+                reaches.add(s)
+                grew = True
+    if init in targets or init not in reaches:
+        return F(int(init in targets))
+    unknown = [s for s in chain if s in reaches and s not in targets]
+    col = {s: i for i, s in enumerate(unknown)}
+    rows, rhs = [], []
+    for s in unknown:
+        row = [F(0)] * len(unknown)
+        row[col[s]] += 1
+        for t, p in chain[s].items():
+            if t in col:
+                row[col[t]] -= p
+        rows.append(row)
+        rhs.append(sum((p for t, p in chain[s].items() if t in targets), F(0)))
+    return fraction_solve(rows, rhs)[col[init]]
+
+
 def test_max_reach_agrees_with_policy_enumeration():
     rng = random.Random(17)
     for _ in range(15):
         pa = random_pa(rng, "x", 3, ["a", "b"], max_actions=2)
         target = {rng.choice(pa.states)}
         value, strat, _ = max_reach(pa, target)
-        # brute force over deterministic memoryless policies
+        # brute force over deterministic memoryless policies, each chain
+        # solved in Fractions apart from pacomp's solvers
         decisions = [pa.enabled(s) for s in pa.states]
         best = F(0)
         for combo in itertools.product(*(d or [None] for d in decisions)):
-            sigma = MemorylessStrategy(
-                {
-                    s: {a: F(1)}
-                    for s, a in zip(pa.states, combo)
-                    if a is not None
-                }
-            )
-            reach_dfa = None
-            # evaluate reach probability of this policy by linear solve
-            from pacomp.verify import _reach_prob
-
             chain = {s: pa.dist(s, a) if a else {} for s, a in zip(pa.states, combo)}
-            best = max(best, _reach_prob(chain, frozenset(target), pa.initial))
+            best = max(best, _reach_by_fraction_solve(chain, frozenset(target), pa.initial))
         assert value == best
 
 
@@ -262,6 +282,88 @@ def test_chain_reward_divergence_and_zero():
     # the rewarded cycle at u is never reached
     escape = MemorylessStrategy({"s": {"y": F(1)}, "t": {"z": F(1)}})
     assert solution_value(loop, escape, paid) == 0
+
+
+def _random_rewarded_models(rng):
+    """A random PA and a random PA-reduction, each with rewards on a random
+    subset of its labels (zero on the others)."""
+    pa = random_pa(rng, "x", rng.randint(2, 6), ["a", "b", "c"], max_actions=3)
+    reduced = pa_reduce(random_polytopic_rpa(rng, "u", ["a", "b", "c"], rng.randint(2, 4)))
+    for m in (pa, reduced):
+        labels = sorted(m.alphabet)
+        rewarded = rng.sample(labels, k=rng.randint(0, len(labels)))
+        yield m, {lab: F(rng.randint(1, 3), rng.randint(1, 3)) for lab in rewarded}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_policy_iteration_matches_the_fraction_reference(seed):
+    """The integer policy iteration returns what the Fraction one returned:
+    the same value, strategy (in the same order) and value dict for
+    `max_reach`, and the same maximal expected total reward."""
+    rng = random.Random(seed)
+    for m, rewards in _random_rewarded_models(rng):
+        targets = frozenset(rng.sample(m.states, k=rng.randint(1, 2)))
+        policy, values = policy_iteration_reference(
+            m,
+            [s for s in m.states if s not in targets],
+            lambda s, a: sum((p for t, p in m.dist(s, a).items() if t in targets), F(0)),
+        )
+        values = {s: F(1) if s in targets else values[s] for s in m.states}
+        value, strategy, got = max_reach(m, targets)
+        assert value == values.get(m.initial, F(0))
+        assert list(strategy.choice.items()) == [(s, {a: F(1)}) for s, a in policy.items()]
+        assert list(got.items()) == list(values.items())
+        # the policy iteration of exp_total_reward runs only when no
+        # reachable end component collects reward; unreachable states may
+        # still be INF, which only the policy and value dict show
+        total = exp_total_reward(m, rewards, "max")
+        if total != INF:
+            policy, values = policy_iteration_reference(
+                m, m.states, lambda s, a: rewards.get(m.label[(s, a)], F(0))
+            )
+            assert total == values.get(m.initial, F(0))
+            assert _policy_iteration(m, m.states, rewards) == (policy, values)
+
+
+def _reward_lp_value(pa, rewards):
+    """Maximal expected total reward by its LP over the states reachable from
+    the initial one: minimise the sum of x[s] >= 0 subject to
+    x[s] >= r(s, a) + sum_t P(s, a, t) x[t] for every enabled action.  With
+    nonnegative rewards the least such x is the value vector, so the LP is
+    infeasible iff some reachable state, and with it the initial one, has
+    infinite value, which is when a reachable end component collects
+    positive reward."""
+    reach, stack = {pa.initial}, [pa.initial]
+    while stack:
+        s = stack.pop()
+        for a in pa.enabled(s):
+            for t, p in pa.dist(s, a).items():
+                if p and t not in reach:
+                    reach.add(t)
+                    stack.append(t)
+    col = {s: i for i, s in enumerate(s for s in pa.states if s in reach)}
+    lp = LinearProgram(len(col))
+    for s in col:
+        for a in pa.enabled(s):
+            row = {col[s]: F(1)}
+            for t, p in pa.dist(s, a).items():
+                if p:
+                    row[col[t]] = row.get(col[t], F(0)) - p
+            lp.add_lb(row, rewards.get(pa.label[(s, a)], F(0)))
+    status, x, _ = lp.solve({i: F(1) for i in col.values()}, maximize=False)
+    if status == INFEASIBLE:
+        return INF
+    assert status == OPTIMAL
+    return x[col[pa.initial]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_reward_maximum_agrees_with_its_lp(seed):
+    rng = random.Random(seed)
+    for m, rewards in _random_rewarded_models(rng):
+        assert exp_total_reward(m, rewards, "max") == _reward_lp_value(m, rewards)
 
 
 def test_chain_reward_maximum_is_policy_iteration():
