@@ -128,21 +128,31 @@ def _rational(p):
     return p if isinstance(p, Fraction) else Fraction(p)
 
 
+def split_transitions(trans, entry=lambda e: e):
+    """Split {(state, action): (label, entry)} into the map of converted
+    entries, the label map and the actions, deduplicated and in `sort_key`
+    order: the input form of `make_ppa` and `robust.make_rpa`."""
+    emap, lmap, actions = {}, {}, {}
+    for key, (lab, e) in trans.items():
+        emap[key] = entry(e)
+        lmap[key] = lab
+        actions[key[1]] = None
+    return emap, lmap, tuple(sorted(actions, key=sort_key))
+
+
 def make_ppa(states, initial, params, trans, alphabet, composed_of=None) -> PPA:
     """Build a pPA from `trans` given as {(state, action): (label, dist)};
     entries are stored in the form `params` decides (see `PPA`)."""
     params = frozenset(params)
     entry = Polynomial.coerce if params else _rational
-    tmap, lmap, actions = {}, {}, {}
-    for (s, a), (lab, dist) in trans.items():
-        tmap[(s, a)] = {t: entry(p) for t, p in dist.items()}
-        lmap[(s, a)] = lab
-        actions[a] = None
+    tmap, lmap, actions = split_transitions(
+        trans, lambda dist: {t: entry(p) for t, p in dist.items()}
+    )
     return PPA(
         states=tuple(states),
         initial=initial,
         params=params,
-        actions=tuple(sorted(actions, key=sort_key)),
+        actions=actions,
         trans=tmap,
         label=lmap,
         alphabet=frozenset(alphabet),
@@ -240,57 +250,55 @@ def well_defined(m: PPA, v) -> WellDefinedness:
 
 
 # ---------------------------------------------------------------------------
-# Parallel composition (synchronize on shared labels)
+# Parallel composition (synchronise on shared labels)
 # ---------------------------------------------------------------------------
 
-def compose(m1: PPA, m2: PPA) -> PPA:
-    """Product automaton: shared labels synchronize, others interleave.
+def synchronise(m1, m2, entries1, entries2):
+    """The rule of every parallel composition: labels in both alphabets
+    synchronise, the others interleave.
 
-    Composed action identifiers are pairs; in the asynchronous clauses the
-    idle slot carries the transition label.
+    `m1` and `m2` are pPAs or rPAs; `entries1` and `entries2` map their
+    (state, action) pairs to what the caller combines.  Returns the composed
+    states and steps (state pair, action, label, e1, e2), with None for the
+    idle side: component 1's transitions in order, a synchronising one with
+    each partner in component 2's order as action (a1, a2), any other once
+    per state of component 2 as (a1, label); then component 2's interleaved
+    transitions, once per state of component 1, as (label, a2).
     """
+    alphabet = m1.alphabet | m2.alphabet
+    if (set(m1.actions) | set(m2.actions)) & alphabet:
+        raise ActionAlphabetClash("component actions must be disjoint from both alphabets")
     shared = m1.alphabet & m2.alphabet
-    for m in (m1, m2):
-        if set(m.actions) & (m1.alphabet | m2.alphabet):
-            raise ActionAlphabetClash(
-                "component actions must be disjoint from both alphabets"
-            )
-    states = tuple((s1, s2) for s1 in m1.states for s2 in m2.states)
-    trans = {}
-
-    for (s1, a1), d1 in m1.trans.items():
-        lab = m1.label[(s1, a1)]
-        if lab in shared:
-            for (s2, a2), d2 in m2.trans.items():
-                if m2.label[(s2, a2)] != lab:
-                    continue
-                dist = {
-                    (t1, t2): p1 * p2
-                    for t1, p1 in d1.items()
-                    for t2, p2 in d2.items()
-                }
-                trans[((s1, s2), (a1, a2))] = (lab, dist)
-        else:
-            for s2 in m2.states:
-                dist = {(t1, s2): p1 for t1, p1 in d1.items()}
-                trans[((s1, s2), (a1, lab))] = (lab, dist)
-
-    for (s2, a2), d2 in m2.trans.items():
+    partners, steps, interleaved2 = {}, [], []
+    for (s2, a2), e2 in entries2.items():
         lab = m2.label[(s2, a2)]
         if lab in shared:
-            continue
-        for s1 in m1.states:
-            dist = {(s1, t2): p2 for t2, p2 in d2.items()}
-            trans[((s1, s2), (lab, a2))] = (lab, dist)
+            partners.setdefault(lab, []).append((s2, a2, e2))
+        else:
+            interleaved2 += (((s1, s2), (lab, a2), lab, None, e2) for s1 in m1.states)
+    for (s1, a1), e1 in entries1.items():
+        lab = m1.label[(s1, a1)]
+        if lab in shared:
+            steps += (((s1, s2), (a1, a2), lab, e1, e2) for s2, a2, e2 in partners.get(lab, ()))
+        else:
+            steps += (((s1, s2), (a1, lab), lab, e1, None) for s2 in m2.states)
+    return tuple((s1, s2) for s1 in m1.states for s2 in m2.states), steps + interleaved2
 
-    return make_ppa(
-        states=states,
-        initial=(m1.initial, m2.initial),
-        params=m1.params | m2.params,
-        trans=trans,
-        alphabet=m1.alphabet | m2.alphabet,
-        composed_of=(m1, m2),
-    )
+
+def compose(m1: PPA, m2: PPA) -> PPA:
+    """Product automaton by `synchronise`; an idle side keeps its state."""
+    states, steps = synchronise(m1, m2, m1.trans, m2.trans)
+    trans = {}
+    for (s1, s2), action, lab, d1, d2 in steps:
+        if d2 is None:
+            dist = {(t1, s2): p1 for t1, p1 in d1.items()}
+        elif d1 is None:
+            dist = {(s1, t2): p2 for t2, p2 in d2.items()}
+        else:
+            dist = {(t1, t2): p1 * p2 for t1, p1 in d1.items() for t2, p2 in d2.items()}
+        trans[((s1, s2), action)] = (lab, dist)
+    return make_ppa(states, (m1.initial, m2.initial), m1.params | m2.params, trans,
+                    m1.alphabet | m2.alphabet, composed_of=(m1, m2))
 
 
 def unit_ppa(state="unit") -> PPA:

@@ -324,9 +324,12 @@ def _document(x, kind, path, inputs):
         _fail(path, str(exc))
 
 
-def _need(f, field):
+def _need(f, field, excluded=None):
+    """f[field]; the optional field `excluded` contradicts it."""
     if field not in f:
         raise ValueError(f"missing field {field!r}")
+    if excluded in f:
+        raise ValueError(f"fields {field!r} and {excluded!r} exclude each other")
     return f[field]
 
 
@@ -341,23 +344,25 @@ def _dfa(f, *_):
                frozenset(f["accepting"]))
 
 
-def _rpa(f, *_):
+def _rpa(f, path, _):
     utrans = {}
-    for t in f["transitions"]:
+    for i, t in enumerate(f["transitions"]):
+        if ("interval" in t) == ("vertices" in t):
+            _fail(f"{path}.transitions[{i}]",
+                  "rpa transition needs exactly one of 'interval' and 'vertices'")
         if "interval" in t:
             uset = IntervalSet.of(dict(t["interval"]))
-        elif "vertices" in t:
-            uset = VertexSet.of([dict(d) for d in t["vertices"]])
         else:
-            raise ValueError("rpa transition needs 'interval' or 'vertices'")
+            uset = VertexSet.of([dict(d) for d in t["vertices"]])
         utrans[(t["state"], t["action"])] = (t["label"], uset)
     return make_rpa(f["states"], f["initial"], utrans, f["alphabet"])
 
 
 def _objective(f, path, _):
     if f["kind"] == "prob":
-        return ProbObjective(f["cmp"], f["threshold"], _need(f, "dfa"), f.get("name", ""))
-    rewards = tuple(_need(f, "rewards"))
+        dfa = _need(f, "dfa", "rewards")
+        return ProbObjective(f["cmp"], f["threshold"], dfa, f.get("name", ""))
+    rewards = tuple(_need(f, "rewards", "dfa"))
     for i, (sym, r) in enumerate(rewards):
         if r.is_constant() and r.constant_value() < 0:
             _fail(f"{path}.rewards[{i}]", f"the reward {r} of {sym!r} is negative")
@@ -366,9 +371,9 @@ def _objective(f, path, _):
 
 def _strategy(f, path, _):
     if f["kind"] == "memoryless":
-        choice = {s: dict(d) for s, d in _need(f, "choice")}
+        choice = {s: dict(d) for s, d in _need(f, "choice", "table")}
         return MemorylessStrategy(choice, complete=f.get("complete", True))
-    rows = _need(f, "table")
+    rows = _need(f, "table", "choice")
     for i, (history, _dist) in enumerate(rows):
         if len(history) % 2 == 0:
             _fail(f"{path}.table[{i}]", "a history alternates states and actions, "

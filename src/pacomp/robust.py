@@ -11,13 +11,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
-    ActionAlphabetClash,
     GeneratorBudgetExceeded,
     InfeasibleIntervalSet,
     NonPolytopicComponent,
     NotIntervalRPA,
 )
-from .model import PPA, check_automaton, make_ppa, sort_key
+from .model import PPA, check_automaton, make_ppa, sort_key, split_transitions, synchronise
 
 GENERATOR_CAP = 10_000
 
@@ -196,16 +195,11 @@ class RPA:
 
 
 def make_rpa(states, initial, utrans, alphabet, composed_of=None) -> RPA:
-    umap, lmap, actions = {}, {}, []
-    for (s, a), (lab, uset) in utrans.items():
-        umap[(s, a)] = uset
-        lmap[(s, a)] = lab
-        if a not in actions:
-            actions.append(a)
+    umap, lmap, actions = split_transitions(utrans)
     return RPA(
         states=tuple(states),
         initial=initial,
-        actions=tuple(sorted(actions, key=sort_key)),
+        actions=actions,
         utrans=umap,
         label=lmap,
         alphabet=frozenset(alphabet),
@@ -213,45 +207,20 @@ def make_rpa(states, initial, utrans, alphabet, composed_of=None) -> RPA:
     )
 
 
+def _composed(u1, u2, states, utrans) -> RPA:
+    return make_rpa(states, (u1.initial, u2.initial), utrans, u1.alphabet | u2.alphabet,
+                    composed_of=(u1, u2))
+
+
 def rpa_compose(u1: RPA, u2: RPA) -> RPA:
-    """Parallel composition; synchronized sets are symbolic products."""
-    shared = u1.alphabet & u2.alphabet
-    for u in (u1, u2):
-        if set(u.actions) & (u1.alphabet | u2.alphabet):
-            raise ActionAlphabetClash(
-                "component actions must be disjoint from both alphabets"
-            )
-    states = tuple((s1, s2) for s1 in u1.states for s2 in u2.states)
-    utrans = {}
-    for (s1, a1), set1 in u1.utrans.items():
-        lab = u1.label[(s1, a1)]
-        if lab in shared:
-            for (s2, a2), set2 in u2.utrans.items():
-                if u2.label[(s2, a2)] != lab:
-                    continue
-                utrans[((s1, s2), (a1, a2))] = (lab, ProductSet(set1, set2))
-        else:
-            for s2 in u2.states:
-                utrans[((s1, s2), (a1, lab))] = (
-                    lab,
-                    ProductSet(set1, VertexSet.dirac(s2)),
-                )
-    for (s2, a2), set2 in u2.utrans.items():
-        lab = u2.label[(s2, a2)]
-        if lab in shared:
-            continue
-        for s1 in u1.states:
-            utrans[((s1, s2), (lab, a2))] = (
-                lab,
-                ProductSet(VertexSet.dirac(s1), set2),
-            )
-    return make_rpa(
-        states=states,
-        initial=(u1.initial, u2.initial),
-        utrans=utrans,
-        alphabet=u1.alphabet | u2.alphabet,
-        composed_of=(u1, u2),
-    )
+    """Parallel composition by `synchronise`; the sets are symbolic products,
+    an idle side the Dirac set of its state."""
+    states, steps = synchronise(u1, u2, u1.utrans, u2.utrans)
+    return _composed(u1, u2, states, {
+        ((s1, s2), action): (lab, ProductSet(VertexSet.dirac(s1) if set1 is None else set1,
+                                             VertexSet.dirac(s2) if set2 is None else set2))
+        for (s1, s2), action, lab, set1, set2 in steps
+    })
 
 
 def _vertices(uset, cap=GENERATOR_CAP) -> tuple:
@@ -305,33 +274,32 @@ def generators(uset):
 def conv_compose(u1: RPA, u2: RPA) -> RPA:
     """Convex parallel composition of polytopic components.
 
-    Every composed uncertainty set is replaced by the vertex set of pairwise
-    products of the component generators; the convex hulls agree with the
-    hulls of the exact product sets.
+    Every composed uncertainty set is the vertex set of pairwise products of
+    the component generators; the convex hulls agree with the hulls of the
+    exact product sets.  Each distinct component set is enumerated once, when
+    a step first uses it, and an idle side is the Dirac vertex of its state.
     """
-    composed = rpa_compose(u1, u2)
+    states, steps = synchronise(u1, u2, u1.utrans, u2.utrans)
     gens = {}
+
+    def vertices(uset, state):
+        if uset is None:
+            return (FrozenDist(((state, Fraction(1)),)),)
+        if uset not in gens:
+            gens[uset] = _vertices(uset)
+        return gens[uset]
+
     utrans = {}
-    for (s, a), pset in composed.utrans.items():
-        lab = composed.label[(s, a)]
-        for uset in (pset.left, pset.right):
-            if uset not in gens:
-                gens[uset] = _vertices(uset)
+    for (s1, s2), action, lab, set1, set2 in steps:
         # a product of two vertices is a distribution, and its pairs come out
         # in `sort_key` order, so it is frozen as it is built
         prods = {
             FrozenDist(((t1, t2), p1 * p2) for t1, p1 in d1 for t2, p2 in d2)
-            for d1 in gens[pset.left]
-            for d2 in gens[pset.right]
+            for d1 in vertices(set1, s1)
+            for d2 in vertices(set2, s2)
         }
-        utrans[(s, a)] = (lab, VertexSet(tuple(sorted(prods, key=sort_key))))
-    return make_rpa(
-        states=composed.states,
-        initial=composed.initial,
-        utrans=utrans,
-        alphabet=composed.alphabet,
-        composed_of=(u1, u2),
-    )
+        utrans[((s1, s2), action)] = (lab, VertexSet(tuple(sorted(prods, key=sort_key))))
+    return _composed(u1, u2, states, utrans)
 
 
 def interval_relax_compose(u1: RPA, u2: RPA) -> RPA:
@@ -343,31 +311,24 @@ def interval_relax_compose(u1: RPA, u2: RPA) -> RPA:
     """
     def as_bounds(uset):
         if isinstance(uset, IntervalSet):
-            return dict(uset.bounds)
+            return uset.bounds
         if isinstance(uset, VertexSet) and len(uset.dists) == 1:
-            return {s: (p, p) for s, p in uset.dists[0]}
+            return tuple((s, (p, p)) for s, p in uset.dists[0])
         raise NotIntervalRPA("interval relaxation needs interval components")
 
-    for u in (u1, u2):
-        for uset in u.utrans.values():
-            as_bounds(uset)
-    composed = rpa_compose(u1, u2)
+    bounds1, bounds2 = ({key: as_bounds(uset) for key, uset in u.utrans.items()}
+                        for u in (u1, u2))
+    states, steps = synchronise(u1, u2, bounds1, bounds2)
+    one = (Fraction(1), Fraction(1))
     utrans = {}
-    for (s, a), pset in composed.utrans.items():
-        lab = composed.label[(s, a)]
-        b1, b2 = as_bounds(pset.left), as_bounds(pset.right)
-        bounds = {}
-        for t1, (lo1, hi1) in b1.items():
-            for t2, (lo2, hi2) in b2.items():
-                bounds[(t1, t2)] = (lo1 * lo2, hi1 * hi2)
-        utrans[(s, a)] = (lab, IntervalSet.of(bounds))
-    return make_rpa(
-        states=composed.states,
-        initial=composed.initial,
-        utrans=utrans,
-        alphabet=composed.alphabet,
-        composed_of=(u1, u2),
-    )
+    for (s1, s2), action, lab, b1, b2 in steps:
+        bounds = {
+            (t1, t2): (lo1 * lo2, hi1 * hi2)
+            for t1, (lo1, hi1) in (((s1, one),) if b1 is None else b1)
+            for t2, (lo2, hi2) in (((s2, one),) if b2 is None else b2)
+        }
+        utrans[((s1, s2), action)] = (lab, IntervalSet.of(bounds))
+    return _composed(u1, u2, states, utrans)
 
 
 def pa_reduce(u: RPA) -> PPA:

@@ -1137,48 +1137,34 @@ def monotone_check(
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
     _require_nonnegative_rewards([query], samples)
-    groups, points = {}, {}
+    # lines of samples that differ in `param` only, each sorted by it, with
+    # the strategy values at each sample; a line of one sample has no pair
+    lines = {}
     for v, point in samples:
         if param not in v:
             raise MissingParameter(f"samples do not assign parameter {param!r}")
         rest = tuple(sorted((k, val) for k, val in v.items() if k != param))
-        groups.setdefault(rest, []).append(v)
-        points[valuation_key(v)] = point
+        lines.setdefault(rest, []).append((v, point))
     _require_alphabet(m, (objective,))
-    strategies = enumerate_memoryless(query.model, grid_denominator)
-    functions = {}  # valuation key -> strategy_values at it, built on first use
-
-    def function(v):
-        key = valuation_key(v)
-        if key not in functions:
-            functions[key] = query.strategy_values(points[key])
-        return functions[key]
-
-    ordered_pairs = []
-    for rest, vs in sorted(groups.items()):
-        vs.sort(key=lambda v: v[param])
-        for lo, hi in zip(vs, vs[1:]):
-            ordered_pairs.append((lo, hi))
-
-    for sigma in strategies:
-        cache = {}
-        for lo, hi in ordered_pairs:
-            for v in (lo, hi):
-                key = valuation_key(v)
-                if key not in cache:
-                    cache[key] = function(v)(sigma)[0]
-            f_lo, f_hi = cache[valuation_key(lo)], cache[valuation_key(hi)]
-            ok = f_lo <= f_hi if direction == "up" else f_lo >= f_hi
-            if not ok:
-                return Verdict(
-                    "fails",
-                    witness={
-                        "strategy": sigma.choice,
-                        "low": lo,
-                        "high": hi,
-                        "value_low": f_lo,
-                        "value_high": f_hi,
-                    },
-                    caveat=caveat,
-                )
+    lines = [[(v, query.strategy_values(point))
+              for v, point in sorted(line, key=lambda vp: vp[0][param])]
+             for _, line in sorted(lines.items(), key=lambda kv: kv[0]) if len(line) > 1]
+    for sigma in enumerate_memoryless(query.model, grid_denominator):
+        for line in lines:
+            lo, f_lo = line[0][0], line[0][1](sigma)[0]
+            for hi, values in line[1:]:
+                f_hi = values(sigma)[0]
+                if not (f_lo <= f_hi if direction == "up" else f_lo >= f_hi):
+                    return Verdict(
+                        "fails",
+                        witness={
+                            "strategy": sigma.choice,
+                            "low": lo,
+                            "high": hi,
+                            "value_low": f_lo,
+                            "value_high": f_hi,
+                        },
+                        caveat=caveat,
+                    )
+                lo, f_lo = hi, f_hi
     return Verdict("holds", caveat=caveat)

@@ -15,7 +15,15 @@ from pacomp.errors import (
     InfeasibleIntervalSet,
 )
 from pacomp.model import DFA, WellDefinedness, instantiate, make_ppa, sort_key, tau_extend
-from pacomp.robust import RPA, IntervalSet, VertexSet, freeze_dist, generators, make_rpa
+from pacomp.robust import (
+    RPA,
+    IntervalSet,
+    ProductSet,
+    VertexSet,
+    freeze_dist,
+    generators,
+    make_rpa,
+)
 from pacomp.semantics import TabularStrategy, path_last
 from pacomp.verify import (
     INF,
@@ -202,6 +210,66 @@ def interval_extreme_points_by_orders(uset: IntervalSet, cap=10_000):
             raise InfeasibleIntervalSet("interval bounds admit no distribution")
         seen[freeze_dist(dist)] = dict(dist)
     return [dict(d) for d in sorted(seen, key=sort_key)]
+
+
+def compose_reference(m1, m2):
+    """`model.compose` as first written: for every synchronising transition
+    of `m1`, a scan of all of `m2`'s transitions for its partners."""
+    shared = m1.alphabet & m2.alphabet
+    for m in (m1, m2):
+        if set(m.actions) & (m1.alphabet | m2.alphabet):
+            raise ActionAlphabetClash("component actions must be disjoint from both alphabets")
+    states = tuple((s1, s2) for s1 in m1.states for s2 in m2.states)
+    trans = {}
+    for (s1, a1), d1 in m1.trans.items():
+        lab = m1.label[(s1, a1)]
+        if lab in shared:
+            for (s2, a2), d2 in m2.trans.items():
+                if m2.label[(s2, a2)] != lab:
+                    continue
+                dist = {(t1, t2): p1 * p2 for t1, p1 in d1.items() for t2, p2 in d2.items()}
+                trans[((s1, s2), (a1, a2))] = (lab, dist)
+        else:
+            for s2 in m2.states:
+                trans[((s1, s2), (a1, lab))] = (lab, {(t1, s2): p1 for t1, p1 in d1.items()})
+    for (s2, a2), d2 in m2.trans.items():
+        lab = m2.label[(s2, a2)]
+        if lab in shared:
+            continue
+        for s1 in m1.states:
+            trans[((s1, s2), (lab, a2))] = (lab, {(s1, t2): p2 for t2, p2 in d2.items()})
+    return make_ppa(states, (m1.initial, m2.initial), m1.params | m2.params, trans,
+                    m1.alphabet | m2.alphabet, composed_of=(m1, m2))
+
+
+def rpa_compose_reference(u1: RPA, u2: RPA) -> RPA:
+    """`robust.rpa_compose` as first written, the same double loop as
+    `compose_reference` with symbolic product sets; an idle side is the
+    Dirac vertex set of its state."""
+    shared = u1.alphabet & u2.alphabet
+    for u in (u1, u2):
+        if set(u.actions) & (u1.alphabet | u2.alphabet):
+            raise ActionAlphabetClash("component actions must be disjoint from both alphabets")
+    states = tuple((s1, s2) for s1 in u1.states for s2 in u2.states)
+    utrans = {}
+    for (s1, a1), set1 in u1.utrans.items():
+        lab = u1.label[(s1, a1)]
+        if lab in shared:
+            for (s2, a2), set2 in u2.utrans.items():
+                if u2.label[(s2, a2)] != lab:
+                    continue
+                utrans[((s1, s2), (a1, a2))] = (lab, ProductSet(set1, set2))
+        else:
+            for s2 in u2.states:
+                utrans[((s1, s2), (a1, lab))] = (lab, ProductSet(set1, VertexSet.dirac(s2)))
+    for (s2, a2), set2 in u2.utrans.items():
+        lab = u2.label[(s2, a2)]
+        if lab in shared:
+            continue
+        for s1 in u1.states:
+            utrans[((s1, s2), (lab, a2))] = (lab, ProductSet(VertexSet.dirac(s1), set2))
+    return make_rpa(states, (u1.initial, u2.initial), utrans, u1.alphabet | u2.alphabet,
+                    composed_of=(u1, u2))
 
 
 def pa_reduce_reference(u: RPA):

@@ -653,6 +653,56 @@ def test_negative_reward_is_usage_error(corpus_dir, tmp_path, capsys):
     assert "negative" not in err
 
 
+def _contradictory_case(case, corpus_dir, tmp_path):
+    """(argv, expected error) for a document whose fields contradict each
+    other, or an rpa transition with no set, written to tmp_path."""
+    def load(name):
+        return json.load(open(corpus_dir / name))
+
+    mutant = str(tmp_path / "mutant.json")
+    retry, query = str(corpus_dir / "retry.ppa.json"), load("safe_assumption.query.json")
+    check = ["check", "--model", retry, "--objective", mutant, "--region", "finite:{p=1/2}"]
+    project = ["project", "--left", retry, "--right", str(corpus_dir / "pipeline.ppa.json"),
+               "--strategy", mutant, "--valuation", "p=1/10,q=1/10", "--side", "2"]
+    rpa = load("interval_retry.rpa.json")
+    one_set = "rpa transition needs exactly one of 'interval' and 'vertices'"
+    if case == "rpa both sets":
+        rpa["transitions"][0]["vertices"] = [[["s0", "1"]]]
+        doc, argv, where = rpa, ["rpa-reduce", "--model", mutant], f"$.transitions[0]: {one_set}"
+    elif case == "rpa no set":
+        del rpa["transitions"][0]["interval"]
+        doc, argv, where = rpa, ["rpa-reduce", "--model", mutant], f"$.transitions[0]: {one_set}"
+    elif case == "prob objective with rewards":
+        query["objectives"][0]["rewards"] = [["a", "1"]]
+        doc, argv = query, check
+        where = "$.objectives[0]: fields 'dfa' and 'rewards' exclude each other"
+    elif case == "reward objective with dfa":
+        dfa = query["objectives"][0]["dfa"]
+        query["objectives"] = [{"kind": "reward", "cmp": ">=", "threshold": "0",
+                                "rewards": [["a", "1"]], "dfa": dfa}]
+        doc, argv = query, check
+        where = "$.objectives[0]: fields 'rewards' and 'dfa' exclude each other"
+    else:
+        memoryless = case == "memoryless strategy with table"
+        doc = {"format": "pacomp/1", "type": "strategy", "choice": [], "table": [],
+               "kind": "memoryless" if memoryless else "tabular", "horizon": 1}
+        argv = project
+        where = ("fields 'choice' and 'table' exclude each other" if memoryless
+                 else "fields 'table' and 'choice' exclude each other")
+    json.dump(doc, open(mutant, "w"))
+    return argv, f"format error: {where}\n"
+
+
+@pytest.mark.parametrize("case", [
+    "rpa both sets", "rpa no set", "prob objective with rewards", "reward objective with dfa",
+    "memoryless strategy with table", "tabular strategy with choice",
+])
+def test_contradictory_fields_are_usage_errors(case, corpus_dir, tmp_path, capsys):
+    # each document used to decode with one of the fields dropped
+    argv, message = _contradictory_case(case, corpus_dir, tmp_path)
+    assert run(capsys, *argv) == (2, "", message)
+
+
 def test_reward_over_an_undeclared_parameter_is_usage_error(corpus_dir, tmp_path, capsys):
     retry = str(corpus_dir / "retry.ppa.json")
     stray = _reward_query(tmp_path, "2*r")

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from pacomp import corpus
 from pacomp.errors import (
+    ActionAlphabetClash,
     GeneratorBudgetExceeded,
     InfeasibleIntervalSet,
     NonPolytopicComponent,
 )
 from pacomp.exactlp import LinearProgram
-from pacomp.model import compose, isomorphic, sort_key
+from pacomp.model import PPA, compose, isomorphic, make_ppa, sort_key
 from pacomp.modelio import ppa_to_jsonable
 from pacomp.robust import (
     IntervalSet,
@@ -36,10 +37,13 @@ from pacomp.verify import chain_language_prob, max_reach, safety, safety_prob
 
 from helpers import (
     alphabet_extend_rpa,
+    compose_reference,
     interval_extreme_points_by_orders,
     pa_reduce_reference,
     random_dist,
+    random_parametric_pair,
     random_polytopic_rpa,
+    rpa_compose_reference,
 )
 
 
@@ -556,3 +560,112 @@ def test_pa_reduce_matches_its_reference(seed):
         prods = [{(t1, t2): p1 * p2 for t1, p1 in d1.items() for t2, p2 in d2.items()}
                  for d1 in generators(pset.left) for d2 in generators(pset.right)]
         assert conv.utrans[key].dists == VertexSet.of(prods).dists
+
+
+# ---------------------------------------------------------------------------
+# The four parallel compositions against their first form
+# ---------------------------------------------------------------------------
+
+def _mixed_ids(rng, names):
+    """A distinct identifier of mixed type for each name: the name itself, an
+    int, a non-integral Fraction or a tuple."""
+    forms = (lambda i, x: x, lambda i, x: i, lambda i, x: F(2 * i + 1, 2), lambda i, x: (x, i))
+    return {x: rng.choice(forms)(i, x) for i, x in enumerate(names)}
+
+
+def _renamed(rng, u, alphabet, single=False):
+    """`u` over `alphabet` with states and actions renamed by `_mixed_ids`;
+    with `single`, a vertex set keeps its first vertex only, so that the
+    interval relaxation accepts it."""
+    states, actions = _mixed_ids(rng, u.states), _mixed_ids(rng, u.actions)
+
+    def moved(uset):
+        if isinstance(uset, IntervalSet):
+            return IntervalSet.of({states[s]: b for s, b in uset.bounds})
+        dists = uset.dists[:1] if single else uset.dists
+        return VertexSet.of([{states[s]: p for s, p in d} for d in dists])
+
+    utrans = {(states[s], actions[a]): (u.label[(s, a)], moved(uset))
+              for (s, a), uset in u.utrans.items()}
+    return make_rpa(list(states.values()), states[u.initial], utrans, alphabet)
+
+
+def _same_composition(got, want, parts):
+    assert (got.states, got.initial, got.alphabet) == (want.states, want.initial, want.alphabet)
+    assert got.actions == want.actions
+    entries = (lambda m: m.trans) if isinstance(want, PPA) else (lambda m: m.utrans)
+    assert [(k, list(e.items()) if isinstance(e, dict) else e) for k, e in entries(got).items()] \
+        == [(k, list(e.items()) if isinstance(e, dict) else e) for k, e in entries(want).items()]
+    assert list(got.label.items()) == list(want.label.items())
+    assert len(got.composed_of) == 2 and all(x is y for x, y in zip(got.composed_of, parts))
+
+
+def _relax_bounds(uset):
+    if isinstance(uset, IntervalSet):
+        return dict(uset.bounds)
+    (vertex,) = uset.dists
+    return {s: (p, p) for s, p in vertex}
+
+
+def _from_product_sets(u1, u2, combine):
+    """The convex or relaxed composition as first written: `combine` applied
+    to each product set of the reference exact composition."""
+    ref = rpa_compose_reference(u1, u2)
+    utrans = {key: (ref.label[key], combine(pset)) for key, pset in ref.utrans.items()}
+    return make_rpa(ref.states, ref.initial, utrans, ref.alphabet)
+
+
+def _conv_of(pset):
+    return VertexSet.of([{(t1, t2): p1 * p2 for t1, p1 in d1.items() for t2, p2 in d2.items()}
+                         for d1 in generators(pset.left) for d2 in generators(pset.right)])
+
+
+def _relax_of(pset):
+    return IntervalSet.of({(t1, t2): (lo1 * lo2, hi1 * hi2)
+                           for t1, (lo1, hi1) in _relax_bounds(pset.left).items()
+                           for t2, (lo2, hi2) in _relax_bounds(pset.right).items()})
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_compositions_match_their_references(seed):
+    # states and actions of mixed identifier types; "d" is in both alphabets
+    # but only component 1 has d-transitions, so they have no partner
+    rng = random.Random(seed)
+    single = rng.random() < 0.5
+    u1 = _renamed(rng, random_polytopic_rpa(rng, "l", ["a", "b", "d"], rng.randint(2, 4)),
+                  {"a", "b", "d"}, single)
+    u2 = _renamed(rng, random_polytopic_rpa(rng, "r", ["a", "c"], rng.randint(2, 4)),
+                  {"a", "c", "d"}, single)
+    _same_composition(rpa_compose(u1, u2), rpa_compose_reference(u1, u2), (u1, u2))
+    _same_composition(conv_compose(u1, u2), _from_product_sets(u1, u2, _conv_of), (u1, u2))
+    if single:
+        _same_composition(interval_relax_compose(u1, u2),
+                          _from_product_sets(u1, u2, _relax_of), (u1, u2))
+    for m1, m2 in ((pa_reduce(u1), pa_reduce(u2)), random_parametric_pair(rng)):
+        _same_composition(compose(m1, m2), compose_reference(m1, m2), (m1, m2))
+    # an action named like a symbol of the other alphabet clashes in all four
+    clash = make_rpa(["x"], "x", {("x", "c"): ("a", VertexSet.dirac("x"))}, {"a"})
+    clash_pa = make_ppa(["x"], "x", (), {("x", "c"): ("a", {"x": 1})}, {"a"})
+    interval_u2 = u2 if single else _renamed(rng, u2, u2.alphabet, True)
+    for composition, left, right in ((rpa_compose, clash, u2), (conv_compose, clash, u2),
+                                     (interval_relax_compose, clash, interval_u2),
+                                     (compose, clash_pa, pa_reduce(u2))):
+        with pytest.raises(ActionAlphabetClash):
+            composition(left, right)
+
+
+def test_conv_compose_never_enumerates_an_unmatched_set():
+    # the d-transition synchronises but component 2 has no d-step, so its
+    # product set (which has no finite generators) is never enumerated
+    pset = ProductSet(VertexSet.dirac("s"), IntervalSet.of({"t": (1, 1)}))
+    u1 = make_rpa([("s", "t")], ("s", "t"), {
+        (("s", "t"), "go"): ("d", pset),
+        (("s", "t"), "stay"): ("a", VertexSet.dirac(("s", "t"))),
+    }, {"a", "d"})
+    u2 = make_rpa(["y"], "y", {("y", "y_a"): ("a", IntervalSet.of({"y": (1, 1)}))}, {"a", "d"})
+    conv = conv_compose(u1, u2)
+    assert list(conv.utrans) == [((("s", "t"), "y"), ("stay", "y_a"))]
+    partner = make_rpa(["y"], "y", {("y", "y_d"): ("d", VertexSet.dirac("y"))}, {"a", "d"})
+    with pytest.raises(NonPolytopicComponent):
+        conv_compose(u1, partner)

@@ -951,6 +951,23 @@ def test_region_checks_match_per_sample_reference():
     assert {("monotone", False, "holds"), ("monotone", False, "fails")} <= seen
 
 
+def test_monotone_along_a_point_axis_compares_no_pair():
+    # q is a point interval, so every line of samples along q holds one
+    # sample and there is no pair to compare; along p there are pairs
+    rng = random.Random(11)
+    m = compose(*random_parametric_pair(rng, params=("p", "q")))
+    box = Box.of({"p": (0, 1), "q": (F(1, 3), F(1, 3))})
+    objective = safety(random_safety_dfa(rng, sorted(m.alphabet), allow_empty=False), F(1, 2))
+    outcomes = {}
+    for param in ("q", "p"):
+        for direction in ("up", "down"):
+            args = (m, box, objective, param, direction, "cmp", 2)
+            outcomes[param, direction] = _outcome(monotone_check, *args)
+            assert outcomes[param, direction] == _outcome(monotone_check_per_sample, *args)
+    assert outcomes["q", "up"].status == outcomes["q", "down"].status == "holds"
+    assert "fails" in (outcomes["p", "up"].status, outcomes["p", "down"].status)
+
+
 def test_reward_that_vanishes_at_a_graph_preserving_sample():
     # (1 - 4p)^2 is zero at p = 1/4 and positive at 3/8, where the b-loop is
     # an end component with positive reward; both samples preserve the graph,
