@@ -24,7 +24,7 @@ from .algebra import (
     parse_poly,
     parse_rational,
 )
-from .errors import ParseError
+from .errors import InfeasibleIntervalSet, ParseError
 from .model import DFA, PPA, make_ppa, sort_key
 from .proofrules import (
     FairnessAttestation,
@@ -34,7 +34,7 @@ from .proofrules import (
     apply_monotonicity,
     apply_simulation_ag,
 )
-from .robust import RPA, IntervalSet, VertexSet, make_rpa
+from .robust import RPA, IntervalSet, VertexSet, freeze_dist, make_rpa
 from .semantics import MemorylessStrategy, TabularStrategy
 from .verify import ProbObjective, RewardObjective
 
@@ -347,13 +347,24 @@ def _dfa(f, *_):
 def _rpa(f, path, _):
     utrans = {}
     for i, t in enumerate(f["transitions"]):
+        where = f"{path}.transitions[{i}]"
         if ("interval" in t) == ("vertices" in t):
-            _fail(f"{path}.transitions[{i}]",
-                  "rpa transition needs exactly one of 'interval' and 'vertices'")
+            _fail(where, "rpa transition needs exactly one of 'interval' and 'vertices'")
         if "interval" in t:
-            uset = IntervalSet.of(dict(t["interval"]))
+            try:
+                uset = IntervalSet.of(dict(t["interval"]))
+            except InfeasibleIntervalSet as exc:
+                _fail(f"{where}.interval", str(exc))
         else:
-            uset = VertexSet.of([dict(d) for d in t["vertices"]])
+            dists = [dict(d) for d in t["vertices"]]
+            if not dists:
+                _fail(f"{where}.vertices", "vertex set must be nonempty")
+            for j, d in enumerate(dists):
+                try:
+                    freeze_dist(d)
+                except ValueError as exc:
+                    _fail(f"{where}.vertices[{j}]", str(exc))
+            uset = VertexSet.of(dists)
         utrans[(t["state"], t["action"])] = (t["label"], uset)
     return make_rpa(f["states"], f["initial"], utrans, f["alphabet"])
 

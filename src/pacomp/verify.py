@@ -4,13 +4,17 @@ Probabilistic objectives are safety languages given by bad-prefix DFAs;
 reward objectives are expected total rewards over transition labels.  All
 solvers are exact and end in two mechanisms:
 
-- one Markov-chain solver (`_chain_solve`): expected total gain per state,
-  INF on recurrent positive gain, the rest by one exact solve of integer
-  rows, each a state's probabilities and gain as numerators over its own
-  denominator.  Reachability is the case with absorbing targets.  It
-  evaluates fixed strategies and witnesses, and drives the policy iteration
-  behind optimal reachability and maximal expected reward, which scales the
-  model to integers once and compares backups as integer dot products;
+- one Markov-chain solver: expected total gain per state, INF on recurrent
+  positive gain, the rest by one exact solve of integer rows, each a
+  state's probabilities and gain as numerators over its own denominator.
+  Reachability is the case with absorbing targets.  It is split into a plan
+  (`_chain_plan`), which decides the INF and zero states and the order of
+  the unknowns from which entries are nonzero, and a fill (`_chain_fill`),
+  which writes the integer rows and solves them.  It evaluates fixed
+  strategies and witnesses (`_StrategyChain`), and drives the policy
+  iteration behind optimal reachability and maximal expected reward, which
+  scales the model to integers once and compares backups as integer dot
+  products;
 - one occupation-measure LP builder (`_occupation_lp`): expected
   state-action frequencies routing one unit of flow into a settle region,
   solved by the exact simplex, for multi-objective achievability and
@@ -31,10 +35,12 @@ one, and a sample with a smaller support, such as a p = 0 corner, gets its
 own.  Per sample, the LP's
 coefficients are filled in and solved, and a witness is built and re-checked
 only when the query is achievable.  A strategy's values are the witness
-re-check without settle mass: `chain_language_prob`, `chain_expected_reward`
-and `solution_value` are the structure on an instantiated model, and
-`monotone_check` asks one structure at every sampled valuation.  The region
-checks share one sample loop.  Nothing is kept beyond one call.
+re-check without settle mass: its chain over the product is built once and
+planned once per support pattern, so each sample only fills integer rows.
+`chain_language_prob`, `chain_expected_reward` and `solution_value` are
+the structure on an instantiated model, and `monotone_check` fills each
+strategy's chain at every sampled valuation.  The region checks share one
+sample loop.  Nothing is kept beyond one call.
 """
 
 from __future__ import annotations
@@ -227,13 +233,14 @@ def _predecessors(succ) -> dict:
     return preds
 
 
-def _backward_reach(preds, seeds) -> set:
-    """Seeds plus every state with a path into them, walked over the
-    predecessor lists `preds` (least fixpoint)."""
+def _reach(edges, seeds) -> set:
+    """Seeds plus every node reachable from them along `edges`
+    {node: neighbours} (least fixpoint); over predecessor lists, every node
+    with a path into them."""
     seen = set(seeds)
     stack = list(seen)
     while stack:
-        for s in preds.get(stack.pop(), ()):
+        for s in edges.get(stack.pop(), ()):
             if s not in seen:
                 seen.add(s)
                 stack.append(s)
@@ -321,64 +328,81 @@ def maximal_end_components(trans, states):
 # Markov chains: expected total gain, and reachability as a special case
 # ---------------------------------------------------------------------------
 
-def _chain_solve(chain, gain, den, init=None):
-    """Expected total gain per state of a Markov chain given as integer rows.
+def _chain_plan(rows, point, init=None):
+    """The graph half of a Markov-chain solve, for one support pattern.
 
-    Row s is {t: n > 0}, the probabilities n / den[s], and gain[s] / den[s]
-    is collected on leaving s.  A state is INF when it can reach a closed SCC
-    that has an internal edge and positive gain, and 0 when it cannot reach
-    positive gain; one exact solve of the integer rows (den[s] on the
-    diagonal, minus the numerators) gives the rest.  With `init`, only
-    values[init] is meant to be read, and the solve is skipped when that
-    value is already INF or 0.
+    `rows` maps every node to (scale, succ, gain): succ is a tuple of
+    entries (t, f, k) and gain one of entries (f, k), with integers f > 0
+    and slot indices k, so at a value vector (D, nums) the node moves to t
+    with probability f * nums[k] / (scale * D), summed over its entries for
+    t, and collects gain sum(f * nums[k]) / (scale * D) on leaving; a node
+    without entries is a dead end.  Only which nums[k] are nonzero is read
+    from `point`, so the plan serves every vector of its support pattern
+    whose gains are nonnegative.  A node is INF when it can reach a closed
+    SCC that has an internal edge and positive gain, and 0 when it cannot
+    reach positive gain; `_chain_fill` solves the rest.  With `init`, only
+    the nodes reachable from it are planned, and nothing is left to solve
+    when its value is already INF or 0.  Returns the settled values
+    {node: INF or 0}, the other nodes in `sort_key` order, and their rows
+    with each successor as its index among them.
     """
-    succ = lambda s: chain.get(s, {})
-    preds = _predecessors(chain)
+    nums = point[1]
+    succ = {s: {t for t, _, k in out if nums[k]} for s, (_, out, _) in rows.items()}
+    if init is not None:
+        succ = {s: succ[s] for s in _reach(succ, [init])}
+    positive = [s for s in succ if any(nums[k] for _, k in rows[s][2])]
+    preds = _predecessors(succ)
     # a closed SCC with an internal edge never reaches a dead end
-    trapped = set(chain) - _backward_reach(preds, [s for s in chain if not chain[s]])
+    trapped = succ.keys() - _reach(preds, [s for s, out in succ.items() if not out])
     recurrent = set()
-    if any(gain.get(s, 0) > 0 for s in trapped):
-        for comp in _sccs(trapped, succ):
-            if any(gain.get(s, 0) > 0 for s in comp) and all(
-                succ(s).keys() <= comp for s in comp
-            ):
+    if not trapped.isdisjoint(positive):
+        for comp in _sccs(trapped, succ.__getitem__):
+            if not comp.isdisjoint(positive) and all(succ[s] <= comp for s in comp):
                 recurrent |= comp
-    infinite = _backward_reach(preds, recurrent)
-    positive = _backward_reach(preds, {s for s in chain if gain.get(s, 0) > 0})
+    infinite = _reach(preds, recurrent)
+    reaching = _reach(preds, positive)
     zero = Fraction(0)
-    values = {
+    settled = {
         s: INF if s in infinite else zero
-        for s in chain
-        if s in infinite or s not in positive
+        for s in succ
+        if s in infinite or s not in reaching
     }
-    unknown = sorted((s for s in positive if s not in infinite), key=sort_key)
-    if unknown and (init is None or init not in values):
-        idx = {s: i for i, s in enumerate(unknown)}
-        rows = []
-        for s in unknown:
-            row = [0] * len(unknown)
-            row[idx[s]] = den[s]
-            for t, n in chain[s].items():
-                if t in idx:
-                    row[idx[t]] -= n
+    if init in settled:
+        return settled, (), ()
+    unknown = sorted(reaching - infinite, key=sort_key)
+    idx = {s: i for i, s in enumerate(unknown)}
+    filled = []
+    for s in unknown:
+        scale, out, gain = rows[s]
+        filled.append((
+            scale,
+            tuple((idx[t], f, k) for t, f, k in out if nums[k] and t in idx),
+            tuple((f, k) for f, k in gain if nums[k]),
+        ))
+    return settled, unknown, filled
+
+
+def _chain_fill(plan, point):
+    """The numeric half of a Markov-chain solve: every planned node's value
+    at the value vector `point` (D, nums) of the plan's support pattern.
+    The unknown nodes take one exact solve of integer rows, scale * D on the
+    diagonal minus the successors' numerators, with the gains on the right.
+    """
+    settled, unknown, filled = plan
+    values = dict(settled)
+    if unknown:
+        den, nums = point
+        n = len(unknown)
+        rows, rhs = [], []
+        for i, (scale, out, gain) in enumerate(filled):
+            row = [0] * n
+            row[i] = scale * den
+            for j, f, k in out:
+                row[j] -= f * nums[k]
             rows.append(row)
-        rhs = [gain.get(s, 0) for s in unknown]
+            rhs.append(sum(f * nums[k] for f, k in gain))
         values.update(zip(unknown, gauss_solve(rows, rhs)))
     return values
-
-
-def _reach_prob(chain, den, targets, init) -> Fraction:
-    """P(eventually targets) from `init` in the integer rows of
-    `_chain_solve`: the chain solve with the targets made absorbing and each
-    state's one-step mass into them as its gain."""
-    if init in targets:
-        return Fraction(1)
-    absorbed = {s: {} if s in targets else dist for s, dist in chain.items()}
-    gain = {
-        s: sum(n for t, n in dist.items() if t in targets)
-        for s, dist in absorbed.items()
-    }
-    return _chain_solve(absorbed, gain, den, init)[init]
 
 
 def _rew(pa, rewards, s, a) -> Fraction:
@@ -396,8 +420,9 @@ def _policy_iteration(pa, deciding, rewards, targets=frozenset()):
     to integer numerators over one denominator D, and each round's finite
     values to integers x over their common denominator V, so an action's
     backup R + sum(P_t * X_t) beats the value X_s iff the integer
-    R*V + sum(P_t * x_t) exceeds D * x_s.  Returns the policy and the value
-    of every state under it.
+    R*V + sum(P_t * x_t) exceeds D * x_s.  Each round plans and fills the
+    chain of its policy.  Returns the policy and the value of every state
+    under it.
     """
     policy = {}
     for s in deciding:
@@ -409,20 +434,20 @@ def _policy_iteration(pa, deciding, rewards, targets=frozenset()):
         *(r.denominator for r in gains.values()),
         *(p.denominator for key in gains for p in pa.trans[key].values()),
     )
-    scaled = {}
+    # the chain rows read every numerator as itself times slot 0, which is 1
+    point, stop = (den, (1,)), (1, (), ())
+    scaled, rows = {}, {}
     for key, r in gains.items():
         succ = {t: p.numerator * (den // p.denominator) for t, p in pa.trans[key].items() if p}
-        mass = sum(n for t, n in succ.items() if t in targets)
-        scaled[key] = (r.numerator * (den // r.denominator) + mass, succ)
+        gain = r.numerator * (den // r.denominator) + sum(n for t, n in succ.items() if t in targets)
+        scaled[key] = (gain, succ)
+        rows[key] = (1, tuple((t, n, 0) for t, n in succ.items()), ((gain, 0),) if gain else ())
     options = {
         s: [(a, *scaled[(s, a)]) for a in pa.enabled(s)] for s in sorted(policy, key=sort_key)
     }
-    row_den = dict.fromkeys(pa.states, den)
     while True:
-        chain, gain = {s: {} for s in pa.states}, {}
-        for s, a in policy.items():
-            gain[s], chain[s] = scaled[(s, a)]
-        values = _chain_solve(chain, gain, row_den)
+        chain = {s: rows[(s, policy[s])] if s in policy else stop for s in pa.states}
+        values = _chain_fill(_chain_plan(chain, point), point)
         finite = {s: v for s, v in values.items() if v is not INF}
         scale = lcm(*(v.denominator for v in finite.values()))
         x = {s: v.numerator * (scale // v.denominator) for s, v in finite.items()}
@@ -687,6 +712,7 @@ class _MoQuery:
         self.reward_slots = [
             {sym: slot(r) for sym, r in o.rewards} for o in self.rew_objs
         ]
+        self.one = slot(Fraction(1))  # numerator D at every vector
         self._layouts = {}
 
     def negative_reward(self, point):
@@ -702,34 +728,14 @@ class _MoQuery:
         k = self.reward_slots[j].get(self.plabel[key])
         return 0 if k is None else values[k]
 
-    def _chain_parts(self, point):
-        """The denominator D of the table vector `point`, each product
-        transition's nonzero probabilities, and each reward objective's
-        reward per product transition, as integer numerators over D."""
-        den, nums = point
-        trans = {
-            key: {t: nums[k] for t, k in dist if nums[k]}
-            for key, dist in self.ptrans.items()
-        }
-        rewards = [
-            {key: self._reward(nums, key, j) for key in self.ptrans}
-            for j in range(len(self.rew_objs))
-        ]
-        return den, trans, rewards
-
-    def strategy_values(self, point):
-        """sigma -> the exact values at the table vector `point` of the
-        probability objectives, then the reward objectives, under the
-        memoryless strategy sigma of `self.model`; missing mass stops, and
-        mass on an action the state does not enable is ignored."""
-        parts = self._chain_parts(point)
-
-        def values(sigma):
-            choice = sigma.choice
-            mix = {ps: choice[ps[0]] for ps in self.states if ps[0] in choice}
-            return _witness_values(self.init, self.states, parts, self.targets, mix, {}, {})
-
-        return values
+    def strategy_values(self, sigma):
+        """The values of the memoryless strategy sigma of `self.model`, as a
+        function of the table vector: the probability objectives', then the
+        reward objectives'.  Missing mass stops, and mass on an action the
+        state does not enable is ignored.  Build it once per strategy: its
+        chain is planned once per support pattern."""
+        choice = sigma.choice
+        return _StrategyChain(self, lambda ps: choice.get(ps[0]))
 
     def _layout(self, values):
         """Settle set, stay map and LP rows for the sign pattern of `values`."""
@@ -830,9 +836,7 @@ class _MoQuery:
             if w:
                 settle_mass[ps] = w / total
 
-        vals = _witness_values(
-            self.init, self.states, self._chain_parts(point), self.targets, mix, settle_mass, stay
-        )
+        vals = _StrategyChain(self, mix.get, settle_mass, stay)(point)
         objectives = self.prob_objs + self.rew_objs
         for o, val in zip(objectives, vals):
             if not _cmp(val, o.cmp, o.threshold):
@@ -886,52 +890,86 @@ def mo_achievable(pa: PPA, query, strategy_class="cmp"):
     return mo_query.solve(point)
 
 
-def _witness_values(init, states, parts, targets, mix, settle_mass, stay):
-    """Exact objective values of the two-mode witness strategy.
+class _StrategyChain:
+    """The Markov chain of a fixed two-mode strategy on a `_MoQuery`
+    product, planned once per support pattern and filled per table vector.
 
-    `parts` is `_MoQuery._chain_parts` at one table vector: D, each key's
-    nonzero probabilities and each reward map {key: reward}, as integer
-    numerators over D.  Go-mode state ps plays mix[ps] (mass on a key
-    outside the transitions is ignored) and settles with settle_mass[ps];
-    stay-mode ps plays stay[ps] forever.  A go row is over D times the lcm of
-    its weights' denominators, a stay row over D.  One value per target set
-    (the probability of never reaching it), then one per reward map (the
-    expected total reward).
+    Go-mode node ps plays mix(ps), ignoring mass on an action ps does not
+    enable, settles into stay mode with settle[ps], and stops with the
+    missing mass; stay-mode ps plays stay[ps] forever, or stops without one.
+    Only the nodes reachable from the initial go node are built, each
+    successor an entry (node, weight numerator, slot) of the query's
+    transitions.  A go row is over D times the lcm of its weights'
+    denominators, a stay row over D.  Called with a table vector, it gives
+    one value per probability objective (the probability of never reaching
+    its targets, which absorb), then one per reward objective (the expected
+    total reward).  The plans (`_chain_plan`) are keyed by which of the
+    slots the chain reads are nonzero, so a p = 0 corner gets its own.
     """
-    den, trans, rewards = parts
-    chain, row_den = {}, {}
-    gain_of = [{} for _ in rewards]
-    for ps in states:
-        go, dist = ("go", ps), {}
-        weights = [(a, w) for a, w in mix.get(ps, {}).items() if w and (ps, a) in trans]
-        settle = settle_mass.get(ps, 0)
-        scale = lcm(settle.denominator, *(w.denominator for _, w in weights))
-        for a, w in weights:
-            f, key = w.numerator * (scale // w.denominator), (ps, a)
-            for t, n in trans[key].items():
-                t = ("go", t)
-                dist[t] = dist.get(t, 0) + f * n
-            for gain, rew in zip(gain_of, rewards):
-                if rew[key]:
-                    gain[go] = gain.get(go, 0) + f * rew[key]
-        if settle:
-            dist[("stay", ps)] = settle.numerator * (scale // settle.denominator) * den
-        chain[go], row_den[go] = dist, scale * den
-    # stay nodes exist only where settling or a stay step reaches them
-    for ps in settle_mass:
-        chain.setdefault(("stay", ps), {})
-    for ps, a in stay.items():
-        chain[("stay", ps)] = succ = {("stay", t): n for t, n in trans[(ps, a)].items()}
-        row_den[("stay", ps)] = den
-        for t in succ:
-            chain.setdefault(t, {})
-    out = []
-    for target in targets:
-        marked = {(mode, ps) for mode in ("go", "stay") for ps in target}
-        out.append(1 - _reach_prob(chain, row_den, marked, ("go", init)))
-    for gain in gain_of:
-        out.append(_chain_solve(chain, gain, row_den, ("go", init))[("go", init)])
-    return out
+
+    def __init__(self, query, mix, settle=None, stay=None):
+        settle, stay, ptrans = settle or {}, stay or {}, query.ptrans
+        self.init = init = ("go", query.init)
+        moves, stack = {}, [init]
+        while stack:
+            node = stack.pop()
+            if node in moves:
+                continue
+            mode, ps = node
+            if mode == "go":
+                weights = [(w, (ps, a)) for a, w in (mix(ps) or {}).items()
+                           if w and (ps, a) in ptrans]
+                rest = settle.get(ps, 0)
+                scale = lcm(rest.denominator, *(w.denominator for w, _ in weights))
+                picks = [(w.numerator * (scale // w.denominator), key) for w, key in weights]
+                out = [(("go", t), f, k) for f, key in picks for t, k in ptrans[key]]
+                if rest:
+                    out.append((("stay", ps), rest.numerator * (scale // rest.denominator),
+                                query.one))
+            else:
+                scale, picks = 1, [(1, (ps, stay[ps]))] if ps in stay else []
+                out = [(("stay", t), 1, k) for _, key in picks for t, k in ptrans[key]]
+            moves[node] = scale, tuple(out), picks
+            stack.extend(t for t, _, _ in out)
+        # one chain per objective; a probability objective whose targets hold
+        # the initial state has value 0 and no chain
+        self.chains = [
+            None if query.init in target else {
+                node: (scale, (), ()) if node[1] in target
+                else (scale, out, tuple((f, k) for t, f, k in out if t[1] in target))
+                for node, (scale, out, _) in moves.items()
+            }
+            for target in query.targets
+        ]
+        self.n_prob = len(self.chains)
+        slots = {k for _, out, _ in moves.values() for *_, k in out}
+        for rewards in query.reward_slots:
+            chain = {}
+            for node, (scale, out, picks) in moves.items():
+                gain = tuple((f, rewards[lab]) for f, key in picks
+                             if (lab := query.plabel[key]) in rewards)
+                slots.update(k for _, k in gain)
+                chain[node] = scale, out, gain
+            self.chains.append(chain)
+        self.slots, self._plans = sorted(slots), {}
+
+    def __call__(self, point):
+        nums = point[1]
+        key = tuple([nums[k] != 0 for k in self.slots])
+        plans = self._plans.get(key)
+        if plans is None:
+            plans = self._plans[key] = [
+                None if chain is None else _chain_plan(chain, point, self.init)
+                for chain in self.chains
+            ]
+        values = []
+        for i, plan in enumerate(plans):
+            if plan is None:
+                values.append(Fraction(0))
+            else:
+                value = _chain_fill(plan, point)[self.init]
+                values.append(1 - value if i < self.n_prob else value)
+        return values
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +981,11 @@ def solution_value(m_inst: PPA, sigma: MemorylessStrategy, objective):
     _require_alphabet(m_inst, (objective,))
     table = PolyTable()
     query = _MoQuery(m_inst, (objective,), "cmp", table)
-    return query.strategy_values(table.at({}))(sigma)[0]
+    point = table.at({})
+    sym = query.negative_reward(point)
+    if sym is not None:
+        raise ValueError(f"the reward of {sym!r} is negative")
+    return query.strategy_values(sigma)(point)[0]
 
 
 def chain_language_prob(pa: PPA, sigma: MemorylessStrategy, dfa) -> Fraction:
@@ -1137,8 +1179,8 @@ def monotone_check(
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
     _require_nonnegative_rewards([query], samples)
-    # lines of samples that differ in `param` only, each sorted by it, with
-    # the strategy values at each sample; a line of one sample has no pair
+    # lines of samples that differ in `param` only, each sorted by it; a
+    # line of one sample has no pair
     lines = {}
     for v, point in samples:
         if param not in v:
@@ -1146,14 +1188,14 @@ def monotone_check(
         rest = tuple(sorted((k, val) for k, val in v.items() if k != param))
         lines.setdefault(rest, []).append((v, point))
     _require_alphabet(m, (objective,))
-    lines = [[(v, query.strategy_values(point))
-              for v, point in sorted(line, key=lambda vp: vp[0][param])]
+    lines = [sorted(line, key=lambda vp: vp[0][param])
              for _, line in sorted(lines.items(), key=lambda kv: kv[0]) if len(line) > 1]
     for sigma in enumerate_memoryless(query.model, grid_denominator):
+        values = query.strategy_values(sigma)
         for line in lines:
-            lo, f_lo = line[0][0], line[0][1](sigma)[0]
-            for hi, values in line[1:]:
-                f_hi = values(sigma)[0]
+            lo, f_lo = line[0][0], values(line[0][1])[0]
+            for hi, point in line[1:]:
+                f_hi = values(point)[0]
                 if not (f_lo <= f_hi if direction == "up" else f_lo >= f_hi):
                     return Verdict(
                         "fails",

@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from pacomp.algebra import Polynomial, region_samples, require_total, valuation_key
+from pacomp.algebra import Polynomial, PolyTable, region_samples, require_total, valuation_key
 from pacomp.errors import (
     ActionAlphabetClash,
     EmptyRegion,
@@ -28,13 +28,13 @@ from pacomp.semantics import TabularStrategy, path_last
 from pacomp.verify import (
     INF,
     Verdict,
-    _backward_reach,
+    _MoQuery,
     _predecessors,
+    _reach,
     _sccs,
     enumerate_memoryless,
     instantiate_objective,
     mo_achievable,
-    solution_value,
 )
 
 
@@ -309,7 +309,7 @@ def chain_solve_reference(chain, gain, init=None):
     succ = lambda s: chain.get(s, {})
     preds = _predecessors(chain)
     # a closed SCC with an internal edge never reaches a dead end
-    trapped = set(chain) - _backward_reach(preds, [s for s in chain if not chain[s]])
+    trapped = set(chain) - _reach(preds, [s for s in chain if not chain[s]])
     recurrent = set()
     if any(gain.get(s, 0) > 0 for s in trapped):
         for comp in _sccs(trapped, succ):
@@ -317,8 +317,8 @@ def chain_solve_reference(chain, gain, init=None):
                 succ(s).keys() <= comp for s in comp
             ):
                 recurrent |= comp
-    infinite = _backward_reach(preds, recurrent)
-    positive = _backward_reach(preds, {s for s in chain if gain.get(s, 0) > 0})
+    infinite = _reach(preds, recurrent)
+    positive = _reach(preds, {s for s in chain if gain.get(s, 0) > 0})
     values = {
         s: INF if s in infinite else Fraction(0)
         for s in chain
@@ -338,6 +338,70 @@ def chain_solve_reference(chain, gain, init=None):
         rhs = [gain.get(s, Fraction(0)) for s in unknown]
         values.update(zip(unknown, fraction_solve(rows, rhs)))
     return values
+
+
+def witness_values_reference(query, point, mix, settle_mass, stay):
+    """`verify._witness_values` as it was before fixed-strategy chains were
+    planned: the two-mode chain over every state of the `_MoQuery` product
+    `query`, rebuilt at the table vector `point` in Fractions and solved by
+    `chain_solve_reference`.  Go-mode ps plays mix[ps] (mass on an action ps
+    does not enable is ignored, missing mass stops) and settles with
+    settle_mass[ps]; stay-mode ps plays stay[ps] forever.  One value per
+    target set (the probability of never reaching it), then one per reward
+    objective (the expected total reward)."""
+    den, nums = point
+    trans = {
+        key: {t: Fraction(nums[k], den) for t, k in dist if nums[k]}
+        for key, dist in query.ptrans.items()
+    }
+    rewards = [
+        {key: Fraction(nums[slots[lab]], den) if lab in slots else Fraction(0)
+         for key, lab in query.plabel.items()}
+        for slots in query.reward_slots
+    ]
+    chain, gains = {}, [{} for _ in rewards]
+    for ps in query.states:
+        go, dist = ("go", ps), {}
+        for a, w in mix.get(ps, {}).items():
+            if not w or (ps, a) not in trans:
+                continue
+            for t, p in trans[(ps, a)].items():
+                dist[("go", t)] = dist.get(("go", t), Fraction(0)) + w * p
+            for gain, rew in zip(gains, rewards):
+                if rew[(ps, a)]:
+                    gain[go] = gain.get(go, Fraction(0)) + w * rew[(ps, a)]
+        if settle_mass.get(ps):
+            dist[("stay", ps)] = settle_mass[ps]
+        chain[go] = dist
+    for ps in settle_mass:
+        chain.setdefault(("stay", ps), {})
+    for ps, a in stay.items():
+        chain[("stay", ps)] = succ = {("stay", t): p for t, p in trans[(ps, a)].items()}
+        for t in succ:
+            chain.setdefault(t, {})
+    init = ("go", query.init)
+    out = []
+    for target in query.targets:
+        if query.init in target:
+            out.append(Fraction(0))
+            continue
+        absorbed = {s: {} if s[1] in target else dist for s, dist in chain.items()}
+        gain = {s: sum((p for t, p in dist.items() if t[1] in target), Fraction(0))
+                for s, dist in absorbed.items()}
+        out.append(1 - chain_solve_reference(absorbed, gain, init)[init])
+    for gain in gains:
+        out.append(chain_solve_reference(chain, gain, init)[init])
+    return out
+
+
+def strategy_value_reference(m, sigma, objective, v):
+    """The value of `objective` under the memoryless sigma of m at the
+    valuation v: `witness_values_reference` on the DFA product of m
+    instantiated at v."""
+    table = PolyTable()
+    query = _MoQuery(instantiate(m, v), (instantiate_objective(objective, v),), "cmp", table)
+    mix = {ps: sigma.choice[ps[0]] for ps in query.states if ps[0] in sigma.choice}
+    return witness_values_reference(query, table.at({}), mix, {}, {})[0]
 
 
 def policy_iteration_reference(pa, deciding, reward):
@@ -474,7 +538,8 @@ def ag_triple_check_per_sample(m, region, assumption, guarantee, strategy_class=
 
 def monotone_check_per_sample(m, region, objective, param, direction, strategy_class="cmp",
                               resolution=1):
-    """Every (strategy, valuation) pair instantiates and builds its DFA product anew."""
+    """Every (strategy, valuation) pair instantiates, builds its DFA product
+    and solves its chain anew (`strategy_value_reference`)."""
     samples = checked_samples_reference(region, resolution, m)
     caveat = "per enumerated strategy class; sound per sampled valuation"
     if samples is None:
@@ -490,10 +555,7 @@ def monotone_check_per_sample(m, region, objective, param, direction, strategy_c
         pairs.extend(zip(vs, vs[1:]))
     for sigma in enumerate_memoryless(work):
         for lo, hi in pairs:
-            f_lo, f_hi = (
-                solution_value(instantiate(work, v), sigma, instantiate_objective(objective, v))
-                for v in (lo, hi)
-            )
+            f_lo, f_hi = (strategy_value_reference(work, sigma, objective, v) for v in (lo, hi))
             if not (f_lo <= f_hi if direction == "up" else f_lo >= f_hi):
                 return Verdict(
                     "fails",

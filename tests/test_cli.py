@@ -703,6 +703,27 @@ def test_contradictory_fields_are_usage_errors(case, corpus_dir, tmp_path, capsy
     assert run(capsys, *argv) == (2, "", message)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("interval", [["s0", ["1/2", "1/4"]], ["s1", ["1/2", "1"]]],
+     "$.transitions[{i}].interval: bad bounds for 's0': [1/2,1/4]"),
+    ("interval", [["s0", ["0", "1/4"]], ["s1", ["0", "1/4"]]],
+     "$.transitions[{i}].interval: interval bounds admit no distribution"),
+    ("vertices", [[["s1", "1"]], [["s1", "1/2"]]],
+     "$.transitions[{i}].vertices[1]: not a distribution: {{'s1': Fraction(1, 2)}}"),
+    ("vertices", [], "$.transitions[{i}].vertices: vertex set must be nonempty"),
+], ids=["reversed bounds", "infeasible interval", "not a distribution", "no vertex"])
+def test_bad_rpa_sets_are_format_errors_at_their_path(field, value, message, corpus_dir,
+                                                      tmp_path, capsys):
+    # an infeasible interval used to exit 2 as an InfeasibleIntervalSet, and
+    # a bad vertex was reported at $
+    rpa = json.load(open(corpus_dir / "interval_retry.rpa.json"))
+    i = next(i for i, t in enumerate(rpa["transitions"]) if field in t)
+    rpa["transitions"][i][field] = value
+    json.dump(rpa, open(tmp_path / "bad.rpa.json", "w"))
+    expected = f"format error: {message.format(i=i)}\n"
+    assert run(capsys, "rpa-reduce", "--model", str(tmp_path / "bad.rpa.json")) == (2, "", expected)
+
+
 def test_reward_over_an_undeclared_parameter_is_usage_error(corpus_dir, tmp_path, capsys):
     retry = str(corpus_dir / "retry.ppa.json")
     stray = _reward_query(tmp_path, "2*r")

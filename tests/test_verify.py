@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacomp import corpus
-from pacomp.algebra import Box, FiniteRegion, Polynomial, parse_poly, poly_eval
+from pacomp.algebra import Box, FiniteRegion, Polynomial, PolyTable, parse_poly, poly_eval, region_samples
 from pacomp.errors import (
     AlphabetMismatch,
     PacompError,
@@ -28,6 +28,7 @@ from pacomp.robust import pa_reduce
 from pacomp.semantics import MemorylessStrategy
 from pacomp.verify import (
     INF,
+    _MoQuery,
     _policy_iteration,
     ProbObjective,
     chain_expected_reward,
@@ -56,6 +57,7 @@ from helpers import (
     random_polytopic_rpa,
     random_safety_dfa,
     region_sat_per_sample,
+    witness_values_reference,
 )
 
 SOLUTION = parse_poly("1 - (1/10*p^2 + (p - p^2)*q)")
@@ -637,6 +639,36 @@ def test_monotone_check_prt_uses_sink_extension():
     assert monotone_check(m2, box, obj, "q", "down", "prt", resolution=1).holds
 
 
+def test_monotone_probe():
+    # the ROADMAP's monotone probe: 738 strategies of the tau extension, each
+    # at 64 samples; the witness of "up" was recorded before strategy chains
+    # were planned per support pattern
+    m = composed()
+    obj = safety(corpus.no_fail_dfa(), F(9, 10))
+    box = Box.of({"p": (F(1, 10), F(1, 2)), "q": (0, F(1, 2))})
+    assert len(enumerate_memoryless(tau_extend(m))) == 738
+    assert monotone_check(m, box, obj, "q", "down", "prt", resolution=6).holds
+    up = monotone_check(m, box, obj, "q", "up", "prt", resolution=6)
+    assert up.status == "fails"
+    assert up.witness == {
+        "strategy": {
+            ("s0", "t0"): {("s0_a", "t0_a"): F(1)},
+            ("s0", "t1"): {("s0_a", "t1_a"): F(1)},
+            ("s0", "t2"): {("s0_b", "b"): F(1)},
+            ("s0", "t3"): {("fail", "t3_f"): F(1)},
+            ("s0", "t4"): {("s0_b", "b"): F(1)},
+            ("s1", "t1"): {("s1_b", "b"): F(1)},
+            ("s1", "t2"): {("s1_b", "b"): F(1)},
+            ("s1", "t3"): {("fail", "t3_f"): F(1)},
+            ("s1", "t4"): {("s1_b", "b"): F(1)},
+        },
+        "low": {"p": F(1, 10), "q": F(0)},
+        "high": {"p": F(1, 10), "q": F(1, 14)},
+        "value_low": F(1),
+        "value_high": F(1391, 1400),
+    }
+
+
 def test_enumerate_memoryless_counts():
     pa = instantiate(corpus.pipeline_component(), V)
     dets = enumerate_memoryless(pa, 1)
@@ -949,6 +981,77 @@ def test_region_checks_match_per_sample_reference():
         for with_reward in (False, True):
             assert {(kind, with_reward, "holds"), (kind, with_reward, "fails")} <= seen
     assert {("monotone", False, "holds"), ("monotone", False, "fails")} <= seen
+
+
+def _strategy_chain_cases(rng):
+    """(query, samples, strategies) on a random parametric composition: the
+    p = 0 and p = 1 samples zero out entries, so one strategy meets several
+    support patterns, and the reward of a random label is INF or 0 under
+    some strategies."""
+    m = compose(*random_parametric_pair(rng))
+    alphabet = sorted(m.alphabet)
+    p = Polynomial.var("p")
+    objectives = [safety(random_safety_dfa(rng, alphabet, allow_empty=False), 0)
+                  for _ in range(rng.randint(1, 2))]
+    objectives.append(reward_objective(">=", 0, {rng.choice(alphabet): rng.choice(
+        [1, p, (1 - 2 * p) * (1 - 2 * p)])}))
+    table = PolyTable()
+    query = _MoQuery(m, objectives, rng.choice(["cmp", "prt"]), table)
+    samples = [table.at(v) for v in region_samples(Box.of({"p": (0, 1)}), rng.randint(1, 2))]
+    strategies = enumerate_memoryless(query.model)
+    if len(strategies) <= 16 and rng.random() < 0.5:  # a grid of step 1/2 stays small
+        strategies = enumerate_memoryless(query.model, 2)
+    return query, samples, rng.sample(strategies, k=min(len(strategies), 24))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_strategy_chains_match_the_witness_reference(seed):
+    """A strategy's chain, planned once per support pattern, gives at every
+    sample the values of the two-mode chain rebuilt over every product state
+    and solved in Fractions; so do the witnesses of `mo_achievable`."""
+    rng = random.Random(seed)
+    query, samples, strategies = _strategy_chain_cases(rng)
+    for sigma in strategies:
+        values = query.strategy_values(sigma)
+        mix = {ps: sigma.choice[ps[0]] for ps in query.states if ps[0] in sigma.choice}
+        for point in samples:
+            assert values(point) == witness_values_reference(query, point, mix, {}, {})
+    # the go/stay witness of an achievable query on a random composition
+    pa = compose(random_pa(rng, "l", 3, ["a", "b"]), random_pa(rng, "r", 3, ["a", "c"]))
+    alphabet = sorted(pa.alphabet)
+    objectives = (
+        ProbObjective(rng.choice(["<=", ">="]), F(rng.randint(0, 4), 4),
+                      random_safety_dfa(rng, alphabet, allow_empty=False)),
+        reward_objective(rng.choice(["<=", ">="]), F(rng.randint(0, 4), 2),
+                         {rng.choice(alphabet): F(rng.randint(1, 2))}),
+    )[:rng.randint(1, 2)]
+    cls = rng.choice(["cmp", "prt"])
+    try:
+        status, wit = mo_achievable(pa, objectives, cls)
+    except UnboundedReward:
+        return
+    if status == "achievable":
+        table = PolyTable()
+        query = _MoQuery(pa, objectives, cls, table)
+        expected = witness_values_reference(
+            query, table.at({}), wit["mix"], wit["settle"], wit["stay"])
+        assert list(wit["values"].values()) == expected
+
+
+def test_strategy_chain_cases_meet_several_patterns_and_both_reward_extremes():
+    # over a fixed set of seeds, the cases of the test above plan a strategy
+    # for more than one support pattern and give rewards of 0, INF and between
+    rewards, patterns = set(), 0
+    for seed in range(12):
+        query, samples, strategies = _strategy_chain_cases(random.Random(seed))
+        for sigma in strategies:
+            values = query.strategy_values(sigma)
+            for point in samples:
+                reward = values(point)[-1]
+                rewards.add(reward if reward in (0, INF) else "between")
+            patterns = max(patterns, len(values._plans))
+    assert rewards == {0, INF, "between"} and patterns >= 2
 
 
 def test_monotone_along_a_point_axis_compares_no_pair():
