@@ -31,7 +31,8 @@ class Polynomial:
     """Sparse multivariate polynomial with rational coefficients.
 
     Terms map monomials to nonzero coefficients; two polynomials are equal iff
-    their term maps are equal.
+    their term maps are equal, and a constant polynomial equals its value
+    (an int or Fraction) and hashes as it.
     """
 
     __slots__ = ("terms",)
@@ -140,6 +141,8 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
+        if self.terms.keys() <= {()}:  # a constant hashes as the number it equals
+            return hash(self.terms.get((), 0))
         return hash(frozenset(self.terms.items()))
 
     def __str__(self):

@@ -67,3 +67,7 @@ class InfeasibleIntervalSet(PacompError):
 
 class GeneratorBudgetExceeded(PacompError):
     """Extreme-point enumeration would exceed the configured cap."""
+
+
+class StrategyCapExceeded(PacompError):
+    """Strategy enumeration would exceed the configured cap."""

@@ -4,10 +4,13 @@ Format tag: "pacomp/1".  Identifiers may be strings, integers, rationals, or
 nested tuples; tuples and rationals are tagged so round-trips are exact.
 Polynomials and rationals travel as canonical strings.
 
-`load_document` is the one decoder of this input, proof scripts included:
-each document type is a shape in `_TYPES`, checked by one recursive walk that
-parses every rational and polynomial string once and raises `ParseError`
-naming the JSON path of the first value that does not fit.
+Each row of `_TYPES` defines both directions of one document type: its shape,
+the build from decoded fields to the object, and the inverse from the object
+to its fields.  `load_document` is the one decoder, proof scripts included:
+one recursive walk checks a document against its shape, parses every rational
+and polynomial string once and raises `ParseError` naming the JSON path of
+the first value that does not fit.  `dump_document` is the one encoder: it
+walks the same shape back, leaf by leaf.
 """
 
 from __future__ import annotations
@@ -50,154 +53,6 @@ def _enc_id(x):
         return {"fs": sorted((_enc_id(i) for i in x), key=json.dumps)}
     return x
 
-
-def ppa_to_jsonable(m: PPA) -> dict:
-    return {
-        "format": FORMAT,
-        "type": "ppa",
-        "states": [_enc_id(s) for s in m.states],
-        "initial": _enc_id(m.initial),
-        "params": sorted(m.params),
-        "alphabet": sorted(m.alphabet),
-        "transitions": [
-            {
-                "state": _enc_id(s),
-                "action": _enc_id(a),
-                "label": m.label[(s, a)],
-                "dist": [
-                    [_enc_id(t), str(Polynomial.coerce(p))]
-                    for t, p in sorted(dist.items(), key=lambda kv: sort_key(kv[0]))
-                ],
-            }
-            for (s, a), dist in sorted(m.trans.items(), key=lambda kv: sort_key(kv[0]))
-        ],
-    }
-
-
-def dfa_to_jsonable(b: DFA) -> dict:
-    return {
-        "format": FORMAT,
-        "type": "dfa",
-        "states": [_enc_id(q) for q in b.states],
-        "initial": _enc_id(b.initial),
-        "alphabet": sorted(b.alphabet),
-        "accepting": sorted((_enc_id(q) for q in b.accepting), key=json.dumps),
-        "transitions": [
-            [_enc_id(q), sym, _enc_id(t)]
-            for (q, sym), t in sorted(b.trans.items(), key=lambda kv: sort_key(kv[0]))
-        ],
-    }
-
-
-def rpa_to_jsonable(u: RPA) -> dict:
-    transitions = []
-    for (s, a), uset in sorted(u.utrans.items(), key=lambda kv: sort_key(kv[0])):
-        entry = {"state": _enc_id(s), "action": _enc_id(a), "label": u.label[(s, a)]}
-        if isinstance(uset, IntervalSet):
-            entry["interval"] = [
-                [_enc_id(t), [format_rational(lo), format_rational(hi)]]
-                for t, (lo, hi) in uset.bounds
-            ]
-        elif isinstance(uset, VertexSet):
-            entry["vertices"] = [
-                [[_enc_id(t), format_rational(p)] for t, p in dist]
-                for dist in uset.dists
-            ]
-        else:
-            raise ParseError("only interval or vertex-listed sets serialize")
-        transitions.append(entry)
-    return {
-        "format": FORMAT,
-        "type": "rpa",
-        "states": [_enc_id(s) for s in u.states],
-        "initial": _enc_id(u.initial),
-        "alphabet": sorted(u.alphabet),
-        "transitions": transitions,
-    }
-
-
-def objective_to_jsonable(obj) -> dict:
-    if isinstance(obj, ProbObjective):
-        return {
-            "kind": "prob",
-            "cmp": obj.cmp,
-            "threshold": format_rational(obj.threshold),
-            "dfa": dfa_to_jsonable(obj.dfa),
-            "name": obj.name,
-        }
-    if isinstance(obj, RewardObjective):
-        return {
-            "kind": "reward",
-            "cmp": obj.cmp,
-            "threshold": format_rational(obj.threshold),
-            "rewards": [[sym, str(Polynomial.coerce(r))] for sym, r in obj.rewards],
-            "name": obj.name,
-        }
-    raise ParseError(f"not an objective: {obj!r}")
-
-
-def query_to_jsonable(query) -> dict:
-    return {
-        "format": FORMAT,
-        "type": "mo-query",
-        "objectives": [objective_to_jsonable(o) for o in query],
-    }
-
-
-def region_to_jsonable(region) -> dict:
-    if isinstance(region, Box):
-        return {
-            "type": "box",
-            "bounds": [
-                [p, [format_rational(lo), format_rational(hi)]]
-                for p, (lo, hi) in region.bounds
-            ],
-        }
-    if isinstance(region, FiniteRegion):
-        return {
-            "type": "finite",
-            "valuations": [
-                [[p, format_rational(v)] for p, v in key] for key in region.valuations
-            ],
-        }
-    if isinstance(region, RegionUnion):
-        return {"type": "union", "parts": [region_to_jsonable(p) for p in region.parts]}
-    raise ParseError(f"not a region: {region!r}")
-
-
-def strategy_to_jsonable(sigma) -> dict:
-    if isinstance(sigma, MemorylessStrategy):
-        return {
-            "format": FORMAT,
-            "type": "strategy",
-            "kind": "memoryless",
-            "complete": sigma.complete,
-            "choice": [
-                [_enc_id(s), [[_enc_id(a), format_rational(p)] for a, p in sorted(d.items(), key=lambda kv: sort_key(kv[0]))]]
-                for s, d in sorted(sigma.choice.items(), key=lambda kv: sort_key(kv[0]))
-            ],
-        }
-    if isinstance(sigma, TabularStrategy):
-        return {
-            "format": FORMAT,
-            "type": "strategy",
-            "kind": "tabular",
-            "horizon": sigma.horizon,
-            "complete": sigma.complete,
-            "table": [
-                [
-                    [_enc_id(x) for x in path],
-                    [[_enc_id(a), format_rational(p)] for a, p in sorted(d.items(), key=lambda kv: sort_key(kv[0]))],
-                ]
-                for path, d in sorted(sigma.table.items(), key=lambda kv: sort_key(kv[0]))
-            ],
-        }
-    raise ParseError(f"not a strategy: {sigma!r}")
-
-
-# ---------------------------------------------------------------------------
-# Decoding
-# ---------------------------------------------------------------------------
 
 def _show(x):
     text = repr(x)
@@ -302,6 +157,34 @@ def _decode(x, shape, path, inputs):
     return tuple(_decode(v, s, f"{path}[{i}]", inputs) for i, (v, s) in enumerate(zip(x, shape)))
 
 
+# leaf kind -> the inverse of its decoder, for the leaves that decoding changes
+_UNLEAVES = {"id": _enc_id, "rat": format_rational, "poly": lambda p: str(Polynomial.coerce(p))}
+
+
+def _encode(x, shape):
+    """Undo `_decode`: the JSON form of the decoded value `x` of `shape`.
+    An object's fields keep their order, and fields its shape does not name
+    pass through as they are."""
+    kind = type(shape)
+    if kind is str:
+        if shape in _LEAVES:
+            leaf = _UNLEAVES.get(shape)
+            return leaf(x) if leaf else x
+        return dump_document(x)
+    if kind is frozenset:
+        return x
+    if kind is dict:
+        out = {}
+        for name, value in x.items():
+            sub = shape.get(name) or shape.get("?" + name) or shape.get("*")
+            out[name] = value if sub is None else _encode(value, sub)
+        return out
+    if kind is list:
+        item = shape[0]
+        return [_encode(v, item) for v in x]
+    return [_encode(v, s) for v, s in zip(x, shape)]
+
+
 def _document(x, kind, path, inputs):
     if kind[0] == "@":
         kind = kind[1:]
@@ -316,7 +199,7 @@ def _document(x, kind, path, inputs):
         if got not in _KINDS[kind]:
             _fail(path, f"expected {'an' if kind == 'rpa' else 'a'} {kind} document, got {got}")
         kind = got
-    shape, build = _TYPES[kind]
+    shape, build = _TYPES[kind][:2]
     fields = _decode(x, shape, path, inputs)
     try:
         return build(fields, path, inputs)
@@ -333,15 +216,35 @@ def _need(f, field, excluded=None):
     return f[field]
 
 
+def _by_key(items):
+    """`(key, value)` pairs in `sort_key` order of their keys."""
+    return sorted(items, key=lambda kv: sort_key(kv[0]))
+
+
 def _ppa(f, *_):
     trans = {(t["state"], t["action"]): (t["label"], dict(t["dist"])) for t in f["transitions"]}
     return make_ppa(f["states"], f["initial"], f["params"], trans, f["alphabet"])
+
+
+def _ppa_fields(m):
+    return dict(format=FORMAT, type="ppa", states=m.states, initial=m.initial,
+                params=sorted(m.params), alphabet=sorted(m.alphabet),
+                transitions=[{"state": s, "action": a, "label": m.label[(s, a)],
+                              "dist": _by_key(dist.items())}
+                             for (s, a), dist in _by_key(m.trans.items())])
 
 
 def _dfa(f, *_):
     trans = {(q, sym): t for q, sym, t in f["transitions"]}
     return DFA(tuple(f["states"]), f["initial"], frozenset(f["alphabet"]), trans,
                frozenset(f["accepting"]))
+
+
+def _dfa_fields(b):
+    return dict(format=FORMAT, type="dfa", states=b.states, initial=b.initial,
+                alphabet=sorted(b.alphabet),
+                accepting=sorted(b.accepting, key=lambda q: json.dumps(_enc_id(q))),
+                transitions=[(q, sym, t) for (q, sym), t in _by_key(b.trans.items())])
 
 
 def _rpa(f, path, _):
@@ -369,6 +272,21 @@ def _rpa(f, path, _):
     return make_rpa(f["states"], f["initial"], utrans, f["alphabet"])
 
 
+def _rpa_fields(u):
+    transitions = []
+    for (s, a), uset in _by_key(u.utrans.items()):
+        t = {"state": s, "action": a, "label": u.label[(s, a)]}
+        if isinstance(uset, IntervalSet):
+            t["interval"] = uset.bounds
+        elif isinstance(uset, VertexSet):
+            t["vertices"] = uset.dists
+        else:
+            raise ParseError("only interval or vertex-listed sets serialize")
+        transitions.append(t)
+    return dict(format=FORMAT, type="rpa", states=u.states, initial=u.initial,
+                alphabet=sorted(u.alphabet), transitions=transitions)
+
+
 def _objective(f, path, _):
     if f["kind"] == "prob":
         dfa = _need(f, "dfa", "rewards")
@@ -378,6 +296,12 @@ def _objective(f, path, _):
         if r.is_constant() and r.constant_value() < 0:
             _fail(f"{path}.rewards[{i}]", f"the reward {r} of {sym!r} is negative")
     return RewardObjective(f["cmp"], f["threshold"], rewards, f.get("name", ""))
+
+
+def _objective_fields(o):
+    if isinstance(o, ProbObjective):
+        return dict(kind="prob", cmp=o.cmp, threshold=o.threshold, dfa=o.dfa, name=o.name)
+    return dict(kind="reward", cmp=o.cmp, threshold=o.threshold, rewards=o.rewards, name=o.name)
 
 
 def _strategy(f, path, _):
@@ -391,6 +315,15 @@ def _strategy(f, path, _):
                   f"so its length is odd, not {len(history)}")
     table = {tuple(history): dict(d) for history, d in rows}
     return TabularStrategy(table, horizon=_need(f, "horizon"), complete=f.get("complete", False))
+
+
+def _strategy_fields(sigma):
+    if isinstance(sigma, MemorylessStrategy):
+        return dict(format=FORMAT, type="strategy", kind="memoryless", complete=sigma.complete,
+                    choice=[(s, _by_key(d.items())) for s, d in _by_key(sigma.choice.items())])
+    return dict(format=FORMAT, type="strategy", kind="tabular", horizon=sigma.horizon,
+                complete=sigma.complete,
+                table=[(h, _by_key(d.items())) for h, d in _by_key(sigma.table.items())])
 
 
 def _script(f, path, inputs):
@@ -465,37 +398,48 @@ _RULES = {
 
 _FORMAT = frozenset({FORMAT})
 _RATIONAL_DIST = [("id", "rat")]
-# named type -> (shape, build(decoded fields, JSON path, loader)); every named
-# type but "objective" is a document type
+# named type -> (shape, build(decoded fields, JSON path, loader), the classes
+# it encodes, their inverse of build: an object -> its decoded fields in
+# document order); every named type but "objective" is a document type
 _TYPES = {
     "ppa": ({"format": _FORMAT, "states": ["id"], "initial": "id", "params": ["str"],
              "alphabet": ["str"],
              "transitions": [{"state": "id", "action": "id", "label": "str",
-                              "dist": [("id", "poly")]}]}, _ppa),
+                              "dist": [("id", "poly")]}]}, _ppa, (PPA,), _ppa_fields),
     "dfa": ({"format": _FORMAT, "states": ["id"], "initial": "id", "alphabet": ["str"],
-             "accepting": ["id"], "transitions": [("id", "str", "id")]}, _dfa),
+             "accepting": ["id"], "transitions": [("id", "str", "id")]}, _dfa, (DFA,),
+            _dfa_fields),
     "rpa": ({"format": _FORMAT, "states": ["id"], "initial": "id", "alphabet": ["str"],
              "transitions": [{"state": "id", "action": "id", "label": "str",
                               "?interval": [("id", ("rat", "rat"))],
-                              "?vertices": [_RATIONAL_DIST]}]}, _rpa),
-    "mo-query": ({"objectives": ["objective"]}, lambda f, *_: tuple(f["objectives"])),
+                              "?vertices": [_RATIONAL_DIST]}]}, _rpa, (RPA,), _rpa_fields),
+    "mo-query": ({"objectives": ["objective"]}, lambda f, *_: tuple(f["objectives"]), (tuple,),
+                 lambda q: dict(format=FORMAT, type="mo-query", objectives=q)),
     "objective": ({"kind": frozenset({"prob", "reward"}),
                    "cmp": frozenset({"<", "<=", ">", ">="}), "threshold": "rat",
-                   "?dfa": "dfa", "?rewards": [("str", "poly")], "?name": "str"}, _objective),
+                   "?dfa": "dfa", "?rewards": [("str", "poly")], "?name": "str"}, _objective,
+                  (ProbObjective, RewardObjective), _objective_fields),
     "box": ({"bounds": [("str", ("rat", "rat"))]},
-            lambda f, path, _: _located(f"{path}.bounds", _box, f["bounds"])),
+            lambda f, path, _: _located(f"{path}.bounds", _box, f["bounds"]),
+            (Box,), lambda r: dict(type="box", bounds=r.bounds)),
     "finite": ({"valuations": [[("str", "rat")]]},
                lambda f, path, _: FiniteRegion.of(
                    _located(f"{path}.valuations[{i}]", _named, v, "valuation")
-                   for i, v in enumerate(f["valuations"]))),
-    "union": ({"parts": ["region"]}, lambda f, *_: RegionUnion.of(f["parts"])),
+                   for i, v in enumerate(f["valuations"])),
+               (FiniteRegion,), lambda r: dict(type="finite", valuations=r.valuations)),
+    "union": ({"parts": ["region"]}, lambda f, *_: RegionUnion.of(f["parts"]),
+              (RegionUnion,), lambda r: dict(type="union", parts=r.parts)),
     "strategy": ({"kind": frozenset({"memoryless", "tabular"}), "?complete": "bool",
                   "?horizon": "int", "?choice": [("id", _RATIONAL_DIST)],
-                  "?table": [(["id"], _RATIONAL_DIST)]}, _strategy),
+                  "?table": [(["id"], _RATIONAL_DIST)]}, _strategy,
+                 (MemorylessStrategy, TabularStrategy), _strategy_fields),
     "proof-script": ({"?models": {"*": "@ppa"}, "?queries": {"*": "@mo-query"},
                       "?regions": {"*": "@region"},
-                      "?applications": [{"rule": frozenset(_RULES), "?id": "str"}]}, _script),
+                      "?applications": [{"rule": frozenset(_RULES), "?id": "str"}]}, _script,
+                     (), None),
 }
+# a class -> the row of `_TYPES` that encodes it
+DOCUMENT_ROW = {cls: row for row in _TYPES.values() for cls in row[2]}
 _DOCUMENT_TYPES = ("ppa", "dfa", "rpa", "mo-query", "box", "finite", "union", "strategy",
                    "proof-script")
 # a kind of document -> the values its "type" field may take
@@ -511,10 +455,6 @@ def load_document(doc, kind=FORMAT, inputs=None):
     for any); malformed content raises ParseError naming its JSON path.
     `inputs.load(path, kind)` resolves every "@file" reference in it."""
     return _document(doc, kind, "$", inputs)
-
-
-def ppa_from_jsonable(doc: dict) -> PPA:
-    return load_document(doc, "ppa")
 
 
 def _located(path, build, *args):
@@ -603,16 +543,10 @@ def parse_valuation_arg(text):
 
 
 def dump_document(obj) -> dict:
-    if isinstance(obj, PPA):
-        return ppa_to_jsonable(obj)
-    if isinstance(obj, DFA):
-        return dfa_to_jsonable(obj)
-    if isinstance(obj, RPA):
-        return rpa_to_jsonable(obj)
-    if isinstance(obj, (Box, FiniteRegion, RegionUnion)):
-        return region_to_jsonable(obj)
-    if isinstance(obj, (MemorylessStrategy, TabularStrategy)):
-        return strategy_to_jsonable(obj)
-    if isinstance(obj, tuple):
-        return query_to_jsonable(obj)
-    raise ParseError(f"cannot serialize {type(obj).__name__}")
+    """The JSON form of a model, DFA, objective, query (a tuple of objectives),
+    region or strategy, which `load_document` decodes back to an equal object."""
+    row = DOCUMENT_ROW.get(type(obj))
+    if row is None:
+        raise ParseError(f"cannot serialize {type(obj).__name__}")
+    shape, _, _, fields = row
+    return _encode(fields(obj), shape)

@@ -6,11 +6,10 @@ import hashlib
 import json
 from fractions import Fraction
 
-from .algebra import Box, FiniteRegion, Polynomial, RegionUnion, format_rational
-from .model import DFA, PPA
+from .algebra import Polynomial, format_rational
+from .model import PPA
 from .robust import RPA
-from .semantics import MemorylessStrategy, TabularStrategy
-from .verify import ProbObjective, RewardObjective, Verdict
+from .verify import Verdict
 
 
 def fmt_id(x) -> str:
@@ -36,10 +35,6 @@ def scrub(obj):
         return format_rational(obj)
     if isinstance(obj, Polynomial):
         return str(obj)
-    if isinstance(obj, (ProbObjective, RewardObjective)):
-        return modelio.objective_to_jsonable(obj)
-    if isinstance(obj, (Box, FiniteRegion, RegionUnion)):
-        return modelio.region_to_jsonable(obj)
     if isinstance(obj, Verdict):
         return {
             "status": obj.status,
@@ -47,20 +42,17 @@ def scrub(obj):
             "caveat": obj.caveat,
             "details": scrub(obj.details),
         }
-    if isinstance(obj, (MemorylessStrategy, TabularStrategy)):
-        return modelio.strategy_to_jsonable(obj)
-    if isinstance(obj, PPA):
-        return {"ppa": {"states": len(obj.states), "alphabet": sorted(obj.alphabet)}}
-    if isinstance(obj, RPA):
-        return {"rpa": {"states": len(obj.states), "alphabet": sorted(obj.alphabet)}}
-    if isinstance(obj, DFA):
-        return modelio.dfa_to_jsonable(obj)
+    if isinstance(obj, (PPA, RPA)):
+        kind = "ppa" if isinstance(obj, PPA) else "rpa"
+        return {kind: {"states": len(obj.states), "alphabet": sorted(obj.alphabet)}}
     if isinstance(obj, dict):
         return {fmt_id(k): scrub(v) for k, v in sorted(obj.items(), key=lambda kv: fmt_id(kv[0]))}
     if isinstance(obj, (list, tuple)):
         return [scrub(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
         return sorted((scrub(v) for v in obj), key=json.dumps)
+    if type(obj) in modelio.DOCUMENT_ROW:  # a DFA, objective, region or strategy
+        return modelio.dump_document(obj)
     return repr(obj)
 
 

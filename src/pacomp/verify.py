@@ -57,6 +57,7 @@ from .errors import (
     MissingParameter,
     NotGraphPreserving,
     SideConditionError,
+    StrategyCapExceeded,
     UnboundedReward,
 )
 from .exactlp import OPTIMAL, LinearProgram, gauss_solve
@@ -1138,7 +1139,7 @@ def enumerate_memoryless(m: PPA, denominator=1):
         if not undecided:
             results.append(MemorylessStrategy(dict(choice), complete=True))
             if len(results) > STRATEGY_CAP:
-                raise ValueError(f"strategy enumeration exceeds cap {STRATEGY_CAP}")
+                raise StrategyCapExceeded(f"strategy enumeration exceeds cap {STRATEGY_CAP}")
             return
         s = undecided[0]
         for profile in _weight_profiles(m.enabled(s), denominator):

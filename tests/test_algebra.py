@@ -9,6 +9,7 @@ from pacomp.algebra import (
     Box,
     FiniteRegion,
     Polynomial,
+    PolyTable,
     RegionUnion,
     parse_poly,
     parse_rational,
@@ -78,6 +79,21 @@ def test_ring_axioms_randomized():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a - a == Polynomial.const(0)
+
+
+def test_equal_polynomials_and_numbers_hash_equal():
+    # a constant polynomial equals its value, so the two must hash alike and
+    # share one set entry and one PolyTable slot; the zero polynomial included
+    for value in (0, 1, F(-3, 7)):
+        p = Polynomial.const(value)
+        assert p == value == F(value) and hash(p) == hash(value) == hash(F(value))
+        assert len({p, F(value), value}) == 1
+        table = PolyTable()
+        assert [table.slot(p), table.slot(F(value)), table.slot(value)] == [0, 0, 0]
+        den, nums = table.at({})
+        assert [F(n, den) for n in nums] == [value]
+    assert Polynomial({}) == Polynomial.const(0) == 0 and hash(Polynomial({})) == hash(0)
+    assert len({P + 1, 1 + P, ONE}) == 2
 
 
 def test_eval_is_ring_homomorphism():

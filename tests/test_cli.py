@@ -181,6 +181,24 @@ def test_internal_error_is_never_a_verdict(corpus_dir, capsys, monkeypatch):
     )
 
 
+def test_strategy_cap_is_a_usage_error(corpus_dir, tmp_path, capsys):
+    # the q-grid of thirds on the composed model has more memoryless
+    # strategies than verify.STRATEGY_CAP; a cap is no fault of the program
+    comp = tmp_path / "comp.json"
+    assert run(capsys, "compose", "--left", str(corpus_dir / "retry.ppa.json"),
+               "--right", str(corpus_dir / "pipeline.ppa.json"), "--out", str(comp))[0] == 0
+    code, out, err = run(
+        capsys,
+        "monotone",
+        "--model", str(comp),
+        "--objective", str(corpus_dir / "safe_guarantee.query.json"),
+        "--region", "box.p=[0,1/10],q=[0,1]",
+        "--param", "q", "--direction", "down", "--class", "prt", "--grid-denominator", "3",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: StrategyCapExceeded: strategy enumeration exceeds cap 20000\n"
+
+
 def test_simulate_cli(corpus_dir, capsys):
     base = [
         "simulate",
@@ -232,7 +250,7 @@ def _write_trivial_query(tmp_path):
 
     query = (ProbObjective(">=", F(0), corpus.trivial_dfa(("a", "b"))),)
     path = tmp_path / "trivial.query.json"
-    json.dump(modelio.query_to_jsonable(query), open(path, "w"))
+    json.dump(modelio.dump_document(query), open(path, "w"))
     return path
 
 
@@ -241,7 +259,7 @@ def _write_goal_query(tmp_path, corpus_dir):
 
     query = (safety(corpus.no_c_dfa(), F(1, 10)),)
     path = tmp_path / "goal.query.json"
-    json.dump(modelio.query_to_jsonable(query), open(path, "w"))
+    json.dump(modelio.dump_document(query), open(path, "w"))
     return path
 
 
@@ -907,7 +925,7 @@ def test_project_and_triple_cli(corpus_dir, tmp_path, capsys):
         {"p": F(1, 10), "q": F(1, 10)},
     )
     sigma = corpus.priority_strategy(composed)
-    json.dump(modelio.strategy_to_jsonable(sigma), open(strategy_path, "w"))
+    json.dump(modelio.dump_document(sigma), open(strategy_path, "w"))
     code, out, _ = run(
         capsys,
         "project",
@@ -962,7 +980,7 @@ def test_project_rejects_an_invalid_strategy(corpus_dir, tmp_path, capsys, defec
     if defect == "empty history":
         sigma = TabularStrategy({(): {a: F(1)}}, horizon=2)
     strategy_path = tmp_path / "sigma.json"
-    json.dump(modelio.strategy_to_jsonable(sigma), open(strategy_path, "w"))
+    json.dump(modelio.dump_document(sigma), open(strategy_path, "w"))
     code, out, err = run(
         capsys,
         "project",
@@ -986,9 +1004,9 @@ def test_region_and_strategy_documents_roundtrip():
     union = RegionUnion.of(
         [Box.of({"p": (0, F(1, 4))}), FiniteRegion.of([{"p": F(1, 2)}])]
     )
-    doc = modelio.region_to_jsonable(union)
+    doc = modelio.dump_document(union)
     back = modelio.load_document(doc)
-    assert modelio.region_to_jsonable(back) == doc
+    assert modelio.dump_document(back) == doc
 
 
 def test_rule_script_simulation_with_robust_flag(corpus_dir, tmp_path, capsys):
@@ -1006,7 +1024,7 @@ def test_rule_script_simulation_with_robust_flag(corpus_dir, tmp_path, capsys):
             "m1": "@" + str(corpus_dir / "handoff_parametric.ppa.json"),
             "m2": "@" + str(corpus_dir / "split_responder.ppa.json"),
             "mA": "@" + str(corpus_dir / "handoff_parametric.ppa.json"),
-            "mG": modelio.ppa_to_jsonable(guard),
+            "mG": modelio.dump_document(guard),
         },
         "regions": {
             "r": {
@@ -1042,7 +1060,7 @@ def test_check_partial_strategy_class(corpus_dir, tmp_path, capsys):
 
     narrow = (safety(dfa_forbid_symbols({"fail"}, {"a", "c", "fail"}), F(9, 10)),)
     query_path = tmp_path / "narrow.query.json"
-    json.dump(modelio.query_to_jsonable(narrow), open(query_path, "w"))
+    json.dump(modelio.dump_document(narrow), open(query_path, "w"))
     codes = []
     for cls in ("prt", "cmp"):
         code, _, _ = run(
@@ -1097,7 +1115,7 @@ def test_monotone_cli(corpus_dir, tmp_path, capsys):
 
     narrow = (safety(dfa_forbid_symbols({"fail"}, {"a", "c", "fail"}), 1),)
     query_path = tmp_path / "mono.query.json"
-    json.dump(modelio.query_to_jsonable(narrow), open(query_path, "w"))
+    json.dump(modelio.dump_document(narrow), open(query_path, "w"))
     base = [
         "monotone",
         "--model", str(corpus_dir / "pipeline.ppa.json"),
@@ -1114,7 +1132,7 @@ def test_monotone_cli(corpus_dir, tmp_path, capsys):
     assert witness["value_low"] != witness["value_high"]
     # a reward symbol outside the model's alphabet is an input error
     stray = (reward_objective(">=", 0, {"zz": 1}),)
-    json.dump(modelio.query_to_jsonable(stray), open(query_path, "w"))
+    json.dump(modelio.dump_document(stray), open(query_path, "w"))
     code3, out3, err3 = run(capsys, *base, "--direction", "up")
     assert (code3, out3) == (2, "") and err3.startswith("error: AlphabetMismatch: ")
 
@@ -1226,7 +1244,7 @@ def _write_golden_inputs(workdir):
     sigma = corpus.priority_strategy(instantiate(compose(left, right),
                                                  {"p": F(1, 10), "q": F(1, 10)}))
     with open("sigma.json", "w", encoding="utf-8") as fh:
-        json.dump(modelio.strategy_to_jsonable(sigma), fh)
+        json.dump(modelio.dump_document(sigma), fh)
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -6,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacomp import corpus, modelio
-from pacomp.algebra import Box, Polynomial, PolyTable, parse_poly, region_samples
+from pacomp.algebra import (
+    Box,
+    FiniteRegion,
+    Polynomial,
+    PolyTable,
+    RegionUnion,
+    parse_poly,
+    region_samples,
+)
 from pacomp.errors import ActionAlphabetClash, AlphabetMismatch
 from pacomp.model import (
     DFA,
@@ -28,13 +37,18 @@ from pacomp.model import (
     well_definedness,
 )
 
-from pacomp.robust import pa_reduce
+from pacomp.robust import conv_compose, make_rpa, pa_reduce
+from pacomp.semantics import MemorylessStrategy
+from pacomp.verify import ProbObjective, RewardObjective
 
 from helpers import (
+    random_dist,
+    random_interval_set,
     random_pa,
     random_parametric_pair,
     random_polytopic_rpa,
     random_safety_dfa,
+    random_tabular_strategy,
     well_defined_reference,
 )
 
@@ -334,22 +348,55 @@ def test_model_roundtrip_all_bundled():
         corpus.handoff_parametric(),
         corpus.split_responder(),
     ):
-        doc = modelio.ppa_to_jsonable(m)
-        back = modelio.ppa_from_jsonable(doc)
+        doc = modelio.dump_document(m)
+        back = modelio.load_document(doc)
         assert back.trans.keys() == m.trans.keys()
-        assert modelio.ppa_to_jsonable(back) == doc
+        assert modelio.dump_document(back) == doc
     # composed models round-trip including tuple identifiers
     comp = compose(corpus.retry_component(), corpus.pipeline_component())
-    doc = modelio.ppa_to_jsonable(comp)
-    assert modelio.ppa_to_jsonable(modelio.ppa_from_jsonable(doc)) == doc
+    doc = modelio.dump_document(comp)
+    assert modelio.dump_document(modelio.load_document(doc)) == doc
 
 
-def test_roundtrip_randomized():
-    rng = random.Random(21)
-    for _ in range(10):
-        m = random_pa(rng, "m", 3, ["a", "b", "c"])
-        doc = modelio.ppa_to_jsonable(m)
-        assert modelio.ppa_to_jsonable(modelio.ppa_from_jsonable(doc)) == doc
+def _documents(rng):
+    """One object of every document type `dump_document` writes, drawn at random."""
+    rat = lambda: F(rng.randint(-5, 9), rng.randint(1, 6))  # noqa: E731
+    m1, m2 = random_parametric_pair(rng, ("p", "q"))
+    pa = random_pa(rng, "x", rng.randint(1, 4), ["a", "b"])
+    u1 = random_polytopic_rpa(rng, "u", ["a", "b"], rng.randint(1, 3))
+    u2 = random_polytopic_rpa(rng, "v", ["a", "c"], rng.randint(1, 3))
+    states = ["i0", "i1", "i2"]
+    interval = make_rpa(states, "i0", {(s, f"{s}_a"): ("a", random_interval_set(rng, states))
+                                       for s in states}, {"a"})
+    vertex = conv_compose(u1, u2)  # vertex sets only, over tuple identifiers
+    reduced = pa_reduce(vertex)  # actions (a, vertex) with rational entries
+    dfa = random_safety_dfa(rng, {"a", "b"}, rng.randint(1, 3))
+    cmp = lambda: rng.choice(["<", "<=", ">", ">="])  # noqa: E731
+    rewards = (("a", parse_poly(f"{rng.randint(0, 3)}*p + {rng.randint(0, 3)}/7")), ("b", abs(rat())))
+    query = (ProbObjective(cmp(), rat(), dfa, rng.choice(["", "safe"])),
+             RewardObjective(cmp(), rat(), rewards, rng.choice(["", "cost"])))
+    box = Box.of({name: sorted([rat(), rat()]) for name in rng.sample(["p", "q", "r"], 2)})
+    finite = FiniteRegion.of([{"p": rat(), "q": rat()} for _ in range(rng.randint(0, 3))])
+    memoryless = MemorylessStrategy(
+        {s: random_dist(rng, reduced.enabled(s)) for s in reduced.states if reduced.enabled(s)},
+        complete=rng.random() < 0.5)
+    return [m1, compose(m1, m2), pa, reduced, interval, vertex, u1, dfa, query, box, finite,
+            RegionUnion.of([box, finite, RegionUnion.of([box])]), memoryless,
+            random_tabular_strategy(rng, reduced, 3, complete=rng.random() < 0.5),
+            random_tabular_strategy(rng, m1, 2)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_every_document_type_round_trips(seed):
+    # decoding a document gives back the object it was dumped from, and
+    # encoding that gives back the document, key order included, for every
+    # type `dump_document` writes
+    for x in _documents(random.Random(seed)):
+        doc = modelio.dump_document(x)
+        back = modelio.load_document(doc)
+        assert back == x
+        assert json.dumps(modelio.dump_document(back)) == json.dumps(doc)
 
 
 def test_dfa_rejects_undeclared_states():

@@ -17,7 +17,7 @@ from pacomp.errors import (
 )
 from pacomp.exactlp import LinearProgram
 from pacomp.model import PPA, compose, isomorphic, make_ppa, sort_key
-from pacomp.modelio import ppa_to_jsonable
+from pacomp.modelio import dump_document
 from pacomp.robust import (
     IntervalSet,
     ProductSet,
@@ -497,7 +497,7 @@ def test_rpa_checks_the_same_invariants_as_a_ppa(defect):
     from pacomp import modelio
     from pacomp.errors import ParseError
 
-    doc = modelio.rpa_to_jsonable(corpus.interval_retry())
+    doc = modelio.dump_document(corpus.interval_retry())
     entry = doc["transitions"][0]
     if defect == "undeclared-state":
         entry["state"] = "nowhere"
@@ -534,7 +534,7 @@ def test_frozen_vertex_behaves_as_its_plain_tuple():
     u = make_rpa(["t", ("s", 1)], "t", {("t", "go"): ("a", VertexSet.of([dict(plain)]))}, {"a"})
     reduced = pa_reduce(u)
     assert reduced.actions == (("go", plain),)
-    assert ppa_to_jsonable(reduced)["transitions"][0]["action"] == {"t": [
+    assert dump_document(reduced)["transitions"][0]["action"] == {"t": [
         "go", {"t": [{"t": ["t", {"q": "1/3"}]}, {"t": [{"t": ["s", 1]}, {"q": "2/3"}]}]}]}
 
 
