@@ -145,7 +145,7 @@ def _decode(x, shape, path, inputs):
             if name in x:
                 out[name] = _decode(x[name], sub, f"{path}.{name}", inputs)
             elif name == key:
-                _fail(path, f"missing field {name!r}")
+                _fail(f"{path}.{name}", f"missing field {name!r}")
         return out
     if type(x) is not list:
         _fail(path, f"expected a list, got {_show(x)}")
@@ -413,7 +413,8 @@ _TYPES = {
              "transitions": [{"state": "id", "action": "id", "label": "str",
                               "?interval": [("id", ("rat", "rat"))],
                               "?vertices": [_RATIONAL_DIST]}]}, _rpa, (RPA,), _rpa_fields),
-    "mo-query": ({"objectives": ["objective"]}, lambda f, *_: tuple(f["objectives"]), (tuple,),
+    "mo-query": ({"format": _FORMAT, "objectives": ["objective"]},
+                 lambda f, *_: tuple(f["objectives"]), (tuple,),
                  lambda q: dict(format=FORMAT, type="mo-query", objectives=q)),
     "objective": ({"kind": frozenset({"prob", "reward"}),
                    "cmp": frozenset({"<", "<=", ">", ">="}), "threshold": "rat",
@@ -429,8 +430,8 @@ _TYPES = {
                (FiniteRegion,), lambda r: dict(type="finite", valuations=r.valuations)),
     "union": ({"parts": ["region"]}, lambda f, *_: RegionUnion.of(f["parts"]),
               (RegionUnion,), lambda r: dict(type="union", parts=r.parts)),
-    "strategy": ({"kind": frozenset({"memoryless", "tabular"}), "?complete": "bool",
-                  "?horizon": "int", "?choice": [("id", _RATIONAL_DIST)],
+    "strategy": ({"format": _FORMAT, "kind": frozenset({"memoryless", "tabular"}),
+                  "?complete": "bool", "?horizon": "int", "?choice": [("id", _RATIONAL_DIST)],
                   "?table": [(["id"], _RATIONAL_DIST)]}, _strategy,
                  (MemorylessStrategy, TabularStrategy), _strategy_fields),
     "proof-script": ({"?models": {"*": "@ppa"}, "?queries": {"*": "@mo-query"},

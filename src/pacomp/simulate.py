@@ -1,15 +1,19 @@
 """Strong simulation between PAs and its region-quantified variants for pPAs.
 
-The distribution lifting is decided exactly by a max-flow check on the
-bipartite graph induced by the candidate relation, after a per-successor Hall
-condition that rejects most non-liftings without a flow.  Each instance's
-probabilities are the integer value vector of both models' distinct
-polynomials (`PolyTable`) at its valuation, all over one denominator, so the
-liftings simulation decides run on ints.
+One integer kernel decides liftings and greatest simulations.  States are
+indexed once per call, a relation is one `int` bitmask of right states per
+left state, and an instance is the integer value vector of both models'
+polynomials (`PolyTable`) at one valuation, over one denominator.  A lifting
+is a one-element Hall check, then a greedy transport fill augmented along
+residual paths.  The greatest fixpoint is a worklist refinement (Baier,
+Engelen and Majster-Cederbaum, JCSS 2000): a failing pair re-queues only the
+surviving pairs of its predecessors, and the refinement stops as soon as the
+initial pair leaves, since the relation only shrinks.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from .algebra import PolyTable, valuation_key
@@ -17,164 +21,206 @@ from .model import PPA, sort_key
 from .verify import Verdict, _checked_samples
 
 
-def _maxflow(source, sink, arcs):
-    """Edmonds-Karp with exact capacities (ints or Fractions); returns the flow value.
+def _transport(mu1, mu2, rel) -> bool:
+    """Lifting on indices: mu1 and mu2 are ((index, positive int), ...) and
+    rel[s] is the bitmask of the right indices related to left index s.
 
-    Integer capacities keep every residual capacity, and the value, an int.
+    A successor s with mu1(s) > mu2(rel(s)) (the one-element Hall condition)
+    refutes it first; that decides a Dirac mu1.  Then a greedy fill routes
+    each successor's mass to its related targets in order, and a
+    breadth-first search of the residual network augments from each
+    successor the fill left short.  It holds iff all of mu1's mass is routed:
+    a successor with no augmenting path reaches a set of left states whose
+    mass exceeds that of their related targets.
     """
-    capacity = {}
-    adj = {}
-    for u, v, cap in arcs:
-        capacity[(u, v)] = capacity[(u, v)] + cap if (u, v) in capacity else cap
-        capacity.setdefault((v, u), 0)
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    flow = 0
-    while True:
-        parent = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in adj.get(u, []):
-                if v not in parent and capacity.get((u, v), 0) > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
-            return flow
-        bottleneck = None
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            c = capacity[(u, v)]
-            bottleneck = c if bottleneck is None else min(bottleneck, c)
-            v = u
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            capacity[(u, v)] -= bottleneck
-            capacity[(v, u)] += bottleneck
-            v = u
-        flow += bottleneck
+    targets = []
+    for s, p in mu1:
+        row = rel[s]
+        ks = [k for k, (t, _) in enumerate(mu2) if row >> t & 1]
+        if p > sum(mu2[k][1] for k in ks):
+            return False
+        targets.append(ks)
+    if len(mu1) == 1:
+        return True
+    room = [q for _, q in mu2]
+    flow = [[0] * len(mu2) for _ in mu1]
+    short = []
+    for i, (_, p) in enumerate(mu1):
+        for k in targets[i]:
+            x = min(p, room[k])
+            flow[i][k], room[k], p = x, room[k] - x, p - x
+        if p:
+            short.append((i, p))
+    for i, p in short:
+        while p:
+            via, back, queue, end = {}, {i: None}, [i], None
+            for u in queue:  # left u -> related right k -> left v that sends to k
+                for k in targets[u]:
+                    if k not in via:
+                        via[k] = u
+                        if room[k]:
+                            end = k
+                            break
+                        for v, row in enumerate(flow):
+                            if row[k] and v not in back:
+                                back[v] = k
+                                queue.append(v)
+                if end is not None:
+                    break
+            if end is None:
+                return False
+            x, u = min(p, room[end]), via[end]
+            while back[u] is not None:
+                x = min(x, flow[u][back[u]])
+                u = via[back[u]]
+            room[end], p = room[end] - x, p - x
+            k = end
+            while k is not None:
+                u = via[k]
+                flow[u][k] += x
+                k = back[u]
+                if k is not None:
+                    flow[u][k] -= x
+    return True
 
 
 def dist_leq(mu1, mu2, rel) -> bool:
     """Distribution lifting of a relation: mu1(A) <= mu2(rel(A)) for all A.
 
-    The probabilities are exact (ints or Fractions) and are used as they are;
-    a common positive factor on both sides leaves the answer unchanged, so
-    integer-scaled distributions decide the same lifting.  Unequal total mass
-    or a successor s of mu1 with mu1(s) > mu2(rel(s)) (the one-element Hall
-    condition) refutes it without a flow; that decides a Dirac mu1.
-    Otherwise it holds iff all of mu1's mass can be routed as flow to mu2's
-    support along related pairs.
+    The probabilities are exact (ints or Fractions).  A common positive factor
+    on both sides leaves the answer unchanged, so both are scaled once to
+    integers over the lcm of their denominators and decided by `_transport`.
     """
-    mu1 = {s: p for s, p in mu1.items() if p}
-    mu2 = {s: p for s, p in mu2.items() if p}
-    total1 = sum(mu1.values(), 0)
-    if total1 > sum(mu2.values(), 0):
-        return False
+    mu1 = [(s, p) for s, p in mu1.items() if p]
+    mu2 = [(t, q) for t, q in mu2.items() if q]
+    scale = math.lcm(1, *(p.denominator for _, p in mu1 + mu2))
     pairs = rel if isinstance(rel, (set, frozenset)) else set(rel)
-    image = {s: [t for t in mu2 if (s, t) in pairs] for s in mu1}
-    if any(p > sum(mu2[t] for t in image[s]) for s, p in mu1.items()):
-        return False
-    if len(mu1) == 1:
-        return True
-    arcs = [("src", ("l", s), p) for s, p in mu1.items()]
-    arcs += [(("r", t), "snk", p) for t, p in mu2.items()]
-    arcs += [(("l", s), ("r", t), total1) for s in mu1 for t in image[s]]
-    return _maxflow("src", "snk", arcs) == total1
+    rows = [sum(1 << k for k, (t, _) in enumerate(mu2) if (s, t) in pairs) for s, _ in mu1]
+    ints1, ints2 = ([(i, p.numerator * (scale // p.denominator)) for i, (_, p) in enumerate(mu)]
+                    for mu in (mu1, mu2))
+    return _transport(ints1, ints2, rows)
 
 
-def _slotted(table: PolyTable, *models):
-    """Each model's transitions as {(state, action): ((successor, slot), ...)},
-    with every entry registered in `table`."""
-    return [
-        {key: tuple((t, table.slot(p)) for t, p in dist.items()) for key, dist in m.trans.items()}
-        for m in models
-    ]
+def _indexed(table: PolyTable, m: PPA):
+    """One model indexed once per call: {state: index}; per state index its
+    moves {label: [((successor index, slot), ...), ...]} in `enabled` order,
+    with every entry registered in `table`; and per state index the bitmask
+    of its predecessors."""
+    index = {s: i for i, s in enumerate(m.states)}
+    moves, preds = [], [0] * len(m.states)
+    for u, s in enumerate(m.states):
+        by_label = {}
+        for a in m.enabled(s):
+            row = tuple((index[t], table.slot(p)) for t, p in m.trans[(s, a)].items())
+            by_label.setdefault(m.label[(s, a)], []).append(row)
+            for t, _ in row:
+                preds[t] |= 1 << u
+        moves.append(by_label)
+    return index, moves, preds
 
 
-def _instance(slotted, nums):
-    """The integer tables of one instance: each maps (state, action) to
-    {successor: numerator} at one table vector, zero entries dropped.  All
-    numerators share the vector's denominator D."""
-    return tuple(
-        {key: {t: nums[k] for t, k in row if nums[k]} for key, row in table.items()}
-        for table in slotted
-    )
+def _instance(ix1, ix2, nums):
+    """One instance at one table vector: per model and state {label: [mu, ...]},
+    each mu ((successor index, numerator), ...) with zero entries dropped.
+    All numerators share the vector's denominator D."""
+    return tuple([{lab: [tuple((t, nums[k]) for t, k in row if nums[k]) for row in rows]
+                   for lab, rows in moves.items()} for moves in ix[1]] for ix in (ix1, ix2))
 
 
-def _scaled(n1: PPA, n2: PPA):
-    """The integer tables of two PAs: the one vector of their entries' table,
-    whose D is the lcm of every entry denominator."""
-    table = PolyTable()
-    slotted = _slotted(table, n1, n2)
-    return _instance(slotted, table.at({})[1])
-
-
-def _pair_ok(m1: PPA, m2: PPA, instance, s1, s2, rel) -> bool:
-    """Matching clause of strong simulation for one pair at one scaled instance."""
-    table1, table2 = instance
-    for a1 in m1.enabled(s1):
-        lab = m1.label[(s1, a1)]
-        mu1 = table1[(s1, a1)]
-        if not any(
-            m2.label[(s2, a2)] == lab and dist_leq(mu1, table2[(s2, a2)], rel)
-            for a2 in m2.enabled(s2)
-        ):
-            return False
+def _matches(instance, i, j, rel) -> bool:
+    """Matching clause of strong simulation for the pair (i, j) at one instance."""
+    left, right = instance[0][i], instance[1][j]
+    for lab, mus in left.items():
+        targets = right.get(lab, ())
+        for mu1 in mus:
+            for mu2 in targets:
+                if _transport(mu1, mu2, rel):
+                    break
+            else:
+                return False
     return True
 
 
-def _greatest_sim(m1: PPA, m2: PPA, instances):
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _greatest_sim(m1: PPA, m2: PPA, ix1, ix2, instances):
     """Greatest relation whose pairs pass the matching clause at every instance.
 
-    `instances` holds the `_instance` tables of instances of `m1` and `m2`,
-    which share their transitions and labels.  Greatest-fixpoint computation:
-    start from all pairs of `m1` and `m2` states and sweep them in a
-    deterministic order, removing a pair as soon as it fails at any instance,
-    until a sweep removes nothing.  Returns the relation, or None when it
-    misses the initial pair.
+    `instances` holds `_instance` tables of `m1` and `m2` (indexed as `ix1`
+    and `ix2`), which share their transitions and labels.  Worklist
+    refinement: when a pair (s1, s2) fails, the surviving pairs (u1, u2) with
+    s1 a successor of u1 and s2 one of u2 are re-queued, the only pairs whose
+    clause it can change.  Returns the relation, or None as soon as it loses
+    the initial pair.
     """
-    rel = {(s1, s2) for s1 in m1.states for s2 in m2.states}
-    changed = True
-    while changed:
-        changed = False
-        for pair in sorted(rel, key=sort_key):
-            if not all(_pair_ok(m1, m2, inst, pair[0], pair[1], rel) for inst in instances):
-                rel.discard(pair)
-                changed = True
-    if (m1.initial, m2.initial) not in rel:
-        return None
-    return frozenset(rel)
+    (index1, _, pred1), (index2, _, pred2) = ix1, ix2
+    n1, n2 = len(pred1), len(pred2)
+    full = (1 << n2) - 1
+    rel, queued = [full] * n1, [full] * n1
+    queue = deque((i, j) for i in range(n1) for j in range(n2))
+    initial = (index1[m1.initial], index2[m2.initial])
+    while queue:
+        i, j = queue.popleft()
+        queued[i] ^= 1 << j
+        if all(_matches(inst, i, j, rel) for inst in instances):
+            continue
+        if (i, j) == initial:
+            return None
+        rel[i] ^= 1 << j
+        for u in _bits(pred1[i]):
+            fresh = rel[u] & pred2[j] & ~queued[u]
+            if fresh:
+                queued[u] |= fresh
+                queue.extend((u, k) for k in _bits(fresh))
+    return frozenset((m1.states[i], m2.states[j]) for i in range(n1) for j in _bits(rel[i]))
+
+
+def _indexed_pair(m1: PPA, m2: PPA):
+    table = PolyTable()
+    return table, _indexed(table, m1), _indexed(table, m2)
 
 
 def strong_sim(n1: PPA, n2: PPA):
     """Greatest strong simulation containing the initial pair, or None."""
     if not (n1.is_pa and n2.is_pa):
         raise ValueError("strong simulation is checked on parameter-free models")
-    return _greatest_sim(n1, n2, [_scaled(n1, n2)])
+    table, ix1, ix2 = _indexed_pair(n1, n2)
+    return _greatest_sim(n1, n2, ix1, ix2, [_instance(ix1, ix2, table.at({})[1])])
 
 
 def is_strong_sim(n1: PPA, n2: PPA, rel) -> bool:
-    """Check that a given relation is a strong simulation (with initial pair)."""
-    rel = set(rel)
-    if (n1.initial, n2.initial) not in rel:
+    """Check that a given relation is a strong simulation (with initial pair).
+
+    Raises ValueError when a pair names a state its model does not declare.
+    """
+    table, ix1, ix2 = _indexed_pair(n1, n2)
+    index1, index2 = ix1[0], ix2[0]
+    rows = [0] * len(n1.states)
+    for pair in rel:
+        s1, s2 = pair
+        if s1 not in index1 or s2 not in index2:
+            raise ValueError(f"relation pair {pair!r} names an undeclared state")
+        rows[index1[s1]] |= 1 << index2[s2]
+    if not rows[index1[n1.initial]] >> index2[n2.initial] & 1:
         return False
-    instance = _scaled(n1, n2)
-    return all(_pair_ok(n1, n2, instance, s1, s2, rel) for (s1, s2) in rel)
+    instance = _instance(ix1, ix2, table.at({})[1])
+    return all(_matches(instance, i, j, rows) for i, row in enumerate(rows) for j in _bits(row))
 
 
 def strong_sim_region(m1: PPA, m2: PPA, region, resolution=1) -> Verdict:
     """Per-valuation strong simulation; witnessing relations may differ."""
-    table = PolyTable()
-    slotted = _slotted(table, m1, m2)
+    table, ix1, ix2 = _indexed_pair(m1, m2)
     samples = _checked_samples(region, resolution, m1, m2, table=table)
     if samples is None:
         return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
     details = []
     for v, (_, nums) in samples:
-        rel = _greatest_sim(m1, m2, [_instance(slotted, nums)])
+        rel = _greatest_sim(m1, m2, ix1, ix2, [_instance(ix1, ix2, nums)])
         if rel is None:
             return Verdict("fails", witness={"valuation": v}, details=details)
         details.append({"valuation": valuation_key(v), "relation": sorted(rel, key=sort_key)})
@@ -187,11 +233,9 @@ def robust_strong_sim(m1: PPA, m2: PPA, region, resolution=1):
     Joint greatest fixpoint: a pair is removed as soon as it fails the
     matching clause at any sampled valuation.  Returns the relation or None.
     """
-    table = PolyTable()
-    slotted = _slotted(table, m1, m2)
+    table, ix1, ix2 = _indexed_pair(m1, m2)
     samples = _checked_samples(region, resolution, m1, m2, table=table)
     if samples is None:
-        return frozenset(
-            (s1, s2) for s1 in m1.states for s2 in m2.states
-        )
-    return _greatest_sim(m1, m2, [_instance(slotted, nums) for _, (_, nums) in samples])
+        return frozenset((s1, s2) for s1 in m1.states for s2 in m2.states)
+    return _greatest_sim(m1, m2, ix1, ix2,
+                         [_instance(ix1, ix2, nums) for _, (_, nums) in samples])

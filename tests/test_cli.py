@@ -721,6 +721,29 @@ def test_contradictory_fields_are_usage_errors(case, corpus_dir, tmp_path, capsy
     assert run(capsys, *argv) == (2, "", message)
 
 
+@pytest.mark.parametrize("shape", ["mo-query", "strategy"])
+def test_query_and_strategy_documents_need_the_format_tag(shape, corpus_dir, tmp_path, capsys):
+    # both loaded as pacomp/1 whatever their tag said, or with no tag at all
+    doc_path = str(tmp_path / "doc.json")
+    retry = str(corpus_dir / "retry.ppa.json")
+    if shape == "mo-query":
+        doc = json.load(open(corpus_dir / "safe_assumption.query.json"))
+        argv = ["check", "--model", retry, "--objective", doc_path, "--region", "finite:{p=1/2}"]
+    else:
+        doc = {"format": "pacomp/1", "type": "strategy", "kind": "memoryless", "choice": []}
+        argv = ["project", "--left", retry, "--right", str(corpus_dir / "pipeline.ppa.json"),
+                "--strategy", doc_path, "--valuation", "p=1/10,q=1/10", "--side", "2"]
+    for tag, problem in (("pacomp/9", "$.format: expected one of ['pacomp/1'], got 'pacomp/9'"),
+                         (None, "$.format: missing field 'format'")):
+        doc.pop("format")
+        if tag is not None:
+            doc["format"] = tag
+        json.dump(doc, open(doc_path, "w"))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("format error: ") and err.endswith(f"{problem}\n")
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("interval", [["s0", ["1/2", "1/4"]], ["s1", ["1/2", "1"]]],
      "$.transitions[{i}].interval: bad bounds for 's0': [1/2,1/4]"),
