@@ -1189,6 +1189,7 @@ _GOLDEN_RUNS = {
         "--assumption", "trivial.query.json", "--guarantee", "goal.query.json",
     ]),
     "rpa_reduce_two_point.json": (0, ["rpa-reduce", "--model", "two_point_responder.rpa.json"]),
+    "rpa_reduce_interval.json": (0, ["rpa-reduce", "--model", "interval_responder.rpa.json"]),
     "compose_guard.json": (0, [
         "compose", "--left", "split_responder.ppa.json", "--right", "handoff_parametric.ppa.json",
     ]),
@@ -1219,6 +1220,9 @@ _GOLDEN_RUNS = {
     "prune_guard.json": (0, ["prune", "--model", "guard.ppa.json"]),
     "rpa_compose_interval.json": (0, [
         "rpa-compose", "--left", "interval_retry.rpa.json", "--right", "interval_responder.rpa.json",
+    ]),
+    "rpa_conv_interval.json": (0, [
+        "rpa-conv", "--left", "interval_retry.rpa.json", "--right", "interval_responder.rpa.json",
     ]),
     "rpa_conv_half_two_point.json": (0, [
         "rpa-conv", "--left", "half_retry.rpa.json", "--right", "two_point_responder.rpa.json",
