@@ -6,7 +6,7 @@ symbolic as products so that exact membership can be decided by factorization.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -104,12 +104,7 @@ class VertexSet:
 
     @property
     def support(self):
-        out = []
-        for d in self.dists:
-            for s, _ in d:
-                if s not in out:
-                    out.append(s)
-        return tuple(sorted(out, key=sort_key))
+        return tuple(sorted({s for d in self.dists for s, _ in d}, key=sort_key))
 
     def contains(self, dist) -> bool:
         return freeze_dist(dist) in set(self.dists)
@@ -223,19 +218,30 @@ def rpa_compose(u1: RPA, u2: RPA) -> RPA:
     })
 
 
-def _vertices(uset, cap=GENERATOR_CAP) -> tuple:
-    """The vertices of a polytopic set as `FrozenDist`s in `sort_key` order:
-    a vertex set's own distributions, or the extreme points of an interval
-    set by bound assignment.
+def _integer_vertices(uset, cap=GENERATOR_CAP):
+    """The vertices of a polytopic set on integer numerators: (support, den,
+    rows), where `support` is the set's successors in `sort_key` order and
+    each row is a vertex as ((index into support, numerator), ...) over the
+    common denominator `den`, zero entries left out.  The rows are sorted:
+    with the support sorted, a row orders as the `sort_key` of its vertex.
 
-    At a vertex of the box intersected with the probability simplex, every
-    entry but at most one sits at a bound.  So each candidate picks one free
-    successor and a lower or upper bound for every other one; the free entry
+    An interval set's extreme points come by bound assignment.  At a vertex
+    of the box intersected with the probability simplex every entry but at
+    most one sits at a bound, so each candidate picks one free successor and
+    a bound for every other one (a point interval offers one); the free entry
     takes the remaining mass and the candidate is a vertex iff that lies
-    within its own bounds.  The cap limits the n * 2**(n-1) candidates.
+    within its own bounds.  A vertex with every entry at a bound is found
+    once per free index, so it is kept only for free index 0.  The cap limits
+    the n * 2**(n-1) candidates.
     """
     if isinstance(uset, VertexSet):
-        return uset.dists
+        support = uset.support
+        index = {s: i for i, s in enumerate(support)}
+        den = math.lcm(*(p.denominator for d in uset.dists for _, p in d))
+        return support, den, tuple(
+            tuple((index[s], p.numerator * (den // p.denominator)) for s, p in d)
+            for d in uset.dists
+        )
     if not isinstance(uset, IntervalSet):
         raise NonPolytopicComponent(
             f"no finite generators for {type(uset).__name__}"
@@ -246,17 +252,47 @@ def _vertices(uset, cap=GENERATOR_CAP) -> tuple:
         raise GeneratorBudgetExceeded(
             f"extreme-point enumeration exceeds the cap of {cap}"
         )
-    seen = set()
-    for free, (_, (lo, hi)) in enumerate(uset.bounds):
-        others = uset.bounds[:free] + uset.bounds[free + 1:]
-        for picked in itertools.product(*(b for _, b in others)):
-            rest = 1 - sum(picked, Fraction(0))
-            if lo <= rest <= hi:
-                values = picked[:free] + (rest,) + picked[free:]
-                seen.add(FrozenDist((s, p) for s, p in zip(support, values) if p))
-    if not seen:
+    den = math.lcm(*(q.denominator for _, b in uset.bounds for q in b))
+    scaled = [(lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator))
+              for _, (lo, hi) in uset.bounds]
+    picks = [(i, lo) if lo == hi else (i, lo, hi) for i, (lo, hi) in enumerate(scaled)]
+    # before[f] / after[f]: (mass, entries) for every bound pick of the
+    # successors before / after f
+    before = [((0, ()),)]
+    for i, *values in picks[:-1]:
+        before.append(tuple((m + v, e + ((i, v),)) for m, e in before[-1] for v in values))
+    after = [((0, ()),)]
+    for i, *values in reversed(picks[1:]):
+        after.append(tuple((m + v, ((i, v),) + e) for m, e in after[-1] for v in values))
+    after.reverse()
+    rows = []
+    for free, (lo, hi) in enumerate(scaled):
+        for m1, head in before[free]:
+            need = den - m1
+            for m2, tail in after[free]:
+                rest = need - m2
+                if lo < rest < hi or (free == 0 and lo <= rest <= hi):
+                    rows.append(tuple((i, v) for i, v in head + ((free, rest),) + tail if v))
+    if not rows:
         raise InfeasibleIntervalSet("interval bounds admit no distribution")
-    return tuple(sorted(seen, key=sort_key))
+    rows.sort()
+    return support, den, tuple(rows)
+
+
+def _frozen(states, den, rows):
+    """The `FrozenDist` of each integer row (see `_integer_vertices`), with
+    one `Fraction` per distinct numerator."""
+    value = {v: Fraction(v, den) for v in {v for row in rows for _, v in row}}
+    return tuple(FrozenDist((states[i], value[v]) for i, v in row) for row in rows)
+
+
+def _vertices(uset, cap=GENERATOR_CAP) -> tuple:
+    """The vertices of a polytopic set as `FrozenDist`s in `sort_key` order:
+    a vertex set's own distributions, or the extreme points of an interval
+    set (see `_integer_vertices`)."""
+    if isinstance(uset, VertexSet):
+        return uset.dists
+    return _frozen(*_integer_vertices(uset, cap))
 
 
 def interval_extreme_points(uset: IntervalSet, cap=GENERATOR_CAP):
@@ -276,29 +312,37 @@ def conv_compose(u1: RPA, u2: RPA) -> RPA:
 
     Every composed uncertainty set is the vertex set of pairwise products of
     the component generators; the convex hulls agree with the hulls of the
-    exact product sets.  Each distinct component set is enumerated once, when
-    a step first uses it, and an idle side is the Dirac vertex of its state.
+    exact product sets.  Each component set is enumerated once, on integer
+    numerators (`_integer_vertices`), when a step first uses it, and
+    an idle side is the Dirac vertex of its state.  The product of rows r1
+    and r2 is the row of entries (i1 * n2 + i2, v1 * v2) over den1 * den2,
+    with n2 the size of the second support: it orders as its vertex does, so
+    the products are deduplicated and sorted as integer rows and only the
+    distinct ones are frozen.
     """
     states, steps = synchronise(u1, u2, u1.utrans, u2.utrans)
     gens = {}
 
     def vertices(uset, state):
         if uset is None:
-            return (FrozenDist(((state, Fraction(1)),)),)
-        if uset not in gens:
-            gens[uset] = _vertices(uset)
-        return gens[uset]
+            return (state,), 1, (((0, 1),),)
+        # keyed by identity: hashing a set hashes all its `Fraction`s
+        if id(uset) not in gens:
+            gens[id(uset)] = _integer_vertices(uset)
+        return gens[id(uset)]
 
     utrans = {}
     for (s1, s2), action, lab, set1, set2 in steps:
-        # a product of two vertices is a distribution, and its pairs come out
-        # in `sort_key` order, so it is frozen as it is built
-        prods = {
-            FrozenDist(((t1, t2), p1 * p2) for t1, p1 in d1 for t2, p2 in d2)
-            for d1 in vertices(set1, s1)
-            for d2 in vertices(set2, s2)
-        }
-        utrans[((s1, s2), action)] = (lab, VertexSet(tuple(sorted(prods, key=sort_key))))
+        support1, den1, rows1 = vertices(set1, s1)
+        support2, den2, rows2 = vertices(set2, s2)
+        n2 = len(support2)
+        prods = sorted({
+            tuple((i1 * n2 + i2, v1 * v2) for i1, v1 in r1 for i2, v2 in r2)
+            for r1 in rows1
+            for r2 in rows2
+        })
+        pairs = tuple((t1, t2) for t1 in support1 for t2 in support2)
+        utrans[((s1, s2), action)] = (lab, VertexSet(_frozen(pairs, den1 * den2, prods)))
     return _composed(u1, u2, states, utrans)
 
 
@@ -335,19 +379,29 @@ def pa_reduce(u: RPA) -> PPA:
     """PA-reduction: one action per (action, generator) pair.
 
     Nature's choices become strategy choices of a finite PA; valid for
-    polytopic (interval or vertex-listed) uncertainty sets.
+    polytopic (interval or vertex-listed) uncertainty sets.  The states are
+    ranked once in `sort_key` order, so an action (a, vertex) orders by
+    (sort_key(a), ((rank of t, p), ...)), as by its own `sort_key`.
     """
-    trans = {}
+    trans, label, actions = {}, {}, {}
     for (s, a), uset in u.utrans.items():
         lab = u.label[(s, a)]
         for vertex in _vertices(uset):
-            trans[(s, (a, vertex))] = (lab, dict(vertex))
-    return make_ppa(
-        states=u.states,
+            trans[(s, (a, vertex))] = dict(vertex)
+            label[(s, (a, vertex))] = lab
+            actions[(a, vertex)] = None
+    rank = {s: i for i, s in enumerate(sorted(u.states, key=sort_key))}
+    akeys = {a: sort_key(a) for a in u.actions}
+    # the entries are already `Fraction`s; the PPA still checks the model
+    return PPA(
+        states=tuple(u.states),
         initial=u.initial,
         params=frozenset(),
+        actions=tuple(sorted(actions, key=lambda act: (
+            akeys[act[0]], tuple((rank[t], p) for t, p in act[1])))),
         trans=trans,
-        alphabet=u.alphabet,
+        label=label,
+        alphabet=frozenset(u.alphabet),
         composed_of=None,
     )
 
@@ -369,18 +423,11 @@ def fix_nature(u: RPA, choices) -> PPA:
                     raise ValueError(f"nature choice at {(s, a)!r} outside the product set")
             elif not uset.contains(dist):
                 raise ValueError(f"nature choice at {(s, a)!r} outside the uncertainty set")
+        elif isinstance(uset, ProductSet):
+            g1, g2 = _vertices(uset.left)[0], _vertices(uset.right)[0]
+            dist = {(t1, t2): p1 * p2 for t1, p1 in g1 for t2, p2 in g2}
         else:
-            gen = generators(uset) if not isinstance(uset, ProductSet) else None
-            if gen is None:
-                g1 = generators(uset.left)[0]
-                g2 = generators(uset.right)[0]
-                dist = {
-                    (t1, t2): p1 * p2
-                    for t1, p1 in g1.items()
-                    for t2, p2 in g2.items()
-                }
-            else:
-                dist = gen[0]
+            dist = dict(_vertices(uset)[0])
         trans[(s, a)] = (lab, {t: p for t, p in dist.items() if p})
     return make_ppa(
         states=u.states,

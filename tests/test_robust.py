@@ -107,8 +107,9 @@ def test_interval_extreme_points_span_the_set():
             assert in_convex_hull(mix, gens)
 
 
-def _random_interval_bounds(rng, n, stratum):
-    """Bounds around a random distribution on n successors.
+def _random_interval_bounds(rng, n, stratum, dens=(10,)):
+    """Bounds around a random distribution on n successors, each widened by
+    up to 3/d with d drawn from `dens`.
 
     Strata: free widths; some point intervals; upper bounds summing to one;
     entries reaching 0 or 1.
@@ -119,8 +120,8 @@ def _random_interval_bounds(rng, n, stratum):
     center = [F(w, sum(weights)) for w in weights]
     bounds = {}
     for s, p in zip(states, center):
-        lo = max(F(0), p - F(rng.randint(0, 3), 10))
-        hi = min(F(1), p + F(rng.randint(0, 3), 10))
+        lo = max(F(0), p - F(rng.randint(0, 3), rng.choice(dens)))
+        hi = min(F(1), p + F(rng.randint(0, 3), rng.choice(dens)))
         if stratum == 1 and rng.random() < 0.5:
             lo = hi = p
         elif stratum == 2:
@@ -131,13 +132,22 @@ def _random_interval_bounds(rng, n, stratum):
     return bounds
 
 
-def test_interval_extreme_points_match_the_order_oracle():
-    rng = random.Random(17)
-    for case in range(200):
-        # the oracle walks all 5040 orders at support 7, so few sets have it
-        n = 7 if case % 40 == 0 else rng.randint(1, 6)
-        uset = IntervalSet.of(_random_interval_bounds(rng, n, case % 4))
-        assert interval_extreme_points(uset) == interval_extreme_points_by_orders(uset)
+# list equality, so a vertex enumerated twice or missed fails
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(1, 6),
+       stratum=st.integers(0, 3),
+       dens=st.lists(st.sampled_from([2, 3, 5, 7, 10, 12]), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_interval_extreme_points_match_the_order_oracle(seed, n, stratum, dens):
+    uset = IntervalSet.of(_random_interval_bounds(random.Random(seed), n, stratum, dens))
+    assert interval_extreme_points(uset) == interval_extreme_points_by_orders(uset)
+
+
+# the oracle walks all 5040 orders at support 7, so few sets have it
+@pytest.mark.parametrize("stratum", [0, 1, 2, 3])
+def test_interval_extreme_points_match_the_order_oracle_at_support_seven(stratum):
+    rng = random.Random(17 + stratum)
+    uset = IntervalSet.of(_random_interval_bounds(rng, 7, stratum, (3, 10)))
+    assert interval_extreme_points(uset) == interval_extreme_points_by_orders(uset)
 
 
 @pytest.mark.parametrize("n", [8, 9, 10])
