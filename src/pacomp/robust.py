@@ -239,7 +239,7 @@ def _integer_vertices(uset, cap=GENERATOR_CAP):
         index = {s: i for i, s in enumerate(support)}
         den = math.lcm(*(p.denominator for d in uset.dists for _, p in d))
         return support, den, tuple(
-            tuple((index[s], p.numerator * (den // p.denominator)) for s, p in d)
+            tuple((index[s], int(p * den)) for s, p in d)
             for d in uset.dists
         )
     if not isinstance(uset, IntervalSet):
@@ -253,8 +253,7 @@ def _integer_vertices(uset, cap=GENERATOR_CAP):
             f"extreme-point enumeration exceeds the cap of {cap}"
         )
     den = math.lcm(*(q.denominator for _, b in uset.bounds for q in b))
-    scaled = [(lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator))
-              for _, (lo, hi) in uset.bounds]
+    scaled = [(int(lo * den), int(hi * den)) for _, (lo, hi) in uset.bounds]
     picks = [(i, lo) if lo == hi else (i, lo, hi) for i, (lo, hi) in enumerate(scaled)]
     # before[f] / after[f]: (mass, entries) for every bound pick of the
     # successors before / after f
