@@ -1167,7 +1167,9 @@ def test_monotone_cli(corpus_dir, tmp_path, capsys):
 # rpa-rule, rpa-reduce and compose reports were recorded before proof scripts
 # and documents were checked by one decoder in `modelio`; the simulate,
 # product, project, instantiate, extend, tau, prune and rpa-compose/-conv/-relax
-# reports before every command became a row of one command table in `cli`.
+# reports before every command became a row of one command table in `cli`; the
+# interval rpa-conv and rpa-reduce reports before interval vertices, convex
+# products and the PA-reduction's action order moved to integer numerators.
 _GOLDEN_REGION = "box.p=[0,1/2],q=[1/5,1]"
 _GOLDEN_RUNS = {
     "check_prt_box.json": (1, [
