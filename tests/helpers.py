@@ -45,14 +45,27 @@ def random_dist(rng: random.Random, states, max_support=3):
     return {s: Fraction(w, total) for s, w in zip(support, weights)}
 
 
-def random_pa(rng: random.Random, prefix, n_states, labels, max_actions=2):
+def random_pa(rng: random.Random, prefix, n_states, labels, max_actions=2, zeros=False):
+    """A random PA.  With `zeros`, about half of its distributions also have
+    an entry of probability 0, as instantiating a pPA at a corner of its
+    parameter box leaves them: a successor whose mass moved to another one,
+    or a successor without mass."""
     states = [f"{prefix}{i}" for i in range(n_states)]
     trans = {}
     for s in states:
         for k in range(rng.randint(1, max_actions)):
             lab = rng.choice(labels)
             act = f"{s}_{lab}_{k}"
-            trans[(s, act)] = (lab, random_dist(rng, states))
+            dist = random_dist(rng, states)
+            if zeros and rng.random() < 0.5:
+                t = rng.choice(states)
+                if t not in dist:
+                    dist[t] = Fraction(0)
+                elif len(dist) > 1:
+                    other = rng.choice([u for u in dist if u != t])
+                    dist[other] += dist[t]
+                    dist[t] = Fraction(0)
+            trans[(s, act)] = (lab, dist)
     return make_ppa(states, states[0], set(), trans, set(labels))
 
 

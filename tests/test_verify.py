@@ -369,14 +369,22 @@ def test_reward_maximum_agrees_with_its_lp(seed):
 
 
 def test_chain_reward_maximum_is_policy_iteration():
-    rng = random.Random(41)
+    """The maximal expected total reward is the best value of a memoryless
+    deterministic strategy's chain, on models with 2-5 states, some with
+    zero-probability entries."""
     kinds = set()
-    for _ in range(20):
-        m = random_pa(rng, "e", 3, ["a", "b", "c"], max_actions=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(2, 5), st.booleans())
+    def check(seed, n_states, zeros):
+        rng = random.Random(seed)
+        m = random_pa(rng, "e", n_states, ["a", "b", "c"], max_actions=2, zeros=zeros)
         rew = {"a": F(rng.randint(1, 3), 2)}
         best = max(chain_expected_reward(m, sigma, rew) for sigma in enumerate_memoryless(m))
         assert exp_total_reward(m, rew, "max") == best
         kinds.add(best == INF)
+
+    check()
     assert kinds == {True, False}  # divergent and finite maxima both occur
 
 
@@ -482,6 +490,31 @@ def test_unbounded_reward_rejected():
     rew = reward_objective(">=", 5, {"a": 1})
     with pytest.raises(UnboundedReward):
         mo_achievable(loop, (rew,), "cmp")
+
+
+def test_end_component_guard_covers_states_behind_zero_entries():
+    """The LP's end-component guard looks at every product state, also one
+    that only a zero-probability entry leads to: such a state's rewarded
+    cycle can still carry an LP circulation.  At p = 0 the expected reward
+    is 0, so the refusal there is conservative; the solvers of one
+    objective still give 0, and INF once the cycle is reached."""
+    p = Polynomial.var("p")
+    m = make_ppa(
+        ["s0", "s1", "s2"],
+        "s0",
+        {"p"},
+        {("s0", "go"): ("a", {"s1": p, "s2": 1 - p}), ("s1", "loop"): ("r", {"s1": 1})},
+        {"a", "r"},
+    )
+    bounded = reward_objective("<=", 5, {"r": 1})
+    with pytest.raises(UnboundedReward):
+        region_sat(m, FiniteRegion.of([{"p": F(0)}]), (bounded,))
+    corner = instantiate(m, {"p": F(0)})
+    with pytest.raises(UnboundedReward):
+        mo_achievable(corner, (bounded,), "cmp")
+    for mode in ("max", "min"):
+        assert exp_total_reward(corner, {"r": 1}, mode) == 0
+        assert exp_total_reward(instantiate(m, {"p": F(1, 2)}), {"r": 1}, mode) == INF
 
 
 def test_negative_reward_rejected(monkeypatch):
@@ -841,7 +874,9 @@ def test_minimal_reward_escapes_tied_zero_cycles():
             exp_total_reward(pa, rew, mode)
 
 
-def test_minimal_reward_forced_payment():
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 5), st.booleans())
+def test_minimal_reward_forced_payment(seed, n_states, zeros):
     pa = make_ppa(
         ["A", "B", "sink"],
         "A",
@@ -856,20 +891,19 @@ def test_minimal_reward_forced_payment():
     )
     # expected two pay2 steps on the cheap route
     assert exp_total_reward(pa, {"pay5": 5, "pay2": 2}, "min") == 4
-    # agreement with exhaustive policy evaluation on random small models
-    rng = random.Random(91)
-    for _ in range(10):
-        m = random_pa(rng, "g", 3, ["a", "b"], max_actions=2)
-        rew = {"a": F(rng.randint(0, 3), 2)}
-        got = exp_total_reward(m, rew, "min")
-        best = None
-        decisions = [(s, m.enabled(s)) for s in m.states if m.enabled(s)]
-        for combo in itertools.product(*(acts for _, acts in decisions)):
-            policy = {s: {a: F(1)} for (s, _), a in zip(decisions, combo)}
-            v = chain_expected_reward(m, MemorylessStrategy(policy), rew)
-            best = v if best is None else min(best, v)
-        # memoryless deterministic policies attain the minimum here
-        assert got == best
+    # agreement with exhaustive policy evaluation on a random small model
+    rng = random.Random(seed)
+    m = random_pa(rng, "g", n_states, ["a", "b"], max_actions=2, zeros=zeros)
+    rew = {"a": F(rng.randint(0, 3), 2)}
+    got = exp_total_reward(m, rew, "min")
+    best = None
+    decisions = [(s, m.enabled(s)) for s in m.states if m.enabled(s)]
+    for combo in itertools.product(*(acts for _, acts in decisions)):
+        policy = {s: {a: F(1)} for (s, _), a in zip(decisions, combo)}
+        v = chain_expected_reward(m, MemorylessStrategy(policy), rew)
+        best = v if best is None else min(best, v)
+    # memoryless deterministic policies attain the minimum
+    assert got == best
 
 
 def test_region_sat_agrees_with_direct_safety_values():
