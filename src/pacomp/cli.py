@@ -49,15 +49,24 @@ EXIT_UNKNOWN = 3
 EXIT_INTERNAL = 4
 
 
-def positive_int(text):
-    """A resolution: an integer >= 1."""
+def _int_at_least(text, low, expected):
     try:
         value = int(text)
     except (TypeError, ValueError):
-        value = 0
-    if value < 1:
-        raise ValueError(f"expected a positive integer, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise ValueError(f"expected {expected}, got {text!r}")
     return value
+
+
+def positive_int(text):
+    """A resolution or a grid denominator: an integer >= 1."""
+    return _int_at_least(text, 1, "a positive integer")
+
+
+def nonnegative_int(text):
+    """A horizon: an integer >= 0."""
+    return _int_at_least(text, 0, "a nonnegative integer")
 
 
 class _Inputs:
@@ -298,9 +307,9 @@ _OPTIONS = {
     "--resolution": {"type": positive_int, "default": 1},
     "--class": {"dest": "strategy_class", "choices": ("cmp", "prt"), "default": "cmp"},
     "--direction": {"choices": ("up", "down")},
-    "--grid-denominator": {"type": int, "default": 1},
+    "--grid-denominator": {"type": positive_int, "default": 1},
     "--side": {"type": int, "choices": (1, 2)},
-    "--horizon": {"type": int, "default": 4},
+    "--horizon": {"type": nonnegative_int, "default": 4},
     "--robust": {"action": "store_true"},
     "--out": {"help": "write the JSON report to this file (corpus: the directory to fill)"},
     "--timing": {"action": "store_true",

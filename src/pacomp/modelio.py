@@ -108,6 +108,7 @@ _LEAVES = {
     "name": _leaf(lambda x: type(x) is str and x != "", "a non-empty string"),
     "bool": _leaf(lambda x: type(x) is bool, "true or false"),
     "int": _leaf(lambda x: type(x) is int, "an integer"),
+    "nat": _leaf(lambda x: type(x) is int and x >= 0, "a nonnegative integer"),
     "pos": _leaf(lambda x: type(x) is int and x >= 1, "a positive integer"),
     "rat": _parsed(parse_rational),
     "poly": _parsed(parse_poly),
@@ -431,7 +432,7 @@ _TYPES = {
     "union": ({"parts": ["region"]}, lambda f, *_: RegionUnion.of(f["parts"]),
               (RegionUnion,), lambda r: dict(type="union", parts=r.parts)),
     "strategy": ({"format": _FORMAT, "kind": frozenset({"memoryless", "tabular"}),
-                  "?complete": "bool", "?horizon": "int", "?choice": [("id", _RATIONAL_DIST)],
+                  "?complete": "bool", "?horizon": "nat", "?choice": [("id", _RATIONAL_DIST)],
                   "?table": [(["id"], _RATIONAL_DIST)]}, _strategy,
                  (MemorylessStrategy, TabularStrategy), _strategy_fields),
     "proof-script": ({"?models": {"*": "@ppa"}, "?queries": {"*": "@mo-query"},

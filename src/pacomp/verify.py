@@ -12,8 +12,10 @@ solvers are exact and end in two mechanisms:
   the unknowns from which entries are nonzero, and a fill (`_chain_fill`),
   which writes the integer rows and solves them.  It evaluates fixed
   strategies and witnesses (`_StrategyChain`), and drives the policy
-  iteration behind optimal reachability and maximal expected reward, which
-  scales the model to integers once and compares backups as integer dot
+  iteration (`_policy_iteration`) behind optimal reachability, safety
+  probabilities and maximal expected reward.  Policy iteration reads slot
+  rows: each action's entries (successor, slot) of a `PolyTable` vector,
+  whose numerators it reads once, comparing backups as integer dot
   products;
 - one occupation-measure LP builder (`_occupation_lp`): expected
   state-action frequencies routing one unit of flow into a settle region,
@@ -21,26 +23,36 @@ solvers are exact and end in two mechanisms:
   minimal expected reward.
 
 One query structure (`_MoQuery`) serves the LP checks, the re-check of
-their witnesses and the values of fixed strategies.  It is built once per
-query and model: the joint DFA product of the parametric model (its tau
-extension for partial strategies), the reach targets, and the slot of every
-transition probability and reward in a `PolyTable` of distinct polynomials.
-A region check builds one table for its queries and the well-definedness
-check: each sample is one integer value vector of it, from which the sample
-is validated (`_checked_samples`, and `_require_nonnegative_rewards` for the
-rewards, for every sample before the first solve) and then solved.  The settle set, `stay` map, end-component check and LP
-layout depend only on which values are zero (and on the rewards' signs), so
-they are built once per such sign pattern: graph-preserving samples share
-one, and a sample with a smaller support, such as a p = 0 corner, gets its
-own.  Per sample, the LP's
-coefficients are filled in and solved, and a witness is built and re-checked
-only when the query is achievable.  A strategy's values are the witness
-re-check without settle mass: its chain over the product is built once and
-planned once per support pattern, so each sample only fills integer rows.
-`chain_language_prob`, `chain_expected_reward` and `solution_value` are
-the structure on an instantiated model, and `monotone_check` fills each
-strategy's chain at every sampled valuation.  The region checks share one
-sample loop.  Nothing is kept beyond one call.
+their witnesses, the values of fixed strategies and every parameter-free
+solve.  It is built once per query and model: the joint DFA product of the
+parametric model (its tau extension for partial strategies), the reach
+targets, and the slot of every transition probability and reward in a
+`PolyTable` of distinct polynomials (`_slotted`, which `max_reach` also
+uses for a PA's own transitions).  A region check builds one table for its
+queries and the well-definedness check: each sample is one integer value
+vector of it, from which the sample is validated (`_checked_samples`, and
+`_require_nonnegative_rewards` for the rewards, for every sample before the
+first solve) and then solved.  What depends only on which values are zero
+(and on the rewards' signs) is built once per such sign pattern:
+graph-preserving samples share one, and a sample with a smaller support,
+such as a p = 0 corner, gets its own.  `_MoQuery._flow` is the flow half of
+it (the nonzero entries, the settle set and `stay` map, the occupation LP),
+and `_MoQuery._layout` adds the end-component guard over every product
+state and the threshold rows.  Per sample, the LP's coefficients are filled
+in and solved, and a witness is built and re-checked only when the query is
+achievable.  A strategy's values are the witness re-check without settle
+mass: its chain over the product is built once and planned once per
+support pattern, so each sample only fills integer rows.
+
+A parameter-free solve is a `_MoQuery` at its one constant vector
+(`_constant_query`): `mo_achievable` solves its layout, `solution_value`
+(with `chain_language_prob` and `chain_expected_reward`) fills a strategy's
+chain, `safety_prob` is one minus policy iteration's maximal reach of the
+product's bad states, and `exp_total_reward` is policy iteration with the
+reward slots as gains (maximum) or the reward minimised over `_flow`'s LP
+(minimum).  `monotone_check` fills each strategy's chain at every sampled
+valuation.  The region checks share one sample loop.  Nothing is kept
+beyond one call.
 """
 
 from __future__ import annotations
@@ -65,7 +77,6 @@ from .model import (
     PPA,
     WellDefinedness,
     dfa_absorb_accepting,
-    dfa_product,
     sort_key,
     tau_extend,
     well_definedness,
@@ -406,48 +417,38 @@ def _chain_fill(plan, point):
     return values
 
 
-def _rew(pa, rewards, s, a) -> Fraction:
-    return rewards.get(pa.label[(s, a)], Fraction(0))
+def _policy_iteration(nodes, acts, succ, point, gains=None, targets=frozenset()):
+    """Maximal expected total gain over det memoryless policies.
 
-
-def _policy_iteration(pa, deciding, rewards, targets=frozenset()):
-    """Maximal expected total reward over det memoryless policies.
-
-    States in `deciding` pick one enabled action each, every other state
-    stops; taking a in s collects the reward of its label in `rewards` plus
-    its one-step mass into `targets`.  The start policy takes the first
-    enabled action, and a state switches only on strict improvement, so the
-    returned policy depends on the model alone.  The actions are scaled once
-    to integer numerators over one denominator D, and each round's finite
-    values to integers x over their common denominator V, so an action's
-    backup R + sum(P_t * X_t) beats the value X_s iff the integer
-    R*V + sum(P_t * x_t) exceeds D * x_s.  Each round plans and fills the
-    chain of its policy.  Returns the policy and the value of every state
-    under it.
+    Every node of `nodes` outside `targets` picks one of its actions in
+    `acts`, and every other node stops.  Taking a in s moves to t with
+    probability nums[k] / D for each entry (t, k) of succ[(s, a)], where
+    (D, nums) is the table vector `point`, and collects the values of the
+    slots gains[(s, a)] plus its one-step mass into `targets`.  The start
+    policy takes the first action, and a node switches only on strict
+    improvement, so the returned policy depends on the model alone.  Each
+    row's numerators are read once; each round's finite values are scaled to
+    integers x over their common denominator V, so an action's backup
+    R + sum(P_t * X_t) beats the value X_s iff the integer
+    R*V + sum(n_t * x_t) exceeds D * x_s, with R = r / D and P_t = n_t / D.
+    Each round plans and fills the chain of its policy.  Returns the policy
+    and the value of every node under it.
     """
-    policy = {}
-    for s in deciding:
-        acts = pa.enabled(s)
-        if acts:
-            policy[s] = acts[0]
-    gains = {(s, a): rewards.get(pa.label[(s, a)], 0) for s in policy for a in pa.enabled(s)}
-    den = lcm(
-        *(r.denominator for r in gains.values()),
-        *(p.denominator for key in gains for p in pa.trans[key].values()),
-    )
-    # the chain rows read every numerator as itself times slot 0, which is 1
-    point, stop = (den, (1,)), (1, (), ())
-    scaled, rows = {}, {}
-    for key, r in gains.items():
-        succ = {t: p.numerator * (den // p.denominator) for t, p in pa.trans[key].items() if p}
-        gain = r.numerator * (den // r.denominator) + sum(n for t, n in succ.items() if t in targets)
-        scaled[key] = (gain, succ)
-        rows[key] = (1, tuple((t, n, 0) for t, n in succ.items()), ((gain, 0),) if gain else ())
-    options = {
-        s: [(a, *scaled[(s, a)]) for a in pa.enabled(s)] for s in sorted(policy, key=sort_key)
-    }
+    den, nums = point
+    gains = gains or {}
+    policy = {s: acts[s][0] for s in nodes if s not in targets and acts.get(s)}
+    rows, options = {}, {}
+    for s in policy:
+        opts = options[s] = []
+        for a in acts[s]:
+            key = (s, a)
+            out = [(t, k) for t, k in succ[key] if nums[k]]
+            gain = [k for k in gains.get(key, ()) if nums[k]] + [k for t, k in out if t in targets]
+            rows[key] = (1, tuple((t, 1, k) for t, k in out), tuple((1, k) for k in gain))
+            opts.append((a, sum(nums[k] for k in gain), {t: nums[k] for t, k in out}))
+    stop = (1, (), ())
     while True:
-        chain = {s: rows[(s, policy[s])] if s in policy else stop for s in pa.states}
+        chain = {s: rows[(s, policy[s])] if s in policy else stop for s in nodes}
         values = _chain_fill(_chain_plan(chain, point), point)
         finite = {s: v for s, v in values.items() if v is not INF}
         scale = lcm(*(v.denominator for v in finite.values()))
@@ -458,11 +459,11 @@ def _policy_iteration(pa, deciding, rewards, targets=frozenset()):
             if s in inf:
                 continue  # no backup exceeds INF
             best_a, best = policy[s], den * x[s]
-            for a, r, succ in opts:
-                if inf and not inf.isdisjoint(succ):
+            for a, r, moves in opts:
+                if inf and not inf.isdisjoint(moves):
                     best_a = a  # an INF backup, which no later action exceeds
                     break
-                v = r * scale + sum(n * x[t] for t, n in succ.items())
+                v = r * scale + sum(n * x[t] for t, n in moves.items())
                 if v > best:
                     best_a, best = a, v
             if best_a != policy[s]:
@@ -481,9 +482,11 @@ def max_reach(pa: PPA, targets):
     if not pa.is_pa:
         raise ValueError("max_reach needs a parameter-free model")
     targets = frozenset(targets)
+    table = PolyTable()
+    succ = _slotted(pa, table)
     # targets stop; the gain of an action is its one-step mass into them
     policy, values = _policy_iteration(
-        pa, [s for s in pa.states if s not in targets], {}, targets
+        pa.states, {s: pa.enabled(s) for s in pa.states}, succ, table.at({}), targets=targets
     )
     values = {s: Fraction(1) if s in targets else values[s] for s in pa.states}
     strategy = MemorylessStrategy(
@@ -493,97 +496,50 @@ def max_reach(pa: PPA, targets):
 
 
 def safety_prob(pa: PPA, obj: ProbObjective) -> Fraction:
-    """inf over strategies of Pr(L); equals 1 - max reach of the bad states."""
-    if not obj.alphabet <= pa.alphabet:
-        raise AlphabetMismatch("objective alphabet exceeds model alphabet")
-    product, bad = dfa_product(pa, dfa_absorb_accepting(obj.dfa))
-    value, _, _ = max_reach(product, bad)
-    return 1 - value
+    """inf over strategies of Pr(L); equals 1 - max reach of the bad states
+    of the query product."""
+    query, point = _constant_query(pa, (obj,), "cmp")
+    bad = query.targets[0]
+    if query.init in bad:
+        return Fraction(0)
+    _, values = _policy_iteration(query.states, query.acts, query.ptrans, point, targets=bad)
+    return 1 - values[query.init]
 
 
 # ---------------------------------------------------------------------------
 # Exact expected total reward
 # ---------------------------------------------------------------------------
 
-def _min_total_reward_lp(pa: PPA, rew_const):
-    """Exact minimal expected total reward via an occupation-measure LP.
-
-    A strategy has finite reward iff it almost surely ends up lingering in a
-    zero-reward closed region, so route one unit of flow from the initial
-    state into such regions while minimizing the collected reward.  Greedy
-    policy improvement is unsound here: zero-reward cycles create tied
-    non-optimal fixpoints.
-    """
-    states = sorted(_reachable_support(pa), key=sort_key)
-    acts = {s: pa.enabled(s) for s in states}
-    trans = {
-        (s, a): {t: p for t, p in pa.dist(s, a).items() if p}
-        for s in states
-        for a in acts[s]
-    }
-    # greatest region that can avoid rewards forever
-    settle, _ = _settle(
-        states, acts, trans, lambda s, a: _rew(pa, rew_const, s, a) == 0
-    )
-    values, support = [], {}
-    for key, dist in trans.items():
-        support[key] = tuple((t, len(values) + i) for i, t in enumerate(dist))
-        values.extend(dist.values())
-    num_vars, rows, y_index, _ = _occupation_lp(pa.initial, states, support, settle)
-    objective = {}
-    for key, j in y_index.items():
-        r = _rew(pa, rew_const, *key)
-        if r:
-            objective[j] = r
-    status, _, value = _lp_at(num_vars, rows, values).solve(objective, maximize=False)
-    if status != OPTIMAL:
-        return INF  # no strategy can stop collecting reward almost surely
-    return value
-
-
 def exp_total_reward(pa: PPA, rewards, mode="max"):
     """Extremal expected total reward over complete strategies.
 
     `mode` is "max" or "min".  Returns a Fraction, or float infinity when
-    divergence is optimal/forced.  The maximum is computed by policy
-    iteration (safe: its tied fixpoints coincide with the least Bellman
-    fixpoint); the minimum by an exact occupation-measure linear program.
+    divergence is optimal/forced.  Both are solved on the query product of
+    one reward objective.  The maximum is policy iteration with the reward
+    slots as gains.  With nonnegative rewards it is the least fixpoint v* of
+    the Bellman operator T (the limit of T^n 0).  Policy iteration stops at
+    the value v of a policy, so v <= v*, with no strictly improving action,
+    so T v <= v (an action with an INF successor is an improvement); then
+    T^n 0 <= T^n v <= v for all n, so v* <= v and v = v*, INF included.  The
+    minimum minimises the reward over the occupation-measure LP of
+    `_MoQuery._flow`: a strategy has finite reward iff it almost surely ends
+    up lingering in a region that collects no reward, and greedy policy
+    improvement is unsound there, since zero-reward cycles create tied
+    non-optimal fixpoints.  It has no end-component guard.
     """
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
-    if not pa.is_pa:
-        raise ValueError("exp_total_reward needs a parameter-free model")
-    rew_const = {s: Polynomial.coerce(r).constant_value() for s, r in dict(rewards).items()}
-    if any(r < 0 for r in rew_const.values()):
-        raise ValueError("rewards must be nonnegative")
-    if not set(rew_const) <= pa.alphabet:
-        raise AlphabetMismatch("reward alphabet exceeds model alphabet")
-
-    if mode == "min":
-        return _min_total_reward_lp(pa, rew_const)
-
-    from_init = _reachable_support(pa)
-    for comp, actions in maximal_end_components(pa.trans, pa.states):
-        if comp & from_init and any(
-            _rew(pa, rew_const, s, a) > 0 for (s, a) in actions
-        ):
-            return INF
-
-    _, values = _policy_iteration(pa, pa.states, rew_const)
-    return values.get(pa.initial, Fraction(0))
-
-
-def _reachable_support(pa: PPA):
-    seen = {pa.initial}
-    stack = [pa.initial]
-    while stack:
-        s = stack.pop()
-        for a in pa.enabled(s):
-            for t in _support(pa.trans[(s, a)]):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-    return seen
+    query, point = _constant_query(pa, (reward_objective(">=", 0, rewards),), "cmp")
+    if mode == "max":
+        slots = query.reward_slots[0]
+        gains = {key: (slots[lab],) for key, lab in query.plabel.items() if lab in slots}
+        _, values = _policy_iteration(query.states, query.acts, query.ptrans, point, gains)
+        return values[query.init]
+    values = _values(point)
+    *_, num_vars, rows, y_index, _ = query._flow(values)
+    cost = _fill(query._reward_form(values, 0, y_index), values)
+    status, _, value = _lp_at(num_vars, rows, values).solve(cost, maximize=False)
+    return Fraction(value) if status == OPTIMAL else INF  # INF: no strategy stops paying a.s.
 
 
 # ---------------------------------------------------------------------------
@@ -675,10 +631,7 @@ class _MoQuery:
         self.rew_objs = [o for o in query if isinstance(o, RewardObjective)]
         self.strict = any(o.cmp in ("<", ">") for o in query)
         slot = table.slot
-        entries = {
-            key: tuple((t, slot(p)) for t, p in dist.items())
-            for key, dist in work.trans.items()
-        }
+        entries = _slotted(work, table)
         dfas = [dfa_absorb_accepting(o.dfa) for o in self.prob_objs]
         init = (work.initial, tuple(b.initial for b in dfas))
         acts, ptrans, plabel = {}, {}, {}
@@ -738,30 +691,21 @@ class _MoQuery:
         choice = sigma.choice
         return _StrategyChain(self, lambda ps: choice.get(ps[0]))
 
-    def _layout(self, values):
-        """Settle set, stay map and LP rows for the sign pattern of `values`."""
+    def _flow(self, values):
+        """The nonzero entries, the transitions, the stay map and the
+        occupation LP of one unit of flow into the settle set, for the sign
+        pattern of `values`: a settle state can stay forever on actions that
+        collect no reward and cross no signature layer."""
         n_rew = len(self.rew_objs)
-
-        def reward(key, j):
-            return self._reward(values, key, j)
-
         support = {
             key: tuple((t, k) for t, k in dist if values[k])
             for key, dist in self.ptrans.items()
         }
         trans = {key: {t: values[k] for t, k in dist} for key, dist in support.items()}
-        if n_rew:
-            for comp, actions in maximal_end_components(trans, self.states):
-                for key in actions:
-                    if any(reward(key, j) > 0 for j in range(n_rew)):
-                        raise UnboundedReward(
-                            "a reward objective meets an infinite-reward end component"
-                        )
         sig = self.signature
 
         def lingers(ps, a):
-            """Staying on a may neither collect reward nor cross a signature layer."""
-            return all(reward((ps, a), j) == 0 for j in range(n_rew)) and all(
+            return all(self._reward(values, (ps, a), j) == 0 for j in range(n_rew)) and all(
                 sig[t] == sig[ps] for t in trans[(ps, a)]
             )
 
@@ -769,6 +713,31 @@ class _MoQuery:
         num_vars, rows, y_index, w_index = _occupation_lp(
             self.init, self.states, support, settle, int(self.strict)
         )
+        return support, trans, stay, num_vars, rows, y_index, w_index
+
+    def _reward_form(self, values, j, y_index):
+        """Reward objective j as a row template over the LP's y columns."""
+        form = {}
+        for key, col in y_index.items():
+            k = self.reward_slots[j].get(self.plabel[key])
+            if k is not None and values[k]:
+                form[col] = (0, (k,), ())
+        return form
+
+    def _layout(self, values):
+        """`_flow` plus the threshold rows, for the sign pattern of `values`.
+
+        A reward objective may not meet an end component that collects
+        reward, over every product state: also one that only zero entries
+        lead to, whose cycle could still carry an LP circulation."""
+        support, trans, stay, num_vars, rows, y_index, w_index = self._flow(values)
+        if self.rew_objs:
+            for comp, actions in maximal_end_components(trans, self.states):
+                for key in actions:
+                    if any(self._reward(values, key, j) > 0 for j in range(len(self.rew_objs))):
+                        raise UnboundedReward(
+                            "a reward objective meets an infinite-reward end component"
+                        )
         t_index = num_vars - 1  # the slack column, used only when strict
         for o, target in zip(self.prob_objs, self.targets):
             # P(eventually target) = const + sum of y[key] * (mass of key into target)
@@ -785,11 +754,7 @@ class _MoQuery:
                     form[t_index] = (slack, (), ())
                 rows.append((kind, form, 1 - o.threshold - const))
         for j, o in enumerate(self.rew_objs):
-            form = {}
-            for key, col in y_index.items():
-                k = self.reward_slots[j].get(self.plabel[key])
-                if k is not None and values[k]:
-                    form[col] = (0, (k,), ())
+            form = self._reward_form(values, j, y_index)
             if o.cmp in _REWARD_ROW:
                 kind, slack = _REWARD_ROW[o.cmp]
                 if slack:
@@ -855,6 +820,13 @@ class _MoQuery:
         }
 
 
+def _slotted(m: PPA, table: PolyTable):
+    """Every transition of m as its entries (successor, slot of the
+    probability in `table`)."""
+    slot = table.slot
+    return {key: tuple((t, slot(p)) for t, p in dist.items()) for key, dist in m.trans.items()}
+
+
 def _values(point):
     """The rational values of a table vector (D, nums)."""
     den, nums = point
@@ -869,6 +841,22 @@ def _require_alphabet(m: PPA, query):
             )
 
 
+def _constant_query(pa: PPA, query, strategy_class):
+    """The `_MoQuery` of `query` on the parameter-free `pa` and its one table
+    vector, after the checks of every parameter-free solve: the objectives'
+    alphabets lie in the model's, and no reward is negative."""
+    if not pa.is_pa:
+        raise ValueError("a parameter-free model is needed; instantiate first")
+    _require_alphabet(pa, query)
+    table = PolyTable()
+    mo_query = _MoQuery(pa, query, strategy_class, table)
+    point = table.at({})
+    sym = mo_query.negative_reward(point)
+    if sym is not None:
+        raise ValueError(f"the reward of {sym!r} is negative")
+    return mo_query, point
+
+
 def mo_achievable(pa: PPA, query, strategy_class="cmp"):
     """Exact achievability of a conjunction of objectives by one strategy.
 
@@ -879,15 +867,7 @@ def mo_achievable(pa: PPA, query, strategy_class="cmp"):
     is the query's structure on `pa` solved at its (constant) values; region
     checks reuse one structure across their samples.
     """
-    if not pa.is_pa:
-        raise ValueError("mo_achievable needs a parameter-free model")
-    _require_alphabet(pa, query)
-    table = PolyTable()
-    mo_query = _MoQuery(pa, query, strategy_class, table)
-    point = table.at({})
-    sym = mo_query.negative_reward(point)
-    if sym is not None:
-        raise ValueError(f"the reward of {sym!r} is negative")
+    mo_query, point = _constant_query(pa, query, strategy_class)
     return mo_query.solve(point)
 
 
@@ -979,13 +959,7 @@ class _StrategyChain:
 
 def solution_value(m_inst: PPA, sigma: MemorylessStrategy, objective):
     """Value of the solution function at one instantiated model and strategy."""
-    _require_alphabet(m_inst, (objective,))
-    table = PolyTable()
-    query = _MoQuery(m_inst, (objective,), "cmp", table)
-    point = table.at({})
-    sym = query.negative_reward(point)
-    if sym is not None:
-        raise ValueError(f"the reward of {sym!r} is negative")
+    query, point = _constant_query(m_inst, (objective,), "cmp")
     return query.strategy_values(sigma)(point)[0]
 
 
@@ -1101,7 +1075,7 @@ def ag_triple_check(
 # ---------------------------------------------------------------------------
 
 def _weight_profiles(actions, denominator):
-    if denominator <= 1:
+    if denominator == 1:
         return [{a: Fraction(1)} for a in actions]
     profiles = []
 
@@ -1130,6 +1104,8 @@ def enumerate_memoryless(m: PPA, denominator=1):
     the given step.  Enumeration follows the declared transition structure, so
     it is valuation-independent.  More than STRATEGY_CAP strategies raise.
     """
+    if denominator < 1:
+        raise ValueError(f"the grid denominator must be at least 1, not {denominator}")
     results = []
 
     def expand(choice, frontier):

@@ -519,11 +519,29 @@ def test_resolution_must_be_positive(corpus_dir, capsys):
         "--left", str(corpus_dir / "handoff_fixed.ppa.json"),
         "--right", str(corpus_dir / "split_responder.ppa.json"),
     ]
-    for argv in (check, simulate):
-        for bad in ("0", "-1", "abc"):
-            code, out, err = run(capsys, *argv, "--resolution", bad)
+    monotone = [
+        "monotone", *check[1:], "--region", "box.p=[0,1],q=[0,1]", "--param", "q",
+        "--direction", "down",
+    ]
+    project = [
+        "project",
+        "--left", str(corpus_dir / "retry.ppa.json"),
+        "--right", str(corpus_dir / "pipeline.ppa.json"),
+        "--strategy", str(corpus_dir / "retry.ppa.json"),
+        "--side", "2",
+    ]
+    # the grid denominator ran as 1 when below it, and a negative horizon
+    # was written into the projected strategy; each option is rejected
+    # before any file is read
+    cases = [(check, "--resolution", ("0", "-1", "abc")),
+             (simulate, "--resolution", ("0", "-1", "abc")),
+             (monotone, "--grid-denominator", ("0", "-2", "abc")),
+             (project, "--horizon", ("-3", "abc"))]
+    for argv, option, bads in cases:
+        for bad in bads:
+            code, out, err = run(capsys, *argv, option, bad)
             assert code == 2 and out == ""
-            assert "--resolution" in err and "Traceback" not in err
+            assert option in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -976,7 +994,8 @@ def test_project_and_triple_cli(corpus_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "defect", ["disabled action", "total above one", "negative mass", "empty history"]
+    "defect",
+    ["disabled action", "total above one", "negative mass", "empty history", "negative horizon"],
 )
 def test_project_rejects_an_invalid_strategy(corpus_dir, tmp_path, capsys, defect):
     from pacomp.model import compose, instantiate
@@ -1002,6 +1021,8 @@ def test_project_rejects_an_invalid_strategy(corpus_dir, tmp_path, capsys, defec
     sigma = MemorylessStrategy(choice)
     if defect == "empty history":
         sigma = TabularStrategy({(): {a: F(1)}}, horizon=2)
+    elif defect == "negative horizon":
+        sigma = TabularStrategy({(s,): {a: F(1)}}, horizon=-3)
     strategy_path = tmp_path / "sigma.json"
     json.dump(modelio.dump_document(sigma), open(strategy_path, "w"))
     code, out, err = run(
@@ -1015,9 +1036,10 @@ def test_project_rejects_an_invalid_strategy(corpus_dir, tmp_path, capsys, defec
     )
     assert code == 2 and out == ""
     assert err.startswith("format error:") and "Traceback" not in err
-    # a malformed history fails at load, with its JSON path; the rest are
-    # checked against the composed model and name the strategy file
-    where = "$.table[0]: " if defect == "empty history" else f"{strategy_path}: "
+    # a malformed history or horizon fails at load, with its JSON path; the
+    # rest are checked against the composed model and name the strategy file
+    where = {"empty history": "$.table[0]: ", "negative horizon": "$.horizon: "}.get(
+        defect, f"{strategy_path}: ")
     assert where in err
 
 

@@ -30,6 +30,7 @@ from pacomp.verify import (
     INF,
     _MoQuery,
     _policy_iteration,
+    _slotted,
     ProbObjective,
     chain_expected_reward,
     chain_language_prob,
@@ -316,16 +317,17 @@ def test_policy_iteration_matches_the_fraction_reference(seed):
         assert value == values.get(m.initial, F(0))
         assert list(strategy.choice.items()) == [(s, {a: F(1)}) for s, a in policy.items()]
         assert list(got.items()) == list(values.items())
-        # the policy iteration of exp_total_reward runs only when no
-        # reachable end component collects reward; unreachable states may
-        # still be INF, which only the policy and value dict show
-        total = exp_total_reward(m, rewards, "max")
-        if total != INF:
-            policy, values = policy_iteration_reference(
-                m, m.states, lambda s, a: rewards.get(m.label[(s, a)], F(0))
-            )
-            assert total == values.get(m.initial, F(0))
-            assert _policy_iteration(m, m.states, rewards) == (policy, values)
+        # the maximal expected total reward is policy iteration's value,
+        # INF included; the policy and the value dict of every state agree
+        policy, values = policy_iteration_reference(
+            m, m.states, lambda s, a: rewards.get(m.label[(s, a)], F(0))
+        )
+        assert exp_total_reward(m, rewards, "max") == values[m.initial]
+        table = PolyTable()
+        succ = _slotted(m, table)
+        gains = {key: (table.slot(rewards[lab]),) for key, lab in m.label.items() if lab in rewards}
+        acts = {s: m.enabled(s) for s in m.states}
+        assert _policy_iteration(m.states, acts, succ, table.at({}), gains) == (policy, values)
 
 
 def _reward_lp_value(pa, rewards):
@@ -716,6 +718,9 @@ def test_enumerate_memoryless_counts():
     assert len(enumerate_memoryless(forked, 1)) == 2
     grid = enumerate_memoryless(forked, 2)
     assert len(grid) == 3  # (1,0), (1/2,1/2), (0,1)
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="grid denominator"):
+            enumerate_memoryless(forked, bad)
 
 
 def test_maximal_end_components():
