@@ -313,7 +313,10 @@ class PolyTable:
         return k
 
     def _compile(self):
-        terms = [Polynomial.coerce(p).terms for p in self.polys]
+        # a rational slot's terms are {(): value}, none for 0: ints and
+        # Fractions have the numerator and denominator read below
+        terms = [p.terms if isinstance(p, Polynomial) else {(): p} if p else {}
+                 for p in self.polys]
         # first-appearance order, so a missing parameter is reported as
         # evaluating the slots one by one would report it
         degree = {}

@@ -36,13 +36,18 @@ first solve) and then solved.  What depends only on which values are zero
 (and on the rewards' signs) is built once per such sign pattern:
 graph-preserving samples share one, and a sample with a smaller support,
 such as a p = 0 corner, gets its own.  `_MoQuery._flow` is the flow half of
-it (the nonzero entries, the settle set and `stay` map, the occupation LP),
-and `_MoQuery._layout` adds the end-component guard over every product
-state and the threshold rows.  Per sample, the LP's coefficients are filled
-in and solved, and a witness is built and re-checked only when the query is
-achievable.  A strategy's values are the witness re-check without settle
-mass: its chain over the product is built once and planned once per
-support pattern, so each sample only fills integer rows.
+it (the nonzero entries, one successor-set map, the settle set and `stay`
+map, the occupation LP), and `_MoQuery._layout` adds the end-component
+guard and the threshold rows.  The guard finds the keys of the end
+components by SCC refinement over the successor sets
+(`_end_component_keys`) and refuses a reward objective that one of them
+collects.  It covers every product state, also those behind zero entries:
+the LP keeps their columns, so a rewarded cycle there could circulate.  Per
+sample, the LP's coefficients are filled in and solved, and a witness is
+built and re-checked only when the query is achievable.  A strategy's
+values are the witness re-check without settle mass: its chain over the
+product is built once and planned once per support pattern, so each sample
+only fills integer rows.
 
 A parameter-free solve is a `_MoQuery` at its one constant vector
 (`_constant_query`): `mo_achievable` solves its layout, `solution_value`
@@ -183,12 +188,10 @@ class Verdict:
 # Graph utilities on parameter-free models
 # ---------------------------------------------------------------------------
 
-def _support(dist) -> frozenset:
-    return frozenset(t for t, p in dist.items() if p)
-
-
 def _sccs(nodes, succ):
-    """Tarjan, iterative; returns list of frozensets in deterministic order."""
+    """Tarjan, iterative: the strongly connected components of the graph of
+    `nodes` and everything reachable from them along succ(node), as
+    frozensets, in an order that callers must not rely on."""
     index = {}
     low = {}
     on_stack = set()
@@ -196,7 +199,7 @@ def _sccs(nodes, succ):
     sccs = []
     counter = [0]
 
-    for root in sorted(nodes, key=sort_key):
+    for root in nodes:
         if root in index:
             continue
         work = [(root, iter(succ(root)))]
@@ -259,20 +262,16 @@ def _reach(edges, seeds) -> set:
     return seen
 
 
-def _settle(states, acts, trans, keep):
+def _settle(states, acts, succ, keep):
     """Greatest region in which a strategy can stay forever.
 
     A state stays when it is a dead end, or when one of its actions accepted
-    by `keep(state, action)` has its support inside the region (greatest
-    fixpoint).  Returns the region and, for every state of it that is not a
-    dead end, the first such action in `acts` order.
+    by `keep(state, action)` has its successors succ[(state, action)] inside
+    the region (greatest fixpoint).  Returns the region and, for every state
+    of it that is not a dead end, the first such action in `acts` order.
     """
     stayers = {
-        s: [
-            (a, {t for t, p in trans[(s, a)].items() if p})
-            for a in acts.get(s, ())
-            if keep(s, a)
-        ]
+        s: [(a, succ[(s, a)]) for a in acts.get(s, ()) if keep(s, a)]
         for s in states
     }
     region = set(states)
@@ -290,50 +289,22 @@ def _settle(states, acts, trans, keep):
         region -= leaving
 
 
-def maximal_end_components(trans, states):
-    """Maximal end components of an MDP given as {(s, a): dist}.
-
-    Returns a list of (state set, action set) pairs.
-    """
-    result = []
-    queue = [frozenset(states)]
-    while queue:
-        cand = queue.pop()
-        allowed = {}
-        for (s, a), dist in trans.items():
-            if s in cand and _support(dist) <= cand:
-                allowed.setdefault(s, []).append(a)
-        live = frozenset(s for s in cand if allowed.get(s))
-        if live != cand:
-            if live:
-                queue.append(live)
-            continue
-        if not cand:
-            continue
-
-        def succ(s):
-            out = set()
-            for a in allowed[s]:
-                out |= _support(trans[(s, a)])
-            return sorted(out, key=sort_key)
-
-        comps = _sccs(cand, succ)
-        if len(comps) == 1 and comps[0] == cand:
-            has_edge = any(
-                _support(trans[(s, a)]) for s in cand for a in allowed[s]
-            )
-            if has_edge:
-                actions = {
-                    (s, a)
-                    for s in cand
-                    for a in allowed[s]
-                    if _support(trans[(s, a)]) <= cand
-                }
-                result.append((cand, actions))
-            continue
-        for comp in comps:
-            queue.append(comp)
-    return result
+def _end_component_keys(succ) -> set:
+    """The keys (s, a) of the successor-set map `succ` {(s, a): successors}
+    that lie in some end component (de Alfaro): the union of the actions of
+    the maximal end components.  SCC refinement: drop every key with a
+    successor outside the SCC of its source, in the graph of the keys left,
+    until no key is dropped."""
+    keys = set(succ)
+    while True:
+        edges = {}
+        for key in keys:
+            edges.setdefault(key[0], set()).update(succ[key])
+        comp = {s: c for c in _sccs(edges, lambda s: edges.get(s, ())) for s in c}
+        kept = {key for key in keys if succ[key] <= comp[key[0]]}
+        if kept == keys:
+            return keys
+        keys = kept
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +663,7 @@ class _MoQuery:
         return _StrategyChain(self, lambda ps: choice.get(ps[0]))
 
     def _flow(self, values):
-        """The nonzero entries, the transitions, the stay map and the
+        """The nonzero entries, the successor sets, the stay map and the
         occupation LP of one unit of flow into the settle set, for the sign
         pattern of `values`: a settle state can stay forever on actions that
         collect no reward and cross no signature layer."""
@@ -701,19 +672,19 @@ class _MoQuery:
             key: tuple((t, k) for t, k in dist if values[k])
             for key, dist in self.ptrans.items()
         }
-        trans = {key: {t: values[k] for t, k in dist} for key, dist in support.items()}
+        succ = {key: frozenset(t for t, _ in dist) for key, dist in support.items()}
         sig = self.signature
 
         def lingers(ps, a):
             return all(self._reward(values, (ps, a), j) == 0 for j in range(n_rew)) and all(
-                sig[t] == sig[ps] for t in trans[(ps, a)]
+                sig[t] == sig[ps] for t in succ[(ps, a)]
             )
 
-        settle, stay = _settle(self.states, self.acts, trans, lingers)
+        settle, stay = _settle(self.states, self.acts, succ, lingers)
         num_vars, rows, y_index, w_index = _occupation_lp(
             self.init, self.states, support, settle, int(self.strict)
         )
-        return support, trans, stay, num_vars, rows, y_index, w_index
+        return support, succ, stay, num_vars, rows, y_index, w_index
 
     def _reward_form(self, values, j, y_index):
         """Reward objective j as a row template over the LP's y columns."""
@@ -727,17 +698,16 @@ class _MoQuery:
     def _layout(self, values):
         """`_flow` plus the threshold rows, for the sign pattern of `values`.
 
-        A reward objective may not meet an end component that collects
-        reward, over every product state: also one that only zero entries
-        lead to, whose cycle could still carry an LP circulation."""
-        support, trans, stay, num_vars, rows, y_index, w_index = self._flow(values)
-        if self.rew_objs:
-            for comp, actions in maximal_end_components(trans, self.states):
-                for key in actions:
-                    if any(self._reward(values, key, j) > 0 for j in range(len(self.rew_objs))):
-                        raise UnboundedReward(
-                            "a reward objective meets an infinite-reward end component"
-                        )
+        The end-component guard: no key of an end component of `_flow`'s
+        successor sets (`_end_component_keys`, by SCC refinement) may collect
+        reward.  It covers every product state, also one that only zero
+        entries lead to: the LP keeps such a state's columns, so a rewarded
+        cycle there could still carry a circulation."""
+        support, succ, stay, num_vars, rows, y_index, w_index = self._flow(values)
+        n_rew = len(self.rew_objs)
+        if n_rew and any(self._reward(values, key, j) > 0
+                         for key in _end_component_keys(succ) for j in range(n_rew)):
+            raise UnboundedReward("a reward objective meets an infinite-reward end component")
         t_index = num_vars - 1  # the slack column, used only when strict
         for o, target in zip(self.prob_objs, self.targets):
             # P(eventually target) = const + sum of y[key] * (mass of key into target)
@@ -837,7 +807,8 @@ def _require_alphabet(m: PPA, query):
     for obj in query:
         if not obj.alphabet <= m.alphabet:
             raise AlphabetMismatch(
-                f"objective alphabet {sorted(obj.alphabet)} exceeds the model's"
+                f"objective alphabet {sorted(obj.alphabet)} exceeds the model's; "
+                "extend the model first"
             )
 
 
@@ -1045,9 +1016,7 @@ def _sample_loop(m, region, resolution, strategy_class, cases, key):
 
 def region_sat(m: PPA, region, query, strategy_class="cmp", resolution=1) -> Verdict:
     """Holds iff at every sampled valuation no strategy violates any objective."""
-    for obj in query:
-        if not obj.alphabet <= m.alphabet:
-            raise AlphabetMismatch("objective alphabet exceeds the model alphabet")
+    _require_alphabet(m, query)
     cases = [(obj, (obj.negate(),)) for obj in query]
     return _sample_loop(m, region, resolution, strategy_class, cases, "objective")
 
@@ -1060,12 +1029,7 @@ def ag_triple_check(
     Fails iff some strategy of the class satisfies the whole assumption while
     violating one guarantee objective.
     """
-    for obj in tuple(assumption) + tuple(guarantee):
-        if not obj.alphabet <= m.alphabet:
-            raise AlphabetMismatch(
-                "triple objective alphabets must lie inside the model alphabet; "
-                "extend the model first"
-            )
+    _require_alphabet(m, tuple(assumption) + tuple(guarantee))
     cases = [(g, tuple(assumption) + (g.negate(),)) for g in guarantee]
     return _sample_loop(m, region, resolution, strategy_class, cases, "violated")
 
@@ -1121,7 +1085,7 @@ def enumerate_memoryless(m: PPA, denominator=1):
         for profile in _weight_profiles(m.enabled(s), denominator):
             new_frontier = set(frontier)
             for a in profile:
-                new_frontier |= _support(m.trans[(s, a)])
+                new_frontier.update(t for t, p in m.trans[(s, a)].items() if p)
             choice[s] = profile
             expand(choice, new_frontier)
             del choice[s]
@@ -1149,6 +1113,7 @@ def monotone_check(
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
+    _require_alphabet(m, (objective,))
     table = PolyTable()
     query = _MoQuery(m, (objective,), strategy_class, table)
     samples = _checked_samples(region, resolution, m, table=table)
@@ -1164,7 +1129,6 @@ def monotone_check(
             raise MissingParameter(f"samples do not assign parameter {param!r}")
         rest = tuple(sorted((k, val) for k, val in v.items() if k != param))
         lines.setdefault(rest, []).append((v, point))
-    _require_alphabet(m, (objective,))
     lines = [sorted(line, key=lambda vp: vp[0][param])
              for _, line in sorted(lines.items(), key=lambda kv: kv[0]) if len(line) > 1]
     for sigma in enumerate_memoryless(query.model, grid_denominator):

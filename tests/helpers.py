@@ -69,6 +69,40 @@ def random_pa(rng: random.Random, prefix, n_states, labels, max_actions=2, zeros
     return make_ppa(states, states[0], set(), trans, set(labels))
 
 
+def successor_sets(pa):
+    """{(s, a): successors with nonzero probability} of a parameter-free model."""
+    return {key: frozenset(t for t, p in dist.items() if p) for key, dist in pa.trans.items()}
+
+
+def end_component_keys_reference(succ):
+    """The keys (s, a) of the successor-set map `succ` that lie in some end
+    component, by brute force over every state subset: the union of the
+    allowed keys (those whose successors stay inside the subset) of each
+    subset in which every state has an allowed key and every state reaches
+    every other along them."""
+    states = sorted({s for s, _ in succ}, key=sort_key)
+    found = set()
+    for size in range(1, len(states) + 1):
+        for subset in itertools.combinations(states, size):
+            inside = set(subset)
+            allowed = {key for key in succ if key[0] in inside and succ[key] <= inside}
+            edges = {s: set() for s in inside}
+            for s, a in allowed:
+                edges[s] |= succ[(s, a)]
+
+            def reached(s):
+                seen, stack = {s}, [s]
+                while stack:
+                    for t in edges[stack.pop()] - seen:
+                        seen.add(t)
+                        stack.append(t)
+                return seen
+
+            if {s for s, _ in allowed} == inside and all(reached(s) == inside for s in inside):
+                found |= allowed
+    return found
+
+
 def random_parametric_pair(rng: random.Random, params=("p",)):
     """Two composable pPAs, well-defined on the unit box over `params`."""
     p = Polynomial.var(params[0])

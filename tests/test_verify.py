@@ -29,6 +29,7 @@ from pacomp.semantics import MemorylessStrategy
 from pacomp.verify import (
     INF,
     _MoQuery,
+    _end_component_keys,
     _policy_iteration,
     _slotted,
     ProbObjective,
@@ -37,7 +38,6 @@ from pacomp.verify import (
     enumerate_memoryless,
     exp_total_reward,
     max_reach,
-    maximal_end_components,
     mo_achievable,
     monotone_check,
     region_sat,
@@ -50,6 +50,7 @@ from pacomp.verify import (
 
 from helpers import (
     ag_triple_check_per_sample,
+    end_component_keys_reference,
     fraction_solve,
     monotone_check_per_sample,
     policy_iteration_reference,
@@ -58,6 +59,7 @@ from helpers import (
     random_polytopic_rpa,
     random_safety_dfa,
     region_sat_per_sample,
+    successor_sets,
     witness_values_reference,
 )
 
@@ -723,11 +725,22 @@ def test_enumerate_memoryless_counts():
             enumerate_memoryless(forked, bad)
 
 
-def test_maximal_end_components():
-    pa = instantiate(corpus.pipeline_component(), V)
-    mecs = maximal_end_components(pa.trans, pa.states)
-    found = {frozenset(states) for states, _ in mecs}
-    assert frozenset({"t3"}) in found and frozenset({"t4"}) in found
+def test_end_component_keys_match_the_subset_reference():
+    """SCC refinement finds the keys of every end component: on the pipeline,
+    the self-loops at t3 and t4; on random PAs with 1-6 states, some with
+    zero-probability entries, the union of the allowed keys over every
+    strongly connected state subset."""
+    pipeline = successor_sets(instantiate(corpus.pipeline_component(), V))
+    assert _end_component_keys(pipeline) == {("t3", "t3_f"), ("t4", "t4_c")}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 6))
+    def check(seed, n_states):
+        rng = random.Random(seed)
+        succ = successor_sets(random_pa(rng, "e", n_states, ["a", "b"], max_actions=3, zeros=True))
+        assert _end_component_keys(succ) == end_component_keys_reference(succ)
+
+    check()
 
 
 def test_alphabet_extension_preserves_objectives():
@@ -832,8 +845,13 @@ def test_fixed_strategy_values_by_hand():
         sigma = MemorylessStrategy(w["strategy"])
         for v, value in zip((lo, hi), values):
             assert solution_value(instantiate(work, v), sigma, obj) == value
-    with pytest.raises(AlphabetMismatch):
-        monotone_check(m, region, reward_objective(">=", 0, {"zz": 1}), "p", "up")
+    # a stray symbol is an input error before any sample, also on an empty region
+    stray = reward_objective(">=", 0, {"zz": 1})
+    for where in (region, FiniteRegion.of([])):
+        with pytest.raises(AlphabetMismatch):
+            monotone_check(m, where, stray, "p", "up")
+        with pytest.raises(AlphabetMismatch):
+            region_sat(m, where, (stray,))
 
 
 def test_partial_equals_complete_on_sink_extension():
