@@ -8,8 +8,11 @@ the pivot row is nonzero; the row is first multiplied through by one integer
 when the pivot row's denominator does not divide the row's entry in the
 pivot column.  No `Fraction` is built inside the loop.  `gauss_solve` takes
 integer rows as they are (denominator 1): scale a rational equation by the
-lcm of its denominators first.  The simplex takes rational rows and scales
-each to integers once.  Results are `Fraction`s; no float is involved.
+lcm of its denominators first.  A `LinearProgram` stores its rows in integer
+form, so the simplex only lays them out as a tableau: callers that have
+integer rows append them directly, and the dict rows of `add_eq`, `add_ub`
+and `add_lb` are converted once when added (`_int_row`).  Results are
+`Fraction`s; no float is involved.
 
 The simplex is two-phase.  Each pivot enters the column with the most
 negative reduced cost (Dantzig's rule; smallest index on ties) and leaves by
@@ -38,16 +41,24 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-def _int_row(entries, width):
-    """The integer row of `width` columns and positive denominator of the
-    sparse rational row {column: value}.  It is already reduced: every prime
-    power of the lcm denominator divides some entry's denominator exactly,
-    and that entry's numerator is prime to it."""
-    den = lcm(1, *(v.denominator for v in entries.values()))
+def _int_row(entries, rhs=0):
+    """The integer form (cols, vals, rhs, den) of the sparse rational row
+    {column: value} with right-hand side `rhs`: entry i stands for
+    vals[i] / den at column cols[i], and the rhs for rhs / den.  It is already
+    reduced: every prime power of the lcm denominator divides some entry's
+    denominator exactly, and that entry's numerator is prime to it."""
+    den = lcm(rhs.denominator, *(v.denominator for v in entries.values()))
+    vals = [v.numerator * (den // v.denominator) for v in entries.values()]
+    return tuple(entries), vals, rhs.numerator * (den // rhs.denominator), den
+
+
+def _dense(cols, vals, rhs, width):
+    """The dense row of `width` columns, the last holding rhs, of a sparse one."""
     row = [0] * width
-    for j, v in entries.items():
-        row[j] = v.numerator * (den // v.denominator)
-    return row, den
+    for j, v in zip(cols, vals):
+        row[j] = v
+    row[-1] = rhs
+    return row
 
 
 def _reduce(row, den):
@@ -100,23 +111,38 @@ def gauss_solve(rows, rhs):
 class LinearProgram:
     """max c.x subject to equality/inequality rows over nonnegative variables.
 
-    Rows are sparse {column: coefficient} dicts of exact rationals (ints or
-    Fractions); `solve` turns each into its integer row directly.
+    `eq` and `ub` hold integer rows (cols, vals, rhs, den): the equation
+    sum(vals[i] * x[cols[i]]) = rhs over den, with den > 0, rhs >= 0 and
+    gcd(den, rhs, *vals) == 1.  The i-th `ub` row is an inequality with its
+    slack column num_vars + i among its entries: at coefficient den it reads
+    vals.x <= rhs, and at -den it reads vals.x >= rhs (an inequality whose
+    rhs was negative, negated so that it is not).  Such rows are unique, so
+    they equal what `_int_row` gives for the same rational row.  Callers
+    with integer rows append them to `eq` and `ub`; `add_eq`, `add_ub` and
+    `add_lb` convert rows of exact rationals (ints or Fractions).
     """
 
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
-        self.eq = []  # (coeffs dict, rhs)
-        self.ub = []  # coeffs.x <= rhs
+        self.eq = []  # (cols, vals, rhs, den)
+        self.ub = []  # the same, each with its slack column
+
+    def _add(self, rows, coeffs: dict, rhs, slack=None):
+        entries, rhs = dict(coeffs), Fraction(rhs)
+        if slack is not None:
+            entries[slack] = 1
+        if rhs < 0:
+            entries, rhs = {j: -v for j, v in entries.items()}, -rhs
+        rows.append(_int_row(entries, rhs))
 
     def add_eq(self, coeffs: dict, rhs):
-        self.eq.append((dict(coeffs), Fraction(rhs)))
+        self._add(self.eq, coeffs, rhs)
 
     def add_ub(self, coeffs: dict, rhs):
-        self.ub.append((dict(coeffs), Fraction(rhs)))
+        self._add(self.ub, coeffs, rhs, self.num_vars + len(self.ub))
 
     def add_lb(self, coeffs: dict, rhs):
-        self.ub.append(({k: -v for k, v in coeffs.items()}, -Fraction(rhs)))
+        self.add_ub({k: -v for k, v in coeffs.items()}, -Fraction(rhs))
 
     def solve(self, objective: dict, maximize=True):
         """Two-phase simplex; returns (status, assignment list, value).
@@ -125,20 +151,10 @@ class LinearProgram:
         row, then the right-hand side) with the reduced-cost row "[r | -z]"
         appended last while a phase runs.
         """
-        n = self.num_vars
-        total = n + len(self.ub)
-        slacks = [None] * len(self.eq) + list(range(n, total))
-        rows, dens = [], []
-        for (coeffs, rhs), slack in zip(self.eq + self.ub, slacks):
-            entries = dict(coeffs)
-            if slack is not None:
-                entries[slack] = 1
-            entries[total] = rhs
-            if rhs < 0:
-                entries = {j: -v for j, v in entries.items()}
-            ints, den = _int_row(entries, total + 1)
-            rows.append(ints)
-            dens.append(den)
+        total = self.num_vars + len(self.ub)
+        stored = self.eq + self.ub
+        rows = [_dense(cols, vals, rhs, total + 1) for cols, vals, rhs, _ in stored]
+        dens = [den for *_, den in stored]
         m = len(rows)
         basis = [total + i for i in range(m)]
 
@@ -146,11 +162,11 @@ class LinearProgram:
         # the sum of all rows.
         common = lcm(*dens)
         cost = [0] * (total + 1)
-        for row, den in zip(rows, dens):
+        for cols, vals, rhs, den in stored:
             scale = common // den
-            for j, v in enumerate(row):
-                if v:
-                    cost[j] -= v * scale
+            for j, v in zip(cols, vals):
+                cost[j] -= v * scale
+            cost[total] -= rhs * scale
         cost, den = _reduce(cost, common)
         rows.append(cost)
         dens.append(den)
@@ -169,10 +185,8 @@ class LinearProgram:
 
         # Phase 2: minimize -objective (or +objective when minimizing).
         sign = -1 if maximize else 1
-        cost, den = _int_row(
-            {j: sign * Fraction(v) for j, v in objective.items()}, total + 1
-        )
-        rows.append(cost)
+        cols, vals, _, den = _int_row({j: sign * Fraction(v) for j, v in objective.items()})
+        rows.append(_dense(cols, vals, 0, total + 1))
         dens.append(den)
         for i, b in enumerate(basis):
             if b < total and rows[m][b]:

@@ -20,7 +20,10 @@ solvers are exact and end in two mechanisms:
 - one occupation-measure LP builder (`_occupation_lp`): expected
   state-action frequencies routing one unit of flow into a settle region,
   solved by the exact simplex, for multi-objective achievability and
-  minimal expected reward.
+  minimal expected reward.  Its rows are compiled once per layout into
+  integer templates (`_int_templates`); at a sample, each row is filled from
+  the table vector's numerators and reduced by one gcd into the integer row
+  that `LinearProgram` stores (`_sample_lp`), with no `Fraction`.
 
 One query structure (`_MoQuery`) serves the LP checks, the re-check of
 their witnesses, the values of fixed strategies and every parameter-free
@@ -43,8 +46,8 @@ components by SCC refinement over the successor sets
 (`_end_component_keys`) and refuses a reward objective that one of them
 collects.  It covers every product state, also those behind zero entries:
 the LP keeps their columns, so a rewarded cycle there could circulate.  Per
-sample, the LP's coefficients are filled in and solved, and a witness is
-built and re-checked only when the query is achievable.  A strategy's
+sample, the LP's integer rows are filled from the vector and solved, and a
+witness is built and re-checked only when the query is achievable.  A strategy's
 values are the witness re-check without settle mass: its chain over the
 product is built once and planned once per support pattern, so each sample
 only fills integer rows.
@@ -64,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .algebra import Polynomial, PolyTable, poly_eval, region_samples, require_total, valuation_key
 from .errors import (
@@ -506,10 +509,11 @@ def exp_total_reward(pa: PPA, rewards, mode="max"):
         gains = {key: (slots[lab],) for key, lab in query.plabel.items() if lab in slots}
         _, values = _policy_iteration(query.states, query.acts, query.ptrans, point, gains)
         return values[query.init]
-    values = _values(point)
-    *_, num_vars, rows, y_index, _ = query._flow(values)
-    cost = _fill(query._reward_form(values, 0, y_index), values)
-    status, _, value = _lp_at(num_vars, rows, values).solve(cost, maximize=False)
+    den, nums = point
+    *_, num_vars, rows, y_index, _ = query._flow(nums)
+    cost = {col: Fraction(nums[k], den) for col, k in query._reward_cols(nums, 0, y_index).items()}
+    lp = _sample_lp(num_vars, _int_templates(num_vars, rows), point)
+    status, _, value = lp.solve(cost, maximize=False)
     return Fraction(value) if status == OPTIMAL else INF  # INF: no strategy stops paying a.s.
 
 
@@ -517,48 +521,24 @@ def exp_total_reward(pa: PPA, rewards, mode="max"):
 # Multi-objective achievability (occupation-measure LP)
 # ---------------------------------------------------------------------------
 
-def _fill(form, values):
-    """The coefficients of a row template {column: (c, plus, minus)} at one
-    value vector: c plus the values indexed by `plus`, minus those indexed by
-    `minus`."""
-    out = {}
-    for j, (c, plus, minus) in form.items():
-        for k in plus:
-            c = c + values[k] if c else values[k]
-        for k in minus:
-            c = c - values[k] if c else -values[k]
-        out[j] = c
-    return out
-
-
-def _lp_at(num_vars, rows, values):
-    """The LinearProgram of ("eq" | "ub" | "lb", template, rhs) rows at one
-    value vector."""
-    lp = LinearProgram(num_vars)
-    add = {"eq": lp.add_eq, "ub": lp.add_ub, "lb": lp.add_lb}
-    for kind, form, rhs in rows:
-        add[kind](_fill(form, values), rhs)
-    return lp
-
-
-def _occupation_lp(init, states, support, settle, extra=0):
+def _occupation_lp(init, states, acts, support, settle, extra=0):
     """Occupation-measure LP of one unit of flow from `init` into `settle`.
 
     `support` maps each (state, action) key to its successors with nonzero
     probability, as (successor, k) pairs: the probability is entry k of a
-    value vector, and the rows are templates over that vector (`_lp_at`).
-    Columns: y[(s, a)], the expected number of times a is taken in s, for the
-    keys of `support` in `sort_key` order; then w[s], the probability of
-    settling in s, for the settle states in `sort_key` order; then `extra`
-    columns left to the caller.  Rows: one flow balance per state, in
+    value vector, and the rows are templates over that vector
+    (`_int_templates`).  Columns: y[(s, a)], the expected number of times a
+    is taken in s, for s in `states` order and a in `acts[s]` order; then
+    w[s], the probability of settling in s, for the settle states in
+    `states` order; then `extra` columns left to the caller.  A product lists
+    its states and each state's actions in `sort_key` order, so the y columns
+    are the keys in `sort_key` order.  Rows: one flow balance per state, in
     `states` order, then sum(w) = 1.  Row and column order fix the simplex's
     pivot path, so they must not change.  Returns the number of columns, the
     rows, y_index and w_index.
     """
-    action_keys = sorted(support, key=sort_key)
-    settle_states = sorted(settle, key=sort_key)
-    y_index = {key: i for i, key in enumerate(action_keys)}
-    w_index = {s: len(action_keys) + i for i, s in enumerate(settle_states)}
+    y_index = {key: j for j, key in enumerate((s, a) for s in states for a in acts[s])}
+    w_index = {s: len(y_index) + i for i, s in enumerate(s for s in states if s in settle)}
     balance = {s: {} for s in states}
     for key, j in y_index.items():
         balance[key[0]][j] = (1, (), ())
@@ -569,7 +549,63 @@ def _occupation_lp(init, states, support, settle, extra=0):
         balance[s][j] = (1, (), ())
     rows = [("eq", balance[s], 1 if s == init else 0) for s in states]
     rows.append(("eq", {j: (1, (), ()) for j in w_index.values()}, 1))
-    return len(action_keys) + len(settle_states) + extra, rows, y_index, w_index
+    return len(y_index) + len(w_index) + extra, rows, y_index, w_index
+
+
+def _int_templates(num_vars, rows):
+    """The integer templates of ("eq" | "ub" | "lb", form, rhs) rows over
+    `num_vars` columns, for `_sample_lp`.  A form maps a column to (c, plus,
+    minus): c plus the entries at the slots `plus` of a value vector, minus
+    those at `minus`.  Per row: its columns (an inequality's own slack column
+    last), their (c, plus, minus), the factor of its entries, its rhs
+    numerator and denominator, and its slack's sign (None for an equation).
+    The rhs is fixed and a vector's denominator is positive, so the `lb`
+    negation and the flip that makes the rhs nonnegative are folded into the
+    factor and the slack's sign once."""
+    out, slack_col = [], num_vars
+    for kind, form, rhs in rows:
+        rhs = Fraction(rhs)
+        sign = -1 if kind == "lb" else 1  # c.x >= b as -c.x <= -b
+        flip = -1 if sign * rhs < 0 else 1
+        cols, slack = tuple(form), None
+        if kind != "eq":
+            cols, slack = cols + (slack_col,), flip
+            slack_col += 1
+        out.append((cols, tuple(form.values()), sign * flip * rhs.denominator,
+                    abs(rhs.numerator), rhs.denominator, slack))
+    return out
+
+
+def _sample_lp(num_vars, templates, point):
+    """The LinearProgram of `_int_templates` at the table vector
+    point = (D, nums).  A row's entries are c * D + sum(nums[plus]) -
+    sum(nums[minus]), times its factor, over D times its rhs denominator;
+    one gcd reduces the row to the integer form `LinearProgram` stores."""
+    den, nums = point
+    lp = LinearProgram(num_vars)
+    for cols, terms, factor, rhs, rhs_den, slack in templates:
+        vals = []
+        for c, plus, minus in terms:
+            v = c * den
+            for k in plus:
+                v += nums[k]
+            for k in minus:
+                v -= nums[k]
+            vals.append(v)
+        if factor != 1:
+            vals = [factor * v for v in vals]
+        b, d = rhs * den, rhs_den * den
+        g = gcd(d, b, *vals)
+        if g != 1:
+            vals = [v // g for v in vals]
+            b //= g
+            d //= g
+        if slack is None:
+            lp.eq.append((cols, vals, b, d))
+        else:
+            vals.append(slack * d)
+            lp.ub.append((cols, vals, b, d))
+    return lp
 
 
 # comparison -> (row kind, coefficient of the shared slack column)
@@ -588,9 +624,11 @@ class _MoQuery:
     queries and the well-definedness check, so a sample is one value vector
     of that table.  What depends on which values are zero, and on the signs
     of the rewards -- the end-component check, the settle set and `stay` map,
-    and the LP layout -- is built once per sign pattern (`_layout`).  Each
-    sample then only fills in the LP's coefficients, solves it, and builds a
-    witness when the conjunction is achievable.  `strategy_values` evaluates
+    and the LP layout with its rows as integer templates -- is built once per
+    sign pattern (`_layout`), testing signs on the vector's numerators (its
+    denominator is positive).  Each sample then only fills the LP's integer
+    rows from its vector (`_sample_lp`), solves it, and builds a witness when
+    the conjunction is achievable.  `strategy_values` evaluates
     fixed strategies of `model` on the same product.  The objectives'
     alphabets are the caller's to check (`_require_alphabet`).
     """
@@ -648,10 +686,12 @@ class _MoQuery:
         return next((sym for slots in self.reward_slots for sym, k in slots.items()
                      if nums[k] < 0), None)
 
-    def _reward(self, values, key, j):
-        """Reward of reward objective j on the product transition `key`."""
+    def _reward(self, nums, key, j):
+        """The numerator of reward objective j on the product transition
+        `key` in the table vector numerators `nums`: its sign is the
+        reward's."""
         k = self.reward_slots[j].get(self.plabel[key])
-        return 0 if k is None else values[k]
+        return 0 if k is None else nums[k]
 
     def strategy_values(self, sigma):
         """The values of the memoryless strategy sigma of `self.model`, as a
@@ -662,50 +702,52 @@ class _MoQuery:
         choice = sigma.choice
         return _StrategyChain(self, lambda ps: choice.get(ps[0]))
 
-    def _flow(self, values):
+    def _flow(self, nums):
         """The nonzero entries, the successor sets, the stay map and the
         occupation LP of one unit of flow into the settle set, for the sign
-        pattern of `values`: a settle state can stay forever on actions that
-        collect no reward and cross no signature layer."""
+        pattern of the table vector numerators `nums`: a settle state can
+        stay forever on actions that collect no reward and cross no signature
+        layer."""
         n_rew = len(self.rew_objs)
         support = {
-            key: tuple((t, k) for t, k in dist if values[k])
+            key: tuple((t, k) for t, k in dist if nums[k])
             for key, dist in self.ptrans.items()
         }
         succ = {key: frozenset(t for t, _ in dist) for key, dist in support.items()}
         sig = self.signature
 
         def lingers(ps, a):
-            return all(self._reward(values, (ps, a), j) == 0 for j in range(n_rew)) and all(
+            return all(self._reward(nums, (ps, a), j) == 0 for j in range(n_rew)) and all(
                 sig[t] == sig[ps] for t in succ[(ps, a)]
             )
 
         settle, stay = _settle(self.states, self.acts, succ, lingers)
         num_vars, rows, y_index, w_index = _occupation_lp(
-            self.init, self.states, support, settle, int(self.strict)
+            self.init, self.states, self.acts, support, settle, int(self.strict)
         )
         return support, succ, stay, num_vars, rows, y_index, w_index
 
-    def _reward_form(self, values, j, y_index):
-        """Reward objective j as a row template over the LP's y columns."""
-        form = {}
+    def _reward_cols(self, nums, j, y_index):
+        """{y column: slot} of the nonzero rewards of reward objective j."""
+        cols = {}
         for key, col in y_index.items():
             k = self.reward_slots[j].get(self.plabel[key])
-            if k is not None and values[k]:
-                form[col] = (0, (k,), ())
-        return form
+            if k is not None and nums[k]:
+                cols[col] = k
+        return cols
 
-    def _layout(self, values):
-        """`_flow` plus the threshold rows, for the sign pattern of `values`.
+    def _layout(self, nums):
+        """`_flow` plus the threshold rows, as `_int_templates`, for the sign
+        pattern of the table vector numerators `nums`.
 
         The end-component guard: no key of an end component of `_flow`'s
         successor sets (`_end_component_keys`, by SCC refinement) may collect
         reward.  It covers every product state, also one that only zero
         entries lead to: the LP keeps such a state's columns, so a rewarded
         cycle there could still carry a circulation."""
-        support, succ, stay, num_vars, rows, y_index, w_index = self._flow(values)
+        support, succ, stay, num_vars, rows, y_index, w_index = self._flow(nums)
         n_rew = len(self.rew_objs)
-        if n_rew and any(self._reward(values, key, j) > 0
+        if n_rew and any(self._reward(nums, key, j) > 0
                          for key in _end_component_keys(succ) for j in range(n_rew)):
             raise UnboundedReward("a reward objective meets an infinite-reward end component")
         t_index = num_vars - 1  # the slack column, used only when strict
@@ -724,7 +766,7 @@ class _MoQuery:
                     form[t_index] = (slack, (), ())
                 rows.append((kind, form, 1 - o.threshold - const))
         for j, o in enumerate(self.rew_objs):
-            form = self._reward_form(values, j, y_index)
+            form = {col: (0, (k,), ()) for col, k in self._reward_cols(nums, j, y_index).items()}
             if o.cmp in _REWARD_ROW:
                 kind, slack = _REWARD_ROW[o.cmp]
                 if slack:
@@ -732,17 +774,18 @@ class _MoQuery:
                 rows.append((kind, form, o.threshold))
         if self.strict:
             rows.append(("ub", {t_index: (1, (), ())}, 1))
-        return num_vars, rows, y_index, w_index, stay
+        return num_vars, _int_templates(num_vars, rows), y_index, w_index, stay
 
     def solve(self, point):
         """("achievable", witness) or ("unachievable", None) at the table
         vector `point`."""
-        signs = tuple((n > 0) - (n < 0) for n in point[1])
-        values = _values(point)
-        if signs not in self._layouts:
-            self._layouts[signs] = self._layout(values)
-        num_vars, rows, y_index, w_index, stay = self._layouts[signs]
-        lp = _lp_at(num_vars, rows, values)
+        nums = point[1]
+        signs = tuple((n > 0) - (n < 0) for n in nums)
+        layout = self._layouts.get(signs)
+        if layout is None:
+            layout = self._layouts[signs] = self._layout(nums)
+        num_vars, templates, y_index, w_index, stay = layout
+        lp = _sample_lp(num_vars, templates, point)
         if self.strict:
             status, x, value = lp.solve({num_vars - 1: Fraction(1)}, maximize=True)
             if status != OPTIMAL or value <= 0:
@@ -795,12 +838,6 @@ def _slotted(m: PPA, table: PolyTable):
     probability in `table`)."""
     slot = table.slot
     return {key: tuple((t, slot(p)) for t, p in dist.items()) for key, dist in m.trans.items()}
-
-
-def _values(point):
-    """The rational values of a table vector (D, nums)."""
-    den, nums = point
-    return [Fraction(n, den) for n in nums]
 
 
 def _require_alphabet(m: PPA, query):

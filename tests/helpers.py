@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -101,6 +102,66 @@ def end_component_keys_reference(succ):
             if {s for s, _ in allowed} == inside and all(reached(s) == inside for s in inside):
                 found |= allowed
     return found
+
+
+def occupation_rows_reference(rows, point):
+    """`verify._lp_at` as it was before the sampled LPs were filled as
+    integer rows: the ("eq" | "ub" | "lb", template, rhs) rows of a layout
+    filled at the table vector point = (D, nums) in Fractions (the old
+    `_values` and `_fill`), as the rational (eq, ub) rows ({column:
+    coefficient}, rhs) of coeffs.x = rhs and coeffs.x <= rhs."""
+    den, nums = point
+    values = [Fraction(n, den) for n in nums]
+    eq, ub = [], []
+    for kind, form, rhs in rows:
+        coeffs = {}
+        for j, (c, plus, minus) in form.items():
+            coeffs[j] = Fraction(c) + sum((values[k] for k in plus), Fraction(0)) - sum(
+                (values[k] for k in minus), Fraction(0))
+        rhs = Fraction(rhs)
+        if kind == "lb":
+            coeffs, rhs = {j: -v for j, v in coeffs.items()}, -rhs
+        (eq if kind == "eq" else ub).append((coeffs, rhs))
+    return eq, ub
+
+
+def tableau_reference(num_vars, eq, ub):
+    """The initial simplex rows (row, den) that `LinearProgram.solve` laid
+    out from rational rows before it stored integer rows: the variables, one
+    slack per `ub` row, then the rhs; negated when the rhs is negative;
+    scaled by the lcm of the denominators (the old `_int_row`)."""
+    total = num_vars + len(ub)
+    slacks = [None] * len(eq) + list(range(num_vars, total))
+    out = []
+    for (coeffs, rhs), slack in zip(eq + ub, slacks):
+        entries = dict(coeffs)
+        if slack is not None:
+            entries[slack] = Fraction(1)
+        entries[total] = rhs
+        if rhs < 0:
+            entries = {j: -v for j, v in entries.items()}
+        den = math.lcm(1, *(v.denominator for v in entries.values()))
+        row = [0] * (total + 1)
+        for j, v in entries.items():
+            row[j] = v.numerator * (den // v.denominator)
+        out.append((row, den))
+    return out
+
+
+def mixed_ids(rng: random.Random, names):
+    """A distinct identifier of mixed type for each name: the name itself, an
+    int, a non-integral Fraction or a tuple."""
+    forms = (lambda i, x: x, lambda i, x: i, lambda i, x: Fraction(2 * i + 1, 2),
+             lambda i, x: (x, i))
+    return {x: rng.choice(forms)(i, x) for i, x in enumerate(names)}
+
+
+def renamed_ppa(rng: random.Random, m):
+    """The pPA m with its states and actions renamed by `mixed_ids`."""
+    states, actions = mixed_ids(rng, m.states), mixed_ids(rng, m.actions)
+    trans = {(states[s], actions[a]): (m.label[(s, a)], {states[t]: p for t, p in dist.items()})
+             for (s, a), dist in m.trans.items()}
+    return make_ppa(list(states.values()), states[m.initial], m.params, trans, m.alphabet)
 
 
 def random_parametric_pair(rng: random.Random, params=("p",)):

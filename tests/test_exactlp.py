@@ -191,13 +191,17 @@ def test_dantzig_cycle_is_broken(monkeypatch):
     minimize -3/4 x3 + 20 x4 - 1/2 x5 + 6 x6 subject to
     1/4 x3 - 8 x4 - x5 + 9 x6 + x0 = 0, 1/2 x3 - 12 x4 - 1/2 x5 + 3 x6 + x1 = 0,
     x5 + x2 = 1, x >= 0.  Its optimum is -5/4 at x3 = x5 = 1, x0 = 3/4."""
-    entries = [
-        {0: F(1), 3: F(1, 4), 4: F(-8), 5: F(-1), 6: F(9)},
-        {1: F(1), 3: F(1, 2), 4: F(-12), 5: F(-1, 2), 6: F(3)},
-        {2: F(1), 5: F(1), 7: F(1)},
-        {3: F(-3, 4), 4: F(20), 5: F(-1, 2), 6: F(6)},  # the cost row [c | -z]
+    entries = [  # (row, rhs)
+        ({0: F(1), 3: F(1, 4), 4: F(-8), 5: F(-1), 6: F(9)}, 0),
+        ({1: F(1), 3: F(1, 2), 4: F(-12), 5: F(-1, 2), 6: F(3)}, 0),
+        ({2: F(1), 5: F(1)}, F(1)),
+        ({3: F(-3, 4), 4: F(20), 5: F(-1, 2), 6: F(6)}, 0),  # the cost row [c | -z]
     ]
-    rows, dens = map(list, zip(*(exactlp._int_row(e, 8) for e in entries)))
+    rows, dens = [], []
+    for e, rhs in entries:
+        cols, vals, b, den = exactlp._int_row(e, rhs)
+        rows.append(exactlp._dense(cols, vals, b, 8))
+        dens.append(den)
     basis = [0, 1, 2]
     visited = []  # the basis before each pivot
 

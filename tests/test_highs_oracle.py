@@ -1,15 +1,16 @@
 """The occupation-measure LPs of `mo_achievable` against scipy's HiGHS.
 
 Every LP that `mo_achievable` solves on random composed models is recorded,
-then solved again by the exact simplex and by HiGHS in floating point, under
-its own objective and under a random one (so that nonzero optima and
-unbounded programs occur).  The statuses must match, an exact optimum must
+then solved again by the exact simplex and by HiGHS in floating point, on its
+integer rows turned back into rationals, under its own objective and under a
+random one (so that nonzero optima and unbounded programs occur).  The statuses must match, an exact optimum must
 lie within 1e-9 of HiGHS's, and the exact point must satisfy every row
 exactly.
 """
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -66,9 +67,32 @@ def _recorded_lps(monkeypatch, seeds):
     return recorded
 
 
-def _highs(lp, objective, maximize):
-    """(status, optimal value or None) of the LP by HiGHS."""
+def _rational_rows(lp):
+    """The rows of a `LinearProgram` as rationals, (eq, ub) lists of
+    ({column: coefficient}, rhs) for coeffs.x = rhs and coeffs.x <= rhs,
+    after checking their integer form: den > 0, rhs >= 0, gcd(den, rhs,
+    *vals) == 1, and the i-th `ub` row's slack column num_vars + i at
+    coefficient +-den, whose sign the rational row undoes."""
     n = lp.num_vars
+    eq, ub = [], []
+    for i, (cols, vals, rhs, den) in enumerate(lp.eq + lp.ub):
+        assert den > 0 and rhs >= 0 and gcd(den, rhs, *vals) == 1
+        entries, sign = dict(zip(cols, vals)), 1
+        if i >= len(lp.eq):
+            slack = entries.pop(n + i - len(lp.eq))
+            assert abs(slack) == den
+            sign = slack // den
+        assert all(0 <= j < n for j in entries)
+        row = ({j: F(sign * v, den) for j, v in entries.items()}, F(sign * rhs, den))
+        (eq if i < len(lp.eq) else ub).append(row)
+    return eq, ub
+
+
+def _highs(lp, objective, maximize):
+    """(status, optimal value or None) of the LP by HiGHS, on its integer
+    rows turned back into rationals."""
+    n = lp.num_vars
+    eq, ub = _rational_rows(lp)
 
     def dense(rows):
         return [[float(coeffs.get(j, 0)) for j in range(n)] for coeffs, _ in rows] or None
@@ -76,8 +100,8 @@ def _highs(lp, objective, maximize):
     sign = -1 if maximize else 1
     res = linprog(
         [sign * float(objective.get(j, 0)) for j in range(n)],
-        A_ub=dense(lp.ub), b_ub=[float(r) for _, r in lp.ub] or None,
-        A_eq=dense(lp.eq), b_eq=[float(r) for _, r in lp.eq] or None,
+        A_ub=dense(ub), b_ub=[float(r) for _, r in ub] or None,
+        A_eq=dense(eq), b_eq=[float(r) for _, r in eq] or None,
         bounds=(0, None), method="highs",
     )
     status = HIGHS_STATUS[res.status]
@@ -88,9 +112,10 @@ def _assert_exactly_feasible(lp, x):
     def dot(coeffs):
         return sum((F(v) * x[j] for j, v in coeffs.items()), F(0))
 
+    eq, ub = _rational_rows(lp)
     assert len(x) == lp.num_vars and all(type(v) is F and v >= 0 for v in x)
-    assert all(dot(coeffs) == rhs for coeffs, rhs in lp.eq)
-    assert all(dot(coeffs) <= rhs for coeffs, rhs in lp.ub)
+    assert all(dot(coeffs) == rhs for coeffs, rhs in eq)
+    assert all(dot(coeffs) <= rhs for coeffs, rhs in ub)
 
 
 def test_occupation_lps_agree_with_highs(monkeypatch):

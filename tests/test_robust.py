@@ -39,6 +39,7 @@ from helpers import (
     alphabet_extend_rpa,
     compose_reference,
     interval_extreme_points_by_orders,
+    mixed_ids,
     pa_reduce_reference,
     random_dist,
     random_parametric_pair,
@@ -576,18 +577,11 @@ def test_pa_reduce_matches_its_reference(seed):
 # The four parallel compositions against their first form
 # ---------------------------------------------------------------------------
 
-def _mixed_ids(rng, names):
-    """A distinct identifier of mixed type for each name: the name itself, an
-    int, a non-integral Fraction or a tuple."""
-    forms = (lambda i, x: x, lambda i, x: i, lambda i, x: F(2 * i + 1, 2), lambda i, x: (x, i))
-    return {x: rng.choice(forms)(i, x) for i, x in enumerate(names)}
-
-
 def _renamed(rng, u, alphabet, single=False):
-    """`u` over `alphabet` with states and actions renamed by `_mixed_ids`;
+    """`u` over `alphabet` with states and actions renamed by `mixed_ids`;
     with `single`, a vertex set keeps its first vertex only, so that the
     interval relaxation accepts it."""
-    states, actions = _mixed_ids(rng, u.states), _mixed_ids(rng, u.actions)
+    states, actions = mixed_ids(rng, u.states), mixed_ids(rng, u.actions)
 
     def moved(uset):
         if isinstance(uset, IntervalSet):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pacomp import corpus
+from pacomp import corpus, exactlp, verify
 from pacomp.algebra import Box, FiniteRegion, Polynomial, PolyTable, parse_poly, poly_eval, region_samples
 from pacomp.errors import (
     AlphabetMismatch,
@@ -22,6 +22,7 @@ from pacomp.model import (
     dfa_forbid_symbols,
     instantiate,
     make_ppa,
+    sort_key,
     tau_extend,
 )
 from pacomp.robust import pa_reduce
@@ -53,13 +54,16 @@ from helpers import (
     end_component_keys_reference,
     fraction_solve,
     monotone_check_per_sample,
+    occupation_rows_reference,
     policy_iteration_reference,
     random_pa,
     random_parametric_pair,
     random_polytopic_rpa,
     random_safety_dfa,
     region_sat_per_sample,
+    renamed_ppa,
     successor_sets,
+    tableau_reference,
     witness_values_reference,
 )
 
@@ -464,6 +468,128 @@ def test_large_occupation_lp_probe():
     assert status == "achievable"
     (value,) = wit["values"].values()
     assert value >= obj.threshold
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32))
+def test_occupation_lp_columns_are_in_sort_key_order(seed):
+    """The LP reads its column order off the product (states, then each
+    state's enabled actions); that is the `sort_key` order of the keys and of
+    the settle states, so the pivot path is the one sorting gave."""
+    rng = random.Random(seed)
+    m = renamed_ppa(rng, compose(*random_parametric_pair(rng)))
+    objective = safety(random_safety_dfa(rng, sorted(m.alphabet)), F(1, 2))
+    for cls in ("cmp", "prt"):
+        table = PolyTable()
+        query = _MoQuery(m, (objective,), cls, table)
+        for v in region_samples(Box.of({"p": (0, 1)}), 1):
+            *_, num_vars, _, y_index, w_index = query._flow(table.at(v)[1])
+            assert list(y_index) == sorted(query.ptrans, key=sort_key)
+            assert list(w_index) == sorted(w_index, key=sort_key)
+            columns = [*y_index.values(), *w_index.values()]
+            assert columns == list(range(len(columns))) and num_vars == len(columns)
+
+
+def _fill_case(rng):
+    """A random parametric composition with one or two objectives of either
+    kind under random comparisons, its `_MoQuery` for a random strategy
+    class, and the table vectors of the unit box's samples: the corners
+    p = 0 and p = 1 zero out entries."""
+    m = compose(*random_parametric_pair(rng))
+    alphabet = sorted(m.alphabet)
+    p = Polynomial.var("p")
+    cmps = ["<=", "<", ">=", ">"]
+    objectives = [
+        ProbObjective(rng.choice(cmps), F(rng.randint(0, 4), 4),
+                      random_safety_dfa(rng, alphabet, allow_empty=False))
+        if rng.random() < 0.5 else
+        reward_objective(rng.choice(cmps), F(rng.randint(0, 6), rng.choice([1, 2, 3])),
+                         {rng.choice(alphabet): rng.choice([1, p, F(2, 3) * p, (1 - 2 * p) ** 2])})
+        for _ in range(rng.randint(1, 2))
+    ]
+    table = PolyTable()
+    query = _MoQuery(m, objectives, rng.choice(["cmp", "prt"]), table)
+    samples = [table.at(v) for v in region_samples(Box.of({"p": (0, 1)}), rng.randint(1, 3))]
+    return query, samples
+
+
+def _solved_fills(query, samples):
+    """(template rows, vector, lp, objective, maximize, result) of every LP
+    `query.solve` builds at the samples, recorded around `_int_templates`,
+    `_sample_lp` and `LinearProgram.solve`."""
+    forms, built, solved = {}, {}, []
+    templates_of, sample_lp, solve = verify._int_templates, verify._sample_lp, LinearProgram.solve
+
+    def templates(num_vars, rows):
+        out = templates_of(num_vars, rows)
+        forms[id(out)] = out, [(kind, dict(form), rhs) for kind, form, rhs in rows]
+        return out
+
+    def fill(num_vars, templates, point):
+        lp = sample_lp(num_vars, templates, point)
+        built[id(lp)] = lp, forms[id(templates)][1], point
+        return lp
+
+    def recording(lp, objective, maximize=True):
+        result = solve(lp, objective, maximize)
+        _, rows, point = built[id(lp)]
+        solved.append((rows, point, lp, objective, maximize, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "_int_templates", templates)
+        patch.setattr(verify, "_sample_lp", fill)
+        patch.setattr(LinearProgram, "solve", recording)
+        for point in samples:
+            try:
+                query.solve(point)
+            except UnboundedReward:
+                pass
+    return solved
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32))
+def test_sampled_lps_match_the_fraction_fill(seed):
+    """Every sampled LP's integer rows are the rows the old Fraction fill
+    gave (`_values`, `_fill` and `_lp_at`, then `_int_row` in the solve),
+    and it solves to the same status, point and value as the LP built from
+    those rational rows."""
+    query, samples = _fill_case(random.Random(seed))
+    for rows, point, lp, objective, maximize, result in _solved_fills(query, samples):
+        eq, ub = occupation_rows_reference(rows, point)
+        width = lp.num_vars + len(ub) + 1
+        got = [(exactlp._dense(cols, vals, rhs, width), den) for cols, vals, rhs, den in lp.eq + lp.ub]
+        assert (len(lp.eq), len(lp.ub)) == (len(eq), len(ub))
+        assert got == tableau_reference(lp.num_vars, eq, ub)
+        reference = LinearProgram(lp.num_vars)
+        for coeffs, rhs in eq:
+            reference.add_eq(coeffs, rhs)
+        for coeffs, rhs in ub:
+            reference.add_ub(coeffs, rhs)
+        assert reference.solve(objective, maximize) == result
+
+
+def test_fill_cases_flip_reduce_and_meet_both_statuses():
+    # over a fixed set of seeds, the cases of the test above solve LPs with
+    # reward rows and strict slacks, flip a negative rhs, reduce rows by a
+    # common factor, and end both optimal and infeasible
+    seen = set()
+    for seed in range(30):
+        query, samples = _fill_case(random.Random(seed))
+        for rows, point, lp, objective, maximize, result in _solved_fills(query, samples):
+            seen.add(result[0])
+            seen.update(kind for kind, _, _ in rows)
+            if objective:
+                seen.add("strict")
+            if any(vals[-1] < 0 for _, vals, _, _ in lp.ub):
+                seen.add("flipped")
+            if any(den < point[0] for *_, den in lp.eq):
+                seen.add("reduced")
+            if query.rew_objs:
+                seen.add("reward row")
+    assert {OPTIMAL, INFEASIBLE, "eq", "ub", "lb", "strict", "flipped", "reduced",
+            "reward row"} <= seen, seen
 
 
 def test_prt_class_via_sink_extension():
