@@ -518,13 +518,3 @@ def region_intersect(a, b):
     if any(lo > hi for lo, hi in merged.values()):
         return FiniteRegion(())
     return Box.of(merged)
-
-
-def region_is_empty(region) -> bool:
-    if isinstance(region, FiniteRegion):
-        return not region.valuations
-    if isinstance(region, Box):
-        return False
-    if isinstance(region, RegionUnion):
-        return all(region_is_empty(p) for p in region.parts)
-    raise TypeError(f"not a region: {region!r}")

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import traceback
+from fractions import Fraction
 from typing import NamedTuple
 
 from . import corpus, modelio
@@ -40,7 +42,7 @@ from .report import digest_bytes, make_report, render_report, scrub
 from .robust import conv_compose, interval_relax_compose, pa_reduce, rpa_compose
 from .semantics import strategy_project, tabulate, validate_strategy
 from .simulate import robust_strong_sim, strong_sim_region
-from .verify import ag_triple_check, monotone_check, region_sat
+from .verify import ag_triple_check, monotone_check, region_sat, safety
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
@@ -262,11 +264,6 @@ def _paper_suite(args, inputs):
 
 
 def _corpus(args, inputs):
-    import os
-
-    from .verify import safety
-    from fractions import Fraction as F
-
     os.makedirs(args.out, exist_ok=True)
     items = {
         "retry.ppa.json": corpus.retry_component(),
@@ -281,8 +278,8 @@ def _corpus(args, inputs):
         "no_fail.dfa.json": corpus.no_fail_dfa(),
         "no_c.dfa.json": corpus.no_c_dfa(),
         "limit_one_a.dfa.json": corpus.limit_one_a_dfa(),
-        "safe_guarantee.query.json": (safety(corpus.no_fail_dfa(), F(9, 10)),),
-        "safe_assumption.query.json": (safety(corpus.limit_one_a_dfa(), F(9, 10)),),
+        "safe_guarantee.query.json": (safety(corpus.no_fail_dfa(), Fraction(9, 10)),),
+        "safe_assumption.query.json": (safety(corpus.limit_one_a_dfa(), Fraction(9, 10)),),
     }
     written = []
     for name, obj in sorted(items.items()):

@@ -355,14 +355,6 @@ def tau_extend(m: PPA) -> PPA:
     )
 
 
-def tau_parts(m: PPA):
-    """(sink, tau symbol, tau action) of a tau-extended model."""
-    for (s, a), lab in m.label.items():
-        if a == TAU_ACTION or (isinstance(a, tuple) and a and a[0] == "tau"):
-            return next(iter(m.trans[(s, a)])), lab, a
-    raise ValueError("model is not tau-extended")
-
-
 # ---------------------------------------------------------------------------
 # DFAs (bad-prefix automata) and the product construction
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .algebra import FiniteRegion, Polynomial, region_intersect
 from .errors import SideConditionError
-from .model import alphabet_extend, compose
+from .model import alphabet_extend, compose, dfa_union_bad
 from .robust import pa_reduce
 from .simulate import robust_strong_sim, strong_sim_region
 from .verify import (
@@ -278,8 +278,6 @@ def apply_interleaving(m1, m2, r1, r2, a1, a2, dfa1, p1, dfa2, p2,
     _require(not (left & right),
              "interleaving needs disjoint component-plus-assumption alphabets")
     side = ["component + assumption alphabets disjoint"]
-    from .model import dfa_union_bad
-
     threshold = interleaving_threshold(p1, p2)
     g1 = ProbObjective(">=", Fraction(p1), dfa1)
     g2 = ProbObjective(">=", Fraction(p2), dfa2)

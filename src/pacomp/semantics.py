@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import HorizonExceedsStrategyTable, NotComposedModel
-from .model import PPA, sort_key
+from .model import PPA
 
 Path = tuple
 
@@ -22,10 +22,6 @@ def path_len(path: Path) -> int:
 
 def path_last(path: Path):
     return path[-1]
-
-
-def path_prefix(path: Path, steps: int) -> Path:
-    return path[: 2 * steps + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -65,18 +61,6 @@ class MemorylessStrategy:
 
     def mass(self, path: Path, action) -> Fraction:
         return self.dist(path).get(action, Fraction(0))
-
-
-def memoryless(choice, complete=True) -> MemorylessStrategy:
-    norm = {
-        s: {a: Fraction(p) for a, p in d.items() if Fraction(p) != 0}
-        for s, d in choice.items()
-    }
-    return MemorylessStrategy(norm, complete)
-
-
-def empty_strategy() -> TabularStrategy:
-    return TabularStrategy({}, horizon=0, complete=False)
 
 
 def validate_strategy(m: PPA, sigma) -> None:
@@ -121,20 +105,6 @@ class PathMeasure:
 
     def prob(self, path: Path) -> Fraction:
         return self.probs.get(path, Fraction(0))
-
-
-def cyl_prob(m: PPA, sigma, path: Path) -> Fraction:
-    """Probability of the cylinder of one finite path."""
-    if path[0] != m.initial:
-        return Fraction(0)
-    total = Fraction(1)
-    for i in range(path_len(path)):
-        prefix = path_prefix(path, i)
-        s, a, t = path[2 * i], path[2 * i + 1], path[2 * i + 2]
-        total *= sigma.mass(prefix, a) * m.trans.get((s, a), {}).get(t, 0)
-        if total == 0:
-            return Fraction(0)
-    return total
 
 
 def _check_table_depth(sigma, horizon: int, purpose: str) -> None:
@@ -215,52 +185,6 @@ def path_project(pi: Path, composed: PPA, side: int) -> Path:
     return tuple(out)
 
 
-def lifted_paths(pi_i: Path, composed: PPA, side: int, horizon: int):
-    """All composed initial paths of length <= horizon projecting to `pi_i`.
-
-    Zero-probability transitions are traversable, so enumeration follows the
-    declared transition structure, not any particular strategy's support.
-    """
-    own = _own_actions(composed, side)
-    results = []
-
-    def expand(path, idx):
-        if idx == path_len(pi_i) and path_project(path, composed, side) == pi_i:
-            results.append(path)
-        if path_len(path) >= horizon:
-            return
-        s = path_last(path)
-        for a in composed.enabled(s):
-            if a[side - 1] in own:
-                if idx >= path_len(pi_i) or a[side - 1] != pi_i[2 * idx + 1]:
-                    continue
-                want = pi_i[2 * idx + 2]
-                for t in sorted(composed.trans[(s, a)], key=sort_key):
-                    if t[side - 1] == want:
-                        expand(path + (a, t), idx + 1)
-            else:
-                for t in sorted(composed.trans[(s, a)], key=sort_key):
-                    expand(path + (a, t), idx)
-
-    if pi_i[0] == composed.initial[side - 1]:
-        expand((composed.initial,), 0)
-    return results
-
-
-def union_cylinder_prob(m: PPA, sigma, paths) -> Fraction:
-    """Measure of the union of the cylinders of a set of finite paths.
-
-    Only prefix-minimal members contribute; their cylinders are disjoint.
-    """
-    chosen = set(paths)
-    total = Fraction(0)
-    for path in chosen:
-        if any(path[: 2 * k + 1] in chosen for k in range(path_len(path))):
-            continue
-        total += cyl_prob(m, sigma, path)
-    return total
-
-
 def strategy_project(composed: PPA, sigma, side: int, horizon: int) -> TabularStrategy:
     """Project a composed-model strategy to one component.
 
@@ -292,74 +216,3 @@ def strategy_project(composed: PPA, sigma, side: int, horizon: int) -> TabularSt
             if entry:
                 table[pi_i] = entry
     return TabularStrategy(table, horizon, complete=False)
-
-
-# ---------------------------------------------------------------------------
-# Bounded fairness check (a necessary condition only)
-# ---------------------------------------------------------------------------
-
-def fair_check(m: PPA, sigma, fairness_sets, horizon: int):
-    """Bounded structural fairness check for a complete strategy.
-
-    Verdict "fair-up-to-horizon" means every positive-measure path of the
-    given length either already visits each fairness alphabet or still can:
-    the strategy assigns mass to a matching action now, or one stays reachable
-    through the transition graph.  This is a necessary condition; it never
-    certifies actual fairness.
-    """
-    if not getattr(sigma, "complete", False):
-        raise ValueError("fairness is defined for complete strategies")
-    pm = measure(m, sigma, horizon)
-    frontier = [p for p in pm.probs if path_len(p) == horizon]
-    if not frontier and horizon > 0:
-        frontier = [max(pm.probs, key=path_len)]
-
-    graph_reach = {}
-
-    def can_reach_label(state, labels):
-        key = (state, labels)
-        if key not in graph_reach:
-            seen, stack, hit = {state}, [state], False
-            while stack:
-                s = stack.pop()
-                for a in m.enabled(s):
-                    if m.label[(s, a)] in labels:
-                        hit = True
-                        stack = []
-                        break
-                    for t in m.trans[(s, a)]:
-                        if t not in seen:
-                            seen.add(t)
-                            stack.append(t)
-            graph_reach[key] = hit
-        return graph_reach[key]
-
-    for fset in fairness_sets:
-        labels = frozenset(fset)
-        touches = _strategy_touches(m, sigma, pm, labels)
-        for path in frontier:
-            visited = any(
-                m.label[(path[2 * i], path[2 * i + 1])] in labels
-                for i in range(path_len(path))
-            )
-            if visited:
-                continue
-            enabled_now = any(
-                m.label[(path_last(path), a)] in labels and mass > 0
-                for a, mass in sigma.dist(path).items()
-                if (path_last(path), a) in m.trans
-            )
-            if enabled_now:
-                continue
-            if not (touches and can_reach_label(path_last(path), labels)):
-                return ("violated-witness", path, labels)
-    return ("fair-up-to-horizon", None, None)
-
-
-def _strategy_touches(m, sigma, pm, labels):
-    for path in pm.probs:
-        for a, mass in sigma.dist(path).items():
-            if mass > 0 and (path_last(path), a) in m.trans:
-                if m.label[(path_last(path), a)] in labels:
-                    return True
-    return False

@@ -54,13 +54,12 @@ only fills integer rows.
 
 A parameter-free solve is a `_MoQuery` at its one constant vector
 (`_constant_query`): `mo_achievable` solves its layout, `solution_value`
-(with `chain_language_prob` and `chain_expected_reward`) fills a strategy's
-chain, `safety_prob` is one minus policy iteration's maximal reach of the
-product's bad states, and `exp_total_reward` is policy iteration with the
-reward slots as gains (maximum) or the reward minimised over `_flow`'s LP
-(minimum).  `monotone_check` fills each strategy's chain at every sampled
-valuation.  The region checks share one sample loop.  Nothing is kept
-beyond one call.
+(with `chain_language_prob`) fills a strategy's chain, `safety_prob` is one
+minus policy iteration's maximal reach of the product's bad states, and
+`exp_total_reward` is policy iteration with the reward slots as gains
+(maximum) or the reward minimised over `_flow`'s LP (minimum).
+`monotone_check` fills each strategy's chain at every sampled valuation.
+The region checks share one sample loop.  Nothing is kept beyond one call.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .algebra import Polynomial, PolyTable, poly_eval, region_samples, require_total, valuation_key
+from .algebra import Polynomial, PolyTable, region_samples, require_total, valuation_key
 from .errors import (
     AlphabetMismatch,
     EmptyRegion,
@@ -164,13 +163,6 @@ def query_alphabet(query) -> frozenset:
 
 def is_safe_query(query) -> bool:
     return all(isinstance(o, ProbObjective) and o.cmp == ">=" for o in query)
-
-
-def instantiate_objective(obj, v):
-    if isinstance(obj, RewardObjective):
-        items = tuple((sym, poly_eval(r, v)) for sym, r in obj.rewards)
-        return RewardObjective(obj.cmp, obj.threshold, items, obj.name)
-    return obj
 
 
 @dataclass
@@ -974,11 +966,6 @@ def solution_value(m_inst: PPA, sigma: MemorylessStrategy, objective):
 def chain_language_prob(pa: PPA, sigma: MemorylessStrategy, dfa) -> Fraction:
     """Pr(L) of the chain induced by a memoryless (possibly partial) strategy."""
     return solution_value(pa, sigma, safety(dfa, 0))
-
-
-def chain_expected_reward(pa: PPA, sigma: MemorylessStrategy, rewards) -> Fraction:
-    """Expected total reward of the induced chain; infinity on divergence."""
-    return solution_value(pa, sigma, reward_objective(">=", 0, rewards))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import math
 import random
 from fractions import Fraction
 
-from pacomp.algebra import Polynomial, PolyTable, region_samples, require_total, valuation_key
+from pacomp.algebra import Polynomial, PolyTable, poly_eval, region_samples, require_total, valuation_key
 from pacomp.errors import (
     ActionAlphabetClash,
     EmptyRegion,
@@ -25,16 +25,16 @@ from pacomp.robust import (
     generators,
     make_rpa,
 )
-from pacomp.semantics import TabularStrategy, path_last
+from pacomp.semantics import TabularStrategy, path_last, path_len, path_project
 from pacomp.verify import (
     INF,
+    RewardObjective,
     Verdict,
     _MoQuery,
     _predecessors,
     _reach,
     _sccs,
     enumerate_memoryless,
-    instantiate_objective,
     mo_achievable,
 )
 
@@ -270,6 +270,70 @@ def enumerate_paths(pa, horizon):
     return out
 
 
+def path_prefix(path, steps: int):
+    return path[: 2 * steps + 1]
+
+
+def cyl_prob(m, sigma, path) -> Fraction:
+    """Probability of the cylinder of one finite path."""
+    if path[0] != m.initial:
+        return Fraction(0)
+    total = Fraction(1)
+    for i in range(path_len(path)):
+        prefix = path_prefix(path, i)
+        s, a, t = path[2 * i], path[2 * i + 1], path[2 * i + 2]
+        total *= sigma.mass(prefix, a) * m.trans.get((s, a), {}).get(t, 0)
+        if total == 0:
+            return Fraction(0)
+    return total
+
+
+def lifted_paths(pi_i, composed, side: int, horizon: int):
+    """All composed initial paths of length <= horizon projecting to `pi_i`.
+
+    Zero-probability transitions are traversable, so enumeration follows the
+    declared transition structure, not any particular strategy's support.
+    """
+    own = set(composed.composed_of[side - 1].actions)
+    results = []
+
+    def expand(path, idx):
+        if idx == path_len(pi_i) and path_project(path, composed, side) == pi_i:
+            results.append(path)
+        if path_len(path) >= horizon:
+            return
+        s = path_last(path)
+        for a in composed.enabled(s):
+            if a[side - 1] in own:
+                if idx >= path_len(pi_i) or a[side - 1] != pi_i[2 * idx + 1]:
+                    continue
+                want = pi_i[2 * idx + 2]
+                for t in sorted(composed.trans[(s, a)], key=sort_key):
+                    if t[side - 1] == want:
+                        expand(path + (a, t), idx + 1)
+            else:
+                for t in sorted(composed.trans[(s, a)], key=sort_key):
+                    expand(path + (a, t), idx)
+
+    if pi_i[0] == composed.initial[side - 1]:
+        expand((composed.initial,), 0)
+    return results
+
+
+def union_cylinder_prob(m, sigma, paths) -> Fraction:
+    """Measure of the union of the cylinders of a set of finite paths.
+
+    Only prefix-minimal members contribute; their cylinders are disjoint.
+    """
+    chosen = set(paths)
+    total = Fraction(0)
+    for path in chosen:
+        if any(path[: 2 * k + 1] in chosen for k in range(path_len(path))):
+            continue
+        total += cyl_prob(m, sigma, path)
+    return total
+
+
 def dist_leq_bruteforce(mu1, mu2, rel) -> bool:
     """Direct subset-quantified definition; exponential, for cross-checking."""
     mu1 = {s: Fraction(p) for s, p in mu1.items() if Fraction(p) != 0}
@@ -500,6 +564,13 @@ def witness_values_reference(query, point, mix, settle_mass, stay):
     for gain in gains:
         out.append(chain_solve_reference(chain, gain, init)[init])
     return out
+
+
+def instantiate_objective(obj, v):
+    if isinstance(obj, RewardObjective):
+        items = tuple((sym, poly_eval(r, v)) for sym, r in obj.rewards)
+        return RewardObjective(obj.cmp, obj.threshold, items, obj.name)
+    return obj
 
 
 def strategy_value_reference(m, sigma, objective, v):

@@ -41,7 +41,6 @@ from pacomp.robust import (
 )
 from pacomp.semantics import (
     MemorylessStrategy,
-    cyl_prob,
     measure,
     path_project,
     strategy_project,
@@ -65,6 +64,7 @@ from pacomp.verify import (
 )
 
 from helpers import (
+    cyl_prob,
     dist_leq_bruteforce,
     random_dist,
     random_pa,

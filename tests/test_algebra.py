@@ -14,7 +14,6 @@ from pacomp.algebra import (
     parse_poly,
     parse_rational,
     region_intersect,
-    region_is_empty,
     region_samples,
 )
 from pacomp.errors import EmptyRegion, MissingParameter, ParseError
@@ -177,13 +176,13 @@ def test_region_intersection():
     assert fin == FiniteRegion.of([{"p": F(1, 20)}])
 
     empty = region_intersect(Box.of({"p": (0, F(1, 4))}), Box.of({"p": (F(1, 2), 1)}))
-    assert region_is_empty(empty)
+    assert empty == FiniteRegion(())
 
     union = region_intersect(
         RegionUnion.of([Box.of({"p": (0, F(1, 4))}), Box.of({"p": (F(3, 4), 1)})]),
         Box.of({"p": (0, 1)}),
     )
-    assert not region_is_empty(union)
+    assert any(part != FiniteRegion(()) for part in union.parts)
 
 
 @given(
@@ -201,7 +200,7 @@ def test_box_intersection_is_pointwise_conjunction(lo1, hi1, lo2, hi2, probe):
     both = region_intersect(b1, b2)
     v = {"p": probe}
     inside = b1.contains(v) and b2.contains(v)
-    if region_is_empty(both):
+    if both == FiniteRegion(()):
         assert not inside
     else:
         assert both.contains(v) == inside

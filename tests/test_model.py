@@ -19,6 +19,9 @@ from pacomp.algebra import (
 from pacomp.errors import ActionAlphabetClash, AlphabetMismatch
 from pacomp.model import (
     DFA,
+    TAU_ACTION,
+    TAU_SINK,
+    TAU_SYMBOL,
     WellDefinedness,
     alphabet_extend,
     canonical_form,
@@ -31,7 +34,6 @@ from pacomp.model import (
     make_ppa,
     sort_key,
     tau_extend,
-    tau_parts,
     unit_ppa,
     well_defined,
     well_definedness,
@@ -274,10 +276,10 @@ def test_alphabet_extend_examples():
 def test_tau_extend_structure():
     m1 = corpus.handoff_fixed()
     ext = tau_extend(m1)
-    sink, tau_sym, tau_act = tau_parts(ext)
     assert len(ext.states) == 3
     assert len(ext.trans) == len(m1.trans) + 3  # one per original state + sink loop
-    assert ext.label[(m1.initial, tau_act)] == tau_sym
+    assert ext.label[(m1.initial, TAU_ACTION)] == TAU_SYMBOL
+    assert ext.trans[(m1.initial, TAU_ACTION)] == {TAU_SINK: 1}
     # graph-preservation agrees between the model and its extension
     m = corpus.retry_component()
     for v in ({"p": F(1, 10)}, {"p": 0}, {"p": 1}):

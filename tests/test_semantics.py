@@ -6,21 +6,16 @@ import pytest
 from pacomp import corpus
 from pacomp.errors import HorizonExceedsStrategyTable, NotComposedModel
 from pacomp.model import compose, instantiate
-from pacomp.semantics import (
-    MemorylessStrategy,
-    cyl_prob,
-    empty_strategy,
-    fair_check,
-    lifted_paths,
-    measure,
-    path_project,
-    strategy_project,
-    tabulate,
-    union_cylinder_prob,
-    validate_strategy,
-)
+from pacomp.semantics import TabularStrategy, measure, path_project, strategy_project, tabulate
 
-from helpers import enumerate_paths, random_pa, random_tabular_strategy
+from helpers import (
+    cyl_prob,
+    enumerate_paths,
+    lifted_paths,
+    random_pa,
+    random_tabular_strategy,
+    union_cylinder_prob,
+)
 
 V = {"p": F(1, 10), "q": F(1, 10)}
 
@@ -40,7 +35,7 @@ def test_measure_two_step_golden():
 
 def test_measure_empty_strategy():
     m2 = instantiate(corpus.pipeline_component(), V)
-    pm = measure(m2, empty_strategy(), 3)
+    pm = measure(m2, TabularStrategy({}, horizon=0), 3)
     assert pm.prob((m2.initial,)) == 1
     assert all(p == 0 for path, p in pm.probs.items() if len(path) > 1)
     assert pm.stopped[(m2.initial,)] == 1
@@ -243,29 +238,3 @@ def test_union_cylinder_prob_counts_minimal_paths_once():
     nested = [head, head + (("s1_b", "b"), ("s0", "t2"))]  # prefix-nested pair
     assert union_cylinder_prob(cv, sigma, nested) == cyl_prob(cv, sigma, head)
 
-
-def test_fair_check_examples():
-    m2 = instantiate(corpus.pipeline_component(), V)
-    sigma = corpus.priority_strategy(m2)
-    validate_strategy(m2, sigma)
-    # a strongly visited alphabet is fair up to the horizon
-    verdict, _, _ = fair_check(m2, sigma, [set(m2.alphabet)], horizon=3)
-    assert verdict == "fair-up-to-horizon"
-    # paths absorbed in the c-loop can never see 'fail' again
-    verdict, witness, labels = fair_check(m2, sigma, [{"fail"}], horizon=4)
-    assert verdict == "violated-witness" and witness is not None
-    # a strategy that never enables a fairness label is flagged even though
-    # the label stays reachable in the graph
-    m1 = instantiate(corpus.retry_component(), {"p": F(1, 10)})
-    idle = MemorylessStrategy({"s0": {"s0_b": F(1)}, "s1": {"s1_b": F(1)}})
-    verdict, witness, _ = fair_check(m1, idle, [{"a"}], horizon=3)
-    assert verdict == "violated-witness" and witness is not None
-
-
-def test_fair_check_agrees_on_graph_preserving_instances():
-    m2 = corpus.pipeline_component()
-    for v in ({"p": F(1, 10), "q": F(1, 10)}, {"p": F(1, 2), "q": F(2, 3)}):
-        inst = instantiate(m2, v)
-        sigma = corpus.priority_strategy(inst)
-        verdict, _, _ = fair_check(inst, sigma, [{"a", "c", "fail"}], horizon=3)
-        assert verdict == "fair-up-to-horizon"
