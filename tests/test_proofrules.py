@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction as F
 
@@ -6,7 +8,7 @@ import pytest
 from pacomp import corpus
 from pacomp.algebra import Box, FiniteRegion, Polynomial, region_samples
 from pacomp.errors import SideConditionError
-from pacomp.model import alphabet_extend, compose, dfa_forbid_symbols
+from pacomp.model import alphabet_extend, compose, dfa_forbid_symbols, make_ppa, unit_ppa
 from pacomp.proofrules import (
     FairnessAttestation,
     apply_asym_n,
@@ -22,6 +24,7 @@ from pacomp.proofrules import (
     interleaving_threshold,
     reward_sum,
 )
+from pacomp.report import scrub
 from pacomp.robust import conv_compose, interval_relax_compose, pa_reduce
 from pacomp.verify import (
     ProbObjective,
@@ -416,3 +419,108 @@ def test_rpa_interleaving_rule():
     guarantee = app.conclusion["guarantee"][0]
     joint = pa_reduce(conv_compose(u1, u2))
     assert safety_prob(joint, guarantee) >= guarantee.threshold
+
+
+# Every rule's checked and fair applications, the strong and robust simulation
+# rule and the robust rules, pinned by rule name, status, confidence, premises
+# and the scrubbed conclusion, so that a fair variant cannot drift from its
+# rule's premise list unnoticed.
+_VARIANTS_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "rule_variants.json")
+
+
+def _rule_variants():
+    m1, m2, A, G, r1, r2 = standard_setup()
+
+    def fair(n):
+        return FairnessAttestation((("a",),), tuple(f"note {i + 1}" for i in range(n)))
+
+    narrow = (safety(dfa_forbid_symbols({"fail"}, {"a", "c", "fail"}), F(9, 10)),)
+    r3 = FiniteRegion.of([{"p": F(1, 10), "q": 0}, {"p": 0, "q": F(1, 10)}])
+    unit = alphabet_extend(unit_ppa(), {"a", "c", "fail"})
+    box = Box.of({"p": (0, 1), "q": (0, 1)})
+    one = Polynomial.const(1)
+    d_only = make_ppa(["w0"], "w0", set(), {("w0", "w0_d"): ("d", {"w0": one})}, {"d"})
+    interleave = (m1, d_only, r1, FiniteRegion.of([{}]),
+                  (ProbObjective(">=", F(0), corpus.trivial_dfa(("a", "b"))),),
+                  (ProbObjective(">=", F(0), corpus.trivial_dfa(("d",))),),
+                  corpus.limit_one_a_dfa(), F(9, 10), dfa_forbid_symbols({"d"}, {"d"}), F(0))
+    left = make_ppa(["l0", "l1"], "l0", set(),
+                    {("l0", "l0_a"): ("a", {"l1": one}), ("l1", "l1_x"): ("x", {"l1": one})},
+                    {"a", "x"})
+    right = make_ppa(["r0", "r1"], "r0", set(),
+                     {("r0", "r0_b"): ("b", {"r1": one}), ("r1", "r1_y"): ("y", {"r1": one})},
+                     {"b", "y"})
+    point = FiniteRegion.of([{}])
+    rewards = (left, right, point, point,
+               (ProbObjective(">=", F(0), corpus.trivial_dfa(("a",))),),
+               (ProbObjective(">=", F(0), corpus.trivial_dfa(("b",))),),
+               {"a": 1}, F(1), {"b": 2}, F(2))
+    monotone = (m1, m2, box, box, safety(corpus.no_fail_dfa(), 1), "q", "down")
+    sim_region = FiniteRegion.of([{"p": F(1, 10)}, {"p": F(9, 10)}])
+    para, split = corpus.handoff_parametric(), corpus.split_responder()
+    u1, u2 = corpus.interval_retry(), corpus.interval_responder()
+    trivial = (ProbObjective(">=", F(0), corpus.trivial_dfa(("a", "b"))),)
+    goal = (safety(corpus.no_c_dfa(), F(1, 10)),)
+    rng = random.Random(67)
+    w1 = random_polytopic_rpa(rng, "u", ["a", "b"], n_states=2)
+    w2 = random_polytopic_rpa(rng, "w", ["c", "d"], n_states=2)
+    return {
+        "asymmetric": apply_asymmetric(m1, m2, r1, r2, A, G, resolution=2),
+        "asymmetric-failed": apply_asymmetric(
+            m1, m2, FiniteRegion.of([{"p": F(1, 5)}]), r2, A, G, resolution=2),
+        "asymmetric-fair": apply_asymmetric(m1, m2, r1, r2, A, G, fairness=fair(2)),
+        "circular": apply_circular(m1, m2, r3, r3, r3, narrow, narrow, narrow, resolution=2),
+        "circular-fair": apply_circular(m1, m2, r3, r3, r3, narrow, narrow, narrow,
+                                        fairness=fair(3)),
+        "asymmetric-n": apply_asym_n([m1, m2, unit], [r1, r2, r2], [A, G], G, resolution=2),
+        "asymmetric-n-fair": apply_asym_n([m1, m2, unit], [r1, r2, r2], [A, G], G,
+                                          fairness=fair(3)),
+        "conjunction": apply_conjunction(m2, box, box, narrow, narrow, narrow, narrow),
+        "conjunction-fair": apply_conjunction(m2, box, box, narrow, narrow, narrow, narrow,
+                                              fairness=fair(2)),
+        "interleaving": apply_interleaving(*interleave),
+        "interleaving-fair": apply_interleaving(*interleave, fairness=fair(2)),
+        "reward-sum": apply_reward_sum(*rewards, cmp="<="),
+        "reward-sum-fair": apply_reward_sum(*rewards, cmp="<=", fairness=fair(2)),
+        "monotonicity": apply_monotonicity(*monotone, resolution=1),
+        "monotonicity-fair": apply_monotonicity(*monotone, fairness=fair(2)),
+        "simulation-strong": apply_simulation_ag(
+            para, split, para, compose(para, split), sim_region, sim_region),
+        "simulation-robust": apply_simulation_ag(
+            para, split, para, compose(split, para), sim_region, sim_region, robust=True),
+        "rpa-asymmetric": apply_rpa_rules("asymmetric", u1, u2, trivial, goal),
+        "rpa-circular": apply_rpa_rules("circular", u1, u2, trivial, trivial, goal),
+        "rpa-conjunction": apply_rpa_rules("conjunction", u2, goal, goal, goal, goal),
+        "rpa-asym-n": apply_rpa_rules("asym-n", [u1, u2], [trivial], goal),
+        "rpa-interleaving": apply_rpa_rules(
+            "interleaving", w1, w2, (safety(dfa_forbid_symbols((), {"a", "b"}), 1),),
+            (safety(dfa_forbid_symbols((), {"c", "d"}), 1),),
+            corpus.limit_one_a_dfa(), F(1, 2), dfa_forbid_symbols({"d"}, {"c", "d"}), F(1, 2)),
+    }
+
+
+def _variant_record(app):
+    return {
+        "rule": app.rule,
+        "status": app.status,
+        "confidence": app.confidence,
+        "premises": [
+            {"kind": p.kind, "description": p.description,
+             **({"attestation": p.attestation} if p.verdict is None
+                else {"status": p.verdict.status})}
+            for p in app.premises
+        ],
+        "side_conditions": app.side_conditions,
+        "conclusion": scrub(app.conclusion),
+        "failure": scrub(app.failure),
+    }
+
+
+def _variant_text():
+    records = {name: _variant_record(app) for name, app in _rule_variants().items()}
+    return json.dumps(records, indent=2, sort_keys=True) + "\n"
+
+
+def test_rule_variants_match_golden():
+    with open(_VARIANTS_GOLDEN, encoding="utf-8") as fh:
+        assert _variant_text() == fh.read()
