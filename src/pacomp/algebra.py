@@ -439,9 +439,6 @@ class RegionUnion:
         return any(p.contains(v) for p in self.parts)
 
 
-Region = (Box, FiniteRegion, RegionUnion)
-
-
 def _axis_points(lo: Fraction, hi: Fraction, resolution: int):
     if lo == hi:
         return [lo]

@@ -9,10 +9,9 @@ when the pivot row's denominator does not divide the row's entry in the
 pivot column.  No `Fraction` is built inside the loop.  `gauss_solve` takes
 integer rows as they are (denominator 1): scale a rational equation by the
 lcm of its denominators first.  A `LinearProgram` stores its rows in integer
-form, so the simplex only lays them out as a tableau: callers that have
-integer rows append them directly, and the dict rows of `add_eq`, `add_ub`
-and `add_lb` are converted once when added (`_int_row`).  Results are
-`Fraction`s; no float is involved.
+form, so the simplex only lays them out as a tableau: callers append integer
+rows directly, and a sparse rational row converts once by `_int_row`.
+Results are `Fraction`s; no float is involved.
 
 The simplex is two-phase.  Each pivot enters the column with the most
 negative reduced cost (Dantzig's rule; smallest index on ties) and leaves by
@@ -118,31 +117,13 @@ class LinearProgram:
     vals.x <= rhs, and at -den it reads vals.x >= rhs (an inequality whose
     rhs was negative, negated so that it is not).  Such rows are unique, so
     they equal what `_int_row` gives for the same rational row.  Callers
-    with integer rows append them to `eq` and `ub`; `add_eq`, `add_ub` and
-    `add_lb` convert rows of exact rationals (ints or Fractions).
+    append their rows to `eq` and `ub`.
     """
 
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
         self.eq = []  # (cols, vals, rhs, den)
         self.ub = []  # the same, each with its slack column
-
-    def _add(self, rows, coeffs: dict, rhs, slack=None):
-        entries, rhs = dict(coeffs), Fraction(rhs)
-        if slack is not None:
-            entries[slack] = 1
-        if rhs < 0:
-            entries, rhs = {j: -v for j, v in entries.items()}, -rhs
-        rows.append(_int_row(entries, rhs))
-
-    def add_eq(self, coeffs: dict, rhs):
-        self._add(self.eq, coeffs, rhs)
-
-    def add_ub(self, coeffs: dict, rhs):
-        self._add(self.ub, coeffs, rhs, self.num_vars + len(self.ub))
-
-    def add_lb(self, coeffs: dict, rhs):
-        self.add_ub({k: -v for k, v in coeffs.items()}, -Fraction(rhs))
 
     def solve(self, objective: dict, maximize=True):
         """Two-phase simplex; returns (status, assignment list, value).
@@ -200,10 +181,6 @@ class LinearProgram:
                 x[b] = Fraction(rows[i][total], dens[i])
         value = sum(Fraction(v) * x[j] for j, v in objective.items())
         return OPTIMAL, x, value
-
-    def feasible(self):
-        status, x, _ = self.solve({}, maximize=True)
-        return status == OPTIMAL, x
 
 
 def _iterate(rows, dens, basis):

@@ -1,9 +1,10 @@
 """The assume-guarantee rule engine.
 
-Each rule checks its alphabet side conditions, dispatches premise checks to
-the verify/simulate modules, and assembles a conclusion with a confidence
-label.  Fairness-quantified rule variants are constructible only with
-externally attested premises and always carry the attested confidence.
+Each rule checks its alphabet side conditions, declares its premises once
+(`_apply`), and assembles a conclusion with a confidence label.  A premise
+check dispatches to the verify/simulate modules.  A fairness-quantified rule
+variant attests the same premise list by external notes instead of checking
+it, and always carries the attested confidence.
 The robust rules for convex rPAs are these rules applied to PA-reductions
 (`apply_rpa_rules`).
 """
@@ -42,12 +43,6 @@ class Premise:
     verdict: Verdict | None = None
     attestation: str | None = None
 
-    @property
-    def ok(self) -> bool:
-        if self.attestation is not None:
-            return True
-        return self.verdict is not None and self.verdict.holds
-
 
 @dataclass
 class RuleApplication:
@@ -64,21 +59,6 @@ class RuleApplication:
         return self.status == "concluded"
 
 
-def _finish(rule, premises, side_conditions, conclusion, confidence=CHECKED):
-    for prem in premises:
-        if not prem.ok:
-            return RuleApplication(
-                rule=rule,
-                premises=premises,
-                side_conditions=side_conditions,
-                conclusion=None,
-                confidence=confidence,
-                status="premise-failed",
-                failure=prem.verdict.witness if prem.verdict else None,
-            )
-    return RuleApplication(rule, premises, side_conditions, conclusion, confidence)
-
-
 def _require(cond, message):
     if not cond:
         raise SideConditionError(message)
@@ -87,15 +67,6 @@ def _require(cond, message):
 def _require_guarantees(*queries):
     """A guarantee without objectives would conclude nothing."""
     _require(all(queries), "a guarantee query must have at least one objective")
-
-
-def _attested_premises(descriptions, notes):
-    if notes is None or len(notes) != len(descriptions):
-        raise ValueError("fairness variants need one attestation note per premise")
-    return [
-        Premise(kind="attested", description=d, attestation=n)
-        for d, n in zip(descriptions, notes)
-    ]
 
 
 @dataclass(frozen=True)
@@ -115,20 +86,45 @@ def conjoin(q1, q2) -> tuple:
     return tuple(out)
 
 
-def _sat_premise(description, m, region, query, resolution):
+def _apply(rule, side_conditions, conclusion, fairness, premises, safe=()):
+    """Conclude `rule` from its premises, each (kind, description, fair
+    description, check) where check() returns the premise's Verdict.
+
+    With a fairness attestation, each premise is attested by its note under
+    its fair description and `<rule>-fair` concludes at attested confidence.
+    Otherwise `safe`, a message and the queries that must be safety queries,
+    is enforced; every check runs in order, and the first premise that does
+    not hold fails the rule with its witness.
+    """
+    if fairness is None:
+        if safe:
+            message, *queries = safe
+            _require(all(is_safe_query(q) for q in queries), message)
+        checked = [Premise(kind, description, check())
+                   for kind, description, _, check in premises]
+        failed = next((p.verdict for p in checked if not p.verdict.holds), None)
+        if failed is None:
+            return RuleApplication(rule, checked, side_conditions, conclusion)
+        return RuleApplication(rule, checked, side_conditions, None,
+                               status="premise-failed", failure=failed.witness)
+    if len(fairness.notes or ()) != len(premises):
+        raise ValueError("fairness variants need one attestation note per premise")
+    attested = [Premise("attested", fair, attestation=note)
+                for (_, _, fair, _), note in zip(premises, fairness.notes)]
+    return RuleApplication(f"{rule}-fair", attested, side_conditions, conclusion, ATTESTED)
+
+
+def _sat_premise(description, fair, m, region, query, resolution):
     """The model satisfies the query on the region under complete strategies."""
-    return Premise(
-        "region-sat", description, region_sat(m, region, query, "cmp", resolution)
-    )
+    return ("region-sat", description, fair,
+            lambda: region_sat(m, region, query, "cmp", resolution))
 
 
-def _triple_premise(description, m, region, assumption, guarantee, resolution):
+def _triple_premise(description, fair, m, region, assumption, guarantee, resolution):
     """The triple on `m` extended by the assumption's alphabet, partial strategies."""
-    return Premise(
-        "ag-triple", description,
-        ag_triple_check(alphabet_extend(m, query_alphabet(assumption)), region,
-                        assumption, guarantee, "prt", resolution),
-    )
+    return ("ag-triple", description, fair,
+            lambda: ag_triple_check(alphabet_extend(m, query_alphabet(assumption)), region,
+                                    assumption, guarantee, "prt", resolution))
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +155,14 @@ def apply_circular(m1, m2, r1, r2, r3, a1, a2, guarantee,
         "query": guarantee,
         "strategy_class": "cmp",
     }
-    if fairness is not None:
-        premises = _attested_premises(
-            ["triple on component 1 (fair)", "triple on component 2 (fair)",
-             "component 2 satisfies assumption 1 (fair)"],
-            fairness.notes,
-        )
-        return _finish("circular-fair", premises, side, conclusion, ATTESTED)
-    _require(all(is_safe_query(q) for q in (a1, a2, guarantee)),
-             "the complete-strategy circular rule needs safety mo-queries")
-    premises = [
+    return _apply("circular", side, conclusion, fairness, [
         _triple_premise("assumption-1 => assumption-2 on extended component 1",
-                        m1, r1, a1, a2, resolution),
+                        "triple on component 1 (fair)", m1, r1, a1, a2, resolution),
         _triple_premise("assumption-2 => guarantee on extended component 2",
-                        m2, r2, a2, guarantee, resolution),
-        _sat_premise("component 2 satisfies assumption 1", m2, r3, a1, resolution),
-    ]
-    return _finish("circular", premises, side, conclusion)
+                        "triple on component 2 (fair)", m2, r2, a2, guarantee, resolution),
+        _sat_premise("component 2 satisfies assumption 1",
+                     "component 2 satisfies assumption 1 (fair)", m2, r3, a1, resolution),
+    ], ("the complete-strategy circular rule needs safety mo-queries", a1, a2, guarantee))
 
 
 def apply_asym_n(models, regions, assumptions, guarantee,
@@ -209,26 +196,19 @@ def apply_asym_n(models, regions, assumptions, guarantee,
         "query": guarantee,
         "strategy_class": "cmp",
     }
-    rule = "asymmetric" if n == 2 else "asymmetric-n"
-    if fairness is not None:
-        premises = _attested_premises(
-            ["component 1 satisfies the assumption (fair)"]
-            + [f"component {i + 1} triple assumption => guarantee (fair)"
-               for i in range(1, n)],
-            fairness.notes,
-        )
-        return _finish(f"{rule}-fair", premises, side, conclusion, ATTESTED)
-    _require(all(is_safe_query(q) for q in queries),
-             "the complete-strategy asymmetric rule needs safety mo-queries")
     premises = [
         _sat_premise("component 1 satisfies the assumption on its region",
+                     "component 1 satisfies the assumption (fair)",
                      models[0], regions[0], queries[0], resolution)
     ] + [
         _triple_premise(f"extended component {i + 1} satisfies assumption => guarantee",
+                        f"component {i + 1} triple assumption => guarantee (fair)",
                         models[i], regions[i], queries[i - 1], queries[i], resolution)
         for i in range(1, n)
     ]
-    return _finish(rule, premises, side, conclusion)
+    return _apply("asymmetric" if n == 2 else "asymmetric-n", side, conclusion, fairness,
+                  premises, ("the complete-strategy asymmetric rule needs safety mo-queries",
+                             *queries))
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +218,6 @@ def apply_asym_n(models, regions, assumptions, guarantee,
 def apply_conjunction(m, r1, r2, a1, g1, a2, g2,
                       resolution=1, fairness=None) -> RuleApplication:
     _require_guarantees(g1, g2)
-    _require(all(is_safe_query(q) for q in (a1, g1, a2, g2)) or fairness is not None,
-             "the partial-strategy conjunction rule needs safety mo-queries")
     for a, g in ((a1, g1), (a2, g2)):
         _require(
             query_alphabet(g) <= m.alphabet | query_alphabet(a),
@@ -255,16 +233,10 @@ def apply_conjunction(m, r1, r2, a1, g1, a2, g2,
         "guarantee": g_and,
         "strategy_class": "prt",
     }
-    if fairness is not None:
-        premises = _attested_premises(
-            ["first triple (fair)", "second triple (fair)"], fairness.notes
-        )
-        return _finish("conjunction-fair", premises, side, conclusion, ATTESTED)
-    premises = [
-        _triple_premise("first triple", m, r1, a1, g1, resolution),
-        _triple_premise("second triple", m, r2, a2, g2, resolution),
-    ]
-    return _finish("conjunction", premises, side, conclusion)
+    return _apply("conjunction", side, conclusion, fairness, [
+        _triple_premise("first triple", "first triple (fair)", m, r1, a1, g1, resolution),
+        _triple_premise("second triple", "second triple (fair)", m, r2, a2, g2, resolution),
+    ], ("the partial-strategy conjunction rule needs safety mo-queries", a1, g1, a2, g2))
 
 
 def interleaving_threshold(p1, p2) -> Fraction:
@@ -290,18 +262,12 @@ def apply_interleaving(m1, m2, r1, r2, a1, a2, dfa1, p1, dfa2, p2,
         "threshold": threshold,
         "strategy_class": "prt",
     }
-    if fairness is not None:
-        premises = _attested_premises(
-            ["first triple (fair)", "second triple (fair)"], fairness.notes
-        )
-        return _finish("interleaving-fair", premises, side, conclusion, ATTESTED)
-    _require(is_safe_query((g1, g2)) and all(is_safe_query(q) for q in (a1, a2)),
-             "the partial-strategy interleaving rule needs safety queries")
-    premises = [
-        _triple_premise("component 1 bound", m1, r1, a1, (g1,), resolution),
-        _triple_premise("component 2 bound", m2, r2, a2, (g2,), resolution),
-    ]
-    return _finish("interleaving", premises, side, conclusion)
+    return _apply("interleaving", side, conclusion, fairness, [
+        _triple_premise("component 1 bound", "first triple (fair)",
+                        m1, r1, a1, (g1,), resolution),
+        _triple_premise("component 2 bound", "second triple (fair)",
+                        m2, r2, a2, (g2,), resolution),
+    ], ("the partial-strategy interleaving rule needs safety queries", (g1, g2), a1, a2))
 
 
 def reward_sum(rw1, rw2) -> dict:
@@ -332,17 +298,12 @@ def apply_reward_sum(m1, m2, r1, r2, a1, a2, rw1, thr1, rw2, thr2,
         "reward": {s: str(p) for s, p in sorted(summed.items())},
         "strategy_class": "fair" if fairness is not None else "prt",
     }
-    descriptions = ["component 1 reward triple", "component 2 reward triple"]
-    if fairness is not None:
-        premises = _attested_premises([d + " (fair)" for d in descriptions], fairness.notes)
-        return _finish("reward-sum-fair", premises, side, conclusion, ATTESTED)
-    premises = [
-        _triple_premise(descriptions[0], m1, r1, a1,
-                        (reward_objective(cmp, thr1, rw1),), resolution),
-        _triple_premise(descriptions[1], m2, r2, a2,
-                        (reward_objective(cmp, thr2, rw2),), resolution),
-    ]
-    return _finish("reward-sum", premises, side, conclusion)
+    return _apply("reward-sum", side, conclusion, fairness, [
+        _triple_premise("component 1 reward triple", "component 1 reward triple (fair)",
+                        m1, r1, a1, (reward_objective(cmp, thr1, rw1),), resolution),
+        _triple_premise("component 2 reward triple", "component 2 reward triple (fair)",
+                        m2, r2, a2, (reward_objective(cmp, thr2, rw2),), resolution),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -364,27 +325,20 @@ def apply_monotonicity(m1, m2, r1, r2, objective, param, direction,
         "direction": direction,
         "strategy_class": "fair" if fairness is not None else "prt",
     }
-    if fairness is not None:
-        premises = _attested_premises(
-            ["component 1 monotone (fair)", "component 2 monotone (fair)"],
-            fairness.notes,
-        )
-        return _finish("monotonicity-fair", premises, side, conclusion, ATTESTED)
-    premises = []
-    for i, (m, r) in enumerate(((m1, r1), (m2, r2)), start=1):
+
+    def check(m, r):
         ext = alphabet_extend(m, sigma)
         samples = _checked_samples(r, resolution, ext, filter_gp=True)
         region = r if samples is None else FiniteRegion.of(v for v, _ in samples)
-        premises.append(
-            Premise(
-                "monotone", f"component {i} monotone in {param!r}",
-                monotone_check(
-                    ext, region, objective, param, direction, "prt",
-                    resolution, grid_denominator,
-                ),
-            )
-        )
-    return _finish("monotonicity", premises, side, conclusion)
+        return monotone_check(ext, region, objective, param, direction, "prt",
+                              resolution, grid_denominator)
+
+    return _apply("monotonicity", side, conclusion, fairness, [
+        ("monotone", f"component 1 monotone in {param!r}", "component 1 monotone (fair)",
+         lambda: check(m1, r1)),
+        ("monotone", f"component 2 monotone in {param!r}", "component 2 monotone (fair)",
+         lambda: check(m2, r2)),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -398,23 +352,14 @@ def apply_simulation_ag(m1, m2, m_assume, m_guarantee, r1, r2,
     side = ["assumption alphabet within component 1's"]
     flavor = "robust-strong" if robust else "strong"
 
-    def sim_premise(left, right, region, description):
-        if robust:
-            rel = robust_strong_sim(left, right, region, resolution)
-            verdict = (
-                Verdict("holds", witness={"relation": sorted(rel, key=repr)})
-                if rel is not None
-                else Verdict("fails", witness={"reason": "no uniform relation"})
-            )
-        else:
-            verdict = strong_sim_region(left, right, region, resolution)
-        return Premise("sim-leq", description, verdict)
+    def sim_check(left, right, region):
+        if not robust:
+            return strong_sim_region(left, right, region, resolution)
+        rel = robust_strong_sim(left, right, region, resolution)
+        if rel is None:
+            return Verdict("fails", witness={"reason": "no uniform relation"})
+        return Verdict("holds", witness={"relation": sorted(rel, key=repr)})
 
-    p1 = sim_premise(m1, m_assume, r1, f"component 1 {flavor}-simulated by the assumption")
-    p2 = sim_premise(
-        compose(m2, m_assume), m_guarantee, r2,
-        f"component 2 composed with the assumption {flavor}-simulated by the guarantee",
-    )
     conclusion = {
         "kind": "sim-leq",
         "left": "m1 || m2",
@@ -422,7 +367,13 @@ def apply_simulation_ag(m1, m2, m_assume, m_guarantee, r1, r2,
         "region": region_intersect(r1, r2),
         "flavor": flavor,
     }
-    return _finish(f"simulation-ag-{flavor}", [p1, p2], side, conclusion)
+    return _apply(f"simulation-ag-{flavor}", side, conclusion, None, [
+        ("sim-leq", f"component 1 {flavor}-simulated by the assumption", None,
+         lambda: sim_check(m1, m_assume, r1)),
+        ("sim-leq",
+         f"component 2 composed with the assumption {flavor}-simulated by the guarantee", None,
+         lambda: sim_check(compose(m2, m_assume), m_guarantee, r2)),
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,8 @@ import hashlib
 import json
 from fractions import Fraction
 
+from . import modelio
 from .algebra import Polynomial, format_rational
-from .model import PPA
-from .robust import RPA
 from .verify import Verdict
 
 
@@ -25,8 +24,6 @@ def fmt_id(x) -> str:
 
 def scrub(obj):
     """Recursively convert toolkit values into JSON-stable structures."""
-    from . import modelio
-
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
@@ -42,9 +39,6 @@ def scrub(obj):
             "caveat": obj.caveat,
             "details": scrub(obj.details),
         }
-    if isinstance(obj, (PPA, RPA)):
-        kind = "ppa" if isinstance(obj, PPA) else "rpa"
-        return {kind: {"states": len(obj.states), "alphabet": sorted(obj.alphabet)}}
     if isinstance(obj, dict):
         return {fmt_id(k): scrub(v) for k, v in sorted(obj.items(), key=lambda kv: fmt_id(kv[0]))}
     if isinstance(obj, (list, tuple)):

@@ -138,9 +138,6 @@ class RewardObjective:
     def alphabet(self):
         return frozenset(sym for sym, _ in self.rewards)
 
-    def reward_map(self):
-        return dict(self.rewards)
-
     def negate(self):
         return RewardObjective(_NEGATION[self.cmp], self.threshold, self.rewards, self.name)
 

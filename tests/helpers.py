@@ -15,6 +15,7 @@ from pacomp.errors import (
     IllDefinedValuationInRegion,
     InfeasibleIntervalSet,
 )
+from pacomp.exactlp import OPTIMAL, LinearProgram, _int_row
 from pacomp.model import DFA, WellDefinedness, instantiate, make_ppa, sort_key, tau_extend
 from pacomp.robust import (
     RPA,
@@ -102,6 +103,33 @@ def end_component_keys_reference(succ):
             if {s for s, _ in allowed} == inside and all(reached(s) == inside for s in inside):
                 found |= allowed
     return found
+
+
+class RationalLP(LinearProgram):
+    """A `LinearProgram` built from rows of exact rationals (ints or
+    Fractions) {column: value}, each converted once to the integer form the
+    simplex stores (`_int_row`): the builder of the LP oracles."""
+
+    def _add(self, rows, coeffs: dict, rhs, slack=None):
+        entries, rhs = dict(coeffs), Fraction(rhs)
+        if slack is not None:
+            entries[slack] = 1
+        if rhs < 0:
+            entries, rhs = {j: -v for j, v in entries.items()}, -rhs
+        rows.append(_int_row(entries, rhs))
+
+    def add_eq(self, coeffs: dict, rhs):
+        self._add(self.eq, coeffs, rhs)
+
+    def add_ub(self, coeffs: dict, rhs):
+        self._add(self.ub, coeffs, rhs, self.num_vars + len(self.ub))
+
+    def add_lb(self, coeffs: dict, rhs):
+        self.add_ub({k: -v for k, v in coeffs.items()}, -Fraction(rhs))
+
+    def feasible(self):
+        status, x, _ = self.solve({}, maximize=True)
+        return status == OPTIMAL, x
 
 
 def occupation_rows_reference(rows, point):

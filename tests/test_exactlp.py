@@ -19,7 +19,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pacomp import exactlp
-from pacomp.exactlp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram, gauss_solve
+from pacomp.exactlp import INFEASIBLE, OPTIMAL, UNBOUNDED, gauss_solve
+
+from helpers import RationalLP
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
@@ -59,7 +61,7 @@ def programs(draw):
 
 
 def _build(n, eqs, ubs, lbs):
-    lp = LinearProgram(n)
+    lp = RationalLP(n)
     for coeffs, rhs in eqs:
         lp.add_eq(coeffs, rhs)
     for coeffs, rhs in ubs:

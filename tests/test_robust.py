@@ -15,7 +15,6 @@ from pacomp.errors import (
     InfeasibleIntervalSet,
     NonPolytopicComponent,
 )
-from pacomp.exactlp import LinearProgram
 from pacomp.model import PPA, compose, isomorphic, make_ppa, sort_key
 from pacomp.modelio import dump_document
 from pacomp.robust import (
@@ -36,6 +35,7 @@ from pacomp.robust import (
 from pacomp.verify import chain_language_prob, max_reach, safety, safety_prob
 
 from helpers import (
+    RationalLP,
     alphabet_extend_rpa,
     compose_reference,
     interval_extreme_points_by_orders,
@@ -51,7 +51,7 @@ from helpers import (
 def in_convex_hull(dist, gens):
     """Exact membership of a distribution in the convex hull of generators."""
     support = sorted({s for g in gens for s in g} | set(dist), key=repr)
-    lp = LinearProgram(len(gens))
+    lp = RationalLP(len(gens))
     for s in support:
         lp.add_eq(
             {i: g.get(s, F(0)) for i, g in enumerate(gens)},

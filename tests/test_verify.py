@@ -50,6 +50,7 @@ from pacomp.verify import (
 )
 
 from helpers import (
+    RationalLP,
     ag_triple_check_per_sample,
     end_component_keys_reference,
     fraction_solve,
@@ -147,7 +148,7 @@ def _reach_lp_values(pa, targets):
                 grew = True
     unknown = [s for s in pa.states if s in reaches and s not in targets]
     col = {s: i for i, s in enumerate(unknown)}
-    lp = LinearProgram(len(unknown))
+    lp = RationalLP(len(unknown))
     for s in unknown:
         for a in pa.enabled(s):
             row = {col[s]: F(1)}
@@ -353,7 +354,7 @@ def _reward_lp_value(pa, rewards):
                     reach.add(t)
                     stack.append(t)
     col = {s: i for i, s in enumerate(s for s in pa.states if s in reach)}
-    lp = LinearProgram(len(col))
+    lp = RationalLP(len(col))
     for s in col:
         for a in pa.enabled(s):
             row = {col[s]: F(1)}
@@ -563,7 +564,7 @@ def test_sampled_lps_match_the_fraction_fill(seed):
         got = [(exactlp._dense(cols, vals, rhs, width), den) for cols, vals, rhs, den in lp.eq + lp.ub]
         assert (len(lp.eq), len(lp.ub)) == (len(eq), len(ub))
         assert got == tableau_reference(lp.num_vars, eq, ub)
-        reference = LinearProgram(lp.num_vars)
+        reference = RationalLP(lp.num_vars)
         for coeffs, rhs in eq:
             reference.add_eq(coeffs, rhs)
         for coeffs, rhs in ub:
