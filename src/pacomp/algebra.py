@@ -398,10 +398,6 @@ class Box:
             items.append((str(param), (lo, hi)))
         return Box(tuple(sorted(items)))
 
-    @property
-    def params(self):
-        return frozenset(p for p, _ in self.bounds)
-
     def contains(self, v) -> bool:
         for param, (lo, hi) in self.bounds:
             if param not in v or not lo <= Fraction(v[param]) <= hi:
@@ -423,9 +419,6 @@ class FiniteRegion:
     def as_dicts(self):
         return [dict(k) for k in self.valuations]
 
-    def contains(self, v) -> bool:
-        return valuation_key(v) in set(self.valuations)
-
 
 @dataclass(frozen=True)
 class RegionUnion:
@@ -434,9 +427,6 @@ class RegionUnion:
     @staticmethod
     def of(parts) -> "RegionUnion":
         return RegionUnion(tuple(parts))
-
-    def contains(self, v) -> bool:
-        return any(p.contains(v) for p in self.parts)
 
 
 def _axis_points(lo: Fraction, hi: Fraction, resolution: int):

@@ -38,9 +38,9 @@ from .model import (
 )
 from .modelio import parse_region_arg, parse_valuation_arg
 from .proofrules import apply_rpa_rules
-from .report import digest_bytes, make_report, render_report, scrub
+from .report import digest_bytes, make_report, render_report
 from .robust import conv_compose, interval_relax_compose, pa_reduce, rpa_compose
-from .semantics import strategy_project, tabulate, validate_strategy
+from .semantics import strategy_project, validate_strategy
 from .simulate import robust_strong_sim, strong_sim_region
 from .verify import ag_triple_check, monotone_check, region_sat, safety
 
@@ -168,8 +168,7 @@ def _project(args, inputs):
         validate_strategy(inst, sigma)
     except ValueError as exc:
         raise ParseError(f"{args.strategy}: {exc}") from None
-    tab = tabulate(inst, sigma, args.horizon) if not hasattr(sigma, "table") else sigma
-    return _built(strategy_project(inst, tab, args.side, args.horizon))
+    return _built(strategy_project(inst, sigma, args.side, args.horizon))
 
 
 def _simulate(args, inputs):
@@ -202,11 +201,11 @@ def _rule(args, inputs):
                         "description": p.description,
                         "status": "attested" if p.attestation else p.verdict.status,
                         "attestation": p.attestation,
-                        "witness": scrub(p.verdict.witness) if p.verdict else None,
+                        "witness": p.verdict.witness if p.verdict else None,
                     }
                     for p in app.premises
                 ],
-                "conclusion": scrub(app.conclusion),
+                "conclusion": app.conclusion,
             }
         )
         if not app.concluded:
@@ -240,7 +239,7 @@ def _rpa_rule(args, inputs):
         "rule": app.rule,
         "status": app.status,
         "confidence": app.confidence,
-        "conclusion": scrub(app.conclusion),
+        "conclusion": app.conclusion,
         "premises": [
             {"description": p.description, "status": p.verdict.status}
             for p in app.premises

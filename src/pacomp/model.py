@@ -194,49 +194,27 @@ def well_definedness(table: PolyTable, models):
 
     Registers every transition entry of the models in `table` and returns a
     function from a vector (D, nums) to a `WellDefinedness`.  Each distinct
-    distribution row is checked once per vector: NEITHER when an entry is
+    distribution row is checked at every vector: NEITHER when an entry is
     outside [0, D] or the row does not sum to D; otherwise GRAPH_PRESERVING
-    when every nonzero polynomial has a nonzero value.  Rows whose entries are
-    all constant do not depend on the valuation, so they are checked at the
-    first vector only; a PA consists of such rows.
+    when every nonzero polynomial has a nonzero value.
     """
     rows = {
         tuple(sorted(table.slot(p) for p in dist.values()))
         for m in models
         for dist in m.trans.values()
     }
-    polys = table.polys
-
-    def constant(row):
-        return all(not isinstance(polys[k], Polynomial) or polys[k].is_constant() for k in row)
-
-    def checker(rows):
-        slots = sorted({k for row in rows for k in row})
-        live = [k for k in slots if polys[k]]
-
-        def check(den, nums):
-            if any(not 0 <= nums[k] <= den for k in slots) or any(
-                sum(nums[k] for k in row) != den for row in rows
-            ):
-                return WellDefinedness.NEITHER
-            if all(nums[k] for k in live):
-                return WellDefinedness.GRAPH_PRESERVING
-            return WellDefinedness.WELL_DEFINED
-
-        return check
-
-    check_fixed = checker([row for row in rows if constant(row)])
-    check_varying = checker([row for row in rows if not constant(row)])
-    fixed = None
+    slots = sorted({k for row in rows for k in row})
+    live = [k for k in slots if table.polys[k]]
 
     def kind(point):
-        nonlocal fixed
-        if fixed is None:
-            fixed = check_fixed(*point)
-        if fixed is WellDefinedness.NEITHER:
-            return fixed
-        varying = check_varying(*point)
-        return fixed if varying is WellDefinedness.GRAPH_PRESERVING else varying
+        den, nums = point
+        if any(not 0 <= nums[k] <= den for k in slots) or any(
+            sum(nums[k] for k in row) != den for row in rows
+        ):
+            return WellDefinedness.NEITHER
+        if all(nums[k] for k in live):
+            return WellDefinedness.GRAPH_PRESERVING
+        return WellDefinedness.WELL_DEFINED
 
     return kind
 

@@ -49,8 +49,6 @@ def _enc_id(x):
         return {"t": [_enc_id(i) for i in x]}
     if isinstance(x, Fraction):
         return {"q": format_rational(x)}
-    if isinstance(x, frozenset):
-        return {"fs": sorted((_enc_id(i) for i in x), key=json.dumps)}
     return x
 
 
@@ -87,7 +85,7 @@ def _parsed(parse):
 
 
 def _dec_id(x, path):
-    """A JSON scalar, or a tagged tuple ("t"), rational ("q") or frozenset ("fs")."""
+    """A JSON scalar, or a tagged tuple ("t") or rational ("q")."""
     if type(x) is str:
         return x
     if type(x) is dict:
@@ -95,8 +93,6 @@ def _dec_id(x, path):
             return tuple(_decode(x["t"], ["id"], path + ".t", None))
         if "q" in x:
             return _LEAVES["rat"](x["q"], path + ".q")
-        if "fs" in x:
-            return frozenset(_decode(x["fs"], ["id"], path + ".fs", None))
     if type(x) in (dict, list):
         _fail(path, f"expected an identifier, got {_show(x)}")
     return x

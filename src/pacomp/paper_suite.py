@@ -32,7 +32,7 @@ from .proofrules import (
 from .robust import (
     conv_compose,
     fix_nature,
-    interval_extreme_points,
+    generators,
     interval_relax_compose,
     is_product_member,
     pa_reduce,
@@ -143,10 +143,8 @@ def _anchors():
     u1, u2 = corpus.interval_retry(), corpus.interval_responder()
 
     def extreme_points_demo():
-        got1 = interval_extreme_points(
-            u1.utrans[("s0", "s0_a")]
-        )
-        got2 = interval_extreme_points(u2.utrans[("t0", "t0_a")])
+        got1 = generators(u1.utrans[("s0", "s0_a")])
+        got2 = generators(u2.utrans[("t0", "t0_a")])
         return (
             got1 == [{"s0": F(1, 2), "s1": F(1, 2)}, {"s1": F(1)}]
             and got2

@@ -17,8 +17,6 @@ def fmt_id(x) -> str:
         return "(" + ",".join(fmt_id(i) for i in x) + ")"
     if isinstance(x, Fraction):
         return format_rational(x)
-    if isinstance(x, frozenset):
-        return "{" + ",".join(sorted(fmt_id(i) for i in x)) + "}"
     return str(x)
 
 
@@ -40,7 +38,7 @@ def scrub(obj):
             "details": scrub(obj.details),
         }
     if isinstance(obj, dict):
-        return {fmt_id(k): scrub(v) for k, v in sorted(obj.items(), key=lambda kv: fmt_id(kv[0]))}
+        return {fmt_id(k): scrub(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [scrub(v) for v in obj]
     if isinstance(obj, (set, frozenset)):

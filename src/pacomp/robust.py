@@ -104,7 +104,8 @@ class VertexSet:
 
     @property
     def support(self):
-        return tuple(sorted({s for d in self.dists for s, _ in d}, key=sort_key))
+        """The successors of its vertices, unordered."""
+        return frozenset(s for d in self.dists for s, _ in d)
 
     def contains(self, dist) -> bool:
         return freeze_dist(dist) in set(self.dists)
@@ -218,7 +219,7 @@ def rpa_compose(u1: RPA, u2: RPA) -> RPA:
     })
 
 
-def _integer_vertices(uset, cap=GENERATOR_CAP):
+def _integer_vertices(uset):
     """The vertices of a polytopic set on integer numerators: (support, den,
     rows), where `support` is the set's successors in `sort_key` order and
     each row is a vertex as ((index into support, numerator), ...) over the
@@ -231,11 +232,11 @@ def _integer_vertices(uset, cap=GENERATOR_CAP):
     a bound for every other one (a point interval offers one); the free entry
     takes the remaining mass and the candidate is a vertex iff that lies
     within its own bounds.  A vertex with every entry at a bound is found
-    once per free index, so it is kept only for free index 0.  The cap limits
-    the n * 2**(n-1) candidates.
+    once per free index, so it is kept only for free index 0.
+    `GENERATOR_CAP` limits the n * 2**(n-1) candidates.
     """
     if isinstance(uset, VertexSet):
-        support = uset.support
+        support = tuple(sorted(uset.support, key=sort_key))
         index = {s: i for i, s in enumerate(support)}
         den = math.lcm(*(p.denominator for d in uset.dists for _, p in d))
         return support, den, tuple(
@@ -248,9 +249,9 @@ def _integer_vertices(uset, cap=GENERATOR_CAP):
         )
     support = uset.support
     n = len(support)
-    if n * 2 ** (n - 1) > cap:
+    if n * 2 ** (n - 1) > GENERATOR_CAP:
         raise GeneratorBudgetExceeded(
-            f"extreme-point enumeration exceeds the cap of {cap}"
+            f"extreme-point enumeration exceeds the cap of {GENERATOR_CAP}"
         )
     den = math.lcm(*(q.denominator for _, b in uset.bounds for q in b))
     scaled = [(int(lo * den), int(hi * den)) for _, (lo, hi) in uset.bounds]
@@ -285,20 +286,13 @@ def _frozen(states, den, rows):
     return tuple(FrozenDist((states[i], value[v]) for i, v in row) for row in rows)
 
 
-def _vertices(uset, cap=GENERATOR_CAP) -> tuple:
+def _vertices(uset) -> tuple:
     """The vertices of a polytopic set as `FrozenDist`s in `sort_key` order:
     a vertex set's own distributions, or the extreme points of an interval
     set (see `_integer_vertices`)."""
     if isinstance(uset, VertexSet):
         return uset.dists
-    return _frozen(*_integer_vertices(uset, cap))
-
-
-def interval_extreme_points(uset: IntervalSet, cap=GENERATOR_CAP):
-    """Extreme points of the interval polytope, as dicts (see `_vertices`)."""
-    if not isinstance(uset, IntervalSet):
-        raise NotIntervalRPA("extreme points are defined on interval sets here")
-    return [dict(d) for d in _vertices(uset, cap)]
+    return _frozen(*_integer_vertices(uset))
 
 
 def generators(uset):

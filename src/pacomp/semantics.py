@@ -81,16 +81,6 @@ def validate_strategy(m: PPA, sigma) -> None:
             raise ValueError("strategy mass exceeds one")
 
 
-def tabulate(m: PPA, sigma, horizon: int) -> TabularStrategy:
-    """Tabulate a strategy on the positive-measure histories up to `horizon`."""
-    table = {}
-    for path in _walk(m, sigma, horizon)[0]:
-        dist = sigma.dist(path)
-        if dist and path_len(path) < horizon:
-            table[path] = dict(dist)
-    return TabularStrategy(table, horizon, getattr(sigma, "complete", False))
-
-
 # ---------------------------------------------------------------------------
 # Path measures
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from pacomp.robust import (
     generators,
     make_rpa,
 )
-from pacomp.semantics import TabularStrategy, path_last, path_len, path_project
+from pacomp.semantics import TabularStrategy, _walk, path_last, path_len, path_project
 from pacomp.verify import (
     INF,
     RewardObjective,
@@ -249,6 +249,16 @@ def random_tabular_strategy(rng: random.Random, pa, horizon, complete=False):
                         nxt.add(path + (a, t))
         frontier = nxt
     return TabularStrategy(table, horizon, complete=complete)
+
+
+def tabulate(m, sigma, horizon: int) -> TabularStrategy:
+    """Tabulate a strategy on the positive-measure histories up to `horizon`."""
+    table = {}
+    for path in _walk(m, sigma, horizon)[0]:
+        dist = sigma.dist(path)
+        if dist and path_len(path) < horizon:
+            table[path] = dict(dist)
+    return TabularStrategy(table, horizon, getattr(sigma, "complete", False))
 
 
 def random_interval_set(rng: random.Random, states):

@@ -44,7 +44,6 @@ from pacomp.semantics import (
     measure,
     path_project,
     strategy_project,
-    tabulate,
 )
 from pacomp.simulate import (
     dist_leq,
@@ -70,6 +69,7 @@ from helpers import (
     random_pa,
     random_polytopic_rpa,
     random_safety_dfa,
+    tabulate,
 )
 
 

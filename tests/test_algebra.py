@@ -15,6 +15,7 @@ from pacomp.algebra import (
     parse_rational,
     region_intersect,
     region_samples,
+    valuation_key,
 )
 from pacomp.errors import EmptyRegion, MissingParameter, ParseError
 
@@ -218,4 +219,63 @@ def test_finite_regions_deduplicate(vals):
     region = FiniteRegion.of([{"p": v} for v in vals])
     assert len(region.valuations) == len(set(vals))
     for v in vals:
-        assert region.contains({"p": v})
+        assert valuation_key({"p": v}) in region.valuations
+
+
+def _random_region(rng):
+    """A box, a finite region or the empty finite region over `p`, with
+    endpoints in quarters, so that parts often share points."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        lo, hi = sorted(F(rng.randint(0, 4), 4) for _ in range(2))
+        return Box.of({"p": (lo, hi)})
+    if kind == 1:
+        return FiniteRegion.of([{"p": F(rng.randint(0, 4), 4)} for _ in range(rng.randint(1, 3))])
+    return FiniteRegion(())
+
+
+def _member(region, v):
+    if isinstance(region, RegionUnion):
+        return any(_member(part, v) for part in region.parts)
+    if isinstance(region, FiniteRegion):
+        return valuation_key(v) in region.valuations
+    return region.contains(v)
+
+
+PROBES = [{"p": F(k, 24)} for k in range(25)]
+
+
+def test_union_samples_are_the_deduplicated_samples_of_its_nonempty_parts():
+    # two boxes sharing the face p = 1/2, and two empty parts of both kinds
+    union = RegionUnion.of([Box.of({"p": (0, F(1, 2))}), FiniteRegion(()),
+                            Box.of({"p": (F(1, 2), 1)}), Box.of({})])
+    assert region_samples(union, 1) == [{"p": F(k, 4)} for k in range(5)]
+    with pytest.raises(EmptyRegion):
+        region_samples(RegionUnion.of([FiniteRegion(()), Box.of({})]), 1)
+    rng = random.Random(5)
+    for _ in range(100):
+        parts = [_random_region(rng) for _ in range(rng.randint(1, 4))]
+        keys = set()
+        for part in parts:
+            if part != FiniteRegion(()):
+                keys |= {valuation_key(v) for v in region_samples(part, 2)}
+        if keys:
+            got = region_samples(RegionUnion.of(parts), 2)
+            assert [valuation_key(v) for v in got] == sorted(keys)
+        else:
+            with pytest.raises(EmptyRegion):
+                region_samples(RegionUnion.of(parts), 2)
+
+
+def test_intersection_with_a_union_second_or_a_finite_first_is_pointwise():
+    rng = random.Random(7)
+    for _ in range(100):
+        a = _random_region(rng)
+        union = RegionUnion.of([_random_region(rng) for _ in range(rng.randint(1, 3))])
+        finite = FiniteRegion.of([{"p": F(rng.randint(0, 8), 8)} for _ in range(3)])
+        box = Box.of({"p": tuple(sorted(F(rng.randint(0, 4), 4) for _ in range(2)))})
+        for x, y in ((a, union), (finite, box)):
+            both = region_intersect(x, y)
+            assert isinstance(both, RegionUnion if y is union else FiniteRegion)
+            for v in PROBES:
+                assert _member(both, v) == (_member(x, v) and _member(y, v))

@@ -11,6 +11,8 @@ from pacomp.algebra import Box, FiniteRegion
 from pacomp.cli import main, parse_region_arg, parse_valuation_arg
 from pacomp.errors import ParseError
 
+from helpers import random_pa
+
 
 class _NoInputs:
     def load(self, path):  # pragma: no cover - only hit via @file regions
@@ -1041,6 +1043,39 @@ def test_project_rejects_an_invalid_strategy(corpus_dir, tmp_path, capsys, defec
     where = {"empty history": "$.table[0]: ", "negative horizon": "$.horizon: "}.get(
         defect, f"{strategy_path}: ")
     assert where in err
+
+
+# `project` projects the strategy it reads: a memoryless strategy is walked to
+# `--horizon + 1` steps like any other, not first cut to a `--horizon` table
+@pytest.mark.parametrize("seed", range(4))
+def test_project_cli_projects_a_memoryless_strategy_as_given(tmp_path, capsys, seed):
+    from pacomp.model import compose
+    from pacomp.semantics import MemorylessStrategy, strategy_project
+
+    rng = random.Random(seed)
+    left = random_pa(rng, "x", 3, ["a", "b"])
+    right = random_pa(rng, "y", 3, ["b", "c"])
+    composed = compose(left, right)
+    choice = {}
+    for s in composed.states:
+        weights = {a: rng.randint(1, 3) for a in composed.enabled(s)}
+        if weights:
+            choice[s] = {a: F(w, sum(weights.values())) for a, w in weights.items()}
+    sigma = MemorylessStrategy(choice)
+    paths = {}
+    for name, doc in (("left", left), ("right", right), ("sigma", sigma)):
+        paths[name] = tmp_path / f"{name}.json"
+        json.dump(modelio.dump_document(doc), open(paths[name], "w"))
+    for side in (1, 2):
+        for horizon in (2, 3):
+            code, out, _ = run(
+                capsys, "project", "--left", str(paths["left"]), "--right", str(paths["right"]),
+                "--strategy", str(paths["sigma"]), "--side", str(side),
+                "--horizon", str(horizon),
+            )
+            assert code == 0
+            expected = modelio.dump_document(strategy_project(composed, sigma, side, horizon))
+            assert json.loads(out)["report"]["result"] == json.loads(json.dumps(expected))
 
 
 def test_region_and_strategy_documents_roundtrip():

@@ -180,20 +180,21 @@ def test_well_defined_matches_entrywise_reference(seed):
     assert seen == set(WellDefinedness)
 
 
-def test_constant_rows_are_checked_at_the_first_vector_only():
+def test_constant_rows_are_checked_at_every_vector():
     pa, m = corpus.handoff_fixed(), corpus.retry_component()
     table = PolyTable()
     kind = well_definedness(table, [pa, m])
     den, nums = table.at({"p": F(1, 10)})
     assert kind((den, nums)) is WellDefinedness.GRAPH_PRESERVING
-    # the PA's entries cannot change with the valuation, so a later vector
-    # is read only at the parametric rows
+    # a vector that breaks only the PA's constant entries is caught, at a
+    # later vector as at the first
     constant = {k for k, p in enumerate(table.polys)
                 if not isinstance(p, Polynomial) or p.is_constant()}
     assert constant and len(constant) < len(nums)
     later = table.at({"p": 0})
+    assert kind(later) is WellDefinedness.WELL_DEFINED
     broken = [-1 if k in constant else n for k, n in enumerate(later[1])]
-    assert kind((later[0], broken)) is WellDefinedness.WELL_DEFINED
+    assert kind((later[0], broken)) is WellDefinedness.NEITHER
     assert kind(table.at({"p": 2})) is WellDefinedness.NEITHER
 
 
@@ -284,6 +285,22 @@ def test_tau_extend_structure():
     m = corpus.retry_component()
     for v in ({"p": F(1, 10)}, {"p": 0}, {"p": 1}):
         assert well_defined(m, v) is well_defined(tau_extend(m), v)
+
+
+def test_tau_extend_avoids_the_names_a_model_already_uses():
+    m = make_ppa([TAU_SINK, "s"], TAU_SINK, set(),
+                 {(TAU_SINK, TAU_ACTION): (TAU_SYMBOL, {"s": 1}),
+                  ("s", "a"): ("b", {TAU_SINK: 1})},
+                 {TAU_SYMBOL, "b"})
+    ext = tau_extend(m)
+    sink, symbol, action = (TAU_SINK,), TAU_SYMBOL + "'", (TAU_ACTION,)
+    assert set(ext.states) == {TAU_SINK, "s", sink}
+    assert ext.alphabet == {TAU_SYMBOL, "b", symbol}
+    assert ext.trans.keys() == m.trans.keys() | {(s, action) for s in ext.states}
+    for key in m.trans:
+        assert ext.trans[key] == m.trans[key] and ext.label[key] == m.label[key]
+    for s in ext.states:
+        assert ext.label[(s, action)] == symbol and ext.trans[(s, action)] == {sink: 1}
 
 
 def test_dfa_product_counts_and_bad_states():

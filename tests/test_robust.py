@@ -25,7 +25,6 @@ from pacomp.robust import (
     fix_nature,
     freeze_dist,
     generators,
-    interval_extreme_points,
     interval_relax_compose,
     is_product_member,
     pa_reduce,
@@ -63,11 +62,9 @@ def in_convex_hull(dist, gens):
 
 
 def test_interval_extreme_points_goldens():
-    left = interval_extreme_points(
-        IntervalSet.of({"s0": (0, F(1, 2)), "s1": (F(1, 2), 1)})
-    )
+    left = generators(IntervalSet.of({"s0": (0, F(1, 2)), "s1": (F(1, 2), 1)}))
     assert left == [{"s0": F(1, 2), "s1": F(1, 2)}, {"s1": F(1)}]
-    right = interval_extreme_points(
+    right = generators(
         IntervalSet.of({"t1": (F(1, 10), F(9, 10)), "t2": (F(1, 10), F(9, 10))})
     )
     assert right == [
@@ -77,7 +74,7 @@ def test_interval_extreme_points_goldens():
 
 
 def test_interval_extreme_points_point_interval():
-    got = interval_extreme_points(
+    got = generators(
         IntervalSet.of({"x": (F(1, 4), F(1, 4)), "y": (F(3, 4), F(3, 4))})
     )
     assert got == [{"x": F(1, 4), "y": F(3, 4)}]
@@ -93,7 +90,7 @@ def test_interval_extreme_points_span_the_set():
             p = center.get(s, F(0))
             bounds[s] = (max(F(0), p - F(1, 10)), min(F(1), p + F(1, 10)))
         uset = IntervalSet.of(bounds)
-        gens = interval_extreme_points(uset)
+        gens = generators(uset)
         for g in gens:
             assert uset.contains(g)
         # random interior points lie in the hull of the enumerated vertices
@@ -140,7 +137,7 @@ def _random_interval_bounds(rng, n, stratum, dens=(10,)):
 @settings(max_examples=200, deadline=None)
 def test_interval_extreme_points_match_the_order_oracle(seed, n, stratum, dens):
     uset = IntervalSet.of(_random_interval_bounds(random.Random(seed), n, stratum, dens))
-    assert interval_extreme_points(uset) == interval_extreme_points_by_orders(uset)
+    assert generators(uset) == interval_extreme_points_by_orders(uset)
 
 
 # the oracle walks all 5040 orders at support 7, so few sets have it
@@ -148,7 +145,7 @@ def test_interval_extreme_points_match_the_order_oracle(seed, n, stratum, dens):
 def test_interval_extreme_points_match_the_order_oracle_at_support_seven(stratum):
     rng = random.Random(17 + stratum)
     uset = IntervalSet.of(_random_interval_bounds(rng, 7, stratum, (3, 10)))
-    assert interval_extreme_points(uset) == interval_extreme_points_by_orders(uset)
+    assert generators(uset) == interval_extreme_points_by_orders(uset)
 
 
 @pytest.mark.parametrize("n", [8, 9, 10])
@@ -156,7 +153,7 @@ def test_symmetric_interval_vertices_beyond_support_seven(n):
     """Bounds [0, 1/k] on n successors: the C(n, k) k-subsets carrying 1/k."""
     states = [f"s{i}" for i in range(n)]
     for k in (1, 2, 3, n // 2, n - 1):
-        gens = interval_extreme_points(IntervalSet.of({s: (0, F(1, k)) for s in states}))
+        gens = generators(IntervalSet.of({s: (0, F(1, k)) for s in states}))
         assert len(gens) == math.comb(n, k)
         assert all(sorted(g.values()) == [F(1, k)] * k for g in gens)
 
@@ -169,10 +166,11 @@ def test_interval_bounds_validated():
 
 
 def test_generator_cap():
-    states = [f"s{i}" for i in range(8)]
-    bounds = {s: (0, F(1, 2)) for s in states}
+    # 11 * 2**10 candidates exceed GENERATOR_CAP = 10 000; 10 * 2**9 do not
+    states = [f"s{i}" for i in range(11)]
     with pytest.raises(GeneratorBudgetExceeded):
-        interval_extreme_points(IntervalSet.of(bounds), cap=100)
+        generators(IntervalSet.of({s: (0, F(1, 2)) for s in states}))
+    assert len(generators(IntervalSet.of({s: (0, F(1, 2)) for s in states[:10]}))) == 45
 
 
 def test_rpa_compose_product_sets():

@@ -6,7 +6,7 @@ import pytest
 from pacomp import corpus
 from pacomp.errors import HorizonExceedsStrategyTable, NotComposedModel
 from pacomp.model import compose, instantiate
-from pacomp.semantics import TabularStrategy, measure, path_project, strategy_project, tabulate
+from pacomp.semantics import TabularStrategy, measure, path_project, strategy_project
 
 from helpers import (
     cyl_prob,
@@ -14,6 +14,7 @@ from helpers import (
     lifted_paths,
     random_pa,
     random_tabular_strategy,
+    tabulate,
     union_cylinder_prob,
 )
 

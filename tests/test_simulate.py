@@ -376,6 +376,13 @@ def test_robust_strong_sim_contrast():
     assert strong_sim_region(corpus.handoff_parametric(), m2p, REGION).holds
 
 
+def test_robust_strong_sim_on_an_empty_region_keeps_every_pair():
+    # no valuation refutes a pair
+    m1, m2 = corpus.handoff_parametric(), corpus.split_responder()
+    rel = robust_strong_sim(m1, m2, FiniteRegion(()))
+    assert rel == frozenset((s1, s2) for s1 in m1.states for s2 in m2.states)
+
+
 def test_robust_relation_is_strong_sim_at_every_sample():
     m1pp, m2p = corpus.handoff_parametric(), corpus.split_responder()
     rel = robust_strong_sim(m1pp, m2p, REGION)

@@ -20,6 +20,7 @@ from pacomp.exactlp import INFEASIBLE, OPTIMAL, LinearProgram
 from pacomp.model import (
     alphabet_extend,
     compose,
+    dfa_forbid_prefix,
     dfa_forbid_symbols,
     instantiate,
     make_ppa,
@@ -271,6 +272,32 @@ def test_expected_reward_max_picks_better_branch():
     # each visit to u pays 1 and returns to u with prob 1/2: expected 2 pays
     assert exp_total_reward(pa, {"pay": 1}, "max") == 2
     assert exp_total_reward(pa, {"pay": 1}, "min") == 0
+
+
+def test_expected_reward_max_takes_an_action_into_a_rewarded_closed_class():
+    # the first action x of s leads to an unrewarded loop, whose value is
+    # finite; policy improvement must switch s to y, whose backup is INF
+    pa = make_ppa(
+        ["s", "u", "v"],
+        "s",
+        set(),
+        {
+            ("s", "x"): ("a", {"u": 1}),
+            ("s", "y"): ("b", {"v": 1}),
+            ("u", "ul"): ("idle", {"u": 1}),
+            ("v", "vl"): ("pay", {"v": 1}),
+        },
+        {"a", "b", "pay", "idle"},
+    )
+    assert exp_total_reward(pa, {"pay": 1}, "max") == INF
+    assert exp_total_reward(pa, {"pay": 1}, "min") == 0
+
+
+def test_an_initially_bad_product_state_has_probability_zero():
+    pa = instantiate(corpus.pipeline_component(), V)
+    every_word = dfa_forbid_prefix((), pa.alphabet)  # the empty prefix is bad
+    assert safety_prob(pa, safety(every_word, 0)) == 0
+    assert solution_value(pa, corpus.priority_strategy(pa), safety(every_word, 0)) == 0
 
 
 def test_chain_reward_divergence_and_zero():
