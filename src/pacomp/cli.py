@@ -41,7 +41,7 @@ from .proofrules import apply_rpa_rules
 from .report import digest_bytes, make_report, render_report
 from .robust import conv_compose, interval_relax_compose, pa_reduce, rpa_compose
 from .semantics import strategy_project, validate_strategy
-from .simulate import robust_strong_sim, strong_sim_region
+from .simulate import robust_sim_region, strong_sim_region
 from .verify import ag_triple_check, monotone_check, region_sat, safety
 
 EXIT_HOLDS = 0
@@ -177,42 +177,44 @@ def _simulate(args, inputs):
     if not args.robust:
         verdict = strong_sim_region(left, right, region, args.resolution)
         return {"robust": False, "verdict": verdict}, _exit(verdict.holds)
-    rel = robust_strong_sim(left, right, region, args.resolution)
-    ok = rel is not None
-    body = {"robust": True, "holds": ok, "relation": sorted(rel, key=repr) if ok else None}
-    return body, _exit(ok)
+    verdict = robust_sim_region(left, right, region, args.resolution)
+    body = {"robust": True, "holds": verdict.holds,
+            "relation": verdict.witness.get("relation"), "caveat": verdict.caveat}
+    return body, _exit(verdict.holds)
+
+
+def _certificate(app):
+    """The report of one rule application, each premise with its witness."""
+    return {
+        "rule": app.rule,
+        "status": app.status,
+        "confidence": app.confidence,
+        "side_conditions": app.side_conditions,
+        "premises": [
+            {
+                "kind": p.kind,
+                "description": p.description,
+                "status": "attested" if p.attestation else p.verdict.status,
+                "attestation": p.attestation,
+                "witness": p.verdict.witness if p.verdict else None,
+            }
+            for p in app.premises
+        ],
+        "conclusion": app.conclusion,
+    }
+
+
+def _rule_exit(apps):
+    """1 if an application is not concluded, else 3 if one is attested only, else 0."""
+    if not all(app.concluded for app in apps):
+        return EXIT_FAILS
+    return EXIT_UNKNOWN if any(app.confidence == "attested" for app in apps) else EXIT_HOLDS
 
 
 def _rule(args, inputs):
-    certificate = []
-    worst = EXIT_HOLDS
-    for app_id, fn, kwargs in inputs.load(args.script, "proof-script"):
-        app = fn(**kwargs)
-        certificate.append(
-            {
-                "id": app_id,
-                "rule": app.rule,
-                "status": app.status,
-                "confidence": app.confidence,
-                "side_conditions": app.side_conditions,
-                "premises": [
-                    {
-                        "kind": p.kind,
-                        "description": p.description,
-                        "status": "attested" if p.attestation else p.verdict.status,
-                        "attestation": p.attestation,
-                        "witness": p.verdict.witness if p.verdict else None,
-                    }
-                    for p in app.premises
-                ],
-                "conclusion": app.conclusion,
-            }
-        )
-        if not app.concluded:
-            worst = max(worst, EXIT_FAILS)
-        elif app.confidence == "attested":
-            worst = max(worst, EXIT_UNKNOWN)
-    return {"certificate": certificate}, worst
+    apps = [(i, fn(**kwargs)) for i, fn, kwargs in inputs.load(args.script, "proof-script")]
+    certificate = [{"id": i, **_certificate(app)} for i, app in apps]
+    return {"certificate": certificate}, _rule_exit([app for _, app in apps])
 
 
 def _rpa_compose(args, inputs):
@@ -235,17 +237,7 @@ def _rpa_rule(args, inputs):
     assumption = inputs.load(args.assumption, "mo-query")
     guarantee = inputs.load(args.guarantee, "mo-query")
     app = apply_rpa_rules("asymmetric", u1, u2, assumption, guarantee)
-    body = {
-        "rule": app.rule,
-        "status": app.status,
-        "confidence": app.confidence,
-        "conclusion": app.conclusion,
-        "premises": [
-            {"description": p.description, "status": p.verdict.status}
-            for p in app.premises
-        ],
-    }
-    return body, _exit(app.concluded)
+    return _certificate(app), _rule_exit([app])
 
 
 def _paper_suite(args, inputs):

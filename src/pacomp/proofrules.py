@@ -19,7 +19,7 @@ from .algebra import FiniteRegion, Polynomial, region_intersect
 from .errors import SideConditionError
 from .model import alphabet_extend, compose, dfa_union_bad
 from .robust import pa_reduce
-from .simulate import robust_strong_sim, strong_sim_region
+from .simulate import robust_sim_region, strong_sim_region
 from .verify import (
     ProbObjective,
     Verdict,
@@ -353,12 +353,8 @@ def apply_simulation_ag(m1, m2, m_assume, m_guarantee, r1, r2,
     flavor = "robust-strong" if robust else "strong"
 
     def sim_check(left, right, region):
-        if not robust:
-            return strong_sim_region(left, right, region, resolution)
-        rel = robust_strong_sim(left, right, region, resolution)
-        if rel is None:
-            return Verdict("fails", witness={"reason": "no uniform relation"})
-        return Verdict("holds", witness={"relation": sorted(rel, key=repr)})
+        check = robust_sim_region if robust else strong_sim_region
+        return check(left, right, region, resolution)
 
     conclusion = {
         "kind": "sim-leq",

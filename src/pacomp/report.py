@@ -55,7 +55,7 @@ def digest_bytes(data: bytes) -> str:
 def make_report(command, inputs, body) -> dict:
     """Assemble a byte-stable report; `pacomp --timing` replaces its timing."""
     return {
-        "format": "pacomp/1",
+        "format": modelio.FORMAT,
         "command": command,
         "inputs": inputs,
         "report": scrub(body),

@@ -7,7 +7,7 @@ symbolic as products so that exact membership can be decided by factorization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -184,13 +184,12 @@ class RPA:
     utrans: dict  # (state, action) -> uncertainty set
     label: dict
     alphabet: frozenset
-    composed_of: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         check_automaton(self, self.utrans, ((k, u.support) for k, u in self.utrans.items()))
 
 
-def make_rpa(states, initial, utrans, alphabet, composed_of=None) -> RPA:
+def make_rpa(states, initial, utrans, alphabet) -> RPA:
     umap, lmap, actions = split_transitions(utrans)
     return RPA(
         states=tuple(states),
@@ -199,13 +198,11 @@ def make_rpa(states, initial, utrans, alphabet, composed_of=None) -> RPA:
         utrans=umap,
         label=lmap,
         alphabet=frozenset(alphabet),
-        composed_of=composed_of,
     )
 
 
 def _composed(u1, u2, states, utrans) -> RPA:
-    return make_rpa(states, (u1.initial, u2.initial), utrans, u1.alphabet | u2.alphabet,
-                    composed_of=(u1, u2))
+    return make_rpa(states, (u1.initial, u2.initial), utrans, u1.alphabet | u2.alphabet)
 
 
 def rpa_compose(u1: RPA, u2: RPA) -> RPA:
@@ -395,7 +392,6 @@ def pa_reduce(u: RPA) -> PPA:
         trans=trans,
         label=label,
         alphabet=frozenset(u.alphabet),
-        composed_of=None,
     )
 
 
@@ -428,6 +424,5 @@ def fix_nature(u: RPA, choices) -> PPA:
         params=frozenset(),
         trans=trans,
         alphabet=u.alphabet,
-        composed_of=None,
     )
 

@@ -18,7 +18,7 @@ from collections import deque
 
 from .algebra import PolyTable, valuation_key
 from .model import PPA, sort_key
-from .verify import Verdict, _checked_samples
+from .verify import VACUOUS, Verdict, _checked_samples
 
 
 def _transport(mu1, mu2, rel) -> bool:
@@ -217,7 +217,7 @@ def strong_sim_region(m1: PPA, m2: PPA, region, resolution=1) -> Verdict:
     table, ix1, ix2 = _indexed_pair(m1, m2)
     samples = _checked_samples(region, resolution, m1, m2, table=table)
     if samples is None:
-        return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
+        return Verdict("holds", caveat=VACUOUS)
     details = []
     for v, (_, nums) in samples:
         rel = _greatest_sim(m1, m2, ix1, ix2, [_instance(ix1, ix2, nums)])
@@ -227,15 +227,31 @@ def strong_sim_region(m1: PPA, m2: PPA, region, resolution=1) -> Verdict:
     return Verdict("holds", details=details)
 
 
+def _uniform_sim(m1: PPA, m2: PPA, region, resolution):
+    """`robust_strong_sim`'s relation, and whether the region is empty."""
+    table, ix1, ix2 = _indexed_pair(m1, m2)
+    samples = _checked_samples(region, resolution, m1, m2, table=table)
+    if samples is None:
+        return frozenset((s1, s2) for s1 in m1.states for s2 in m2.states), True
+    return _greatest_sim(m1, m2, ix1, ix2,
+                         [_instance(ix1, ix2, nums) for _, (_, nums) in samples]), False
+
+
 def robust_strong_sim(m1: PPA, m2: PPA, region, resolution=1):
     """Greatest single relation that simulates at every sampled valuation.
 
     Joint greatest fixpoint: a pair is removed as soon as it fails the
-    matching clause at any sampled valuation.  Returns the relation or None.
+    matching clause at any sampled valuation.  Returns the relation or None;
+    on an empty region, every pair.
     """
-    table, ix1, ix2 = _indexed_pair(m1, m2)
-    samples = _checked_samples(region, resolution, m1, m2, table=table)
-    if samples is None:
-        return frozenset((s1, s2) for s1 in m1.states for s2 in m2.states)
-    return _greatest_sim(m1, m2, ix1, ix2,
-                         [_instance(ix1, ix2, nums) for _, (_, nums) in samples])
+    return _uniform_sim(m1, m2, region, resolution)[0]
+
+
+def robust_sim_region(m1: PPA, m2: PPA, region, resolution=1) -> Verdict:
+    """`robust_strong_sim` as a verdict whose witness holds the relation
+    (sorted by `repr`), or the reason it fails."""
+    rel, vacuous = _uniform_sim(m1, m2, region, resolution)
+    if rel is None:
+        return Verdict("fails", witness={"reason": "no uniform relation"})
+    return Verdict("holds", witness={"relation": sorted(rel, key=repr)},
+                   caveat=VACUOUS if vacuous else Verdict.caveat)

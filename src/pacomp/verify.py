@@ -27,16 +27,16 @@ solvers are exact and end in two mechanisms:
 
 One query structure (`_MoQuery`) serves the LP checks, the re-check of
 their witnesses, the values of fixed strategies and every parameter-free
-solve.  It is built once per query and model: the joint DFA product of the
+solve.  It is built once per query and model, and first rejects an
+objective whose alphabet exceeds the model's: the joint DFA product of the
 parametric model (its tau extension for partial strategies), the reach
 targets, and the slot of every transition probability and reward in a
 `PolyTable` of distinct polynomials (`_slotted`, which `max_reach` also
 uses for a PA's own transitions).  A region check builds one table for its
 queries and the well-definedness check: each sample is one integer value
-vector of it, from which the sample is validated (`_checked_samples`, and
-`_require_nonnegative_rewards` for the rewards, for every sample before the
-first solve) and then solved.  What depends only on which values are zero
-(and on the rewards' signs) is built once per such sign pattern:
+vector of it, which `_checked_samples` validates, rewards included, for
+every sample before the first solve.  What depends only on which values are
+zero (and on the rewards' signs) is built once per such sign pattern:
 graph-preserving samples share one, and a sample with a smaller support,
 such as a p = 0 corner, gets its own.  `_MoQuery._flow` is the flow half of
 it (the nonzero entries, one successor-set map, the settle set and `stay`
@@ -91,6 +91,7 @@ from .model import (
 from .semantics import MemorylessStrategy
 
 INF = float("inf")
+VACUOUS = "region denotes no valuation; vacuously holds"  # the caveat of an empty region
 STRATEGY_CAP = 20_000  # most strategies `enumerate_memoryless` returns
 
 _NEGATION = {">=": "<", ">": "<=", "<=": ">", "<": ">="}
@@ -618,11 +619,16 @@ class _MoQuery:
     denominator is positive).  Each sample then only fills the LP's integer
     rows from its vector (`_sample_lp`), solves it, and builds a witness when
     the conjunction is achievable.  `strategy_values` evaluates
-    fixed strategies of `model` on the same product.  The objectives'
-    alphabets are the caller's to check (`_require_alphabet`).
+    fixed strategies of `model` on the same product.
     """
 
     def __init__(self, m: PPA, query, strategy_class, table: PolyTable):
+        for obj in query:
+            if not obj.alphabet <= m.alphabet:
+                raise AlphabetMismatch(
+                    f"objective alphabet {sorted(obj.alphabet)} exceeds the model's; "
+                    "extend the model first"
+                )
         work = tau_extend(m) if strategy_class == "prt" else m
         self.model, self.strategy_class = work, strategy_class
         self.prob_objs = [o for o in query if isinstance(o, ProbObjective)]
@@ -829,22 +835,12 @@ def _slotted(m: PPA, table: PolyTable):
     return {key: tuple((t, slot(p)) for t, p in dist.items()) for key, dist in m.trans.items()}
 
 
-def _require_alphabet(m: PPA, query):
-    for obj in query:
-        if not obj.alphabet <= m.alphabet:
-            raise AlphabetMismatch(
-                f"objective alphabet {sorted(obj.alphabet)} exceeds the model's; "
-                "extend the model first"
-            )
-
-
 def _constant_query(pa: PPA, query, strategy_class):
     """The `_MoQuery` of `query` on the parameter-free `pa` and its one table
     vector, after the checks of every parameter-free solve: the objectives'
     alphabets lie in the model's, and no reward is negative."""
     if not pa.is_pa:
         raise ValueError("a parameter-free model is needed; instantiate first")
-    _require_alphabet(pa, query)
     table = PolyTable()
     mo_query = _MoQuery(pa, query, strategy_class, table)
     point = table.at({})
@@ -969,11 +965,13 @@ def chain_language_prob(pa: PPA, sigma: MemorylessStrategy, dfa) -> Fraction:
 # Region-level checks
 # ---------------------------------------------------------------------------
 
-def _checked_samples(region, resolution, *models, table=None, filter_gp=False):
+def _checked_samples(region, resolution, *models, table=None, filter_gp=False, queries=()):
     """The region's samples, each of which instantiates every model to a PA
     (only the graph-preserving ones with `filter_gp`), as (valuation, vector)
     pairs: the vector is `table`'s value vector at the sample, after the
-    models' entries are registered in it.  None for an empty region."""
+    models' entries are registered in it.  Then the first sample at which a
+    reward of one of the `_MoQuery`s `queries` is negative is rejected.  None
+    for an empty region."""
     try:
         samples = region_samples(region, resolution)
     except EmptyRegion:
@@ -995,20 +993,14 @@ def _checked_samples(region, resolution, *models, table=None, filter_gp=False):
         out.append((v, point))
     if filter_gp and not out:
         raise NotGraphPreserving("no graph-preserving sample in the region")
-    return out
-
-
-def _require_nonnegative_rewards(queries, samples):
-    """Reject the first sample at which a reward of one of the `_MoQuery`s is
-    negative; run on every sample before the first solve, like
-    `_checked_samples`."""
-    for v, point in samples:
+    for v, point in out:
         for query in queries:
             sym = query.negative_reward(point)
             if sym is not None:
                 raise SideConditionError(
                     f"the reward of {sym!r} is negative at the sample {dict(sorted(v.items()))}"
                 )
+    return out
 
 
 def _sample_loop(m, region, resolution, strategy_class, cases, key):
@@ -1017,10 +1009,10 @@ def _sample_loop(m, region, resolution, strategy_class, cases, key):
     objective under `key`."""
     table = PolyTable()
     checks = [(obj, _MoQuery(m, bad, strategy_class, table)) for obj, bad in cases]
-    samples = _checked_samples(region, resolution, m, table=table)
+    samples = _checked_samples(region, resolution, m, table=table,
+                               queries=[check for _, check in checks])
     if samples is None:
-        return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
-    _require_nonnegative_rewards([check for _, check in checks], samples)
+        return Verdict("holds", caveat=VACUOUS)
     details = []
     for v, point in samples:
         for obj, check in checks:
@@ -1037,7 +1029,6 @@ def _sample_loop(m, region, resolution, strategy_class, cases, key):
 
 def region_sat(m: PPA, region, query, strategy_class="cmp", resolution=1) -> Verdict:
     """Holds iff at every sampled valuation no strategy violates any objective."""
-    _require_alphabet(m, query)
     cases = [(obj, (obj.negate(),)) for obj in query]
     return _sample_loop(m, region, resolution, strategy_class, cases, "objective")
 
@@ -1050,7 +1041,6 @@ def ag_triple_check(
     Fails iff some strategy of the class satisfies the whole assumption while
     violating one guarantee objective.
     """
-    _require_alphabet(m, tuple(assumption) + tuple(guarantee))
     cases = [(g, tuple(assumption) + (g.negate(),)) for g in guarantee]
     return _sample_loop(m, region, resolution, strategy_class, cases, "violated")
 
@@ -1069,8 +1059,7 @@ def _weight_profiles(actions, denominator):
             prof = dict(acc)
             if remaining:
                 prof[actions[i]] = Fraction(remaining, denominator)
-            if prof:
-                profiles.append(prof)
+            profiles.append(prof)
             return
         for k in range(remaining + 1):
             if k:
@@ -1134,14 +1123,12 @@ def monotone_check(
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
-    _require_alphabet(m, (objective,))
     table = PolyTable()
     query = _MoQuery(m, (objective,), strategy_class, table)
-    samples = _checked_samples(region, resolution, m, table=table)
+    samples = _checked_samples(region, resolution, m, table=table, queries=[query])
     caveat = "per enumerated strategy class; sound per sampled valuation"
     if samples is None:
-        return Verdict("holds", caveat="region denotes no valuation; vacuously holds")
-    _require_nonnegative_rewards([query], samples)
+        return Verdict("holds", caveat=VACUOUS)
     # lines of samples that differ in `param` only, each sorted by it; a
     # line of one sample has no pair
     lines = {}

@@ -478,8 +478,7 @@ def rpa_compose_reference(u1: RPA, u2: RPA) -> RPA:
             continue
         for s1 in u1.states:
             utrans[((s1, s2), (lab, a2))] = (lab, ProductSet(VertexSet.dirac(s1), set2))
-    return make_rpa(states, (u1.initial, u2.initial), utrans, u1.alphabet | u2.alphabet,
-                    composed_of=(u1, u2))
+    return make_rpa(states, (u1.initial, u2.initial), utrans, u1.alphabet | u2.alphabet)
 
 
 def pa_reduce_reference(u: RPA):
@@ -667,7 +666,6 @@ def alphabet_extend_rpa(u: RPA, sigma) -> RPA:
         initial=u.initial,
         utrans=utrans,
         alphabet=u.alphabet | fresh,
-        composed_of=u.composed_of,
     )
 
 

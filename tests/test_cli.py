@@ -219,6 +219,20 @@ def test_simulate_cli(corpus_dir, capsys):
     assert json.loads(out3)["report"]["relation"]
 
 
+def test_robust_simulate_on_an_empty_region_says_it_is_vacuous(corpus_dir, tmp_path, capsys):
+    region = tmp_path / "empty.region.json"
+    json.dump({"type": "finite", "valuations": []}, open(region, "w"))
+    code, out, _ = run(
+        capsys, "simulate", "--robust",
+        "--left", str(corpus_dir / "handoff_fixed.ppa.json"),
+        "--right", str(corpus_dir / "split_responder.ppa.json"),
+        "--region", f"@{region}",
+    )
+    report = json.loads(out)["report"]
+    assert code == 0 and report["holds"] and len(report["relation"]) == 6
+    assert report["caveat"] == "region denotes no valuation; vacuously holds"
+
+
 def test_rpa_pipeline_cli(corpus_dir, tmp_path, capsys):
     code, out, _ = run(
         capsys,
@@ -421,6 +435,48 @@ def test_rpa_rule_report_is_pinned(corpus_dir, tmp_path, capsys):
         ],
     }
 
+
+
+def _strict_guarantee(corpus_dir):
+    """`safe_guarantee` at 99/100, which the retry/pipeline pair misses."""
+    doc = json.load(open(corpus_dir / "safe_guarantee.query.json"))
+    doc["objectives"][0]["threshold"] = "99/100"
+    return doc
+
+
+def test_failing_rpa_rule_carries_the_premise_witness(corpus_dir, tmp_path, capsys):
+    guarantee = tmp_path / "strict.query.json"
+    json.dump(_strict_guarantee(corpus_dir), open(guarantee, "w"))
+    code, out, _ = run(
+        capsys,
+        "rpa-rule",
+        "--left", str(corpus_dir / "interval_retry.rpa.json"),
+        "--right", str(corpus_dir / "interval_responder.rpa.json"),
+        "--assumption", str(_write_trivial_query(tmp_path)),
+        "--guarantee", str(guarantee),
+    )
+    assert code == 1
+    report = json.loads(out)["report"]
+    assert (report["status"], report["conclusion"]) == ("premise-failed", None)
+    failed = [p for p in report["premises"] if p["status"] == "fails"]
+    assert [p["kind"] for p in failed] == ["ag-triple"]
+    assert set(failed[0]["witness"]) == {"valuation", "violated", "strategy"}
+
+
+def test_rule_exit_code_puts_a_failure_before_an_attestation(corpus_dir, tmp_path, capsys):
+    script = _asymmetric_script(corpus_dir)
+    script["queries"]["G"] = _strict_guarantee(corpus_dir)
+    failing = script["applications"][0]
+    attested = dict(failing, id="step-2",
+                    fairness={"sets": [["a"]], "notes": ["ev A", "ev B"]})
+    script["applications"].append(attested)
+    path = tmp_path / "mixed.agproof.json"
+    json.dump(script, open(path, "w"))
+    code, out, _ = run(capsys, "rule", "--script", str(path))
+    cert = json.loads(out)["report"]["certificate"]
+    assert [(c["status"], c["confidence"]) for c in cert] == [
+        ("premise-failed", "checked-per-sample"), ("concluded", "attested")]
+    assert code == 1
 
 _MALFORMED_SCRIPTS = {
     "application-not-an-object": lambda s: s.update(applications=[5]),

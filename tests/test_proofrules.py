@@ -320,6 +320,16 @@ def test_simulation_ag_robust_flavor_contrast():
     assert app2.concluded
 
 
+def test_robust_simulation_ag_on_an_empty_region_is_vacuous():
+    fixed, m2 = corpus.handoff_fixed(), corpus.split_responder()
+    empty = FiniteRegion.of([])
+    for robust in (False, True):
+        app = apply_simulation_ag(fixed, m2, m2, compose(m2, m2), empty, empty, robust=robust)
+        assert app.concluded
+        assert all(p.verdict.caveat == "region denotes no valuation; vacuously holds"
+                   for p in app.premises)
+
+
 def test_simulation_ag_side_condition():
     m1 = corpus.handoff_fixed()
     bigger = alphabet_extend(corpus.split_responder(), {"z"})

@@ -599,7 +599,8 @@ def _same_composition(got, want, parts):
     assert [(k, list(e.items()) if isinstance(e, dict) else e) for k, e in entries(got).items()] \
         == [(k, list(e.items()) if isinstance(e, dict) else e) for k, e in entries(want).items()]
     assert list(got.label.items()) == list(want.label.items())
-    assert len(got.composed_of) == 2 and all(x is y for x, y in zip(got.composed_of, parts))
+    if isinstance(want, PPA):  # only a PPA keeps its components
+        assert len(got.composed_of) == 2 and all(x is y for x, y in zip(got.composed_of, parts))
 
 
 def _relax_bounds(uset):

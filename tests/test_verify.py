@@ -699,10 +699,27 @@ def test_negative_reward_rejected(monkeypatch):
 
 
 def test_alphabet_mismatch_rejected():
-    pa = instantiate(corpus.retry_component(), {"p": F(1, 10)})
+    m = corpus.retry_component()
+    pa = instantiate(m, {"p": F(1, 10)})
     stray = safety(dfa_forbid_symbols({"z"}, {"z"}), 1)
-    with pytest.raises(AlphabetMismatch):
-        mo_achievable(pa, (stray,), "cmp")
+    fits = safety(corpus.limit_one_a_dfa(), F(9, 10))
+    box, empty = Box.of({"p": (0, F(1, 10))}), FiniteRegion.of([])
+    checks = [
+        lambda: mo_achievable(pa, (stray,), "cmp"),
+        lambda: safety_prob(pa, stray),
+        lambda: exp_total_reward(pa, {"z": 1}),
+        lambda: solution_value(pa, MemorylessStrategy({}, complete=False), stray),
+        lambda: ag_triple_check(m, box, (stray,), (fits,)),
+        lambda: ag_triple_check(m, box, (fits,), (fits, stray)),
+    ]
+    for region in (box, empty):  # an empty region hides no stray symbol
+        checks += [
+            lambda region=region: region_sat(m, region, (fits, stray)),
+            lambda region=region: monotone_check(m, region, stray, "p", "up"),
+        ]
+    for check in checks:
+        with pytest.raises(AlphabetMismatch, match=r"objective alphabet \['z'\] exceeds"):
+            check()
 
 
 # ---------------------------------------------------------------------------
