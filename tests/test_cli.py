@@ -417,10 +417,15 @@ def test_rpa_rule_report_is_pinned(corpus_dir, tmp_path, capsys):
         "--guarantee", str(goal),
     )
     assert code == 0
+    # a `rule` certificate's application, without the id
     assert json.loads(out)["report"] == {
         "rule": "rpa-asymmetric",
         "status": "concluded",
         "confidence": "checked-per-sample",
+        "side_conditions": [
+            "['a', 'b'] within component-1 alphabet",
+            "['a', 'b', 'c', 'fail'] within component-2 alphabet plus assumption's",
+        ],
         "conclusion": {
             "kind": "rpa-sat",
             "model": "u1 ||conv u2 (over-approximates the standard composition)",
@@ -428,10 +433,12 @@ def test_rpa_rule_report_is_pinned(corpus_dir, tmp_path, capsys):
             "strategy_class": "cmp",
         },
         "premises": [
-            {"description": "reduced component 1 satisfies the assumption on its region",
-             "status": "holds"},
-            {"description": "reduced extended component 2 satisfies assumption => guarantee",
-             "status": "holds"},
+            {"kind": "region-sat",
+             "description": "reduced component 1 satisfies the assumption on its region",
+             "status": "holds", "attestation": None, "witness": None},
+            {"kind": "ag-triple",
+             "description": "reduced extended component 2 satisfies assumption => guarantee",
+             "status": "holds", "attestation": None, "witness": None},
         ],
     }
 
