@@ -195,9 +195,10 @@ def _tokenize(text: str):
     tokens = []
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if not m:
+            bad = len(text) - len(text[pos:].lstrip())  # the character after any spaces
+            if bad < len(text):
+                raise ParseError(f"unexpected character {text[bad]!r}", bad)
             break
         if m.lastgroup is not None:
             tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))

@@ -51,24 +51,15 @@ EXIT_UNKNOWN = 3
 EXIT_INTERNAL = 4
 
 
-def _int_at_least(text, low, expected):
-    try:
-        value = int(text)
-    except (TypeError, ValueError):
-        value = low - 1
-    if value < low:
-        raise ValueError(f"expected {expected}, got {text!r}")
-    return value
+def _integer(kind):
+    """The argparse type of an integer option: the shape table's leaf `kind`."""
+    def integer(text):
+        try:
+            return modelio._LEAVES[kind](int(text), "$")
+        except ParseError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
 
-
-def positive_int(text):
-    """A resolution or a grid denominator: an integer >= 1."""
-    return _int_at_least(text, 1, "a positive integer")
-
-
-def nonnegative_int(text):
-    """A horizon: an integer >= 0."""
-    return _int_at_least(text, 0, "a nonnegative integer")
+    return integer
 
 
 class _Inputs:
@@ -292,12 +283,12 @@ _OPTIONS = {
     "--symbols": {"help": "comma-separated symbols"},
     "--region": {"help": "box.p=[0,0.1],q=[0,1], finite:{p=1/10};{p=9/10} or @file; "
                          "default: the single empty valuation"},
-    "--resolution": {"type": positive_int, "default": 1},
+    "--resolution": {"type": _integer("pos"), "default": 1},
     "--class": {"dest": "strategy_class", "choices": ("cmp", "prt"), "default": "cmp"},
     "--direction": {"choices": ("up", "down")},
-    "--grid-denominator": {"type": positive_int, "default": 1},
+    "--grid-denominator": {"type": _integer("pos"), "default": 1},
     "--side": {"type": int, "choices": (1, 2)},
-    "--horizon": {"type": nonnegative_int, "default": 4},
+    "--horizon": {"type": _integer("nat"), "default": 4},
     "--robust": {"action": "store_true"},
     "--out": {"help": "write the JSON report to this file (corpus: the directory to fill)"},
     "--timing": {"action": "store_true",

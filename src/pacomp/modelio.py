@@ -369,10 +369,7 @@ def _argument(value, kind, env, where, inputs):
             _fail(where, f"{value!r} names an empty query")
         return found[0]
     if section == "regions":
-        try:
-            return parse_region_arg(value, inputs)
-        except ParseError as exc:
-            _fail(where, str(exc))
+        return parse_region_arg(value, inputs, where)
     _fail(where, f"{value!r} names no entry of {section!r}")
 
 
@@ -395,6 +392,7 @@ _RULES = {
 
 _FORMAT = frozenset({FORMAT})
 _RATIONAL_DIST = [("id", "rat")]
+_VALUATION = [("str", "rat")]
 # named type -> (shape, build(decoded fields, JSON path, loader), the classes
 # it encodes, their inverse of build: an object -> its decoded fields in
 # document order); every named type but "objective" is a document type
@@ -420,7 +418,7 @@ _TYPES = {
     "box": ({"bounds": [("str", ("rat", "rat"))]},
             lambda f, path, _: _located(f"{path}.bounds", _box, f["bounds"]),
             (Box,), lambda r: dict(type="box", bounds=r.bounds)),
-    "finite": ({"valuations": [[("str", "rat")]]},
+    "finite": ({"valuations": [_VALUATION]},
                lambda f, path, _: FiniteRegion.of(
                    _located(f"{path}.valuations[{i}]", _named, v, "valuation")
                    for i, v in enumerate(f["valuations"])),
@@ -481,63 +479,51 @@ def _box(axes):
     return Box.of(_named(axes, "box"))
 
 
-def parse_region_arg(text, inputs):
-    """Parse region text: box.p=[0,0.1],q=[0,1] | finite:{p=1/10};{p=9/10} | @file."""
+def parse_region_arg(text, inputs, path="$"):
+    """Decode region text, an abbreviation of a region document: box.p=[0,1/10],q=[0,1]
+    the box of those bounds, finite:{p=1/10};{p=9/10} the finite region of those
+    valuations, @file the document in that file.  Errors name their path in it."""
     text = text.strip()
-    if text.startswith("@"):
-        return inputs.load(text[1:], "region")
-    if text.startswith("box.") or text.startswith("box:"):
-        body = text[4:]
+    if text[:4] in ("box.", "box:"):
         axes = []
-        for chunk in _split_axes(body):
-            if "=" not in chunk:
-                raise ParseError(f"bad box axis {chunk!r}")
-            name, rng = chunk.split("=", 1)
-            rng = rng.strip()
-            if not (rng.startswith("[") and rng.endswith("]")) or rng.count(",") != 1:
-                raise ParseError(f"bad interval {rng!r} for {name!r}")
-            lo, hi = rng[1:-1].split(",")
-            axes.append((name.strip(), (parse_rational(lo), parse_rational(hi))))
-        return _box(axes)
-    if text.startswith("finite:"):
-        vals = []
-        for chunk in text[len("finite:"):].split(";"):
-            chunk = chunk.strip()
-            if not (chunk.startswith("{") and chunk.endswith("}")):
-                raise ParseError(f"bad finite valuation {chunk!r}")
-            vals.append(parse_valuation_arg(chunk[1:-1]))
-        return FiniteRegion.of(vals)
-    raise ParseError(f"unrecognized region syntax {text!r}")
-
-
-def _split_axes(body):
-    """Split 'p=[0,1],q=[0,1]' at commas that separate axes, not bounds."""
-    parts, depth, current = [], 0, ""
-    for ch in body:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append(current)
-            current = ""
-        else:
-            current += ch
-    if current:
-        parts.append(current)
-    return parts
+        for chunk in text[4:].split(","):  # a comma inside brackets stays in its axis
+            if axes and axes[-1].count("[") != axes[-1].count("]"):
+                axes[-1] += "," + chunk
+            else:
+                axes.append(chunk)
+        if not axes[-1]:  # a trailing comma, or no axis at all
+            axes.pop()
+        text = {"type": "box", "bounds": [_pair(a, lambda b: _inside(b, "[]")) for a in axes]}
+    elif text.startswith("finite:"):
+        text = {"type": "finite",
+                "valuations": [_inside(v, "{}", _pairs) for v in text[7:].split(";")]}
+    elif not text.startswith("@"):
+        _fail(path, f"unrecognized region syntax {text!r}")
+    return _document(text, "@region", path, inputs)
 
 
 def parse_valuation_arg(text):
-    items = []
-    for item in text.split(","):
-        if not item.strip():
-            continue
-        if "=" not in item:
-            raise ParseError(f"bad valuation item {item!r}: expected name=value")
-        name, value = item.split("=", 1)
-        items.append((name.strip(), parse_rational(value)))
-    return _named(items, "valuation")
+    """Decode valuation text p=1/10,q=0.1, an abbreviation of its [name, value] pairs."""
+    return _located("$", _named, _decode(_pairs(text), _VALUATION, "$", None), "valuation")
+
+
+def _inside(text, brackets, parse=lambda inner: inner.split(",")):
+    """parse(the text between `brackets`) when they enclose `text`, else the
+    text as it is, which the shape table rejects as not a list."""
+    text = text.strip()
+    return parse(text[1:-1]) if text[:1] + text[-1:] == brackets else text
+
+
+def _pairs(text):
+    """The comma-separated name=value items of `text`, blank ones skipped."""
+    return [_pair(item) for item in text.split(",") if item.strip()]
+
+
+def _pair(item, value=lambda text: text):
+    """name=text as [name, value(text)], else the item as it is, which the
+    shape table rejects as not a pair."""
+    name, eq, text = item.partition("=")
+    return [name.strip(), value(text)] if eq else item
 
 
 def dump_document(obj) -> dict:

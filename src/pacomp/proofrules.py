@@ -52,7 +52,6 @@ class RuleApplication:
     conclusion: dict | None
     confidence: str = CHECKED
     status: str = "concluded"
-    failure: object = None
 
     @property
     def concluded(self) -> bool:
@@ -93,8 +92,8 @@ def _apply(rule, side_conditions, conclusion, fairness, premises, safe=()):
     With a fairness attestation, each premise is attested by its note under
     its fair description and `<rule>-fair` concludes at attested confidence.
     Otherwise `safe`, a message and the queries that must be safety queries,
-    is enforced; every check runs in order, and the first premise that does
-    not hold fails the rule with its witness.
+    is enforced; every check runs in order, and a premise that does not hold
+    fails the rule, its verdict carrying the witness.
     """
     if fairness is None:
         if safe:
@@ -102,11 +101,9 @@ def _apply(rule, side_conditions, conclusion, fairness, premises, safe=()):
             _require(all(is_safe_query(q) for q in queries), message)
         checked = [Premise(kind, description, check())
                    for kind, description, _, check in premises]
-        failed = next((p.verdict for p in checked if not p.verdict.holds), None)
-        if failed is None:
+        if all(p.verdict.holds for p in checked):
             return RuleApplication(rule, checked, side_conditions, conclusion)
-        return RuleApplication(rule, checked, side_conditions, None,
-                               status="premise-failed", failure=failed.witness)
+        return RuleApplication(rule, checked, side_conditions, None, status="premise-failed")
     if len(fairness.notes or ()) != len(premises):
         raise ValueError("fairness variants need one attestation note per premise")
     attested = [Premise("attested", fair, attestation=note)
@@ -419,4 +416,4 @@ def apply_rpa_rules(rule, *args, resolution=1) -> RuleApplication:
         conclusion["model"] = model
     premises = [replace(p, description=f"reduced {p.description}") for p in app.premises]
     return RuleApplication(f"rpa-{app.rule}", premises, app.side_conditions, conclusion,
-                           app.confidence, app.status, app.failure)
+                           app.confidence, app.status)

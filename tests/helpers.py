@@ -7,13 +7,24 @@ import math
 import random
 from fractions import Fraction
 
-from pacomp.algebra import Polynomial, PolyTable, poly_eval, region_samples, require_total, valuation_key
+from pacomp.algebra import (
+    Box,
+    FiniteRegion,
+    Polynomial,
+    PolyTable,
+    parse_rational,
+    poly_eval,
+    region_samples,
+    require_total,
+    valuation_key,
+)
 from pacomp.errors import (
     ActionAlphabetClash,
     EmptyRegion,
     GeneratorBudgetExceeded,
     IllDefinedValuationInRegion,
     InfeasibleIntervalSet,
+    ParseError,
 )
 from pacomp.exactlp import OPTIMAL, LinearProgram, _int_row
 from pacomp.model import DFA, WellDefinedness, instantiate, make_ppa, sort_key, tau_extend
@@ -779,3 +790,76 @@ def monotone_check_per_sample(m, region, objective, param, direction, strategy_c
                     caveat=caveat,
                 )
     return Verdict("holds", caveat=caveat)
+
+
+# The hand-written region and valuation text parsers that region text used
+# before it decoded through `modelio`'s shape table, kept as they were as the
+# reference for which texts are accepted and what they denote.
+def _named_reference(pairs, what):
+    out = {}
+    for name, value in pairs:
+        if name in out:
+            raise ParseError(f"{what} names parameter {name!r} twice")
+        out[name] = value
+    return out
+
+
+def _split_axes_reference(body):
+    """Split 'p=[0,1],q=[0,1]' at commas that separate axes, not bounds."""
+    parts, depth, current = [], 0, ""
+    for ch in body:
+        if ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+        if ch == "," and depth == 0:
+            parts.append(current)
+            current = ""
+        else:
+            current += ch
+    if current:
+        parts.append(current)
+    return parts
+
+
+def parse_region_arg_reference(text, inputs):
+    """Parse region text: box.p=[0,0.1],q=[0,1] | finite:{p=1/10};{p=9/10} | @file."""
+    text = text.strip()
+    if text.startswith("@"):
+        return inputs.load(text[1:], "region")
+    if text.startswith("box.") or text.startswith("box:"):
+        body = text[4:]
+        axes = []
+        for chunk in _split_axes_reference(body):
+            if "=" not in chunk:
+                raise ParseError(f"bad box axis {chunk!r}")
+            name, rng = chunk.split("=", 1)
+            rng = rng.strip()
+            if not (rng.startswith("[") and rng.endswith("]")) or rng.count(",") != 1:
+                raise ParseError(f"bad interval {rng!r} for {name!r}")
+            lo, hi = rng[1:-1].split(",")
+            axes.append((name.strip(), (parse_rational(lo), parse_rational(hi))))
+        if not axes:
+            raise ParseError("a box region needs at least one axis")
+        return Box.of(_named_reference(axes, "box"))
+    if text.startswith("finite:"):
+        vals = []
+        for chunk in text[len("finite:"):].split(";"):
+            chunk = chunk.strip()
+            if not (chunk.startswith("{") and chunk.endswith("}")):
+                raise ParseError(f"bad finite valuation {chunk!r}")
+            vals.append(parse_valuation_arg_reference(chunk[1:-1]))
+        return FiniteRegion.of(vals)
+    raise ParseError(f"unrecognized region syntax {text!r}")
+
+
+def parse_valuation_arg_reference(text):
+    items = []
+    for item in text.split(","):
+        if not item.strip():
+            continue
+        if "=" not in item:
+            raise ParseError(f"bad valuation item {item!r}: expected name=value")
+        name, value = item.split("=", 1)
+        items.append((name.strip(), parse_rational(value)))
+    return _named_reference(items, "valuation")

@@ -136,6 +136,25 @@ def test_parse_error_position():
     assert err.value.pos is not None
 
 
+@pytest.mark.parametrize(
+    "text, message, pos",
+    [
+        ("p $ q", "unexpected character '$'", 2),  # the character, not the space before it
+        ("p^1/2", "exponent must be a nonnegative integer", 2),
+        ("p q", "trailing input 'q'", 2),
+        ("p + ", "expected a factor, found ''", 4),
+    ],
+)
+def test_parse_poly_errors_name_their_position(text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text)
+    assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
+
+
+def test_unary_minus_inside_a_factor():
+    assert parse_poly("2*-p") == -2 * P
+
+
 def test_parse_rational_decimal():
     assert parse_rational("0.1") == F(1, 10)
     assert parse_rational("9/10") == F(9, 10)

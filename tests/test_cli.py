@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -5,13 +7,15 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pacomp import corpus, modelio
 from pacomp.algebra import Box, FiniteRegion
 from pacomp.cli import main, parse_region_arg, parse_valuation_arg
-from pacomp.errors import ParseError
+from pacomp.errors import PacompError, ParseError
 
-from helpers import random_pa
+from helpers import parse_region_arg_reference, parse_valuation_arg_reference, random_pa
 
 
 class _NoInputs:
@@ -559,6 +563,13 @@ def test_monotonicity_script_with_valid_arguments_runs(corpus_dir, tmp_path, cap
     code, out, err = run(capsys, "rule", "--script", str(path))
     assert code == 2 and out == ""
     assert "MissingParameter" in err and "'zzz'" in err
+    # at p = 0 retry's s0_a moves to s1 surely, so no sample of r1 preserves
+    # the graph and the premise has nothing to check
+    script["applications"][0].update(param="p", r1="finite:{p=0}")
+    json.dump(script, open(path, "w"))
+    code, out, err = run(capsys, "rule", "--script", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: NotGraphPreserving: no graph-preserving sample in the region\n"
 
 
 def test_monotonicity_script_on_an_empty_region_is_vacuous(corpus_dir, tmp_path, capsys):
@@ -614,7 +625,8 @@ def test_resolution_must_be_positive(corpus_dir, capsys):
     [
         ("--valuation", "p", "'p'"),
         ("--region", "finite:{p}", "'p'"),
-        ("--region", "box.p=[0]", "'[0]' for 'p'"),
+        pytest.param("--region", "box.p=[0]", "$.bounds[0][1]: expected a list of 2 items",
+                     id="--region-box.p=[0]-bounds[0][1]"),
     ],
 )
 def test_malformed_valuation_and_region_items_are_usage_errors(
@@ -638,13 +650,13 @@ def test_malformed_valuation_and_region_items_are_usage_errors(
 @pytest.mark.parametrize(
     "region, message",
     [
-        ("box.p=[0,1/10],p=[1/2,1]", "box names parameter 'p' twice"),
+        ("box.p=[0,1/10],p=[1/2,1]", "$.bounds: box names parameter 'p' twice"),
         ({"bounds": [["p", ["0", "1/10"]], ["p", ["1/2", "1"]]]},
          "$.bounds: box names parameter 'p' twice"),
-        ("finite:{p=1/10,p=1/2}", "valuation names parameter 'p' twice"),
+        ("finite:{p=1/10,p=1/2}", "$.valuations[0]: valuation names parameter 'p' twice"),
         ({"valuations": [[["p", "1/10"]], [["p", "1/10"], ["p", "1/2"]]]},
          "$.valuations[1]: valuation names parameter 'p' twice"),
-        ("box.", "a box region needs at least one axis"),
+        ("box.", "$.bounds: a box region needs at least one axis"),
         ({"bounds": []}, "$.bounds: a box region needs at least one axis"),
     ],
     ids=["box-text-repeat", "box-json-repeat", "finite-text-repeat", "finite-json-repeat",
@@ -666,6 +678,82 @@ def test_region_dropping_an_axis_or_a_value_is_usage_error(
                          "--region", region)
     assert (code, out) == (2, "")
     assert err == f"format error: {message}\n"
+
+
+# Region and valuation text against the parsers it had before it decoded
+# through the shape table (tests/helpers): generated texts, and texts with up
+# to four characters deleted, inserted or replaced.
+_TEXT_CHARS = "[]{}=,;:./0123456789pq "
+_bound = st.sampled_from(["0", "1", "1/2", "1/10", "0.25", " 3/4 ", "2", "1/0", "x"])
+_name = st.sampled_from(["p", "q", "r1", " p ", ""])
+_interval = st.lists(_bound, min_size=2, max_size=2) | st.lists(_bound, max_size=3)
+_axis = st.builds(lambda name, bounds: f"{name}=[{','.join(bounds)}]", _name, _interval)
+_box_text = st.builds(lambda head, axes, tail: head + ",".join(axes) + tail,
+                      st.sampled_from(["box.", "box:", " box."]), st.lists(_axis, max_size=3),
+                      st.sampled_from(["", ",", " "]))
+_valuation_text = st.lists(st.builds("{}={}".format, _name, _bound), max_size=3).map(",".join)
+_finite_text = st.lists(_valuation_text.map(lambda v: "{" + v + "}"), min_size=1, max_size=3).map(
+    lambda vals: "finite:" + ";".join(vals))
+
+
+@st.composite
+def _mutated(draw, texts):
+    text = draw(texts)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(text)))
+        op, ch = draw(st.sampled_from(["delete", "insert", "replace"])), draw(
+            st.sampled_from(_TEXT_CHARS))
+        keep = text[i + 1:] if op != "insert" else text[i:]
+        text = text[:i] + ("" if op == "delete" else ch) + keep
+    return text
+
+
+def _outcome(parse, text):
+    """What `parse` returns for `text`, or the class of the error it raises."""
+    try:
+        return parse(text)
+    except PacompError as exc:
+        return type(exc)
+
+
+def _exits_2_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue()) == (2, ""), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_mutated(_box_text | _finite_text))
+@example(text="box.p=[0,1],,")
+@example(text="box.p=[0,1],")
+@example(text="box.[p=[0,1]")
+@example(text="box.a],b[=[0,1]")
+@example(text="box.]p=[0,1]")
+@example(text="finite:{p=1,,q=2}")
+@example(text="finite:{p=1};")
+@example(text="box.p=[1,0]")
+def test_region_text_decodes_as_the_reference_parser(corpus_dir, text):
+    got = _outcome(lambda t: parse_region_arg(t, None), text)
+    assert got == _outcome(lambda t: parse_region_arg_reference(t, None), text)
+    if isinstance(got, type) and text:  # an empty --region is the default region
+        _exits_2_quietly(["check", "--model", str(corpus_dir / "retry.ppa.json"),
+                          "--objective", str(corpus_dir / "safe_assumption.query.json"),
+                          "--region=" + text])
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_mutated(_valuation_text))
+@example(text="p=1,,q=2")
+@example(text="p=1,p=2")
+@example(text="p")
+def test_valuation_text_decodes_as_the_reference_parser(corpus_dir, text):
+    got = _outcome(parse_valuation_arg, text)
+    assert got == _outcome(parse_valuation_arg_reference, text)
+    if isinstance(got, type):
+        _exits_2_quietly(["instantiate", "--model", str(corpus_dir / "retry.ppa.json"),
+                          "--valuation=" + text])
 
 
 def test_wrong_document_kind_is_usage_error(corpus_dir, tmp_path, capsys):
@@ -906,6 +994,7 @@ def test_usage_errors_exit_2_with_nothing_on_stdout(capsys):
     for argv, named in (
         ((), "command"),
         (("nosuch",), "invalid choice: 'nosuch'"),
+        (("tau", "--model", "nosuch.ppa.json"), "missing input: "),
         (("check", "--model", "m.json"), "--objective"),
         (("monotone", "--model", "m.json", "--objective", "q.json", "--param", "p",
           "--direction", "up"), "--region"),
@@ -1060,7 +1149,8 @@ def test_project_and_triple_cli(corpus_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "defect",
-    ["disabled action", "total above one", "negative mass", "empty history", "negative horizon"],
+    ["disabled action", "disabled action in a table", "total above one", "negative mass",
+     "empty history", "negative horizon"],
 )
 def test_project_rejects_an_invalid_strategy(corpus_dir, tmp_path, capsys, defect):
     from pacomp.model import compose, instantiate
@@ -1074,7 +1164,7 @@ def test_project_rejects_an_invalid_strategy(corpus_dir, tmp_path, capsys, defec
     choice = {s: dict(d) for s, d in corpus.priority_strategy(composed).choice.items()}
     s = composed.initial
     (a, _), = choice[s].items()
-    if defect == "disabled action":
+    if defect.startswith("disabled action"):
         other = next(x for t in composed.states for x in composed.enabled(t)
                      if x not in composed.enabled(s))
         choice[s] = {other: F(1)}
@@ -1084,7 +1174,9 @@ def test_project_rejects_an_invalid_strategy(corpus_dir, tmp_path, capsys, defec
     elif defect == "negative mass":
         choice[s] = {a: F(-1, 2)}
     sigma = MemorylessStrategy(choice)
-    if defect == "empty history":
+    if defect == "disabled action in a table":
+        sigma = TabularStrategy({(s,): choice[s]}, horizon=2)
+    elif defect == "empty history":
         sigma = TabularStrategy({(): {a: F(1)}}, horizon=2)
     elif defect == "negative horizon":
         sigma = TabularStrategy({(s,): {a: F(1)}}, horizon=-3)
@@ -1278,6 +1370,11 @@ def test_monotone_cli(corpus_dir, tmp_path, capsys):
     json.dump(modelio.dump_document(stray), open(query_path, "w"))
     code3, out3, err3 = run(capsys, *base, "--direction", "up")
     assert (code3, out3) == (2, "") and err3.startswith("error: AlphabetMismatch: ")
+    # the check takes one objective
+    json.dump(modelio.dump_document(narrow + narrow), open(query_path, "w"))
+    code4, out4, err4 = run(capsys, *base, "--direction", "up")
+    assert (code4, out4) == (2, "")
+    assert err4 == "format error: monotonicity checks take a single-objective query\n"
 
 
 # Full report bytes of three region runs on the composed corpus model,
