@@ -184,9 +184,9 @@ def parse_rational(text: str) -> Fraction:
         raise ParseError(f"bad rational {text!r}: {exc}") from exc
 
 
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # a parameter name, wherever it is read
 _TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d+)?(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[()+\-*^]))"
+    rf"\s*(?:(?P<num>\d+(?:\.\d+)?(?:/\d+)?)|(?P<name>{IDENTIFIER.pattern})|(?P<op>[()+\-*^]))"
 )
 
 

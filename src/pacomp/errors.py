@@ -30,7 +30,7 @@ class AlphabetMismatch(PacompError):
 
 
 class NotComposedModel(PacompError):
-    """Projection was requested on a model without composition metadata."""
+    """Projection was requested on a model whose states or actions are not all pairs."""
 
 
 class HorizonExceedsStrategyTable(PacompError):

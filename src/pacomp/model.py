@@ -7,7 +7,7 @@ canonical tuples so that associativity up to renaming stays checkable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 
@@ -77,7 +77,6 @@ class PPA:
     trans: dict
     label: dict
     alphabet: frozenset
-    composed_of: tuple | None = field(default=None, compare=False)
 
     def __post_init__(self):
         check_automaton(self, self.trans, self.trans.items())
@@ -140,7 +139,7 @@ def split_transitions(trans, entry=lambda e: e):
     return emap, lmap, tuple(sorted(actions, key=sort_key))
 
 
-def make_ppa(states, initial, params, trans, alphabet, composed_of=None) -> PPA:
+def make_ppa(states, initial, params, trans, alphabet) -> PPA:
     """Build a pPA from `trans` given as {(state, action): (label, dist)};
     entries are stored in the form `params` decides (see `PPA`)."""
     params = frozenset(params)
@@ -156,7 +155,6 @@ def make_ppa(states, initial, params, trans, alphabet, composed_of=None) -> PPA:
         trans=tmap,
         label=lmap,
         alphabet=frozenset(alphabet),
-        composed_of=composed_of,
     )
 
 
@@ -169,24 +167,14 @@ def dirac(state) -> dict:
 # ---------------------------------------------------------------------------
 
 def instantiate(m: PPA, v) -> PPA:
-    """Substitute the valuation into every transition polynomial.
-
-    Composition metadata is instantiated alongside so projections on the
-    result see parameter-free components.
-    """
+    """Substitute the valuation into every transition polynomial."""
     require_total(v, m.params)
     if not m.params:
         return m
     trans = {
         key: {s: p.evaluate(v) for s, p in dist.items()} for key, dist in m.trans.items()
     }
-    composed_of = m.composed_of
-    if composed_of is not None:
-        composed_of = tuple(
-            instantiate(c, {k: val for k, val in v.items() if k in c.params})
-            for c in composed_of
-        )
-    return replace(m, params=frozenset(), trans=trans, composed_of=composed_of)
+    return replace(m, params=frozenset(), trans=trans)
 
 
 def well_definedness(table: PolyTable, models):
@@ -276,7 +264,7 @@ def compose(m1: PPA, m2: PPA) -> PPA:
             dist = {(t1, t2): p1 * p2 for t1, p1 in d1.items() for t2, p2 in d2.items()}
         trans[((s1, s2), action)] = (lab, dist)
     return make_ppa(states, (m1.initial, m2.initial), m1.params | m2.params, trans,
-                    m1.alphabet | m2.alphabet, composed_of=(m1, m2))
+                    m1.alphabet | m2.alphabet)
 
 
 def unit_ppa(state="unit") -> PPA:
@@ -303,7 +291,6 @@ def alphabet_extend(m: PPA, sigma) -> PPA:
         params=m.params,
         trans=trans,
         alphabet=m.alphabet | fresh,
-        composed_of=m.composed_of,
     )
 
 
@@ -329,7 +316,6 @@ def tau_extend(m: PPA) -> PPA:
         params=m.params,
         trans=trans,
         alphabet=m.alphabet | {tau_sym},
-        composed_of=m.composed_of,
     )
 
 
@@ -469,7 +455,6 @@ def dfa_product(m: PPA, b: DFA):
         trans=trans,
         label=label,
         alphabet=m.alphabet,
-        composed_of=m.composed_of,
     )
     bad = frozenset((s, q) for (s, q) in states if q in b.accepting)
     return product, bad
@@ -506,7 +491,6 @@ def prune_unreachable(m: PPA) -> PPA:
         params=m.params,
         trans=trans,
         alphabet=m.alphabet,
-        composed_of=m.composed_of,
     )
 
 

@@ -19,6 +19,7 @@ import json
 from fractions import Fraction
 
 from .algebra import (
+    IDENTIFIER,
     Box,
     FiniteRegion,
     Polynomial,
@@ -102,6 +103,7 @@ _LEAVES = {
     "id": _dec_id,
     "str": _string,
     "name": _leaf(lambda x: type(x) is str and x != "", "a non-empty string"),
+    "param": _leaf(lambda x: type(x) is str and IDENTIFIER.fullmatch(x), "an identifier"),
     "bool": _leaf(lambda x: type(x) is bool, "true or false"),
     "int": _leaf(lambda x: type(x) is int, "an integer"),
     "nat": _leaf(lambda x: type(x) is int and x >= 0, "a nonnegative integer"),
@@ -392,12 +394,12 @@ _RULES = {
 
 _FORMAT = frozenset({FORMAT})
 _RATIONAL_DIST = [("id", "rat")]
-_VALUATION = [("str", "rat")]
+_VALUATION = [("param", "rat")]
 # named type -> (shape, build(decoded fields, JSON path, loader), the classes
 # it encodes, their inverse of build: an object -> its decoded fields in
 # document order); every named type but "objective" is a document type
 _TYPES = {
-    "ppa": ({"format": _FORMAT, "states": ["id"], "initial": "id", "params": ["str"],
+    "ppa": ({"format": _FORMAT, "states": ["id"], "initial": "id", "params": ["param"],
              "alphabet": ["str"],
              "transitions": [{"state": "id", "action": "id", "label": "str",
                               "dist": [("id", "poly")]}]}, _ppa, (PPA,), _ppa_fields),
@@ -415,7 +417,7 @@ _TYPES = {
                    "cmp": frozenset({"<", "<=", ">", ">="}), "threshold": "rat",
                    "?dfa": "dfa", "?rewards": [("str", "poly")], "?name": "str"}, _objective,
                   (ProbObjective, RewardObjective), _objective_fields),
-    "box": ({"bounds": [("str", ("rat", "rat"))]},
+    "box": ({"bounds": [("param", ("rat", "rat"))]},
             lambda f, path, _: _located(f"{path}.bounds", _box, f["bounds"]),
             (Box,), lambda r: dict(type="box", bounds=r.bounds)),
     "finite": ({"valuations": [_VALUATION]},

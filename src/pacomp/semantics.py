@@ -153,26 +153,26 @@ def measure(m: PPA, sigma, horizon: int) -> PathMeasure:
 # Projections of paths and strategies
 # ---------------------------------------------------------------------------
 
-def _component_parts(composed: PPA):
-    if not composed.composed_of or len(composed.composed_of) != 2:
-        raise NotComposedModel("model does not carry composition metadata")
-    return composed.composed_of
+def _mover(composed: PPA, side: int):
+    """The test of whether component `side` moves in a step a of `composed`:
+    iff a[side-1] is not in the joint alphabet, as `synchronise` names steps
+    (a1, a2), (a1, label) and (label, a2) and keeps component actions out of it."""
+    if not all(type(x) is tuple and len(x) == 2 for x in (*composed.states, *composed.actions)):
+        raise NotComposedModel("a state or action is not a pair, so the model is not a composition")
+    return lambda act: act[side - 1] not in composed.alphabet
 
 
-def _own_actions(composed: PPA, side: int) -> set:
-    """The actions of component `side`: a composed step moves it iff its
-    `side` part is one of them."""
-    return set(_component_parts(composed)[side - 1].actions)
+def _project(pi: Path, side: int, moves) -> Path:
+    out = [pi[0][side - 1]]
+    for act, succ in zip(pi[1::2], pi[2::2]):
+        if moves(act):
+            out.extend([act[side - 1], succ[side - 1]])
+    return tuple(out)
 
 
 def path_project(pi: Path, composed: PPA, side: int) -> Path:
     """Restrict a composed path to the steps its `side` component performs."""
-    own = _own_actions(composed, side)
-    out = [pi[0][side - 1]]
-    for act, succ in zip(pi[1::2], pi[2::2]):
-        if act[side - 1] in own:
-            out.extend([act[side - 1], succ[side - 1]])
-    return tuple(out)
+    return _project(pi, side, _mover(composed, side))
 
 
 def strategy_project(composed: PPA, sigma, side: int, horizon: int) -> TabularStrategy:
@@ -186,12 +186,12 @@ def strategy_project(composed: PPA, sigma, side: int, horizon: int) -> TabularSt
     that project to it and are initial or end with a `side` move, so their
     cylinders are disjoint and `lifted[pi_i]` is the measure of their union.
     """
-    own = _own_actions(composed, side)
+    moves = _mover(composed, side)
     _check_table_depth(sigma, horizon, "projection")
     lifted = {}
     for path, prob in _walk(composed, sigma, horizon + 1)[0].items():
-        if len(path) == 1 or path[-2][side - 1] in own:
-            pi_i = path_project(path, composed, side)
+        if len(path) == 1 or moves(path[-2]):
+            pi_i = _project(path, side, moves)
             lifted[pi_i] = lifted.get(pi_i, Fraction(0)) + prob
     numers = {}
     for pi_i, mass in lifted.items():

@@ -1050,25 +1050,26 @@ def ag_triple_check(
 # ---------------------------------------------------------------------------
 
 def _weight_profiles(actions, denominator):
+    """The distributions over `actions` with weights in 1/denominator steps,
+    one at a time, so that a cap on their consumer bounds the work."""
     if denominator == 1:
-        return [{a: Fraction(1)} for a in actions]
-    profiles = []
+        yield from ({a: Fraction(1)} for a in actions)
+        return
 
     def rec(i, remaining, acc):
         if i == len(actions) - 1:
             prof = dict(acc)
             if remaining:
                 prof[actions[i]] = Fraction(remaining, denominator)
-            profiles.append(prof)
+            yield prof
             return
         for k in range(remaining + 1):
             if k:
                 acc[actions[i]] = Fraction(k, denominator)
-            rec(i + 1, remaining - k, acc)
+            yield from rec(i + 1, remaining - k, acc)
             acc.pop(actions[i], None)
 
-    rec(0, denominator, {})
-    return profiles
+    yield from rec(0, denominator, {})
 
 
 def enumerate_memoryless(m: PPA, denominator=1):

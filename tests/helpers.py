@@ -37,7 +37,7 @@ from pacomp.robust import (
     generators,
     make_rpa,
 )
-from pacomp.semantics import TabularStrategy, _walk, path_last, path_len, path_project
+from pacomp.semantics import TabularStrategy, _walk, path_last, path_len
 from pacomp.verify import (
     INF,
     RewardObjective,
@@ -337,17 +337,20 @@ def cyl_prob(m, sigma, path) -> Fraction:
     return total
 
 
-def lifted_paths(pi_i, composed, side: int, horizon: int):
-    """All composed initial paths of length <= horizon projecting to `pi_i`.
+def lifted_paths(pi_i, composed, component, side: int, horizon: int):
+    """All composed initial paths of length <= horizon projecting to `pi_i`,
+    a path of `component`, the `side` part of `composed`.
 
-    Zero-probability transitions are traversable, so enumeration follows the
-    declared transition structure, not any particular strategy's support.
+    A step moves the component iff its `side` part is one of the component's
+    actions.  Zero-probability transitions are traversable, so enumeration
+    follows the declared transition structure, not any particular strategy's
+    support.
     """
-    own = set(composed.composed_of[side - 1].actions)
+    own = set(component.actions)
     results = []
 
     def expand(path, idx):
-        if idx == path_len(pi_i) and path_project(path, composed, side) == pi_i:
+        if idx == path_len(pi_i):
             results.append(path)
         if path_len(path) >= horizon:
             return
@@ -433,6 +436,29 @@ def interval_extreme_points_by_orders(uset: IntervalSet, cap=10_000):
     return [dict(d) for d in sorted(seen, key=sort_key)]
 
 
+def weight_profiles_reference(actions, denominator):
+    """`verify._weight_profiles` as first written: the whole grid as a list."""
+    if denominator == 1:
+        return [{a: Fraction(1)} for a in actions]
+    profiles = []
+
+    def rec(i, remaining, acc):
+        if i == len(actions) - 1:
+            prof = dict(acc)
+            if remaining:
+                prof[actions[i]] = Fraction(remaining, denominator)
+            profiles.append(prof)
+            return
+        for k in range(remaining + 1):
+            if k:
+                acc[actions[i]] = Fraction(k, denominator)
+            rec(i + 1, remaining - k, acc)
+            acc.pop(actions[i], None)
+
+    rec(0, denominator, {})
+    return profiles
+
+
 def compose_reference(m1, m2):
     """`model.compose` as first written: for every synchronising transition
     of `m1`, a scan of all of `m2`'s transitions for its partners."""
@@ -460,7 +486,7 @@ def compose_reference(m1, m2):
         for s1 in m1.states:
             trans[((s1, s2), (lab, a2))] = (lab, {(s1, t2): p2 for t2, p2 in d2.items()})
     return make_ppa(states, (m1.initial, m2.initial), m1.params | m2.params, trans,
-                    m1.alphabet | m2.alphabet, composed_of=(m1, m2))
+                    m1.alphabet | m2.alphabet)
 
 
 def rpa_compose_reference(u1: RPA, u2: RPA) -> RPA:

@@ -5,6 +5,7 @@ import os
 import random
 import re
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from pacomp.algebra import Box, FiniteRegion
 from pacomp.cli import main, parse_region_arg, parse_valuation_arg
 from pacomp.errors import PacompError, ParseError
 
+import helpers
 from helpers import parse_region_arg_reference, parse_valuation_arg_reference, random_pa
 
 
@@ -680,6 +682,33 @@ def test_region_dropping_an_axis_or_a_value_is_usage_error(
     assert err == f"format error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "region, message",
+    [
+        ("box.p=[0,1/2],[q=[0,1]", "$.bounds[1][0]: expected an identifier, got '[q'"),
+        ("finite:{p=1/2,=3}", "$.valuations[0][1][0]: expected an identifier, got ''"),
+        ({"bounds": [["p", ["0", "1/2"]], ["[q", ["0", "1"]]]},
+         "$.bounds[1][0]: expected an identifier, got '[q'"),
+        ({"bounds": [["", ["0", "1"]]]}, "$.bounds[0][0]: expected an identifier, got ''"),
+    ],
+    ids=["box-text", "finite-text", "box-json-bracket", "box-json-empty"],
+)
+def test_region_naming_a_non_identifier_is_usage_error(
+    corpus_dir, tmp_path, capsys, region, message
+):
+    # no polynomial can name such a parameter, so a verdict over it would
+    # say nothing about the model
+    if isinstance(region, dict):
+        path = tmp_path / "box.region.json"
+        json.dump({"format": "pacomp/1", "type": "box", **region}, open(path, "w"))
+        region = "@" + str(path)
+    code, out, err = run(capsys, "check", "--model", str(corpus_dir / "retry.ppa.json"),
+                         "--objective", str(corpus_dir / "safe_assumption.query.json"),
+                         "--region", region)
+    assert (code, out) == (2, "")
+    assert err == f"format error: {message}\n" and "Traceback" not in err
+
+
 # Region and valuation text against the parsers it had before it decoded
 # through the shape table (tests/helpers): generated texts, and texts with up
 # to four characters deleted, inserted or replaced.
@@ -716,6 +745,25 @@ def _outcome(parse, text):
         return type(exc)
 
 
+def _reference_outcome(parse, text):
+    """`_outcome` of a reference parser, which took any string as a parameter
+    name.  A name that is not an identifier is a ParseError now, raised as
+    the text decodes, before an error the reference found in building the
+    region from the names it read."""
+    names = []
+
+    def named(pairs, what):
+        names.extend(name for name, _ in pairs)
+        return named_reference(pairs, what)
+
+    named_reference = helpers._named_reference
+    with mock.patch.object(helpers, "_named_reference", named):
+        got = _outcome(parse, text)
+    if any(not (name.isidentifier() and name.isascii()) for name in names):
+        return ParseError
+    return got
+
+
 def _exits_2_quietly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -734,9 +782,11 @@ def _exits_2_quietly(argv):
 @example(text="finite:{p=1,,q=2}")
 @example(text="finite:{p=1};")
 @example(text="box.p=[1,0]")
+@example(text="box.p=[0,1/2],[q=[0,1]")
+@example(text="finite:{p=1/2,=3}")
 def test_region_text_decodes_as_the_reference_parser(corpus_dir, text):
     got = _outcome(lambda t: parse_region_arg(t, None), text)
-    assert got == _outcome(lambda t: parse_region_arg_reference(t, None), text)
+    assert got == _reference_outcome(lambda t: parse_region_arg_reference(t, None), text)
     if isinstance(got, type) and text:  # an empty --region is the default region
         _exits_2_quietly(["check", "--model", str(corpus_dir / "retry.ppa.json"),
                           "--objective", str(corpus_dir / "safe_assumption.query.json"),
@@ -748,9 +798,11 @@ def test_region_text_decodes_as_the_reference_parser(corpus_dir, text):
 @example(text="p=1,,q=2")
 @example(text="p=1,p=2")
 @example(text="p")
+@example(text="p=1,=2")
+@example(text="p q=1")
 def test_valuation_text_decodes_as_the_reference_parser(corpus_dir, text):
     got = _outcome(parse_valuation_arg, text)
-    assert got == _outcome(parse_valuation_arg_reference, text)
+    assert got == _reference_outcome(parse_valuation_arg_reference, text)
     if isinstance(got, type):
         _exits_2_quietly(["instantiate", "--model", str(corpus_dir / "retry.ppa.json"),
                           "--valuation=" + text])

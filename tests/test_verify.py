@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -66,6 +67,7 @@ from helpers import (
     renamed_ppa,
     successor_sets,
     tableau_reference,
+    weight_profiles_reference,
     witness_values_reference,
 )
 
@@ -895,6 +897,25 @@ def test_enumerate_memoryless_counts():
     for bad in (0, -2):
         with pytest.raises(ValueError, match="grid denominator"):
             enumerate_memoryless(forked, bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6))
+def test_weight_profiles_match_the_list_reference(n, denominator):
+    # the same profiles in the same order: the order decides which strategy
+    # a monotonicity check reports as its witness
+    actions = [f"a{i}" for i in range(n)]
+    got = [list(p.items()) for p in verify._weight_profiles(actions, denominator)]
+    assert got == [list(p.items()) for p in weight_profiles_reference(actions, denominator)]
+
+
+def test_strategy_cap_bounds_the_grid_it_enumerates():
+    # the grid at s0 has C(10^6 + 2, 2) profiles; the cap stops enumeration
+    # after its 20 001st strategy instead of after building all of them
+    start = time.perf_counter()
+    with pytest.raises(StrategyCapExceeded):
+        enumerate_memoryless(corpus.retry_component(), 10**6)
+    assert time.perf_counter() - start < 10
 
 
 def test_end_component_keys_match_the_subset_reference():
