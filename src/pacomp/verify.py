@@ -13,10 +13,10 @@ solvers are exact and end in two mechanisms:
   which writes the integer rows and solves them.  It evaluates fixed
   strategies and witnesses (`_StrategyChain`), and drives the policy
   iteration (`_policy_iteration`) behind optimal reachability, safety
-  probabilities and maximal expected reward.  Policy iteration reads slot
-  rows: each action's entries (successor, slot) of a `PolyTable` vector,
-  whose numerators it reads once, comparing backups as integer dot
-  products;
+  probabilities, maximal expected reward and single-objective threshold
+  checks.  Policy iteration reads slot rows: each action's entries
+  (successor, slot) of a `PolyTable` vector, comparing backups as integer
+  dot products of the vector's numerators;
 - one occupation-measure LP builder (`_occupation_lp`): expected
   state-action frequencies routing one unit of flow into a settle region,
   solved by the exact simplex, for multi-objective achievability and
@@ -46,18 +46,20 @@ components by SCC refinement over the successor sets
 (`_end_component_keys`) and refuses a reward objective that one of them
 collects.  It covers every product state, also those behind zero entries:
 the LP keeps their columns, so a rewarded cycle there could circulate.  Per
-sample, the LP's integer rows are filled from the vector and solved, and a
-witness is built and re-checked only when the query is achievable.  A strategy's
-values are the witness re-check without settle mass: its chain over the
-product is built once and planned once per support pattern, so each sample
-only fills integer rows.
+sample, one probability objective under < or <= is first decided by policy
+iteration from the previous sample's optimal policy (`_MoQuery.bad_reach`);
+the LP's integer rows are filled from the vector and solved only for the rest,
+and a witness is built and re-checked only when the query is achievable.  A
+strategy's values are the witness re-check without settle mass: its chain
+over the product is built once and planned once per support pattern, so each
+sample only fills integer rows.
 
 A parameter-free solve is a `_MoQuery` at its one constant vector
 (`_constant_query`): `mo_achievable` solves its layout, `solution_value`
 (with `chain_language_prob`) fills a strategy's chain, `safety_prob` is one
-minus policy iteration's maximal reach of the product's bad states, and
-`exp_total_reward` is policy iteration with the reward slots as gains
-(maximum) or the reward minimised over `_flow`'s LP (minimum).
+minus `bad_reach` from a cold start, and `exp_total_reward` is policy
+iteration with the reward slots as gains (maximum) or the reward minimised
+over `_flow`'s LP (minimum).
 `monotone_check` fills each strategy's chain at every sampled valuation.
 The region checks share one sample loop.  Nothing is kept beyond one call.
 """
@@ -381,7 +383,27 @@ def _chain_fill(plan, point):
     return values
 
 
-def _policy_iteration(nodes, acts, succ, point, gains=None, targets=frozenset()):
+def _policy_shape(nodes, acts, succ, nums, gains=None, targets=frozenset()):
+    """What `_policy_iteration` reads of the sign pattern of the numerators
+    `nums`: each action's chain row, each deciding node's options (action,
+    gain slots, nonzero entries (t, k)) and a memo of each policy's plan."""
+    gains = gains or {}
+    rows, options = {}, {}
+    for s in nodes:
+        if s in targets or not acts.get(s):
+            continue
+        opts = options[s] = []
+        for a in acts[s]:
+            key = (s, a)
+            out = [(t, k) for t, k in succ[key] if nums[k]]
+            gain = [k for k in gains.get(key, ()) if nums[k]] + [k for t, k in out if t in targets]
+            rows[key] = (1, tuple((t, 1, k) for t, k in out), tuple((1, k) for k in gain))
+            opts.append((a, gain, out))
+    return rows, options, {}
+
+
+def _policy_iteration(nodes, acts, succ, point, gains=None, targets=frozenset(),
+                      start=None, shape=None):
     """Maximal expected total gain over det memoryless policies.
 
     Every node of `nodes` outside `targets` picks one of its actions in
@@ -389,31 +411,28 @@ def _policy_iteration(nodes, acts, succ, point, gains=None, targets=frozenset())
     probability nums[k] / D for each entry (t, k) of succ[(s, a)], where
     (D, nums) is the table vector `point`, and collects the values of the
     slots gains[(s, a)] plus its one-step mass into `targets`.  The start
-    policy takes the first action, and a node switches only on strict
-    improvement, so the returned policy depends on the model alone.  Each
-    row's numerators are read once; each round's finite values are scaled to
-    integers x over their common denominator V, so an action's backup
-    R + sum(P_t * X_t) beats the value X_s iff the integer
-    R*V + sum(n_t * x_t) exceeds D * x_s, with R = r / D and P_t = n_t / D.
-    Each round plans and fills the chain of its policy.  Returns the policy
-    and the value of every node under it.
+    policy is `start`, given for every deciding node, or else each node's
+    first action, and a node switches only on strict improvement, so the
+    returned policy depends on the model and the start alone (the values on
+    the model alone: `exp_total_reward`).  A caller that solves many vectors
+    of one sign pattern keeps its `_policy_shape` as `shape`, which then
+    stands for `acts`, `succ`, `gains` and `targets` and plans each policy's
+    chain once.  Each round's finite values are scaled to integers x over
+    their common denominator V, so an action's backup R + sum(P_t * X_t) beats
+    the value X_s iff the integer R*V + sum(n_t * x_t) exceeds D * x_s, with
+    R = r / D and P_t = n_t / D.  Returns the policy and the value of every
+    node under it.
     """
     den, nums = point
-    gains = gains or {}
-    policy = {s: acts[s][0] for s in nodes if s not in targets and acts.get(s)}
-    rows, options = {}, {}
-    for s in policy:
-        opts = options[s] = []
-        for a in acts[s]:
-            key = (s, a)
-            out = [(t, k) for t, k in succ[key] if nums[k]]
-            gain = [k for k in gains.get(key, ()) if nums[k]] + [k for t, k in out if t in targets]
-            rows[key] = (1, tuple((t, 1, k) for t, k in out), tuple((1, k) for k in gain))
-            opts.append((a, sum(nums[k] for k in gain), {t: nums[k] for t, k in out}))
+    rows, options, plans = shape or _policy_shape(nodes, acts, succ, nums, gains, targets)
+    policy = {s: start[s] if start else opts[0][0] for s, opts in options.items()}
     stop = (1, (), ())
     while True:
-        chain = {s: rows[(s, policy[s])] if s in policy else stop for s in nodes}
-        values = _chain_fill(_chain_plan(chain, point), point)
+        key = tuple(policy.values())
+        if key not in plans:
+            chain = {s: rows[(s, policy[s])] if s in policy else stop for s in nodes}
+            plans[key] = _chain_plan(chain, point)
+        values = _chain_fill(plans[key], point)
         finite = {s: v for s, v in values.items() if v is not INF}
         scale = lcm(*(v.denominator for v in finite.values()))
         x = {s: v.numerator * (scale // v.denominator) for s, v in finite.items()}
@@ -423,11 +442,11 @@ def _policy_iteration(nodes, acts, succ, point, gains=None, targets=frozenset())
             if s in inf:
                 continue  # no backup exceeds INF
             best_a, best = policy[s], den * x[s]
-            for a, r, moves in opts:
-                if inf and not inf.isdisjoint(moves):
+            for a, gain, out in opts:
+                if inf and any(t in inf for t, _ in out):
                     best_a = a  # an INF backup, which no later action exceeds
                     break
-                v = r * scale + sum(n * x[t] for t, n in moves.items())
+                v = sum(nums[k] for k in gain) * scale + sum(nums[k] * x[t] for t, k in out)
                 if v > best:
                     best_a, best = a, v
             if best_a != policy[s]:
@@ -463,11 +482,7 @@ def safety_prob(pa: PPA, obj: ProbObjective) -> Fraction:
     """inf over strategies of Pr(L); equals 1 - max reach of the bad states
     of the query product."""
     query, point = _constant_query(pa, (obj,), "cmp")
-    bad = query.targets[0]
-    if query.init in bad:
-        return Fraction(0)
-    _, values = _policy_iteration(query.states, query.acts, query.ptrans, point, targets=bad)
-    return 1 - values[query.init]
+    return 1 - query.bad_reach(point)
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +631,10 @@ class _MoQuery:
     of the rewards -- the end-component check, the settle set and `stay` map,
     and the LP layout with its rows as integer templates -- is built once per
     sign pattern (`_layout`), testing signs on the vector's numerators (its
-    denominator is positive).  Each sample then only fills the LP's integer
-    rows from its vector (`_sample_lp`), solves it, and builds a witness when
-    the conjunction is achievable.  `strategy_values` evaluates
-    fixed strategies of `model` on the same product.
+    denominator is positive).  Each sample that `solve` leaves to the LP then
+    only fills its integer rows from its vector (`_sample_lp`), solves it, and
+    builds a witness when the conjunction is achievable.  `strategy_values`
+    evaluates fixed strategies of `model` on the same product.
     """
 
     def __init__(self, m: PPA, query, strategy_class, table: PolyTable):
@@ -671,7 +686,7 @@ class _MoQuery:
             {sym: slot(r) for sym, r in o.rewards} for o in self.rew_objs
         ]
         self.one = slot(Fraction(1))  # numerator D at every vector
-        self._layouts = {}
+        self._layouts, self._shapes, self._policy = {}, {}, None
 
     def negative_reward(self, point):
         """A symbol whose reward is negative at the table vector `point`, or
@@ -771,9 +786,34 @@ class _MoQuery:
             rows.append(("ub", {t_index: (1, (), ())}, 1))
         return num_vars, _int_templates(num_vars, rows), y_index, w_index, stay
 
+    def bad_reach(self, point):
+        """The maximal reach of the first probability objective's bad states at
+        `point`, by policy iteration from the query's last optimal policy."""
+        bad = self.targets[0]
+        if self.init in bad:
+            return Fraction(1)
+        signs = tuple((n > 0) - (n < 0) for n in point[1])
+        if signs not in self._shapes:
+            self._shapes[signs] = _policy_shape(self.states, self.acts, self.ptrans, point[1],
+                                                targets=bad)
+        self._policy, values = _policy_iteration(self.states, self.acts, self.ptrans, point,
+                                                 start=self._policy, shape=self._shapes[signs])
+        return values[self.init]
+
     def solve(self, point):
         """("achievable", witness) or ("unachievable", None) at the table
-        vector `point`."""
+        vector `point`.  One probability objective under < or <= alone is
+        decided first by `bad_reach` against 1 - threshold, whose final scan
+        certifies an "unachievable": the value vector v is a policy's, so
+        v <= v*, and no action strictly improves on v, so T v <= v and v* <= v
+        (`exp_total_reward`).  The LP decides the rest (`_lp_solve`)."""
+        o = self.prob_objs[0] if len(self.prob_objs) == 1 and not self.rew_objs else None
+        if o and o.cmp in ("<", "<=") and not _cmp(1 - self.bad_reach(point), o.cmp, o.threshold):
+            return "unachievable", None
+        return self._lp_solve(point)
+
+    def _lp_solve(self, point):
+        """`solve` by the occupation LP alone."""
         nums = point[1]
         signs = tuple((n > 0) - (n < 0) for n in nums)
         layout = self._layouts.get(signs)

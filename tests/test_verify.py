@@ -339,7 +339,8 @@ def _random_rewarded_models(rng):
 def test_policy_iteration_matches_the_fraction_reference(seed):
     """The integer policy iteration returns what the Fraction one returned:
     the same value, strategy (in the same order) and value dict for
-    `max_reach`, and the same maximal expected total reward."""
+    `max_reach`, and the same maximal expected total reward; from a random
+    start policy it returns the same values."""
     rng = random.Random(seed)
     for m, rewards in _random_rewarded_models(rng):
         targets = frozenset(rng.sample(m.states, k=rng.randint(1, 2)))
@@ -348,11 +349,11 @@ def test_policy_iteration_matches_the_fraction_reference(seed):
             [s for s in m.states if s not in targets],
             lambda s, a: sum((p for t, p in m.dist(s, a).items() if t in targets), F(0)),
         )
-        values = {s: F(1) if s in targets else values[s] for s in m.states}
+        reach = {s: F(1) if s in targets else values[s] for s in m.states}
         value, strategy, got = max_reach(m, targets)
-        assert value == values.get(m.initial, F(0))
+        assert value == reach.get(m.initial, F(0))
         assert list(strategy.choice.items()) == [(s, {a: F(1)}) for s, a in policy.items()]
-        assert list(got.items()) == list(values.items())
+        assert list(got.items()) == list(reach.items())
         # the maximal expected total reward is policy iteration's value,
         # INF included; the policy and the value dict of every state agree
         policy, values = policy_iteration_reference(
@@ -364,6 +365,15 @@ def test_policy_iteration_matches_the_fraction_reference(seed):
         gains = {key: (table.slot(rewards[lab]),) for key, lab in m.label.items() if lab in rewards}
         acts = {s: m.enabled(s) for s in m.states}
         assert _policy_iteration(m.states, acts, succ, table.at({}), gains) == (policy, values)
+        # from any start policy the values are the same, for the reward and
+        # for the reachability of the targets
+        start = {s: rng.choice(acts[s]) for s in m.states if acts[s]}
+        _, got = _policy_iteration(m.states, acts, succ, table.at({}), gains, start=start)
+        assert got == values
+        start = {s: a for s, a in start.items() if s not in targets}
+        _, got = _policy_iteration(m.states, acts, succ, table.at({}), targets=targets,
+                                   start=start)
+        assert {s: F(1) if s in targets else v for s, v in got.items()} == reach
 
 
 def _reward_lp_value(pa, rewards):
@@ -488,6 +498,47 @@ def test_strict_thresholds():
     assert mo_achievable(pa, (ProbObjective(">", F(9, 10), dfa),), "cmp")[0] == "achievable"
 
 
+def _query_points(m, objective, strategy_class, valuations):
+    """A fresh `_MoQuery` of one objective and its table vectors."""
+    table = PolyTable()
+    query = _MoQuery(m, (objective,), strategy_class, table)
+    return query, [table.at(v) for v in valuations]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32))
+def test_reach_decider_agrees_with_the_lp(seed):
+    """`solve` decides one probability objective under < or <= before the
+    LP, by maximal reach; its verdict is the LP half's, in both strategy
+    classes, at the unit box's samples (the corners zero out entries), at
+    the thresholds 1 - r for the maximal reach r at some sample (the tie)
+    and 1/16 on either side.  Fresh queries solve the samples forward, in
+    reverse, and from a random start policy at each sample, so a verdict
+    cannot depend on the warm start."""
+    rng = random.Random(seed)
+    m = compose(*random_parametric_pair(rng))
+    dfa = random_safety_dfa(rng, sorted(m.alphabet), allow_empty=False)
+    valuations = region_samples(Box.of({"p": (0, 1)}), rng.randint(1, 3))
+    for cls in ("cmp", "prt"):
+        query, points = _query_points(m, ProbObjective("<", F(0), dfa), cls, valuations)
+        optima = {query.bad_reach(point) for point in points}
+        thresholds = sorted({1 - r + d for r in optima for d in (-F(1, 16), 0, F(1, 16))})
+        for cmp, threshold in itertools.product(("<", "<="), thresholds):
+            objective = ProbObjective(cmp, threshold, dfa)
+            query, points = _query_points(m, objective, cls, valuations)
+            expected = [query._lp_solve(point)[0] for point in points]
+            deciding = [ps for ps in query.states if ps not in query.targets[0] and query.acts[ps]]
+            for order, scramble in ((1, False), (-1, False), (1, True)):
+                query, points = _query_points(m, objective, cls, valuations)
+                query._lp_solve = lambda point: ("achievable", None)  # the decider's verdict
+                got = []
+                for point in points[::order]:
+                    if scramble:  # start from a random policy, not the last optimal one
+                        query._policy = {ps: rng.choice(query.acts[ps]) for ps in deciding}
+                    got.append(query.solve(point)[0])
+                assert got == expected[::order]
+
+
 def test_large_occupation_lp_probe():
     # two 8-state random components: a 116-row, 430-column occupation LP
     rng = random.Random(5)
@@ -546,8 +597,9 @@ def _fill_case(rng):
 
 def _solved_fills(query, samples):
     """(template rows, vector, lp, objective, maximize, result) of every LP
-    `query.solve` builds at the samples, recorded around `_int_templates`,
-    `_sample_lp` and `LinearProgram.solve`."""
+    the LP half of `query.solve` (`_lp_solve`) builds at the samples,
+    recorded around `_int_templates`, `_sample_lp` and `LinearProgram.solve`.
+    `solve` itself decides most single-objective queries without an LP."""
     forms, built, solved = {}, {}, []
     templates_of, sample_lp, solve = verify._int_templates, verify._sample_lp, LinearProgram.solve
 
@@ -573,7 +625,7 @@ def _solved_fills(query, samples):
         patch.setattr(LinearProgram, "solve", recording)
         for point in samples:
             try:
-                query.solve(point)
+                query._lp_solve(point)
             except UnboundedReward:
                 pass
     return solved
