@@ -8,10 +8,11 @@ the pivot row is nonzero; the row is first multiplied through by one integer
 when the pivot row's denominator does not divide the row's entry in the
 pivot column.  No `Fraction` is built inside the loop.  `gauss_solve` takes
 integer rows as they are (denominator 1): scale a rational equation by the
-lcm of its denominators first.  A `LinearProgram` stores its rows in integer
-form, so the simplex only lays them out as a tableau: callers append integer
-rows directly, and a sparse rational row converts once by `_int_row`.
-Results are `Fraction`s; no float is involved.
+lcm of its denominators first; it returns integer numerators over one
+denominator.  A `LinearProgram` stores its rows in integer form, so the
+simplex only lays them out as a tableau: callers append integer rows, and a
+sparse rational row converts once by `_int_row`.  The simplex's results are
+`Fraction`s.  No float is involved.
 
 The simplex is two-phase.  Each pivot enters the column with the most
 negative reduced cost (Dantzig's rule; smallest index on ties) and leaves by
@@ -94,7 +95,8 @@ def _pivot(rows, dens, r, c):
 
 def gauss_solve(rows, rhs):
     """Solve A x = b for a square nonsingular integer matrix A and integer
-    vector b; returns a list of Fractions."""
+    vector b; returns (V, nums) with x[i] = nums[i] / V in lowest terms: V
+    is the lcm of the final rows' denominators, which are gcd-reduced."""
     n = len(rows)
     a, dens = [[*row, b] for row, b in zip(rows, rhs)], [1] * n
     for col in range(n):
@@ -104,7 +106,8 @@ def gauss_solve(rows, rhs):
         a[col], a[pivot] = a[pivot], a[col]
         dens[col], dens[pivot] = dens[pivot], dens[col]
         _pivot(a, dens, col, col)
-    return [Fraction(a[i][n], dens[i]) for i in range(n)]
+    den = lcm(*dens)
+    return den, [a[i][n] * (den // dens[i]) for i in range(n)]
 
 
 class LinearProgram:

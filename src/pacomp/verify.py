@@ -10,13 +10,14 @@ solvers are exact and end in two mechanisms:
   Reachability is the case with absorbing targets.  It is split into a plan
   (`_chain_plan`), which decides the INF and zero states and the order of
   the unknowns from which entries are nonzero, and a fill (`_chain_fill`),
-  which writes the integer rows and solves them.  It evaluates fixed
-  strategies and witnesses (`_StrategyChain`), and drives the policy
-  iteration (`_policy_iteration`) behind optimal reachability, safety
-  probabilities, maximal expected reward and single-objective threshold
-  checks.  Policy iteration reads slot rows: each action's entries
-  (successor, slot) of a `PolyTable` vector, comparing backups as integer
-  dot products of the vector's numerators;
+  which writes the integer rows and solves them into integer values over one
+  denominator.  It evaluates fixed strategies and witnesses
+  (`_StrategyChain`), and drives the policy iteration (`_policy_iteration`)
+  behind optimal reachability, safety probabilities, maximal expected reward
+  and single-objective threshold checks.  Policy iteration reads slot rows:
+  each action's entries (successor, slot) of a `PolyTable` vector, comparing
+  backups as integer dot products of the vector's numerators and the
+  values'.  A `Fraction` is built only where a value leaves the kernel;
 - one occupation-measure LP builder (`_occupation_lp`): expected
   state-action frequencies routing one unit of flow into a settle region,
   solved by the exact simplex, for multi-objective achievability and
@@ -321,7 +322,7 @@ def _chain_plan(rows, point, init=None):
     reach positive gain; `_chain_fill` solves the rest.  With `init`, only
     the nodes reachable from it are planned, and nothing is left to solve
     when its value is already INF or 0.  Returns the settled values
-    {node: INF or 0}, the other nodes in `sort_key` order, and their rows
+    {node: INF or int 0}, the other nodes in `sort_key` order, and their rows
     with each successor as its index among them.
     """
     nums = point[1]
@@ -339,9 +340,8 @@ def _chain_plan(rows, point, init=None):
                 recurrent |= comp
     infinite = _reach(preds, recurrent)
     reaching = _reach(preds, positive)
-    zero = Fraction(0)
     settled = {
-        s: INF if s in infinite else zero
+        s: INF if s in infinite else 0
         for s in succ
         if s in infinite or s not in reaching
     }
@@ -362,31 +362,36 @@ def _chain_plan(rows, point, init=None):
 
 def _chain_fill(plan, point):
     """The numeric half of a Markov-chain solve: every planned node's value
-    at the value vector `point` (D, nums) of the plan's support pattern.
-    The unknown nodes take one exact solve of integer rows, scale * D on the
-    diagonal minus the successors' numerators, with the gains on the right.
+    at the value vector `point` (D, nums) of the plan's support pattern, as
+    (V, x): x[s] / V is the value of s (or x[s] is INF), V the least common
+    denominator.  The unknown nodes take one exact solve of integer rows,
+    scale * D on the diagonal minus the successors' numerators, with the
+    gains on the right.
     """
     settled, unknown, filled = plan
-    values = dict(settled)
-    if unknown:
-        den, nums = point
-        n = len(unknown)
-        rows, rhs = [], []
-        for i, (scale, out, gain) in enumerate(filled):
-            row = [0] * n
-            row[i] = scale * den
-            for j, f, k in out:
-                row[j] -= f * nums[k]
-            rows.append(row)
-            rhs.append(sum(f * nums[k] for f, k in gain))
-        values.update(zip(unknown, gauss_solve(rows, rhs)))
-    return values
+    if not unknown:
+        return 1, dict(settled)
+    den, nums = point
+    n = len(unknown)
+    rows, rhs = [], []
+    for i, (scale, out, gain) in enumerate(filled):
+        row = [0] * n
+        row[i] = scale * den
+        for j, f, k in out:
+            row[j] -= f * nums[k]
+        rows.append(row)
+        rhs.append(sum(f * nums[k] for f, k in gain))
+    scale, x = gauss_solve(rows, rhs)
+    return scale, settled | dict(zip(unknown, x))
 
 
 def _policy_shape(nodes, acts, succ, nums, gains=None, targets=frozenset()):
     """What `_policy_iteration` reads of the sign pattern of the numerators
-    `nums`: each action's chain row, each deciding node's options (action,
-    gain slots, nonzero entries (t, k)) and a memo of each policy's plan."""
+    `nums`: the nodes, each action's chain row, each deciding node's options
+    (action, gain slots, nonzero entries (t, k)) and a memo of each policy's
+    plan.  A node outside `targets` picks one of its `acts`, the others stop;
+    a in s moves to t w.p. nums[k] / D per entry (t, k) of succ[(s, a)] and
+    collects the slots gains[(s, a)] plus its one-step mass into `targets`."""
     gains = gains or {}
     rows, options = {}, {}
     for s in nodes:
@@ -399,32 +404,26 @@ def _policy_shape(nodes, acts, succ, nums, gains=None, targets=frozenset()):
             gain = [k for k in gains.get(key, ()) if nums[k]] + [k for t, k in out if t in targets]
             rows[key] = (1, tuple((t, 1, k) for t, k in out), tuple((1, k) for k in gain))
             opts.append((a, gain, out))
-    return rows, options, {}
+    return tuple(nodes), rows, options, {}
 
 
-def _policy_iteration(nodes, acts, succ, point, gains=None, targets=frozenset(),
-                      start=None, shape=None):
-    """Maximal expected total gain over det memoryless policies.
+def _policy_iteration(shape, point, start=None):
+    """Maximal expected total gain over det memoryless policies of `shape`
+    (a `_policy_shape`) at the table vector `point` (D, nums) of its pattern.
 
-    Every node of `nodes` outside `targets` picks one of its actions in
-    `acts`, and every other node stops.  Taking a in s moves to t with
-    probability nums[k] / D for each entry (t, k) of succ[(s, a)], where
-    (D, nums) is the table vector `point`, and collects the values of the
-    slots gains[(s, a)] plus its one-step mass into `targets`.  The start
-    policy is `start`, given for every deciding node, or else each node's
-    first action, and a node switches only on strict improvement, so the
-    returned policy depends on the model and the start alone (the values on
-    the model alone: `exp_total_reward`).  A caller that solves many vectors
-    of one sign pattern keeps its `_policy_shape` as `shape`, which then
-    stands for `acts`, `succ`, `gains` and `targets` and plans each policy's
-    chain once.  Each round's finite values are scaled to integers x over
-    their common denominator V, so an action's backup R + sum(P_t * X_t) beats
-    the value X_s iff the integer R*V + sum(n_t * x_t) exceeds D * x_s, with
-    R = r / D and P_t = n_t / D.  Returns the policy and the value of every
+    The start policy is `start`, given for every deciding node, or else each
+    node's first action, and a node switches only on strict improvement, so
+    the returned policy depends on the model and the start alone (the values
+    on the model alone: `exp_total_reward`).  A caller that solves many
+    vectors of one sign pattern keeps the shape, which plans each policy's
+    chain once.  Each round's values are integers x over one denominator V
+    (`_chain_fill`), so an action's backup R + sum(P_t * X_t) beats the value
+    X_s iff the integer R*V + sum(n_t * x_t) exceeds D * x_s, with R = r / D
+    and P_t = n_t / D.  Returns the policy and the values (V, x) of every
     node under it.
     """
     den, nums = point
-    rows, options, plans = shape or _policy_shape(nodes, acts, succ, nums, gains, targets)
+    nodes, rows, options, plans = shape
     policy = {s: start[s] if start else opts[0][0] for s, opts in options.items()}
     stop = (1, (), ())
     while True:
@@ -432,11 +431,8 @@ def _policy_iteration(nodes, acts, succ, point, gains=None, targets=frozenset(),
         if key not in plans:
             chain = {s: rows[(s, policy[s])] if s in policy else stop for s in nodes}
             plans[key] = _chain_plan(chain, point)
-        values = _chain_fill(plans[key], point)
-        finite = {s: v for s, v in values.items() if v is not INF}
-        scale = lcm(*(v.denominator for v in finite.values()))
-        x = {s: v.numerator * (scale // v.denominator) for s, v in finite.items()}
-        inf = values.keys() - x.keys()
+        scale, x = _chain_fill(plans[key], point)
+        inf = {s for s, v in x.items() if v is INF}
         improved = False
         for s, opts in options.items():
             if s in inf:
@@ -453,7 +449,7 @@ def _policy_iteration(nodes, acts, succ, point, gains=None, targets=frozenset(),
                 policy[s] = best_a
                 improved = True
         if not improved:
-            return policy, values
+            return policy, (scale, x)
 
 
 # ---------------------------------------------------------------------------
@@ -466,12 +462,12 @@ def max_reach(pa: PPA, targets):
         raise ValueError("max_reach needs a parameter-free model")
     targets = frozenset(targets)
     table = PolyTable()
-    succ = _slotted(pa, table)
+    succ, point = _slotted(pa, table), table.at({})
     # targets stop; the gain of an action is its one-step mass into them
-    policy, values = _policy_iteration(
-        pa.states, {s: pa.enabled(s) for s in pa.states}, succ, table.at({}), targets=targets
-    )
-    values = {s: Fraction(1) if s in targets else values[s] for s in pa.states}
+    acts = {s: pa.enabled(s) for s in pa.states}
+    shape = _policy_shape(pa.states, acts, succ, point[1], targets=targets)
+    policy, (scale, x) = _policy_iteration(shape, point)
+    values = {s: Fraction(1) if s in targets else Fraction(x[s], scale) for s in pa.states}
     strategy = MemorylessStrategy(
         {s: {a: Fraction(1)} for s, a in policy.items()}, complete=False
     )
@@ -500,8 +496,9 @@ def exp_total_reward(pa: PPA, rewards, mode="max"):
     the value v of a policy, so v <= v*, with no strictly improving action,
     so T v <= v (an action with an INF successor is an improvement); then
     T^n 0 <= T^n v <= v for all n, so v* <= v and v = v*, INF included.  The
-    minimum minimises the reward over the occupation-measure LP of
-    `_MoQuery._flow`: a strategy has finite reward iff it almost surely ends
+    minimum minimises D times the reward (the cost row is the reward slots'
+    numerators) over the occupation-measure LP of `_MoQuery._flow`, then
+    divides by D once: a strategy has finite reward iff it almost surely ends
     up lingering in a region that collects no reward, and greedy policy
     improvement is unsound there, since zero-reward cycles create tied
     non-optimal fixpoints.  It has no end-component guard.
@@ -512,14 +509,15 @@ def exp_total_reward(pa: PPA, rewards, mode="max"):
     if mode == "max":
         slots = query.reward_slots[0]
         gains = {key: (slots[lab],) for key, lab in query.plabel.items() if lab in slots}
-        _, values = _policy_iteration(query.states, query.acts, query.ptrans, point, gains)
-        return values[query.init]
+        shape = _policy_shape(query.states, query.acts, query.ptrans, point[1], gains)
+        _, (scale, x) = _policy_iteration(shape, point)
+        return x[query.init] if x[query.init] is INF else Fraction(x[query.init], scale)
     den, nums = point
     *_, num_vars, rows, y_index, _ = query._flow(nums)
-    cost = {col: Fraction(nums[k], den) for col, k in query._reward_cols(nums, 0, y_index).items()}
+    cost = {col: nums[k] for col, k in query._reward_cols(nums, 0, y_index).items()}
     lp = _sample_lp(num_vars, _int_templates(num_vars, rows), point)
     status, _, value = lp.solve(cost, maximize=False)
-    return Fraction(value) if status == OPTIMAL else INF  # INF: no strategy stops paying a.s.
+    return Fraction(value, den) if status == OPTIMAL else INF  # INF: no strategy stops paying a.s.
 
 
 # ---------------------------------------------------------------------------
@@ -796,9 +794,8 @@ class _MoQuery:
         if signs not in self._shapes:
             self._shapes[signs] = _policy_shape(self.states, self.acts, self.ptrans, point[1],
                                                 targets=bad)
-        self._policy, values = _policy_iteration(self.states, self.acts, self.ptrans, point,
-                                                 start=self._policy, shape=self._shapes[signs])
-        return values[self.init]
+        self._policy, (scale, x) = _policy_iteration(self._shapes[signs], point, self._policy)
+        return Fraction(x[self.init], scale)
 
     def solve(self, point):
         """("achievable", witness) or ("unachievable", None) at the table
@@ -981,7 +978,8 @@ class _StrategyChain:
             if plan is None:
                 values.append(Fraction(0))
             else:
-                value = _chain_fill(plan, point)[self.init]
+                scale, x = _chain_fill(plan, point)
+                value = x[self.init] if x[self.init] is INF else Fraction(x[self.init], scale)
                 values.append(1 - value if i < self.n_prob else value)
         return values
 
@@ -1180,6 +1178,8 @@ def monotone_check(
         lines.setdefault(rest, []).append((v, point))
     lines = [sorted(line, key=lambda vp: vp[0][param])
              for _, line in sorted(lines.items(), key=lambda kv: kv[0]) if len(line) > 1]
+    if not lines:
+        return Verdict("holds", caveat=f"no two samples differ in {param!r} alone; vacuously holds")
     for sigma in enumerate_memoryless(query.model, grid_denominator):
         values = query.strategy_values(sigma)
         for line in lines:

@@ -805,6 +805,8 @@ def monotone_check_per_sample(m, region, objective, param, direction, strategy_c
     for _, vs in sorted(groups.items()):
         vs.sort(key=lambda v: v[param])
         pairs.extend(zip(vs, vs[1:]))
+    if not pairs:
+        return Verdict("holds", caveat=f"no two samples differ in {param!r} alone; vacuously holds")
     for sigma in enumerate_memoryless(work):
         for lo, hi in pairs:
             f_lo, f_hi = (strategy_value_reference(work, sigma, objective, v) for v in (lo, hi))

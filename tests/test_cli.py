@@ -1429,6 +1429,19 @@ def test_monotone_cli(corpus_dir, tmp_path, capsys):
     assert err4 == "format error: monotonicity checks take a single-objective query\n"
 
 
+def test_monotone_without_a_pair_to_compare_says_it_is_vacuous(corpus_dir, tmp_path, capsys):
+    # no two samples differ in p alone: one valuation, or p a point interval
+    base = ["monotone", "--model", _compose_corpus(corpus_dir, tmp_path),
+            "--objective", str(corpus_dir / "safe_guarantee.query.json"),
+            "--param", "p", "--direction", "up"]
+    for region in ("finite:{p=1/10,q=1/2}", "box.p=[1/10,1/10],q=[0,1]"):
+        code, out, err = run(capsys, *base, "--region", region)
+        assert code == 0 and err == ""
+        verdict = json.loads(out)["report"]["verdict"]
+        assert verdict["status"] == "holds"
+        assert verdict["caveat"] == "no two samples differ in 'p' alone; vacuously holds"
+
+
 # Full report bytes of three region runs on the composed corpus model,
 # recorded before each region check built its product once and refilled only
 # the coefficients per sample.  The check passes 9 samples, including the

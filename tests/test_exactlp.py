@@ -12,7 +12,7 @@ report the infeasible program {x0 + x1 = 1, x0 = 0, x1 = 0} as optimal at
 
 from fractions import Fraction as F
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -265,7 +265,9 @@ def square_systems(draw):
 @given(square_systems())
 def test_gauss_solve_agrees_with_sympy(system):
     """`gauss_solve` takes integer rows: each rational equation goes in
-    multiplied by the lcm of its denominators, which keeps its solutions."""
+    multiplied by the lcm of its denominators, which keeps its solutions.
+    It returns them as integer numerators over one denominator V in lowest
+    terms."""
     rows, rhs = system
     a = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row] for row in rows])
     b = sympy.Matrix([sympy.Rational(v.numerator, v.denominator) for v in rhs])
@@ -279,6 +281,9 @@ def test_gauss_solve_agrees_with_sympy(system):
         with pytest.raises(ValueError):
             gauss_solve(int_rows, int_rhs)
         return
-    x = gauss_solve(int_rows, int_rhs)
-    assert all(type(v) is F for v in x)
-    assert x == [F(int(v.p), int(v.q)) for v in a.LUsolve(b)]
+    den, nums = gauss_solve(int_rows, int_rhs)
+    # one canonical form: a positive denominator, int numerators, lowest terms
+    assert type(den) is int and den > 0
+    assert all(type(v) is int for v in nums)
+    assert gcd(den, *nums) == 1
+    assert [F(v, den) for v in nums] == [F(int(v.p), int(v.q)) for v in a.LUsolve(b)]

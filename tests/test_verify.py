@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, reject, settings
@@ -35,6 +36,7 @@ from pacomp.verify import (
     _MoQuery,
     _end_component_keys,
     _policy_iteration,
+    _policy_shape,
     _slotted,
     ProbObjective,
     chain_language_prob,
@@ -123,9 +125,16 @@ def _reach_by_fraction_solve(chain, targets, init):
 
 
 def test_max_reach_agrees_with_policy_enumeration():
-    rng = random.Random(17)
-    for _ in range(15):
-        pa = random_pa(rng, "x", 3, ["a", "b"], max_actions=2)
+    """On models with 2-4 states, some with zero-probability entries, the
+    maximal reach is the best of every det memoryless policy's; both a
+    target out of reach (a settled 0) and a solved value occur."""
+    kinds = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(2, 4), st.booleans())
+    def check(seed, n_states, zeros):
+        rng = random.Random(seed)
+        pa = random_pa(rng, "x", n_states, ["a", "b"], max_actions=2, zeros=zeros)
         target = {rng.choice(pa.states)}
         value, strat, _ = max_reach(pa, target)
         # brute force over deterministic memoryless policies, each chain
@@ -136,6 +145,10 @@ def test_max_reach_agrees_with_policy_enumeration():
             chain = {s: pa.dist(s, a) if a else {} for s, a in zip(pa.states, combo)}
             best = max(best, _reach_by_fraction_solve(chain, frozenset(target), pa.initial))
         assert value == best
+        kinds.add(value == 0)
+
+    check()
+    assert kinds == {True, False}
 
 
 def _reach_lp_values(pa, targets):
@@ -216,9 +229,17 @@ def test_safety_prob_interval_relaxation_instance():
 
 
 def test_safety_prob_matches_bruteforce_min():
-    rng = random.Random(23)
-    for _ in range(10):
-        pa = random_pa(rng, "y", 3, ["a", "b"], max_actions=2)
+    """On models with 2-4 states, some with zero-probability entries, the
+    minimal safety probability is the least of every det memoryless
+    strategy's; both bad states out of reach (a settled 0) and a solved
+    value occur."""
+    kinds = set()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(2, 4), st.booleans())
+    def check(seed, n_states, zeros):
+        rng = random.Random(seed)
+        pa = random_pa(rng, "y", n_states, ["a", "b"], max_actions=2, zeros=zeros)
         dfa = random_safety_dfa(rng, ["a", "b"])
         obj = safety(dfa, F(1, 2))
         got = safety_prob(pa, obj)
@@ -232,6 +253,10 @@ def test_safety_prob_matches_bruteforce_min():
             best = val if best is None else min(best, val)
         # optimum over all strategies is attained by a memoryless det one
         assert got == best
+        kinds.add(got == 1)
+
+    check()
+    assert kinds == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +389,24 @@ def test_policy_iteration_matches_the_fraction_reference(seed):
         succ = _slotted(m, table)
         gains = {key: (table.slot(rewards[lab]),) for key, lab in m.label.items() if lab in rewards}
         acts = {s: m.enabled(s) for s in m.states}
-        assert _policy_iteration(m.states, acts, succ, table.at({}), gains) == (policy, values)
+        point = table.at({})
+
+        def solve(start=None, **goal):
+            # the values leave as int numerators over one denominator V
+            shape = _policy_shape(m.states, acts, succ, point[1], **goal)
+            chosen, (den, x) = _policy_iteration(shape, point, start)
+            finite = [v for v in x.values() if v is not INF]
+            assert den > 0 and all(type(v) is int for v in finite)
+            assert gcd(den, *finite) == 1
+            return chosen, {s: v if v is INF else F(v, den) for s, v in x.items()}
+
+        assert solve(gains=gains) == (policy, values)
         # from any start policy the values are the same, for the reward and
         # for the reachability of the targets
         start = {s: rng.choice(acts[s]) for s in m.states if acts[s]}
-        _, got = _policy_iteration(m.states, acts, succ, table.at({}), gains, start=start)
-        assert got == values
+        assert solve(start, gains=gains)[1] == values
         start = {s: a for s, a in start.items() if s not in targets}
-        _, got = _policy_iteration(m.states, acts, succ, table.at({}), targets=targets,
-                                   start=start)
+        _, got = solve(start, targets=targets)
         assert {s: F(1) if s in targets else v for s, v in got.items()} == reach
 
 
@@ -1175,8 +1209,12 @@ def test_minimal_reward_forced_payment(seed, n_states, zeros):
 
 
 def test_region_sat_agrees_with_direct_safety_values():
-    # the LP-based violation search and the policy-iteration safety solver
-    # are independent routes to the same verdict on single safety objectives
+    # the occupation LP and the policy-iteration safety solver are
+    # independent routes to the same verdict on single safety objectives;
+    # region_sat decides a sample that holds by policy iteration
+    # (`_MoQuery.bad_reach`), so that half asks the violation query's LP
+    # (`_MoQuery._lp_solve`) directly, and a failing sample reaches the LP
+    # inside region_sat
     rng = random.Random(73)
     agreements = 0
     for _ in range(25):
@@ -1187,12 +1225,15 @@ def test_region_sat_agrees_with_direct_safety_values():
             threshold = minimum + delta
             if threshold > 1:
                 continue
-            verdict = region_sat(
-                pa, FiniteRegion.of([{}]), (safety(dfa, threshold),), "cmp"
-            )
             if expect == "holds":
-                assert verdict.holds, (threshold, minimum)
+                table = PolyTable()
+                violation = _MoQuery(pa, (safety(dfa, threshold).negate(),), "cmp", table)
+                assert violation._lp_solve(table.at({})) == ("unachievable", None), (
+                    threshold, minimum)
             else:
+                verdict = region_sat(
+                    pa, FiniteRegion.of([{}]), (safety(dfa, threshold),), "cmp"
+                )
                 # strictly above the attainable minimum must fail unless the
                 # minimum is not tight within [0,1]
                 assert verdict.status == "fails", (threshold, minimum)
@@ -1373,7 +1414,9 @@ def test_monotone_along_a_point_axis_compares_no_pair():
             outcomes[param, direction] = _outcome(monotone_check, *args)
             assert outcomes[param, direction] == _outcome(monotone_check_per_sample, *args)
     assert outcomes["q", "up"].status == outcomes["q", "down"].status == "holds"
+    assert outcomes["q", "up"].caveat == "no two samples differ in 'q' alone; vacuously holds"
     assert "fails" in (outcomes["p", "up"].status, outcomes["p", "down"].status)
+    assert outcomes["p", "up"].caveat.startswith("per enumerated strategy class")
 
 
 def test_reward_that_vanishes_at_a_graph_preserving_sample():
