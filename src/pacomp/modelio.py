@@ -220,8 +220,11 @@ def _by_key(items):
     return sorted(items, key=lambda kv: sort_key(kv[0]))
 
 
-def _ppa(f, *_):
-    trans = {(t["state"], t["action"]): (t["label"], dict(t["dist"])) for t in f["transitions"]}
+def _ppa(f, path, _):
+    where = f"{path}.transitions"
+    trans = _unique((((t["state"], t["action"]),
+                      (t["label"], _unique(t["dist"], "names successor", f"{where}[{i}].dist")))
+                     for i, t in enumerate(f["transitions"])), "names transition", where)
     return make_ppa(f["states"], f["initial"], f["params"], trans, f["alphabet"])
 
 
@@ -233,8 +236,9 @@ def _ppa_fields(m):
                              for (s, a), dist in _by_key(m.trans.items())])
 
 
-def _dfa(f, *_):
-    trans = {(q, sym): t for q, sym, t in f["transitions"]}
+def _dfa(f, path, _):
+    trans = _unique((((q, sym), t) for q, sym, t in f["transitions"]), "names transition",
+                    f"{path}.transitions")
     return DFA(tuple(f["states"]), f["initial"], frozenset(f["alphabet"]), trans,
                frozenset(f["accepting"]))
 
@@ -247,18 +251,20 @@ def _dfa_fields(b):
 
 
 def _rpa(f, path, _):
-    utrans = {}
+    utrans = []
     for i, t in enumerate(f["transitions"]):
         where = f"{path}.transitions[{i}]"
         if ("interval" in t) == ("vertices" in t):
             _fail(where, "rpa transition needs exactly one of 'interval' and 'vertices'")
         if "interval" in t:
+            interval = _unique(t["interval"], "names successor", f"{where}.interval")
             try:
-                uset = IntervalSet.of(dict(t["interval"]))
+                uset = IntervalSet.of(interval)
             except InfeasibleIntervalSet as exc:
                 _fail(f"{where}.interval", str(exc))
         else:
-            dists = [dict(d) for d in t["vertices"]]
+            dists = [_unique(d, "names successor", f"{where}.vertices[{j}]")
+                     for j, d in enumerate(t["vertices"])]
             if not dists:
                 _fail(f"{where}.vertices", "vertex set must be nonempty")
             for j, d in enumerate(dists):
@@ -267,7 +273,8 @@ def _rpa(f, path, _):
                 except ValueError as exc:
                     _fail(f"{where}.vertices[{j}]", str(exc))
             uset = VertexSet.of(dists)
-        utrans[(t["state"], t["action"])] = (t["label"], uset)
+        utrans.append(((t["state"], t["action"]), (t["label"], uset)))
+    utrans = _unique(utrans, "names transition", f"{path}.transitions")
     return make_rpa(f["states"], f["initial"], utrans, f["alphabet"])
 
 
@@ -290,7 +297,7 @@ def _objective(f, path, _):
     if f["kind"] == "prob":
         dfa = _need(f, "dfa", "rewards")
         return ProbObjective(f["cmp"], f["threshold"], dfa, f.get("name", ""))
-    rewards = tuple(_need(f, "rewards", "dfa"))
+    rewards = tuple(_unique(_need(f, "rewards", "dfa"), "names symbol", f"{path}.rewards").items())
     for i, (sym, r) in enumerate(rewards):
         if r.is_constant() and r.constant_value() < 0:
             _fail(f"{path}.rewards[{i}]", f"the reward {r} of {sym!r} is negative")
@@ -305,14 +312,17 @@ def _objective_fields(o):
 
 def _strategy(f, path, _):
     if f["kind"] == "memoryless":
-        choice = {s: dict(d) for s, d in _need(f, "choice", "table")}
+        choice = _unique(((s, _unique(d, "names action", f"{path}.choice[{i}][1]"))
+                          for i, (s, d) in enumerate(_need(f, "choice", "table"))),
+                         "names state", f"{path}.choice")
         return MemorylessStrategy(choice, complete=f.get("complete", True))
     rows = _need(f, "table", "choice")
     for i, (history, _dist) in enumerate(rows):
         if len(history) % 2 == 0:
             _fail(f"{path}.table[{i}]", "a history alternates states and actions, "
                   f"so its length is odd, not {len(history)}")
-    table = {tuple(history): dict(d) for history, d in rows}
+    table = _unique(((tuple(history), _unique(d, "names action", f"{path}.table[{i}][1]"))
+                     for i, (history, d) in enumerate(rows)), "names history", f"{path}.table")
     return TabularStrategy(table, horizon=_need(f, "horizon"), complete=f.get("complete", False))
 
 
@@ -422,7 +432,7 @@ _TYPES = {
             (Box,), lambda r: dict(type="box", bounds=r.bounds)),
     "finite": ({"valuations": [_VALUATION]},
                lambda f, path, _: FiniteRegion.of(
-                   _located(f"{path}.valuations[{i}]", _named, v, "valuation")
+                   _unique(v, "valuation names parameter", f"{path}.valuations[{i}]")
                    for i, v in enumerate(f["valuations"])),
                (FiniteRegion,), lambda r: dict(type="finite", valuations=r.valuations)),
     "union": ({"parts": ["region"]}, lambda f, *_: RegionUnion.of(f["parts"]),
@@ -463,14 +473,15 @@ def _located(path, build, *args):
         _fail(path, str(exc))
 
 
-def _named(pairs, what):
-    """The dict of (parameter, value) pairs; naming a parameter twice would
-    silently drop one of its values, so it is malformed."""
+def _unique(pairs, what, path="$"):
+    """The dict of the (key, value) pairs of a list read as a map, found at
+    the JSON path `path`; naming a key twice would silently drop one of its
+    values, so it is malformed."""
     out = {}
-    for name, value in pairs:
-        if name in out:
-            raise ParseError(f"{what} names parameter {name!r} twice")
-        out[name] = value
+    for key, value in pairs:
+        if key in out:
+            _fail(path, f"{what} {key!r} twice")
+        out[key] = value
     return out
 
 
@@ -478,7 +489,7 @@ def _box(axes):
     """The Box of (parameter, (lo, hi)) axes: at least one, each parameter once."""
     if not axes:
         raise ParseError("a box region needs at least one axis")
-    return Box.of(_named(axes, "box"))
+    return Box.of(_unique(axes, "box names parameter"))
 
 
 def parse_region_arg(text, inputs, path="$"):
@@ -506,7 +517,7 @@ def parse_region_arg(text, inputs, path="$"):
 
 def parse_valuation_arg(text):
     """Decode valuation text p=1/10,q=0.1, an abbreviation of its [name, value] pairs."""
-    return _located("$", _named, _decode(_pairs(text), _VALUATION, "$", None), "valuation")
+    return _unique(_decode(_pairs(text), _VALUATION, "$", None), "valuation names parameter")
 
 
 def _inside(text, brackets, parse=lambda inner: inner.split(",")):

@@ -26,41 +26,43 @@ solvers are exact and end in two mechanisms:
   the table vector's numerators and reduced by one gcd into the integer row
   that `LinearProgram` stores (`_sample_lp`), with no `Fraction`.
 
-One query structure (`_MoQuery`) serves the LP checks, the re-check of
-their witnesses, the values of fixed strategies and every parameter-free
-solve.  It is built once per query and model, and first rejects an
-objective whose alphabet exceeds the model's: the joint DFA product of the
-parametric model (its tau extension for partial strategies), the reach
-targets, and the slot of every transition probability and reward in a
-`PolyTable` of distinct polynomials (`_slotted`, which `max_reach` also
-uses for a PA's own transitions).  A region check builds one table for its
-queries and the well-definedness check: each sample is one integer value
+One query structure (`_MoQuery`) serves the LP checks, the re-check of their
+witnesses, the values of fixed strategies and every parameter-free solve.
+It is built once per query and model, and first rejects an objective whose
+alphabet exceeds the model's: the joint DFA product of the parametric model
+(its tau extension for partial strategies), the slot of every transition
+probability and reward in a `PolyTable` of distinct polynomials (`_slotted`,
+which `max_reach` also uses for a PA's own transitions), and each objective
+as a stop set and a gain map, which every solver reads: a probability
+objective stops at its targets and collects the mass moved into them, a
+reward objective collects its reward.  A region check builds one table for
+its queries and the well-definedness check: each sample is one integer value
 vector of it, which `_checked_samples` validates, rewards included, for
 every sample before the first solve.  What depends only on which values are
 zero (and on the rewards' signs) is built once per such sign pattern:
 graph-preserving samples share one, and a sample with a smaller support,
 such as a p = 0 corner, gets its own.  `_MoQuery._flow` is the flow half of
-it (the nonzero entries, one successor-set map, the settle set and `stay`
-map, the occupation LP), and `_MoQuery._layout` adds the end-component
-guard and the threshold rows.  The guard finds the keys of the end
-components by SCC refinement over the successor sets
+it (one successor-set map, the settle set and `stay` map over the actions
+that collect nothing, the occupation LP), and `_MoQuery._layout` adds the
+end-component guard and the threshold rows.  The guard finds the keys of the
+end components by SCC refinement over the successor sets
 (`_end_component_keys`) and refuses a reward objective that one of them
 collects.  It covers every product state, also those behind zero entries:
 the LP keeps their columns, so a rewarded cycle there could circulate.  Per
 sample, one probability objective under < or <= is first decided by policy
 iteration from the previous sample's optimal policy (`_MoQuery.bad_reach`);
-the LP's integer rows are filled from the vector and solved only for the rest,
-and a witness is built and re-checked only when the query is achievable.  A
-strategy's values are the witness re-check without settle mass: its chain
-over the product is built once and planned once per support pattern, so each
-sample only fills integer rows.
+the LP's integer rows are filled from the vector and solved only for the
+rest, and a witness is built and re-checked only when the query is
+achievable.  A strategy's values are the witness re-check without settle
+mass: its chain over the product is built once and planned once per support
+pattern, so each sample only fills integer rows.
 
 A parameter-free solve is a `_MoQuery` at its one constant vector
 (`_constant_query`): `mo_achievable` solves its layout, `solution_value`
 (with `chain_language_prob`) fills a strategy's chain, `safety_prob` is one
 minus `bad_reach` from a cold start, and `exp_total_reward` is policy
-iteration with the reward slots as gains (maximum) or the reward minimised
-over `_flow`'s LP (minimum).
+iteration on the reward's gain map (maximum) or the gain map's cost row
+minimised over `_flow`'s LP (minimum).
 `monotone_check` fills each strategy's chain at every sampled valuation.
 The region checks share one sample loop.  Nothing is kept beyond one call.
 """
@@ -385,23 +387,22 @@ def _chain_fill(plan, point):
     return scale, settled | dict(zip(unknown, x))
 
 
-def _policy_shape(nodes, acts, succ, nums, gains=None, targets=frozenset()):
+def _policy_shape(nodes, acts, succ, nums, gains, stop):
     """What `_policy_iteration` reads of the sign pattern of the numerators
     `nums`: the nodes, each action's chain row, each deciding node's options
     (action, gain slots, nonzero entries (t, k)) and a memo of each policy's
-    plan.  A node outside `targets` picks one of its `acts`, the others stop;
+    plan.  A node outside `stop` picks one of its `acts`, the others stop;
     a in s moves to t w.p. nums[k] / D per entry (t, k) of succ[(s, a)] and
-    collects the slots gains[(s, a)] plus its one-step mass into `targets`."""
-    gains = gains or {}
+    collects the nonzero slots gains[(s, a)] of the gain map."""
     rows, options = {}, {}
     for s in nodes:
-        if s in targets or not acts.get(s):
+        if s in stop or not acts.get(s):
             continue
         opts = options[s] = []
         for a in acts[s]:
             key = (s, a)
             out = [(t, k) for t, k in succ[key] if nums[k]]
-            gain = [k for k in gains.get(key, ()) if nums[k]] + [k for t, k in out if t in targets]
+            gain = [k for k in gains.get(key, ()) if nums[k]]
             rows[key] = (1, tuple((t, 1, k) for t, k in out), tuple((1, k) for k in gain))
             opts.append((a, gain, out))
     return tuple(nodes), rows, options, {}
@@ -463,9 +464,10 @@ def max_reach(pa: PPA, targets):
     targets = frozenset(targets)
     table = PolyTable()
     succ, point = _slotted(pa, table), table.at({})
-    # targets stop; the gain of an action is its one-step mass into them
+    # targets stop; an action collects its one-step mass into them
+    gains = {key: tuple(k for t, k in out if t in targets) for key, out in succ.items()}
     acts = {s: pa.enabled(s) for s in pa.states}
-    shape = _policy_shape(pa.states, acts, succ, point[1], targets=targets)
+    shape = _policy_shape(pa.states, acts, succ, point[1], gains, targets)
     policy, (scale, x) = _policy_iteration(shape, point)
     values = {s: Fraction(1) if s in targets else Fraction(x[s], scale) for s in pa.states}
     strategy = MemorylessStrategy(
@@ -490,13 +492,13 @@ def exp_total_reward(pa: PPA, rewards, mode="max"):
 
     `mode` is "max" or "min".  Returns a Fraction, or float infinity when
     divergence is optimal/forced.  Both are solved on the query product of
-    one reward objective.  The maximum is policy iteration with the reward
-    slots as gains.  With nonnegative rewards it is the least fixpoint v* of
+    one reward objective.  The maximum is policy iteration on its gain map,
+    with no stop set.  With nonnegative rewards it is the least fixpoint v* of
     the Bellman operator T (the limit of T^n 0).  Policy iteration stops at
     the value v of a policy, so v <= v*, with no strictly improving action,
     so T v <= v (an action with an INF successor is an improvement); then
     T^n 0 <= T^n v <= v for all n, so v* <= v and v = v*, INF included.  The
-    minimum minimises D times the reward (the cost row is the reward slots'
+    minimum minimises D times the reward (the cost row is the gain map's
     numerators) over the occupation-measure LP of `_MoQuery._flow`, then
     divides by D once: a strategy has finite reward iff it almost surely ends
     up lingering in a region that collects no reward, and greedy policy
@@ -506,15 +508,14 @@ def exp_total_reward(pa: PPA, rewards, mode="max"):
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
     query, point = _constant_query(pa, (reward_objective(">=", 0, rewards),), "cmp")
+    (gains,) = query.gains
     if mode == "max":
-        slots = query.reward_slots[0]
-        gains = {key: (slots[lab],) for key, lab in query.plabel.items() if lab in slots}
-        shape = _policy_shape(query.states, query.acts, query.ptrans, point[1], gains)
+        shape = _policy_shape(query.states, query.acts, query.ptrans, point[1], gains, ())
         _, (scale, x) = _policy_iteration(shape, point)
         return x[query.init] if x[query.init] is INF else Fraction(x[query.init], scale)
     den, nums = point
-    *_, num_vars, rows, y_index, _ = query._flow(nums)
-    cost = {col: nums[k] for col, k in query._reward_cols(nums, 0, y_index).items()}
+    _, _, num_vars, rows, y_index, _ = query._flow(nums)
+    cost = {y_index[key]: nums[k] for key, (k,) in gains.items() if nums[k]}
     lp = _sample_lp(num_vars, _int_templates(num_vars, rows), point)
     status, _, value = lp.solve(cost, maximize=False)
     return Fraction(value, den) if status == OPTIMAL else INF  # INF: no strategy stops paying a.s.
@@ -621,18 +622,21 @@ class _MoQuery:
 
     The structure is built once: the joint product of the model (its tau
     extension for partial strategies) with the objectives' absorbing
-    bad-prefix DFAs, each state's signature (the DFAs in an accepting state),
-    and the reach-target sets.  Transition probabilities and rewards refer by
-    index to their slots in a `PolyTable` that the caller may share with other
-    queries and the well-definedness check, so a sample is one value vector
-    of that table.  What depends on which values are zero, and on the signs
-    of the rewards -- the end-component check, the settle set and `stay` map,
-    and the LP layout with its rows as integer templates -- is built once per
-    sign pattern (`_layout`), testing signs on the vector's numerators (its
-    denominator is positive).  Each sample that `solve` leaves to the LP then
-    only fills its integer rows from its vector (`_sample_lp`), solves it, and
-    builds a witness when the conjunction is achievable.  `strategy_values`
-    evaluates fixed strategies of `model` on the same product.
+    bad-prefix DFAs, and per objective (probability objectives, then rewards)
+    a stop set `stops[i]` and a gain map `gains[i]` from each product key
+    (ps, a) to the slots it collects: its entries into the targets from
+    outside them, which absorb, or its reward.  Transition probabilities and
+    rewards refer by index to their slots in a `PolyTable` that the caller may
+    share with other queries and the well-definedness check, so a sample is one
+    value vector of that table.  What depends on which values are zero, and on
+    the signs of the rewards -- the end-component check, the settle set and
+    `stay` map, and the LP layout with its rows as integer templates -- is
+    built once per sign pattern (`_layout`), testing signs on the vector's
+    numerators (its denominator is positive).  Each sample that `solve` leaves
+    to the LP then only fills its integer rows from its vector (`_sample_lp`),
+    solves it, and builds a witness when the conjunction is achievable.
+    `strategy_values` evaluates fixed strategies of `model` on the same
+    product.
     """
 
     def __init__(self, m: PPA, query, strategy_class, table: PolyTable):
@@ -672,16 +676,22 @@ class _MoQuery:
                         stack.append(t)
         self.init, self.states = init, sorted(seen, key=sort_key)
         self.acts, self.ptrans, self.plabel = acts, ptrans, plabel
-        self.signature = {
-            ps: frozenset(i for i, b in enumerate(dfas) if ps[1][i] in b.accepting)
-            for ps in self.states
-        }
+        self.objectives = self.prob_objs + self.rew_objs
         self.targets = [
-            frozenset(ps for ps in self.states if i in self.signature[ps])
-            for i in range(len(dfas))
+            frozenset(ps for ps in self.states if ps[1][i] in b.accepting)
+            for i, b in enumerate(dfas)
         ]
+        self.stops = self.targets + [frozenset()] * len(self.rew_objs)
         self.reward_slots = [
             {sym: slot(r) for sym, r in o.rewards} for o in self.rew_objs
+        ]
+        self.gains = [
+            {key: into for key, dist in ptrans.items()
+             if key[0] not in target and (into := tuple(k for t, k in dist if t in target))}
+            for target in self.targets
+        ] + [
+            {key: (slots[lab],) for key, lab in plabel.items() if lab in slots}
+            for slots in self.reward_slots
         ]
         self.one = slot(Fraction(1))  # numerator D at every vector
         self._layouts, self._shapes, self._policy = {}, {}, None
@@ -694,13 +704,6 @@ class _MoQuery:
         return next((sym for slots in self.reward_slots for sym, k in slots.items()
                      if nums[k] < 0), None)
 
-    def _reward(self, nums, key, j):
-        """The numerator of reward objective j on the product transition
-        `key` in the table vector numerators `nums`: its sign is the
-        reward's."""
-        k = self.reward_slots[j].get(self.plabel[key])
-        return 0 if k is None else nums[k]
-
     def strategy_values(self, sigma):
         """The values of the memoryless strategy sigma of `self.model`, as a
         function of the table vector: the probability objectives', then the
@@ -711,38 +714,24 @@ class _MoQuery:
         return _StrategyChain(self, lambda ps: choice.get(ps[0]))
 
     def _flow(self, nums):
-        """The nonzero entries, the successor sets, the stay map and the
-        occupation LP of one unit of flow into the settle set, for the sign
-        pattern of the table vector numerators `nums`: a settle state can
-        stay forever on actions that collect no reward and cross no signature
-        layer."""
-        n_rew = len(self.rew_objs)
+        """The successor sets, the stay map and the occupation LP of one unit
+        of flow into the settle set, for the sign pattern of the table vector
+        numerators `nums`: a settle state can stay forever on actions that
+        collect nothing for any objective."""
         support = {
             key: tuple((t, k) for t, k in dist if nums[k])
             for key, dist in self.ptrans.items()
         }
         succ = {key: frozenset(t for t, _ in dist) for key, dist in support.items()}
-        sig = self.signature
 
         def lingers(ps, a):
-            return all(self._reward(nums, (ps, a), j) == 0 for j in range(n_rew)) and all(
-                sig[t] == sig[ps] for t in succ[(ps, a)]
-            )
+            return not any(nums[k] for gains in self.gains for k in gains.get((ps, a), ()))
 
         settle, stay = _settle(self.states, self.acts, succ, lingers)
         num_vars, rows, y_index, w_index = _occupation_lp(
             self.init, self.states, self.acts, support, settle, int(self.strict)
         )
-        return support, succ, stay, num_vars, rows, y_index, w_index
-
-    def _reward_cols(self, nums, j, y_index):
-        """{y column: slot} of the nonzero rewards of reward objective j."""
-        cols = {}
-        for key, col in y_index.items():
-            k = self.reward_slots[j].get(self.plabel[key])
-            if k is not None and nums[k]:
-                cols[col] = k
-        return cols
+        return succ, stay, num_vars, rows, y_index, w_index
 
     def _layout(self, nums):
         """`_flow` plus the threshold rows, as `_int_templates`, for the sign
@@ -753,33 +742,24 @@ class _MoQuery:
         reward.  It covers every product state, also one that only zero
         entries lead to: the LP keeps such a state's columns, so a rewarded
         cycle there could still carry a circulation."""
-        support, succ, stay, num_vars, rows, y_index, w_index = self._flow(nums)
-        n_rew = len(self.rew_objs)
-        if n_rew and any(self._reward(nums, key, j) > 0
-                         for key in _end_component_keys(succ) for j in range(n_rew)):
+        succ, stay, num_vars, rows, y_index, w_index = self._flow(nums)
+        rewards = self.gains[len(self.prob_objs):]
+        if rewards and any(nums[k] > 0 for key in _end_component_keys(succ)
+                           for gains in rewards for k in gains.get(key, ())):
             raise UnboundedReward("a reward objective meets an infinite-reward end component")
         t_index = num_vars - 1  # the slack column, used only when strict
-        for o, target in zip(self.prob_objs, self.targets):
-            # P(eventually target) = const + sum of y[key] * (mass of key into target)
-            form = {}
-            for key, dist in support.items():
-                if key[0] not in target:
-                    plus = tuple(k for t, k in dist if t in target)
-                    if plus:
-                        form[y_index[key]] = (0, plus, ())
-            const = 1 if self.init in target else 0
-            if o.cmp in _PROB_ROW:
-                kind, slack = _PROB_ROW[o.cmp]
-                if slack:
-                    form[t_index] = (slack, (), ())
-                rows.append((kind, form, 1 - o.threshold - const))
-        for j, o in enumerate(self.rew_objs):
-            form = {col: (0, (k,), ()) for col, k in self._reward_cols(nums, j, y_index).items()}
-            if o.cmp in _REWARD_ROW:
-                kind, slack = _REWARD_ROW[o.cmp]
-                if slack:
-                    form[t_index] = (slack, (), ())
-                rows.append((kind, form, o.threshold))
+        for o, gains, target in zip(self.objectives, self.gains, self.stops):
+            # the sum of y[key] times what key collects: the expected reward,
+            # or P(eventually target) less 1 when the initial state is a target
+            form = {y_index[key]: (0, plus, ()) for key, slots in gains.items()
+                    if (plus := tuple(k for k in slots if nums[k]))}
+            if isinstance(o, ProbObjective):
+                (kind, slack), rhs = _PROB_ROW[o.cmp], 1 - o.threshold - (self.init in target)
+            else:
+                (kind, slack), rhs = _REWARD_ROW[o.cmp], o.threshold
+            if slack:
+                form[t_index] = (slack, (), ())
+            rows.append((kind, form, rhs))
         if self.strict:
             rows.append(("ub", {t_index: (1, (), ())}, 1))
         return num_vars, _int_templates(num_vars, rows), y_index, w_index, stay
@@ -793,7 +773,7 @@ class _MoQuery:
         signs = tuple((n > 0) - (n < 0) for n in point[1])
         if signs not in self._shapes:
             self._shapes[signs] = _policy_shape(self.states, self.acts, self.ptrans, point[1],
-                                                targets=bad)
+                                                self.gains[0], bad)
         self._policy, (scale, x) = _policy_iteration(self._shapes[signs], point, self._policy)
         return Fraction(x[self.init], scale)
 
@@ -848,8 +828,7 @@ class _MoQuery:
                 settle_mass[ps] = w / total
 
         vals = _StrategyChain(self, mix.get, settle_mass, stay)(point)
-        objectives = self.prob_objs + self.rew_objs
-        for o, val in zip(objectives, vals):
+        for o, val in zip(self.objectives, vals):
             if not _cmp(val, o.cmp, o.threshold):
                 raise RuntimeError("internal: witness failed exact re-verification")
         return {
@@ -860,7 +839,7 @@ class _MoQuery:
             "stay": dict(stay),
             "values": {
                 (o.name or f"objective-{k}"): val
-                for k, (o, val) in enumerate(zip(objectives, vals))
+                for k, (o, val) in enumerate(zip(self.objectives, vals))
             },
         }
 
@@ -944,24 +923,18 @@ class _StrategyChain:
             stack.extend(t for t, _, _ in out)
         # one chain per objective; a probability objective whose targets hold
         # the initial state has value 0 and no chain
+        self.n_prob = len(query.targets)
         self.chains = [
-            None if query.init in target else {
-                node: (scale, (), ()) if node[1] in target
-                else (scale, out, tuple((f, k) for t, f, k in out if t[1] in target))
-                for node, (scale, out, _) in moves.items()
+            None if query.init in stop else {
+                node: (scale, (), ()) if node[1] in stop
+                else (scale, out, tuple((f, k) for f, key in picks for k in gains.get(key, ())))
+                for node, (scale, out, picks) in moves.items()
             }
-            for target in query.targets
+            for gains, stop in zip(query.gains, query.stops)
         ]
-        self.n_prob = len(self.chains)
         slots = {k for _, out, _ in moves.values() for *_, k in out}
-        for rewards in query.reward_slots:
-            chain = {}
-            for node, (scale, out, picks) in moves.items():
-                gain = tuple((f, rewards[lab]) for f, key in picks
-                             if (lab := query.plabel[key]) in rewards)
-                slots.update(k for _, k in gain)
-                chain[node] = scale, out, gain
-            self.chains.append(chain)
+        slots.update(k for chain in self.chains if chain
+                     for *_, gain in chain.values() for _, k in gain)
         self.slots, self._plans = sorted(slots), {}
 
     def __call__(self, point):

@@ -37,7 +37,7 @@ from pacomp.robust import (
     generators,
     make_rpa,
 )
-from pacomp.semantics import TabularStrategy, _walk, path_last, path_len
+from pacomp.semantics import MemorylessStrategy, TabularStrategy, _walk, path_last, path_len
 from pacomp.verify import (
     INF,
     RewardObjective,
@@ -46,6 +46,7 @@ from pacomp.verify import (
     _predecessors,
     _reach,
     _sccs,
+    _settle,
     enumerate_memoryless,
     mo_achievable,
 )
@@ -260,6 +261,21 @@ def random_tabular_strategy(rng: random.Random, pa, horizon, complete=False):
                         nxt.add(path + (a, t))
         frontier = nxt
     return TabularStrategy(table, horizon, complete=complete)
+
+
+def random_memoryless_strategy(rng: random.Random, m):
+    """A random memoryless strategy of m: at nearly every state a subdistribution
+    over some enabled actions, which may leave stopping mass."""
+    choice = {}
+    for s in m.states:
+        acts = m.enabled(s)
+        if not acts or rng.random() < 0.1:
+            continue
+        chosen = rng.sample(acts, k=rng.randint(1, len(acts)))
+        weights = [rng.randint(1, 3) for _ in chosen]
+        total = sum(weights) + (rng.randint(1, 2) if rng.random() < 0.3 else 0)
+        choice[s] = {a: Fraction(w, total) for a, w in zip(chosen, weights)}
+    return MemorylessStrategy(choice, complete=False)
 
 
 def tabulate(m, sigma, horizon: int) -> TabularStrategy:
@@ -638,6 +654,25 @@ def witness_values_reference(query, point, mix, settle_mass, stay):
     for gain in gains:
         out.append(chain_solve_reference(chain, gain, init)[init])
     return out
+
+
+def settle_reference(query, nums):
+    """`_MoQuery._flow`'s settle set and `stay` map as they were decided
+    before each objective became a gain map, at the table vector numerators
+    `nums`: an action lingers when it collects no reward and every successor
+    it reaches has the state's signature, the objectives whose targets hold
+    it."""
+    sig = {ps: frozenset(i for i, target in enumerate(query.targets) if ps in target)
+           for ps in query.states}
+    succ = {key: frozenset(t for t, k in dist if nums[k]) for key, dist in query.ptrans.items()}
+
+    def lingers(ps, a):
+        lab = query.plabel[(ps, a)]
+        return all(not nums[slots[lab]] for slots in query.reward_slots if lab in slots) and all(
+            sig[t] == sig[ps] for t in succ[(ps, a)]
+        )
+
+    return _settle(query.states, query.acts, succ, lingers)
 
 
 def instantiate_objective(obj, v):

@@ -988,6 +988,74 @@ def test_bad_rpa_sets_are_format_errors_at_their_path(field, value, message, cor
     assert run(capsys, "rpa-reduce", "--model", str(tmp_path / "bad.rpa.json")) == (2, "", expected)
 
 
+def _repeated_key_case(site, corpus_dir, tmp_path):
+    """(argv, expected error) for a document that names one key twice in the
+    pair list `site` reads as a map, written to tmp_path."""
+    def load(name):
+        return json.load(open(corpus_dir / name))
+
+    mutant = str(tmp_path / "mutant.json")
+    check = ["check", "--model", str(corpus_dir / "retry.ppa.json"), "--objective", mutant,
+             "--region", "finite:{p=1/2}"]
+    project = ["project", "--left", str(corpus_dir / "retry.ppa.json"),
+               "--right", str(corpus_dir / "pipeline.ppa.json"), "--strategy", mutant,
+               "--valuation", "p=1/10,q=1/10", "--side", "2"]
+    if site in ("ppa dist", "ppa transitions"):
+        doc, argv = load("retry.ppa.json"), ["tau", "--model", mutant]
+        if site == "ppa dist":
+            doc["transitions"][0]["dist"].append(["s0", "1/2"])
+            where = "$.transitions[0].dist: names successor 's0' twice"
+        else:
+            doc["transitions"].append(doc["transitions"][1])
+            where = "$.transitions: names transition ('s0', 's0_b') twice"
+    elif site in ("rpa transitions", "interval", "vertices"):
+        doc, argv = load("interval_retry.rpa.json"), ["rpa-reduce", "--model", mutant]
+        if site == "rpa transitions":
+            doc["transitions"].append(doc["transitions"][2])
+            where = "$.transitions: names transition ('s1', 's1_b') twice"
+        elif site == "interval":
+            doc["transitions"][0]["interval"].append(["s0", ["0", "1"]])
+            where = "$.transitions[0].interval: names successor 's0' twice"
+        else:
+            doc["transitions"][1]["vertices"][0].append(["s1", "0"])
+            where = "$.transitions[1].vertices[0]: names successor 's1' twice"
+    elif site in ("dfa transitions", "rewards"):
+        doc, argv = load("safe_assumption.query.json"), check
+        if site == "dfa transitions":
+            doc["objectives"][0]["dfa"]["transitions"].append([0, "a", 0])
+            where = "$.objectives[0].dfa.transitions: names transition (0, 'a') twice"
+        else:
+            doc["objectives"] = [{"kind": "reward", "cmp": ">=", "threshold": "0",
+                                  "rewards": [["a", "1"], ["a", "2"]]}]
+            where = "$.objectives[0].rewards: names symbol 'a' twice"
+    else:
+        doc, argv = {"format": "pacomp/1", "type": "strategy"}, project
+        rows = {"choice": [["s", [["x", "1"]]], ["s", [["x", "1"]]]],
+                "choice dist": [["s", [["x", "1/2"], ["x", "1/2"]]]],
+                "table": [[["s"], [["x", "1"]]], [["s"], [["x", "1"]]]],
+                "table dist": [[["s"], [["x", "1/2"], ["x", "1/2"]]]]}[site]
+        if site.startswith("choice"):
+            doc.update(kind="memoryless", choice=rows)
+        else:
+            doc.update(kind="tabular", horizon=1, table=rows)
+        where = {"choice": "$.choice: names state 's' twice",
+                 "choice dist": "$.choice[0][1]: names action 'x' twice",
+                 "table": "$.table: names history ('s',) twice",
+                 "table dist": "$.table[0][1]: names action 'x' twice"}[site]
+    json.dump(doc, open(mutant, "w"))
+    return argv, f"format error: {where}\n"
+
+
+@pytest.mark.parametrize("site", [
+    "ppa dist", "ppa transitions", "rpa transitions", "interval", "vertices", "dfa transitions",
+    "rewards", "choice", "choice dist", "table", "table dist",
+])
+def test_a_key_named_twice_is_a_format_error(site, corpus_dir, tmp_path, capsys):
+    # each pair list is read as a map, which kept one of the two values
+    argv, message = _repeated_key_case(site, corpus_dir, tmp_path)
+    assert run(capsys, *argv) == (2, "", message)
+
+
 def test_reward_over_an_undeclared_parameter_is_usage_error(corpus_dir, tmp_path, capsys):
     retry = str(corpus_dir / "retry.ppa.json")
     stray = _reward_query(tmp_path, "2*r")

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -20,6 +21,7 @@ from pacomp.errors import (
 )
 from pacomp.exactlp import INFEASIBLE, OPTIMAL, LinearProgram
 from pacomp.model import (
+    DFA,
     alphabet_extend,
     compose,
     dfa_forbid_prefix,
@@ -61,12 +63,15 @@ from helpers import (
     monotone_check_per_sample,
     occupation_rows_reference,
     policy_iteration_reference,
+    random_memoryless_strategy,
     random_pa,
     random_parametric_pair,
     random_polytopic_rpa,
     random_safety_dfa,
     region_sat_per_sample,
     renamed_ppa,
+    settle_reference,
+    strategy_value_reference,
     successor_sets,
     tableau_reference,
     weight_profiles_reference,
@@ -391,22 +396,23 @@ def test_policy_iteration_matches_the_fraction_reference(seed):
         acts = {s: m.enabled(s) for s in m.states}
         point = table.at({})
 
-        def solve(start=None, **goal):
+        def solve(start=None, gains=gains, stop=()):
             # the values leave as int numerators over one denominator V
-            shape = _policy_shape(m.states, acts, succ, point[1], **goal)
+            shape = _policy_shape(m.states, acts, succ, point[1], gains, stop)
             chosen, (den, x) = _policy_iteration(shape, point, start)
             finite = [v for v in x.values() if v is not INF]
             assert den > 0 and all(type(v) is int for v in finite)
             assert gcd(den, *finite) == 1
             return chosen, {s: v if v is INF else F(v, den) for s, v in x.items()}
 
-        assert solve(gains=gains) == (policy, values)
+        assert solve() == (policy, values)
         # from any start policy the values are the same, for the reward and
         # for the reachability of the targets
         start = {s: rng.choice(acts[s]) for s in m.states if acts[s]}
-        assert solve(start, gains=gains)[1] == values
+        assert solve(start)[1] == values
         start = {s: a for s, a in start.items() if s not in targets}
-        _, got = solve(start, targets=targets)
+        into = {key: tuple(k for t, k in out if t in targets) for key, out in succ.items()}
+        _, got = solve(start, gains=into, stop=targets)
         assert {s: F(1) if s in targets else v for s, v in got.items()} == reach
 
 
@@ -707,6 +713,55 @@ def test_fill_cases_flip_reduce_and_meet_both_statuses():
                 seen.add("reward row")
     assert {OPTIMAL, INFEASIBLE, "eq", "ub", "lb", "strict", "flipped", "reduced",
             "reward row"} <= seen, seen
+
+
+def test_gain_maps_settle_and_evaluate_as_signatures_did():
+    """An action collects nothing for any objective iff it collects no
+    reward and keeps its state's signature, because the DFA targets absorb:
+    `_flow`'s settle set and `stay` map are `settle_reference`'s, and a fixed
+    strategy's values are `strategy_value_reference`'s.  The cases mix
+    probability and reward objectives, sample the unit box's corners, where
+    entries vanish, and some probability objective's targets hold the
+    initial state.  Both an action that a reward keeps from settling and one
+    that only an entry into targets keeps from settling occur."""
+    kinds = set()
+    p = Polynomial.var("p")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def check(seed):
+        rng = random.Random(seed)
+        m = compose(*random_parametric_pair(rng))
+        alphabet = sorted(m.alphabet)
+        objectives = []
+        for _ in range(rng.randint(1, 3)):
+            if rng.random() < 0.5:
+                d = random_safety_dfa(rng, alphabet, allow_empty=False)
+                if rng.random() < 0.25:  # the empty prefix is bad
+                    d = DFA(d.states, d.initial, d.alphabet, d.trans, frozenset({d.initial}))
+                objectives.append(ProbObjective(">=", F(1, 2), d))
+            else:
+                objectives.append(reward_objective(
+                    ">=", 0, {rng.choice(alphabet): rng.choice([1, p, (1 - 2 * p) ** 2])}))
+        table = PolyTable()
+        query = _MoQuery(m, objectives, rng.choice(["cmp", "prt"]), table)
+        sigma = random_memoryless_strategy(rng, query.model)
+        values = query.strategy_values(sigma)
+        for v in region_samples(Box.of({"p": (0, 1)}), rng.randint(1, 2)):
+            point = table.at(v)
+            _, stay, *_, w_index = query._flow(point[1])
+            settle, ref_stay = settle_reference(query, point[1])
+            assert (set(w_index), stay) == (settle, ref_stay)
+            assert values(point) == [strategy_value_reference(query.model, sigma, o, v)
+                                     for o in query.objectives]
+            kinds.update(what for what, keeps in (
+                ("initial target", any(query.init in target for target in query.targets)),
+                ("reward keeps", not query.prob_objs and len(settle) < len(query.states)),
+                ("entry keeps", not query.rew_objs and len(settle) < len(query.states)),
+            ) if keeps)
+
+    check()
+    assert kinds == {"initial target", "reward keeps", "entry keeps"}
 
 
 def test_prt_class_via_sink_extension():
@@ -1037,31 +1092,49 @@ def test_alphabet_extension_preserves_objectives():
             assert a == b
 
 
+def _with_exit(rng, pa, label):
+    """pa with a dead end and, from some of its states, an action labelled
+    `label` into it, so that no end component collects `label`."""
+    trans = {key: (pa.label[key], dist) for key, dist in pa.trans.items()}
+    for s in rng.sample(pa.states, k=rng.randint(1, len(pa.states))):
+        trans[(s, f"{s}_exit")] = (label, {"end": F(1)})
+    return make_ppa([*pa.states, "end"], pa.initial, set(), trans, pa.alphabet | {label})
+
+
 def test_witness_values_satisfy_objectives():
-    rng = random.Random(61)
-    checked = 0
-    while checked < 15:
-        pa = random_pa(rng, "w", 3, ["a", "b"], max_actions=2)
-        dfa1 = random_safety_dfa(rng, ["a", "b"], allow_empty=False)
-        dfa2 = random_safety_dfa(rng, ["a", "b"], allow_empty=False)
+    """Every achievable witness meets each objective of its query: two
+    probability objectives and a reward on the exit into a dead end, so
+    that the witness's chain collects both kinds of gain.  Achievable
+    queries whose witness reaches a bad state with positive probability
+    and collects positive reward both occur, as do unachievable ones."""
+    kinds = set()
+    cmps = [">=", "<=", ">", "<"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def check(seed):
+        rng = random.Random(seed)
+        pa = _with_exit(rng, random_pa(rng, "w", 3, ["a", "b"], max_actions=2), "c")
         query = (
-            ProbObjective(rng.choice([">=", "<=", ">", "<"]), F(rng.randint(0, 4), 4), dfa1),
-            ProbObjective(rng.choice([">=", "<="]), F(rng.randint(0, 4), 4), dfa2),
+            ProbObjective(rng.choice(cmps), F(rng.randint(0, 4), 4),
+                          random_safety_dfa(rng, ["a", "b"], allow_empty=False)),
+            ProbObjective(rng.choice([">=", "<="]), F(rng.randint(0, 4), 4),
+                          random_safety_dfa(rng, ["a", "b"], allow_empty=False)),
+            reward_objective(rng.choice(cmps), F(rng.randint(0, 6), 4),
+                             {"c": F(rng.randint(1, 3), 2)}),
         )
         status, wit = mo_achievable(pa, query, rng.choice(["cmp", "prt"]))
-        if status != "achievable":
-            continue
-        checked += 1
-        values = list(wit["values"].values())
-        for obj, val in zip(query, values):
-            if obj.cmp == ">=":
-                assert val >= obj.threshold
-            elif obj.cmp == ">":
-                assert val > obj.threshold
-            elif obj.cmp == "<=":
-                assert val <= obj.threshold
-            else:
-                assert val < obj.threshold
+        kinds.add(status)
+        if status == "achievable":
+            values = list(wit["values"].values())
+            assert len(values) == len(query)
+            for obj, val in zip(query, values):
+                assert verify._cmp(val, obj.cmp, obj.threshold)
+            kinds.update(what for what, seen in (("bad reached", min(values[:2]) < 1),
+                                                 ("reward collected", values[2] > 0)) if seen)
+
+    check()
+    assert kinds == {"achievable", "unachievable", "bad reached", "reward collected"}
 
 
 def test_monotone_check_reward_objective():
@@ -1283,15 +1356,20 @@ def _outcome(check, *args):
 
 
 def test_region_checks_match_per_sample_reference():
-    # one structure per region (and sign pattern) must give the verdict,
-    # failing valuation and full witness of solving every sample anew;
-    # the p = 0 and p = 1 corners are not graph-preserving, the reward p
-    # vanishes at p = 0, and (1 - 2p)^2 at the graph-preserving p = 1/2
-    rng = random.Random(71)
+    """One structure per region (and sign pattern) gives the verdict,
+    failing valuation and full witness of solving every sample anew; the
+    p = 0 and p = 1 corners are not graph-preserving, the reward p vanishes
+    at p = 0, and (1 - 2p)^2 at the graph-preserving p = 1/2.  Both verdicts
+    occur for `region_sat` and for triples, with and without a reward
+    objective, and for monotonicity checks of a probability objective."""
     p = Polynomial.var("p")
     rewards = (p, (1 - 2 * p) * (1 - 2 * p))
     seen = set()
-    for case in range(16):
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32))
+    def check(seed):
+        rng = random.Random(seed)
         m = compose(*random_parametric_pair(rng))
         alphabet = sorted(m.alphabet)
         prob = ProbObjective(rng.choice([">=", ">", "<=", "<"]), F(rng.randint(0, 4), 4),
@@ -1313,13 +1391,15 @@ def test_region_checks_match_per_sample_reference():
             )
             seen.add(("triple", reward in query, getattr(got, "status", "error")))
             work = tau_extend(m) if cls == "prt" else m
-            if len(enumerate_memoryless(work)) <= 64:
+            # at most 64 strategies, without enumerating a class past the cap
+            if math.prod(len(work.enabled(s)) or 1 for s in work.states) <= 64:
                 for objective in query:
                     args = (m, box, objective, "p", rng.choice(["up", "down"]), cls, resolution)
                     got = _outcome(monotone_check, *args)
                     assert got == _outcome(monotone_check_per_sample, *args)
                     seen.add(("monotone", objective is reward, getattr(got, "status", "error")))
-    # both verdicts, with and without a reward objective, occur
+
+    check()
     for kind in ("sat", "triple"):
         for with_reward in (False, True):
             assert {(kind, with_reward, "holds"), (kind, with_reward, "fails")} <= seen
