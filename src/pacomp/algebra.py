@@ -7,6 +7,7 @@ ever touches floating point.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -32,7 +33,9 @@ class Polynomial:
 
     Terms map monomials to nonzero coefficients; two polynomials are equal iff
     their term maps are equal, and a constant polynomial equals its value
-    (an int or Fraction) and hashes as it.
+    (an int or Fraction) and hashes as it.  A polynomial is immutable: nothing
+    writes `terms` after `__init__`, because `parse_poly` hands one parsed
+    polynomial to every caller that parses the same string.
     """
 
     __slots__ = ("terms",)
@@ -207,8 +210,18 @@ def _tokenize(text: str):
     return tokens
 
 
+# distinct polynomial strings whose parse `parse_poly` keeps
+PARSED_POLYS = 1024
+
+
+@functools.lru_cache(maxsize=PARSED_POLYS)
 def parse_poly(text: str) -> Polynomial:
-    """Parse a canonical polynomial string such as ``1 - 2*p + p^2``."""
+    """Parse a polynomial string such as ``1 - 2*p + p^2``.
+
+    Each distinct string is parsed once per process (the `PARSED_POLYS` most
+    recently used are kept), and every call with it returns the same,
+    immutable, polynomial.  A malformed string is not kept: each call raises
+    the same `ParseError`, at the same position."""
     tokens = _tokenize(text)
     idx = 0
 

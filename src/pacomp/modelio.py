@@ -1,16 +1,20 @@
 """Versioned JSON serialization for models, automata, queries, and regions.
 
-Format tag: "pacomp/1".  Identifiers may be strings, integers, rationals, or
-nested tuples; tuples and rationals are tagged so round-trips are exact.
+Format tag: "pacomp/1".  Identifiers may be strings, integers (not
+booleans), rationals, or nested tuples; tuples and rationals are tagged so
+round-trips are exact.  A list that a model reads as a set (its states,
+parameters, alphabet, a DFA's accepting states) names each entry once.
 Polynomials and rationals travel as canonical strings.
 
 Each row of `_TYPES` defines both directions of one document type: its shape,
 the build from decoded fields to the object, and the inverse from the object
 to its fields.  `load_document` is the one decoder, proof scripts included:
-one recursive walk checks a document against its shape, parses every rational
-and polynomial string once and raises `ParseError` naming the JSON path of
-the first value that does not fit.  `dump_document` is the one encoder: it
-walks the same shape back, leaf by leaf.
+one recursive walk checks a document against its shape, parses every
+rational string, takes every polynomial from `parse_poly`, which parses each
+distinct string once per process and shares the result, and raises
+`ParseError` naming the JSON path of the first value that does not fit.
+`dump_document` is the one encoder: it walks the same shape back, leaf by
+leaf.
 """
 
 from __future__ import annotations
@@ -86,17 +90,16 @@ def _parsed(parse):
 
 
 def _dec_id(x, path):
-    """A JSON scalar, or a tagged tuple ("t") or rational ("q")."""
-    if type(x) is str:
+    """A string, an integer (not a boolean, which would be the same key as 0
+    or 1), or a tagged tuple ("t") or rational ("q")."""
+    if type(x) in (str, int):
         return x
     if type(x) is dict:
         if "t" in x:
             return tuple(_decode(x["t"], ["id"], path + ".t", None))
         if "q" in x:
             return _LEAVES["rat"](x["q"], path + ".q")
-    if type(x) in (dict, list):
-        _fail(path, f"expected an identifier, got {_show(x)}")
-    return x
+    _fail(path, f"expected an identifier, got {_show(x)}")
 
 
 _LEAVES = {
@@ -221,11 +224,12 @@ def _by_key(items):
 
 
 def _ppa(f, path, _):
+    states, params, alphabet = _sets(f, path, "states", "params", "alphabet")
     where = f"{path}.transitions"
     trans = _unique((((t["state"], t["action"]),
                       (t["label"], _unique(t["dist"], "names successor", f"{where}[{i}].dist")))
                      for i, t in enumerate(f["transitions"])), "names transition", where)
-    return make_ppa(f["states"], f["initial"], f["params"], trans, f["alphabet"])
+    return make_ppa(states, f["initial"], params, trans, alphabet)
 
 
 def _ppa_fields(m):
@@ -237,10 +241,10 @@ def _ppa_fields(m):
 
 
 def _dfa(f, path, _):
+    states, alphabet, accepting = _sets(f, path, "states", "alphabet", "accepting")
     trans = _unique((((q, sym), t) for q, sym, t in f["transitions"]), "names transition",
                     f"{path}.transitions")
-    return DFA(tuple(f["states"]), f["initial"], frozenset(f["alphabet"]), trans,
-               frozenset(f["accepting"]))
+    return DFA(tuple(states), f["initial"], frozenset(alphabet), trans, frozenset(accepting))
 
 
 def _dfa_fields(b):
@@ -251,6 +255,7 @@ def _dfa_fields(b):
 
 
 def _rpa(f, path, _):
+    states, alphabet = _sets(f, path, "states", "alphabet")
     utrans = []
     for i, t in enumerate(f["transitions"]):
         where = f"{path}.transitions[{i}]"
@@ -275,7 +280,7 @@ def _rpa(f, path, _):
             uset = VertexSet.of(dists)
         utrans.append(((t["state"], t["action"]), (t["label"], uset)))
     utrans = _unique(utrans, "names transition", f"{path}.transitions")
-    return make_rpa(f["states"], f["initial"], utrans, f["alphabet"])
+    return make_rpa(states, f["initial"], utrans, alphabet)
 
 
 def _rpa_fields(u):
@@ -483,6 +488,19 @@ def _unique(pairs, what, path="$"):
             _fail(path, f"{what} {key!r} twice")
         out[key] = value
     return out
+
+
+# a list field that a model reads as a set -> what its entries are
+_SET_ENTRY = {"states": "names state", "params": "names parameter",
+              "alphabet": "names symbol", "accepting": "names accepting state"}
+
+
+def _sets(f, path, *fields):
+    """The lists f[field] that a model reads as sets, in document order; an
+    entry named twice would count twice where the model lists them (`tau`
+    would output a state twice), so it is malformed, as in `_unique`."""
+    return [list(_unique(((x, None) for x in f[field]), _SET_ENTRY[field], f"{path}.{field}"))
+            for field in fields]
 
 
 def _box(axes):

@@ -59,6 +59,35 @@ def random_dist(rng: random.Random, states, max_support=3):
     return {s: Fraction(w, total) for s, w in zip(support, weights)}
 
 
+def random_poly(rng: random.Random):
+    """A polynomial over p, q, r of up to five terms, of total degree at most
+    4, with small rational coefficients (a zero coefficient drops its term)."""
+    terms = {}
+    for _ in range(rng.randint(1, 5)):
+        mono = []
+        total = 0
+        for v in ("p", "q", "r"):
+            e = rng.randint(0, 4 - total)
+            total += e
+            if e:
+                mono.append((v, e))
+        terms[tuple(mono)] = Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+    return Polynomial(terms)
+
+
+def random_region(rng: random.Random):
+    """A box, a finite region or the empty finite region over `p`, with
+    endpoints in quarters, so that parts often share points."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        lo, hi = sorted(Fraction(rng.randint(0, 4), 4) for _ in range(2))
+        return Box.of({"p": (lo, hi)})
+    if kind == 1:
+        return FiniteRegion.of([{"p": Fraction(rng.randint(0, 4), 4)}
+                                for _ in range(rng.randint(1, 3))])
+    return FiniteRegion(())
+
+
 def random_pa(rng: random.Random, prefix, n_states, labels, max_actions=2, zeros=False):
     """A random PA.  With `zeros`, about half of its distributions also have
     an entry of probability 0, as instantiating a pPA at a corner of its

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pacomp.algebra import (
+    PARSED_POLYS,
     Box,
     FiniteRegion,
     Polynomial,
@@ -18,6 +19,8 @@ from pacomp.algebra import (
     valuation_key,
 )
 from pacomp.errors import EmptyRegion, MissingParameter, ParseError
+
+from helpers import random_poly, random_region
 
 P, Q = Polynomial.var("p"), Polynomial.var("q")
 ONE = Polynomial.const(1)
@@ -54,31 +57,17 @@ coeffs = st.fractions(
 )
 
 
-def rand_poly(rng, degree=4, nvars=3):
-    vars_ = ["p", "q", "r"][:nvars]
-    terms = {}
-    for _ in range(rng.randint(1, 5)):
-        mono = []
-        total = 0
-        for v in vars_:
-            e = rng.randint(0, degree - total)
-            total += e
-            if e:
-                mono.append((v, e))
-        terms[tuple(mono)] = F(rng.randint(-4, 4), rng.randint(1, 5))
-    return Polynomial(terms)
-
-
-def test_ring_axioms_randomized():
-    rng = random.Random(7)
-    for _ in range(60):
-        a, b, c = (rand_poly(rng) for _ in range(3))
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert a - a == Polynomial.const(0)
+@given(st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_ring_axioms_randomized(seed):
+    rng = random.Random(seed)
+    a, b, c = (random_poly(rng) for _ in range(3))
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a - a == Polynomial.const(0)
 
 
 def test_equal_polynomials_and_numbers_hash_equal():
@@ -96,12 +85,13 @@ def test_equal_polynomials_and_numbers_hash_equal():
     assert len({P + 1, 1 + P, ONE}) == 2
 
 
-def test_eval_is_ring_homomorphism():
-    rng = random.Random(11)
-    for _ in range(40):
-        a, b, c = (rand_poly(rng) for _ in range(3))
-        v = {n: F(rng.randint(-3, 3), rng.randint(1, 4)) for n in ("p", "q", "r")}
-        assert (a * b + c).evaluate(v) == a.evaluate(v) * b.evaluate(v) + c.evaluate(v)
+@given(st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_eval_is_ring_homomorphism(seed):
+    rng = random.Random(seed)
+    a, b, c = (random_poly(rng) for _ in range(3))
+    v = {n: F(rng.randint(-3, 3), rng.randint(1, 4)) for n in ("p", "q", "r")}
+    assert (a * b + c).evaluate(v) == a.evaluate(v) * b.evaluate(v) + c.evaluate(v)
 
 
 @given(
@@ -123,11 +113,76 @@ def test_rationals_stay_in_lowest_terms(num, den, num2, den2):
         assert math.gcd(value.numerator, value.denominator) == 1
 
 
-def test_poly_parse_roundtrip():
-    rng = random.Random(3)
-    for _ in range(40):
-        poly = rand_poly(rng)
-        assert parse_poly(str(poly)) == poly
+@given(st.integers(0, 2**32))
+@settings(deadline=None)
+def test_poly_parse_roundtrip(seed):
+    poly = random_poly(random.Random(seed))
+    assert parse_poly(str(poly)) == poly
+
+
+def _coefficient(rng, mag):
+    """Tokens of the positive rational `mag`: lowest terms, a fraction not in
+    lowest terms, a decimal, or a decimal times a unit fraction."""
+    num, den = mag.numerator, mag.denominator
+    forms = [[str(num) if den == 1 else f"{num}/{den}"], [f"{2 * num}/{2 * den}"],
+             [f"{num}.0", "*", f"1/{den}"], ["-", "(", "-", str(num), ")", "*", f"1/{den}"]]
+    if 10**6 % den == 0:
+        n = num * (10**6 // den)
+        forms.append([f"{n // 10**6}.{n % 10**6:06d}"])
+    return rng.choice(forms)
+
+
+def _power(rng, var, e):
+    """Tokens of var^e: a power, a product, a parenthesised base, or split
+    powers, with or without an extra var^0."""
+    forms = [[var, "^", str(e)], [var, *[t for _ in range(e - 1) for t in ("*", var)]],
+             ["(", var, ")", "^", str(e)], [var, "^", str(e), "*", var, "^", "0"]]
+    if e > 1:
+        forms.append([var, "^", "1", "*", var, "^", str(e - 1)])
+    return rng.choice(forms)
+
+
+def _noncanonical(rng, poly):
+    """A string that parses to `poly` but is not `str(poly)`'s canonical form:
+    terms and factors shuffled, extra blanks, redundant parentheses, unary
+    minus, decimals and split `^` powers."""
+    if not poly.terms:
+        tokens = rng.choice([["0"], ["0", "*", "p"], ["p", "-", "p"], ["(", "0", ")"]])
+    else:
+        tokens = []
+        items = list(poly.terms.items())
+        rng.shuffle(items)
+        for i, (mono, coef) in enumerate(items):
+            factors = [_power(rng, var, e) for var, e in mono]
+            if abs(coef) != 1 or not factors or rng.random() < 0.3:
+                factors.append(_coefficient(rng, abs(coef)))
+            rng.shuffle(factors)
+            body = [t for k, f in enumerate(factors) for t in (["*"] if k else []) + f]
+            if rng.random() < 0.3:
+                body = ["(", *body, ")"]
+            if coef > 0:
+                sign = rng.choice([[], ["+"]] if i == 0 else [["+"], ["-", "-"]])
+            else:
+                sign = rng.choice([["-"], ["0", "-"]] if i == 0 else [["-"], ["+", "-"]])
+            tokens += sign + body
+    if rng.random() < 0.3:
+        tokens = ["(", *tokens, ")"]
+    return "".join(rng.choice(["", " ", "  ", "\t"]) + t for t in tokens) + rng.choice(["", " "])
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_memoised_parse_is_a_fresh_parse(seed):
+    # parse_poly keeps each string's parse; on a first and a repeated call
+    # it returns what the parser itself returns for the same text
+    rng = random.Random(seed)
+    poly = random_poly(rng)
+    text = _noncanonical(rng, poly)
+    first = parse_poly(text)
+    assert first == parse_poly.__wrapped__(text) == poly
+    again = parse_poly(text)
+    assert again is first and again == parse_poly.__wrapped__(text)
+    assert parse_poly.cache_info().maxsize == PARSED_POLYS
 
 
 def test_parse_error_position():
@@ -146,9 +201,11 @@ def test_parse_error_position():
     ],
 )
 def test_parse_poly_errors_name_their_position(text, message, pos):
-    with pytest.raises(ParseError) as err:
-        parse_poly(text)
-    assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
+    # the memo keeps no error: a repeated call raises the same one again
+    for _ in range(2):
+        with pytest.raises(ParseError) as err:
+            parse_poly(text)
+        assert (str(err.value), err.value.pos) == (f"{message} (at position {pos})", pos)
 
 
 def test_unary_minus_inside_a_factor():
@@ -241,18 +298,6 @@ def test_finite_regions_deduplicate(vals):
         assert valuation_key({"p": v}) in region.valuations
 
 
-def _random_region(rng):
-    """A box, a finite region or the empty finite region over `p`, with
-    endpoints in quarters, so that parts often share points."""
-    kind = rng.randrange(3)
-    if kind == 0:
-        lo, hi = sorted(F(rng.randint(0, 4), 4) for _ in range(2))
-        return Box.of({"p": (lo, hi)})
-    if kind == 1:
-        return FiniteRegion.of([{"p": F(rng.randint(0, 4), 4)} for _ in range(rng.randint(1, 3))])
-    return FiniteRegion(())
-
-
 def _member(region, v):
     if isinstance(region, RegionUnion):
         return any(_member(part, v) for part in region.parts)
@@ -264,37 +309,42 @@ def _member(region, v):
 PROBES = [{"p": F(k, 24)} for k in range(25)]
 
 
-def test_union_samples_are_the_deduplicated_samples_of_its_nonempty_parts():
+def test_union_samples_of_two_boxes_count_their_shared_face_once():
     # two boxes sharing the face p = 1/2, and two empty parts of both kinds
     union = RegionUnion.of([Box.of({"p": (0, F(1, 2))}), FiniteRegion(()),
                             Box.of({"p": (F(1, 2), 1)}), Box.of({})])
     assert region_samples(union, 1) == [{"p": F(k, 4)} for k in range(5)]
     with pytest.raises(EmptyRegion):
         region_samples(RegionUnion.of([FiniteRegion(()), Box.of({})]), 1)
-    rng = random.Random(5)
-    for _ in range(100):
-        parts = [_random_region(rng) for _ in range(rng.randint(1, 4))]
-        keys = set()
-        for part in parts:
-            if part != FiniteRegion(()):
-                keys |= {valuation_key(v) for v in region_samples(part, 2)}
-        if keys:
-            got = region_samples(RegionUnion.of(parts), 2)
-            assert [valuation_key(v) for v in got] == sorted(keys)
-        else:
-            with pytest.raises(EmptyRegion):
-                region_samples(RegionUnion.of(parts), 2)
 
 
-def test_intersection_with_a_union_second_or_a_finite_first_is_pointwise():
-    rng = random.Random(7)
-    for _ in range(100):
-        a = _random_region(rng)
-        union = RegionUnion.of([_random_region(rng) for _ in range(rng.randint(1, 3))])
-        finite = FiniteRegion.of([{"p": F(rng.randint(0, 8), 8)} for _ in range(3)])
-        box = Box.of({"p": tuple(sorted(F(rng.randint(0, 4), 4) for _ in range(2)))})
-        for x, y in ((a, union), (finite, box)):
-            both = region_intersect(x, y)
-            assert isinstance(both, RegionUnion if y is union else FiniteRegion)
-            for v in PROBES:
-                assert _member(both, v) == (_member(x, v) and _member(y, v))
+@given(st.integers(0, 2**32))
+@settings(deadline=None)
+def test_union_samples_are_the_deduplicated_samples_of_its_nonempty_parts(seed):
+    rng = random.Random(seed)
+    parts = [random_region(rng) for _ in range(rng.randint(1, 4))]
+    keys = set()
+    for part in parts:
+        if part != FiniteRegion(()):
+            keys |= {valuation_key(v) for v in region_samples(part, 2)}
+    if keys:
+        got = region_samples(RegionUnion.of(parts), 2)
+        assert [valuation_key(v) for v in got] == sorted(keys)
+    else:
+        with pytest.raises(EmptyRegion):
+            region_samples(RegionUnion.of(parts), 2)
+
+
+@given(st.integers(0, 2**32))
+@settings(deadline=None)
+def test_intersection_with_a_union_second_or_a_finite_first_is_pointwise(seed):
+    rng = random.Random(seed)
+    a = random_region(rng)
+    union = RegionUnion.of([random_region(rng) for _ in range(rng.randint(1, 3))])
+    finite = FiniteRegion.of([{"p": F(rng.randint(0, 8), 8)} for _ in range(3)])
+    box = Box.of({"p": tuple(sorted(F(rng.randint(0, 4), 4) for _ in range(2)))})
+    for x, y in ((a, union), (finite, box)):
+        both = region_intersect(x, y)
+        assert isinstance(both, RegionUnion if y is union else FiniteRegion)
+        for v in PROBES:
+            assert _member(both, v) == (_member(x, v) and _member(y, v))

@@ -1056,6 +1056,64 @@ def test_a_key_named_twice_is_a_format_error(site, corpus_dir, tmp_path, capsys)
     assert run(capsys, *argv) == (2, "", message)
 
 
+_QUERY_DFA = ("objectives", 0, "dfa")
+
+
+@pytest.mark.parametrize("name, at, field, entries, problem", [
+    ("retry.ppa.json", (), "states", ["s0", "s1", "s1"], "names state 's1' twice"),
+    ("retry.ppa.json", (), "states", ["s0", "s1", 1, {"q": "1"}],
+     "names state Fraction(1, 1) twice"),
+    ("retry.ppa.json", (), "params", ["p", "p"], "names parameter 'p' twice"),
+    ("retry.ppa.json", (), "alphabet", ["a", "b", "c", "b"], "names symbol 'b' twice"),
+    ("interval_retry.rpa.json", (), "states", ["s0", "s1", "s0"], "names state 's0' twice"),
+    ("interval_retry.rpa.json", (), "alphabet", ["a", "a", "b"], "names symbol 'a' twice"),
+    ("safe_assumption.query.json", _QUERY_DFA, "states", [0, 1, "over", 1],
+     "names state 1 twice"),
+    ("safe_assumption.query.json", _QUERY_DFA, "alphabet", ["a", "b", "a"],
+     "names symbol 'a' twice"),
+    ("safe_assumption.query.json", _QUERY_DFA, "accepting", ["over", "over"],
+     "names accepting state 'over' twice"),
+], ids=["ppa states", "ppa states int and rational", "ppa params", "ppa alphabet",
+        "rpa states", "rpa alphabet", "dfa states", "dfa alphabet", "dfa accepting"])
+def test_a_set_entry_named_twice_is_a_format_error(name, at, field, entries, problem,
+                                                    corpus_dir, tmp_path, capsys):
+    # a list read as a set kept both entries: tau listed a state twice
+    doc = json.load(open(corpus_dir / name))
+    obj = doc
+    for key in at:
+        obj = obj[key]
+    obj[field] = entries
+    mutant = str(tmp_path / "mutant.json")
+    json.dump(doc, open(mutant, "w"))
+    argv = {"ppa": ["tau", "--model", mutant], "rpa": ["rpa-reduce", "--model", mutant],
+            "query": ["check", "--model", str(corpus_dir / "retry.ppa.json"),
+                      "--objective", mutant, "--region", "finite:{p=1/2}"]}[name.split(".")[1]]
+    where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in (*at, field))
+    assert run(capsys, *argv) == (2, "", f"format error: ${where}: {problem}\n")
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, None, [], {"x": "1"}],
+                         ids=["true", "false", "float", "null", "list", "untagged object"])
+@pytest.mark.parametrize("site", ["states", "initial", "dist"])
+def test_an_identifier_is_a_string_an_integer_or_tagged(site, value, corpus_dir, tmp_path,
+                                                         capsys):
+    # true was the same state key as 1, and 1.0 and null were identifiers
+    doc = json.load(open(corpus_dir / "retry.ppa.json"))
+    if site == "states":
+        doc["states"].append(value)
+        where = "$.states[2]"
+    elif site == "initial":
+        doc["initial"] = value
+        where = "$.initial"
+    else:
+        doc["transitions"][0]["dist"][0][0] = value
+        where = "$.transitions[0].dist[0][0]"
+    json.dump(doc, open(tmp_path / "mutant.json", "w"))
+    code, out, err = run(capsys, "tau", "--model", str(tmp_path / "mutant.json"))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"format error: {where}: expected an identifier, got ")
+
+
 def test_reward_over_an_undeclared_parameter_is_usage_error(corpus_dir, tmp_path, capsys):
     retry = str(corpus_dir / "retry.ppa.json")
     stray = _reward_query(tmp_path, "2*r")

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 from math import gcd
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from pacomp import corpus, exactlp, verify
@@ -727,8 +727,14 @@ def test_gain_maps_settle_and_evaluate_as_signatures_did():
     kinds = set()
     p = Polynomial.var("p")
 
+    # seed 3 has an initial target and an entry that keeps an action from
+    # settling, seed 11 a reward that does, so the coverage check below does
+    # not rest on the random draws (60 of them missed a kind in about 1 to
+    # 3 % of runs)
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32))
+    @example(3)
+    @example(11)
     def check(seed):
         rng = random.Random(seed)
         m = compose(*random_parametric_pair(rng))
