@@ -35,10 +35,11 @@ class Polynomial:
     their term maps are equal, and a constant polynomial equals its value
     (an int or Fraction) and hashes as it.  A polynomial is immutable: nothing
     writes `terms` after `__init__`, because `parse_poly` hands one parsed
-    polynomial to every caller that parses the same string.
+    polynomial to every caller that parses the same string.  So its hash is
+    computed on first use and kept in `_hash`.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=None):
         clean = {}
@@ -52,6 +53,7 @@ class Polynomial:
                 if clean[mono] == 0:
                     del clean[mono]
         self.terms = clean
+        self._hash = None
 
     @staticmethod
     def const(value) -> "Polynomial":
@@ -144,9 +146,13 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
-        if self.terms.keys() <= {()}:  # a constant hashes as the number it equals
-            return hash(self.terms.get((), 0))
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:
+            terms = self.terms
+            if terms.keys() <= {()}:  # a constant hashes as the number it equals
+                self._hash = hash(terms.get((), 0))
+            else:
+                self._hash = hash(frozenset(terms.items()))
+        return self._hash
 
     def __str__(self):
         if not self.terms:

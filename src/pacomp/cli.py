@@ -17,6 +17,7 @@ writes to that file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -345,8 +346,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def _parser(name):
-    """The parser of command `name` alone."""
+    """The parser of command `name` alone, built once per process: parsing
+    writes only the namespace it returns, so calls share nothing else."""
     row = COMMANDS[name]
     parser = argparse.ArgumentParser(prog=f"pacomp {name}", description=row.help)
     usage = row.usage + (" [--out] [--timing]" if row.report else "")

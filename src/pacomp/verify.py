@@ -14,7 +14,7 @@ solvers are exact and end in two mechanisms:
   denominator.  It evaluates fixed strategies and witnesses
   (`_StrategyChain`), and drives the policy iteration (`_policy_iteration`)
   behind optimal reachability, safety probabilities, maximal expected reward
-  and single-objective threshold checks.  Policy iteration reads slot rows:
+  and per-objective threshold checks.  Policy iteration reads slot rows:
   each action's entries (successor, slot) of a `PolyTable` vector, comparing
   backups as integer dot products of the vector's numerators and the
   values'.  A `Fraction` is built only where a value leaves the kernel;
@@ -49,20 +49,23 @@ end components by SCC refinement over the successor sets
 (`_end_component_keys`) and refuses a reward objective that one of them
 collects.  It covers every product state, also those behind zero entries:
 the LP keeps their columns, so a rewarded cycle there could circulate.  Per
-sample, one probability objective under < or <= is first decided by policy
-iteration from the previous sample's optimal policy (`_MoQuery.bad_reach`);
-the LP's integer rows are filled from the vector and solved only for the
-rest, and a witness is built and re-checked only when the query is
-achievable.  A strategy's values are the witness re-check without settle
-mass: its chain over the product is built once and planned once per support
-pattern, so each sample only fills integer rows.
+sample, each probability objective under < or <= of the conjunction is first
+decided alone, by policy iteration from its own last optimal policy
+(`_MoQuery.bad_reach`): if some such objective cannot be met alone, the
+conjunction is unachievable, with the policy's checked value vector as the
+certificate.  The LP's integer rows are filled from the vector and solved
+only when every one of them can be met, and a witness is built and
+re-checked only when the query is achievable.  A strategy's values are the
+witness re-check without settle mass: its chain over the product is built
+once and planned once per support pattern, so each sample only fills integer
+rows.
 
 A parameter-free solve is a `_MoQuery` at its one constant vector
 (`_constant_query`): `mo_achievable` solves its layout, `solution_value`
 (with `chain_language_prob`) fills a strategy's chain, `safety_prob` is one
-minus `bad_reach` from a cold start, and `exp_total_reward` is policy
-iteration on the reward's gain map (maximum) or the gain map's cost row
-minimised over `_flow`'s LP (minimum).
+minus `bad_reach` of its one objective from a cold start, and
+`exp_total_reward` is policy iteration on the reward's gain map (maximum) or
+the gain map's cost row minimised over `_flow`'s LP (minimum).
 `monotone_check` fills each strategy's chain at every sampled valuation.
 The region checks share one sample loop.  Nothing is kept beyond one call.
 """
@@ -480,7 +483,7 @@ def safety_prob(pa: PPA, obj: ProbObjective) -> Fraction:
     """inf over strategies of Pr(L); equals 1 - max reach of the bad states
     of the query product."""
     query, point = _constant_query(pa, (obj,), "cmp")
-    return 1 - query.bad_reach(point)
+    return 1 - query.bad_reach(point, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +634,8 @@ class _MoQuery:
     value vector of that table.  What depends on which values are zero, and on
     the signs of the rewards -- the end-component check, the settle set and
     `stay` map, and the LP layout with its rows as integer templates -- is
-    built once per sign pattern (`_layout`), testing signs on the vector's
+    built once per sign pattern (`_layout`), as is each probability
+    objective's policy shape (`bad_reach`), testing signs on the vector's
     numerators (its denominator is positive).  Each sample that `solve` leaves
     to the LP then only fills its integer rows from its vector (`_sample_lp`),
     solves it, and builds a witness when the conjunction is achievable.
@@ -694,7 +698,7 @@ class _MoQuery:
             for slots in self.reward_slots
         ]
         self.one = slot(Fraction(1))  # numerator D at every vector
-        self._layouts, self._shapes, self._policy = {}, {}, None
+        self._layouts, self._shapes, self._policies = {}, {}, {}
 
     def negative_reward(self, point):
         """A symbol whose reward is negative at the table vector `point`, or
@@ -764,29 +768,33 @@ class _MoQuery:
             rows.append(("ub", {t_index: (1, (), ())}, 1))
         return num_vars, _int_templates(num_vars, rows), y_index, w_index, stay
 
-    def bad_reach(self, point):
-        """The maximal reach of the first probability objective's bad states at
-        `point`, by policy iteration from the query's last optimal policy."""
-        bad = self.targets[0]
-        if self.init in bad:
+    def bad_reach(self, point, i):
+        """The maximal reach of probability objective i's targets at `point`,
+        by policy iteration from that objective's last optimal policy.  Its
+        shape is kept per objective and sign pattern."""
+        if self.init in self.targets[i]:
             return Fraction(1)
-        signs = tuple((n > 0) - (n < 0) for n in point[1])
-        if signs not in self._shapes:
-            self._shapes[signs] = _policy_shape(self.states, self.acts, self.ptrans, point[1],
-                                                self.gains[0], bad)
-        self._policy, (scale, x) = _policy_iteration(self._shapes[signs], point, self._policy)
+        key = (i, tuple((n > 0) - (n < 0) for n in point[1]))
+        shape = self._shapes.get(key)
+        if shape is None:
+            shape = self._shapes[key] = _policy_shape(
+                self.states, self.acts, self.ptrans, point[1], self.gains[i], self.targets[i])
+        self._policies[i], (scale, x) = _policy_iteration(shape, point, self._policies.get(i))
         return Fraction(x[self.init], scale)
 
     def solve(self, point):
         """("achievable", witness) or ("unachievable", None) at the table
-        vector `point`.  One probability objective under < or <= alone is
-        decided first by `bad_reach` against 1 - threshold, whose final scan
-        certifies an "unachievable": the value vector v is a policy's, so
-        v <= v*, and no action strictly improves on v, so T v <= v and v* <= v
-        (`exp_total_reward`).  The LP decides the rest (`_lp_solve`)."""
-        o = self.prob_objs[0] if len(self.prob_objs) == 1 and not self.rew_objs else None
-        if o and o.cmp in ("<", "<=") and not _cmp(1 - self.bad_reach(point), o.cmp, o.threshold):
-            return "unachievable", None
+        vector `point`.  Each probability objective i under < or <= is first
+        decided alone, in query order, by `bad_reach` against 1 - threshold:
+        if no strategy meets it, none meets the conjunction, whatever the
+        other objectives (rewards included) ask.  The final scan of the policy
+        iteration certifies such an "unachievable": the value vector v is a
+        policy's, so v <= v*, and no action strictly improves on v, so
+        T v <= v and v* <= v (`exp_total_reward`).  The LP decides the rest
+        (`_lp_solve`)."""
+        for i, o in enumerate(self.prob_objs):
+            if o.cmp in ("<", "<=") and not _cmp(1 - self.bad_reach(point, i), o.cmp, o.threshold):
+                return "unachievable", None
         return self._lp_solve(point)
 
     def _lp_solve(self, point):

@@ -85,6 +85,22 @@ def test_equal_polynomials_and_numbers_hash_equal():
     assert len({P + 1, 1 + P, ONE}) == 2
 
 
+@given(st.integers(0, 2**32), coeffs)
+@settings(max_examples=60, deadline=None)
+def test_kept_hash_is_the_term_maps_hash(seed, value):
+    """A polynomial keeps its hash after the first call; it is the hash of its
+    term map, or of its value for a constant, on every call, and equal
+    polynomials built apart hash alike."""
+    poly = random_poly(random.Random(seed))
+    terms = poly.terms
+    fresh = (hash(terms.get((), 0)) if terms.keys() <= {()}
+             else hash(frozenset(terms.items())))
+    assert hash(poly) == hash(poly) == fresh
+    assert hash(Polynomial(dict(terms))) == fresh
+    const = Polynomial.const(value)
+    assert hash(const) == hash(const) == hash(value) == hash(Polynomial.const(value))
+
+
 @given(st.integers(0, 2**32))
 @settings(max_examples=40, deadline=None)
 def test_eval_is_ring_homomorphism(seed):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pacomp import corpus, modelio
+from pacomp import cli, corpus, modelio
 from pacomp.algebra import Box, FiniteRegion
 from pacomp.cli import main, parse_region_arg, parse_valuation_arg
 from pacomp.errors import PacompError, ParseError
@@ -1166,6 +1166,28 @@ def test_top_level_help_lists_every_command(capsys):
     for name in _COMMAND_NAMES:
         code, out, _ = run(capsys, name, "--help")
         assert code == 0 and out.startswith(f"usage: pacomp {name} ")
+
+
+def test_in_process_calls_of_one_command_share_no_options(corpus_dir, tmp_path, capsys):
+    # each command's parser is built once per process; an option given to one
+    # call (`--out`, `--help`) must not reach the next call of that command
+    assert cli._parser("check") is cli._parser("check")
+    argv = ["check", "--model", str(corpus_dir / "retry.ppa.json"),
+            "--objective", str(corpus_dir / "safe_assumption.query.json"),
+            "--region", "finite:{p=1/10}"]
+    out_path = tmp_path / "first.json"
+    code, out, _ = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0 and out == ""
+    written = out_path.read_text(encoding="utf-8")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out == written  # to stdout: no --out carried over
+    code, out, _ = run(capsys, "check", "--help")
+    assert code == 0 and out.startswith("usage: pacomp check ")
+    code, out, _ = run(capsys, *argv, "--class", "prt")
+    assert code == 0 and json.loads(out)["report"]["verdict"]["status"] == "holds"
+    assert out != written  # the strategy class is part of the report
+    code, again, _ = run(capsys, *argv)
+    assert code == 0 and again == written  # default --class cmp again
 
 
 def test_usage_errors_exit_2_with_nothing_on_stdout(capsys):

@@ -538,45 +538,99 @@ def test_strict_thresholds():
     assert mo_achievable(pa, (ProbObjective(">", F(9, 10), dfa),), "cmp")[0] == "achievable"
 
 
-def _query_points(m, objective, strategy_class, valuations):
-    """A fresh `_MoQuery` of one objective and its table vectors."""
+def _query_points(m, objectives, strategy_class, valuations):
+    """A fresh `_MoQuery` of a conjunction of objectives and its table vectors."""
     table = PolyTable()
-    query = _MoQuery(m, (objective,), strategy_class, table)
+    query = _MoQuery(m, objectives, strategy_class, table)
     return query, [table.at(v) for v in valuations]
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32))
 def test_reach_decider_agrees_with_the_lp(seed):
-    """`solve` decides one probability objective under < or <= before the
-    LP, by maximal reach; its verdict is the LP half's, in both strategy
-    classes, at the unit box's samples (the corners zero out entries), at
-    the thresholds 1 - r for the maximal reach r at some sample (the tie)
-    and 1/16 on either side.  Fresh queries solve the samples forward, in
-    reverse, and from a random start policy at each sample, so a verdict
-    cannot depend on the warm start."""
+    """`solve` decides each probability objective under < or <= of a
+    conjunction alone, by maximal reach, before the LP.  On conjunctions of
+    2-3 probability objectives under mixed comparisons, in both strategy
+    classes and at the unit box's samples (the corners zero out entries), its
+    verdict is the conjunction LP's (`_lp_solve`), and it leaves a sample to
+    that LP iff every such objective is achievable by its own LP.  Each
+    threshold is 1 - r for the maximal reach r of the objective's DFA at some
+    sample (the tie) or 1/16 on either side.  Fresh queries solve the samples
+    forward, in reverse, and from a random start policy for every objective at
+    each sample, so a verdict cannot depend on the warm start."""
     rng = random.Random(seed)
     m = compose(*random_parametric_pair(rng))
-    dfa = random_safety_dfa(rng, sorted(m.alphabet), allow_empty=False)
+    dfas = [random_safety_dfa(rng, sorted(m.alphabet), allow_empty=False)
+            for _ in range(rng.randint(2, 3))]
     valuations = region_samples(Box.of({"p": (0, 1)}), rng.randint(1, 3))
     for cls in ("cmp", "prt"):
-        query, points = _query_points(m, ProbObjective("<", F(0), dfa), cls, valuations)
-        optima = {query.bad_reach(point) for point in points}
-        thresholds = sorted({1 - r + d for r in optima for d in (-F(1, 16), 0, F(1, 16))})
-        for cmp, threshold in itertools.product(("<", "<="), thresholds):
-            objective = ProbObjective(cmp, threshold, dfa)
-            query, points = _query_points(m, objective, cls, valuations)
-            expected = [query._lp_solve(point)[0] for point in points]
-            deciding = [ps for ps in query.states if ps not in query.targets[0] and query.acts[ps]]
-            for order, scramble in ((1, False), (-1, False), (1, True)):
-                query, points = _query_points(m, objective, cls, valuations)
-                query._lp_solve = lambda point: ("achievable", None)  # the decider's verdict
-                got = []
-                for point in points[::order]:
-                    if scramble:  # start from a random policy, not the last optimal one
-                        query._policy = {ps: rng.choice(query.acts[ps]) for ps in deciding}
-                    got.append(query.solve(point)[0])
-                assert got == expected[::order]
+        objectives = []
+        for dfa in dfas:
+            query, points = _query_points(m, (ProbObjective("<", F(0), dfa),), cls, valuations)
+            reach = rng.choice([query.bad_reach(point, 0) for point in points])
+            threshold = 1 - reach + rng.choice((-F(1, 16), 0, F(1, 16)))
+            objectives.append(ProbObjective(rng.choice(("<", "<=", ">=", ">")), threshold, dfa))
+        query, points = _query_points(m, objectives, cls, valuations)
+        expected = [query._lp_solve(point)[0] for point in points]
+        decided = [False] * len(points)  # some < or <= objective is unachievable alone
+        for o in objectives:
+            if o.cmp in ("<", "<="):
+                alone, points = _query_points(m, (o,), cls, valuations)
+                for j, point in enumerate(points):
+                    decided[j] |= alone._lp_solve(point)[0] == "unachievable"
+        for order, scramble in ((1, False), (-1, False), (1, True)):
+            query, points = _query_points(m, objectives, cls, valuations)
+            lp_half, reached = query._lp_solve, []
+            query._lp_solve = lambda point: reached.append(point) or lp_half(point)
+            got, answered = [], []
+            for point in points[::order]:
+                if scramble:  # start from random policies, not the last optimal ones
+                    for i, target in enumerate(query.targets):
+                        query._policies[i] = {ps: rng.choice(query.acts[ps])
+                                              for ps in query.states
+                                              if ps not in target and query.acts[ps]}
+                calls = len(reached)
+                got.append(query.solve(point)[0])
+                answered.append(len(reached) == calls)
+            assert got == expected[::order]
+            assert answered == decided[::order]
+
+
+def test_an_objective_unachievable_alone_answers_a_query_with_rewards():
+    """A probability objective under < that no strategy meets alone answers
+    the conjunction without the LP, also beside a reward objective: no
+    layout is built, so the end-component guard of `_layout` does not refuse
+    the sample (the rewarded self-loop at s1 is reached w.p. p).  The verdict
+    is the one without the reward."""
+    p = Polynomial.var("p")
+    m = make_ppa(
+        ["s0", "s1", "s2"],
+        "s0",
+        {"p"},
+        {("s0", "go"): ("a", {"s1": p, "s2": 1 - p}), ("s1", "loop"): ("r", {"s1": 1})},
+        {"a", "r"},
+    )
+    no_r = dfa_forbid_symbols({"r"}, {"a", "r"})  # Pr = 1 - p under every strategy
+    below = ProbObjective("<", F(1, 2), no_r)
+    bounded = reward_objective("<=", 5, {"r": 1})
+    half = {"p": F(1, 2)}
+    table = PolyTable()
+    query = _MoQuery(m, (bounded, below), "cmp", table)
+
+    def no_layout(nums):
+        raise AssertionError("an LP layout was built")
+
+    query._layout = no_layout
+    assert query.solve(table.at(half)) == ("unachievable", None)
+    corner = instantiate(m, half)
+    assert mo_achievable(corner, (below,), "cmp") == ("unachievable", None)
+    assert mo_achievable(corner, (bounded, below), "cmp") == ("unachievable", None)
+    with pytest.raises(UnboundedReward):  # the LP alone refuses the sample
+        _MoQuery(m, (bounded, below), "cmp", table)._lp_solve(table.at(half))
+    # a triple with the reward as its assumption holds at the sample
+    verdict = ag_triple_check(m, FiniteRegion.of([half]), (bounded,), (safety(no_r, F(1, 2)),),
+                              "cmp")
+    assert verdict.status == "holds"
 
 
 def test_large_occupation_lp_probe():
