@@ -313,7 +313,8 @@ COMMANDS = {
                                         parse_valuation_arg(a.valuation)))),
     "extend": _Command(
         "alphabet extension with fresh self-loops", "--model --symbols",
-        lambda a, i: _built(alphabet_extend(i.load(a.model, "ppa"), set(a.symbols.split(","))))),
+        lambda a, i: _built(alphabet_extend(i.load(a.model, "ppa"), set(modelio._decode(
+            [s.strip() for s in a.symbols.split(",")], ["name"], "--symbols", None))))),
     "tau": _Command("sink extension mapping partial to complete", "--model",
                     lambda a, i: _built(tau_extend(i.load(a.model, "ppa")))),
     "prune": _Command("drop unreachable states", "--model",

@@ -12,7 +12,8 @@ to its fields.  `load_document` is the one decoder, proof scripts included:
 one recursive walk checks a document against its shape, parses every
 rational string, takes every polynomial from `parse_poly`, which parses each
 distinct string once per process and shares the result, and raises
-`ParseError` naming the JSON path of the first value that does not fit.
+`ParseError` naming the JSON path of the first value that does not fit; a
+proof script's applications, against the rule table `proofrules.RULES`.
 `dump_document` is the one encoder: it walks the same shape back, leaf by
 leaf.
 """
@@ -34,14 +35,7 @@ from .algebra import (
 )
 from .errors import InfeasibleIntervalSet, ParseError
 from .model import DFA, PPA, make_ppa, sort_key
-from .proofrules import (
-    FairnessAttestation,
-    apply_asymmetric,
-    apply_circular,
-    apply_conjunction,
-    apply_monotonicity,
-    apply_simulation_ag,
-)
+from .proofrules import RULES, FairnessAttestation
 from .robust import RPA, IntervalSet, VertexSet, freeze_dist, make_rpa
 from .semantics import MemorylessStrategy, TabularStrategy
 from .verify import ProbObjective, RewardObjective
@@ -346,7 +340,7 @@ def _script(f, path, inputs):
     applications = []
     for i, app in enumerate(f.get("applications", [])):
         rule = app["rule"]
-        fn, args, n_notes = _RULES[rule]
+        fn, args, n_notes, _ = RULES[rule]
         app_id = app.get("id", rule)
         where = f"proof script: application {app_id!r}"
         kwargs = {}
@@ -361,6 +355,7 @@ def _script(f, path, inputs):
             arg = f"{where} argument 'fairness' at {path}.applications[{i}].fairness"
             if n_notes is None:
                 _fail(arg, f"rule {rule!r} has no fairness variant")
+            n_notes = len(kwargs[n_notes]) if type(n_notes) is str else n_notes
             fair = _decode(app["fairness"], {"?sets": [["id"]], "?notes": ["name"]}, arg, None)
             sets, notes = fair.get("sets", []), fair.get("notes", [])
             if len(notes) != n_notes:
@@ -372,7 +367,11 @@ def _script(f, path, inputs):
 
 def _argument(value, kind, env, where, inputs):
     """A rule argument: an entry of the script section `kind` names, by name
-    (a region may also be region text), or a value of shape `kind` inline."""
+    (a region may also be region text), a list of them, or a value of shape `kind` inline."""
+    if type(kind) is list:
+        if type(value) is not list:
+            _fail(where, f"expected a list, got {_show(value)}")
+        return [_argument(v, kind[0], env, f"{where}[{i}]", inputs) for i, v in enumerate(value)]
     section = "queries" if kind == "objective" else kind
     if section not in env:
         return _decode(value, kind, where, inputs)
@@ -382,30 +381,13 @@ def _argument(value, kind, env, where, inputs):
         found = env[section][value]
         if kind != "objective":
             return found
-        if not found:
-            _fail(where, f"{value!r} names an empty query")
+        if len(found) != 1:
+            _fail(where, f"{value!r} names a query of {len(found)} objectives, not one")
         return found[0]
     if section == "regions":
         return parse_region_arg(value, inputs, where)
     _fail(where, f"{value!r} names no entry of {section!r}")
 
-
-# script rule -> (function, argument -> the script section it names or its
-# shape inline, attestation notes of its fairness variant or None when it has
-# none); every rule also takes an optional resolution
-_M, _Q, _R = "models", "queries", "regions"
-_RULES = {
-    "asymmetric": (apply_asymmetric, dict(m1=_M, m2=_M, r1=_R, r2=_R, assumption=_Q,
-                                          guarantee=_Q), 2),
-    "circular": (apply_circular, dict(m1=_M, m2=_M, r1=_R, r2=_R, r3=_R, a1=_Q, a2=_Q,
-                                      guarantee=_Q), 3),
-    "conjunction": (apply_conjunction, dict(m=_M, r1=_R, r2=_R, a1=_Q, g1=_Q, a2=_Q, g2=_Q), 2),
-    "monotonicity": (apply_monotonicity, dict(m1=_M, m2=_M, r1=_R, r2=_R, objective="objective",
-                                              param="name", direction=frozenset({"up", "down"})),
-                     2),
-    "simulation": (apply_simulation_ag, {**dict(m1=_M, m2=_M, m_assume=_M, m_guarantee=_M,
-                                                r1=_R, r2=_R), "?robust": "bool"}, None),
-}
 
 _FORMAT = frozenset({FORMAT})
 _RATIONAL_DIST = [("id", "rat")]
@@ -448,7 +430,7 @@ _TYPES = {
                  (MemorylessStrategy, TabularStrategy), _strategy_fields),
     "proof-script": ({"?models": {"*": "@ppa"}, "?queries": {"*": "@mo-query"},
                       "?regions": {"*": "@region"},
-                      "?applications": [{"rule": frozenset(_RULES), "?id": "str"}]}, _script,
+                      "?applications": [{"rule": frozenset(RULES), "?id": "str"}]}, _script,
                      (), None),
 }
 # a class -> the row of `_TYPES` that encodes it

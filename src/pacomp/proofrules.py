@@ -5,8 +5,9 @@ Each rule checks its alphabet side conditions, declares its premises once
 check dispatches to the verify/simulate modules.  A fairness-quantified rule
 variant attests the same premise list by external notes instead of checking
 it, and always carries the attested confidence.
-The robust rules for convex rPAs are these rules applied to PA-reductions
-(`apply_rpa_rules`).
+`RULES` declares each rule's arguments once; the proof-script decoder
+(`modelio`) and the robust rules for convex rPAs, which apply these rules to
+PA-reductions (`apply_rpa_rules`), both read it.
 """
 
 from __future__ import annotations
@@ -169,8 +170,8 @@ def apply_asym_n(models, regions, assumptions, guarantee,
     n = len(models)
     _require(n >= 2, "the chained rule needs at least two components")
     _require_guarantees(guarantee)
-    if len(regions) != n or len(assumptions) != n - 1:
-        raise ValueError("need one region per component and n-1 assumptions")
+    _require(len(regions) == n and len(assumptions) == n - 1,
+             "the chained rule needs one region per component and n-1 assumptions")
     queries = list(assumptions) + [guarantee]
     sigmas = [query_alphabet(q) for q in queries]
     _require(sigmas[0] <= models[0].alphabet,
@@ -348,10 +349,7 @@ def apply_simulation_ag(m1, m2, m_assume, m_guarantee, r1, r2,
              "assumption alphabet must lie inside component 1's")
     side = ["assumption alphabet within component 1's"]
     flavor = "robust-strong" if robust else "strong"
-
-    def sim_check(left, right, region):
-        check = robust_sim_region if robust else strong_sim_region
-        return check(left, right, region, resolution)
+    check = robust_sim_region if robust else strong_sim_region
 
     conclusion = {
         "kind": "sim-leq",
@@ -362,50 +360,69 @@ def apply_simulation_ag(m1, m2, m_assume, m_guarantee, r1, r2,
     }
     return _apply(f"simulation-ag-{flavor}", side, conclusion, None, [
         ("sim-leq", f"component 1 {flavor}-simulated by the assumption", None,
-         lambda: sim_check(m1, m_assume, r1)),
+         lambda: check(m1, m_assume, r1, resolution)),
         ("sim-leq",
          f"component 2 composed with the assumption {flavor}-simulated by the guarantee", None,
-         lambda: sim_check(compose(m2, m_assume), m_guarantee, r2)),
+         lambda: check(compose(m2, m_assume), m_guarantee, r2, resolution)),
     ])
 
 
 # ---------------------------------------------------------------------------
-# Rules for polytopic robust automata (premises on PA-reductions)
+# The rule table, and the rules for polytopic robust automata
 # ---------------------------------------------------------------------------
 
-# robust rule -> (pPA rule, component arguments, region arguments); asym-n
-# takes one list of components and one list of regions
-_RPA_RULES = {
-    "asymmetric": (apply_asymmetric, 2, 2),
-    "circular": (apply_circular, 2, 3),
-    "conjunction": (apply_conjunction, 1, 2),
-    "asym-n": (apply_asym_n, 1, 1),
-    "interleaving": (apply_interleaving, 2, 2),
+# rule -> (function, argument -> its kind, attestation notes of its fairness
+# variant, whether it has a robust variant).  A kind is the script section
+# the argument names an entry of, "objective" (the one objective of a named
+# query), a one-item list of a kind for a list, or the shape of an inline
+# value (`modelio._decode`).  The notes are a count, the list argument with
+# one note per entry, or None for no fairness variant.
+_M, _R, _Q = "models", "regions", "queries"
+RULES = {
+    "asymmetric": (apply_asymmetric, dict(m1=_M, m2=_M, r1=_R, r2=_R, assumption=_Q,
+                                          guarantee=_Q), 2, True),
+    "circular": (apply_circular, dict(m1=_M, m2=_M, r1=_R, r2=_R, r3=_R, a1=_Q, a2=_Q,
+                                      guarantee=_Q), 3, True),
+    "conjunction": (apply_conjunction, dict(m=_M, r1=_R, r2=_R, a1=_Q, g1=_Q, a2=_Q, g2=_Q),
+                    2, True),
+    "asym-n": (apply_asym_n, dict(models=[_M], regions=[_R], assumptions=[_Q], guarantee=_Q),
+               "models", True),
+    "interleaving": (apply_interleaving, dict(m1=_M, m2=_M, r1=_R, r2=_R, a1=_Q, a2=_Q,
+                                              dfa1="@dfa", p1="rat", dfa2="@dfa", p2="rat"),
+                     2, True),
+    "monotonicity": (apply_monotonicity, dict(m1=_M, m2=_M, r1=_R, r2=_R, objective="objective",
+                                              param="name", direction=frozenset({"up", "down"})),
+                     2, False),
+    "simulation": (apply_simulation_ag, {**dict(m1=_M, m2=_M, m_assume=_M, m_guarantee=_M,
+                                                r1=_R, r2=_R), "?robust": "bool"}, None, False),
 }
 _RPA_KINDS = {"region-sat": "rpa-sat", "ag-triple": "rpa-triple"}
-
-
-def _reduced(component):
-    if isinstance(component, (list, tuple)):
-        return [pa_reduce(u) for u in component]
-    return pa_reduce(component)
 
 
 def apply_rpa_rules(rule, *args, resolution=1) -> RuleApplication:
     """A robust rule is the pPA rule applied to the PA-reductions of its components.
 
+    `args` fill the rule's arguments other than its regions, in `RULES` order.
     Sound for convex (polytopic) rPAs: the reduction of a convex composition is
     the composition of the reductions, and reduction commutes with alphabet
     extension up to isomorphism.  Reductions have no parameters, so every
     region is the trivial one and the robust conclusion carries none.
     """
-    if rule not in _RPA_RULES:
+    fn, kinds, _, robust = RULES.get(rule, (None, {}, None, False))
+    if not robust:
         raise ValueError(f"unknown robust rule {rule!r}")
-    fn, n_components, n_regions = _RPA_RULES[rule]
-    components = [_reduced(u) for u in args[:n_components]]
-    trivial = FiniteRegion.of([{}])
-    region = [trivial] * len(components[0]) if isinstance(components[0], list) else trivial
-    app = fn(*components, *[region] * n_regions, *args[n_components:], resolution=resolution)
+    given = [name for name, kind in kinds.items() if kind not in (_R, [_R])]
+    kwargs, trivial = dict(zip(given, args, strict=True)), FiniteRegion.of([{}])
+    for name, kind in kinds.items():
+        if kind == _M:
+            kwargs[name] = pa_reduce(kwargs[name])
+        elif kind == [_M]:
+            kwargs[name] = components = [pa_reduce(u) for u in kwargs[name]]
+        elif kind == _R:
+            kwargs[name] = trivial
+        elif kind == [_R]:  # one per component of the list before it
+            kwargs[name] = [trivial] * len(components)
+    app = fn(**kwargs, resolution=resolution)
     conclusion = None
     if app.conclusion is not None:
         conclusion = {k: v for k, v in app.conclusion.items() if k != "region"}
@@ -415,5 +432,4 @@ def apply_rpa_rules(rule, *args, resolution=1) -> RuleApplication:
             model += " (over-approximates the standard composition)"
         conclusion["model"] = model
     premises = [replace(p, description=f"reduced {p.description}") for p in app.premises]
-    return RuleApplication(f"rpa-{app.rule}", premises, app.side_conditions, conclusion,
-                           app.confidence, app.status)
+    return replace(app, rule=f"rpa-{app.rule}", premises=premises, conclusion=conclusion)

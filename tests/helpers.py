@@ -7,6 +7,7 @@ import math
 import random
 from fractions import Fraction
 
+from pacomp import corpus
 from pacomp.algebra import (
     Box,
     FiniteRegion,
@@ -27,7 +28,15 @@ from pacomp.errors import (
     ParseError,
 )
 from pacomp.exactlp import OPTIMAL, LinearProgram, _int_row
-from pacomp.model import DFA, WellDefinedness, instantiate, make_ppa, sort_key, tau_extend
+from pacomp.model import (
+    DFA,
+    WellDefinedness,
+    dfa_forbid_symbols,
+    instantiate,
+    make_ppa,
+    sort_key,
+    tau_extend,
+)
 from pacomp.robust import (
     RPA,
     IntervalSet,
@@ -40,6 +49,7 @@ from pacomp.robust import (
 from pacomp.semantics import MemorylessStrategy, TabularStrategy, _walk, path_last, path_len
 from pacomp.verify import (
     INF,
+    ProbObjective,
     RewardObjective,
     Verdict,
     _MoQuery,
@@ -49,6 +59,7 @@ from pacomp.verify import (
     _settle,
     enumerate_memoryless,
     mo_achievable,
+    safety,
 )
 
 
@@ -955,3 +966,32 @@ def parse_valuation_arg_reference(text):
         name, value = item.split("=", 1)
         items.append((name.strip(), parse_rational(value)))
     return _named_reference(items, "valuation")
+
+
+def standard_setup():
+    """The retry/pipeline pair of the proof-rule tests: both models, the safe
+    assumption and guarantee at 9/10, a box for component 1, and the grid
+    points of a triangle for component 2."""
+    m1, m2 = corpus.retry_component(), corpus.pipeline_component()
+    A = (safety(corpus.limit_one_a_dfa(), Fraction(9, 10)),)
+    G = (safety(corpus.no_fail_dfa(), Fraction(9, 10)),)
+    r1 = Box.of({"p": (0, Fraction(1, 10))})
+    tri = [
+        v
+        for v in region_samples(Box.of({"p": (0, Fraction(9, 10)), "q": (0, 1)}), 4)
+        if v["q"] <= 1 - v["p"]
+    ]
+    return m1, m2, A, G, r1, FiniteRegion.of(tri)
+
+
+def interleaving_arguments():
+    """m1, m2, r1, r2, a1, a2, dfa1, p1, dfa2, p2 of an interleaving
+    application that concludes: retry beside a one-state model on `d`."""
+    one = Polynomial.const(1)
+    d_only = make_ppa(["w0"], "w0", set(), {("w0", "w0_d"): ("d", {"w0": one})}, {"d"})
+    return (corpus.retry_component(), d_only, Box.of({"p": (0, Fraction(1, 10))}),
+            FiniteRegion.of([{}]),
+            (ProbObjective(">=", Fraction(0), corpus.trivial_dfa(("a", "b"))),),
+            (ProbObjective(">=", Fraction(0), corpus.trivial_dfa(("d",))),),
+            corpus.limit_one_a_dfa(), Fraction(9, 10), dfa_forbid_symbols({"d"}, {"d"}),
+            Fraction(0))

@@ -15,9 +15,18 @@ from pacomp import cli, corpus, modelio
 from pacomp.algebra import Box, FiniteRegion
 from pacomp.cli import main, parse_region_arg, parse_valuation_arg
 from pacomp.errors import PacompError, ParseError
+from pacomp.model import alphabet_extend, unit_ppa
+from pacomp.proofrules import RULES, FairnessAttestation
+from pacomp.report import scrub
 
 import helpers
-from helpers import parse_region_arg_reference, parse_valuation_arg_reference, random_pa
+from helpers import (
+    interleaving_arguments,
+    parse_region_arg_reference,
+    parse_valuation_arg_reference,
+    random_pa,
+    standard_setup,
+)
 
 
 class _NoInputs:
@@ -517,6 +526,9 @@ def test_malformed_proof_script_is_usage_error(case, corpus_dir, tmp_path, capsy
 
 def _monotonicity_script(corpus_dir):
     script = _asymmetric_script(corpus_dir)
+    queries = script["queries"]
+    queries["AG"] = dict(queries["G"], objectives=queries["G"]["objectives"]
+                         + queries["A"]["objectives"])
     script["applications"] = [{
         "id": "mono", "rule": "monotonicity", "m1": "m1", "m2": "m2",
         "r1": "r2", "r2": "r2", "objective": "A", "param": "p", "direction": "down",
@@ -535,6 +547,7 @@ _UNRESOLVABLE_ARGUMENTS = {
     "unparsable-region-text": (_asymmetric_script, "r2", "nosuch"),
     "sideways-direction": (_monotonicity_script, "direction", "sideways"),
     "number-as-parameter": (_monotonicity_script, "param", 3),
+    "two-objective-query": (_monotonicity_script, "objective", "AG"),
 }
 
 
@@ -584,6 +597,103 @@ def test_monotonicity_script_on_an_empty_region_is_vacuous(corpus_dir, tmp_path,
     (application,) = json.loads(out)["report"]["certificate"]
     assert application["status"] == "concluded"
     assert [p["status"] for p in application["premises"]] == ["holds", "holds"]
+
+
+def _rule_script(rule, args):
+    """A proof script applying `rule` to the library arguments `args`: each
+    model, region and query declared under its argument's name (a list's
+    entries under the name and their index), every other value inline."""
+    script = {"type": "proof-script", "models": {}, "regions": {}, "queries": {}}
+    app = {"id": rule, "rule": rule}
+    for name, value in args.items():
+        kind = RULES[rule][1].get(name, "pos")
+        if isinstance(value, FairnessAttestation):
+            app[name] = {"sets": [list(s) for s in value.fairness_sets],
+                         "notes": list(value.notes)}
+        elif type(kind) is list:
+            app[name] = [f"{name}{i}" for i in range(len(value))]
+            script[kind[0]].update(zip(app[name], map(modelio.dump_document, value)))
+        elif kind in script:
+            app[name] = name
+            script[kind][name] = modelio.dump_document(value)
+        else:
+            app[name] = modelio._encode(value, kind)
+    script["applications"] = [app]
+    return script
+
+
+def _new_row_arguments():
+    """Arguments of the script rows that the robust rules had alone: asym-n
+    with three components and interleaving, each also as its fair variant."""
+    m1, m2, A, G, r1, r2 = standard_setup()
+    unit = alphabet_extend(unit_ppa(), {"a", "c", "fail"})
+    chain = dict(models=[m1, m2, unit], regions=[r1, r2, r2], assumptions=[A, G],
+                 guarantee=G, resolution=2)
+    interleave = dict(zip(RULES["interleaving"][1], interleaving_arguments()))
+
+    def fair(n):
+        return FairnessAttestation((("a",),), tuple(f"note {i + 1}" for i in range(n)))
+
+    return {
+        "asym-n": ("asym-n", chain, 0),
+        "asym-n-fair": ("asym-n", dict(chain, fairness=fair(3)), 3),
+        "interleaving": ("interleaving", interleave, 0),
+        "interleaving-fair": ("interleaving", dict(interleave, fairness=fair(2)), 3),
+    }
+
+
+@pytest.mark.parametrize("case", ["asym-n", "asym-n-fair", "interleaving", "interleaving-fair"])
+def test_new_script_rows_certify_as_the_library_call(case, tmp_path, capsys):
+    rule, args, exit_code = _new_row_arguments()[case]
+    path = tmp_path / "row.agproof.json"
+    json.dump(_rule_script(rule, args), open(path, "w"))
+    code, out, err = run(capsys, "rule", "--script", str(path))
+    assert (code, err) == (exit_code, "")
+    expected = {"id": rule, **scrub(cli._certificate(RULES[rule][0](**args)))}
+    assert json.loads(out)["report"]["certificate"] == [json.loads(json.dumps(expected))]
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("regions", ["regions0", "regions1"], "error: SideConditionError: the chained rule needs "
+     "one region per component and n-1 assumptions"),
+    ("models", "models0", "format error: proof script: application 'asym-n' argument "
+     "'models' at $.applications[0].models: expected a list, got 'models0'"),
+    ("fairness", {"notes": ["note 1", "note 2"]}, "format error: proof script: application "
+     "'asym-n' argument 'fairness' at $.applications[0].fairness: rule 'asym-n' needs 3 "
+     "fairness notes, got 2"),  # one note per component, checked at decode
+])
+def test_asym_n_lists_must_fit_the_chain(field, value, message, tmp_path, capsys):
+    rule, args, _ = _new_row_arguments()["asym-n"]
+    script = _rule_script(rule, args)
+    script["applications"][0][field] = value
+    path = tmp_path / "misfit.agproof.json"
+    json.dump(script, open(path, "w"))
+    assert run(capsys, "rule", "--script", str(path)) == (2, "", message + "\n")
+
+
+def test_asym_n_row_of_two_is_the_asymmetric_row(corpus_dir, tmp_path, capsys):
+    script = _asymmetric_script(corpus_dir)
+    step = script["applications"][0]
+    script["applications"].append({
+        "id": "chain", "rule": "asym-n", "models": ["m1", "m2"], "regions": ["r1", "r2"],
+        "assumptions": ["A"], "guarantee": "G", "resolution": step["resolution"]})
+    path = tmp_path / "chain.agproof.json"
+    json.dump(script, open(path, "w"))
+    code, out, _ = run(capsys, "rule", "--script", str(path))
+    direct, chained = json.loads(out)["report"]["certificate"]
+    assert code == 0 and (direct.pop("id"), chained.pop("id")) == ("step-1", "chain")
+    assert direct == chained and direct["status"] == "concluded"
+
+
+def test_extend_symbols_are_stripped_names(corpus_dir, capsys):
+    model = str(corpus_dir / "pipeline.ppa.json")
+    for symbols in ("a,,z", "", " ", "b, "):
+        code, out, err = run(capsys, "extend", "--model", model, "--symbols", symbols)
+        assert (code, out) == (2, ""), symbols
+        assert err.startswith("format error: --symbols[") and "non-empty" in err, symbols
+    reports = [run(capsys, "extend", "--model", model, "--symbols", symbols)
+               for symbols in ("b,z", " b , z ")]
+    assert reports[0] == reports[1] and reports[0][0] == 0
 
 
 def test_resolution_must_be_positive(corpus_dir, capsys):

@@ -1,6 +1,6 @@
 """Every function, class and method of `src/pacomp` is reachable from the
 program: from a module-level statement (the command table `cli.COMMANDS`,
-the document types `modelio._TYPES`, the script rules `modelio._RULES`, ...)
+the document types `modelio._TYPES`, the rule table `proofrules.RULES`, ...)
 or from a library entry point on the allowlist below, through the names that
 reached code uses.  A definition that only tests, the benchmark, itself or
 other unreached code name is a leftover of a deleted path or a reference
