@@ -7,8 +7,8 @@ import json
 from fractions import Fraction
 
 from . import modelio
-from .algebra import Polynomial, format_rational
-from .verify import Verdict
+from .algebra import format_rational
+from .verify import INF, Verdict
 
 
 def fmt_id(x) -> str:
@@ -21,15 +21,15 @@ def fmt_id(x) -> str:
 
 
 def scrub(obj):
-    """Recursively convert toolkit values into JSON-stable structures."""
+    """Recursively convert toolkit values into JSON-stable structures.  The
+    only float is `INF`; any value without a stable form is an error, not
+    its `repr` in a report."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float):
-        return "inf" if obj == float("inf") else repr(obj)
+    if isinstance(obj, float) and obj == INF:
+        return "inf"
     if isinstance(obj, Fraction):
         return format_rational(obj)
-    if isinstance(obj, Polynomial):
-        return str(obj)
     if isinstance(obj, Verdict):
         return {
             "status": obj.status,
@@ -41,11 +41,9 @@ def scrub(obj):
         return {fmt_id(k): scrub(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [scrub(v) for v in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted((scrub(v) for v in obj), key=json.dumps)
     if type(obj) in modelio.DOCUMENT_ROW:  # a DFA, objective, region or strategy
         return modelio.dump_document(obj)
-    return repr(obj)
+    raise TypeError(f"no report form for {type(obj).__name__} {obj!r}")
 
 
 def digest_bytes(data: bytes) -> str:

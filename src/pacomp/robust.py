@@ -133,8 +133,7 @@ def is_product_member(mu, ps: ProductSet):
     Returns ("member", (mu1, mu2)) or ("not-member", explanation).
     """
     mu = dict(freeze_dist(mu))
-    left_states = sorted({s1 for (s1, _) in mu}, key=sort_key)
-    left_states = sorted(set(left_states) | set(ps.left.support), key=sort_key)
+    left_states = sorted({s1 for (s1, _) in mu} | set(ps.left.support), key=sort_key)
     right_states = sorted(
         {s2 for (_, s2) in mu} | set(ps.right.support), key=sort_key
     )

@@ -8,13 +8,14 @@ solvers are exact and end in two mechanisms:
   positive gain, the rest by one exact solve of integer rows, each a
   state's probabilities and gain as numerators over its own denominator.
   Reachability is the case with absorbing targets.  It is split into a plan
-  (`_chain_plan`), which decides the INF and zero states and the order of
-  the unknowns from which entries are nonzero, and a fill (`_chain_fill`),
-  which writes the integer rows and solves them into integer values over one
-  denominator.  It evaluates fixed strategies and witnesses
-  (`_StrategyChain`), and drives the policy iteration (`_policy_iteration`)
-  behind optimal reachability, safety probabilities, maximal expected reward
-  and per-objective threshold checks.  Policy iteration reads slot rows:
+  (`_chain_plan`), which reads which entries are nonzero and decides, in
+  one pass over the SCCs, the INF and zero states and the unknowns, SCC by
+  SCC with successors first, and a fill (`_chain_fill`), which writes the
+  integer rows and solves them into integer values over one denominator.
+  It evaluates fixed strategies and witnesses (`_StrategyChain`), and
+  drives the policy iteration (`_policy_iteration`) behind optimal
+  reachability, safety probabilities, maximal expected reward and
+  per-objective threshold checks.  Policy iteration reads slot rows:
   each action's entries (successor, slot) of a `PolyTable` vector, comparing
   backups as integer dot products of the vector's numerators and the
   values'.  A `Fraction` is built only where a value leaves the kernel;
@@ -189,78 +190,39 @@ class Verdict:
 # Graph utilities on parameter-free models
 # ---------------------------------------------------------------------------
 
-def _sccs(nodes, succ):
+def _sccs(roots, succ):
     """Tarjan, iterative: the strongly connected components of the graph of
-    `nodes` and everything reachable from them along succ(node), as
-    frozensets, in an order that callers must not rely on."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-
-    for root in nodes:
-        if root in index:
+    `roots` and everything reachable from them along succ(node), each a
+    tuple of its members in the order the search reached them.  A component
+    is emitted after every component it reaches (successors first), and the
+    order depends only on the order of `roots` and of each succ(node)."""
+    low, stack, sccs = {}, [], []  # low: each node's lowlink, INF once emitted
+    for root in roots:
+        if root in low:
             continue
-        work = [(root, iter(succ(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        work = [(root, iter(succ(root)), len(low), len(stack))]
+        low[root] = len(low)
         stack.append(root)
-        on_stack.add(root)
         while work:
-            node, it = work[-1]
-            advanced = False
+            node, it, num, pos = work[-1]
             for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
+                if nxt not in low:
+                    work.append((nxt, iter(succ(nxt)), len(low), len(stack)))
+                    low[nxt] = len(low)
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ(nxt))))
-                    advanced = True
                     break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = set()
-                while True:
-                    t = stack.pop()
-                    on_stack.discard(t)
-                    comp.add(t)
-                    if t == node:
-                        break
-                sccs.append(frozenset(comp))
+                if low[nxt] < low[node]:
+                    low[node] = low[nxt]
+            else:
+                work.pop()
+                if low[node] == num:  # the root of a component
+                    sccs.append(tuple(stack[pos:]))
+                    del stack[pos:]
+                    for t in sccs[-1]:
+                        low[t] = INF
+                elif low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
     return sccs
-
-
-def _predecessors(succ) -> dict:
-    """The predecessor lists of the successor map {s: successors}."""
-    preds = {}
-    for s, targets in succ.items():
-        for t in targets:
-            preds.setdefault(t, []).append(s)
-    return preds
-
-
-def _reach(edges, seeds) -> set:
-    """Seeds plus every node reachable from them along `edges`
-    {node: neighbours} (least fixpoint); over predecessor lists, every node
-    with a path into them."""
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        for s in edges.get(stack.pop(), ()):
-            if s not in seen:
-                seen.add(s)
-                stack.append(s)
-    return seen
 
 
 def _settle(states, acts, succ, keep):
@@ -301,7 +263,7 @@ def _end_component_keys(succ) -> set:
         edges = {}
         for key in keys:
             edges.setdefault(key[0], set()).update(succ[key])
-        comp = {s: c for c in _sccs(edges, lambda s: edges.get(s, ())) for s in c}
+        comp = {s: c for c in map(frozenset, _sccs(edges, lambda s: edges.get(s, ()))) for s in c}
         kept = {key for key in keys if succ[key] <= comp[key[0]]}
         if kept == keys:
             return keys
@@ -322,37 +284,36 @@ def _chain_plan(rows, point, init=None):
     t, and collects gain sum(f * nums[k]) / (scale * D) on leaving; a node
     without entries is a dead end.  Only which nums[k] are nonzero is read
     from `point`, so the plan serves every vector of its support pattern
-    whose gains are nonnegative.  A node is INF when it can reach a closed
-    SCC that has an internal edge and positive gain, and 0 when it cannot
-    reach positive gain; `_chain_fill` solves the rest.  With `init`, only
-    the nodes reachable from it are planned, and nothing is left to solve
-    when its value is already INF or 0.  Returns the settled values
-    {node: INF or int 0}, the other nodes in `sort_key` order, and their rows
-    with each successor as its index among them.
+    whose gains are nonnegative.  One pass of `_sccs`, from `init` if given
+    (so only the nodes reachable from it are planned) and else from every
+    row, meets each SCC after those it reaches.  An SCC is INF when it is
+    closed, has an internal edge and collects positive gain, or when a
+    successor SCC is INF; it is unknown when it collects positive gain or a
+    successor SCC is unknown; its nodes are 0 otherwise.  `_chain_fill`
+    solves the unknowns; nothing is left to solve when init is INF or 0.
+    Returns the settled values {node: INF or int 0}, the unknown nodes SCC
+    by SCC, successors first, and their rows with each successor as its
+    index among them.
     """
     nums = point[1]
-    succ = {s: {t for t, _, k in out if nums[k]} for s, (_, out, _) in rows.items()}
-    if init is not None:
-        succ = {s: succ[s] for s in _reach(succ, [init])}
-    positive = [s for s in succ if any(nums[k] for _, k in rows[s][2])]
-    preds = _predecessors(succ)
-    # a closed SCC with an internal edge never reaches a dead end
-    trapped = succ.keys() - _reach(preds, [s for s, out in succ.items() if not out])
-    recurrent = set()
-    if not trapped.isdisjoint(positive):
-        for comp in _sccs(trapped, succ.__getitem__):
-            if not comp.isdisjoint(positive) and all(succ[s] <= comp for s in comp):
-                recurrent |= comp
-    infinite = _reach(preds, recurrent)
-    reaching = _reach(preds, positive)
-    settled = {
-        s: INF if s in infinite else 0
-        for s in succ
-        if s in infinite or s not in reaching
-    }
+    succ = {s: tuple(t for t, _, k in out if nums[k]) for s, (_, out, _) in rows.items()}
+    value = {}  # node: INF, 0, or None while unknown
+    for comp in _sccs(rows if init is None else (init,), succ.__getitem__):
+        # a successor outside comp is in an SCC met before it
+        after = {value[t] for s in comp for t in succ[s] if t in value}
+        positive = any(nums[k] for s in comp for _, k in rows[s][2])
+        if INF in after or positive and not after and any(succ[s] for s in comp):
+            v = INF
+        elif positive or None in after:
+            v = None
+        else:
+            v = 0
+        for s in comp:
+            value[s] = v
+    settled = {s: v for s, v in value.items() if v is not None}
     if init in settled:
         return settled, (), ()
-    unknown = sorted(reaching - infinite, key=sort_key)
+    unknown = [s for s, v in value.items() if v is None]
     idx = {s: i for i, s in enumerate(unknown)}
     filled = []
     for s in unknown:

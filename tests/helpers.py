@@ -7,6 +7,8 @@ import math
 import random
 from fractions import Fraction
 
+import networkx as nx
+
 from pacomp import corpus
 from pacomp.algebra import (
     Box,
@@ -53,9 +55,6 @@ from pacomp.verify import (
     RewardObjective,
     Verdict,
     _MoQuery,
-    _predecessors,
-    _reach,
-    _sccs,
     _settle,
     enumerate_memoryless,
     mo_achievable,
@@ -607,20 +606,24 @@ def fraction_solve(rows, rhs):
 def chain_solve_reference(chain, gain, init=None):
     """`verify._chain_solve` as it was before its rows became integers: the
     chain {s: {t: p > 0}} and the gains are Fractions, solved by
-    `fraction_solve`."""
-    succ = lambda s: chain.get(s, {})
-    preds = _predecessors(chain)
+    `fraction_solve`.  Its graph questions are networkx's, not the kernel's:
+    a node is INF when it reaches a closed SCC with an internal edge and
+    positive gain, and 0 when it reaches no positive gain."""
+    graph = nx.DiGraph()
+    graph.add_nodes_from(chain)
+    graph.add_edges_from((s, t) for s, out in chain.items() for t in out)
+
+    def reaching(seeds):
+        return set(seeds).union(*(nx.ancestors(graph, s) for s in seeds))
+
     # a closed SCC with an internal edge never reaches a dead end
-    trapped = set(chain) - _reach(preds, [s for s in chain if not chain[s]])
+    trapped = set(chain) - reaching([s for s in chain if not chain[s]])
     recurrent = set()
-    if any(gain.get(s, 0) > 0 for s in trapped):
-        for comp in _sccs(trapped, succ):
-            if any(gain.get(s, 0) > 0 for s in comp) and all(
-                succ(s).keys() <= comp for s in comp
-            ):
-                recurrent |= comp
-    infinite = _reach(preds, recurrent)
-    positive = _reach(preds, {s for s in chain if gain.get(s, 0) > 0})
+    for comp in nx.strongly_connected_components(graph.subgraph(trapped)):
+        if any(gain.get(s, 0) > 0 for s in comp) and all(chain[s].keys() <= comp for s in comp):
+            recurrent |= comp
+    infinite = reaching(recurrent)
+    positive = reaching({s for s in chain if gain.get(s, 0) > 0})
     values = {
         s: INF if s in infinite else Fraction(0)
         for s in chain

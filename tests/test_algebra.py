@@ -58,7 +58,7 @@ coeffs = st.fractions(
 
 
 @given(st.integers(0, 2**32))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_ring_axioms_randomized(seed):
     rng = random.Random(seed)
     a, b, c = (random_poly(rng) for _ in range(3))
@@ -86,7 +86,7 @@ def test_equal_polynomials_and_numbers_hash_equal():
 
 
 @given(st.integers(0, 2**32), coeffs)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_kept_hash_is_the_term_maps_hash(seed, value):
     """A polynomial keeps its hash after the first call; it is the hash of its
     term map, or of its value for a constant, on every call, and equal
@@ -102,7 +102,7 @@ def test_kept_hash_is_the_term_maps_hash(seed, value):
 
 
 @given(st.integers(0, 2**32))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_eval_is_ring_homomorphism(seed):
     rng = random.Random(seed)
     a, b, c = (random_poly(rng) for _ in range(3))
@@ -116,7 +116,7 @@ def test_eval_is_ring_homomorphism(seed):
     num2=st.integers(min_value=-40, max_value=40),
     den2=st.integers(min_value=1, max_value=40),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80)
 def test_rationals_stay_in_lowest_terms(num, den, num2, den2):
     import math
 
@@ -130,7 +130,6 @@ def test_rationals_stay_in_lowest_terms(num, den, num2, den2):
 
 
 @given(st.integers(0, 2**32))
-@settings(deadline=None)
 def test_poly_parse_roundtrip(seed):
     poly = random_poly(random.Random(seed))
     assert parse_poly(str(poly)) == poly
@@ -187,7 +186,7 @@ def _noncanonical(rng, poly):
 
 
 @given(st.integers(0, 2**32))
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_memoised_parse_is_a_fresh_parse(seed):
     # parse_poly keeps each string's parse; on a first and a repeated call
     # it returns what the parser itself returns for the same text
@@ -285,7 +284,7 @@ def test_region_intersection():
     hi2=st.fractions(min_value=0, max_value=1, max_denominator=8),
     probe=st.fractions(min_value=0, max_value=1, max_denominator=16),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_box_intersection_is_pointwise_conjunction(lo1, hi1, lo2, hi2, probe):
     if lo1 > hi1 or lo2 > hi2:
         return
@@ -306,7 +305,7 @@ def test_box_intersection_is_pointwise_conjunction(lo1, hi1, lo2, hi2, probe):
         max_size=6,
     )
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_finite_regions_deduplicate(vals):
     region = FiniteRegion.of([{"p": v} for v in vals])
     assert len(region.valuations) == len(set(vals))
@@ -335,7 +334,6 @@ def test_union_samples_of_two_boxes_count_their_shared_face_once():
 
 
 @given(st.integers(0, 2**32))
-@settings(deadline=None)
 def test_union_samples_are_the_deduplicated_samples_of_its_nonempty_parts(seed):
     rng = random.Random(seed)
     parts = [random_region(rng) for _ in range(rng.randint(1, 4))]
@@ -352,7 +350,6 @@ def test_union_samples_are_the_deduplicated_samples_of_its_nonempty_parts(seed):
 
 
 @given(st.integers(0, 2**32))
-@settings(deadline=None)
 def test_intersection_with_a_union_second_or_a_finite_first_is_pointwise(seed):
     rng = random.Random(seed)
     a = random_region(rng)

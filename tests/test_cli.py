@@ -197,6 +197,21 @@ def test_undeclared_parameter_is_usage_error(corpus_dir, tmp_path, capsys):
                              "--region", "box.p=[0,1/10]")
         assert code == 2 and out == ""
         assert err == f"format error: transition probabilities use undeclared parameters ['{stray}']\n"
+    # a declared parameter that the region or valuation leaves out is a
+    # usage error of every command that instantiates the model
+    comp = str(tmp_path / "comp.json")
+    assert run(capsys, "compose", "--left", str(corpus_dir / "retry.ppa.json"),
+               "--right", str(corpus_dir / "pipeline.ppa.json"), "--out", comp)[0] == 0
+    guarantee, region = str(corpus_dir / "safe_guarantee.query.json"), "box.p=[0,1/10]"
+    for argv in (["check", "--model", comp, "--objective", guarantee, "--region", region],
+                 ["triple", "--model", comp, "--assumption", query, "--guarantee", guarantee,
+                  "--region", region],
+                 ["monotone", "--model", comp, "--objective", guarantee, "--region", region,
+                  "--param", "p", "--direction", "up"],
+                 ["instantiate", "--model", comp, "--valuation", "p=1/10"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv[0]
+        assert err == "error: MissingParameter: valuation missing parameters ['q']\n"
 
 
 def test_internal_error_is_never_a_verdict(corpus_dir, capsys, monkeypatch):
@@ -216,6 +231,20 @@ def test_internal_error_is_never_a_verdict(corpus_dir, capsys, monkeypatch):
     assert err.startswith(
         "internal error: RuntimeError: witness failed exact re-verification"
     )
+    # a report value without a byte-stable form (a float other than INF, a
+    # set) is a bug too, not its repr in a report
+    for value, name in ((0.5, "float 0.5"), ({"q"}, "set {'q'}")):
+        monkeypatch.setattr("pacomp.cli.region_sat",
+                            lambda *args, value=value: verify.Verdict("holds", details=[value]))
+        code, out, err = run(
+            capsys,
+            "check",
+            "--model", str(corpus_dir / "pipeline.ppa.json"),
+            "--objective", str(corpus_dir / "safe_guarantee.query.json"),
+            "--region", "finite:{p=1/2,q=1}",
+        )
+        assert (code, out) == (4, "")
+        assert err.startswith(f"internal error: TypeError: no report form for {name}\n")
 
 
 def test_strategy_cap_is_a_usage_error(corpus_dir, tmp_path, capsys):
@@ -916,7 +945,7 @@ def _exits_2_quietly(argv):
     assert "Traceback" not in err.getvalue(), argv
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(text=_mutated(_box_text | _finite_text))
 @example(text="box.p=[0,1],,")
 @example(text="box.p=[0,1],")
@@ -937,7 +966,7 @@ def test_region_text_decodes_as_the_reference_parser(corpus_dir, text):
                           "--region=" + text])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(text=_mutated(_valuation_text))
 @example(text="p=1,,q=2")
 @example(text="p=1,p=2")
@@ -1569,8 +1598,7 @@ def test_project_cli_projects_a_memoryless_strategy_as_given(tmp_path, capsys, s
     _check_project_memoryless(tmp_path, capsys, seed)
 
 
-@settings(max_examples=4, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=4, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**32))
 def test_project_cli_projects_a_drawn_memoryless_strategy_as_given(tmp_path, capsys, seed):
     _check_project_memoryless(tmp_path, capsys, seed)

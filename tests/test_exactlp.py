@@ -175,13 +175,13 @@ def _agrees_with_vertex_enumeration(program):
         assert x is None and value is None
 
 
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=100, suppress_health_check=[HealthCheck.too_slow])
 @given(programs())
 def test_simplex_agrees_with_vertex_enumeration(program):
     _agrees_with_vertex_enumeration(program)
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=60, suppress_health_check=[HealthCheck.too_slow])
 @given(degenerate_programs())
 def test_simplex_on_degenerate_programs_agrees_with_vertex_enumeration(program):
     _agrees_with_vertex_enumeration(program)
@@ -261,7 +261,7 @@ def square_systems(draw):
     return rows, [draw(rationals) for _ in range(n)]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(square_systems())
 def test_gauss_solve_agrees_with_sympy(system):
     """`gauss_solve` takes integer rows: each rational equation goes in

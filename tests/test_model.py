@@ -86,7 +86,7 @@ def _rebuild(m, params, entry):
     return make_ppa(m.states, m.initial, params, trans, m.alphabet)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2**32), st.integers(0, 4))
 def test_parameters_decide_the_entry_form(seed, k):
     rng = random.Random(seed)
@@ -136,7 +136,7 @@ def _oracle_models(rng):
 _ORACLE_BOX = Box.of({"p": (F(-1, 2), F(3, 2)), "q": (F(0), F(1, 3))})
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(0, 2**32), st.integers(1, 3))
 def test_poly_table_vector_matches_evaluate(seed, resolution):
     rng = random.Random(seed)
@@ -157,7 +157,7 @@ def test_poly_table_vector_matches_evaluate(seed, resolution):
             assert F(nums[k], den) == Polynomial.coerce(p).evaluate(v)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(0, 2**32))
 def test_well_defined_matches_entrywise_reference(seed):
     models = _oracle_models(random.Random(seed))
@@ -235,7 +235,7 @@ def test_compose_action_clash_rejected():
         compose(bad, corpus.retry_component())
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(st.integers(0, 2**32))
 def test_instantiate_commutes_with_compose(seed):
     rng = random.Random(seed)
@@ -248,7 +248,7 @@ def test_instantiate_commutes_with_compose(seed):
         assert left.dist(*key) == right.dist(*key)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(st.integers(0, 2**32))
 def test_compose_associative_up_to_renaming(seed):
     rng = random.Random(seed)
@@ -337,7 +337,7 @@ def test_dfa_product_alphabet_mismatch():
 _IDS = ("z", "a", 0, 3, F(1, 2), F(-2), ("a", 1), ("a", F(1, 3)), ("b",), (("a",), "c"))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2**32))
 def test_enabled_is_the_sort_key_order(seed):
     # `make_ppa` sorts the actions once and `enabled` keeps their rank, so it
@@ -408,7 +408,7 @@ def _documents(rng):
             random_tabular_strategy(rng, m1, 2)]
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2**32))
 def test_every_document_type_round_trips(seed):
     # decoding a document gives back the object it was dumped from, and

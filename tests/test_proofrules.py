@@ -211,7 +211,6 @@ def test_interleaving_rejects_shared_alphabet():
         )
 
 
-@settings(deadline=None)
 @given(st.fractions(0, 1, max_denominator=8), st.fractions(0, 1, max_denominator=8))
 def test_interleaving_threshold_arithmetic(p1, p2):
     assert interleaving_threshold(p1, p2) == p1 + p2 - p1 * p2
@@ -259,7 +258,6 @@ def test_reward_sum_rule():
     assert app0.conclusion["threshold"] == F(1)
 
 
-@settings(deadline=None)
 @given(st.fractions(0, 20, max_denominator=6), st.fractions(0, 20, max_denominator=6))
 def test_reward_sum_random_thresholds(t1, t2):
     assert t1 + t2 == F(t1) + F(t2)  # exact rational addition, no rounding
@@ -392,7 +390,7 @@ def _random_safety_query(rng, alphabet, threshold=None):
     return (safety(dfa, F(rng.randint(0, 4), 8) if threshold is None else threshold),)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(0, 2**32))
 def test_robust_rules_are_sound_on_random_polytopic_pairs(seed):
     rng = random.Random(seed)
@@ -422,7 +420,7 @@ def test_robust_rules_are_sound_on_random_polytopic_pairs(seed):
     assert all(app.concluded for app in apps(*zero).values())
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(0, 2**32))
 def test_rpa_interleaving_rule(seed):
     rng = random.Random(seed)

@@ -134,7 +134,7 @@ def _random_interval_bounds(rng, n, stratum, dens=(10,)):
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), n=st.integers(1, 6),
        stratum=st.integers(0, 3),
        dens=st.lists(st.sampled_from([2, 3, 5, 7, 10, 12]), min_size=1, max_size=3))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_interval_extreme_points_match_the_order_oracle(seed, n, stratum, dens):
     uset = IntervalSet.of(_random_interval_bounds(random.Random(seed), n, stratum, dens))
     assert generators(uset) == interval_extreme_points_by_orders(uset)
@@ -556,7 +556,7 @@ def _same_model(got, want):
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_pa_reduce_matches_its_reference(seed):
     rng = random.Random(seed)
     u1 = random_polytopic_rpa(rng, "l", ["a", "b"], rng.randint(2, 4))
@@ -628,7 +628,7 @@ def _relax_of(pset):
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_compositions_match_their_references(seed):
     # states and actions of mixed identifier types; "d" is in both alphabets
     # but only component 1 has d-transitions, so they have no partner

@@ -268,7 +268,7 @@ def _compositions(rng):
     return (prune_unreachable(comp) if shape == 3 else comp), (left, right)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2**32))
 def test_step_names_decide_which_side_moves(seed):
     # a side moves in a composed step iff the step's part for that side is

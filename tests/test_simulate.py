@@ -54,7 +54,7 @@ def _random_rel(rng, density):
     return {(l, r) for l in LEFT for r in RIGHT if rng.random() < density}
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.integers(0, 2**32), st.sampled_from([0.35, 0.7, 0.9, 1.0]))
 def test_dist_leq_agrees_with_bruteforce(seed, density):
     rng = random.Random(seed)
@@ -81,7 +81,7 @@ def _network_lifts(mu1, mu2, rel):
     return _networkx_flow(arcs, "src", "snk") == sum(mu1.values(), F(0))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(st.integers(0, 2**32), st.integers(0, 6), st.integers(0, 6),
        st.sampled_from([0.2, 0.5, 0.9]))
 def test_transport_networks_agree_with_networkx(seed, n_left, n_right, density):
@@ -110,7 +110,7 @@ def _hall_short(rng, mu1, mu2, rel):
     return rel
 
 
-@settings(max_examples=250, deadline=None)
+@settings(max_examples=250)
 @given(st.integers(0, 2**32), st.integers(0, 4), st.sampled_from([0.35, 0.7, 0.9, 1.0]))
 def test_dist_leq_agrees_with_networkx(seed, stratum, density):
     """Lifting holds iff the bipartite network carries all of mu1's mass.
@@ -270,7 +270,7 @@ def _coprime_pa(rng, prefix, n_states, labels, primes):
     return make_ppa(states, states[0], set(), trans, set(labels))
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(0, 2**32))
 def test_simulation_relations_match_naive_fixpoint(seed):
     """strong_sim and robust_strong_sim against a greatest fixpoint built

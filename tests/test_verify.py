@@ -5,6 +5,7 @@ import time
 from fractions import Fraction as F
 from math import gcd
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
@@ -135,7 +136,7 @@ def test_max_reach_agrees_with_policy_enumeration():
     target out of reach (a settled 0) and a solved value occur."""
     kinds = set()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.integers(0, 2**32), st.integers(2, 4), st.booleans())
     def check(seed, n_states, zeros):
         rng = random.Random(seed)
@@ -182,7 +183,7 @@ def _reach_lp_values(pa, targets):
     return {s: F(1) if s in targets else x[col[s]] if s in col else F(0) for s in pa.states}
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2**32))
 def test_max_reach_agrees_with_the_reachability_lp(seed):
     rng = random.Random(seed)
@@ -240,7 +241,7 @@ def test_safety_prob_matches_bruteforce_min():
     value occur."""
     kinds = set()
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.integers(0, 2**32), st.integers(2, 4), st.booleans())
     def check(seed, n_states, zeros):
         rng = random.Random(seed)
@@ -364,7 +365,7 @@ def _random_rewarded_models(rng):
         yield m, {lab: F(rng.randint(1, 3), rng.randint(1, 3)) for lab in rewarded}
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2**32))
 def test_policy_iteration_matches_the_fraction_reference(seed):
     """The integer policy iteration returns what the Fraction one returned:
@@ -448,7 +449,7 @@ def _reward_lp_value(pa, rewards):
     return x[col[pa.initial]]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2**32))
 def test_reward_maximum_agrees_with_its_lp(seed):
     rng = random.Random(seed)
@@ -462,7 +463,7 @@ def test_chain_reward_maximum_is_policy_iteration():
     zero-probability entries."""
     kinds = set()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.integers(0, 2**32), st.integers(2, 5), st.booleans())
     def check(seed, n_states, zeros):
         rng = random.Random(seed)
@@ -545,7 +546,7 @@ def _query_points(m, objectives, strategy_class, valuations):
     return query, [table.at(v) for v in valuations]
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.integers(0, 2**32))
 def test_reach_decider_agrees_with_the_lp(seed):
     """`solve` decides each probability objective under < or <= of a
@@ -646,7 +647,7 @@ def test_large_occupation_lp_probe():
     assert value >= obj.threshold
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2**32))
 def test_occupation_lp_columns_are_in_sort_key_order(seed):
     """The LP reads its column order off the product (states, then each
@@ -725,7 +726,7 @@ def _solved_fills(query, samples):
     return solved
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2**32))
 def test_sampled_lps_match_the_fraction_fill(seed):
     """Every sampled LP's integer rows are the rows the old Fraction fill
@@ -785,7 +786,7 @@ def test_gain_maps_settle_and_evaluate_as_signatures_did():
     # settling, seed 11 a reward that does, so the coverage check below does
     # not rest on the random draws (60 of them missed a kind in about 1 to
     # 3 % of runs)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.integers(0, 2**32))
     @example(3)
     @example(11)
@@ -1100,7 +1101,7 @@ def test_enumerate_memoryless_counts():
             enumerate_memoryless(forked, bad)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(1, 4), st.integers(1, 6))
 def test_weight_profiles_match_the_list_reference(n, denominator):
     # the same profiles in the same order: the order decides which strategy
@@ -1127,7 +1128,7 @@ def test_end_component_keys_match_the_subset_reference():
     pipeline = successor_sets(instantiate(corpus.pipeline_component(), V))
     assert _end_component_keys(pipeline) == {("t3", "t3_f"), ("t4", "t4_c")}
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(st.integers(0, 2**32), st.integers(1, 6))
     def check(seed, n_states):
         rng = random.Random(seed)
@@ -1170,7 +1171,7 @@ def test_witness_values_satisfy_objectives():
     kinds = set()
     cmps = [">=", "<=", ">", "<"]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.integers(0, 2**32))
     def check(seed):
         rng = random.Random(seed)
@@ -1309,7 +1310,7 @@ def test_minimal_reward_escapes_tied_zero_cycles():
             exp_total_reward(pa, rew, mode)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2**32), st.integers(2, 5), st.booleans())
 def test_minimal_reward_forced_payment(seed, n_states, zeros):
     pa = make_ppa(
@@ -1426,8 +1427,16 @@ def test_region_checks_match_per_sample_reference():
     rewards = (p, (1 - 2 * p) * (1 - 2 * p))
     seen = set()
 
-    @settings(max_examples=100, deadline=None)
+    # seed 3 meets both verdicts of `region_sat` and of triples with a
+    # reward objective, seed 4 a failing monotonicity check and seed 7 a
+    # holding `region_sat` without one, so the coverage check below does not
+    # rest on the random draws (100 of them missed a combination in 4 of 72
+    # runs; a failing monotonicity check comes from 7 of seeds 0-199)
+    @settings(max_examples=100)
     @given(st.integers(0, 2**32))
+    @example(3)
+    @example(4)
+    @example(7)
     def check(seed):
         rng = random.Random(seed)
         m = compose(*random_parametric_pair(rng))
@@ -1487,12 +1496,26 @@ def _strategy_chain_cases(rng):
     return query, samples, rng.sample(strategies, k=min(len(strategies), 24))
 
 
-@settings(max_examples=40, deadline=None)
+def _successors_first(plan):
+    """Whether a chain plan lists its unknowns SCC by SCC, as networkx finds
+    the SCCs of its rows: each SCC's members together, after every SCC they
+    reach."""
+    _, unknown, filled = plan
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(len(unknown)))
+    graph.add_edges_from((i, j) for i, (_, out, _) in enumerate(filled) for j, _, _ in out)
+    comp = {i: min(c) for c in nx.strongly_connected_components(graph) for i in c}
+    together = all(comp[i] == comp[i + 1] or comp[i + 1] == i + 1 for i in range(len(unknown) - 1))
+    return together and all(j < i or comp[i] == comp[j] for i, j in graph.edges)
+
+
+@settings(max_examples=40)
 @given(st.integers(0, 2**32))
 def test_strategy_chains_match_the_witness_reference(seed):
     """A strategy's chain, planned once per support pattern, gives at every
     sample the values of the two-mode chain rebuilt over every product state
-    and solved in Fractions; so do the witnesses of `mo_achievable`."""
+    and solved in Fractions; so do the witnesses of `mo_achievable`.  Each
+    plan lists its unknowns successors first."""
     rng = random.Random(seed)
     try:
         query, samples, strategies = _strategy_chain_cases(rng)
@@ -1503,6 +1526,8 @@ def test_strategy_chains_match_the_witness_reference(seed):
         mix = {ps: sigma.choice[ps[0]] for ps in query.states if ps[0] in sigma.choice}
         for point in samples:
             assert values(point) == witness_values_reference(query, point, mix, {}, {})
+        assert all(_successors_first(plan) for plans in values._plans.values()
+                   for plan in plans if plan)
     # the go/stay witness of an achievable query on a random composition
     pa = compose(random_pa(rng, "l", 3, ["a", "b"]), random_pa(rng, "r", 3, ["a", "c"]))
     alphabet = sorted(pa.alphabet)
