@@ -237,10 +237,7 @@ def _paper_suite(args, inputs):
 
     results = run_suite()
     for r in results:
-        line = f"{'PASS' if r['pass'] else 'FAIL'} {r['anchor']}"
-        if r["detail"]:
-            line += f" ({r['detail']})"
-        print(line)
+        print(f"{'PASS' if r['pass'] else 'FAIL'} {r['anchor']}")
     print(f"{sum(r['pass'] for r in results)}/{len(results)} anchors pass")
     body = {"results": results} if args.out else None
     return body, _exit(all(r["pass"] for r in results))

@@ -96,6 +96,16 @@ def _dec_id(x, path):
     _fail(path, f"expected an identifier, got {_show(x)}")
 
 
+def _rewards(x, path):
+    """A reward map: (symbol, reward) pairs naming each symbol once, with no
+    negative constant reward."""
+    rewards = tuple(_unique(_decode(x, [("str", "poly")], path, None), "names symbol", path).items())
+    for i, (sym, r) in enumerate(rewards):
+        if r.is_constant() and r.constant_value() < 0:
+            _fail(f"{path}[{i}]", f"the reward {r} of {sym!r} is negative")
+    return rewards
+
+
 _LEAVES = {
     "id": _dec_id,
     "str": _string,
@@ -107,6 +117,7 @@ _LEAVES = {
     "pos": _leaf(lambda x: type(x) is int and x >= 1, "a positive integer"),
     "rat": _parsed(parse_rational),
     "poly": _parsed(parse_poly),
+    "rewards": _rewards,
 }
 
 
@@ -154,7 +165,8 @@ def _decode(x, shape, path, inputs):
 
 
 # leaf kind -> the inverse of its decoder, for the leaves that decoding changes
-_UNLEAVES = {"id": _enc_id, "rat": format_rational, "poly": lambda p: str(Polynomial.coerce(p))}
+_UNLEAVES = {"id": _enc_id, "rat": format_rational, "poly": lambda p: str(Polynomial.coerce(p)),
+             "rewards": lambda rw: [[s, str(Polynomial.coerce(r))] for s, r in dict(rw).items()]}
 
 
 def _encode(x, shape):
@@ -296,11 +308,7 @@ def _objective(f, path, _):
     if f["kind"] == "prob":
         dfa = _need(f, "dfa", "rewards")
         return ProbObjective(f["cmp"], f["threshold"], dfa, f.get("name", ""))
-    rewards = tuple(_unique(_need(f, "rewards", "dfa"), "names symbol", f"{path}.rewards").items())
-    for i, (sym, r) in enumerate(rewards):
-        if r.is_constant() and r.constant_value() < 0:
-            _fail(f"{path}.rewards[{i}]", f"the reward {r} of {sym!r} is negative")
-    return RewardObjective(f["cmp"], f["threshold"], rewards, f.get("name", ""))
+    return RewardObjective(f["cmp"], f["threshold"], _need(f, "rewards", "dfa"), f.get("name", ""))
 
 
 def _objective_fields(o):
@@ -412,7 +420,7 @@ _TYPES = {
                  lambda q: dict(format=FORMAT, type="mo-query", objectives=q)),
     "objective": ({"kind": frozenset({"prob", "reward"}),
                    "cmp": frozenset({"<", "<=", ">", ">="}), "threshold": "rat",
-                   "?dfa": "dfa", "?rewards": [("str", "poly")], "?name": "str"}, _objective,
+                   "?dfa": "dfa", "?rewards": "rewards", "?name": "str"}, _objective,
                   (ProbObjective, RewardObjective), _objective_fields),
     "box": ({"bounds": [("param", ("rat", "rat"))]},
             lambda f, path, _: _located(f"{path}.bounds", _box, f["bounds"]),

@@ -390,6 +390,10 @@ RULES = {
     "interleaving": (apply_interleaving, dict(m1=_M, m2=_M, r1=_R, r2=_R, a1=_Q, a2=_Q,
                                               dfa1="@dfa", p1="rat", dfa2="@dfa", p2="rat"),
                      2, True),
+    "reward-sum": (apply_reward_sum, {**dict(m1=_M, m2=_M, r1=_R, r2=_R, a1=_Q, a2=_Q,
+                                             rw1="rewards", thr1="rat", rw2="rewards",
+                                             thr2="rat"),
+                                      "?cmp": frozenset({"<", "<=", ">", ">="})}, 2, False),
     "monotonicity": (apply_monotonicity, dict(m1=_M, m2=_M, r1=_R, r2=_R, objective="objective",
                                               param="name", direction=frozenset({"up", "down"})),
                      2, False),

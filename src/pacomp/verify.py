@@ -75,7 +75,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import combinations
+from math import comb, gcd, lcm
 
 from .algebra import Polynomial, PolyTable, region_samples, require_total, valuation_key
 from .errors import (
@@ -1030,8 +1031,7 @@ def ag_triple_check(
 # ---------------------------------------------------------------------------
 
 def _weight_profiles(actions, denominator):
-    """The distributions over `actions` with weights in 1/denominator steps,
-    one at a time, so that a cap on their consumer bounds the work."""
+    """The distributions over `actions` with weights in 1/denominator steps."""
     if denominator == 1:
         yield from ({a: Fraction(1)} for a in actions)
         return
@@ -1057,28 +1057,51 @@ def enumerate_memoryless(m: PPA, denominator=1):
 
     Deterministic choices for denominator 1; otherwise the rational grid with
     the given step.  Enumeration follows the declared transition structure, so
-    it is valuation-independent.  More than STRATEGY_CAP strategies raise.
+    it is valuation-independent.  More than STRATEGY_CAP strategies raise,
+    counted before any is built: the completions of a node depend only on its
+    decided states and frontier, and on the grid a support of j actions
+    carries C(denominator - 1, j - 1) profiles, so no profile is listed.
     """
     if denominator < 1:
         raise ValueError(f"the grid denominator must be at least 1, not {denominator}")
+
+    def next_state(decided, frontier):
+        undecided = (s for s in frontier if s not in decided and m.enabled(s))
+        return min(undecided, key=sort_key, default=None)
+
+    def successors(s, actions):
+        return {t for a in actions for t, p in m.trans[(s, a)].items() if p}
+
+    counts = {}  # (decided, frontier) -> its completions, STRATEGY_CAP + 1 for more
+
+    def count(decided, frontier):
+        s = next_state(decided, frontier)
+        if s is None:
+            return 1
+        if (decided, frontier) not in counts:
+            acts, total = m.enabled(s), 0
+            supports = (sup for j in range(1, min(len(acts), denominator) + 1)
+                        for sup in combinations(acts, j))
+            for sup in supports:
+                total += comb(denominator - 1, len(sup) - 1) * count(
+                    decided | {s}, frontier | successors(s, sup))
+                if total > STRATEGY_CAP:
+                    break
+            counts[decided, frontier] = min(total, STRATEGY_CAP + 1)
+        return counts[decided, frontier]
+
+    if count(frozenset(), frozenset({m.initial})) > STRATEGY_CAP:
+        raise StrategyCapExceeded(f"strategy enumeration exceeds cap {STRATEGY_CAP}")
     results = []
 
     def expand(choice, frontier):
-        undecided = sorted(
-            (s for s in frontier if s not in choice and m.enabled(s)), key=sort_key
-        )
-        if not undecided:
+        s = next_state(choice, frontier)
+        if s is None:
             results.append(MemorylessStrategy(dict(choice), complete=True))
-            if len(results) > STRATEGY_CAP:
-                raise StrategyCapExceeded(f"strategy enumeration exceeds cap {STRATEGY_CAP}")
             return
-        s = undecided[0]
         for profile in _weight_profiles(m.enabled(s), denominator):
-            new_frontier = set(frontier)
-            for a in profile:
-                new_frontier.update(t for t, p in m.trans[(s, a)].items() if p)
             choice[s] = profile
-            expand(choice, new_frontier)
+            expand(choice, frontier | successors(s, profile))
             del choice[s]
 
     expand({}, {m.initial})

@@ -987,6 +987,24 @@ def standard_setup():
     return m1, m2, A, G, r1, FiniteRegion.of(tri)
 
 
+def reward_sum_arguments():
+    """m1, m2, r1, r2, a1, a2, rw1, thr1, rw2, thr2 of a reward-sum application
+    that concludes under `<=`: two chains that take one rewarded step, `a`
+    on the left and `b` on the right, then idle."""
+    one = Polynomial.const(1)
+    left = make_ppa(["l0", "l1"], "l0", set(),
+                    {("l0", "l0_a"): ("a", {"l1": one}), ("l1", "l1_x"): ("x", {"l1": one})},
+                    {"a", "x"})
+    right = make_ppa(["r0", "r1"], "r0", set(),
+                     {("r0", "r0_b"): ("b", {"r1": one}), ("r1", "r1_y"): ("y", {"r1": one})},
+                     {"b", "y"})
+    point = FiniteRegion.of([{}])
+    return (left, right, point, point,
+            (ProbObjective(">=", Fraction(0), corpus.trivial_dfa(("a",))),),
+            (ProbObjective(">=", Fraction(0), corpus.trivial_dfa(("b",))),),
+            {"a": 1}, Fraction(1), {"b": 2}, Fraction(2))
+
+
 def interleaving_arguments():
     """m1, m2, r1, r2, a1, a2, dfa1, p1, dfa2, p2 of an interleaving
     application that concludes: retry beside a one-state model on `d`."""

@@ -1,18 +1,19 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 All expected values are exact rationals (tolerance zero).  Each criterion also
-enforces its stated wall-clock budget.
+enforces its stated wall-clock budget.  A criterion about the bundled corpus
+runs the paper suite's anchors that state it (`pacomp.paper_suite`), and each
+anchor is also a test case of its own, named after it.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction as F
 
 import pytest
 
-from pacomp import corpus
-from pacomp.algebra import Box, FiniteRegion, parse_poly, poly_eval, region_samples
+from pacomp import corpus, paper_suite
+from pacomp.algebra import Box, FiniteRegion, region_samples
 from pacomp.errors import SideConditionError
 from pacomp.model import (
     alphabet_extend,
@@ -25,52 +26,23 @@ from pacomp.proofrules import (
     apply_asymmetric,
     apply_conjunction,
     apply_interleaving,
-    apply_monotonicity,
     apply_reward_sum,
     conjoin,
     interleaving_threshold,
 )
-from pacomp.robust import (
-    conv_compose,
-    fix_nature,
-    generators,
-    interval_relax_compose,
-    is_product_member,
-    pa_reduce,
-    rpa_compose,
-)
-from pacomp.semantics import (
-    MemorylessStrategy,
-    measure,
-    path_project,
-    strategy_project,
-)
-from pacomp.simulate import (
-    dist_leq,
-    is_strong_sim,
-    robust_strong_sim,
-    strong_sim,
-    strong_sim_region,
-)
-from pacomp.verify import (
-    ag_triple_check,
-    chain_language_prob,
-    max_reach,
-    monotone_check,
-    region_sat,
-    safety,
-    safety_prob,
-)
+from pacomp.robust import conv_compose, pa_reduce
+from pacomp.semantics import measure, path_project, strategy_project
+from pacomp.verify import ag_triple_check, region_sat, safety, safety_prob
 
 from helpers import (
     cyl_prob,
-    dist_leq_bruteforce,
-    random_dist,
     random_pa,
     random_polytopic_rpa,
     random_safety_dfa,
     tabulate,
 )
+
+ANCHORS = dict(paper_suite._anchors())
 
 
 def report(criterion, ok, note=""):
@@ -90,51 +62,23 @@ class Budget:
         return elapsed
 
 
-def test_criterion_01_projection_goldens():
-    budget = Budget(1)
-    comp = instantiate(
-        compose(corpus.retry_component(), corpus.pipeline_component()),
-        {"p": F(1, 10), "q": F(1, 10)},
-    )
-    sigma = corpus.priority_strategy(comp)
-    proj = strategy_project(comp, sigma, side=2, horizon=6)
-    first = proj.mass(("t0",), "t0_a")
-    second = proj.mass(("t0", "t0_a", "t2"), "t2_c")
-    third = proj.mass(("t0", "t0_a", "t2", "t2_c", "t3"), "t3_f")
+@pytest.mark.parametrize("name", ANCHORS)
+def test_paper_anchor(name):
+    assert ANCHORS[name]() is True
 
-    # dependent valuations coincide with the same-valuation projection
-    hi = {"p": F(9, 10), "q": F(9, 10)}
-    dep = compose(
-        instantiate(corpus.retry_component(), {"p": F(1, 10)}),
-        instantiate(corpus.pipeline_component(), hi),
-    )
-    proj_dep = strategy_project(dep, corpus.priority_strategy(dep), 2, 6)
-    dependent_ok = all(
-        proj.dist(path) == proj_dep.dist(path)
-        for path in (("t0",), ("t0", "t0_a", "t2"), ("t0", "t0_a", "t1"))
-    )
+
+def corpus_criterion(criterion, seconds, anchors):
+    """A criterion about the bundled corpus: the paper-suite anchors that
+    state it all pass within `seconds`."""
+    budget = Budget(seconds)
+    failed = [name for name in anchors if ANCHORS[name]() is not True]
     elapsed = budget.check()
+    report(criterion, not failed, f"(anchors {', '.join(anchors)}; {elapsed:.2f}s)")
+    assert not failed, f"failing anchors: {failed}"
 
-    ok = first == 1 and second == F(1, 10) and third == 1 and dependent_ok
-    report(
-        1,
-        ok,
-        f"(entries {first}, {second}, {third}; dependent-valuation equality "
-        f"{dependent_ok}; {elapsed:.2f}s)",
-    )
-    assert first == 1
-    assert second == F(1, 10)
-    assert dependent_ok
-    # The entry at history (t0,a,t2,c,t3) is the conditional probability that
-    # the pipeline plays t3_f next, and t3_f is the only action of t3.  Under
-    # the priority strategy (s0,t2) plays the shared c, while s1 has no c, so
-    # the only product state projecting to this history is (s0,t3), where the
-    # strategy plays fail with probability 1.  Measure preservation
-    # (criterion 2) pins the same value: the composed path
-    # (s0,t0) a (s0,t2) c (s0,t3) fail has measure 1/100 * 1/10 * 1 = 1/1000,
-    # and its projection has measure 1 * 1/10 * 1/10 * 1/10 * x = x/1000 for
-    # this entry x, so x = 1.
-    assert third == 1, f"projection entry at the forced step computed as {third}"
+
+def test_criterion_01_projection_goldens():
+    corpus_criterion(1, 1, [name for name in ANCHORS if name.startswith("projection-")])
 
 
 def test_criterion_02_measure_preservation_property():
@@ -188,180 +132,24 @@ def random_tabular(rng, pa, horizon):
 
 
 def test_criterion_03_solution_function_golden():
-    budget = Budget(5)
-    comp = compose(corpus.retry_component(), corpus.pipeline_component())
-    formula = parse_poly("1 - (1/10*p^2 + (p - p^2)*q)")
-    grid = region_samples(Box.of({"p": (0, 1), "q": (0, 1)}), 1)
-    assert len(grid) >= 9
-    obj = safety(corpus.no_fail_dfa(), F(9, 10))
-    for v in grid:
-        inst = instantiate(comp, v)
-        via_product = safety_prob(inst, obj)  # 1 - max-reach complement
-        assert via_product == poly_eval(formula, v), v
-    elapsed = budget.check()
-    report(3, True, f"({len(grid)} grid valuations, exact; {elapsed:.2f}s)")
+    corpus_criterion(3, 5, ["solution-function-grid"])
 
 
 def test_criterion_04_asymmetric_rule_reproduction():
-    budget = Budget(10)
-    m1, m2 = corpus.retry_component(), corpus.pipeline_component()
-    A = (safety(corpus.limit_one_a_dfa(), F(9, 10)),)
-    G = (safety(corpus.no_fail_dfa(), F(9, 10)),)
-    r1 = Box.of({"p": (0, F(1, 10))})
-    tri = [
-        v
-        for v in region_samples(Box.of({"p": (0, F(9, 10)), "q": (0, 1)}), 4)
-        if v["q"] <= 1 - v["p"]
-    ]
-    app = apply_asymmetric(m1, m2, r1, FiniteRegion.of(tri), A, G, resolution=4)
-    assert app.concluded
-
-    conclusion_region = Box.of({"p": (0, F(1, 10)), "q": (0, 1)})
-    direct = region_sat(compose(m1, m2), conclusion_region, G, "cmp", 2)
-    assert direct.holds
-
-    outside = region_sat(m1, FiniteRegion.of([{"p": F(1, 5)}]), A, "cmp")
-    assert outside.status == "fails"
-    assert outside.witness["valuation"] == {"p": F(1, 5)}
-    assert outside.witness["strategy"] is not None
-    elapsed = budget.check()
-    report(4, True, f"(premises at {len(tri)}+3 samples, conclusion direct; {elapsed:.1f}s)")
+    corpus_criterion(4, 10, ["asymmetric-rule-demo"])
 
 
 def test_criterion_05_monotonicity_rule():
-    budget = Budget(30)
-    m1, m2 = corpus.retry_component(), corpus.pipeline_component()
-    obj = safety(corpus.no_fail_dfa(), 1)
-    box = Box.of({"p": (0, 1), "q": (0, 1)})
-    app = apply_monotonicity(m1, m2, box, box, obj, "q", "down", resolution=2)
-    assert app.concluded, "component premises must discharge"
-    direct = monotone_check(
-        compose(m1, m2), box, obj, "q", "down", "cmp", resolution=2
-    )
-    assert direct.holds
-    elapsed = budget.check()
-    report(5, True, f"(premises + composed confirmation, exact; {elapsed:.1f}s)")
+    corpus_criterion(5, 30, ["monotonicity-rule-demo"])
 
 
 def test_criterion_06_nonconvexity_witness():
-    budget = Budget(1)
-    comp = rpa_compose(corpus.interval_retry(), corpus.interval_responder())
-    pset = comp.utrans[(("s0", "t0"), ("s0_a", "t0_a"))]
-    mu_conv = {
-        ("s0", "t1"): F(27, 80),
-        ("s0", "t2"): F(3, 80),
-        ("s1", "t1"): F(29, 80),
-        ("s1", "t2"): F(21, 80),
-    }
-    verdict, info = is_product_member(mu_conv, pset)
-    assert verdict == "not-member"
-    assert info["cell"] == ("s1", "t1")
-    assert (info["factored"], info["observed"]) == (F(9, 16), F(29, 80))
-    assert mu_conv[("s0", "t1")] == F(27, 80) and mu_conv[("s0", "t2")] == F(3, 80)
-    mu12 = {("s1", "t1"): F(1, 10), ("s1", "t2"): F(9, 10)}
-    mu12p = {
-        ("s0", "t1"): F(9, 20),
-        ("s0", "t2"): F(1, 20),
-        ("s1", "t1"): F(9, 20),
-        ("s1", "t2"): F(1, 20),
-    }
-    assert is_product_member(mu12, pset)[0] == "member"
-    assert is_product_member(mu12p, pset)[0] == "member"
-    elapsed = budget.check()
-    report(6, True, f"(contradiction 9/16 != 29/80 at (s1,t1); {elapsed:.2f}s)")
+    corpus_criterion(6, 1, ["nonconvex-witness"])
 
 
 def test_criterion_07_counterexample_battery():
-    budget = Budget(5)
-    u1, u2 = corpus.interval_retry(), corpus.interval_responder()
-
-    # --- displaced memoryless nature on the composition: violation 81/100
-    acaf = corpus.acaf_prefix_dfa()
-    composed = rpa_compose(u1, u2)
-    pa = fix_nature(
-        composed,
-        {
-            (("s0", "t0"), ("s0_a", "t0_a")): {("s1", "t1"): F(9, 10), ("s1", "t2"): F(1, 10)},
-            (("s1", "t0"), ("s1_a", "t0_a")): {("s1", "t1"): F(1, 10), ("s1", "t2"): F(9, 10)},
-        },
-    )
-    sigma = corpus.priority_strategy(pa, priority=("a", "c", "fail"), fallback="b")
-    v1 = 1 - chain_language_prob(pa, sigma, acaf)
-    assert v1 == F(81, 100)
-    # premises: trivial assumption on the retry side; on the responder every
-    # sampled memoryless nature (including the analytic worst case 1/2) keeps
-    # the bad prefix at or below 1/4
-    for q in (F(1, 10), F(1, 4), F(1, 2), F(3, 4), F(9, 10)):
-        inst = fix_nature(u2, {("t0", "t0_a"): {"t1": q, "t2": 1 - q}})
-        worst, _, _ = max_reach(*_dfa_bad(inst, acaf))
-        assert worst == q * (1 - q) and worst <= F(1, 4)
-
-    # --- non-convex two-point responder: violation 9/20
-    ab = corpus.ab_prefix_dfa()
-    comp2 = rpa_compose(corpus.half_retry(), corpus.two_point_responder())
-    pa2 = fix_nature(
-        comp2,
-        {
-            (("s0", "t0"), ("s0_a", "t0_a")): {
-                ("s0", "t1"): F(1, 20),
-                ("s0", "t2"): F(9, 20),
-                ("s1", "t1"): F(1, 20),
-                ("s1", "t2"): F(9, 20),
-            }
-        },
-    )
-    sigma2 = corpus.priority_strategy(pa2, priority=("a", "b"), fallback="fail")
-    v2 = 1 - chain_language_prob(pa2, sigma2, ab)
-    assert v2 == F(9, 20)
-    # premises pass: the fifty-fifty component meets the 2/5 bound under every
-    # strategy, and on the responder every vertex nature and memoryless
-    # deterministic strategy satisfying the assumption also meets 4/5
-    red1 = pa_reduce(corpus.half_retry())
-    for s in _det_strategies(red1):
-        assert chain_language_prob(red1, s, ab) >= F(2, 5)
-    u2p = corpus.two_point_responder()
-    for vertex in generators(u2p.utrans[("t0", "t0_a")]):
-        inst = fix_nature(u2p, {("t0", "t0_a"): vertex})
-        for s in _det_strategies(inst):
-            val = chain_language_prob(inst, s, ab)
-            if val >= F(2, 5):
-                assert val >= F(4, 5)
-
-    # --- interval relaxation: violation 19/20
-    no_c = corpus.no_c_dfa()
-    rel = interval_relax_compose(u1, u2)
-    pa3 = fix_nature(
-        rel,
-        {
-            (("s0", "t0"), ("s0_a", "t0_a")): {
-                ("s0", "t1"): F(1, 20),
-                ("s1", "t1"): F(9, 10),
-                ("s1", "t2"): F(1, 20),
-            }
-        },
-    )
-    sigma3 = corpus.priority_strategy(pa3, priority=("a", "c"), fallback="fail")
-    v3 = 1 - chain_language_prob(pa3, sigma3, no_c)
-    assert v3 == F(19, 20)
-    # premises pass on the reductions, and the convex composition keeps the
-    # guarantee that the relaxation breaks
-    assert safety_prob(pa_reduce(u2), safety(no_c, F(1, 10))) == F(1, 10)
-    assert safety_prob(pa_reduce(conv_compose(u1, u2)), safety(no_c, F(1, 10))) == F(1, 10)
-    elapsed = budget.check()
-    report(7, True, f"(violations 81/100, 9/20, 19/20 exact; premises pass; {elapsed:.1f}s)")
-
-
-def _dfa_bad(pa, dfa):
-    from pacomp.model import dfa_absorb_accepting, dfa_product
-
-    product, bad = dfa_product(pa, dfa_absorb_accepting(dfa))
-    return product, bad
-
-
-def _det_strategies(pa):
-    decisions = [(s, pa.enabled(s)) for s in pa.states if pa.enabled(s)]
-    for combo in itertools.product(*(acts for _, acts in decisions)):
-        yield MemorylessStrategy({s: {a: F(1)} for (s, _), a in zip(decisions, combo)})
+    corpus_criterion(7, 5, ["memoryless-nature-violation", "nonconvex-violation",
+                            "interval-relaxation-violation"])
 
 
 def test_criterion_08_reduction_commutation():
@@ -391,65 +179,7 @@ def test_criterion_08_reduction_commutation():
 
 
 def test_criterion_09_simulation_goldens():
-    budget = Budget(10)
-    m1p, m2p = corpus.handoff_fixed(), corpus.split_responder()
-    region = FiniteRegion.of([{"p": F(1, 10)}, {"p": F(9, 10)}])
-    lo = strong_sim(instantiate(m1p, {"p": F(1, 10)}), instantiate(m2p, {"p": F(1, 10)}))
-    hi = strong_sim(instantiate(m1p, {"p": F(9, 10)}), instantiate(m2p, {"p": F(9, 10)}))
-    per_valuation = strong_sim_region(m1p, m2p, region).holds
-    fails_fixed = robust_strong_sim(m1p, m2p, region) is None
-    witness = robust_strong_sim(corpus.handoff_parametric(), m2p, region)
-
-    # exhaustive subset checking agrees with the max-flow decision
-    flow_rng = random.Random(99)
-    agreements = 0
-    for _ in range(120):
-        mu1 = random_dist(flow_rng, ["a", "b", "c", "d", "e"], max_support=5)
-        mu2 = random_dist(flow_rng, ["v", "w", "x", "y", "z"], max_support=5)
-        rel = {
-            (l, r)
-            for l in ["a", "b", "c", "d", "e"]
-            for r in ["v", "w", "x", "y", "z"]
-            if flow_rng.random() < 0.3
-        }
-        assert dist_leq(mu1, mu2, rel) == dist_leq_bruteforce(mu1, mu2, rel)
-        agreements += 1
-    elapsed = budget.check()
-
-    expected_witness = frozenset({("s0", "t0"), ("s1", "t2")})
-    witness_sim = witness is not None and all(
-        is_strong_sim(
-            instantiate(corpus.handoff_parametric(), v), instantiate(m2p, v), witness
-        )
-        for v in region_samples(region, 1)
-    )
-    ok = (
-        lo == frozenset({("s0", "t0"), ("s1", "t1")})
-        and hi == frozenset({("s0", "t0"), ("s1", "t2")})
-        and per_valuation
-        and fails_fixed
-        and witness == expected_witness
-        and witness_sim
-    )
-    report(
-        9,
-        ok,
-        f"(relations {sorted(lo)} / {sorted(hi)}; robust witness {sorted(witness)}; "
-        f"{agreements} flow agreements; {elapsed:.1f}s)",
-    )
-    assert lo == frozenset({("s0", "t0"), ("s1", "t1")})
-    assert hi == frozenset({("s0", "t0"), ("s1", "t2")})
-    assert per_valuation and fails_fixed
-    assert witness is not None, "the parametric variant must admit a uniform witness"
-    # handoff_parametric's b-step is {s0: p, s1: 1-p}.  t1's b-step is
-    # {t0: 1-p, t1: p}, so pairing s1 with t1 needs p = 1-p and is a strong
-    # simulation only at p = 1/2, at neither sample.  t2's b-step
-    # {t0: p, t2: 1-p} matches exactly at every p, so {(s0,t0),(s1,t2)} is the
-    # greatest uniform relation: for handoff_parametric the pairs (s1,t1) and
-    # (s1,t2) cannot hold at once.  (The per-valuation relations above concern
-    # handoff_fixed, whose b-step matches t1 at p = 1/10 and t2 at p = 9/10.)
-    assert witness == expected_witness, f"computed witness {sorted(witness)}"
-    assert witness_sim, "the robust witness is not a strong simulation at every sample"
+    corpus_criterion(9, 10, ["simulation-goldens", "robust-simulation-contrast"])
 
 
 def test_criterion_10_rule_engine_soundness_regression():
@@ -613,29 +343,3 @@ def _random_reward_sum_app(rng):
         compose(m1, m2), region, conjoin(trivial1, trivial2), combined, "prt"
     )
     return direct.holds
-
-
-def test_criterion_11_interleaving_and_reward_arithmetic():
-    budget = Budget(1)
-    rng = random.Random(321)
-    for _ in range(20):
-        p1 = F(rng.randint(0, 12), 12)
-        p2 = F(rng.randint(0, 12), 12)
-        assert interleaving_threshold(p1, p2) == p1 + p2 - p1 * p2
-        r1 = F(rng.randint(0, 30), rng.randint(1, 7))
-        r2 = F(rng.randint(0, 30), rng.randint(1, 7))
-        from pacomp.proofrules import reward_sum
-        from pacomp.algebra import Polynomial
-
-        assert reward_sum({"x": r1}, {"x": r2})["x"] == Polynomial.const(r1 + r2)
-    # alphabet-overlap inputs rejected
-    m1 = corpus.retry_component()
-    m2 = corpus.pipeline_component()
-    region = FiniteRegion.of([{"p": F(1, 10), "q": F(1, 10)}])
-    with pytest.raises(SideConditionError):
-        apply_interleaving(
-            m1, m2, region, region, (), (),
-            corpus.limit_one_a_dfa(), F(1, 2), corpus.no_fail_dfa(), F(1, 2),
-        )
-    elapsed = budget.check()
-    report(11, True, f"(20 random rational inputs exact; overlap rejected; {elapsed:.2f}s)")

@@ -26,6 +26,7 @@ from helpers import (
     parse_region_arg_reference,
     parse_valuation_arg_reference,
     random_pa,
+    reward_sum_arguments,
     standard_setup,
 )
 
@@ -245,6 +246,12 @@ def test_internal_error_is_never_a_verdict(corpus_dir, capsys, monkeypatch):
         )
         assert (code, out) == (4, "")
         assert err.startswith(f"internal error: TypeError: no report form for {name}\n")
+    # an anchor takes no input, so one that raises is a bug, not a FAIL line
+    monkeypatch.setattr("pacomp.paper_suite._anchors", lambda: [("broken", broken_solver)])
+    code, out, err = run(capsys, "paper-suite")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: RuntimeError: witness failed exact re-verification\n")
+    assert "Traceback" in err
 
 
 def test_strategy_cap_is_a_usage_error(corpus_dir, tmp_path, capsys):
@@ -253,7 +260,8 @@ def test_strategy_cap_is_a_usage_error(corpus_dir, tmp_path, capsys):
     comp = tmp_path / "comp.json"
     assert run(capsys, "compose", "--left", str(corpus_dir / "retry.ppa.json"),
                "--right", str(corpus_dir / "pipeline.ppa.json"), "--out", str(comp))[0] == 0
-    # and so is a grid of denominator 10^6, whose enumeration the cap stops early
+    # and so is a grid of denominator 10^6; both are refused by counting,
+    # before any strategy is built
     for denominator in ("3", "1000000"):
         code, out, err = run(
             capsys,
@@ -684,13 +692,15 @@ def _rule_script(rule, args):
 
 
 def _new_row_arguments():
-    """Arguments of the script rows that the robust rules had alone: asym-n
-    with three components and interleaving, each also as its fair variant."""
+    """Arguments of the script rows added after the first ones: asym-n with
+    three components, interleaving and reward-sum, each also as its fair
+    variant."""
     m1, m2, A, G, r1, r2 = standard_setup()
     unit = alphabet_extend(unit_ppa(), {"a", "c", "fail"})
     chain = dict(models=[m1, m2, unit], regions=[r1, r2, r2], assumptions=[A, G],
                  guarantee=G, resolution=2)
     interleave = dict(zip(RULES["interleaving"][1], interleaving_arguments()))
+    rewards = dict(zip(RULES["reward-sum"][1], reward_sum_arguments()), cmp="<=")
 
     def fair(n):
         return FairnessAttestation((("a",),), tuple(f"note {i + 1}" for i in range(n)))
@@ -700,10 +710,13 @@ def _new_row_arguments():
         "asym-n-fair": ("asym-n", dict(chain, fairness=fair(3)), 3),
         "interleaving": ("interleaving", interleave, 0),
         "interleaving-fair": ("interleaving", dict(interleave, fairness=fair(2)), 3),
+        "reward-sum": ("reward-sum", rewards, 0),
+        "reward-sum-fair": ("reward-sum", dict(rewards, fairness=fair(2)), 3),
     }
 
 
-@pytest.mark.parametrize("case", ["asym-n", "asym-n-fair", "interleaving", "interleaving-fair"])
+@pytest.mark.parametrize("case", ["asym-n", "asym-n-fair", "interleaving", "interleaving-fair",
+                                  "reward-sum", "reward-sum-fair"])
 def test_new_script_rows_certify_as_the_library_call(case, tmp_path, capsys):
     rule, args, exit_code = _new_row_arguments()[case]
     path = tmp_path / "row.agproof.json"
@@ -730,6 +743,19 @@ def test_asym_n_lists_must_fit_the_chain(field, value, message, tmp_path, capsys
     path = tmp_path / "misfit.agproof.json"
     json.dump(script, open(path, "w"))
     assert run(capsys, "rule", "--script", str(path)) == (2, "", message + "\n")
+
+
+@pytest.mark.parametrize("rewards, message", [
+    ([["a", "1"], ["a", "2"]], "$.applications[0].rw1: names symbol 'a' twice"),
+    ([["x", "0"], ["a", "-1/2"]], "$.applications[0].rw1[1]: the reward -1/2 of 'a' is negative"),
+])
+def test_reward_sum_maps_decode_as_objective_rewards(rewards, message, tmp_path, capsys):
+    script = _rule_script(*_new_row_arguments()["reward-sum"][:2])
+    script["applications"][0]["rw1"] = rewards
+    path = tmp_path / "rewards.agproof.json"
+    json.dump(script, open(path, "w"))
+    assert run(capsys, "rule", "--script", str(path)) == (
+        2, "", f"format error: proof script: application 'reward-sum' argument 'rw1' at {message}\n")
 
 
 def test_asym_n_row_of_two_is_the_asymmetric_row(corpus_dir, tmp_path, capsys):
@@ -1472,8 +1498,10 @@ def test_timing_is_measured_for_every_command(corpus_dir, tmp_path, capsys):
 def test_paper_suite_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "paper-suite", "--out", str(tmp_path / "suite.json"))
     assert code == 0
-    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-    assert lines and all(l.startswith("PASS") for l in lines)
+    *lines, last = out.splitlines()
+    assert lines and all(l.startswith("PASS ") for l in lines)
+    # the line CI greps from the installed script, and README quotes
+    assert last == "29/29 anchors pass"
     saved = json.loads(open(tmp_path / "suite.json").read())
     assert all(r["pass"] for r in saved["report"]["results"])
 

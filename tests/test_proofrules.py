@@ -48,6 +48,7 @@ from helpers import (
     interleaving_arguments,
     random_polytopic_rpa,
     random_safety_dfa,
+    reward_sum_arguments,
     standard_setup,
 )
 
@@ -227,27 +228,9 @@ def test_reward_sum_clauses():
 
 
 def test_reward_sum_rule():
-    from pacomp.model import make_ppa
-    from pacomp.algebra import Polynomial
-
-    one = Polynomial.const(1)
-    left = make_ppa(
-        ["l0", "l1"], "l0",
-        set(), {("l0", "l0_a"): ("a", {"l1": one}), ("l1", "l1_x"): ("x", {"l1": one})},
-        {"a", "x"},
-    )
-    right = make_ppa(
-        ["r0", "r1"], "r0",
-        set(), {("r0", "r0_b"): ("b", {"r1": one}), ("r1", "r1_y"): ("y", {"r1": one})},
-        {"b", "y"},
-    )
-    trivial_l = (ProbObjective(">=", F(0), corpus.trivial_dfa(("a",))),)
-    trivial_r = (ProbObjective(">=", F(0), corpus.trivial_dfa(("b",))),)
-    region = FiniteRegion.of([{}])
-    app = apply_reward_sum(
-        left, right, region, region, trivial_l, trivial_r,
-        {"a": 1}, F(1), {"b": 2}, F(2), cmp="<=",
-    )
+    left, right, region, _, trivial_l, trivial_r, rw1, thr1, rw2, thr2 = reward_sum_arguments()
+    app = apply_reward_sum(left, right, region, region, trivial_l, trivial_r,
+                           rw1, thr1, rw2, thr2, cmp="<=")
     assert app.concluded
     assert app.conclusion["threshold"] == F(3)
     # additive identity: a zero second reward keeps the first threshold
@@ -458,19 +441,8 @@ def _rule_variants():
     r3 = FiniteRegion.of([{"p": F(1, 10), "q": 0}, {"p": 0, "q": F(1, 10)}])
     unit = alphabet_extend(unit_ppa(), {"a", "c", "fail"})
     box = Box.of({"p": (0, 1), "q": (0, 1)})
-    one = Polynomial.const(1)
     interleave = interleaving_arguments()
-    left = make_ppa(["l0", "l1"], "l0", set(),
-                    {("l0", "l0_a"): ("a", {"l1": one}), ("l1", "l1_x"): ("x", {"l1": one})},
-                    {"a", "x"})
-    right = make_ppa(["r0", "r1"], "r0", set(),
-                     {("r0", "r0_b"): ("b", {"r1": one}), ("r1", "r1_y"): ("y", {"r1": one})},
-                     {"b", "y"})
-    point = FiniteRegion.of([{}])
-    rewards = (left, right, point, point,
-               (ProbObjective(">=", F(0), corpus.trivial_dfa(("a",))),),
-               (ProbObjective(">=", F(0), corpus.trivial_dfa(("b",))),),
-               {"a": 1}, F(1), {"b": 2}, F(2))
+    rewards = reward_sum_arguments()
     monotone = (m1, m2, box, box, safety(corpus.no_fail_dfa(), 1), "q", "down")
     sim_region = FiniteRegion.of([{"p": F(1, 10)}, {"p": F(9, 10)}])
     para, split = corpus.handoff_parametric(), corpus.split_responder()

@@ -1,4 +1,3 @@
-import itertools
 import math
 import pickle
 import random
@@ -31,7 +30,7 @@ from pacomp.robust import (
     rpa_compose,
     make_rpa,
 )
-from pacomp.verify import chain_language_prob, max_reach, safety, safety_prob
+from pacomp.verify import safety, safety_prob
 
 from helpers import (
     RationalLP,
@@ -192,6 +191,8 @@ def test_rpa_compose_unit():
 
 
 def test_product_membership_battery():
+    # the paper suite's nonconvex-witness anchor states the refuted cell and
+    # the members; here the factor it refutes with and the convex hull
     comp = rpa_compose(corpus.interval_retry(), corpus.interval_responder())
     pset = comp.utrans[(("s0", "t0"), ("s0_a", "t0_a"))]
     mu_conv = {
@@ -200,22 +201,7 @@ def test_product_membership_battery():
         ("s1", "t1"): F(29, 80),
         ("s1", "t2"): F(21, 80),
     }
-    verdict, info = is_product_member(mu_conv, pset)
-    assert verdict == "not-member"
-    assert info["cell"] == ("s1", "t1")
-    assert info["factored"] == F(9, 16)
-    assert info["observed"] == F(29, 80)
-    assert info["left_factor"]["s0"] == F(3, 8)
-
-    mu12 = {("s1", "t1"): F(1, 10), ("s1", "t2"): F(9, 10)}
-    mu12p = {
-        ("s0", "t1"): F(9, 20),
-        ("s0", "t2"): F(1, 20),
-        ("s1", "t1"): F(9, 20),
-        ("s1", "t2"): F(1, 20),
-    }
-    assert is_product_member(mu12, pset)[0] == "member"
-    assert is_product_member(mu12p, pset)[0] == "member"
+    assert is_product_member(mu_conv, pset)[1]["left_factor"]["s0"] == F(3, 8)
     # the convex combination belongs to the convex composition's vertex hull
     conv = conv_compose(corpus.interval_retry(), corpus.interval_responder())
     gens = generators(conv.utrans[(("s0", "t0"), ("s0_a", "t0_a"))])
@@ -351,104 +337,6 @@ def test_fix_nature_validates_membership():
                 }
             },
         )
-
-
-# ---------------------------------------------------------------------------
-# counterexample battery (exact values, with the component premises passing)
-# ---------------------------------------------------------------------------
-
-def _det_strategies(pa):
-    decisions = [(s, pa.enabled(s)) for s in pa.states if pa.enabled(s)]
-    from pacomp.semantics import MemorylessStrategy
-
-    for combo in itertools.product(*(acts for _, acts in decisions)):
-        yield MemorylessStrategy({s: {a: F(1)} for (s, _), a in zip(decisions, combo)})
-
-
-def test_memoryless_nature_battery():
-    u1, u2 = corpus.interval_retry(), corpus.interval_responder()
-    trivial_ok = True  # assumption is the full language, trivially satisfied
-    # premise on the responder: under every sampled memoryless nature,
-    # including the analytic worst case q = 1/2, the bad prefix stays <= 1/4
-    goal_dfa = corpus.acaf_prefix_dfa()
-    for q in (F(1, 10), F(1, 4), F(1, 2), F(3, 4), F(9, 10)):
-        pa = fix_nature(u2, {("t0", "t0_a"): {"t1": q, "t2": 1 - q}})
-        value, _, _ = max_reach(*_bad(pa, goal_dfa))
-        assert value == q * (1 - q) <= F(1, 4)
-    # yet the composition admits a memoryless nature + strategy with
-    # violation probability exactly 81/100
-    composed = rpa_compose(u1, u2)
-    nature = {
-        (("s0", "t0"), ("s0_a", "t0_a")): {("s1", "t1"): F(9, 10), ("s1", "t2"): F(1, 10)},
-        (("s1", "t0"), ("s1_a", "t0_a")): {("s1", "t1"): F(1, 10), ("s1", "t2"): F(9, 10)},
-    }
-    pa = fix_nature(composed, nature)
-    sigma = corpus.priority_strategy(pa, priority=("a", "c", "fail"), fallback="b")
-    assert 1 - chain_language_prob(pa, sigma, goal_dfa) == F(81, 100)
-    assert trivial_ok
-
-
-def _bad(pa, dfa):
-    from pacomp.model import dfa_absorb_accepting, dfa_product
-
-    product, bad = dfa_product(pa, dfa_absorb_accepting(dfa))
-    return product, bad
-
-
-def test_nonconvex_battery():
-    u1p, u2p = corpus.half_retry(), corpus.two_point_responder()
-    dfa = corpus.ab_prefix_dfa()
-    # premise 1: the fifty-fifty component satisfies the 2/5 bound under
-    # every strategy
-    red1 = pa_reduce(u1p)
-    for sigma in _det_strategies(red1):
-        assert chain_language_prob(red1, sigma, dfa) >= F(2, 5)
-    # premise 2 over memoryless deterministic strategies and the two vertex
-    # natures: whenever the 2/5 assumption holds, the 4/5 guarantee follows
-    for vertex in generators(u2p.utrans[("t0", "t0_a")]):
-        pa = fix_nature(u2p, {("t0", "t0_a"): vertex})
-        for sigma in _det_strategies(pa):
-            val = chain_language_prob(pa, sigma, dfa)
-            if val >= F(2, 5):
-                assert val >= F(4, 5)
-    # the composition still admits a violation of exactly 9/20
-    composed = rpa_compose(u1p, u2p)
-    nature = {
-        (("s0", "t0"), ("s0_a", "t0_a")): {
-            ("s0", "t1"): F(1, 20),
-            ("s0", "t2"): F(9, 20),
-            ("s1", "t1"): F(1, 20),
-            ("s1", "t2"): F(9, 20),
-        }
-    }
-    pa = fix_nature(composed, nature)
-    sigma = corpus.priority_strategy(pa, priority=("a", "b"), fallback="fail")
-    assert 1 - chain_language_prob(pa, sigma, dfa) == F(9, 20)
-    assert chain_language_prob(pa, sigma, dfa) == F(11, 20) < F(4, 5)
-
-
-def test_interval_relaxation_battery():
-    u1, u2 = corpus.interval_retry(), corpus.interval_responder()
-    dfa = corpus.no_c_dfa()
-    # both premises pass on the reductions (assumption trivial; guarantee
-    # bound 1/10 exact on the responder)
-    assert safety_prob(pa_reduce(u2), safety(dfa, F(1, 10))) == F(1, 10)
-    # the convex composition keeps the guarantee ...
-    assert safety_prob(pa_reduce(conv_compose(u1, u2)), safety(dfa, F(1, 10))) == F(1, 10)
-    # ... while the interval relaxation admits the displaced nature choice
-    rel = interval_relax_compose(u1, u2)
-    nature = {
-        (("s0", "t0"), ("s0_a", "t0_a")): {
-            ("s0", "t1"): F(1, 20),
-            ("s1", "t1"): F(9, 10),
-            ("s1", "t2"): F(1, 20),
-        }
-    }
-    pa = fix_nature(rel, nature)
-    sigma = corpus.priority_strategy(pa, priority=("a", "c"), fallback="fail")
-    never_c = chain_language_prob(pa, sigma, dfa)
-    assert 1 - never_c == F(19, 20)
-    assert never_c == F(1, 20) < F(1, 10)
 
 
 def test_convex_composition_overapproximates_products():

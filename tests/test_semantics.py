@@ -131,11 +131,9 @@ def test_projection_goldens():
     cv = composed_instance()
     sigma = corpus.priority_strategy(cv)
     proj = strategy_project(cv, sigma, side=2, horizon=6)
-    assert proj.mass(("t0",), "t0_a") == 1
-    assert proj.mass(("t0", "t0_a", "t2"), "t2_c") == F(1, 10)
-    assert proj.mass(("t0", "t0_a", "t1"), "t1_a") == F(1, 10)
-    # the projection is partial: mass is lost to the branch where the other
-    # component blocks the shared label forever
+    # the paper suite's projection-* anchors state its entries; it is
+    # partial: mass is lost to the branch where the other component blocks
+    # the shared label forever
     assert sum(proj.dist(("t0", "t0_a", "t2")).values(), F(0)) < 1
     # and non-memoryless: same state, different histories, different choices;
     # after the c-route the shared c is surely still enabled, after the

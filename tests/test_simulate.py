@@ -177,14 +177,6 @@ def test_dist_leq_augments_past_the_greedy_fill():
     assert dist_leq(mu1, mu2, rel) and dist_leq_bruteforce(mu1, mu2, rel)
 
 
-def test_strong_sim_goldens():
-    m1p, m2p = corpus.handoff_fixed(), corpus.split_responder()
-    lo = strong_sim(instantiate(m1p, {"p": F(1, 10)}), instantiate(m2p, {"p": F(1, 10)}))
-    hi = strong_sim(instantiate(m1p, {"p": F(9, 10)}), instantiate(m2p, {"p": F(9, 10)}))
-    assert lo == frozenset({("s0", "t0"), ("s1", "t1")})
-    assert hi == frozenset({("s0", "t0"), ("s1", "t2")})
-
-
 def test_strong_sim_reflexive():
     for build in (corpus.handoff_fixed, corpus.split_responder):
         pa = instantiate(build(), {"p": F(1, 3)} if build().params else {})
@@ -367,27 +359,11 @@ def test_strong_sim_region_failure_witness():
     assert "valuation" in verdict.witness
 
 
-def test_robust_strong_sim_contrast():
-    m2p = corpus.split_responder()
-    assert robust_strong_sim(corpus.handoff_fixed(), m2p, REGION) is None
-    rel = robust_strong_sim(corpus.handoff_parametric(), m2p, REGION)
-    assert rel == frozenset({("s0", "t0"), ("s1", "t2")})
-    # a robust witness implies the per-valuation verdict
-    assert strong_sim_region(corpus.handoff_parametric(), m2p, REGION).holds
-
-
 def test_robust_strong_sim_on_an_empty_region_keeps_every_pair():
     # no valuation refutes a pair
     m1, m2 = corpus.handoff_parametric(), corpus.split_responder()
     rel = robust_strong_sim(m1, m2, FiniteRegion(()))
     assert rel == frozenset((s1, s2) for s1 in m1.states for s2 in m2.states)
-
-
-def test_robust_relation_is_strong_sim_at_every_sample():
-    m1pp, m2p = corpus.handoff_parametric(), corpus.split_responder()
-    rel = robust_strong_sim(m1pp, m2p, REGION)
-    for v in ({"p": F(1, 10)}, {"p": F(9, 10)}):
-        assert is_strong_sim(instantiate(m1pp, v), instantiate(m2p, v), rel)
 
 
 def test_parameter_free_models_are_evaluated_once_per_call(monkeypatch):

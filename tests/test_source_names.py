@@ -29,8 +29,6 @@ ENTRY_POINTS = {
     "measure": "the exact finite-horizon path measure that projections preserve",
     "path_project": "one composed path's projection; strategy_project checks the model once",
     "dist_leq": "one lifting check on two Fraction distributions",
-    "is_strong_sim": "checks a given relation, where strong_sim computes the greatest one",
-    "apply_reward_sum": "the reward-sum rule, which no script row applies yet (ROADMAP item 17)",
 }
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

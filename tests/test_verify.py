@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from pacomp import corpus, exactlp, verify
+from pacomp import corpus, exactlp, paper_suite, verify
 from pacomp.algebra import Box, FiniteRegion, Polynomial, PolyTable, parse_poly, poly_eval, region_samples
 from pacomp.errors import (
     AlphabetMismatch,
@@ -79,7 +79,7 @@ from helpers import (
     witness_values_reference,
 )
 
-SOLUTION = parse_poly("1 - (1/10*p^2 + (p - p^2)*q)")
+SOLUTION = parse_poly(paper_suite.SOLUTION_FORMULA)
 V = {"p": F(1, 10), "q": F(1, 10)}
 
 
@@ -1112,12 +1112,31 @@ def test_weight_profiles_match_the_list_reference(n, denominator):
 
 
 def test_strategy_cap_bounds_the_grid_it_enumerates():
-    # the grid at s0 has C(10^6 + 2, 2) profiles; the cap stops enumeration
-    # after its 20 001st strategy instead of after building all of them
+    # the grid at s0 has C(10^6 + 2, 2) profiles; the cap refuses it by
+    # counting, before any strategy is built
     start = time.perf_counter()
     with pytest.raises(StrategyCapExceeded):
         enumerate_memoryless(corpus.retry_component(), 10**6)
-    assert time.perf_counter() - start < 10
+    assert time.perf_counter() - start < 1
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32), st.integers(1, 3))
+def test_strategy_cap_counts_exactly_the_strategies_it_would_build(seed, denominator):
+    """A cap of n - 1 refuses the n strategies of a model and a cap of n
+    builds them, so the count before the build is exact."""
+    rng = random.Random(seed)
+    pa = random_pa(rng, "x", rng.randint(1, 5), ["a", "b"], max_actions=3)
+    try:
+        n = len(enumerate_memoryless(pa, denominator))
+    except StrategyCapExceeded:
+        reject()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verify, "STRATEGY_CAP", n - 1)
+        with pytest.raises(StrategyCapExceeded):
+            enumerate_memoryless(pa, denominator)
+        patch.setattr(verify, "STRATEGY_CAP", n)
+        assert len(enumerate_memoryless(pa, denominator)) == n
 
 
 def test_end_component_keys_match_the_subset_reference():
