@@ -235,7 +235,10 @@ def _rpa_rule(args, inputs):
 def _paper_suite(args, inputs):
     from .paper_suite import run_suite
 
-    results = run_suite()
+    try:
+        results = run_suite()
+    except Exception as exc:  # an anchor reads no input, so whatever it raises is a bug
+        return None, _internal_error(exc)
     for r in results:
         print(f"{'PASS' if r['pass'] else 'FAIL'} {r['anchor']}")
     print(f"{sum(r['pass'] for r in results)}/{len(results)} anchors pass")
@@ -415,9 +418,14 @@ def main(argv=None) -> int:
         print(f"format error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a bug, e.g. a witness failing re-verification
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        traceback.print_exc()
-        return EXIT_INTERNAL
+        return _internal_error(exc)
+
+
+def _internal_error(exc):
+    """Report `exc`, being handled, as a bug: its traceback, and no output."""
+    print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    traceback.print_exc()
+    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

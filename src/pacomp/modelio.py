@@ -3,8 +3,9 @@
 Format tag: "pacomp/1".  Identifiers may be strings, integers (not
 booleans), rationals, or nested tuples; tuples and rationals are tagged so
 round-trips are exact.  A list that a model reads as a set (its states,
-parameters, alphabet, a DFA's accepting states) names each entry once.
-Polynomials and rationals travel as canonical strings.
+parameters, alphabet, a DFA's accepting states) or as a map (a distribution,
+a model's transitions) names each key once.  Polynomials and rationals
+travel as canonical strings.
 
 Each row of `_TYPES` defines both directions of one document type: its shape,
 the build from decoded fields to the object, and the inverse from the object
@@ -12,8 +13,10 @@ to its fields.  `load_document` is the one decoder, proof scripts included:
 one recursive walk checks a document against its shape, parses every
 rational string, takes every polynomial from `parse_poly`, which parses each
 distinct string once per process and shares the result, and raises
-`ParseError` naming the JSON path of the first value that does not fit; a
-proof script's applications, against the rule table `proofrules.RULES`.
+`ParseError` naming the JSON path of the first value that does not fit, with
+lists walked in order and an object's fields in the order its shape names
+them (the builds receive values, not paths); a proof script's applications,
+against the rule table `proofrules.RULES`.
 `dump_document` is the one encoder: it walks the same shape back, leaf by
 leaf.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from typing import NamedTuple
 
 from .algebra import (
     IDENTIFIER,
@@ -96,14 +100,12 @@ def _dec_id(x, path):
     _fail(path, f"expected an identifier, got {_show(x)}")
 
 
-def _rewards(x, path):
-    """A reward map: (symbol, reward) pairs naming each symbol once, with no
-    negative constant reward."""
-    rewards = tuple(_unique(_decode(x, [("str", "poly")], path, None), "names symbol", path).items())
-    for i, (sym, r) in enumerate(rewards):
-        if r.is_constant() and r.constant_value() < 0:
-            _fail(f"{path}[{i}]", f"the reward {r} of {sym!r} is negative")
-    return rewards
+def _reward(pair):
+    """A (symbol, reward) pair of a reward map, with no negative constant reward."""
+    sym, r = pair
+    if r.is_constant() and r.constant_value() < 0:
+        raise ValueError(f"the reward {r} of {sym!r} is negative")
+    return pair
 
 
 _LEAVES = {
@@ -117,8 +119,31 @@ _LEAVES = {
     "pos": _leaf(lambda x: type(x) is int and x >= 1, "a positive integer"),
     "rat": _parsed(parse_rational),
     "poly": _parsed(parse_poly),
-    "rewards": _rewards,
+    # a reward map: (symbol, reward) pairs naming each symbol once
+    "rewards": lambda x, path: tuple(_decode(x, _REWARDS, path, None).items()),
 }
+
+
+class _Keyed(NamedTuple):
+    """A list of `item`s, each decoded to a (key, value) pair, as the dict key
+    -> value.  A key named twice would drop one of its values, or count twice
+    in a set (`tau` would output a state twice): `{what} {key!r} twice`."""
+
+    item: object
+    what: str
+
+
+class _Built(NamedTuple):
+    """`shape`, decoded, then `build(value)`: a ValueError (or an infeasible
+    interval) it raises is a format error at the value's path."""
+
+    shape: object
+    build: object
+
+
+def _set(kind, what):
+    """A list of `kind` that a model reads as a set: a dict of its entries."""
+    return _Keyed(_Built(kind, lambda x: (x, None)), what)
 
 
 def _decode(x, shape, path, inputs):
@@ -127,9 +152,10 @@ def _decode(x, shape, path, inputs):
     A shape is a leaf kind (a key of `_LEAVES`), a named type (a key of
     `_TYPES`, or one prefixed "@" to also accept an "@file" reference), a
     frozenset of allowed strings, a one-item list for a list of any length, a
-    tuple for a list of exactly that many items, or a dict for an object:
-    keys prefixed "?" are optional and "*" stands for any key.  A decoded
-    object keeps the fields its shape does not name as they are.
+    tuple for a list of exactly that many items, a `_Keyed` list read as a
+    map, a `_Built` value, or a dict for an object: keys prefixed "?" are
+    optional and "*" stands for any key.  A decoded object keeps the fields
+    its shape does not name as they are.
     """
     kind = type(shape)
     if kind is str:
@@ -154,11 +180,25 @@ def _decode(x, shape, path, inputs):
             elif name == key:
                 _fail(f"{path}.{name}", f"missing field {name!r}")
         return out
+    if kind is _Built:
+        value = _decode(x, shape.shape, path, inputs)
+        try:
+            return shape.build(value)
+        except (ValueError, InfeasibleIntervalSet) as exc:
+            _fail(path, str(exc))
     if type(x) is not list:
         _fail(path, f"expected a list, got {_show(x)}")
     if kind is list:
         item = shape[0]
         return [_decode(v, item, f"{path}[{i}]", inputs) for i, v in enumerate(x)]
+    if kind is _Keyed:
+        item, out = shape.item, {}
+        for i, v in enumerate(x):
+            key, value = _decode(v, item, f"{path}[{i}]", inputs)
+            if key in out:
+                _fail(path, f"{shape.what} {key!r} twice")
+            out[key] = value
+        return out
     if len(x) != len(shape):
         _fail(path, f"expected a list of {len(shape)} items, got {_show(x)}")
     return tuple(_decode(v, s, f"{path}[{i}]", inputs) for i, (v, s) in enumerate(zip(x, shape)))
@@ -170,9 +210,9 @@ _UNLEAVES = {"id": _enc_id, "rat": format_rational, "poly": lambda p: str(Polyno
 
 
 def _encode(x, shape):
-    """Undo `_decode`: the JSON form of the decoded value `x` of `shape`.
-    An object's fields keep their order, and fields its shape does not name
-    pass through as they are."""
+    """Undo `_decode`: the JSON form of the decoded value `x` of `shape` (of a
+    `_Built` shape, the value its build read).  An object's fields keep their
+    order, and fields its shape does not name pass through as they are."""
     kind = type(shape)
     if kind is str:
         if shape in _LEAVES:
@@ -187,7 +227,9 @@ def _encode(x, shape):
             sub = shape.get(name) or shape.get("?" + name) or shape.get("*")
             out[name] = value if sub is None else _encode(value, sub)
         return out
-    if kind is list:
+    if kind is _Built:
+        return _encode(x, shape.shape)
+    if kind is list or kind is _Keyed:  # a _Keyed list in its items' form
         item = shape[0]
         return [_encode(v, item) for v in x]
     return [_encode(v, s) for v, s in zip(x, shape)]
@@ -229,28 +271,12 @@ def _by_key(items):
     return sorted(items, key=lambda kv: sort_key(kv[0]))
 
 
-def _ppa(f, path, _):
-    states, params, alphabet = _sets(f, path, "states", "params", "alphabet")
-    where = f"{path}.transitions"
-    trans = _unique((((t["state"], t["action"]),
-                      (t["label"], _unique(t["dist"], "names successor", f"{where}[{i}].dist")))
-                     for i, t in enumerate(f["transitions"])), "names transition", where)
-    return make_ppa(states, f["initial"], params, trans, alphabet)
-
-
 def _ppa_fields(m):
     return dict(format=FORMAT, type="ppa", states=m.states, initial=m.initial,
                 params=sorted(m.params), alphabet=sorted(m.alphabet),
                 transitions=[{"state": s, "action": a, "label": m.label[(s, a)],
                               "dist": _by_key(dist.items())}
                              for (s, a), dist in _by_key(m.trans.items())])
-
-
-def _dfa(f, path, _):
-    states, alphabet, accepting = _sets(f, path, "states", "alphabet", "accepting")
-    trans = _unique((((q, sym), t) for q, sym, t in f["transitions"]), "names transition",
-                    f"{path}.transitions")
-    return DFA(tuple(states), f["initial"], frozenset(alphabet), trans, frozenset(accepting))
 
 
 def _dfa_fields(b):
@@ -260,33 +286,11 @@ def _dfa_fields(b):
                 transitions=[(q, sym, t) for (q, sym), t in _by_key(b.trans.items())])
 
 
-def _rpa(f, path, _):
-    states, alphabet = _sets(f, path, "states", "alphabet")
-    utrans = []
-    for i, t in enumerate(f["transitions"]):
-        where = f"{path}.transitions[{i}]"
-        if ("interval" in t) == ("vertices" in t):
-            _fail(where, "rpa transition needs exactly one of 'interval' and 'vertices'")
-        if "interval" in t:
-            interval = _unique(t["interval"], "names successor", f"{where}.interval")
-            try:
-                uset = IntervalSet.of(interval)
-            except InfeasibleIntervalSet as exc:
-                _fail(f"{where}.interval", str(exc))
-        else:
-            dists = [_unique(d, "names successor", f"{where}.vertices[{j}]")
-                     for j, d in enumerate(t["vertices"])]
-            if not dists:
-                _fail(f"{where}.vertices", "vertex set must be nonempty")
-            for j, d in enumerate(dists):
-                try:
-                    freeze_dist(d)
-                except ValueError as exc:
-                    _fail(f"{where}.vertices[{j}]", str(exc))
-            uset = VertexSet.of(dists)
-        utrans.append(((t["state"], t["action"]), (t["label"], uset)))
-    utrans = _unique(utrans, "names transition", f"{path}.transitions")
-    return make_rpa(states, f["initial"], utrans, alphabet)
+def _rpa_transition(t):
+    """An rpa transition as ((state, action), (label, uncertainty set))."""
+    if ("interval" in t) == ("vertices" in t):
+        raise ValueError("rpa transition needs exactly one of 'interval' and 'vertices'")
+    return (t["state"], t["action"]), (t["label"], t.get("interval") or t["vertices"])
 
 
 def _rpa_fields(u):
@@ -304,7 +308,7 @@ def _rpa_fields(u):
                 alphabet=sorted(u.alphabet), transitions=transitions)
 
 
-def _objective(f, path, _):
+def _objective(f, *_):
     if f["kind"] == "prob":
         dfa = _need(f, "dfa", "rewards")
         return ProbObjective(f["cmp"], f["threshold"], dfa, f.get("name", ""))
@@ -317,20 +321,20 @@ def _objective_fields(o):
     return dict(kind="reward", cmp=o.cmp, threshold=o.threshold, rewards=o.rewards, name=o.name)
 
 
-def _strategy(f, path, _):
+def _strategy(f, *_):
     if f["kind"] == "memoryless":
-        choice = _unique(((s, _unique(d, "names action", f"{path}.choice[{i}][1]"))
-                          for i, (s, d) in enumerate(_need(f, "choice", "table"))),
-                         "names state", f"{path}.choice")
-        return MemorylessStrategy(choice, complete=f.get("complete", True))
-    rows = _need(f, "table", "choice")
-    for i, (history, _dist) in enumerate(rows):
-        if len(history) % 2 == 0:
-            _fail(f"{path}.table[{i}]", "a history alternates states and actions, "
-                  f"so its length is odd, not {len(history)}")
-    table = _unique(((tuple(history), _unique(d, "names action", f"{path}.table[{i}][1]"))
-                     for i, (history, d) in enumerate(rows)), "names history", f"{path}.table")
-    return TabularStrategy(table, horizon=_need(f, "horizon"), complete=f.get("complete", False))
+        return MemorylessStrategy(_need(f, "choice", "table"), complete=f.get("complete", True))
+    return TabularStrategy(_need(f, "table", "choice"), horizon=_need(f, "horizon"),
+                           complete=f.get("complete", False))
+
+
+def _history_row(row):
+    """A strategy table row as (history, distribution over actions)."""
+    history, dist = row
+    if len(history) % 2 == 0:
+        raise ValueError("a history alternates states and actions, "
+                         f"so its length is odd, not {len(history)}")
+    return tuple(history), dist
 
 
 def _strategy_fields(sigma):
@@ -397,24 +401,48 @@ def _argument(value, kind, env, where, inputs):
     _fail(where, f"{value!r} names no entry of {section!r}")
 
 
+def _box(axes):
+    """The Box of (parameter, (lo, hi)) axes: at least one."""
+    if not axes:
+        raise ValueError("a box region needs at least one axis")
+    return Box.of(axes)
+
+
 _FORMAT = frozenset({FORMAT})
-_RATIONAL_DIST = [("id", "rat")]
-_VALUATION = [("param", "rat")]
+_STATES, _ALPHABET = _set("id", "names state"), _set("str", "names symbol")
+_REWARDS = _Keyed(_Built(("str", "poly"), _reward), "names symbol")
+_ACTION_DIST = _Keyed(("id", "rat"), "names action")
+_VALUATION = _Keyed(("param", "rat"), "valuation names parameter")
 # named type -> (shape, build(decoded fields, JSON path, loader), the classes
 # it encodes, their inverse of build: an object -> its decoded fields in
 # document order); every named type but "objective" is a document type
 _TYPES = {
-    "ppa": ({"format": _FORMAT, "states": ["id"], "initial": "id", "params": ["param"],
-             "alphabet": ["str"],
-             "transitions": [{"state": "id", "action": "id", "label": "str",
-                              "dist": [("id", "poly")]}]}, _ppa, (PPA,), _ppa_fields),
-    "dfa": ({"format": _FORMAT, "states": ["id"], "initial": "id", "alphabet": ["str"],
-             "accepting": ["id"], "transitions": [("id", "str", "id")]}, _dfa, (DFA,),
-            _dfa_fields),
-    "rpa": ({"format": _FORMAT, "states": ["id"], "initial": "id", "alphabet": ["str"],
-             "transitions": [{"state": "id", "action": "id", "label": "str",
-                              "?interval": [("id", ("rat", "rat"))],
-                              "?vertices": [_RATIONAL_DIST]}]}, _rpa, (RPA,), _rpa_fields),
+    "ppa": ({"format": _FORMAT, "states": _STATES, "initial": "id",
+             "params": _set("param", "names parameter"), "alphabet": _ALPHABET,
+             "transitions": _Keyed(_Built(
+                 {"state": "id", "action": "id", "label": "str",
+                  "dist": _Keyed(("id", "poly"), "names successor")},
+                 lambda t: ((t["state"], t["action"]), (t["label"], t["dist"]))),
+                 "names transition")},
+            lambda f, *_: make_ppa(f["states"], f["initial"], f["params"], f["transitions"],
+                                   f["alphabet"]), (PPA,), _ppa_fields),
+    "dfa": ({"format": _FORMAT, "states": _STATES, "initial": "id", "alphabet": _ALPHABET,
+             "accepting": _set("id", "names accepting state"),
+             "transitions": _Keyed(_Built(("id", "str", "id"), lambda t: (t[:2], t[2])),
+                                   "names transition")},
+            lambda f, *_: DFA(tuple(f["states"]), f["initial"], frozenset(f["alphabet"]),
+                              f["transitions"], frozenset(f["accepting"])), (DFA,), _dfa_fields),
+    "rpa": ({"format": _FORMAT, "states": _STATES, "initial": "id", "alphabet": _ALPHABET,
+             "transitions": _Keyed(_Built(
+                 {"state": "id", "action": "id", "label": "str",
+                  "?interval": _Built(_Keyed(("id", ("rat", "rat")), "names successor"),
+                                      IntervalSet.of),
+                  "?vertices": _Built([_Built(_Keyed(("id", "rat"), "names successor"),
+                                              freeze_dist)],
+                                      lambda vertices: VertexSet.of(map(dict, vertices)))},
+                 _rpa_transition), "names transition")},
+            lambda f, *_: make_rpa(f["states"], f["initial"], f["transitions"], f["alphabet"]),
+            (RPA,), _rpa_fields),
     "mo-query": ({"format": _FORMAT, "objectives": ["objective"]},
                  lambda f, *_: tuple(f["objectives"]), (tuple,),
                  lambda q: dict(format=FORMAT, type="mo-query", objectives=q)),
@@ -422,19 +450,17 @@ _TYPES = {
                    "cmp": frozenset({"<", "<=", ">", ">="}), "threshold": "rat",
                    "?dfa": "dfa", "?rewards": "rewards", "?name": "str"}, _objective,
                   (ProbObjective, RewardObjective), _objective_fields),
-    "box": ({"bounds": [("param", ("rat", "rat"))]},
-            lambda f, path, _: _located(f"{path}.bounds", _box, f["bounds"]),
-            (Box,), lambda r: dict(type="box", bounds=r.bounds)),
-    "finite": ({"valuations": [_VALUATION]},
-               lambda f, path, _: FiniteRegion.of(
-                   _unique(v, "valuation names parameter", f"{path}.valuations[{i}]")
-                   for i, v in enumerate(f["valuations"])),
+    "box": ({"bounds": _Built(_Keyed(("param", ("rat", "rat")), "box names parameter"), _box)},
+            lambda f, *_: f["bounds"], (Box,), lambda r: dict(type="box", bounds=r.bounds)),
+    "finite": ({"valuations": [_VALUATION]}, lambda f, *_: FiniteRegion.of(f["valuations"]),
                (FiniteRegion,), lambda r: dict(type="finite", valuations=r.valuations)),
     "union": ({"parts": ["region"]}, lambda f, *_: RegionUnion.of(f["parts"]),
               (RegionUnion,), lambda r: dict(type="union", parts=r.parts)),
     "strategy": ({"format": _FORMAT, "kind": frozenset({"memoryless", "tabular"}),
-                  "?complete": "bool", "?horizon": "nat", "?choice": [("id", _RATIONAL_DIST)],
-                  "?table": [(["id"], _RATIONAL_DIST)]}, _strategy,
+                  "?complete": "bool", "?horizon": "nat",
+                  "?choice": _Keyed(("id", _ACTION_DIST), "names state"),
+                  "?table": _Keyed(_Built((["id"], _ACTION_DIST), _history_row),
+                                   "names history")}, _strategy,
                  (MemorylessStrategy, TabularStrategy), _strategy_fields),
     "proof-script": ({"?models": {"*": "@ppa"}, "?queries": {"*": "@mo-query"},
                       "?regions": {"*": "@region"},
@@ -458,46 +484,6 @@ def load_document(doc, kind=FORMAT, inputs=None):
     for any); malformed content raises ParseError naming its JSON path.
     `inputs.load(path, kind)` resolves every "@file" reference in it."""
     return _document(doc, kind, "$", inputs)
-
-
-def _located(path, build, *args):
-    """build(*args), with its ParseError reported at the JSON path `path`."""
-    try:
-        return build(*args)
-    except ParseError as exc:
-        _fail(path, str(exc))
-
-
-def _unique(pairs, what, path="$"):
-    """The dict of the (key, value) pairs of a list read as a map, found at
-    the JSON path `path`; naming a key twice would silently drop one of its
-    values, so it is malformed."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            _fail(path, f"{what} {key!r} twice")
-        out[key] = value
-    return out
-
-
-# a list field that a model reads as a set -> what its entries are
-_SET_ENTRY = {"states": "names state", "params": "names parameter",
-              "alphabet": "names symbol", "accepting": "names accepting state"}
-
-
-def _sets(f, path, *fields):
-    """The lists f[field] that a model reads as sets, in document order; an
-    entry named twice would count twice where the model lists them (`tau`
-    would output a state twice), so it is malformed, as in `_unique`."""
-    return [list(_unique(((x, None) for x in f[field]), _SET_ENTRY[field], f"{path}.{field}"))
-            for field in fields]
-
-
-def _box(axes):
-    """The Box of (parameter, (lo, hi)) axes: at least one, each parameter once."""
-    if not axes:
-        raise ParseError("a box region needs at least one axis")
-    return Box.of(_unique(axes, "box names parameter"))
 
 
 def parse_region_arg(text, inputs, path="$"):
@@ -525,7 +511,7 @@ def parse_region_arg(text, inputs, path="$"):
 
 def parse_valuation_arg(text):
     """Decode valuation text p=1/10,q=0.1, an abbreviation of its [name, value] pairs."""
-    return _unique(_decode(_pairs(text), _VALUATION, "$", None), "valuation names parameter")
+    return _decode(_pairs(text), _VALUATION, "$", None)
 
 
 def _inside(text, brackets, parse=lambda inner: inner.split(",")):

@@ -354,13 +354,17 @@ def interval_relax_compose(u1: RPA, u2: RPA) -> RPA:
     states, steps = synchronise(u1, u2, bounds1, bounds2)
     one = (Fraction(1), Fraction(1))
     utrans = {}
+    # Built directly, not by `IntervalSet.of`: products of bounds 0 <= lo <=
+    # hi <= 1 are such bounds; the sums are sum(lo1) sum(lo2) <= 1 and
+    # sum(hi1) sum(hi2) >= 1; and the products of two lists in `sort_key`
+    # order are in the `sort_key` order of the pairs.
     for (s1, s2), action, lab, b1, b2 in steps:
-        bounds = {
-            (t1, t2): (lo1 * lo2, hi1 * hi2)
+        bounds = tuple(
+            ((t1, t2), (lo1 * lo2, hi1 * hi2))
             for t1, (lo1, hi1) in (((s1, one),) if b1 is None else b1)
             for t2, (lo2, hi2) in (((s2, one),) if b2 is None else b2)
-        }
-        utrans[((s1, s2), action)] = (lab, IntervalSet.of(bounds))
+        )
+        utrans[((s1, s2), action)] = (lab, IntervalSet(bounds))
     return _composed(u1, u2, states, utrans)
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from pacomp import cli, corpus, modelio, verify
 from pacomp.algebra import Box, FiniteRegion
 from pacomp.cli import main, parse_region_arg, parse_valuation_arg
-from pacomp.errors import PacompError, ParseError
+from pacomp.errors import PacompError, ParseError, StrategyCapExceeded
 from pacomp.model import alphabet_extend, sort_key, unit_ppa
 from pacomp.proofrules import RULES, FairnessAttestation
 from pacomp.report import scrub
@@ -246,12 +246,19 @@ def test_internal_error_is_never_a_verdict(corpus_dir, capsys, monkeypatch):
         )
         assert (code, out) == (4, "")
         assert err.startswith(f"internal error: TypeError: no report form for {name}\n")
-    # an anchor takes no input, so one that raises is a bug, not a FAIL line
-    monkeypatch.setattr("pacomp.paper_suite._anchors", lambda: [("broken", broken_solver)])
-    code, out, err = run(capsys, "paper-suite")
-    assert (code, out) == (4, "")
-    assert err.startswith("internal error: RuntimeError: witness failed exact re-verification\n")
-    assert "Traceback" in err
+    # an anchor takes no input, so one that raises is a bug, not a FAIL line,
+    # even when it raises a toolkit error (which exited 2 as a usage error)
+    def capped():
+        raise StrategyCapExceeded("strategy enumeration exceeds cap 20000")
+
+    for anchor, message in (
+        (broken_solver, "RuntimeError: witness failed exact re-verification"),
+        (capped, "StrategyCapExceeded: strategy enumeration exceeds cap 20000"),
+    ):
+        monkeypatch.setattr("pacomp.paper_suite._anchors", lambda a=anchor: [("broken", a)])
+        code, out, err = run(capsys, "paper-suite")
+        assert (code, out) == (4, "")
+        assert err.startswith(f"internal error: {message}\n") and "Traceback" in err
 
 
 def test_strategy_cap_is_a_usage_error(corpus_dir, tmp_path, capsys):
@@ -488,44 +495,6 @@ def test_asymmetric_certificate_is_pinned(corpus_dir, tmp_path, capsys):
         ],
         "conclusion": conclusion,
     }]
-
-
-def test_rpa_rule_report_is_pinned(corpus_dir, tmp_path, capsys):
-    goal = _write_goal_query(tmp_path, corpus_dir)
-    code, out, _ = run(
-        capsys,
-        "rpa-rule",
-        "--left", str(corpus_dir / "interval_retry.rpa.json"),
-        "--right", str(corpus_dir / "interval_responder.rpa.json"),
-        "--assumption", str(_write_trivial_query(tmp_path)),
-        "--guarantee", str(goal),
-    )
-    assert code == 0
-    # a `rule` certificate's application, without the id
-    assert json.loads(out)["report"] == {
-        "rule": "rpa-asymmetric",
-        "status": "concluded",
-        "confidence": "checked-per-sample",
-        "side_conditions": [
-            "['a', 'b'] within component-1 alphabet",
-            "['a', 'b', 'c', 'fail'] within component-2 alphabet plus assumption's",
-        ],
-        "conclusion": {
-            "kind": "rpa-sat",
-            "model": "u1 ||conv u2 (over-approximates the standard composition)",
-            "query": json.load(open(goal))["objectives"],
-            "strategy_class": "cmp",
-        },
-        "premises": [
-            {"kind": "region-sat",
-             "description": "reduced component 1 satisfies the assumption on its region",
-             "status": "holds", "attestation": None, "witness": None},
-            {"kind": "ag-triple",
-             "description": "reduced extended component 2 satisfies assumption => guarantee",
-             "status": "holds", "attestation": None, "witness": None},
-        ],
-    }
-
 
 
 def _strict_guarantee(corpus_dir, threshold="99/100"):
@@ -852,28 +821,16 @@ def test_malformed_valuation_and_region_items_are_usage_errors(
     "region, message",
     [
         ("box.p=[0,1/10],p=[1/2,1]", "$.bounds: box names parameter 'p' twice"),
-        ({"bounds": [["p", ["0", "1/10"]], ["p", ["1/2", "1"]]]},
-         "$.bounds: box names parameter 'p' twice"),
         ("finite:{p=1/10,p=1/2}", "$.valuations[0]: valuation names parameter 'p' twice"),
-        ({"valuations": [[["p", "1/10"]], [["p", "1/10"], ["p", "1/2"]]]},
-         "$.valuations[1]: valuation names parameter 'p' twice"),
         ("box.", "$.bounds: a box region needs at least one axis"),
-        ({"bounds": []}, "$.bounds: a box region needs at least one axis"),
     ],
-    ids=["box-text-repeat", "box-json-repeat", "finite-text-repeat", "finite-json-repeat",
-         "box-text-empty", "box-json-empty"],
+    ids=["box-text-repeat", "finite-text-repeat", "box-text-empty"],
 )
-def test_region_dropping_an_axis_or_a_value_is_usage_error(
-    corpus_dir, tmp_path, capsys, region, message
-):
+def test_region_dropping_an_axis_or_a_value_is_usage_error(corpus_dir, capsys, region, message):
     # each of these used to be checked on a smaller region than written:
     # the last interval or value of a repeated name, or no valuation at all
-    # (a vacuous "holds" for a model with parameter p)
-    if isinstance(region, dict):
-        kind = "box" if "bounds" in region else "finite"
-        path = tmp_path / f"{kind}.region.json"
-        json.dump({"format": "pacomp/1", "type": kind, **region}, open(path, "w"))
-        region = "@" + str(path)
+    # (a vacuous "holds" for a model with parameter p); the documents they
+    # stand for are rows of _MALFORMED
     code, out, err = run(capsys, "check", "--model", str(corpus_dir / "retry.ppa.json"),
                          "--objective", str(corpus_dir / "safe_assumption.query.json"),
                          "--region", region)
@@ -886,21 +843,12 @@ def test_region_dropping_an_axis_or_a_value_is_usage_error(
     [
         ("box.p=[0,1/2],[q=[0,1]", "$.bounds[1][0]: expected an identifier, got '[q'"),
         ("finite:{p=1/2,=3}", "$.valuations[0][1][0]: expected an identifier, got ''"),
-        ({"bounds": [["p", ["0", "1/2"]], ["[q", ["0", "1"]]]},
-         "$.bounds[1][0]: expected an identifier, got '[q'"),
-        ({"bounds": [["", ["0", "1"]]]}, "$.bounds[0][0]: expected an identifier, got ''"),
     ],
-    ids=["box-text", "finite-text", "box-json-bracket", "box-json-empty"],
+    ids=["box-text", "finite-text"],
 )
-def test_region_naming_a_non_identifier_is_usage_error(
-    corpus_dir, tmp_path, capsys, region, message
-):
+def test_region_naming_a_non_identifier_is_usage_error(corpus_dir, capsys, region, message):
     # no polynomial can name such a parameter, so a verdict over it would
     # say nothing about the model
-    if isinstance(region, dict):
-        path = tmp_path / "box.region.json"
-        json.dump({"format": "pacomp/1", "type": "box", **region}, open(path, "w"))
-        region = "@" + str(path)
     code, out, err = run(capsys, "check", "--model", str(corpus_dir / "retry.ppa.json"),
                          "--objective", str(corpus_dir / "safe_assumption.query.json"),
                          "--region", region)
@@ -1035,18 +983,6 @@ def _compose_corpus(corpus_dir, tmp_path):
     return path
 
 
-def test_dfa_accepting_an_undeclared_state_is_usage_error(corpus_dir, tmp_path, capsys):
-    # the real query fails here (exit 1); with accepting ["zz"] it used to hold
-    query = json.load(open(corpus_dir / "safe_guarantee.query.json"))
-    query["objectives"][0]["dfa"]["accepting"] = ["zz"]
-    path = tmp_path / "zz.query.json"
-    json.dump(query, open(path, "w"))
-    code, out, err = run(capsys, "check", "--model", _compose_corpus(corpus_dir, tmp_path),
-                         "--objective", str(path), "--region", "finite:{p=1/2,q=1}")
-    assert code == 2 and out == ""
-    assert err == "format error: $.objectives[0].dfa: DFA accepting state not declared: 'zz'\n"
-
-
 def test_empty_query_under_check_is_usage_error(corpus_dir, tmp_path, capsys):
     composed = _compose_corpus(corpus_dir, tmp_path)
     empty = str(tmp_path / "empty.query.json")
@@ -1093,224 +1029,196 @@ def test_negative_reward_is_usage_error(corpus_dir, tmp_path, capsys):
     assert "negative" not in err
 
 
-def _contradictory_case(case, corpus_dir, tmp_path):
-    """(argv, expected error) for a document whose fields contradict each
-    other, or an rpa transition with no set, written to tmp_path."""
-    def load(name):
-        return json.load(open(corpus_dir / name))
+# Malformed documents, each a valid document with the value at one JSON path
+# replaced (`_mutated`), and the exact stderr of the command that reads it:
+# repeats in a list read as a set or a map (one of two values was dropped, or
+# `tau` listed a state twice), fields that contradict each other (one was
+# dropped), identifiers that are not one (true was the same state key as 1),
+# uncertainty sets that are none (an infeasible interval exited 2 as an
+# InfeasibleIntervalSet), a missing or wrong format tag (both loaded as
+# pacomp/1), an undeclared accepting state (the query held), and regions that
+# would be checked smaller than written or over a parameter no polynomial names.
+_DOCUMENTS = {
+    "memoryless": {"format": "pacomp/1", "type": "strategy", "kind": "memoryless",
+                   "choice": [["s", [["x", "1"]]]]},
+    "tabular": {"format": "pacomp/1", "type": "strategy", "kind": "tabular", "horizon": 1,
+                "table": [[["s"], [["x", "1"]]]]},
+    "reward": {"format": "pacomp/1", "type": "mo-query", "objectives": [
+        {"kind": "reward", "cmp": ">=", "threshold": "0", "rewards": [["a", "1"]]}]},
+    "box": {"format": "pacomp/1", "type": "box", "bounds": [["p", ["0", "1/10"]]]},
+    "finite": {"format": "pacomp/1", "type": "finite", "valuations": [[["p", "1/10"]]]},
+}
+_ONE_STATE_DFA = {"format": "pacomp/1", "type": "dfa", "states": [0], "initial": 0,
+                  "alphabet": ["a"], "accepting": [], "transitions": [[0, "a", 0]]}
+_RETRY, _RPA, _ASSUME = "retry.ppa.json", "interval_retry.rpa.json", "safe_assumption.query.json"
+_DFA = ("objectives", 0, "dfa")
+_ONE_SET = "rpa transition needs exactly one of 'interval' and 'vertices'"
+_NO_ID = (("true", True), ("false", False), ("float", 1.0), ("null", None), ("list", []),
+          ("untagged object", {"x": "1"}))
+# "group: case" -> (document: a corpus file or a key of _DOCUMENTS, path,
+# replacement, message); each group is one test below, and a case its id
+_MALFORMED = {
+    "key twice: ppa dist": (_RETRY, ("transitions", 0, "dist", 1, 0), "s0",
+                        "$.transitions[0].dist: names successor 's0' twice"),
+    "key twice: ppa transitions": (_RETRY, ("transitions", 2, "action"), "s0_b",
+                               "$.transitions: names transition ('s0', 's0_b') twice"),
+    "key twice: rpa transitions": (_RPA, ("transitions", 1, "action"), "s1_b",
+                               "$.transitions: names transition ('s1', 's1_b') twice"),
+    "key twice: interval": (_RPA, ("transitions", 0, "interval", 1, 0), "s0",
+                        "$.transitions[0].interval: names successor 's0' twice"),
+    "key twice: vertices": (_RPA, ("transitions", 1, "vertices", 0), [["s1", "1"], ["s1", "0"]],
+                        "$.transitions[1].vertices[0]: names successor 's1' twice"),
+    "key twice: dfa transitions": (_ASSUME, (*_DFA, "transitions", 3, 1), "a",
+                               "$.objectives[0].dfa.transitions: names transition (0, 'a') twice"),
+    "key twice: rewards": ("reward", ("objectives", 0, "rewards"), [["a", "1"], ["a", "2"]],
+                       "$.objectives[0].rewards: names symbol 'a' twice"),
+    "key twice: choice": ("memoryless", ("choice",), [["s", [["x", "1"]]], ["s", [["x", "1"]]]],
+                      "$.choice: names state 's' twice"),
+    "key twice: choice dist": ("memoryless", ("choice", 0, 1), [["x", "1/2"], ["x", "1/2"]],
+                           "$.choice[0][1]: names action 'x' twice"),
+    "key twice: table": ("tabular", ("table",), [[["s"], [["x", "1"]]], [["s"], [["x", "1"]]]],
+                     "$.table: names history ('s',) twice"),
+    "key twice: table dist": ("tabular", ("table", 0, 1), [["x", "1/2"], ["x", "1/2"]],
+                          "$.table[0][1]: names action 'x' twice"),
+    "set twice: ppa states": (_RETRY, ("states",), ["s0", "s1", "s1"],
+                          "$.states: names state 's1' twice"),
+    "set twice: ppa states int and rational": (_RETRY, ("states",), ["s0", "s1", 1, {"q": "1"}],
+                                           "$.states: names state Fraction(1, 1) twice"),
+    "set twice: ppa params": (_RETRY, ("params",), ["p", "p"],
+                              "$.params: names parameter 'p' twice"),
+    "set twice: ppa alphabet": (_RETRY, ("alphabet",), ["a", "b", "c", "b"],
+                            "$.alphabet: names symbol 'b' twice"),
+    "set twice: rpa states": (_RPA, ("states",), ["s0", "s1", "s0"],
+                          "$.states: names state 's0' twice"),
+    "set twice: rpa alphabet": (_RPA, ("alphabet",), ["a", "a", "b"],
+                            "$.alphabet: names symbol 'a' twice"),
+    "set twice: dfa states": (_ASSUME, (*_DFA, "states"), [0, 1, "over", 1],
+                          "$.objectives[0].dfa.states: names state 1 twice"),
+    "set twice: dfa alphabet": (_ASSUME, (*_DFA, "alphabet"), ["a", "b", "a"],
+                            "$.objectives[0].dfa.alphabet: names symbol 'a' twice"),
+    "set twice: dfa accepting": (_ASSUME, (*_DFA, "accepting"), ["over", "over"],
+                             "$.objectives[0].dfa.accepting: names accepting state 'over' twice"),
+    "region: box-json-repeat": ("box", ("bounds",), [["p", ["0", "1/10"]], ["p", ["1/2", "1"]]],
+                                "$.bounds: box names parameter 'p' twice"),
+    "region: finite-json-repeat": ("finite", ("valuations",),
+                                   [[["p", "1/10"]], [["p", "1/10"], ["p", "1/2"]]],
+                                   "$.valuations[1]: valuation names parameter 'p' twice"),
+    "region: box-json-no-axis": ("box", ("bounds",), [],
+                                 "$.bounds: a box region needs at least one axis"),
+    "region: box-json-bracket": ("box", ("bounds",), [["p", ["0", "1/2"]], ["[q", ["0", "1"]]],
+                                 "$.bounds[1][0]: expected an identifier, got '[q'"),
+    "region: box-json-empty-name": ("box", ("bounds", 0, 0), "",
+                                    "$.bounds[0][0]: expected an identifier, got ''"),
+    "contradiction: rpa both sets": (_RPA, ("transitions", 0, "vertices"), [[["s0", "1"]]],
+                                     f"$.transitions[0]: {_ONE_SET}"),
+    "contradiction: rpa no set": (_RPA, ("transitions", 0, "interval"), "<delete>",
+                                  f"$.transitions[0]: {_ONE_SET}"),
+    "contradiction: prob objective with rewards": (
+        _ASSUME, ("objectives", 0, "rewards"), [["a", "1"]],
+        "$.objectives[0]: fields 'dfa' and 'rewards' exclude each other"),
+    "contradiction: reward objective with dfa": (
+        "reward", ("objectives", 0, "dfa"), _ONE_STATE_DFA,
+        "$.objectives[0]: fields 'rewards' and 'dfa' exclude each other"),
+    "contradiction: memoryless strategy with table": (
+        "memoryless", ("table",), [], "fields 'choice' and 'table' exclude each other"),
+    "contradiction: tabular strategy with choice": (
+        "tabular", ("choice",), [], "fields 'table' and 'choice' exclude each other"),
+    "rpa set: reversed bounds": (_RPA, ("transitions", 0, "interval"),
+                                 [["s0", ["1/2", "1/4"]], ["s1", ["1/2", "1"]]],
+                                 "$.transitions[0].interval: bad bounds for 's0': [1/2,1/4]"),
+    "rpa set: infeasible interval": (_RPA, ("transitions", 0, "interval"),
+                                     [["s0", ["0", "1/4"]], ["s1", ["0", "1/4"]]],
+                                     "$.transitions[0].interval: interval bounds admit no "
+                                     "distribution"),
+    "rpa set: not a distribution": (_RPA, ("transitions", 1, "vertices"),
+                                    [[["s1", "1"]], [["s1", "1/2"]]],
+                                    "$.transitions[1].vertices[1]: not a distribution: "
+                                    "{'s1': Fraction(1, 2)}"),
+    "rpa set: no vertex": (_RPA, ("transitions", 1, "vertices"), [],
+                           "$.transitions[1].vertices: vertex set must be nonempty"),
+    **{f"format tag {kind}: {case}": (doc, ("format",), value, problem)
+       for kind, doc in (("mo-query", _ASSUME), ("strategy", "memoryless"))
+       for case, value, problem in (
+           ("pacomp/9", "pacomp/9", "$.format: expected one of ['pacomp/1'], got 'pacomp/9'"),
+           ("missing", "<delete>", "$.format: missing field 'format'"))},
+    "dfa accepting: undeclared state": (
+        "safe_guarantee.query.json", (*_DFA, "accepting"), ["zz"],
+        "$.objectives[0].dfa: DFA accepting state not declared: 'zz'"),
+    **{f"identifier: {site}-{name}": (_RETRY, path, value,
+                                      f"{where}: expected an identifier, got {value!r}")
+       for site, path, where in (("states", ("states", 1), "$.states[1]"),
+                                 ("initial", ("initial",), "$.initial"),
+                                 ("dist", ("transitions", 0, "dist", 0, 0),
+                                  "$.transitions[0].dist[0][0]"))
+       for name, value in _NO_ID},
+}
 
+
+def _malformed(group):
+    rows = {key.split(": ", 1)[1]: row for key, row in _MALFORMED.items()
+            if key.startswith(f"{group}: ")}
+    return pytest.mark.parametrize("row", rows.values(), ids=rows)
+
+
+def _exits_2_at_its_path(row, corpus_dir, tmp_path, capsys):
+    name, path, value, message = row
+    doc = _DOCUMENTS[name] if name in _DOCUMENTS else json.load(open(corpus_dir / name))
     mutant = str(tmp_path / "mutant.json")
-    retry, query = str(corpus_dir / "retry.ppa.json"), load("safe_assumption.query.json")
-    check = ["check", "--model", retry, "--objective", mutant, "--region", "finite:{p=1/2}"]
-    project = ["project", "--left", retry, "--right", str(corpus_dir / "pipeline.ppa.json"),
-               "--strategy", mutant, "--valuation", "p=1/10,q=1/10", "--side", "2"]
-    rpa = load("interval_retry.rpa.json")
-    one_set = "rpa transition needs exactly one of 'interval' and 'vertices'"
-    if case == "rpa both sets":
-        rpa["transitions"][0]["vertices"] = [[["s0", "1"]]]
-        doc, argv, where = rpa, ["rpa-reduce", "--model", mutant], f"$.transitions[0]: {one_set}"
-    elif case == "rpa no set":
-        del rpa["transitions"][0]["interval"]
-        doc, argv, where = rpa, ["rpa-reduce", "--model", mutant], f"$.transitions[0]: {one_set}"
-    elif case == "prob objective with rewards":
-        query["objectives"][0]["rewards"] = [["a", "1"]]
-        doc, argv = query, check
-        where = "$.objectives[0]: fields 'dfa' and 'rewards' exclude each other"
-    elif case == "reward objective with dfa":
-        dfa = query["objectives"][0]["dfa"]
-        query["objectives"] = [{"kind": "reward", "cmp": ">=", "threshold": "0",
-                                "rewards": [["a", "1"]], "dfa": dfa}]
-        doc, argv = query, check
-        where = "$.objectives[0]: fields 'rewards' and 'dfa' exclude each other"
-    else:
-        memoryless = case == "memoryless strategy with table"
-        doc = {"format": "pacomp/1", "type": "strategy", "choice": [], "table": [],
-               "kind": "memoryless" if memoryless else "tabular", "horizon": 1}
-        argv = project
-        where = ("fields 'choice' and 'table' exclude each other" if memoryless
-                 else "fields 'table' and 'choice' exclude each other")
-    json.dump(doc, open(mutant, "w"))
-    return argv, f"format error: {where}\n"
+    json.dump(_mutated(doc, path, value), open(mutant, "w"))
+    retry = str(corpus_dir / _RETRY)
+    argv = {
+        "ppa": ["tau", "--model", mutant],
+        "rpa": ["rpa-reduce", "--model", mutant],
+        "mo-query": ["check", "--model", retry, "--objective", mutant,
+                     "--region", "finite:{p=1/2}"],
+        "strategy": ["project", "--left", retry, "--right", str(corpus_dir / "pipeline.ppa.json"),
+                     "--strategy", mutant, "--valuation", "p=1/10,q=1/10", "--side", "2"],
+        "region": ["check", "--model", retry, "--objective", str(corpus_dir / _ASSUME),
+                   "--region", "@" + mutant],
+    }[{"box": "region", "finite": "region"}.get(doc["type"], doc["type"])]
+    assert run(capsys, *argv) == (2, "", f"format error: {message}\n")
 
 
-@pytest.mark.parametrize("case", [
-    "rpa both sets", "rpa no set", "prob objective with rewards", "reward objective with dfa",
-    "memoryless strategy with table", "tabular strategy with choice",
-])
-def test_contradictory_fields_are_usage_errors(case, corpus_dir, tmp_path, capsys):
-    # each document used to decode with one of the fields dropped
-    argv, message = _contradictory_case(case, corpus_dir, tmp_path)
-    assert run(capsys, *argv) == (2, "", message)
+@_malformed("key twice")
+def test_a_key_named_twice_is_a_format_error(row, corpus_dir, tmp_path, capsys):
+    _exits_2_at_its_path(row, corpus_dir, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("shape", ["mo-query", "strategy"])
-def test_query_and_strategy_documents_need_the_format_tag(shape, corpus_dir, tmp_path, capsys):
-    # both loaded as pacomp/1 whatever their tag said, or with no tag at all
-    doc_path = str(tmp_path / "doc.json")
-    retry = str(corpus_dir / "retry.ppa.json")
-    if shape == "mo-query":
-        doc = json.load(open(corpus_dir / "safe_assumption.query.json"))
-        argv = ["check", "--model", retry, "--objective", doc_path, "--region", "finite:{p=1/2}"]
-    else:
-        doc = {"format": "pacomp/1", "type": "strategy", "kind": "memoryless", "choice": []}
-        argv = ["project", "--left", retry, "--right", str(corpus_dir / "pipeline.ppa.json"),
-                "--strategy", doc_path, "--valuation", "p=1/10,q=1/10", "--side", "2"]
-    for tag, problem in (("pacomp/9", "$.format: expected one of ['pacomp/1'], got 'pacomp/9'"),
-                         (None, "$.format: missing field 'format'")):
-        doc.pop("format")
-        if tag is not None:
-            doc["format"] = tag
-        json.dump(doc, open(doc_path, "w"))
-        code, out, err = run(capsys, *argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("format error: ") and err.endswith(f"{problem}\n")
+@_malformed("set twice")
+def test_a_set_entry_named_twice_is_a_format_error(row, corpus_dir, tmp_path, capsys):
+    _exits_2_at_its_path(row, corpus_dir, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("interval", [["s0", ["1/2", "1/4"]], ["s1", ["1/2", "1"]]],
-     "$.transitions[{i}].interval: bad bounds for 's0': [1/2,1/4]"),
-    ("interval", [["s0", ["0", "1/4"]], ["s1", ["0", "1/4"]]],
-     "$.transitions[{i}].interval: interval bounds admit no distribution"),
-    ("vertices", [[["s1", "1"]], [["s1", "1/2"]]],
-     "$.transitions[{i}].vertices[1]: not a distribution: {{'s1': Fraction(1, 2)}}"),
-    ("vertices", [], "$.transitions[{i}].vertices: vertex set must be nonempty"),
-], ids=["reversed bounds", "infeasible interval", "not a distribution", "no vertex"])
-def test_bad_rpa_sets_are_format_errors_at_their_path(field, value, message, corpus_dir,
-                                                      tmp_path, capsys):
-    # an infeasible interval used to exit 2 as an InfeasibleIntervalSet, and
-    # a bad vertex was reported at $
-    rpa = json.load(open(corpus_dir / "interval_retry.rpa.json"))
-    i = next(i for i, t in enumerate(rpa["transitions"]) if field in t)
-    rpa["transitions"][i][field] = value
-    json.dump(rpa, open(tmp_path / "bad.rpa.json", "w"))
-    expected = f"format error: {message.format(i=i)}\n"
-    assert run(capsys, "rpa-reduce", "--model", str(tmp_path / "bad.rpa.json")) == (2, "", expected)
+@_malformed("contradiction")
+def test_contradictory_fields_are_usage_errors(row, corpus_dir, tmp_path, capsys):
+    _exits_2_at_its_path(row, corpus_dir, tmp_path, capsys)
 
 
-def _repeated_key_case(site, corpus_dir, tmp_path):
-    """(argv, expected error) for a document that names one key twice in the
-    pair list `site` reads as a map, written to tmp_path."""
-    def load(name):
-        return json.load(open(corpus_dir / name))
-
-    mutant = str(tmp_path / "mutant.json")
-    check = ["check", "--model", str(corpus_dir / "retry.ppa.json"), "--objective", mutant,
-             "--region", "finite:{p=1/2}"]
-    project = ["project", "--left", str(corpus_dir / "retry.ppa.json"),
-               "--right", str(corpus_dir / "pipeline.ppa.json"), "--strategy", mutant,
-               "--valuation", "p=1/10,q=1/10", "--side", "2"]
-    if site in ("ppa dist", "ppa transitions"):
-        doc, argv = load("retry.ppa.json"), ["tau", "--model", mutant]
-        if site == "ppa dist":
-            doc["transitions"][0]["dist"].append(["s0", "1/2"])
-            where = "$.transitions[0].dist: names successor 's0' twice"
-        else:
-            doc["transitions"].append(doc["transitions"][1])
-            where = "$.transitions: names transition ('s0', 's0_b') twice"
-    elif site in ("rpa transitions", "interval", "vertices"):
-        doc, argv = load("interval_retry.rpa.json"), ["rpa-reduce", "--model", mutant]
-        if site == "rpa transitions":
-            doc["transitions"].append(doc["transitions"][2])
-            where = "$.transitions: names transition ('s1', 's1_b') twice"
-        elif site == "interval":
-            doc["transitions"][0]["interval"].append(["s0", ["0", "1"]])
-            where = "$.transitions[0].interval: names successor 's0' twice"
-        else:
-            doc["transitions"][1]["vertices"][0].append(["s1", "0"])
-            where = "$.transitions[1].vertices[0]: names successor 's1' twice"
-    elif site in ("dfa transitions", "rewards"):
-        doc, argv = load("safe_assumption.query.json"), check
-        if site == "dfa transitions":
-            doc["objectives"][0]["dfa"]["transitions"].append([0, "a", 0])
-            where = "$.objectives[0].dfa.transitions: names transition (0, 'a') twice"
-        else:
-            doc["objectives"] = [{"kind": "reward", "cmp": ">=", "threshold": "0",
-                                  "rewards": [["a", "1"], ["a", "2"]]}]
-            where = "$.objectives[0].rewards: names symbol 'a' twice"
-    else:
-        doc, argv = {"format": "pacomp/1", "type": "strategy"}, project
-        rows = {"choice": [["s", [["x", "1"]]], ["s", [["x", "1"]]]],
-                "choice dist": [["s", [["x", "1/2"], ["x", "1/2"]]]],
-                "table": [[["s"], [["x", "1"]]], [["s"], [["x", "1"]]]],
-                "table dist": [[["s"], [["x", "1/2"], ["x", "1/2"]]]]}[site]
-        if site.startswith("choice"):
-            doc.update(kind="memoryless", choice=rows)
-        else:
-            doc.update(kind="tabular", horizon=1, table=rows)
-        where = {"choice": "$.choice: names state 's' twice",
-                 "choice dist": "$.choice[0][1]: names action 'x' twice",
-                 "table": "$.table: names history ('s',) twice",
-                 "table dist": "$.table[0][1]: names action 'x' twice"}[site]
-    json.dump(doc, open(mutant, "w"))
-    return argv, f"format error: {where}\n"
+@_malformed("identifier")
+def test_an_identifier_is_a_string_an_integer_or_tagged(row, corpus_dir, tmp_path, capsys):
+    _exits_2_at_its_path(row, corpus_dir, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("site", [
-    "ppa dist", "ppa transitions", "rpa transitions", "interval", "vertices", "dfa transitions",
-    "rewards", "choice", "choice dist", "table", "table dist",
-])
-def test_a_key_named_twice_is_a_format_error(site, corpus_dir, tmp_path, capsys):
-    # each pair list is read as a map, which kept one of the two values
-    argv, message = _repeated_key_case(site, corpus_dir, tmp_path)
-    assert run(capsys, *argv) == (2, "", message)
+@_malformed("rpa set")
+def test_bad_rpa_sets_are_format_errors_at_their_path(row, corpus_dir, tmp_path, capsys):
+    _exits_2_at_its_path(row, corpus_dir, tmp_path, capsys)
 
 
-_QUERY_DFA = ("objectives", 0, "dfa")
+@_malformed("region")
+def test_a_region_document_is_a_format_error_at_its_path(row, corpus_dir, tmp_path, capsys):
+    _exits_2_at_its_path(row, corpus_dir, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("name, at, field, entries, problem", [
-    ("retry.ppa.json", (), "states", ["s0", "s1", "s1"], "names state 's1' twice"),
-    ("retry.ppa.json", (), "states", ["s0", "s1", 1, {"q": "1"}],
-     "names state Fraction(1, 1) twice"),
-    ("retry.ppa.json", (), "params", ["p", "p"], "names parameter 'p' twice"),
-    ("retry.ppa.json", (), "alphabet", ["a", "b", "c", "b"], "names symbol 'b' twice"),
-    ("interval_retry.rpa.json", (), "states", ["s0", "s1", "s0"], "names state 's0' twice"),
-    ("interval_retry.rpa.json", (), "alphabet", ["a", "a", "b"], "names symbol 'a' twice"),
-    ("safe_assumption.query.json", _QUERY_DFA, "states", [0, 1, "over", 1],
-     "names state 1 twice"),
-    ("safe_assumption.query.json", _QUERY_DFA, "alphabet", ["a", "b", "a"],
-     "names symbol 'a' twice"),
-    ("safe_assumption.query.json", _QUERY_DFA, "accepting", ["over", "over"],
-     "names accepting state 'over' twice"),
-], ids=["ppa states", "ppa states int and rational", "ppa params", "ppa alphabet",
-        "rpa states", "rpa alphabet", "dfa states", "dfa alphabet", "dfa accepting"])
-def test_a_set_entry_named_twice_is_a_format_error(name, at, field, entries, problem,
-                                                    corpus_dir, tmp_path, capsys):
-    # a list read as a set kept both entries: tau listed a state twice
-    doc = json.load(open(corpus_dir / name))
-    obj = doc
-    for key in at:
-        obj = obj[key]
-    obj[field] = entries
-    mutant = str(tmp_path / "mutant.json")
-    json.dump(doc, open(mutant, "w"))
-    argv = {"ppa": ["tau", "--model", mutant], "rpa": ["rpa-reduce", "--model", mutant],
-            "query": ["check", "--model", str(corpus_dir / "retry.ppa.json"),
-                      "--objective", mutant, "--region", "finite:{p=1/2}"]}[name.split(".")[1]]
-    where = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in (*at, field))
-    assert run(capsys, *argv) == (2, "", f"format error: ${where}: {problem}\n")
+@pytest.mark.parametrize("kind", ["mo-query", "strategy"])
+def test_query_and_strategy_documents_need_the_format_tag(kind, corpus_dir, tmp_path, capsys):
+    for key, row in _MALFORMED.items():
+        if key.startswith(f"format tag {kind}: "):
+            _exits_2_at_its_path(row, corpus_dir, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("value", [True, False, 1.0, None, [], {"x": "1"}],
-                         ids=["true", "false", "float", "null", "list", "untagged object"])
-@pytest.mark.parametrize("site", ["states", "initial", "dist"])
-def test_an_identifier_is_a_string_an_integer_or_tagged(site, value, corpus_dir, tmp_path,
-                                                         capsys):
-    # true was the same state key as 1, and 1.0 and null were identifiers
-    doc = json.load(open(corpus_dir / "retry.ppa.json"))
-    if site == "states":
-        doc["states"].append(value)
-        where = "$.states[2]"
-    elif site == "initial":
-        doc["initial"] = value
-        where = "$.initial"
-    else:
-        doc["transitions"][0]["dist"][0][0] = value
-        where = "$.transitions[0].dist[0][0]"
-    json.dump(doc, open(tmp_path / "mutant.json", "w"))
-    code, out, err = run(capsys, "tau", "--model", str(tmp_path / "mutant.json"))
-    assert (code, out) == (2, "")
-    assert err.startswith(f"format error: {where}: expected an identifier, got ")
+def test_dfa_accepting_an_undeclared_state_is_usage_error(corpus_dir, tmp_path, capsys):
+    _exits_2_at_its_path(_MALFORMED["dfa accepting: undeclared state"], corpus_dir, tmp_path,
+                         capsys)
 
 
 def test_reward_over_an_undeclared_parameter_is_usage_error(corpus_dir, tmp_path, capsys):
@@ -1431,11 +1339,14 @@ def _mutated(doc, path, value):
     return doc
 
 
-def test_single_field_mutations_never_exit_4(corpus_dir, tmp_path, capsys):
+@pytest.fixture(scope="module")
+def mutation_cases(corpus_dir, tmp_path_factory):
+    """(name -> (a valid document, the argv that reads it from `mutant`), `mutant`)."""
     def load(name):
         return json.load(open(corpus_dir / name))
 
-    composed = tmp_path / "composed.ppa.json"
+    workdir = tmp_path_factory.mktemp("mutations")
+    composed = workdir / "composed.ppa.json"
     assert main(["compose", "--left", str(corpus_dir / "retry.ppa.json"),
                  "--right", str(corpus_dir / "pipeline.ppa.json"), "--out", str(composed)]) == 0
     guarantee = str(corpus_dir / "safe_guarantee.query.json")
@@ -1443,7 +1354,7 @@ def test_single_field_mutations_never_exit_4(corpus_dir, tmp_path, capsys):
     script["applications"][0].update(
         resolution=1, fairness={"sets": [["a"]], "notes": ["ev A", "ev B"]}
     )
-    mutant = str(tmp_path / "mutant.json")
+    mutant = str(workdir / "mutant.json")
     cases = {
         "retry": (load("retry.ppa.json"), [
             "check", "--model", mutant, "--objective",
@@ -1460,20 +1371,48 @@ def test_single_field_mutations_never_exit_4(corpus_dir, tmp_path, capsys):
             "--region", "@" + mutant]),
         "script": (script, ["rule", "--script", mutant]),
     }
+    return cases, mutant
+
+
+def _never_exits_4(capsys, doc, argv, mutant, mutations):
+    """Run argv on `doc` with each (path, value) of `mutations` applied."""
+    for path, value in mutations:
+        doc = _mutated(doc, path, value)
+    with open(mutant, "w") as fh:
+        json.dump(doc, fh)
+    code, out, err = run(capsys, *argv)
+    assert code != 4, (mutations, err)
+    if code == 2:
+        assert out == "" and "Traceback" not in err, (mutations, err)
+
+
+def test_single_field_mutations_never_exit_4(mutation_cases, capsys):
+    cases, mutant = mutation_cases
     rng = random.Random(2408)
     runs = 0
     for name, (doc, argv) in cases.items():
         paths = list(_field_paths(doc))
         for path in rng.sample(paths, min(len(paths), 50)):
-            value = rng.choice(_REPLACEMENTS)
-            with open(mutant, "w") as fh:
-                json.dump(_mutated(doc, path, value), fh)
-            code, out, err = run(capsys, *argv)
-            assert code != 4, (name, path, value, err)
-            if code == 2:
-                assert out == "" and "Traceback" not in err, (name, path, value, err)
+            _never_exits_4(capsys, doc, argv, mutant, [(path, rng.choice(_REPLACEMENTS))])
             runs += 1
     assert runs > 250
+
+
+@settings(max_examples=400, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_two_field_mutations_never_exit_4(mutation_cases, capsys, data):
+    # a document with two faults reports the first in document order; either
+    # may be any fault, and neither may make a bug of the other
+    cases, mutant = mutation_cases
+    doc, argv = cases[data.draw(st.sampled_from(sorted(cases)))]
+    paths = list(_field_paths(doc))
+    first = data.draw(st.sampled_from(paths))
+    second = data.draw(st.sampled_from(
+        [p for p in paths if p[:len(first)] != first and first[:len(p)] != p]))
+    # the later path first, so that deleting a list item shifts no other path
+    mutations = [(path, data.draw(st.sampled_from(_REPLACEMENTS)))
+                 for path in sorted((first, second), reverse=True)]
+    _never_exits_4(capsys, doc, argv, mutant, mutations)
 
 
 def test_timing_is_measured_for_every_command(corpus_dir, tmp_path, capsys):

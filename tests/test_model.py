@@ -116,12 +116,6 @@ def test_undeclared_parameters_are_rejected():
     assert not _rebuild(corpus.handoff_fixed(), {"p"}, lambda p: p).is_pa
 
 
-def test_well_defined_trichotomy():
-    m1 = corpus.retry_component()
-    assert well_defined(m1, {"p": F(1, 10)}) is WellDefinedness.GRAPH_PRESERVING
-    assert well_defined(m1, {"p": 0}) is WellDefinedness.WELL_DEFINED
-
-
 def _oracle_models(rng):
     """pPAs over p and q whose compositions have entries of degree 2 and 3
     with negative coefficients, a PA, and a pPA composed with the PA."""

@@ -31,7 +31,6 @@ from pacomp.robust import (
     IntervalSet,
     VertexSet,
     conv_compose,
-    interval_relax_compose,
     make_rpa,
     pa_reduce,
 )
@@ -333,17 +332,6 @@ def test_fairness_variants_are_attested_only():
     assert app.concluded
     assert app.confidence == "attested"
     assert all(p.kind == "attested" for p in app.premises)
-
-
-def test_rpa_asymmetric_demo():
-    u1, u2 = corpus.interval_retry(), corpus.interval_responder()
-    trivial = (ProbObjective(">=", F(0), corpus.trivial_dfa(("a", "b"))),)
-    goal = (safety(corpus.no_c_dfa(), F(1, 10)),)
-    app = apply_rpa_rules("asymmetric", u1, u2, trivial, goal)
-    assert app.concluded
-    # the convex composition honors the guarantee, the relaxation does not
-    assert safety_prob(pa_reduce(conv_compose(u1, u2)), goal[0]) >= F(1, 10)
-    assert safety_prob(pa_reduce(interval_relax_compose(u1, u2)), goal[0]) < F(1, 10)
 
 
 def test_rpa_rule_side_condition_and_dispatch():

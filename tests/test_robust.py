@@ -60,18 +60,6 @@ def in_convex_hull(dist, gens):
     return feasible
 
 
-def test_interval_extreme_points_goldens():
-    left = generators(IntervalSet.of({"s0": (0, F(1, 2)), "s1": (F(1, 2), 1)}))
-    assert left == [{"s0": F(1, 2), "s1": F(1, 2)}, {"s1": F(1)}]
-    right = generators(
-        IntervalSet.of({"t1": (F(1, 10), F(9, 10)), "t2": (F(1, 10), F(9, 10))})
-    )
-    assert right == [
-        {"t1": F(1, 10), "t2": F(9, 10)},
-        {"t1": F(9, 10), "t2": F(1, 10)},
-    ]
-
-
 def test_interval_extreme_points_point_interval():
     got = generators(
         IntervalSet.of({"x": (F(1, 4), F(1, 4)), "y": (F(3, 4), F(3, 4))})

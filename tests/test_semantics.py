@@ -143,18 +143,6 @@ def test_projection_goldens():
     assert a == 1 and b == F(1, 10) and a != b
 
 
-def test_projection_dependent_valuations():
-    m1, m2 = corpus.retry_component(), corpus.pipeline_component()
-    lo = {"p": F(1, 10), "q": F(1, 10)}
-    hi = {"p": F(9, 10), "q": F(9, 10)}
-    mixed = compose(instantiate(m1, lo), instantiate(m2, hi))
-    same = compose(instantiate(m1, lo), instantiate(m2, lo))
-    proj_mixed = strategy_project(mixed, corpus.priority_strategy(mixed), 2, 6)
-    proj_same = strategy_project(same, corpus.priority_strategy(same), 2, 6)
-    for path in (("t0",), ("t0", "t0_a", "t2"), ("t0", "t0_a", "t1")):
-        assert proj_mixed.dist(path) == proj_same.dist(path)
-
-
 def test_projection_valuation_independence():
     # a graph-preserving change of one side's own valuation leaves the
     # projection onto that side unchanged, entrywise
