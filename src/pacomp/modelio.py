@@ -37,7 +37,7 @@ from .algebra import (
     parse_poly,
     parse_rational,
 )
-from .errors import InfeasibleIntervalSet, ParseError
+from .errors import EmptyRegion, InfeasibleIntervalSet, ParseError
 from .model import DFA, PPA, make_ppa, sort_key
 from .proofrules import RULES, FairnessAttestation
 from .robust import RPA, IntervalSet, VertexSet, freeze_dist, make_rpa
@@ -135,7 +135,8 @@ class _Keyed(NamedTuple):
 
 class _Built(NamedTuple):
     """`shape`, decoded, then `build(value)`: a ValueError (or an infeasible
-    interval) it raises is a format error at the value's path."""
+    interval, or a box interval with lower > upper) it raises is a format
+    error at the value's path."""
 
     shape: object
     build: object
@@ -184,7 +185,7 @@ def _decode(x, shape, path, inputs):
         value = _decode(x, shape.shape, path, inputs)
         try:
             return shape.build(value)
-        except (ValueError, InfeasibleIntervalSet) as exc:
+        except (ValueError, InfeasibleIntervalSet, EmptyRegion) as exc:
             _fail(path, str(exc))
     if type(x) is not list:
         _fail(path, f"expected a list, got {_show(x)}")

@@ -54,12 +54,15 @@ sample, each probability objective under < or <= of the conjunction is first
 decided alone, by policy iteration from its own last optimal policy
 (`_MoQuery.bad_reach`): if some such objective cannot be met alone, the
 conjunction is unachievable, with the policy's checked value vector as the
-certificate.  The LP's integer rows are filled from the vector and solved
-only when every one of them can be met, and a witness is built and
-re-checked only when the query is achievable.  A strategy's values are the
-witness re-check without settle mass: its chain over the product is built
-once and planned once per support pattern, so each sample only fills integer
-rows.
+certificate.  When every one of them can be met and such an objective is
+the whole query, it is achievable, and the optimal policy that decided it
+is its witness (`_MoQuery._policy_witness`).  Otherwise the LP's integer
+rows are filled from the vector and solved, and a witness is built from
+the LP solution only when the query is achievable.  Both witnesses pass
+one exact re-check on their strategy chain (`_MoQuery._verified`).  A
+strategy's values are the witness re-check without settle mass: its chain
+over the product is built once and planned once per support pattern, so
+each sample only fills integer rows.
 
 A parameter-free solve is a `_MoQuery` at its one constant vector
 (`_constant_query`): `mo_achievable` solves its layout, `solution_value`
@@ -753,11 +756,35 @@ class _MoQuery:
         iteration certifies such an "unachievable": the value vector v is a
         policy's, so v <= v*, and no action strictly improves on v, so
         T v <= v and v* <= v (`exp_total_reward`).  The LP decides the rest
-        (`_lp_solve`)."""
+        (`_lp_solve`), except a query of one such objective alone: that
+        objective is met, and the optimal policy that decided it is its
+        witness (`_policy_witness`).  A single reachability objective has a
+        deterministic memoryless optimal strategy; only a conjunction needs
+        the LP's randomised one (Etessami et al., LMCS 2008)."""
         for i, o in enumerate(self.prob_objs):
             if o.cmp in ("<", "<=") and not _cmp(1 - self.bad_reach(point, i), o.cmp, o.threshold):
                 return "unachievable", None
+        if not self.rew_objs and len(self.prob_objs) == 1 and self.prob_objs[0].cmp in ("<", "<="):
+            return "achievable", self._policy_witness(point)
         return self._lp_solve(point)
+
+    def _policy_witness(self, point):
+        """The witness of the one probability objective at `point`, which
+        `bad_reach` has just decided: its optimal policy, with mass 1 on the
+        policy's action at every product state the policy reaches, and no
+        settle or stay mode.  It is the empty strategy when the initial state
+        is a target, since every strategy then has the value 0."""
+        nums, mix = point[1], {}
+        if self.init not in self.targets[0]:
+            policy, stack = self._policies[0], [self.init]
+            while stack:
+                ps = stack.pop()
+                if ps in mix or ps not in policy:
+                    continue  # visited, a target or a state without actions
+                a = policy[ps]
+                mix[ps] = {a: Fraction(1)}
+                stack.extend(t for t, k in self.ptrans[(ps, a)] if nums[k])
+        return self._verified(point, mix, {}, {})
 
     def _lp_solve(self, point):
         """`solve` by the occupation LP alone."""
@@ -779,7 +806,7 @@ class _MoQuery:
         return "achievable", self._witness(point, x, y_index, w_index, stay)
 
     def _witness(self, point, x, y_index, w_index, stay):
-        """The two-mode witness strategy of the LP solution x, re-verified exactly."""
+        """The two-mode witness strategy of the LP solution x (`_verified`)."""
         mix, settle_mass = {}, {}
         for ps in self.states:
             total = Fraction(0)
@@ -796,8 +823,13 @@ class _MoQuery:
             mix[ps] = {a: v / total for a, v in weights.items()}
             if w:
                 settle_mass[ps] = w / total
+        return self._verified(point, mix, settle_mass, dict(stay))
 
-        vals = _StrategyChain(self, mix.get, settle_mass, stay)(point)
+    def _verified(self, point, mix, settle, stay):
+        """The two-mode witness strategy (mix, settle, stay) with its values,
+        re-evaluated exactly at `point` on its `_StrategyChain`; a witness
+        that misses an objective is an internal error."""
+        vals = _StrategyChain(self, mix.get, settle, stay)(point)
         for o, val in zip(self.objectives, vals):
             if not _cmp(val, o.cmp, o.threshold):
                 raise RuntimeError("internal: witness failed exact re-verification")
@@ -805,8 +837,8 @@ class _MoQuery:
             "kind": "product-memoryless",
             "strategy_class": self.strategy_class,
             "mix": mix,
-            "settle": settle_mass,
-            "stay": dict(stay),
+            "settle": settle,
+            "stay": stay,
             "values": {
                 (o.name or f"objective-{k}"): val
                 for k, (o, val) in enumerate(zip(self.objectives, vals))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from pacomp import cli, corpus, modelio, verify
 from pacomp.algebra import Box, FiniteRegion
 from pacomp.cli import main, parse_region_arg, parse_valuation_arg
-from pacomp.errors import PacompError, ParseError, StrategyCapExceeded
+from pacomp.errors import EmptyRegion, PacompError, ParseError, StrategyCapExceeded
 from pacomp.model import alphabet_extend, sort_key, unit_ppa
 from pacomp.proofrules import RULES, FairnessAttestation
 from pacomp.report import scrub
@@ -894,9 +894,10 @@ def _outcome(parse, text):
 
 def _reference_outcome(parse, text):
     """`_outcome` of a reference parser, which took any string as a parameter
-    name.  A name that is not an identifier is a ParseError now, raised as
-    the text decodes, before an error the reference found in building the
-    region from the names it read."""
+    name and raised EmptyRegion for a box interval with lower > upper.  Both
+    are ParseErrors now: a name that is not an identifier as the text
+    decodes, before an error the reference found in building the region from
+    the names it read, and a reversed interval at the box's bounds."""
     names = []
 
     def named(pairs, what):
@@ -908,7 +909,7 @@ def _reference_outcome(parse, text):
         got = _outcome(parse, text)
     if any(not (name.isidentifier() and name.isascii()) for name in names):
         return ParseError
-    return got
+    return ParseError if got is EmptyRegion else got
 
 
 def _exits_2_quietly(argv):
@@ -1056,7 +1057,8 @@ _ONE_SET = "rpa transition needs exactly one of 'interval' and 'vertices'"
 _NO_ID = (("true", True), ("false", False), ("float", 1.0), ("null", None), ("list", []),
           ("untagged object", {"x": "1"}))
 # "group: case" -> (document: a corpus file or a key of _DOCUMENTS, path,
-# replacement, message); each group is one test below, and a case its id
+# replacement, message), or (region text, None, None, message); each group is
+# one test below, and a case its id
 _MALFORMED = {
     "key twice: ppa dist": (_RETRY, ("transitions", 0, "dist", 1, 0), "s0",
                         "$.transitions[0].dist: names successor 's0' twice"),
@@ -1109,6 +1111,10 @@ _MALFORMED = {
                                  "$.bounds[1][0]: expected an identifier, got '[q'"),
     "region: box-json-empty-name": ("box", ("bounds", 0, 0), "",
                                     "$.bounds[0][0]: expected an identifier, got ''"),
+    "region: box-json-reversed": ("box", ("bounds", 0, 1), ["1", "0"],
+                                  "$.bounds: box interval for 'p' has lower > upper"),
+    "region: box-text-reversed": ("box.p=[1,0]", None, None,
+                                  "$.bounds: box interval for 'p' has lower > upper"),
     "contradiction: rpa both sets": (_RPA, ("transitions", 0, "vertices"), [[["s0", "1"]]],
                                      f"$.transitions[0]: {_ONE_SET}"),
     "contradiction: rpa no set": (_RPA, ("transitions", 0, "interval"), "<delete>",
@@ -1162,9 +1168,12 @@ def _malformed(group):
 
 def _exits_2_at_its_path(row, corpus_dir, tmp_path, capsys):
     name, path, value, message = row
-    doc = _DOCUMENTS[name] if name in _DOCUMENTS else json.load(open(corpus_dir / name))
-    mutant = str(tmp_path / "mutant.json")
-    json.dump(_mutated(doc, path, value), open(mutant, "w"))
+    mutant, kind, region = str(tmp_path / "mutant.json"), "region", name
+    if path is not None:  # else `name` is region text, given to --region as written
+        doc = _DOCUMENTS[name] if name in _DOCUMENTS else json.load(open(corpus_dir / name))
+        json.dump(_mutated(doc, path, value), open(mutant, "w"))
+        kind = {"box": "region", "finite": "region"}.get(doc["type"], doc["type"])
+        region = "@" + mutant
     retry = str(corpus_dir / _RETRY)
     argv = {
         "ppa": ["tau", "--model", mutant],
@@ -1174,8 +1183,8 @@ def _exits_2_at_its_path(row, corpus_dir, tmp_path, capsys):
         "strategy": ["project", "--left", retry, "--right", str(corpus_dir / "pipeline.ppa.json"),
                      "--strategy", mutant, "--valuation", "p=1/10,q=1/10", "--side", "2"],
         "region": ["check", "--model", retry, "--objective", str(corpus_dir / _ASSUME),
-                   "--region", "@" + mutant],
-    }[{"box": "region", "finite": "region"}.get(doc["type"], doc["type"])]
+                   "--region", region],
+    }[kind]
     assert run(capsys, *argv) == (2, "", f"format error: {message}\n")
 
 

@@ -597,6 +597,56 @@ def test_reach_decider_agrees_with_the_lp(seed):
             assert answered == decided[::order]
 
 
+@settings(max_examples=25)
+@given(st.integers(0, 2**32))
+def test_a_single_objective_is_witnessed_by_its_optimal_policy(seed):
+    """A query of one probability objective under < or <= is decided by
+    `bad_reach`, and when it is achievable, the optimal policy that decided
+    it is its witness, with no LP.  In both strategy classes, at the unit
+    box's samples (the corners zero out entries), with the threshold 1 - r
+    for the maximal reach r at some sample (the tie) or 1/16 on either side:
+    `solve`'s status is the LP's (`_lp_solve`), every witness plays one
+    action with mass 1 per state and has no settle or stay mode, and its
+    exactly re-checked value is 1 - r at its own sample."""
+    rng = random.Random(seed)
+    m = compose(*random_parametric_pair(rng))
+    dfa = random_safety_dfa(rng, sorted(m.alphabet))
+    valuations = region_samples(Box.of({"p": (0, 1)}), rng.randint(1, 3))
+
+    def no_lp(point):
+        raise AssertionError("an LP was solved")
+
+    for cls in ("cmp", "prt"):
+        probe, points = _query_points(m, (ProbObjective("<", F(0), dfa),), cls, valuations)
+        reaches = [probe.bad_reach(point, 0) for point in points]
+        threshold = 1 - rng.choice(reaches) + rng.choice((-F(1, 16), 0, F(1, 16)))
+        objective = ProbObjective(rng.choice(("<", "<=")), threshold, dfa)
+        lp, points = _query_points(m, (objective,), cls, valuations)
+        expected = [lp._lp_solve(point)[0] for point in points]
+        query, points = _query_points(m, (objective,), cls, valuations)
+        query._lp_solve = no_lp
+        for point, reach, status in zip(points, reaches, expected):
+            got, witness = query.solve(point)
+            assert got == status
+            if got == "achievable":
+                assert witness["settle"] == witness["stay"] == {}
+                assert all(list(dist.values()) == [1] for dist in witness["mix"].values())
+                assert witness["values"] == {"objective-0": 1 - reach}
+
+
+def test_a_query_violated_by_the_empty_word_has_the_empty_witness():
+    """When the initial product state is a target, every strategy has the
+    value 0, so the policy witness plays nothing."""
+    m = make_ppa(["s0"], "s0", set(), {("s0", "go"): ("a", {"s0": 1})}, {"a"})
+    hit = dfa_forbid_prefix((), {"a"})
+    for cmp, threshold in (("<=", F(0)), ("<", F(1, 2))):
+        status, witness = mo_achievable(m, (ProbObjective(cmp, threshold, hit),), "cmp")
+        assert status == "achievable"
+        assert (witness["mix"], witness["settle"], witness["stay"]) == ({}, {}, {})
+        assert witness["values"] == {"objective-0": 0}
+    assert mo_achievable(m, (ProbObjective("<", F(0), hit),), "cmp") == ("unachievable", None)
+
+
 def test_an_objective_unachievable_alone_answers_a_query_with_rewards():
     """A probability objective under < that no strategy meets alone answers
     the conjunction without the LP, also beside a reward objective: no
