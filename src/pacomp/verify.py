@@ -55,14 +55,14 @@ decided alone, by policy iteration from its own last optimal policy
 (`_MoQuery.bad_reach`): if some such objective cannot be met alone, the
 conjunction is unachievable, with the policy's checked value vector as the
 certificate.  When every one of them can be met and such an objective is
-the whole query, it is achievable, and the optimal policy that decided it
-is its witness (`_MoQuery._policy_witness`).  Otherwise the LP's integer
-rows are filled from the vector and solved, and a witness is built from
-the LP solution only when the query is achievable.  Both witnesses pass
-one exact re-check on their strategy chain (`_MoQuery._verified`).  A
-strategy's values are the witness re-check without settle mass: its chain
-over the product is built once and planned once per support pattern, so
-each sample only fills integer rows.
+the whole query, it is achievable, and an optimal policy read from the
+values that decided it is its witness (`_MoQuery._policy_witness`).
+Otherwise the LP's integer rows are filled from the vector and solved, and
+a witness is built from the LP solution only when the query is achievable.
+Both witnesses pass one exact re-check on their strategy chain
+(`_MoQuery._verified`).  A strategy's values are the witness re-check
+without settle mass: its chain over the product is built once and planned
+once per support pattern, so each sample only fills integer rows.
 
 A parameter-free solve is a `_MoQuery` at its one constant vector
 (`_constant_query`): `mo_achievable` solves its layout, `solution_value`
@@ -421,6 +421,44 @@ def _policy_iteration(shape, point, start=None):
             return policy, (scale, x)
 
 
+def _reaching_policy(shape, point, values, stop):
+    """A det policy of `shape` that attains the maximal reach of `stop` at
+    `point`, read from the optimal values (V, x) alone, so it does not depend
+    on the policy iteration's start.  An action is optimal at s when its
+    backup equals the value of s.  Optimal actions alone may cycle without
+    reaching `stop`, so the nodes of positive value are ranked by their
+    distance to `stop` over optimal actions: in rounds, each unranked one
+    takes its first optimal action with a successor in `stop` or ranked in
+    an earlier round.  Every one is ranked: among the unranked, those of
+    greatest value would be closed under optimal actions, and lowering their
+    values a little would give a fixpoint bound T v <= v below the least
+    fixpoint.  The policy then reaches `stop` from each node with its value.
+    A node of value 0 keeps its first action."""
+    den, nums = point
+    _, _, options, _ = shape
+    scale, x = values
+    optimal = {
+        s: [(a, out) for a, gain, out in opts
+            if sum(nums[k] for k in gain) * scale + sum(nums[k] * x[t] for t, k in out)
+            == den * x[s]]
+        for s, opts in options.items() if x[s]
+    }
+    policy = {s: opts[0][0] for s, opts in options.items()}
+    ranked, left = set(stop), list(optimal)
+    while left:
+        step = {}
+        for s in left:
+            a = next((a for a, out in optimal[s] if any(t in ranked for t, _ in out)), None)
+            if a is not None:
+                step[s] = a
+        if not step:
+            raise RuntimeError("internal: a node of positive reach has no path to the targets")
+        policy.update(step)
+        ranked.update(step)
+        left = [s for s in left if s not in step]
+    return policy
+
+
 # ---------------------------------------------------------------------------
 # Exact optimal reachability
 # ---------------------------------------------------------------------------
@@ -663,7 +701,7 @@ class _MoQuery:
             for slots in self.reward_slots
         ]
         self.one = slot(Fraction(1))  # numerator D at every vector
-        self._layouts, self._shapes, self._policies = {}, {}, {}
+        self._layouts, self._shapes, self._policies, self._reached = {}, {}, {}, {}
 
     def negative_reward(self, point):
         """A symbol whose reward is negative at the table vector `point`, or
@@ -736,7 +774,8 @@ class _MoQuery:
     def bad_reach(self, point, i):
         """The maximal reach of probability objective i's targets at `point`,
         by policy iteration from that objective's last optimal policy.  Its
-        shape is kept per objective and sign pattern."""
+        shape is kept per objective and sign pattern, and the shape and
+        values of its last solve for `_policy_witness`."""
         if self.init in self.targets[i]:
             return Fraction(1)
         key = (i, tuple((n > 0) - (n < 0) for n in point[1]))
@@ -745,6 +784,7 @@ class _MoQuery:
             shape = self._shapes[key] = _policy_shape(
                 self.states, self.acts, self.ptrans, point[1], self.gains[i], self.targets[i])
         self._policies[i], (scale, x) = _policy_iteration(shape, point, self._policies.get(i))
+        self._reached[i] = shape, (scale, x)
         return Fraction(x[self.init], scale)
 
     def solve(self, point):
@@ -757,10 +797,11 @@ class _MoQuery:
         policy's, so v <= v*, and no action strictly improves on v, so
         T v <= v and v* <= v (`exp_total_reward`).  The LP decides the rest
         (`_lp_solve`), except a query of one such objective alone: that
-        objective is met, and the optimal policy that decided it is its
-        witness (`_policy_witness`).  A single reachability objective has a
-        deterministic memoryless optimal strategy; only a conjunction needs
-        the LP's randomised one (Etessami et al., LMCS 2008)."""
+        objective is met, and an optimal policy read from the values that
+        decided it is its witness (`_policy_witness`).  A single
+        reachability objective has a deterministic memoryless optimal
+        strategy; only a conjunction needs the LP's randomised one
+        (Etessami et al., LMCS 2008)."""
         for i, o in enumerate(self.prob_objs):
             if o.cmp in ("<", "<=") and not _cmp(1 - self.bad_reach(point, i), o.cmp, o.threshold):
                 return "unachievable", None
@@ -770,13 +811,17 @@ class _MoQuery:
 
     def _policy_witness(self, point):
         """The witness of the one probability objective at `point`, which
-        `bad_reach` has just decided: its optimal policy, with mass 1 on the
-        policy's action at every product state the policy reaches, and no
-        settle or stay mode.  It is the empty strategy when the initial state
-        is a target, since every strategy then has the value 0."""
+        `bad_reach` has just decided: an optimal policy read from its values
+        (`_reaching_policy`), so a sample has the same witness whatever the
+        samples solved before it, with mass 1 on the policy's action at every
+        product state the policy reaches, and no settle or stay mode.  It is
+        the empty strategy when the initial state is a target, since every
+        strategy then has the value 0."""
         nums, mix = point[1], {}
         if self.init not in self.targets[0]:
-            policy, stack = self._policies[0], [self.init]
+            shape, values = self._reached[0]
+            policy = _reaching_policy(shape, point, values, self.targets[0])
+            stack = [self.init]
             while stack:
                 ps = stack.pop()
                 if ps in mix or ps not in policy:

@@ -601,8 +601,8 @@ def test_reach_decider_agrees_with_the_lp(seed):
 @given(st.integers(0, 2**32))
 def test_a_single_objective_is_witnessed_by_its_optimal_policy(seed):
     """A query of one probability objective under < or <= is decided by
-    `bad_reach`, and when it is achievable, the optimal policy that decided
-    it is its witness, with no LP.  In both strategy classes, at the unit
+    `bad_reach`, and when it is achievable, an optimal policy read from the
+    values that decided it is its witness, with no LP.  In both strategy classes, at the unit
     box's samples (the corners zero out entries), with the threshold 1 - r
     for the maximal reach r at some sample (the tie) or 1/16 on either side:
     `solve`'s status is the LP's (`_lp_solve`), every witness plays one
@@ -1500,12 +1500,15 @@ def test_region_checks_match_per_sample_reference():
     # reward objective, seed 4 a failing monotonicity check and seed 7 a
     # holding `region_sat` without one, so the coverage check below does not
     # rest on the random draws (100 of them missed a combination in 4 of 72
-    # runs; a failing monotonicity check comes from 7 of seeds 0-199)
+    # runs; a failing monotonicity check comes from 7 of seeds 0-199); seed
+    # 830 has two optimal policies at a `fails` sample, so a witness taken
+    # from the warm-started policy iteration differs from the per-sample one
     @settings(max_examples=100)
     @given(st.integers(0, 2**32))
     @example(3)
     @example(4)
     @example(7)
+    @example(830)
     def check(seed):
         rng = random.Random(seed)
         m = compose(*random_parametric_pair(rng))
