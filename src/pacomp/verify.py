@@ -5,13 +5,16 @@ reward objectives are expected total rewards over transition labels.  All
 solvers are exact and end in two mechanisms:
 
 - one Markov-chain solver: expected total gain per state, INF on recurrent
-  positive gain, the rest by one exact solve of integer rows, each a
+  positive gain, the rest solved SCC by SCC from integer rows, each a
   state's probabilities and gain as numerators over its own denominator.
   Reachability is the case with absorbing targets.  It is split into a plan
   (`_chain_plan`), which reads which entries are nonzero and decides, in
-  one pass over the SCCs, the INF and zero states and the unknowns, SCC by
-  SCC with successors first, and a fill (`_chain_fill`), which writes the
-  integer rows and solves them into integer values over one denominator.
+  one pass over the SCCs, the INF and zero states and the blocks of
+  unknowns, one per SCC with successors first, and a fill (`_chain_fill`),
+  which solves each block with its successors' values on the right (one
+  division for a state outside any cycle, an exact elimination for a
+  cyclic block) into integer values over one denominator (topological
+  solving, Ciesinski et al., QEST 2008).
   It evaluates fixed strategies and witnesses (`_StrategyChain`), and
   drives the policy iteration (`_policy_iteration`) behind optimal
   reachability, safety probabilities, maximal expected reward and
@@ -55,8 +58,9 @@ decided alone, by policy iteration from its own last optimal policy
 (`_MoQuery.bad_reach`): if some such objective cannot be met alone, the
 conjunction is unachievable, with the policy's checked value vector as the
 certificate.  When every one of them can be met and such an objective is
-the whole query, it is achievable, and an optimal policy read from the
-values that decided it is its witness (`_MoQuery._policy_witness`).
+the whole query, it is achievable, and its witness is the optimal policy
+that policy iteration reaches from each state's first action
+(`_MoQuery._policy_witness`).
 Otherwise the LP's integer rows are filled from the vector and solved, and
 a witness is built from the LP solution only when the query is achievable.
 Both witnesses pass one exact re-check on their strategy chain
@@ -293,15 +297,16 @@ def _chain_plan(rows, point, init=None):
     row, meets each SCC after those it reaches.  An SCC is INF when it is
     closed, has an internal edge and collects positive gain, or when a
     successor SCC is INF; it is unknown when it collects positive gain or a
-    successor SCC is unknown; its nodes are 0 otherwise.  `_chain_fill`
-    solves the unknowns; nothing is left to solve when init is INF or 0.
-    Returns the settled values {node: INF or int 0}, the unknown nodes SCC
-    by SCC, successors first, and their rows with each successor as its
-    index among them.
+    successor SCC is unknown; its nodes are 0 otherwise.  Returns the
+    settled values {node: INF or int 0} and the unknown SCCs as blocks, in
+    the order `_sccs` emits them (successors first), for `_chain_fill`: each
+    a tuple of its nodes' rows (node, scale, succ, gain), restricted to the
+    nonzero entries and to the unknown successors (a settled successor of an
+    unknown node is 0).  Nothing is left to solve when init is INF or 0.
     """
     nums = point[1]
     succ = {s: tuple(t for t, _, k in out if nums[k]) for s, (_, out, _) in rows.items()}
-    value = {}  # node: INF, 0, or None while unknown
+    value, blocks = {}, []  # value: INF, 0, or None while unknown
     for comp in _sccs(rows if init is None else (init,), succ.__getitem__):
         # a successor outside comp is in an SCC met before it
         after = {value[t] for s in comp for t in succ[s] if t in value}
@@ -314,45 +319,56 @@ def _chain_plan(rows, point, init=None):
             v = 0
         for s in comp:
             value[s] = v
+        if v is None:
+            blocks.append(tuple(
+                (s, rows[s][0],
+                 tuple((t, f, k) for t, f, k in rows[s][1] if nums[k] and value[t] is None),
+                 tuple((f, k) for f, k in rows[s][2] if nums[k]))
+                for s in comp
+            ))
     settled = {s: v for s, v in value.items() if v is not None}
-    if init in settled:
-        return settled, (), ()
-    unknown = [s for s, v in value.items() if v is None]
-    idx = {s: i for i, s in enumerate(unknown)}
-    filled = []
-    for s in unknown:
-        scale, out, gain = rows[s]
-        filled.append((
-            scale,
-            tuple((idx[t], f, k) for t, f, k in out if nums[k] and t in idx),
-            tuple((f, k) for f, k in gain if nums[k]),
-        ))
-    return settled, unknown, filled
+    return settled, () if init in settled else tuple(blocks)
 
 
 def _chain_fill(plan, point):
     """The numeric half of a Markov-chain solve: every planned node's value
     at the value vector `point` (D, nums) of the plan's support pattern, as
     (V, x): x[s] / V is the value of s (or x[s] is INF), V the least common
-    denominator.  The unknown nodes take one exact solve of integer rows,
-    scale * D on the diagonal minus the successors' numerators, with the
-    gains on the right.
+    denominator.  The blocks are solved in plan order, so every successor
+    outside a block is solved before it, and each value is kept as an
+    integer numerator over its own reduced denominator.  A block's integer
+    rows have scale * D on the diagonal minus the numerators of its internal
+    entries, all times the lcm of the outside successors' denominators,
+    with the gains and the outside successors' values on the right.  A block
+    without internal entries, a node without a self-loop, takes one
+    division; any other block one exact solve (`gauss_solve`).
     """
-    settled, unknown, filled = plan
-    if not unknown:
-        return 1, dict(settled)
+    settled, blocks = plan
     den, nums = point
-    n = len(unknown)
-    rows, rhs = [], []
-    for i, (scale, out, gain) in enumerate(filled):
-        row = [0] * n
-        row[i] = scale * den
-        for j, f, k in out:
-            row[j] -= f * nums[k]
-        rows.append(row)
-        rhs.append(sum(f * nums[k] for f, k in gain))
-    scale, x = gauss_solve(rows, rhs)
-    return scale, settled | dict(zip(unknown, x))
+    solved = {}  # node: (numerator, denominator) in lowest terms
+    for block in blocks:
+        inside = {s: i for i, (s, *_) in enumerate(block)}
+        rows, rhs, internal = [], [], False
+        for i, (s, scale, out, gain) in enumerate(block):
+            d = lcm(*(solved[t][1] for t, _, _ in out if t not in inside))
+            row = [0] * len(block)
+            row[i] = scale * den * d
+            r = d * sum(f * nums[k] for f, k in gain)
+            for t, f, k in out:
+                if t in inside:
+                    row[inside[t]] -= d * f * nums[k]
+                    internal = True
+                else:
+                    n_t, d_t = solved[t]
+                    r += f * nums[k] * n_t * (d // d_t)
+            rows.append(row)
+            rhs.append(r)
+        common, x = gauss_solve(rows, rhs) if internal else (rows[0][0], rhs)
+        for (s, *_), n in zip(block, x):
+            g = gcd(n, common)
+            solved[s] = n // g, common // g
+    scale = lcm(*(d for _, d in solved.values()))
+    return scale, settled | {s: n * (scale // d) for s, (n, d) in solved.items()}
 
 
 def _policy_shape(nodes, acts, succ, nums, gains, stop):
@@ -419,44 +435,6 @@ def _policy_iteration(shape, point, start=None):
                 improved = True
         if not improved:
             return policy, (scale, x)
-
-
-def _reaching_policy(shape, point, values, stop):
-    """A det policy of `shape` that attains the maximal reach of `stop` at
-    `point`, read from the optimal values (V, x) alone, so it does not depend
-    on the policy iteration's start.  An action is optimal at s when its
-    backup equals the value of s.  Optimal actions alone may cycle without
-    reaching `stop`, so the nodes of positive value are ranked by their
-    distance to `stop` over optimal actions: in rounds, each unranked one
-    takes its first optimal action with a successor in `stop` or ranked in
-    an earlier round.  Every one is ranked: among the unranked, those of
-    greatest value would be closed under optimal actions, and lowering their
-    values a little would give a fixpoint bound T v <= v below the least
-    fixpoint.  The policy then reaches `stop` from each node with its value.
-    A node of value 0 keeps its first action."""
-    den, nums = point
-    _, _, options, _ = shape
-    scale, x = values
-    optimal = {
-        s: [(a, out) for a, gain, out in opts
-            if sum(nums[k] for k in gain) * scale + sum(nums[k] * x[t] for t, k in out)
-            == den * x[s]]
-        for s, opts in options.items() if x[s]
-    }
-    policy = {s: opts[0][0] for s, opts in options.items()}
-    ranked, left = set(stop), list(optimal)
-    while left:
-        step = {}
-        for s in left:
-            a = next((a for a, out in optimal[s] if any(t in ranked for t, _ in out)), None)
-            if a is not None:
-                step[s] = a
-        if not step:
-            raise RuntimeError("internal: a node of positive reach has no path to the targets")
-        policy.update(step)
-        ranked.update(step)
-        left = [s for s in left if s not in step]
-    return policy
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +679,7 @@ class _MoQuery:
             for slots in self.reward_slots
         ]
         self.one = slot(Fraction(1))  # numerator D at every vector
-        self._layouts, self._shapes, self._policies, self._reached = {}, {}, {}, {}
+        self._layouts, self._shapes, self._policies = {}, {}, {}
 
     def negative_reward(self, point):
         """A symbol whose reward is negative at the table vector `point`, or
@@ -774,18 +752,22 @@ class _MoQuery:
     def bad_reach(self, point, i):
         """The maximal reach of probability objective i's targets at `point`,
         by policy iteration from that objective's last optimal policy.  Its
-        shape is kept per objective and sign pattern, and the shape and
-        values of its last solve for `_policy_witness`."""
+        shape is kept per objective and sign pattern (`_shape`)."""
         if self.init in self.targets[i]:
             return Fraction(1)
+        shape = self._shape(point, i)
+        self._policies[i], (scale, x) = _policy_iteration(shape, point, self._policies.get(i))
+        return Fraction(x[self.init], scale)
+
+    def _shape(self, point, i):
+        """Probability objective i's `_policy_shape` for the sign pattern of
+        the table vector `point`, built once per pattern."""
         key = (i, tuple((n > 0) - (n < 0) for n in point[1]))
         shape = self._shapes.get(key)
         if shape is None:
             shape = self._shapes[key] = _policy_shape(
                 self.states, self.acts, self.ptrans, point[1], self.gains[i], self.targets[i])
-        self._policies[i], (scale, x) = _policy_iteration(shape, point, self._policies.get(i))
-        self._reached[i] = shape, (scale, x)
-        return Fraction(x[self.init], scale)
+        return shape
 
     def solve(self, point):
         """("achievable", witness) or ("unachievable", None) at the table
@@ -797,8 +779,8 @@ class _MoQuery:
         policy's, so v <= v*, and no action strictly improves on v, so
         T v <= v and v* <= v (`exp_total_reward`).  The LP decides the rest
         (`_lp_solve`), except a query of one such objective alone: that
-        objective is met, and an optimal policy read from the values that
-        decided it is its witness (`_policy_witness`).  A single
+        objective is met, and the optimal policy that a cold-started policy
+        iteration reaches is its witness (`_policy_witness`).  A single
         reachability objective has a deterministic memoryless optimal
         strategy; only a conjunction needs the LP's randomised one
         (Etessami et al., LMCS 2008)."""
@@ -811,16 +793,16 @@ class _MoQuery:
 
     def _policy_witness(self, point):
         """The witness of the one probability objective at `point`, which
-        `bad_reach` has just decided: an optimal policy read from its values
-        (`_reaching_policy`), so a sample has the same witness whatever the
-        samples solved before it, with mass 1 on the policy's action at every
-        product state the policy reaches, and no settle or stay mode.  It is
-        the empty strategy when the initial state is a target, since every
-        strategy then has the value 0."""
+        `bad_reach` has just decided: the optimal policy that policy
+        iteration reaches from each node's first action, so a sample has the
+        policy it gets when it is solved alone, whatever the samples solved
+        before it, with mass 1 on the policy's action at every product state
+        the policy reaches, and no settle or stay mode.  It is the empty
+        strategy when the initial state is a target, since every strategy
+        then has the value 0."""
         nums, mix = point[1], {}
         if self.init not in self.targets[0]:
-            shape, values = self._reached[0]
-            policy = _reaching_policy(shape, point, values, self.targets[0])
+            policy, _ = _policy_iteration(self._shape(point, 0), point)
             stack = [self.init]
             while stack:
                 ps = stack.pop()

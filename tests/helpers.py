@@ -267,13 +267,41 @@ def random_parametric_pair(rng: random.Random, params=("p",)):
     return m1, m2
 
 
-def random_safety_dfa(rng: random.Random, alphabet, n_states=2, allow_empty=True):
+def k_component_family(k):
+    """The scaled family of k components that share no symbol: component i
+    moves s0 --t_i--> {ok: 1 - p, bad: p}, then ok --e_i--> done or
+    bad --f_i--> done, so their composition has 4**k states.  Returns the
+    components, the region p in [0, 1/100], the `asym-n` assumptions "no
+    f_1..f_i" at 1 - i/100 for i < k, and the guarantee "no f_1..f_k" at
+    1 - k/100, each a one-objective query."""
+    p = Polynomial.var("p")
+    models = [
+        make_ppa(["s0", "ok", "bad", "done"], "s0", {"p"}, {
+            ("s0", f"go{i}"): (f"t{i}", {"ok": 1 - p, "bad": p}),
+            ("ok", f"end{i}"): (f"e{i}", {"done": 1}),
+            ("bad", f"fail{i}"): (f"f{i}", {"done": 1}),
+        }, {f"t{i}", f"e{i}", f"f{i}"})
+        for i in range(1, k + 1)
+    ]
+    queries = []
+    for i in range(1, k + 1):
+        fs = {f"f{j}" for j in range(1, i + 1)}
+        queries.append((safety(dfa_forbid_symbols(fs, fs), 1 - Fraction(i, 100)),))
+    return models, Box.of({"p": (0, Fraction(1, 100))}), queries[:-1], queries[-1]
+
+
+def random_safety_dfa(rng: random.Random, alphabet, n_states=2, allow_empty=True, initial=False):
+    """A bad-prefix DFA of `n_states` states over `alphabet` with random
+    transitions and fewer accepting states than states, at least one unless
+    `allow_empty`.  The initial state accepts only with `initial`, and then
+    as often as any other, so that the empty word may already be a bad
+    prefix; without it the draws are those that seeded tests rely on."""
     states = [f"q{i}" for i in range(n_states)]
     trans = {
         (q, sym): rng.choice(states) for q in states for sym in sorted(alphabet)
     }
     k = rng.randint(0 if allow_empty else 1, n_states - 1)
-    accepting = frozenset(rng.sample(states[1:], k=k)) if k else frozenset()
+    accepting = frozenset(rng.sample(states if initial else states[1:], k=k))
     return DFA(tuple(states), states[0], frozenset(alphabet), trans, accepting)
 
 

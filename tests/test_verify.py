@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -32,11 +33,14 @@ from pacomp.model import (
     sort_key,
     tau_extend,
 )
+from pacomp.proofrules import apply_asym_n
 from pacomp.robust import pa_reduce
 from pacomp.semantics import MemorylessStrategy
 from pacomp.verify import (
     INF,
     _MoQuery,
+    _chain_fill,
+    _chain_plan,
     _end_component_keys,
     _policy_iteration,
     _policy_shape,
@@ -59,8 +63,10 @@ from pacomp.verify import (
 from helpers import (
     RationalLP,
     ag_triple_check_per_sample,
+    chain_solve_reference,
     end_component_keys_reference,
     fraction_solve,
+    k_component_family,
     monotone_check_per_sample,
     occupation_rows_reference,
     policy_iteration_reference,
@@ -599,18 +605,21 @@ def test_reach_decider_agrees_with_the_lp(seed):
 
 @settings(max_examples=25)
 @given(st.integers(0, 2**32))
+@example(1)  # the initial product state is a target: the empty witness
 def test_a_single_objective_is_witnessed_by_its_optimal_policy(seed):
     """A query of one probability objective under < or <= is decided by
-    `bad_reach`, and when it is achievable, an optimal policy read from the
-    values that decided it is its witness, with no LP.  In both strategy classes, at the unit
-    box's samples (the corners zero out entries), with the threshold 1 - r
-    for the maximal reach r at some sample (the tie) or 1/16 on either side:
-    `solve`'s status is the LP's (`_lp_solve`), every witness plays one
-    action with mass 1 per state and has no settle or stay mode, and its
-    exactly re-checked value is 1 - r at its own sample."""
+    `bad_reach`, and when it is achievable, its witness is the optimal
+    policy that policy iteration reaches from each state's first action,
+    with no LP.  The DFA's initial state may accept, which makes the witness
+    empty.  In both strategy classes, at the unit box's samples (the
+    corners zero out entries), with the threshold 1 - r for the maximal
+    reach r at some sample (the tie) or 1/16 on either side: `solve`'s
+    status is the LP's (`_lp_solve`), every witness plays one action with
+    mass 1 per state and has no settle or stay mode, and its exactly
+    re-checked value is 1 - r at its own sample."""
     rng = random.Random(seed)
     m = compose(*random_parametric_pair(rng))
-    dfa = random_safety_dfa(rng, sorted(m.alphabet))
+    dfa = random_safety_dfa(rng, sorted(m.alphabet), initial=True)
     valuations = region_samples(Box.of({"p": (0, 1)}), rng.randint(1, 3))
 
     def no_lp(point):
@@ -1555,7 +1564,7 @@ def _strategy_chain_cases(rng):
     m = compose(*random_parametric_pair(rng))
     alphabet = sorted(m.alphabet)
     p = Polynomial.var("p")
-    objectives = [safety(random_safety_dfa(rng, alphabet, allow_empty=False), 0)
+    objectives = [safety(random_safety_dfa(rng, alphabet, allow_empty=False, initial=True), 0)
                   for _ in range(rng.randint(1, 2))]
     objectives.append(reward_objective(">=", 0, {rng.choice(alphabet): rng.choice(
         [1, p, (1 - 2 * p) * (1 - 2 * p)])}))
@@ -1569,20 +1578,105 @@ def _strategy_chain_cases(rng):
 
 
 def _successors_first(plan):
-    """Whether a chain plan lists its unknowns SCC by SCC, as networkx finds
-    the SCCs of its rows: each SCC's members together, after every SCC they
-    reach."""
-    _, unknown, filled = plan
+    """Whether a chain plan's blocks are the SCCs that networkx finds in the
+    graph of its rows, each block after every block it reaches."""
+    _, blocks = plan
     graph = nx.DiGraph()
-    graph.add_nodes_from(range(len(unknown)))
-    graph.add_edges_from((i, j) for i, (_, out, _) in enumerate(filled) for j, _, _ in out)
-    comp = {i: min(c) for c in nx.strongly_connected_components(graph) for i in c}
-    together = all(comp[i] == comp[i + 1] or comp[i + 1] == i + 1 for i in range(len(unknown) - 1))
-    return together and all(j < i or comp[i] == comp[j] for i, j in graph.edges)
+    at = {}
+    for i, block in enumerate(blocks):
+        for s, _, out, _ in block:
+            at[s] = i
+            graph.add_node(s)
+            graph.add_edges_from((s, t) for t, _, _ in out)
+    sccs = {frozenset(c) for c in nx.strongly_connected_components(graph)}
+    return (len(at) == graph.number_of_nodes() == sum(map(len, blocks))
+            and sccs == {frozenset(s for s, *_ in block) for block in blocks}
+            and all(at[t] <= at[s] for s, t in graph.edges))
+
+
+def _random_chain(rng):
+    """Integer chain rows for `_chain_plan`, a table vector (D, nums) and
+    the same chain in Fractions for `chain_solve_reference`: up to seven
+    nodes whose entries may reach any node (self-loops and cycles), dead
+    ends, slots that are zero at the vector, and rows that keep all their
+    mass (so that a closed SCC with gain is INF) or lose some."""
+    den = rng.randint(1, 4)
+    nums = [rng.choice((0, rng.randint(1, 6))) for _ in range(5)]
+    nodes = [f"n{i}" for i in range(rng.randint(1, 7))]
+    rows, chain, gain = {}, {}, {}
+    for s in nodes:
+        out = () if rng.random() < 0.2 else tuple(
+            (rng.choice(nodes), rng.randint(1, 3), rng.randrange(5))
+            for _ in range(rng.randint(1, 3)))
+        out = tuple((t, f * rng.choice((1, den)), k) for t, f, k in out)
+        scale = max(1, -(-sum(f * nums[k] for _, f, k in out) // den)) + rng.choice((0, 0, 1))
+        gains = tuple((rng.randint(1, 3), rng.randrange(5)) for _ in range(rng.randint(0, 2)))
+        rows[s] = (scale, out, gains)
+        chain[s] = {}
+        for t, f, k in out:
+            if nums[k]:
+                chain[s][t] = chain[s].get(t, 0) + F(f * nums[k], scale * den)
+        gain[s] = sum((F(f * nums[k], scale * den) for f, k in gains), F(0))
+    return rows, (den, nums), chain, gain, rng.choice([None, *nodes])
+
+
+@settings(max_examples=300)
+@given(st.integers(0, 2**32))
+def test_chain_fill_matches_the_fraction_reference(seed):
+    """The per-block fill of a plan gives every planned node the value that
+    networkx's graph questions and one Fraction solve give, as integers over
+    their least common denominator; the blocks are the SCCs of the unknowns,
+    successors first."""
+    rows, point, chain, gain, init = _random_chain(random.Random(seed))
+    plan = _chain_plan(rows, point, init)
+    assert _successors_first(plan)
+    scale, x = _chain_fill(plan, point)
+    finite = [v for v in x.values() if v is not INF]
+    assert scale > 0 and gcd(scale, *finite) == 1
+    if init is None:
+        assert x.keys() == rows.keys()
+    expected = chain_solve_reference(chain, gain, init)
+    assert {s: v if v is INF else F(v, scale) for s, v in x.items()} == {s: expected[s] for s in x}
+
+
+def test_random_chains_meet_every_kind_of_block():
+    # over a fixed set of seeds, the chains of the test above have INF, 0
+    # and solved nodes, blocks solved by one division and by elimination,
+    # and self-loop singletons among the latter
+    seen = set()
+    for seed in range(200):
+        rows, point, _, _, init = _random_chain(random.Random(seed))
+        settled, blocks = _chain_plan(rows, point, init)
+        seen.update(("settled", v) for v in settled.values())
+        for block in blocks:
+            internal = [t for t, _, _ in block[0][2] if any(t == u for u, *_ in block)]
+            seen.add("cycle" if len(block) > 1 else "self-loop" if internal else "division")
+    assert seen == {("settled", INF), ("settled", 0), "cycle", "self-loop", "division"}
+
+
+def test_only_cyclic_blocks_are_eliminated(monkeypatch):
+    """`gauss_solve` runs once per block with an internal entry and never
+    for an acyclic chain: the k = 4 family's monolithic check and its
+    `asym-n` proof make no call, and a two-node rewarded cycle makes one of
+    size 2."""
+    sizes = []
+    solve = verify.gauss_solve
+    monkeypatch.setattr(verify, "gauss_solve", lambda rows, rhs: sizes.append(len(rows)) or solve(rows, rhs))
+    models, box, assumptions, guarantee = k_component_family(4)
+    assert region_sat(functools.reduce(compose, models), box, guarantee, "cmp", 2).holds
+    assert apply_asym_n(models, [box] * 4, assumptions, guarantee, resolution=2).status == "concluded"
+    assert sizes == []
+    m = make_ppa(["s0", "s1", "end"], "s0", set(), {
+        ("s0", "x"): ("a", {"s1": F(1, 2), "end": F(1, 2)}),
+        ("s1", "y"): ("b", {"s0": 1}),
+    }, {"a", "b"})
+    assert exp_total_reward(m, {"a": 1}) == 2
+    assert sizes == [2]
 
 
 @settings(max_examples=40)
 @given(st.integers(0, 2**32))
+@example(1)  # an objective whose targets hold the initial state has no chain
 def test_strategy_chains_match_the_witness_reference(seed):
     """A strategy's chain, planned once per support pattern, gives at every
     sample the values of the two-mode chain rebuilt over every product state
