@@ -275,11 +275,11 @@ def _integer_vertices(uset):
     return support, den, tuple(rows)
 
 
-def _frozen(states, den, rows):
-    """The `FrozenDist` of each integer row (see `_integer_vertices`), with
-    one `Fraction` per distinct numerator."""
+def _entries(states, den, rows):
+    """Each integer row (see `_integer_vertices`) as its list of (state,
+    `Fraction`) entries, with one `Fraction` per distinct numerator."""
     value = {v: Fraction(v, den) for v in {v for row in rows for _, v in row}}
-    return tuple(FrozenDist((states[i], value[v]) for i, v in row) for row in rows)
+    return ([(states[i], value[v]) for i, v in row] for row in rows)
 
 
 def _vertices(uset) -> tuple:
@@ -288,12 +288,17 @@ def _vertices(uset) -> tuple:
     set (see `_integer_vertices`)."""
     if isinstance(uset, VertexSet):
         return uset.dists
-    return _frozen(*_integer_vertices(uset))
+    return tuple(map(FrozenDist, _entries(*_integer_vertices(uset))))
 
 
 def generators(uset):
-    """Finite generator list of a polytopic uncertainty set, as dicts."""
-    return [dict(d) for d in _vertices(uset)]
+    """Finite generator list of a polytopic uncertainty set, as dicts in
+    `sort_key` order: a vertex set's own distributions, or an interval set's
+    extreme points built straight from its integer rows, with no
+    `FrozenDist` (nothing hashes them)."""
+    if isinstance(uset, VertexSet):
+        return [dict(d) for d in uset.dists]
+    return [dict(entries) for entries in _entries(*_integer_vertices(uset))]
 
 
 def conv_compose(u1: RPA, u2: RPA) -> RPA:
@@ -331,7 +336,8 @@ def conv_compose(u1: RPA, u2: RPA) -> RPA:
             for r2 in rows2
         })
         pairs = tuple((t1, t2) for t1 in support1 for t2 in support2)
-        utrans[((s1, s2), action)] = (lab, VertexSet(_frozen(pairs, den1 * den2, prods)))
+        utrans[((s1, s2), action)] = (lab, VertexSet(tuple(
+            map(FrozenDist, _entries(pairs, den1 * den2, prods)))))
     return _composed(u1, u2, states, utrans)
 
 
@@ -339,8 +345,11 @@ def interval_relax_compose(u1: RPA, u2: RPA) -> RPA:
     """Interval-arithmetic relaxation of the composition of two interval rPAs.
 
     Per product successor the bounds are the exact extrema of the product
-    entry over the component boxes, i.e. products of component extrema.  The
-    result is again interval-form but admits spurious joint distributions.
+    entry over the component boxes, i.e. products of component extrema; only
+    a synchronising step multiplies, and an interleaving step keeps the
+    moving side's bound pairs, the same `Fraction`s, under the pair states.
+    The result is again interval-form but admits spurious joint
+    distributions.
     """
     def as_bounds(uset):
         if isinstance(uset, IntervalSet):
@@ -352,18 +361,21 @@ def interval_relax_compose(u1: RPA, u2: RPA) -> RPA:
     bounds1, bounds2 = ({key: as_bounds(uset) for key, uset in u.utrans.items()}
                         for u in (u1, u2))
     states, steps = synchronise(u1, u2, bounds1, bounds2)
-    one = (Fraction(1), Fraction(1))
     utrans = {}
     # Built directly, not by `IntervalSet.of`: products of bounds 0 <= lo <=
     # hi <= 1 are such bounds; the sums are sum(lo1) sum(lo2) <= 1 and
     # sum(hi1) sum(hi2) >= 1; and the products of two lists in `sort_key`
-    # order are in the `sort_key` order of the pairs.
+    # order are in the `sort_key` order of the pairs.  An idle side is the
+    # Dirac point of its state, a factor (1, 1), so the moving side's bound
+    # pairs are kept as they are.
     for (s1, s2), action, lab, b1, b2 in steps:
-        bounds = tuple(
-            ((t1, t2), (lo1 * lo2, hi1 * hi2))
-            for t1, (lo1, hi1) in (((s1, one),) if b1 is None else b1)
-            for t2, (lo2, hi2) in (((s2, one),) if b2 is None else b2)
-        )
+        if b1 is None:
+            bounds = tuple(((s1, t2), pair) for t2, pair in b2)
+        elif b2 is None:
+            bounds = tuple(((t1, s2), pair) for t1, pair in b1)
+        else:
+            bounds = tuple(((t1, t2), (lo1 * lo2, hi1 * hi2))
+                           for t1, (lo1, hi1) in b1 for t2, (lo2, hi2) in b2)
         utrans[((s1, s2), action)] = (lab, IntervalSet(bounds))
     return _composed(u1, u2, states, utrans)
 

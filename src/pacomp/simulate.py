@@ -4,11 +4,14 @@ One integer kernel decides liftings and greatest simulations.  States are
 indexed once per call, a relation is one `int` bitmask of right states per
 left state, and an instance is the integer value vector of both models'
 polynomials (`PolyTable`) at one valuation, over one denominator.  A lifting
-is a one-element Hall check, then a greedy transport fill augmented along
-residual paths.  The greatest fixpoint is a worklist refinement (Baier,
-Engelen and Majster-Cederbaum, JCSS 2000): a failing pair re-queues only the
-surviving pairs of its predecessors, and the refinement stops as soon as the
-initial pair leaves, since the relation only shrinks.
+is accepted outright when every successor of the left distribution is
+related to every successor of the right one and the left mass is at most the
+right mass (support masks); otherwise it is a one-element Hall check, then a
+greedy transport fill augmented along residual paths.  The greatest fixpoint
+is a worklist refinement (Baier, Engelen and Majster-Cederbaum, JCSS 2000):
+a failing pair re-queues only the surviving pairs of its predecessors, and
+the refinement stops as soon as the initial pair leaves, since the relation
+only shrinks.
 """
 
 from __future__ import annotations
@@ -120,21 +123,36 @@ def _indexed(table: PolyTable, m: PPA):
 
 
 def _instance(ix1, ix2, nums):
-    """One instance at one table vector: per model and state {label: [mu, ...]},
-    each mu ((successor index, numerator), ...) with zero entries dropped.
-    All numerators share the vector's denominator D."""
-    return tuple([{lab: [tuple((t, nums[k]) for t, k in row if nums[k]) for row in rows]
-                   for lab, rows in moves.items()} for moves in ix[1]] for ix in (ix1, ix2))
+    """One instance at one table vector: per model and state {label: [(mu,
+    mask, mass), ...]}, each mu ((successor index, numerator), ...) with zero
+    entries dropped, mask the bitmask of its successors and mass the sum of
+    its numerators.  All numerators share the vector's denominator D."""
+    def dist(row):
+        mu = tuple((t, nums[k]) for t, k in row if nums[k])
+        return mu, sum(1 << t for t, _ in mu), sum(p for _, p in mu)
+
+    return tuple([{lab: [dist(row) for row in rows] for lab, rows in moves.items()}
+                  for moves in ix[1]] for ix in (ix1, ix2))
 
 
 def _matches(instance, i, j, rel) -> bool:
-    """Matching clause of strong simulation for the pair (i, j) at one instance."""
+    """Matching clause of strong simulation for the pair (i, j) at one instance.
+
+    Per mu1, `cover` is the AND of the relation rows of its successors.  A mu2
+    whose successors all lie in it, with mass(mu1) <= mass(mu2), lifts
+    without `_transport`: every nonempty A within mu1's support relates to
+    all of mu2's, so mu1(A) <= mass(mu1) <= mass(mu2) = mu2(rel(A)).  The
+    mass test matters because rows may be sub-stochastic.
+    """
     left, right = instance[0][i], instance[1][j]
-    for lab, mus in left.items():
+    for lab, dists in left.items():
         targets = right.get(lab, ())
-        for mu1 in mus:
-            for mu2 in targets:
-                if _transport(mu1, mu2, rel):
+        for mu1, _, mass1 in dists:
+            cover = -1
+            for s, _ in mu1:
+                cover &= rel[s]
+            for mu2, mask2, mass2 in targets:
+                if mask2 & ~cover == 0 and mass1 <= mass2 or _transport(mu1, mu2, rel):
                     break
             else:
                 return False

@@ -290,28 +290,34 @@ def _chain_plan(rows, point, init=None):
     and slot indices k, so at a value vector (D, nums) the node moves to t
     with probability f * nums[k] / (scale * D), summed over its entries for
     t, and collects gain sum(f * nums[k]) / (scale * D) on leaving; a node
-    without entries is a dead end.  Only which nums[k] are nonzero is read
-    from `point`, so the plan serves every vector of its support pattern
+    without entries is a dead end.  Only which nums[k] are nonzero, and
+    whether a row keeps all its mass (sum f * nums[k] = scale * D), is read
+    from `point`.  At a well-defined vector every model row sums to D, so
+    only fixed strategy weights make a row leak, alike at every vector of
+    the pattern, and the plan serves every vector of its support pattern
     whose gains are nonnegative.  One pass of `_sccs`, from `init` if given
     (so only the nodes reachable from it are planned) and else from every
     row, meets each SCC after those it reaches.  An SCC is INF when it is
-    closed, has an internal edge and collects positive gain, or when a
-    successor SCC is INF; it is unknown when it collects positive gain or a
-    successor SCC is unknown; its nodes are 0 otherwise.  Returns the
+    closed, every row of it keeps all its mass (so it has an internal edge
+    and is never left) and it collects positive gain, or when a successor
+    SCC is INF; it is unknown when it collects positive gain or a successor
+    SCC is unknown, as a closed SCC with a leaking row is (it is transient,
+    so its block is solvable); its nodes are 0 otherwise.  Returns the
     settled values {node: INF or int 0} and the unknown SCCs as blocks, in
     the order `_sccs` emits them (successors first), for `_chain_fill`: each
     a tuple of its nodes' rows (node, scale, succ, gain), restricted to the
     nonzero entries and to the unknown successors (a settled successor of an
     unknown node is 0).  Nothing is left to solve when init is INF or 0.
     """
-    nums = point[1]
+    den, nums = point
     succ = {s: tuple(t for t, _, k in out if nums[k]) for s, (_, out, _) in rows.items()}
     value, blocks = {}, []  # value: INF, 0, or None while unknown
     for comp in _sccs(rows if init is None else (init,), succ.__getitem__):
         # a successor outside comp is in an SCC met before it
         after = {value[t] for s in comp for t in succ[s] if t in value}
         positive = any(nums[k] for s in comp for _, k in rows[s][2])
-        if INF in after or positive and not after and any(succ[s] for s in comp):
+        if INF in after or positive and not after and all(
+                sum(f * nums[k] for _, f, k in rows[s][1]) == rows[s][0] * den for s in comp):
             v = INF
         elif positive or None in after:
             v = None

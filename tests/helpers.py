@@ -98,11 +98,22 @@ def random_region(rng: random.Random):
     return FiniteRegion(())
 
 
-def random_pa(rng: random.Random, prefix, n_states, labels, max_actions=2, zeros=False):
+def leaked(rng: random.Random, dist):
+    """`dist` scaled by a factor in (0, 1) about half of the time, so that it
+    loses mass as a sub-stochastic row does (`make_ppa` accepts them)."""
+    if rng.random() < 0.5:
+        return dist
+    factor = Fraction(rng.randint(1, 4), 5)
+    return {s: p * factor for s, p in dist.items()}
+
+
+def random_pa(rng: random.Random, prefix, n_states, labels, max_actions=2, zeros=False,
+              leaky=False):
     """A random PA.  With `zeros`, about half of its distributions also have
     an entry of probability 0, as instantiating a pPA at a corner of its
     parameter box leaves them: a successor whose mass moved to another one,
-    or a successor without mass."""
+    or a successor without mass.  With `leaky`, about half of them are
+    sub-stochastic (`leaked`)."""
     states = [f"{prefix}{i}" for i in range(n_states)]
     trans = {}
     for s in states:
@@ -118,6 +129,8 @@ def random_pa(rng: random.Random, prefix, n_states, labels, max_actions=2, zeros
                     other = rng.choice([u for u in dist if u != t])
                     dist[other] += dist[t]
                     dist[t] = Fraction(0)
+            if leaky:
+                dist = leaked(rng, dist)
             trans[(s, act)] = (lab, dist)
     return make_ppa(states, states[0], set(), trans, set(labels))
 
@@ -635,8 +648,8 @@ def chain_solve_reference(chain, gain, init=None):
     """`verify._chain_solve` as it was before its rows became integers: the
     chain {s: {t: p > 0}} and the gains are Fractions, solved by
     `fraction_solve`.  Its graph questions are networkx's, not the kernel's:
-    a node is INF when it reaches a closed SCC with an internal edge and
-    positive gain, and 0 when it reaches no positive gain."""
+    a node is INF when it reaches a closed SCC with positive gain whose rows
+    all keep their whole mass, and 0 when it reaches no positive gain."""
     graph = nx.DiGraph()
     graph.add_nodes_from(chain)
     graph.add_edges_from((s, t) for s, out in chain.items() for t in out)
@@ -648,7 +661,8 @@ def chain_solve_reference(chain, gain, init=None):
     trapped = set(chain) - reaching([s for s in chain if not chain[s]])
     recurrent = set()
     for comp in nx.strongly_connected_components(graph.subgraph(trapped)):
-        if any(gain.get(s, 0) > 0 for s in comp) and all(chain[s].keys() <= comp for s in comp):
+        if any(gain.get(s, 0) > 0 for s in comp) and all(
+                chain[s].keys() <= comp and sum(chain[s].values()) == 1 for s in comp):
             recurrent |= comp
     infinite = reaching(recurrent)
     positive = reaching({s for s in chain if gain.get(s, 0) > 0})

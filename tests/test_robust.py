@@ -42,6 +42,8 @@ from helpers import (
     random_dist,
     random_parametric_pair,
     random_polytopic_rpa,
+    random_safety_dfa,
+    random_vertex_set,
     rpa_compose_reference,
 )
 
@@ -67,29 +69,39 @@ def test_interval_extreme_points_point_interval():
     assert got == [{"x": F(1, 4), "y": F(3, 4)}]
 
 
-def test_interval_extreme_points_span_the_set():
-    rng = random.Random(3)
-    for _ in range(20):
-        states = ["a", "b", "c"]
-        center = random_dist(rng, states)
-        bounds = {}
-        for s in states:
-            p = center.get(s, F(0))
-            bounds[s] = (max(F(0), p - F(1, 10)), min(F(1), p + F(1, 10)))
-        uset = IntervalSet.of(bounds)
-        gens = generators(uset)
-        for g in gens:
-            assert uset.contains(g)
-        # random interior points lie in the hull of the enumerated vertices
-        for _ in range(3):
-            lam = [rng.randint(1, 3) for _ in gens]
-            tot = sum(lam)
-            mix = {}
-            for weight, g in zip(lam, gens):
-                for s, p in g.items():
-                    mix[s] = mix.get(s, F(0)) + F(weight, tot) * p
-            assert uset.contains(mix)
-            assert in_convex_hull(mix, gens)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=25)
+def test_interval_extreme_points_span_the_set(seed):
+    rng = random.Random(seed)
+    states = ["a", "b", "c"]
+    center = random_dist(rng, states)
+    bounds = {}
+    for s in states:
+        p = center.get(s, F(0))
+        bounds[s] = (max(F(0), p - F(1, 10)), min(F(1), p + F(1, 10)))
+    uset = IntervalSet.of(bounds)
+    gens = generators(uset)
+    for g in gens:
+        assert uset.contains(g)
+    # random interior points lie in the hull of the enumerated vertices
+    for _ in range(3):
+        lam = [rng.randint(1, 3) for _ in gens]
+        tot = sum(lam)
+        mix = {}
+        for weight, g in zip(lam, gens):
+            for s, p in g.items():
+                mix[s] = mix.get(s, F(0)) + F(weight, tot) * p
+        assert uset.contains(mix)
+        assert in_convex_hull(mix, gens)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=40)
+def test_generators_of_a_vertex_set_are_its_distributions(seed):
+    rng = random.Random(seed)
+    uset = random_vertex_set(rng, ["a", "b", ("c", 1), 2])
+    assert generators(uset) == [dict(d) for d in uset.dists]
+    assert generators(uset) == [dict(d) for d in VertexSet.of(generators(uset)).dists]
 
 
 def _random_interval_bounds(rng, n, stratum, dens=(10,)):
@@ -203,18 +215,19 @@ def test_product_membership_dirac_pair():
     assert factors == ({"x": F(1)}, {"y": F(1)})
 
 
-def test_exact_products_always_members():
-    rng = random.Random(11)
-    for _ in range(20):
-        left = random_dist(rng, ["a", "b"])
-        right = random_dist(rng, ["x", "y", "z"])
-        pset = ProductSet(VertexSet.of([left]), VertexSet.of([right]))
-        mu = {
-            (s1, s2): p1 * p2
-            for s1, p1 in left.items()
-            for s2, p2 in right.items()
-        }
-        assert is_product_member(mu, pset)[0] == "member"
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60)
+def test_exact_products_always_members(seed):
+    rng = random.Random(seed)
+    left = random_dist(rng, ["a", "b"])
+    right = random_dist(rng, ["x", "y", "z"])
+    pset = ProductSet(VertexSet.of([left]), VertexSet.of([right]))
+    mu = {
+        (s1, s2): p1 * p2
+        for s1, p1 in left.items()
+        for s2, p2 in right.items()
+    }
+    assert is_product_member(mu, pset)[0] == "member"
 
 
 def test_conv_compose_generator_products():
@@ -290,26 +303,21 @@ def test_reduce_commutes_with_alphabet_extension():
     assert isomorphic(left, right)
 
 
-def test_reduction_commutes_with_convex_composition():
-    rng = random.Random(29)
-    pairs = [(corpus.interval_retry(), corpus.interval_responder())]
-    for _ in range(10):
-        pairs.append(
-            (
-                random_polytopic_rpa(rng, "u", ["a", "b"], n_states=2),
-                random_polytopic_rpa(rng, "w", ["a", "c"], n_states=3),
-            )
-        )
-    rng2 = random.Random(31)
-    from helpers import random_safety_dfa
-
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=20)
+def test_reduction_commutes_with_convex_composition(seed):
+    rng = random.Random(seed)
+    pairs = [
+        (corpus.interval_retry(), corpus.interval_responder()),
+        (random_polytopic_rpa(rng, "u", ["a", "b"], n_states=2),
+         random_polytopic_rpa(rng, "w", ["a", "c"], n_states=3)),
+    ]
     for u1, u2 in pairs:
         left = pa_reduce(conv_compose(u1, u2))
         right = compose(pa_reduce(u1), pa_reduce(u2))
         alphabet = sorted(u1.alphabet | u2.alphabet)
-        dfas = [random_safety_dfa(rng2, alphabet, allow_empty=False) for _ in range(2)]
-        for dfa in dfas:
-            obj = safety(dfa, F(1, 2))
+        for _ in range(2):
+            obj = safety(random_safety_dfa(rng, alphabet, allow_empty=False), F(1, 2))
             assert safety_prob(left, obj) == safety_prob(right, obj)
 
 
@@ -327,25 +335,26 @@ def test_fix_nature_validates_membership():
         )
 
 
-def test_convex_composition_overapproximates_products():
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30)
+def test_convex_composition_overapproximates_products(seed):
     # every member of an exact product set is a convex combination of the
     # convex composition's generators
-    rng = random.Random(71)
+    rng = random.Random(seed)
     u1, u2 = corpus.interval_retry(), corpus.interval_responder()
     conv = conv_compose(u1, u2)
     exact = rpa_compose(u1, u2)
     key = (("s0", "t0"), ("s0_a", "t0_a"))
     gens = generators(conv.utrans[key])
     pset = exact.utrans[key]
-    for _ in range(10):
-        # random member factors inside the interval sets
-        lam = F(rng.randint(0, 4), 4)
-        left = {"s0": lam * F(1, 2), "s1": 1 - lam * F(1, 2)}
-        mu_r = F(1, 10) + F(rng.randint(0, 8), 10)
-        right = {"t1": mu_r, "t2": 1 - mu_r}
-        mu = {(a, b): left[a] * right[b] for a in left for b in right}
-        assert is_product_member(mu, pset)[0] == "member"
-        assert in_convex_hull(mu, gens)
+    # random member factors inside the interval sets
+    lam = F(rng.randint(0, 4), 4)
+    left = {"s0": lam * F(1, 2), "s1": 1 - lam * F(1, 2)}
+    mu_r = F(1, 10) + F(rng.randint(0, 8), 10)
+    right = {"t1": mu_r, "t2": 1 - mu_r}
+    mu = {(a, b): left[a] * right[b] for a in left for b in right}
+    assert is_product_member(mu, pset)[0] == "member"
+    assert in_convex_hull(mu, gens)
 
 
 def test_conv_compose_with_unit_is_isomorphic_after_reduction():
@@ -360,19 +369,17 @@ def test_conv_compose_with_unit_is_isomorphic_after_reduction():
     assert isomorphic(left, right)
 
 
-def test_conv_compose_associative_on_values():
-    rng = random.Random(83)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=15)
+def test_conv_compose_associative_on_values(seed):
+    rng = random.Random(seed)
     u1 = random_polytopic_rpa(rng, "x", ["a", "b"], n_states=2)
     u2 = random_polytopic_rpa(rng, "y", ["a", "c"], n_states=2)
     u3 = random_polytopic_rpa(rng, "z", ["b", "c"], n_states=2)
     left = pa_reduce(conv_compose(conv_compose(u1, u2), u3))
     right = pa_reduce(conv_compose(u1, conv_compose(u2, u3)))
-    from helpers import random_safety_dfa
-
-    dfa_rng = random.Random(85)
     for _ in range(3):
-        dfa = random_safety_dfa(dfa_rng, ["a", "b", "c"], allow_empty=False)
-        obj = safety(dfa, F(1, 2))
+        obj = safety(random_safety_dfa(rng, ["a", "b", "c"], allow_empty=False), F(1, 2))
         assert safety_prob(left, obj) == safety_prob(right, obj)
 
 

@@ -360,6 +360,17 @@ def test_chain_reward_divergence_and_zero():
     assert solution_value(loop, escape, paid) == 0
 
 
+def test_a_closed_cycle_that_leaks_mass_has_a_finite_value():
+    """A partial strategy's go rows lose mass, so a rewarded self-loop played
+    with weight 1/2 is left with probability 1: v = 1/2 + v/2 gives 1.  The
+    same loop played with its whole mass stays INF."""
+    m = make_ppa(["s"], "s", set(), {("s", "loop"): ("a", {"s": 1})}, {"a"})
+    paid = reward_objective("<=", 5, {"a": 1})
+    assert solution_value(m, MemorylessStrategy({"s": {"loop": F(1, 2)}}, complete=False), paid) == 1
+    for complete in (False, True):
+        assert solution_value(m, MemorylessStrategy({"s": {"loop": F(1)}}, complete), paid) == INF
+
+
 def _random_rewarded_models(rng):
     """A random PA and a random PA-reduction, each with rewards on a random
     subset of its labels (zero on the others)."""
@@ -1599,7 +1610,8 @@ def _random_chain(rng):
     the same chain in Fractions for `chain_solve_reference`: up to seven
     nodes whose entries may reach any node (self-loops and cycles), dead
     ends, slots that are zero at the vector, and rows that keep all their
-    mass (so that a closed SCC with gain is INF) or lose some."""
+    mass (so that a closed SCC with gain is INF) or lose some (so that it is
+    transient and solved)."""
     den = rng.randint(1, 4)
     nums = [rng.choice((0, rng.randint(1, 6))) for _ in range(5)]
     nodes = [f"n{i}" for i in range(rng.randint(1, 7))]
@@ -1642,16 +1654,22 @@ def test_chain_fill_matches_the_fraction_reference(seed):
 def test_random_chains_meet_every_kind_of_block():
     # over a fixed set of seeds, the chains of the test above have INF, 0
     # and solved nodes, blocks solved by one division and by elimination,
-    # and self-loop singletons among the latter
+    # self-loop singletons among the latter, and closed rewarded cycles that
+    # leak mass, which are solved, not INF
     seen = set()
     for seed in range(200):
-        rows, point, _, _, init = _random_chain(random.Random(seed))
+        rows, point, chain, gain, init = _random_chain(random.Random(seed))
         settled, blocks = _chain_plan(rows, point, init)
         seen.update(("settled", v) for v in settled.values())
         for block in blocks:
-            internal = [t for t, _, _ in block[0][2] if any(t == u for u, *_ in block)]
+            nodes = {s for s, *_ in block}
+            internal = [t for t, _, _ in block[0][2] if t in nodes]
             seen.add("cycle" if len(block) > 1 else "self-loop" if internal else "division")
-    assert seen == {("settled", INF), ("settled", 0), "cycle", "self-loop", "division"}
+            if internal and all(chain[s].keys() <= nodes for s in nodes) and any(
+                    gain[s] for s in nodes):
+                seen.add("leaking closed cycle")
+    assert seen == {("settled", INF), ("settled", 0), "cycle", "self-loop", "division",
+                    "leaking closed cycle"}
 
 
 def test_only_cyclic_blocks_are_eliminated(monkeypatch):
