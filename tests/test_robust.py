@@ -101,7 +101,6 @@ def test_generators_of_a_vertex_set_are_its_distributions(seed):
     rng = random.Random(seed)
     uset = random_vertex_set(rng, ["a", "b", ("c", 1), 2])
     assert generators(uset) == [dict(d) for d in uset.dists]
-    assert generators(uset) == [dict(d) for d in VertexSet.of(generators(uset)).dists]
 
 
 def _random_interval_bounds(rng, n, stratum, dens=(10,)):
