@@ -379,8 +379,8 @@ def _chain_fill(plan, point):
 
 def _policy_shape(nodes, acts, succ, nums, gains, stop):
     """What `_policy_iteration` reads of the sign pattern of the numerators
-    `nums`: the nodes, each action's chain row, each deciding node's options
-    (action, gain slots, nonzero entries (t, k)) and a memo of each policy's
+    `nums`: the nodes, each action's `_chain_plan` row (1, succ, gain) of its
+    nonzero entries, each deciding node's actions and a memo of each policy's
     plan.  A node outside `stop` picks one of its `acts`, the others stop;
     a in s moves to t w.p. nums[k] / D per entry (t, k) of succ[(s, a)] and
     collects the nonzero slots gains[(s, a)] of the gain map."""
@@ -388,13 +388,11 @@ def _policy_shape(nodes, acts, succ, nums, gains, stop):
     for s in nodes:
         if s in stop or not acts.get(s):
             continue
-        opts = options[s] = []
+        options[s] = acts[s]
         for a in acts[s]:
             key = (s, a)
-            out = [(t, k) for t, k in succ[key] if nums[k]]
-            gain = [k for k in gains.get(key, ()) if nums[k]]
-            rows[key] = (1, tuple((t, 1, k) for t, k in out), tuple((1, k) for k in gain))
-            opts.append((a, gain, out))
+            rows[key] = (1, tuple((t, 1, k) for t, k in succ[key] if nums[k]),
+                         tuple((1, k) for k in gains.get(key, ()) if nums[k]))
     return tuple(nodes), rows, options, {}
 
 
@@ -403,19 +401,19 @@ def _policy_iteration(shape, point, start=None):
     (a `_policy_shape`) at the table vector `point` (D, nums) of its pattern.
 
     The start policy is `start`, given for every deciding node, or else each
-    node's first action, and a node switches only on strict improvement, so
-    the returned policy depends on the model and the start alone (the values
-    on the model alone: `exp_total_reward`).  A caller that solves many
-    vectors of one sign pattern keeps the shape, which plans each policy's
-    chain once.  Each round's values are integers x over one denominator V
-    (`_chain_fill`), so an action's backup R + sum(P_t * X_t) beats the value
-    X_s iff the integer R*V + sum(n_t * x_t) exceeds D * x_s, with R = r / D
-    and P_t = n_t / D.  Returns the policy and the values (V, x) of every
-    node under it.
+    node's first action, and a node switches only on strict improvement over
+    the round's values, so the returned policy depends on the model and the
+    start alone, whatever the node order (the values on the model alone:
+    `exp_total_reward`).  A caller that solves many vectors of one sign
+    pattern keeps the shape, which plans each policy's chain once.  Each
+    round's values are integers x over one denominator V (`_chain_fill`), so
+    an action's backup R + sum(P_t * X_t) beats the value X_s iff the integer
+    R*V + sum(n_t * x_t) exceeds D * x_s, with R = r / D and P_t = n_t / D.
+    Returns the policy and the values (V, x) of every node under it.
     """
     den, nums = point
     nodes, rows, options, plans = shape
-    policy = {s: start[s] if start else opts[0][0] for s, opts in options.items()}
+    policy = {s: start[s] if start else opts[0] for s, opts in options.items()}
     stop = (1, (), ())
     while True:
         key = tuple(policy.values())
@@ -429,11 +427,12 @@ def _policy_iteration(shape, point, start=None):
             if s in inf:
                 continue  # no backup exceeds INF
             best_a, best = policy[s], den * x[s]
-            for a, gain, out in opts:
-                if inf and any(t in inf for t, _ in out):
+            for a in opts:
+                _, out, gain = rows[(s, a)]
+                if inf and any(t in inf for t, _, _ in out):
                     best_a = a  # an INF backup, which no later action exceeds
                     break
-                v = sum(nums[k] for k in gain) * scale + sum(nums[k] * x[t] for t, k in out)
+                v = sum(nums[k] for _, k in gain) * scale + sum(nums[k] * x[t] for t, _, k in out)
                 if v > best:
                     best_a, best = a, v
             if best_a != policy[s]:
@@ -482,26 +481,26 @@ def exp_total_reward(pa: PPA, rewards, mode="max"):
 
     `mode` is "max" or "min".  Returns a Fraction, or float infinity when
     divergence is optimal/forced.  Both are solved on the query product of
-    one reward objective.  The maximum is policy iteration on its gain map,
-    with no stop set.  With nonnegative rewards it is the least fixpoint v* of
-    the Bellman operator T (the limit of T^n 0).  Policy iteration stops at
-    the value v of a policy, so v <= v*, with no strictly improving action,
-    so T v <= v (an action with an INF successor is an improvement); then
-    T^n 0 <= T^n v <= v for all n, so v* <= v and v = v*, INF included.  The
-    minimum minimises D times the reward (the cost row is the gain map's
-    numerators) over the occupation-measure LP of `_MoQuery._flow`, then
-    divides by D once: a strategy has finite reward iff it almost surely ends
-    up lingering in a region that collects no reward, and greedy policy
-    improvement is unsound there, since zero-reward cycles create tied
-    non-optimal fixpoints.  It has no end-component guard.
+    one reward objective.  The maximum is policy iteration on the query's
+    shape of it (`_MoQuery._shape`), with no stop set.  With nonnegative
+    rewards it is the least fixpoint v* of the Bellman operator T (the limit
+    of T^n 0).  Policy iteration stops at the value v of a policy, so
+    v <= v*, with no strictly improving action, so T v <= v (an action with
+    an INF successor is an improvement); then T^n 0 <= T^n v <= v for all n,
+    so v* <= v and v = v*, INF included.  The minimum minimises D times the
+    reward (the cost row is the gain map's numerators) over the
+    occupation-measure LP of `_MoQuery._flow`, then divides by D once: a
+    strategy has finite reward iff it almost surely ends up lingering in a
+    region that collects no reward, and greedy policy improvement is unsound
+    there, since zero-reward cycles create tied non-optimal fixpoints.  It
+    has no end-component guard.
     """
     if mode not in ("max", "min"):
         raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
     query, point = _constant_query(pa, (reward_objective(">=", 0, rewards),), "cmp")
     (gains,) = query.gains
     if mode == "max":
-        shape = _policy_shape(query.states, query.acts, query.ptrans, point[1], gains, ())
-        _, (scale, x) = _policy_iteration(shape, point)
+        _, (scale, x) = _policy_iteration(query._shape(point, 0), point)
         return x[query.init] if x[query.init] is INF else Fraction(x[query.init], scale)
     den, nums = point
     _, _, num_vars, rows, y_index, _ = query._flow(nums)
@@ -524,12 +523,13 @@ def _occupation_lp(init, states, acts, support, settle, extra=0):
     (`_int_templates`).  Columns: y[(s, a)], the expected number of times a
     is taken in s, for s in `states` order and a in `acts[s]` order; then
     w[s], the probability of settling in s, for the settle states in
-    `states` order; then `extra` columns left to the caller.  A product lists
-    its states and each state's actions in `sort_key` order, so the y columns
-    are the keys in `sort_key` order.  Rows: one flow balance per state, in
-    `states` order, then sum(w) = 1.  Row and column order fix the simplex's
-    pivot path, so they must not change.  Returns the number of columns, the
-    rows, y_index and w_index.
+    `states` order; then `extra` columns left to the caller.  `_flow` passes
+    a product's states sorted by `sort_key`, the one reader of that order, and
+    a model enables each state's actions in it, so the y columns are the keys
+    in `sort_key` order.  Rows: one flow balance per state, in `states` order,
+    then sum(w) = 1.  Row and column order fix the simplex's pivot path, so
+    they must not change.  Returns the number of columns, the rows, y_index
+    and w_index.
     """
     y_index = {key: j for j, key in enumerate((s, a) for s in states for a in acts[s])}
     w_index = {s: len(y_index) + i for i, s in enumerate(s for s in states if s in settle)}
@@ -612,22 +612,22 @@ class _MoQuery:
 
     The structure is built once: the joint product of the model (its tau
     extension for partial strategies) with the objectives' absorbing
-    bad-prefix DFAs, and per objective (probability objectives, then rewards)
-    a stop set `stops[i]` and a gain map `gains[i]` from each product key
-    (ps, a) to the slots it collects: its entries into the targets from
-    outside them, which absorb, or its reward.  Transition probabilities and
-    rewards refer by index to their slots in a `PolyTable` that the caller may
-    share with other queries and the well-definedness check, so a sample is one
-    value vector of that table.  What depends on which values are zero, and on
-    the signs of the rewards -- the end-component check, the settle set and
-    `stay` map, and the LP layout with its rows as integer templates -- is
-    built once per sign pattern (`_layout`), as is each probability
-    objective's policy shape (`bad_reach`), testing signs on the vector's
-    numerators (its denominator is positive).  Each sample that `solve` leaves
-    to the LP then only fills its integer rows from its vector (`_sample_lp`),
-    solves it, and builds a witness when the conjunction is achievable.
-    `strategy_values` evaluates fixed strategies of `model` on the same
-    product.
+    bad-prefix DFAs, its states in the order the search met them, and per
+    objective (probability objectives, then rewards) a stop set `stops[i]`
+    and a gain map `gains[i]` from each product key (ps, a) to the slots it
+    collects: its entries into the targets from outside them, which absorb,
+    or its reward.  Transition probabilities and rewards refer by index to
+    their slots in a `PolyTable` that the caller may share with other queries
+    and the well-definedness check, so a sample is one value vector of that
+    table.  What depends on which values are zero, and on the signs of the
+    rewards -- the end-component check, the settle set and `stay` map, and
+    the LP layout with its rows as integer templates -- is built once per
+    sign pattern (`_layout`), as is each objective's policy shape (`_shape`),
+    testing signs on the vector's numerators (its denominator is positive).
+    Each sample that `solve` leaves to the LP then only fills its integer
+    rows from its vector (`_sample_lp`), solves it, and builds a witness when
+    the conjunction is achievable.  `strategy_values` evaluates fixed
+    strategies of `model` on the same product.
     """
 
     def __init__(self, m: PPA, query, strategy_class, table: PolyTable):
@@ -665,7 +665,7 @@ class _MoQuery:
                     if t not in seen:
                         seen.add(t)
                         stack.append(t)
-        self.init, self.states = init, sorted(seen, key=sort_key)
+        self.init, self.states = init, list(acts)
         self.acts, self.ptrans, self.plabel = acts, ptrans, plabel
         self.objectives = self.prob_objs + self.rew_objs
         self.targets = [
@@ -719,9 +719,9 @@ class _MoQuery:
             return not any(nums[k] for gains in self.gains for k in gains.get((ps, a), ()))
 
         settle, stay = _settle(self.states, self.acts, succ, lingers)
-        num_vars, rows, y_index, w_index = _occupation_lp(
-            self.init, self.states, self.acts, support, settle, int(self.strict)
-        )
+        num_vars, rows, y_index, w_index = _occupation_lp(  # the LP reads sort_key order
+            self.init, sorted(self.states, key=sort_key), self.acts, support, settle,
+            int(self.strict))
         return succ, stay, num_vars, rows, y_index, w_index
 
     def _layout(self, nums):
@@ -766,13 +766,13 @@ class _MoQuery:
         return Fraction(x[self.init], scale)
 
     def _shape(self, point, i):
-        """Probability objective i's `_policy_shape` for the sign pattern of
-        the table vector `point`, built once per pattern."""
+        """Objective i's `_policy_shape`, with stop set `stops[i]`, for the
+        sign pattern of the table vector `point`, built once per pattern."""
         key = (i, tuple((n > 0) - (n < 0) for n in point[1]))
         shape = self._shapes.get(key)
         if shape is None:
             shape = self._shapes[key] = _policy_shape(
-                self.states, self.acts, self.ptrans, point[1], self.gains[i], self.targets[i])
+                self.states, self.acts, self.ptrans, point[1], self.gains[i], self.stops[i])
         return shape
 
     def solve(self, point):

@@ -5,6 +5,7 @@ import os
 import random
 import re
 from fractions import Fraction as F
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -29,6 +30,14 @@ from helpers import (
     reward_sum_arguments,
     standard_setup,
 )
+
+
+def _write_json(path, doc):
+    Path(path).write_text(json.dumps(doc))
+
+
+def _read_json(path):
+    return json.loads(Path(path).read_text())
 
 
 class _NoInputs:
@@ -126,13 +135,13 @@ def test_check_exit_codes_and_determinism(corpus_dir, tmp_path, capsys):
     union = tmp_path / "union.region.json"
     parts = [{"type": "box", "bounds": [["p", half], ["q", ["0", "1"]]]}
              for half in (["0", "1/20"], ["1/20", "1/10"])]
-    json.dump({"type": "union", "parts": parts}, open(union, "w"))
+    _write_json(union, {"type": "union", "parts": parts})
     code, out, _ = run(capsys, *args[:-1], f"@{union}")
     verdict = json.loads(out)["report"]["verdict"]
     assert (code, verdict["status"], len(verdict["details"])) == (0, "holds", 15)
     # at resolution 4 the box holds at 9/10 and fails at 99/100 with a witness
     strict = tmp_path / "strict.query.json"
-    json.dump(_strict_guarantee(corpus_dir), open(strict, "w"))
+    _write_json(strict, _strict_guarantee(corpus_dir))
     box = ["--region", "box.p=[0,1/10],q=[0,1]", "--resolution", "4"]
     assert run(capsys, *args[:-2], *box)[0] == 0
     code, out, _ = run(capsys, "check", "--model", str(comp_path), "--objective", str(strict), *box)
@@ -142,19 +151,19 @@ def test_check_exit_codes_and_determinism(corpus_dir, tmp_path, capsys):
 
 
 def test_malformed_polynomial_is_usage_error(corpus_dir, tmp_path, capsys):
-    doc = json.load(open(corpus_dir / "retry.ppa.json"))
+    doc = _read_json(corpus_dir / "retry.ppa.json")
     doc["transitions"][0]["dist"][0][1] = "1 - (2*"
     broken = tmp_path / "broken.json"
-    json.dump(doc, open(broken, "w"))
+    _write_json(broken, doc)
     code, _, err = run(capsys, "instantiate", "--model", str(broken), "--valuation", "p=1/10")
     assert code == 2
     assert "position" in err
     # structurally malformed documents are format errors, not verdicts
-    good = json.load(open(corpus_dir / "retry.ppa.json"))
+    good = _read_json(corpus_dir / "retry.ppa.json")
     no_transitions = {k: v for k, v in good.items() if k != "transitions"}
     # so are documents that are not JSON objects at all
     for bad in (dict(good, initial="nowhere"), no_transitions, [1, 2], 7):
-        json.dump(bad, open(broken, "w"))
+        _write_json(broken, bad)
         code, _, err = run(capsys, "instantiate", "--model", str(broken), "--valuation", "p=1/10")
         assert code == 2
         assert err.startswith("format error:") and "Traceback" not in err
@@ -168,13 +177,13 @@ def test_malformed_polynomial_is_usage_error(corpus_dir, tmp_path, capsys):
 def test_undeclared_parameter_is_usage_error(corpus_dir, tmp_path, capsys):
     # a parameter missing from "params" is malformed input, rejected at load
     # time: not a vacuous "holds", nor a MissingParameter when sampling
-    doc = json.load(open(corpus_dir / "retry.ppa.json"))
+    doc = _read_json(corpus_dir / "retry.ppa.json")
     stray_q = json.loads(json.dumps(doc))
     stray_q["transitions"][0]["dist"] = [["s0", "q"], ["s1", "1 - q"]]
     query = str(corpus_dir / "safe_assumption.query.json")
     for bad, stray in ((dict(doc, params=[]), "p"), (stray_q, "q")):
         path = tmp_path / "undeclared.ppa.json"
-        json.dump(bad, open(path, "w"))
+        _write_json(path, bad)
         code, out, err = run(capsys, "check", "--model", str(path), "--objective", query,
                              "--region", "box.p=[0,1/10]")
         assert code == 2 and out == ""
@@ -287,7 +296,7 @@ def test_simulate_cli(corpus_dir, capsys):
 
 def test_robust_simulate_on_an_empty_region_says_it_is_vacuous(corpus_dir, tmp_path, capsys):
     region = tmp_path / "empty.region.json"
-    json.dump({"type": "finite", "valuations": []}, open(region, "w"))
+    _write_json(region, {"type": "finite", "valuations": []})
     code, out, _ = run(
         capsys, "simulate", "--robust",
         "--left", str(corpus_dir / "handoff_fixed.ppa.json"),
@@ -325,8 +334,8 @@ def test_rpa_pipeline_cli(corpus_dir, tmp_path, capsys):
     conv, red = tmp_path / "conv.json", tmp_path / "red.json"
     assert run(capsys, "rpa-conv", *pair, "--out", str(conv))[0] == 0
     assert run(capsys, "rpa-reduce", "--model", str(conv), "--out", str(red))[0] == 0
-    loaded = modelio.load_document(json.load(open(red))["report"]["result"])
-    built = pa_reduce(modelio.load_document(json.load(open(conv))["report"]["result"]))
+    loaded = modelio.load_document(_read_json(red)["report"]["result"])
+    built = pa_reduce(modelio.load_document(_read_json(conv)["report"]["result"]))
     for m in (loaded, built):
         assert m.actions == tuple(sorted(m.actions, key=sort_key))
         assert all(dist == dict(vertex) for (_, (_, vertex)), dist in m.trans.items())
@@ -338,7 +347,7 @@ def _write_trivial_query(tmp_path):
 
     query = (ProbObjective(">=", F(0), corpus.trivial_dfa(("a", "b"))),)
     path = tmp_path / "trivial.query.json"
-    json.dump(modelio.dump_document(query), open(path, "w"))
+    _write_json(path, modelio.dump_document(query))
     return path
 
 
@@ -347,7 +356,7 @@ def _write_goal_query(tmp_path, corpus_dir):
 
     query = (safety(corpus.no_c_dfa(), F(1, 10)),)
     path = tmp_path / "goal.query.json"
-    json.dump(modelio.dump_document(query), open(path, "w"))
+    _write_json(path, modelio.dump_document(query))
     return path
 
 
@@ -360,8 +369,8 @@ def _asymmetric_script(corpus_dir):
             "m2": "@" + str(corpus_dir / "pipeline.ppa.json"),
         },
         "queries": {
-            "A": json.load(open(corpus_dir / "safe_assumption.query.json")),
-            "G": json.load(open(corpus_dir / "safe_guarantee.query.json")),
+            "A": _read_json(corpus_dir / "safe_assumption.query.json"),
+            "G": _read_json(corpus_dir / "safe_guarantee.query.json"),
         },
         "regions": {
             "r1": {"type": "box", "bounds": [["p", ["0", "1/10"]]]},
@@ -394,7 +403,7 @@ def _asymmetric_script(corpus_dir):
 def test_rule_script_certificate(corpus_dir, tmp_path, capsys):
     script = _asymmetric_script(corpus_dir)
     path = tmp_path / "demo.agproof.json"
-    json.dump(script, open(path, "w"))
+    _write_json(path, script)
     code, out, _ = run(capsys, "rule", "--script", str(path))
     assert code == 0
     cert = json.loads(out)["report"]["certificate"]
@@ -408,14 +417,14 @@ def test_rule_script_certificate(corpus_dir, tmp_path, capsys):
         "sets": [["a"]],
         "notes": ["external evidence A", "external evidence B"],
     }
-    json.dump(script, open(path, "w"))
+    _write_json(path, script)
     code2, out2, _ = run(capsys, "rule", "--script", str(path))
     assert code2 == 3
     assert json.loads(out2)["report"]["certificate"][0]["confidence"] == "attested"
 
 
 def test_asymmetric_certificate_is_pinned(corpus_dir, tmp_path, capsys):
-    guarantee = json.load(open(corpus_dir / "safe_guarantee.query.json"))["objectives"]
+    guarantee = _read_json(corpus_dir / "safe_guarantee.query.json")["objectives"]
     conclusion = {
         "kind": "region-sat",
         "model": "m1 || m2",
@@ -441,7 +450,7 @@ def test_asymmetric_certificate_is_pinned(corpus_dir, tmp_path, capsys):
 
     script = _asymmetric_script(corpus_dir)
     path = tmp_path / "pinned.agproof.json"
-    json.dump(script, open(path, "w"))
+    _write_json(path, script)
     code, out, _ = run(capsys, "rule", "--script", str(path))
     assert code == 0
     assert json.loads(out)["report"]["certificate"] == [{
@@ -459,7 +468,7 @@ def test_asymmetric_certificate_is_pinned(corpus_dir, tmp_path, capsys):
     }]
 
     script["applications"][0]["fairness"] = {"sets": [["a"]], "notes": ["ev A", "ev B"]}
-    json.dump(script, open(path, "w"))
+    _write_json(path, script)
     code, out, _ = run(capsys, "rule", "--script", str(path))
     assert code == 3
     assert json.loads(out)["report"]["certificate"] == [{
@@ -480,14 +489,14 @@ def test_asymmetric_certificate_is_pinned(corpus_dir, tmp_path, capsys):
 
 def _strict_guarantee(corpus_dir, threshold="99/100"):
     """`safe_guarantee` at `threshold`; the retry/pipeline pair misses 99/100."""
-    doc = json.load(open(corpus_dir / "safe_guarantee.query.json"))
+    doc = _read_json(corpus_dir / "safe_guarantee.query.json")
     doc["objectives"][0]["threshold"] = threshold
     return doc
 
 
 def test_failing_rpa_rule_carries_the_premise_witness(corpus_dir, tmp_path, capsys):
     guarantee = tmp_path / "strict.query.json"
-    json.dump(_strict_guarantee(corpus_dir), open(guarantee, "w"))
+    _write_json(guarantee, _strict_guarantee(corpus_dir))
     code, out, _ = run(
         capsys,
         "rpa-rule",
@@ -512,7 +521,7 @@ def test_rule_exit_code_puts_a_failure_before_an_attestation(corpus_dir, tmp_pat
                     fairness={"sets": [["a"]], "notes": ["ev A", "ev B"]})
     script["applications"].append(attested)
     path = tmp_path / "mixed.agproof.json"
-    json.dump(script, open(path, "w"))
+    _write_json(path, script)
     code, out, _ = run(capsys, "rule", "--script", str(path))
     cert = json.loads(out)["report"]["certificate"]
     assert [(c["status"], c["confidence"]) for c in cert] == [
@@ -537,7 +546,7 @@ def test_malformed_proof_script_is_usage_error(case, corpus_dir, tmp_path, capsy
     script = _asymmetric_script(corpus_dir)
     _MALFORMED_SCRIPTS[case](script)
     path = tmp_path / "malformed.agproof.json"
-    json.dump(script, open(path, "w"))
+    _write_json(path, script)
     code, out, err = run(capsys, "rule", "--script", str(path))
     assert code == 2 and out == ""
     assert err.startswith("format error:") and "Traceback" not in err
@@ -577,7 +586,7 @@ def test_unresolvable_script_argument_is_usage_error(case, corpus_dir, tmp_path,
     app = script["applications"][0]
     app[key] = value
     path = tmp_path / "unresolvable.agproof.json"
-    json.dump(script, open(path, "w"))
+    _write_json(path, script)
     code, out, err = run(capsys, "rule", "--script", str(path))
     assert code == 2 and out == ""
     assert err.startswith("format error: proof script:") and "Traceback" not in err
@@ -587,20 +596,20 @@ def test_unresolvable_script_argument_is_usage_error(case, corpus_dir, tmp_path,
 def test_monotonicity_script_with_valid_arguments_runs(corpus_dir, tmp_path, capsys):
     script = _monotonicity_script(corpus_dir)
     path = tmp_path / "mono.agproof.json"
-    json.dump(script, open(path, "w"))
+    _write_json(path, script)
     code, out, _ = run(capsys, "rule", "--script", str(path))
     assert code in (0, 1)
     assert json.loads(out)["report"]["certificate"][0]["id"] == "mono"
     # a parameter the samples do not assign is an input error, not a crash
     script["applications"][0]["param"] = "zzz"
-    json.dump(script, open(path, "w"))
+    _write_json(path, script)
     code, out, err = run(capsys, "rule", "--script", str(path))
     assert code == 2 and out == ""
     assert "MissingParameter" in err and "'zzz'" in err
     # at p = 0 retry's s0_a moves to s1 surely, so no sample of r1 preserves
     # the graph and the premise has nothing to check
     script["applications"][0].update(param="p", r1="finite:{p=0}")
-    json.dump(script, open(path, "w"))
+    _write_json(path, script)
     code, out, err = run(capsys, "rule", "--script", str(path))
     assert (code, out) == (2, "")
     assert err == "error: NotGraphPreserving: no graph-preserving sample in the region\n"
@@ -610,7 +619,7 @@ def test_monotonicity_script_on_an_empty_region_is_vacuous(corpus_dir, tmp_path,
     script = _monotonicity_script(corpus_dir)
     script["regions"]["r2"] = {"type": "finite", "valuations": []}
     path = tmp_path / "mono-empty.agproof.json"
-    json.dump(script, open(path, "w"))
+    _write_json(path, script)
     code, out, err = run(capsys, "rule", "--script", str(path))
     assert code == 0 and err == ""
     (application,) = json.loads(out)["report"]["certificate"]
@@ -670,7 +679,7 @@ def _new_row_arguments():
 def test_new_script_rows_certify_as_the_library_call(case, tmp_path, capsys):
     rule, args, exit_code = _new_row_arguments()[case]
     path = tmp_path / "row.agproof.json"
-    json.dump(_rule_script(rule, args), open(path, "w"))
+    _write_json(path, _rule_script(rule, args))
     code, out, err = run(capsys, "rule", "--script", str(path))
     assert (code, err) == (exit_code, "")
     expected = {"id": rule, **scrub(cli._certificate(RULES[rule][0](**args)))}
@@ -691,7 +700,7 @@ def test_asym_n_lists_must_fit_the_chain(field, value, message, tmp_path, capsys
     script = _rule_script(rule, args)
     script["applications"][0][field] = value
     path = tmp_path / "misfit.agproof.json"
-    json.dump(script, open(path, "w"))
+    _write_json(path, script)
     assert run(capsys, "rule", "--script", str(path)) == (2, "", message + "\n")
 
 
@@ -703,7 +712,7 @@ def test_reward_sum_maps_decode_as_objective_rewards(rewards, message, tmp_path,
     script = _rule_script(*_new_row_arguments()["reward-sum"][:2])
     script["applications"][0]["rw1"] = rewards
     path = tmp_path / "rewards.agproof.json"
-    json.dump(script, open(path, "w"))
+    _write_json(path, script)
     assert run(capsys, "rule", "--script", str(path)) == (
         2, "", f"format error: proof script: application 'reward-sum' argument 'rw1' at {message}\n")
 
@@ -715,7 +724,7 @@ def test_asym_n_row_of_two_is_the_asymmetric_row(corpus_dir, tmp_path, capsys):
         "id": "chain", "rule": "asym-n", "models": ["m1", "m2"], "regions": ["r1", "r2"],
         "assumptions": ["A"], "guarantee": "G", "resolution": step["resolution"]})
     path = tmp_path / "chain.agproof.json"
-    json.dump(script, open(path, "w"))
+    _write_json(path, script)
     code, out, _ = run(capsys, "rule", "--script", str(path))
     direct, chained = json.loads(out)["report"]["certificate"]
     assert code == 0 and (direct.pop("id"), chained.pop("id")) == ("step-1", "chain")
@@ -968,7 +977,7 @@ def _compose_corpus(corpus_dir, tmp_path):
 def test_empty_query_under_check_is_usage_error(corpus_dir, tmp_path, capsys):
     composed = _compose_corpus(corpus_dir, tmp_path)
     empty = str(tmp_path / "empty.query.json")
-    json.dump({"format": "pacomp/1", "type": "mo-query", "objectives": []}, open(empty, "w"))
+    _write_json(empty, {"format": "pacomp/1", "type": "mo-query", "objectives": []})
     guarantee = str(corpus_dir / "safe_guarantee.query.json")
     region = ["--region", "finite:{p=1/2,q=1}"]
     for argv in (["check", "--model", composed, "--objective", empty],
@@ -986,8 +995,7 @@ def _reward_query(tmp_path, reward, threshold="0"):
     path = str(tmp_path / "reward.query.json")
     objective = {"kind": "reward", "cmp": ">=", "threshold": threshold,
                  "rewards": [["a", reward]]}
-    json.dump({"format": "pacomp/1", "type": "mo-query", "objectives": [objective]},
-              open(path, "w"))
+    _write_json(path, {"format": "pacomp/1", "type": "mo-query", "objectives": [objective]})
     return path
 
 
@@ -1151,8 +1159,8 @@ def _exits_2_at_its_path(row, corpus_dir, tmp_path, capsys):
     name, path, value, message = row
     mutant, kind, region = str(tmp_path / "mutant.json"), "region", name
     if path is not None:  # else `name` is region text, given to --region as written
-        doc = _DOCUMENTS[name] if name in _DOCUMENTS else json.load(open(corpus_dir / name))
-        json.dump(_mutated(doc, path, value), open(mutant, "w"))
+        doc = _DOCUMENTS[name] if name in _DOCUMENTS else _read_json(corpus_dir / name)
+        _write_json(mutant, _mutated(doc, path, value))
         kind = {"box": "region", "finite": "region"}.get(doc["type"], doc["type"])
         region = "@" + mutant
     retry = str(corpus_dir / _RETRY)
@@ -1225,7 +1233,7 @@ def test_reward_over_an_undeclared_parameter_is_usage_error(corpus_dir, tmp_path
 
 def test_empty_guarantee_under_a_rule_is_usage_error(corpus_dir, tmp_path, capsys):
     empty = {"format": "pacomp/1", "type": "mo-query", "objectives": []}
-    json.dump(empty, open(tmp_path / "empty.query.json", "w"))
+    _write_json(tmp_path / "empty.query.json", empty)
     message = "error: SideConditionError: a guarantee query must have at least one objective\n"
     code, out, err = run(
         capsys, "rpa-rule",
@@ -1244,7 +1252,7 @@ def test_empty_guarantee_under_a_rule_is_usage_error(corpus_dir, tmp_path, capsy
         script["queries"]["E"] = empty
         script["applications"] = [application]
         path = tmp_path / "empty-guarantee.agproof.json"
-        json.dump(script, open(path, "w"))
+        _write_json(path, script)
         assert run(capsys, "rule", "--script", str(path)) == (2, "", message)
 
 
@@ -1333,7 +1341,7 @@ def _mutated(doc, path, value):
 def mutation_cases(corpus_dir, tmp_path_factory):
     """(name -> (a valid document, the argv that reads it from `mutant`), `mutant`)."""
     def load(name):
-        return json.load(open(corpus_dir / name))
+        return _read_json(corpus_dir / name)
 
     workdir = tmp_path_factory.mktemp("mutations")
     composed = workdir / "composed.ppa.json"
@@ -1407,7 +1415,7 @@ def test_two_field_mutations_never_exit_4(mutation_cases, capsys, data):
 
 def test_timing_is_measured_for_every_command(corpus_dir, tmp_path, capsys):
     script = tmp_path / "demo.agproof.json"
-    json.dump(_asymmetric_script(corpus_dir), open(script, "w"))
+    _write_json(script, _asymmetric_script(corpus_dir))
     for argv in (
         ["compose", "--left", str(corpus_dir / "retry.ppa.json"),
          "--right", str(corpus_dir / "pipeline.ppa.json")],
@@ -1431,7 +1439,7 @@ def test_paper_suite_cli(tmp_path, capsys):
     assert lines and all(l.startswith("PASS ") for l in lines)
     # the line CI greps from the installed script, and README quotes
     assert last == "29/29 anchors pass"
-    saved = json.loads(open(tmp_path / "suite.json").read())
+    saved = _read_json(tmp_path / "suite.json")
     assert all(r["pass"] for r in saved["report"]["results"])
 
 
@@ -1441,13 +1449,13 @@ def test_project_and_triple_cli(corpus_dir, tmp_path, capsys):
 
     composed = instantiate(
         compose(
-            modelio.load_document(json.load(open(corpus_dir / "retry.ppa.json"))),
-            modelio.load_document(json.load(open(corpus_dir / "pipeline.ppa.json"))),
+            modelio.load_document(_read_json(corpus_dir / "retry.ppa.json")),
+            modelio.load_document(_read_json(corpus_dir / "pipeline.ppa.json")),
         ),
         {"p": F(1, 10), "q": F(1, 10)},
     )
     sigma = corpus.priority_strategy(composed)
-    json.dump(modelio.dump_document(sigma), open(strategy_path, "w"))
+    _write_json(strategy_path, modelio.dump_document(sigma))
     code, out, _ = run(
         capsys,
         "project",
@@ -1486,7 +1494,7 @@ def test_project_and_triple_cli(corpus_dir, tmp_path, capsys):
     verdict = json.loads(out)["report"]["verdict"]
     assert (verdict["status"], len(verdict["details"])) == ("holds", 36)
     guarantee = tmp_path / "guarantee_19_20.query.json"
-    json.dump(_strict_guarantee(corpus_dir, "19/20"), open(guarantee, "w"))
+    _write_json(guarantee, _strict_guarantee(corpus_dir, "19/20"))
     code, out, _ = run(capsys, *triple, "--guarantee", str(guarantee))
     witness = json.loads(out)["report"]["verdict"]["witness"]
     assert code == 1 and witness["valuation"] == {"p": "3/50", "q": "1"}
@@ -1503,7 +1511,7 @@ def test_project_rejects_an_invalid_strategy(corpus_dir, tmp_path, capsys, defec
     from pacomp.semantics import MemorylessStrategy, TabularStrategy
 
     left, right = (
-        modelio.load_document(json.load(open(corpus_dir / name)))
+        modelio.load_document(_read_json(corpus_dir / name))
         for name in ("retry.ppa.json", "pipeline.ppa.json")
     )
     composed = instantiate(compose(left, right), {"p": F(1, 10), "q": F(1, 10)})
@@ -1527,7 +1535,7 @@ def test_project_rejects_an_invalid_strategy(corpus_dir, tmp_path, capsys, defec
     elif defect == "negative horizon":
         sigma = TabularStrategy({(s,): {a: F(1)}}, horizon=-3)
     strategy_path = tmp_path / "sigma.json"
-    json.dump(modelio.dump_document(sigma), open(strategy_path, "w"))
+    _write_json(strategy_path, modelio.dump_document(sigma))
     code, out, err = run(
         capsys,
         "project",
@@ -1578,7 +1586,7 @@ def _check_project_memoryless(tmp_path, capsys, seed):
     paths = {}
     for name, doc in (("left", left), ("right", right), ("sigma", sigma)):
         paths[name] = tmp_path / f"{name}.json"
-        json.dump(modelio.dump_document(doc), open(paths[name], "w"))
+        _write_json(paths[name], modelio.dump_document(doc))
     for side in (1, 2):
         for horizon in (2, 3):
             code, out, _ = run(
@@ -1605,9 +1613,9 @@ def test_region_and_strategy_documents_roundtrip():
 def test_rule_script_simulation_with_robust_flag(corpus_dir, tmp_path, capsys):
     from pacomp.model import compose
 
-    m2 = modelio.load_document(json.load(open(corpus_dir / "split_responder.ppa.json")))
+    m2 = modelio.load_document(_read_json(corpus_dir / "split_responder.ppa.json"))
     para = modelio.load_document(
-        json.load(open(corpus_dir / "handoff_parametric.ppa.json"))
+        _read_json(corpus_dir / "handoff_parametric.ppa.json")
     )
     guard = compose(m2, para)
     script = {
@@ -1639,7 +1647,7 @@ def test_rule_script_simulation_with_robust_flag(corpus_dir, tmp_path, capsys):
         ],
     }
     path = tmp_path / "sim.agproof.json"
-    json.dump(script, open(path, "w"))
+    _write_json(path, script)
     code, out, _ = run(capsys, "rule", "--script", str(path))
     assert code == 0
     cert = json.loads(out)["report"]["certificate"][0]
@@ -1653,7 +1661,7 @@ def test_check_partial_strategy_class(corpus_dir, tmp_path, capsys):
 
     narrow = (safety(dfa_forbid_symbols({"fail"}, {"a", "c", "fail"}), F(9, 10)),)
     query_path = tmp_path / "narrow.query.json"
-    json.dump(modelio.dump_document(narrow), open(query_path, "w"))
+    _write_json(query_path, modelio.dump_document(narrow))
     codes = []
     for cls in ("prt", "cmp"):
         code, _, _ = run(
@@ -1708,7 +1716,7 @@ def test_monotone_cli(corpus_dir, tmp_path, capsys):
 
     narrow = (safety(dfa_forbid_symbols({"fail"}, {"a", "c", "fail"}), 1),)
     query_path = tmp_path / "mono.query.json"
-    json.dump(modelio.dump_document(narrow), open(query_path, "w"))
+    _write_json(query_path, modelio.dump_document(narrow))
     base = [
         "monotone",
         "--model", str(corpus_dir / "pipeline.ppa.json"),
@@ -1725,11 +1733,11 @@ def test_monotone_cli(corpus_dir, tmp_path, capsys):
     assert witness["value_low"] != witness["value_high"]
     # a reward symbol outside the model's alphabet is an input error
     stray = (reward_objective(">=", 0, {"zz": 1}),)
-    json.dump(modelio.dump_document(stray), open(query_path, "w"))
+    _write_json(query_path, modelio.dump_document(stray))
     code3, out3, err3 = run(capsys, *base, "--direction", "up")
     assert (code3, out3) == (2, "") and err3.startswith("error: AlphabetMismatch: ")
     # the check takes one objective
-    json.dump(modelio.dump_document(narrow + narrow), open(query_path, "w"))
+    _write_json(query_path, modelio.dump_document(narrow + narrow))
     code4, out4, err4 = run(capsys, *base, "--direction", "up")
     assert (code4, out4) == (2, "")
     assert err4 == "format error: monotonicity checks take a single-objective query\n"
@@ -1856,7 +1864,7 @@ def _write_golden_inputs(workdir):
     _write_goal_query(workdir, workdir)
     with open("golden.agproof.json", "w", encoding="utf-8") as fh:
         json.dump(_GOLDEN_SCRIPT, fh, indent=2, sort_keys=True)
-    left, right = (modelio.load_document(json.load(open(name)))
+    left, right = (modelio.load_document(_read_json(name))
                    for name in ("retry.ppa.json", "pipeline.ppa.json"))
     sigma = corpus.priority_strategy(instantiate(compose(left, right),
                                                  {"p": F(1, 10), "q": F(1, 10)}))

@@ -720,9 +720,10 @@ def test_large_occupation_lp_probe():
 @settings(max_examples=40)
 @given(st.integers(0, 2**32))
 def test_occupation_lp_columns_are_in_sort_key_order(seed):
-    """The LP reads its column order off the product (states, then each
-    state's enabled actions); that is the `sort_key` order of the keys and of
-    the settle states, so the pivot path is the one sorting gave."""
+    """`_flow` hands the LP the product's states in `sort_key` order, and
+    each state's enabled actions are in that order, so the columns are the
+    keys and the settle states in `sort_key` order: the pivot path does not
+    depend on the order in which the product's search met its states."""
     rng = random.Random(seed)
     m = renamed_ppa(rng, compose(*random_parametric_pair(rng)))
     objective = safety(random_safety_dfa(rng, sorted(m.alphabet)), F(1, 2))
@@ -1023,16 +1024,16 @@ def test_region_sat_rejects_ill_defined_sample():
         region_sat(m1, FiniteRegion.of([{"p": 2}]), A, "cmp")
 
 
-def test_partial_vs_complete_agree_on_safety():
-    rng = random.Random(41)
-    for _ in range(8):
-        pa = random_pa(rng, "z", 3, ["a", "b"], max_actions=2)
-        dfa = random_safety_dfa(rng, ["a", "b"])
-        query = (safety(dfa, F(rng.randint(0, 4), 4)),)
-        region = FiniteRegion.of([{}])
-        cmp_v = region_sat(pa, region, query, "cmp")
-        prt_v = region_sat(pa, region, query, "prt")
-        assert cmp_v.status == prt_v.status
+@settings(max_examples=40)
+@given(st.integers(0, 2**32))
+def test_partial_vs_complete_agree_on_safety(seed):
+    rng = random.Random(seed)
+    pa = random_pa(rng, "z", 3, ["a", "b"], max_actions=2)
+    dfa = random_safety_dfa(rng, ["a", "b"])
+    query = (safety(dfa, F(rng.randint(0, 4), 4)),)
+    region = FiniteRegion.of([{}])
+    cmp_v, prt_v = (region_sat(pa, region, query, cls) for cls in ("cmp", "prt"))
+    assert cmp_v.status == prt_v.status
 
 
 def test_triple_on_extended_pipeline():
@@ -1356,23 +1357,19 @@ def test_fixed_strategy_values_by_hand():
             region_sat(m, where, (stray,))
 
 
-def test_partial_equals_complete_on_sink_extension():
+@settings(max_examples=40)
+@given(st.integers(0, 2**32))
+def test_partial_equals_complete_on_sink_extension(seed):
     # partial-strategy achievability on a model coincides with complete-
     # strategy achievability on its sink extension, and optimal reachability
     # is unaffected by the added stopping branch
-    from pacomp.model import tau_extend
-
-    rng = random.Random(67)
-    for _ in range(8):
-        pa = random_pa(rng, "e", 3, ["a", "b"], max_actions=2)
-        dfa = random_safety_dfa(rng, ["a", "b"], allow_empty=False)
-        query = (ProbObjective(rng.choice(["<=", ">="]), F(rng.randint(0, 4), 4), dfa),)
-        assert (
-            mo_achievable(pa, query, "prt")[0]
-            == mo_achievable(tau_extend(pa), query, "cmp")[0]
-        )
-        target = {rng.choice(pa.states)}
-        assert max_reach(pa, target)[0] == max_reach(tau_extend(pa), target)[0]
+    rng = random.Random(seed)
+    pa = random_pa(rng, "e", 3, ["a", "b"], max_actions=2)
+    dfa = random_safety_dfa(rng, ["a", "b"], allow_empty=False)
+    query = (ProbObjective(rng.choice(["<=", ">="]), F(rng.randint(0, 4), 4), dfa),)
+    assert mo_achievable(pa, query, "prt")[0] == mo_achievable(tau_extend(pa), query, "cmp")[0]
+    target = {rng.choice(pa.states)}
+    assert max_reach(pa, target)[0] == max_reach(tau_extend(pa), target)[0]
 
 
 def test_minimal_reward_escapes_tied_zero_cycles():
@@ -1431,37 +1428,26 @@ def test_minimal_reward_forced_payment(seed, n_states, zeros):
     assert got == best
 
 
-def test_region_sat_agrees_with_direct_safety_values():
+@settings(max_examples=60)
+@given(st.integers(0, 2**32))
+def test_region_sat_agrees_with_direct_safety_values(seed):
     # the occupation LP and the policy-iteration safety solver are
     # independent routes to the same verdict on single safety objectives;
-    # region_sat decides a sample that holds by policy iteration
-    # (`_MoQuery.bad_reach`), so that half asks the violation query's LP
-    # (`_MoQuery._lp_solve`) directly, and a failing sample reaches the LP
-    # inside region_sat
-    rng = random.Random(73)
-    agreements = 0
-    for _ in range(25):
-        pa = random_pa(rng, "d", 3, ["a", "b"], max_actions=2)
-        dfa = random_safety_dfa(rng, ["a", "b"], allow_empty=False)
-        minimum = safety_prob(pa, safety(dfa, 1))
-        for delta, expect in ((F(0), "holds"), (F(1, 16), "fails")):
-            threshold = minimum + delta
-            if threshold > 1:
-                continue
-            if expect == "holds":
-                table = PolyTable()
-                violation = _MoQuery(pa, (safety(dfa, threshold).negate(),), "cmp", table)
-                assert violation._lp_solve(table.at({})) == ("unachievable", None), (
-                    threshold, minimum)
-            else:
-                verdict = region_sat(
-                    pa, FiniteRegion.of([{}]), (safety(dfa, threshold),), "cmp"
-                )
-                # strictly above the attainable minimum must fail unless the
-                # minimum is not tight within [0,1]
-                assert verdict.status == "fails", (threshold, minimum)
-            agreements += 1
-    assert agreements >= 25
+    # region_sat decides every sample of one safety objective by policy
+    # iteration (`_MoQuery.bad_reach`, and `_policy_witness` for a failing
+    # one), so at the attainable minimum the test asks the violation query's
+    # LP (`_MoQuery._lp_solve`) directly, and strictly above it region_sat
+    # must fail
+    rng = random.Random(seed)
+    pa = random_pa(rng, "d", 3, ["a", "b"], max_actions=2)
+    dfa = random_safety_dfa(rng, ["a", "b"], allow_empty=False)
+    minimum = safety_prob(pa, safety(dfa, 1))
+    table = PolyTable()
+    violation = _MoQuery(pa, (safety(dfa, minimum).negate(),), "cmp", table)
+    assert violation._lp_solve(table.at({})) == ("unachievable", None), minimum
+    if minimum + F(1, 16) <= 1:
+        verdict = region_sat(pa, FiniteRegion.of([{}]), (safety(dfa, minimum + F(1, 16)),), "cmp")
+        assert verdict.status == "fails", minimum
 
 
 def test_mixed_probability_and_reward_query():
@@ -1690,6 +1676,24 @@ def test_only_cyclic_blocks_are_eliminated(monkeypatch):
     }, {"a", "b"})
     assert exp_total_reward(m, {"a": 1}) == 2
     assert sizes == [2]
+
+
+def test_only_the_lp_sorts_product_states(monkeypatch):
+    """The occupation LP is the one reader of the `sort_key` order of a
+    query product (`test_occupation_lp_columns_are_in_sort_key_order` pins
+    its columns): the k = 4 family's monolithic safety check, which policy
+    iteration decides, sorts nothing, and a conjunction with a reward on the
+    p = 0 instance reaches the LP, which sorts its 431 product states once."""
+    calls = []
+    key = verify.sort_key
+    monkeypatch.setattr(verify, "sort_key", lambda x: calls.append(1) or key(x))
+    models, box, _, guarantee = k_component_family(4)
+    composed = functools.reduce(compose, models)
+    assert region_sat(composed, box, guarantee, "cmp", 2).holds
+    assert calls == []
+    query = (safety(guarantee[0].dfa, 0), reward_objective(">=", 0, {"t1": 1}))
+    assert mo_achievable(instantiate(composed, {"p": 0}), query)[0] == "achievable"
+    assert len(calls) == 431
 
 
 @settings(max_examples=40)
