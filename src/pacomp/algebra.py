@@ -73,7 +73,7 @@ class Polynomial:
         return bool(self.terms)
 
     def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {()}
+        return self.terms.keys() <= {()}
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
@@ -309,7 +309,11 @@ class PolyTable:
     """Distinct polynomials in integer form, evaluated together at a valuation.
 
     `slot(p)` registers a polynomial or a rational and returns its index;
-    equal entries share one slot.  `at(v)` returns one value vector (D, nums):
+    equal entries share one slot.  A rational, or a constant polynomial, is
+    keyed by its value's integer pair (`as_integer_ratio()`, in lowest
+    terms), which is cheaper to hash than a `Fraction`; a non-constant
+    polynomial, which never equals a rational, is its own key, with its hash
+    kept.  `at(v)` returns one value vector (D, nums):
     a positive integer D and one integer per slot, with nums[k] / D the value
     of slot k at v.  The table is compiled on the first evaluation after a
     registration: every coefficient is scaled to the lcm L of all coefficient
@@ -325,9 +329,15 @@ class PolyTable:
         self.polys, self._index, self._code, self._fixed = [], {}, None, None
 
     def slot(self, poly) -> int:
-        k = self._index.get(poly)
+        if not isinstance(poly, Polynomial):
+            key = poly.as_integer_ratio()
+        elif poly.is_constant():
+            key = poly.terms.get((), 0).as_integer_ratio()
+        else:
+            key = poly
+        k = self._index.get(key)
         if k is None:
-            k = self._index[poly] = len(self.polys)
+            k = self._index[key] = len(self.polys)
             self.polys.append(poly)
             self._code = None
         return k

@@ -177,20 +177,26 @@ def instantiate(m: PPA, v) -> PPA:
     return replace(m, params=frozenset(), trans=trans)
 
 
-def well_definedness(table: PolyTable, models):
-    """The joint well-definedness of `models` at a value vector of `table`.
+def slotted(m: PPA, table: PolyTable) -> dict:
+    """Every transition of m as its entries (successor, slot of the
+    probability in `table`): the one registration of a model's entries in a
+    table, whose rows the solvers and `well_definedness` read."""
+    slot = table.slot
+    return {key: tuple((t, slot(p)) for t, p in dist.items()) for key, dist in m.trans.items()}
 
-    Registers every transition entry of the models in `table` and returns a
+
+def well_definedness(table: PolyTable, rows):
+    """The joint well-definedness of the distributions `rows` at a value
+    vector of `table`.
+
+    Each row is the entries (successor, slot) of one distribution, already
+    registered in `table` (as `slotted` registers a model's); returns a
     function from a vector (D, nums) to a `WellDefinedness`.  Each distinct
     distribution row is checked at every vector: NEITHER when an entry is
     outside [0, D] or the row does not sum to D; otherwise GRAPH_PRESERVING
     when every nonzero polynomial has a nonzero value.
     """
-    rows = {
-        tuple(sorted(table.slot(p) for p in dist.values()))
-        for m in models
-        for dist in m.trans.values()
-    }
+    rows = {tuple(sorted(k for _, k in row)) for row in rows}
     slots = sorted({k for row in rows for k in row})
     live = [k for k in slots if table.polys[k]]
 
@@ -212,7 +218,7 @@ def well_defined(m: PPA, v) -> WellDefinedness:
     the check of `well_definedness` at one sample."""
     require_total(v, m.params)
     table = PolyTable()
-    return well_definedness(table, [m])(table.at(v))
+    return well_definedness(table, slotted(m, table).values())(table.at(v))
 
 
 # ---------------------------------------------------------------------------

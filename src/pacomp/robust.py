@@ -236,7 +236,7 @@ def _integer_vertices(uset):
         index = {s: i for i, s in enumerate(support)}
         den = math.lcm(*(p.denominator for d in uset.dists for _, p in d))
         return support, den, tuple(
-            tuple((index[s], int(p * den)) for s, p in d)
+            tuple((index[s], p.numerator * (den // p.denominator)) for s, p in d)
             for d in uset.dists
         )
     if not isinstance(uset, IntervalSet):
@@ -307,37 +307,53 @@ def conv_compose(u1: RPA, u2: RPA) -> RPA:
     Every composed uncertainty set is the vertex set of pairwise products of
     the component generators; the convex hulls agree with the hulls of the
     exact product sets.  Each component set is enumerated once, on integer
-    numerators (`_integer_vertices`), when a step first uses it, and
-    an idle side is the Dirac vertex of its state.  The product of rows r1
-    and r2 is the row of entries (i1 * n2 + i2, v1 * v2) over den1 * den2,
-    with n2 the size of the second support: it orders as its vertex does, so
-    the products are deduplicated and sorted as integer rows and only the
-    distinct ones are frozen.
+    numerators (`_integer_vertices`), when a step first uses it.  Only a
+    synchronising step multiplies: the product of rows r1 and r2 is the row
+    of entries (i1 * n2 + i2, v1 * v2) over den1 * den2, with n2 the size of
+    the second support, which orders as its vertex does, so the products are
+    deduplicated and sorted as integer rows and only the distinct ones get
+    `Fraction`s.  An idle side is the Dirac point of its state, a factor 1,
+    so an interleaving step takes the moving set's own vertices, its rows
+    with their `Fraction`s built once per set, under the pair states.
     """
     states, steps = synchronise(u1, u2, u1.utrans, u2.utrans)
-    gens = {}
+    gens, own = {}, {}
 
-    def vertices(uset, state):
-        if uset is None:
-            return (state,), 1, (((0, 1),),)
-        # keyed by identity: hashing a set hashes all its `Fraction`s
+    # Both caches are keyed by a set's identity (hashing a set hashes all its
+    # `Fraction`s); the components hold every set while this runs, so no id
+    # is reused.
+    def vertices(uset):
         if id(uset) not in gens:
             gens[id(uset)] = _integer_vertices(uset)
         return gens[id(uset)]
 
+    def moving(uset):
+        if id(uset) not in own:
+            support, den, rows = vertices(uset)
+            own[id(uset)] = support, list(_entries(range(len(support)), den, rows))
+        return own[id(uset)]
+
     utrans = {}
     for (s1, s2), action, lab, set1, set2 in steps:
-        support1, den1, rows1 = vertices(set1, s1)
-        support2, den2, rows2 = vertices(set2, s2)
-        n2 = len(support2)
-        prods = sorted({
-            tuple((i1 * n2 + i2, v1 * v2) for i1, v1 in r1 for i2, v2 in r2)
-            for r1 in rows1
-            for r2 in rows2
-        })
-        pairs = tuple((t1, t2) for t1 in support1 for t2 in support2)
+        if set1 is None:
+            support2, entries = moving(set2)
+            pairs = [(s1, t2) for t2 in support2]
+        elif set2 is None:
+            support1, entries = moving(set1)
+            pairs = [(t1, s2) for t1 in support1]
+        else:
+            support1, den1, rows1 = vertices(set1)
+            support2, den2, rows2 = vertices(set2)
+            n2 = len(support2)
+            prods = sorted({
+                tuple((i1 * n2 + i2, v1 * v2) for i1, v1 in r1 for i2, v2 in r2)
+                for r1 in rows1
+                for r2 in rows2
+            })
+            pairs = [(t1, t2) for t1 in support1 for t2 in support2]
+            entries = _entries(range(len(pairs)), den1 * den2, prods)
         utrans[((s1, s2), action)] = (lab, VertexSet(tuple(
-            map(FrozenDist, _entries(pairs, den1 * den2, prods)))))
+            FrozenDist((pairs[i], p) for i, p in row) for row in entries)))
     return _composed(u1, u2, states, utrans)
 
 

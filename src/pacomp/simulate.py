@@ -203,6 +203,15 @@ def _indexed_pair(m1: PPA, m2: PPA):
     return table, _indexed(table, m1), _indexed(table, m2)
 
 
+def _sampled_pair(m1: PPA, m2: PPA, region, resolution):
+    """Both models indexed in one table, and `_checked_samples` of the
+    region on the rows they registered there."""
+    table, ix1, ix2 = _indexed_pair(m1, m2)
+    rows = (row for ix in (ix1, ix2) for moves in ix[1]
+            for dists in moves.values() for row in dists)
+    return ix1, ix2, _checked_samples(region, resolution, [m1, m2], table, rows)
+
+
 def strong_sim(n1: PPA, n2: PPA):
     """Greatest strong simulation containing the initial pair, or None."""
     if not (n1.is_pa and n2.is_pa):
@@ -232,8 +241,7 @@ def is_strong_sim(n1: PPA, n2: PPA, rel) -> bool:
 
 def strong_sim_region(m1: PPA, m2: PPA, region, resolution=1) -> Verdict:
     """Per-valuation strong simulation; witnessing relations may differ."""
-    table, ix1, ix2 = _indexed_pair(m1, m2)
-    samples = _checked_samples(region, resolution, m1, m2, table=table)
+    ix1, ix2, samples = _sampled_pair(m1, m2, region, resolution)
     if samples is None:
         return Verdict("holds", caveat=VACUOUS)
     details = []
@@ -247,8 +255,7 @@ def strong_sim_region(m1: PPA, m2: PPA, region, resolution=1) -> Verdict:
 
 def _uniform_sim(m1: PPA, m2: PPA, region, resolution):
     """`robust_strong_sim`'s relation, and whether the region is empty."""
-    table, ix1, ix2 = _indexed_pair(m1, m2)
-    samples = _checked_samples(region, resolution, m1, m2, table=table)
+    ix1, ix2, samples = _sampled_pair(m1, m2, region, resolution)
     if samples is None:
         return frozenset((s1, s2) for s1 in m1.states for s2 in m2.states), True
     return _greatest_sim(m1, m2, ix1, ix2,

@@ -32,10 +32,11 @@ solvers are exact and end in two mechanisms:
 
 One query structure (`_MoQuery`) serves the LP checks, the re-check of their
 witnesses, the values of fixed strategies and every parameter-free solve.
-It is built once per query and model, and first rejects an objective whose
+It is built once per query and model, on the model's transitions that
+`_mo_queries` registered once per table, after rejecting an objective whose
 alphabet exceeds the model's: the joint DFA product of the parametric model
 (its tau extension for partial strategies), the slot of every transition
-probability and reward in a `PolyTable` of distinct polynomials (`_slotted`,
+probability and reward in a `PolyTable` of distinct polynomials (`slotted`,
 which `max_reach` also uses for a PA's own transitions), and each objective
 as a stop set and a gain map, which every solver reads: a probability
 objective stops at its targets and collects the mass moved into them, a
@@ -101,6 +102,7 @@ from .model import (
     PPA,
     WellDefinedness,
     dfa_absorb_accepting,
+    slotted,
     sort_key,
     tau_extend,
     well_definedness,
@@ -452,7 +454,7 @@ def max_reach(pa: PPA, targets):
         raise ValueError("max_reach needs a parameter-free model")
     targets = frozenset(targets)
     table = PolyTable()
-    succ, point = _slotted(pa, table), table.at({})
+    succ, point = slotted(pa, table), table.at({})
     # targets stop; an action collects its one-step mass into them
     gains = {key: tuple(k for t, k in out if t in targets) for key, out in succ.items()}
     acts = {s: pa.enabled(s) for s in pa.states}
@@ -610,13 +612,13 @@ _REWARD_ROW = {">=": ("lb", 0), ">": ("lb", -1), "<=": ("ub", 0), "<": ("ub", 1)
 class _MoQuery:
     """One conjunction of objectives on one model, for any number of samples.
 
-    The structure is built once: the joint product of the model (its tau
-    extension for partial strategies) with the objectives' absorbing
-    bad-prefix DFAs, its states in the order the search met them, and per
-    objective (probability objectives, then rewards) a stop set `stops[i]`
-    and a gain map `gains[i]` from each product key (ps, a) to the slots it
-    collects: its entries into the targets from outside them, which absorb,
-    or its reward.  Transition probabilities and rewards refer by index to
+    The structure is built once: the joint product of the model `work`,
+    whose transitions are the `slotted` `entries` (see `_mo_queries`), with
+    the objectives' absorbing bad-prefix DFAs, its states in the order the
+    search met them, and per objective (probability objectives, then
+    rewards) a stop set `stops[i]` and a gain map `gains[i]` from each
+    product key (ps, a) to the slots it collects: its entries into the
+    targets from outside them, which absorb, or its reward.  Transition probabilities and rewards refer by index to
     their slots in a `PolyTable` that the caller may share with other queries
     and the well-definedness check, so a sample is one value vector of that
     table.  What depends on which values are zero, and on the signs of the
@@ -630,20 +632,12 @@ class _MoQuery:
     strategies of `model` on the same product.
     """
 
-    def __init__(self, m: PPA, query, strategy_class, table: PolyTable):
-        for obj in query:
-            if not obj.alphabet <= m.alphabet:
-                raise AlphabetMismatch(
-                    f"objective alphabet {sorted(obj.alphabet)} exceeds the model's; "
-                    "extend the model first"
-                )
-        work = tau_extend(m) if strategy_class == "prt" else m
+    def __init__(self, work: PPA, entries, query, strategy_class, table: PolyTable):
         self.model, self.strategy_class = work, strategy_class
         self.prob_objs = [o for o in query if isinstance(o, ProbObjective)]
         self.rew_objs = [o for o in query if isinstance(o, RewardObjective)]
         self.strict = any(o.cmp in ("<", ">") for o in query)
         slot = table.slot
-        entries = _slotted(work, table)
         dfas = [dfa_absorb_accepting(o.dfa) for o in self.prob_objs]
         init = (work.initial, tuple(b.initial for b in dfas))
         acts, ptrans, plabel = {}, {}, {}
@@ -879,11 +873,26 @@ class _MoQuery:
         }
 
 
-def _slotted(m: PPA, table: PolyTable):
-    """Every transition of m as its entries (successor, slot of the
-    probability in `table`)."""
-    slot = table.slot
-    return {key: tuple((t, slot(p)) for t, p in dist.items()) for key, dist in m.trans.items()}
+def _mo_queries(m: PPA, queries, strategy_class, table: PolyTable):
+    """The transitions that `queries` of `strategy_class` on m are solved
+    on, as `slotted` entries in `table`, and the `_MoQuery` of each query,
+    after rejecting a query whose alphabet exceeds m's.  The model solved
+    is m, or its tau extension for partial strategies, and its entries are
+    registered once per table, for every query and the well-definedness
+    check.  The tau extension's extra rows are each a constant 1, which lies
+    in [0, D], sums to D and is nonzero at every vector, so the extension is
+    well defined, and graph-preserving, at exactly the vectors at which m
+    is: its rows may be checked in place of m's."""
+    for query in queries:
+        for obj in query:
+            if not obj.alphabet <= m.alphabet:
+                raise AlphabetMismatch(
+                    f"objective alphabet {sorted(obj.alphabet)} exceeds the model's; "
+                    "extend the model first"
+                )
+    work = tau_extend(m) if strategy_class == "prt" else m
+    entries = slotted(work, table)
+    return entries, [_MoQuery(work, entries, query, strategy_class, table) for query in queries]
 
 
 def _constant_query(pa: PPA, query, strategy_class):
@@ -893,7 +902,7 @@ def _constant_query(pa: PPA, query, strategy_class):
     if not pa.is_pa:
         raise ValueError("a parameter-free model is needed; instantiate first")
     table = PolyTable()
-    mo_query = _MoQuery(pa, query, strategy_class, table)
+    _, (mo_query,) = _mo_queries(pa, [query], strategy_class, table)
     point = table.at({})
     sym = mo_query.negative_reward(point)
     if sym is not None:
@@ -1011,19 +1020,20 @@ def chain_language_prob(pa: PPA, sigma: MemorylessStrategy, dfa) -> Fraction:
 # Region-level checks
 # ---------------------------------------------------------------------------
 
-def _checked_samples(region, resolution, *models, table=None, filter_gp=False, queries=()):
-    """The region's samples, each of which instantiates every model to a PA
-    (only the graph-preserving ones with `filter_gp`), as (valuation, vector)
-    pairs: the vector is `table`'s value vector at the sample, after the
-    models' entries are registered in it.  Then the first sample at which a
-    reward of one of the `_MoQuery`s `queries` is negative is rejected.  None
-    for an empty region."""
+def _checked_samples(region, resolution, models, table, rows, filter_gp=False, queries=()):
+    """The region's samples, each of which assigns every parameter of
+    `models` and instantiates the distributions `rows` to distributions (to
+    graph-preserving ones only with `filter_gp`), as (valuation, vector)
+    pairs: `rows` are the models' transitions as entries (successor, slot)
+    that the caller registered in `table` (see `well_definedness`), and the
+    vector is `table`'s value vector at the sample.  Then the first sample
+    at which a reward of one of the `_MoQuery`s `queries` is negative is
+    rejected.  None for an empty region."""
     try:
         samples = region_samples(region, resolution)
     except EmptyRegion:
         return None
-    table = PolyTable() if table is None else table
-    kind_at = well_definedness(table, models)
+    kind_at = well_definedness(table, rows)
     out = []
     for v in samples:
         for m in models:
@@ -1054,15 +1064,14 @@ def _sample_loop(m, region, resolution, strategy_class, cases, key):
     (objective, violation query) case is achievable; the witness names that
     objective under `key`."""
     table = PolyTable()
-    checks = [(obj, _MoQuery(m, bad, strategy_class, table)) for obj, bad in cases]
-    samples = _checked_samples(region, resolution, m, table=table,
-                               queries=[check for _, check in checks])
+    entries, queries = _mo_queries(m, [bad for _, bad in cases], strategy_class, table)
+    samples = _checked_samples(region, resolution, [m], table, entries.values(), queries=queries)
     if samples is None:
         return Verdict("holds", caveat=VACUOUS)
     details = []
     for v, point in samples:
-        for obj, check in checks:
-            status, wit = check.solve(point)
+        for (obj, _), query in zip(cases, queries):
+            status, wit = query.solve(point)
             if status == "achievable":
                 return Verdict(
                     "fails",
@@ -1193,8 +1202,8 @@ def monotone_check(
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
     table = PolyTable()
-    query = _MoQuery(m, (objective,), strategy_class, table)
-    samples = _checked_samples(region, resolution, m, table=table, queries=[query])
+    entries, (query,) = _mo_queries(m, [(objective,)], strategy_class, table)
+    samples = _checked_samples(region, resolution, [m], table, entries.values(), queries=[query])
     caveat = "per enumerated strategy class; sound per sampled valuation"
     if samples is None:
         return Verdict("holds", caveat=VACUOUS)

@@ -54,7 +54,7 @@ from pacomp.verify import (
     ProbObjective,
     RewardObjective,
     Verdict,
-    _MoQuery,
+    _mo_queries,
     _settle,
     enumerate_memoryless,
     mo_achievable,
@@ -384,7 +384,10 @@ def random_vertex_set(rng: random.Random, states, max_dists=3):
     )
 
 
-def random_polytopic_rpa(rng: random.Random, prefix, labels, n_states=3):
+def random_polytopic_rpa(rng: random.Random, prefix, labels, n_states=3, shared=False):
+    """A random rPA of interval and vertex sets.  With `shared`, its last
+    transition is labelled by its first one's uncertainty set, the same
+    object, so that one set labels two transitions."""
     states = [f"{prefix}{i}" for i in range(n_states)]
     utrans = {}
     for s in states:
@@ -396,6 +399,9 @@ def random_polytopic_rpa(rng: random.Random, prefix, labels, n_states=3):
             else:
                 uset = random_vertex_set(rng, states)
             utrans[(s, act)] = (lab, uset)
+    if shared:
+        first, last = next(iter(utrans)), next(reversed(utrans))
+        utrans[last] = (utrans[last][0], utrans[first][1])
     return make_rpa(states, states[0], utrans, set(labels))
 
 
@@ -772,7 +778,8 @@ def strategy_value_reference(m, sigma, objective, v):
     valuation v: `witness_values_reference` on the DFA product of m
     instantiated at v."""
     table = PolyTable()
-    query = _MoQuery(instantiate(m, v), (instantiate_objective(objective, v),), "cmp", table)
+    _, (query,) = _mo_queries(instantiate(m, v), [(instantiate_objective(objective, v),)],
+                              "cmp", table)
     mix = {ps: sigma.choice[ps[0]] for ps in query.states if ps[0] in sigma.choice}
     return witness_values_reference(query, table.at({}), mix, {}, {})[0]
 

@@ -85,6 +85,35 @@ def test_equal_polynomials_and_numbers_hash_equal():
     assert len({P + 1, 1 + P, ONE}) == 2
 
 
+@st.composite
+def _rational_entry(draw):
+    """A rational in one of the forms a transition entry takes: an int, a
+    `Fraction` from its lowest-terms pair or from a multiple of it, or a
+    constant polynomial; with its value."""
+    value = F(draw(st.integers(-6, 6)), draw(st.integers(1, 6)))
+    k = draw(st.integers(2, 4))
+    forms = [value, F(value.numerator * k, value.denominator * k), Polynomial.const(value)]
+    if value.denominator == 1:
+        forms.append(value.numerator)
+    return draw(st.sampled_from(forms)), value
+
+
+@given(st.lists(_rational_entry(), min_size=1, max_size=12))
+@settings(max_examples=80)
+def test_poly_table_slots_rationals_by_value(entries):
+    """Equal values share one slot whatever their form, distinct values get
+    distinct slots in first-appearance order, and the one vector gives each
+    value back exactly."""
+    table = PolyTable()
+    slots = [table.slot(p) for p, _ in entries]
+    values = [value for _, value in entries]
+    first = list(dict.fromkeys(values))
+    assert slots == [first.index(value) for value in values]
+    assert len(table.polys) == len(first)
+    den, nums = table.at({})
+    assert [F(n, den) for n in nums] == first
+
+
 @given(st.integers(0, 2**32), coeffs)
 @settings(max_examples=60)
 def test_kept_hash_is_the_term_maps_hash(seed, value):

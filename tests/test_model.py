@@ -32,6 +32,7 @@ from pacomp.model import (
     instantiate,
     isomorphic,
     make_ppa,
+    slotted,
     sort_key,
     tau_extend,
     unit_ppa,
@@ -163,7 +164,8 @@ def test_well_defined_matches_entrywise_reference(seed):
             seen.add(want)
         # one table for all models decides their joint kind
         table = PolyTable()
-        kind = well_definedness(table, models)(table.at(v))
+        rows = [row for m in models for row in slotted(m, table).values()]
+        kind = well_definedness(table, rows)(table.at(v))
         kinds = {well_defined_reference(m, v) for m in models}
         if WellDefinedness.NEITHER in kinds:
             assert kind is WellDefinedness.NEITHER
@@ -176,7 +178,8 @@ def test_well_defined_matches_entrywise_reference(seed):
 def test_constant_rows_are_checked_at_every_vector():
     pa, m = corpus.handoff_fixed(), corpus.retry_component()
     table = PolyTable()
-    kind = well_definedness(table, [pa, m])
+    kind = well_definedness(table, [row for model in (pa, m)
+                                    for row in slotted(model, table).values()])
     den, nums = table.at({"p": F(1, 10)})
     assert kind((den, nums)) is WellDefinedness.GRAPH_PRESERVING
     # a vector that breaks only the PA's constant entries is caught, at a

@@ -460,14 +460,20 @@ def test_pa_reduce_matches_its_reference(seed):
 def _renamed(rng, u, alphabet, single=False):
     """`u` over `alphabet` with states and actions renamed by `mixed_ids`;
     with `single`, a vertex set keeps its first vertex only, so that the
-    interval relaxation accepts it."""
+    interval relaxation accepts it.  A set object that labels several
+    transitions is moved once, so it still does."""
     states, actions = mixed_ids(rng, u.states), mixed_ids(rng, u.actions)
+    done = {}  # by identity: u holds every set
 
     def moved(uset):
+        if id(uset) in done:
+            return done[id(uset)]
         if isinstance(uset, IntervalSet):
-            return IntervalSet.of({states[s]: b for s, b in uset.bounds})
-        dists = uset.dists[:1] if single else uset.dists
-        return VertexSet.of([{states[s]: p for s, p in d} for d in dists])
+            out = IntervalSet.of({states[s]: b for s, b in uset.bounds})
+        else:
+            dists = uset.dists[:1] if single else uset.dists
+            out = VertexSet.of([{states[s]: p for s, p in d} for d in dists])
+        return done.setdefault(id(uset), out)
 
     utrans = {(states[s], actions[a]): (u.label[(s, a)], moved(uset))
               for (s, a), uset in u.utrans.items()}
@@ -513,12 +519,14 @@ def _relax_of(pset):
 @settings(max_examples=40)
 def test_compositions_match_their_references(seed):
     # states and actions of mixed identifier types; "d" is in both alphabets
-    # but only component 1 has d-transitions, so they have no partner
+    # but only component 1 has d-transitions, so they have no partner; with
+    # `shared`, one set object labels two transitions of a component, so the
+    # convex composition's per-set vertices serve both
     rng = random.Random(seed)
-    single = rng.random() < 0.5
-    u1 = _renamed(rng, random_polytopic_rpa(rng, "l", ["a", "b", "d"], rng.randint(2, 4)),
+    single, shared = rng.random() < 0.5, rng.random() < 0.5
+    u1 = _renamed(rng, random_polytopic_rpa(rng, "l", ["a", "b", "d"], rng.randint(2, 4), shared),
                   {"a", "b", "d"}, single)
-    u2 = _renamed(rng, random_polytopic_rpa(rng, "r", ["a", "c"], rng.randint(2, 4)),
+    u2 = _renamed(rng, random_polytopic_rpa(rng, "r", ["a", "c"], rng.randint(2, 4), shared),
                   {"a", "c", "d"}, single)
     _same_composition(rpa_compose(u1, u2), rpa_compose_reference(u1, u2))
     _same_composition(conv_compose(u1, u2), _from_product_sets(u1, u2, _conv_of))

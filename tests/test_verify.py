@@ -30,21 +30,22 @@ from pacomp.model import (
     dfa_forbid_symbols,
     instantiate,
     make_ppa,
+    slotted,
     sort_key,
     tau_extend,
 )
 from pacomp.proofrules import apply_asym_n
 from pacomp.robust import pa_reduce
 from pacomp.semantics import MemorylessStrategy
+from pacomp.simulate import strong_sim_region
 from pacomp.verify import (
     INF,
-    _MoQuery,
     _chain_fill,
     _chain_plan,
     _end_component_keys,
+    _mo_queries,
     _policy_iteration,
     _policy_shape,
-    _slotted,
     ProbObjective,
     chain_language_prob,
     enumerate_memoryless,
@@ -409,7 +410,7 @@ def test_policy_iteration_matches_the_fraction_reference(seed):
         )
         assert exp_total_reward(m, rewards, "max") == values[m.initial]
         table = PolyTable()
-        succ = _slotted(m, table)
+        succ = slotted(m, table)
         gains = {key: (table.slot(rewards[lab]),) for key, lab in m.label.items() if lab in rewards}
         acts = {s: m.enabled(s) for s in m.states}
         point = table.at({})
@@ -559,7 +560,7 @@ def test_strict_thresholds():
 def _query_points(m, objectives, strategy_class, valuations):
     """A fresh `_MoQuery` of a conjunction of objectives and its table vectors."""
     table = PolyTable()
-    query = _MoQuery(m, objectives, strategy_class, table)
+    _, (query,) = _mo_queries(m, [objectives], strategy_class, table)
     return query, [table.at(v) for v in valuations]
 
 
@@ -686,7 +687,7 @@ def test_an_objective_unachievable_alone_answers_a_query_with_rewards():
     bounded = reward_objective("<=", 5, {"r": 1})
     half = {"p": F(1, 2)}
     table = PolyTable()
-    query = _MoQuery(m, (bounded, below), "cmp", table)
+    _, (query,) = _mo_queries(m, [(bounded, below)], "cmp", table)
 
     def no_layout(nums):
         raise AssertionError("an LP layout was built")
@@ -697,7 +698,7 @@ def test_an_objective_unachievable_alone_answers_a_query_with_rewards():
     assert mo_achievable(corner, (below,), "cmp") == ("unachievable", None)
     assert mo_achievable(corner, (bounded, below), "cmp") == ("unachievable", None)
     with pytest.raises(UnboundedReward):  # the LP alone refuses the sample
-        _MoQuery(m, (bounded, below), "cmp", table)._lp_solve(table.at(half))
+        _mo_queries(m, [(bounded, below)], "cmp", table)[1][0]._lp_solve(table.at(half))
     # a triple with the reward as its assumption holds at the sample
     verdict = ag_triple_check(m, FiniteRegion.of([half]), (bounded,), (safety(no_r, F(1, 2)),),
                               "cmp")
@@ -729,7 +730,7 @@ def test_occupation_lp_columns_are_in_sort_key_order(seed):
     objective = safety(random_safety_dfa(rng, sorted(m.alphabet)), F(1, 2))
     for cls in ("cmp", "prt"):
         table = PolyTable()
-        query = _MoQuery(m, (objective,), cls, table)
+        _, (query,) = _mo_queries(m, [(objective,)], cls, table)
         for v in region_samples(Box.of({"p": (0, 1)}), 1):
             *_, num_vars, _, y_index, w_index = query._flow(table.at(v)[1])
             assert list(y_index) == sorted(query.ptrans, key=sort_key)
@@ -756,7 +757,7 @@ def _fill_case(rng):
         for _ in range(rng.randint(1, 2))
     ]
     table = PolyTable()
-    query = _MoQuery(m, objectives, rng.choice(["cmp", "prt"]), table)
+    _, (query,) = _mo_queries(m, [objectives], rng.choice(["cmp", "prt"]), table)
     samples = [table.at(v) for v in region_samples(Box.of({"p": (0, 1)}), rng.randint(1, 3))]
     return query, samples
 
@@ -876,7 +877,7 @@ def test_gain_maps_settle_and_evaluate_as_signatures_did():
                 objectives.append(reward_objective(
                     ">=", 0, {rng.choice(alphabet): rng.choice([1, p, (1 - 2 * p) ** 2])}))
         table = PolyTable()
-        query = _MoQuery(m, objectives, rng.choice(["cmp", "prt"]), table)
+        _, (query,) = _mo_queries(m, [objectives], rng.choice(["cmp", "prt"]), table)
         sigma = random_memoryless_strategy(rng, query.model)
         values = query.strategy_values(sigma)
         for v in region_samples(Box.of({"p": (0, 1)}), rng.randint(1, 2)):
@@ -1443,7 +1444,7 @@ def test_region_sat_agrees_with_direct_safety_values(seed):
     dfa = random_safety_dfa(rng, ["a", "b"], allow_empty=False)
     minimum = safety_prob(pa, safety(dfa, 1))
     table = PolyTable()
-    violation = _MoQuery(pa, (safety(dfa, minimum).negate(),), "cmp", table)
+    _, (violation,) = _mo_queries(pa, [(safety(dfa, minimum).negate(),)], "cmp", table)
     assert violation._lp_solve(table.at({})) == ("unachievable", None), minimum
     if minimum + F(1, 16) <= 1:
         verdict = region_sat(pa, FiniteRegion.of([{}]), (safety(dfa, minimum + F(1, 16)),), "cmp")
@@ -1566,7 +1567,7 @@ def _strategy_chain_cases(rng):
     objectives.append(reward_objective(">=", 0, {rng.choice(alphabet): rng.choice(
         [1, p, (1 - 2 * p) * (1 - 2 * p)])}))
     table = PolyTable()
-    query = _MoQuery(m, objectives, rng.choice(["cmp", "prt"]), table)
+    _, (query,) = _mo_queries(m, [objectives], rng.choice(["cmp", "prt"]), table)
     samples = [table.at(v) for v in region_samples(Box.of({"p": (0, 1)}), rng.randint(1, 2))]
     strategies = enumerate_memoryless(query.model)
     if len(strategies) <= 16 and rng.random() < 0.5:  # a grid of step 1/2 stays small
@@ -1696,6 +1697,27 @@ def test_only_the_lp_sorts_product_states(monkeypatch):
     assert len(calls) == 431
 
 
+def test_each_entry_is_slotted_once(monkeypatch):
+    """A check registers each transition entry of its models in its table
+    once, and the well-definedness check reads the rows its queries or
+    simulation indices already hold: the k = 4 family's monolithic safety
+    check makes one `PolyTable.slot` call per entry of the 256-state
+    composition, plus one for the query's constant 1 (2 049 calls when
+    `well_definedness` registered the entries again), and strong simulation
+    on the corpus pair one per entry of the two models (18 before)."""
+    calls = []
+    slot = PolyTable.slot
+    monkeypatch.setattr(PolyTable, "slot", lambda table, p: calls.append(1) or slot(table, p))
+    models, box, _, guarantee = k_component_family(4)
+    composed = functools.reduce(compose, models)
+    assert region_sat(composed, box, guarantee, "cmp", 2).holds
+    assert len(calls) == sum(map(len, composed.trans.values())) + 1 == 1025
+    calls.clear()
+    pair = corpus.handoff_fixed(), corpus.split_responder()
+    assert strong_sim_region(*pair, FiniteRegion.of([{"p": F(1, 10)}, {"p": F(9, 10)}])).holds
+    assert len(calls) == sum(len(d) for m in pair for d in m.trans.values()) == 9
+
+
 @settings(max_examples=40)
 @given(st.integers(0, 2**32))
 @example(1)  # an objective whose targets hold the initial state has no chain
@@ -1732,7 +1754,7 @@ def test_strategy_chains_match_the_witness_reference(seed):
         return
     if status == "achievable":
         table = PolyTable()
-        query = _MoQuery(pa, objectives, cls, table)
+        _, (query,) = _mo_queries(pa, [objectives], cls, table)
         expected = witness_values_reference(
             query, table.at({}), wit["mix"], wit["settle"], wit["stay"])
         assert list(wit["values"].values()) == expected
