@@ -466,14 +466,13 @@ def _renamed(rng, u, alphabet, single=False):
     done = {}  # by identity: u holds every set
 
     def moved(uset):
-        if id(uset) in done:
-            return done[id(uset)]
-        if isinstance(uset, IntervalSet):
-            out = IntervalSet.of({states[s]: b for s, b in uset.bounds})
-        else:
-            dists = uset.dists[:1] if single else uset.dists
-            out = VertexSet.of([{states[s]: p for s, p in d} for d in dists])
-        return done.setdefault(id(uset), out)
+        if id(uset) not in done:
+            if isinstance(uset, IntervalSet):
+                done[id(uset)] = IntervalSet.of({states[s]: b for s, b in uset.bounds})
+            else:
+                dists = uset.dists[:1] if single else uset.dists
+                done[id(uset)] = VertexSet.of([{states[s]: p for s, p in d} for d in dists])
+        return done[id(uset)]
 
     utrans = {(states[s], actions[a]): (u.label[(s, a)], moved(uset))
               for (s, a), uset in u.utrans.items()}
