@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EmptyRegion, MissingParameter, ParseError
+from .errors import EmptyRegion, MissingParameter, ParseError, SampleCapExceeded
 
 # A monomial is a sorted tuple of (parameter, exponent) pairs with exponent >= 1.
 # The empty tuple is the constant monomial.
@@ -459,6 +459,9 @@ class RegionUnion:
         return RegionUnion(tuple(parts))
 
 
+SAMPLE_CAP = 100_000  # most valuations `region_samples` builds
+
+
 def _axis_points(lo: Fraction, hi: Fraction, resolution: int):
     if lo == hi:
         return [lo]
@@ -469,14 +472,30 @@ def _axis_points(lo: Fraction, hi: Fraction, resolution: int):
     return sorted(pts)
 
 
+def _sample_count(region, resolution: int) -> int:
+    """How many valuations `region_samples` builds, a union's parts summed
+    before deduplication, counted from the axes alone: an axis has one point
+    when its bounds meet and `resolution` + 2 otherwise."""
+    if isinstance(region, Box):
+        return math.prod(1 if lo == hi else resolution + 2 for _, (lo, hi) in region.bounds)
+    if isinstance(region, RegionUnion):
+        return sum(_sample_count(part, resolution) for part in region.parts)
+    return len(region.valuations) if isinstance(region, FiniteRegion) else 0
+
+
 def region_samples(region, resolution: int = 1):
-    """Deterministic list of sample valuations covering the region.
+    """Deterministic list of sample valuations covering the region, in
+    `valuation_key` order.
 
     Boxes yield the full grid of per-axis endpoints plus `resolution` evenly
-    spaced interior points; finite regions yield themselves.
+    spaced interior points; finite regions yield themselves.  More than
+    SAMPLE_CAP valuations raise, counted before any is built.
     """
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    count = _sample_count(region, resolution)
+    if count > SAMPLE_CAP:
+        raise SampleCapExceeded(f"region sampling of {count} valuations exceeds cap {SAMPLE_CAP}")
     if isinstance(region, FiniteRegion):
         if not region.valuations:
             raise EmptyRegion("finite region is empty")
@@ -484,13 +503,11 @@ def region_samples(region, resolution: int = 1):
     if isinstance(region, Box):
         if not region.bounds:
             raise EmptyRegion("box region constrains no parameter")
-        axes = [(p, _axis_points(lo, hi, resolution)) for p, (lo, hi) in region.bounds]
-        names = [p for p, _ in axes]
-        out = []
-        for combo in itertools.product(*(pts for _, pts in axes)):
-            out.append(dict(zip(names, combo)))
-        out.sort(key=valuation_key)
-        return out
+        # the bounds are sorted by name and each axis by value, so the
+        # product comes in valuation_key order
+        names = [p for p, _ in region.bounds]
+        axes = (_axis_points(lo, hi, resolution) for _, (lo, hi) in region.bounds)
+        return [dict(zip(names, combo)) for combo in itertools.product(*axes)]
     if isinstance(region, RegionUnion):
         seen = {}
         for part in region.parts:

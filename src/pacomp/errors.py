@@ -71,3 +71,7 @@ class GeneratorBudgetExceeded(PacompError):
 
 class StrategyCapExceeded(PacompError):
     """Strategy enumeration would exceed the configured cap."""
+
+
+class SampleCapExceeded(PacompError):
+    """Region sampling would exceed the configured cap."""

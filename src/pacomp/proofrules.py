@@ -16,9 +16,9 @@ import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import FiniteRegion, Polynomial, PolyTable, region_intersect
+from .algebra import FiniteRegion, Polynomial, region_intersect
 from .errors import SideConditionError
-from .model import alphabet_extend, compose, dfa_union_bad, slotted
+from .model import alphabet_extend, compose, dfa_union_bad
 from .robust import pa_reduce
 from .simulate import robust_sim_region, strong_sim_region
 from .verify import (
@@ -30,7 +30,6 @@ from .verify import (
     query_alphabet,
     region_sat,
     reward_objective,
-    _checked_samples,
 )
 
 CHECKED = "checked-per-sample"
@@ -325,13 +324,8 @@ def apply_monotonicity(m1, m2, r1, r2, objective, param, direction,
     }
 
     def check(m, r):
-        ext = alphabet_extend(m, sigma)
-        table = PolyTable()
-        samples = _checked_samples(r, resolution, [ext], table, slotted(ext, table).values(),
-                                   filter_gp=True)
-        region = r if samples is None else FiniteRegion.of(v for v, _ in samples)
-        return monotone_check(ext, region, objective, param, direction, "prt",
-                              resolution, grid_denominator)
+        return monotone_check(alphabet_extend(m, sigma), r, objective, param, direction, "prt",
+                              resolution, grid_denominator, graph_preserving=True)
 
     return _apply("monotonicity", side, conclusion, fairness, [
         ("monotone", f"component 1 monotone in {param!r}", "component 1 monotone (fair)",

@@ -20,7 +20,7 @@ import math
 from collections import deque
 
 from .algebra import PolyTable, valuation_key
-from .model import PPA, sort_key
+from .model import PPA, slotted, sort_key
 from .verify import VACUOUS, Verdict, _checked_samples
 
 
@@ -104,17 +104,17 @@ def dist_leq(mu1, mu2, rel) -> bool:
     return _transport(ints1, ints2, rows)
 
 
-def _indexed(table: PolyTable, m: PPA):
+def _indexed(m: PPA, entries):
     """One model indexed once per call: {state: index}; per state index its
     moves {label: [((successor index, slot), ...), ...]} in `enabled` order,
-    with every entry registered in `table`; and per state index the bitmask
-    of its predecessors."""
+    read from the model's `slotted` `entries`; and per state index the
+    bitmask of its predecessors."""
     index = {s: i for i, s in enumerate(m.states)}
     moves, preds = [], [0] * len(m.states)
     for u, s in enumerate(m.states):
         by_label = {}
         for a in m.enabled(s):
-            row = tuple((index[t], table.slot(p)) for t, p in m.trans[(s, a)].items())
+            row = tuple((index[t], k) for t, k in entries[(s, a)])
             by_label.setdefault(m.label[(s, a)], []).append(row)
             for t, _ in row:
                 preds[t] |= 1 << u
@@ -200,15 +200,15 @@ def _greatest_sim(m1: PPA, m2: PPA, ix1, ix2, instances):
 
 def _indexed_pair(m1: PPA, m2: PPA):
     table = PolyTable()
-    return table, _indexed(table, m1), _indexed(table, m2)
+    entries = slotted(m1, table), slotted(m2, table)
+    return table, entries, _indexed(m1, entries[0]), _indexed(m2, entries[1])
 
 
 def _sampled_pair(m1: PPA, m2: PPA, region, resolution):
-    """Both models indexed in one table, and `_checked_samples` of the
-    region on the rows they registered there."""
-    table, ix1, ix2 = _indexed_pair(m1, m2)
-    rows = (row for ix in (ix1, ix2) for moves in ix[1]
-            for dists in moves.values() for row in dists)
+    """Both models' `slotted` entries in one table, each model indexed on
+    its own, and `_checked_samples` of the region on their rows."""
+    table, entries, ix1, ix2 = _indexed_pair(m1, m2)
+    rows = (row for e in entries for row in e.values())
     return ix1, ix2, _checked_samples(region, resolution, [m1, m2], table, rows)
 
 
@@ -216,7 +216,7 @@ def strong_sim(n1: PPA, n2: PPA):
     """Greatest strong simulation containing the initial pair, or None."""
     if not (n1.is_pa and n2.is_pa):
         raise ValueError("strong simulation is checked on parameter-free models")
-    table, ix1, ix2 = _indexed_pair(n1, n2)
+    table, _, ix1, ix2 = _indexed_pair(n1, n2)
     return _greatest_sim(n1, n2, ix1, ix2, [_instance(ix1, ix2, table.at({})[1])])
 
 
@@ -225,7 +225,7 @@ def is_strong_sim(n1: PPA, n2: PPA, rel) -> bool:
 
     Raises ValueError when a pair names a state its model does not declare.
     """
-    table, ix1, ix2 = _indexed_pair(n1, n2)
+    table, _, ix1, ix2 = _indexed_pair(n1, n2)
     index1, index2 = ix1[0], ix2[0]
     rows = [0] * len(n1.states)
     for pair in rel:

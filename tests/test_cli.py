@@ -273,6 +273,27 @@ def test_strategy_cap_is_a_usage_error(corpus_dir, tmp_path, capsys):
         assert err == "error: StrategyCapExceeded: strategy enumeration exceeds cap 20000\n"
 
 
+def test_sample_cap_is_a_usage_error(corpus_dir, tmp_path, capsys, monkeypatch):
+    # a box grid of more valuations than algebra.SAMPLE_CAP is refused by
+    # counting its axes, before any axis point is built
+    def unbuilt(*args):
+        raise AssertionError("an axis point was built")
+
+    composed = _compose_corpus(corpus_dir, tmp_path)
+    monkeypatch.setattr("pacomp.algebra._axis_points", unbuilt)
+    code, out, err = run(
+        capsys,
+        "check",
+        "--model", composed,
+        "--objective", str(corpus_dir / "safe_guarantee.query.json"),
+        "--region", "box.p=[0,1],q=[0,1]",
+        "--resolution", "1000000000",
+    )
+    assert (code, out) == (2, "")
+    assert err == ("error: SampleCapExceeded: region sampling of 1000000004000000004 "
+                   "valuations exceeds cap 100000\n")
+
+
 def test_simulate_cli(corpus_dir, capsys):
     base = [
         "simulate",
@@ -313,6 +334,11 @@ def test_rpa_pipeline_cli(corpus_dir, tmp_path, capsys):
             "--right", str(corpus_dir / "interval_responder.rpa.json"))
     code, out, _ = run(capsys, "rpa-relax", *pair, "--out", str(tmp_path / "relaxed.json"))
     assert code == 0
+    # the relaxation needs interval sets on both sides
+    code, out, err = run(capsys, "rpa-relax", "--left", str(corpus_dir / "half_retry.rpa.json"),
+                         "--right", str(corpus_dir / "two_point_responder.rpa.json"))
+    assert (code, out) == (2, "")
+    assert err == "error: NotIntervalRPA: interval relaxation needs interval components\n"
     code2, out2, _ = run(
         capsys, "rpa-reduce", "--model", str(tmp_path / "relaxed.json")
     )
@@ -1872,6 +1898,7 @@ def _write_golden_inputs(workdir):
         json.dump(modelio.dump_document(sigma), fh)
 
 
+@pytest.mark.hashseed
 @pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
 def test_region_reports_match_golden_bytes(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # the reports name their inputs by relative path

@@ -505,6 +505,7 @@ def _variant_text():
     return json.dumps(records, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.hashseed
 def test_rule_variants_match_golden():
     with open(_VARIANTS_GOLDEN, encoding="utf-8") as fh:
         assert _variant_text() == fh.read()

@@ -316,6 +316,7 @@ def test_a_lifting_needs_the_left_mass_at_most_the_right_mass():
     assert strong_sim(m2, m1) == {("t", "s"), ("v", "u"), ("v", "s")}
 
 
+@pytest.mark.hashseed
 def test_liftings_decided_without_a_transport(monkeypatch):
     """The number of `_transport` calls of one fixed self-simulation: a
     lifting between distributions whose successors are all related, with no

@@ -34,7 +34,7 @@ from pacomp.model import (
     sort_key,
     tau_extend,
 )
-from pacomp.proofrules import apply_asym_n
+from pacomp.proofrules import apply_asym_n, apply_monotonicity
 from pacomp.robust import pa_reduce
 from pacomp.semantics import MemorylessStrategy
 from pacomp.simulate import strong_sim_region
@@ -1659,6 +1659,7 @@ def test_random_chains_meet_every_kind_of_block():
                     "leaking closed cycle"}
 
 
+@pytest.mark.hashseed
 def test_only_cyclic_blocks_are_eliminated(monkeypatch):
     """`gauss_solve` runs once per block with an internal entry and never
     for an acyclic chain: the k = 4 family's monolithic check and its
@@ -1679,6 +1680,7 @@ def test_only_cyclic_blocks_are_eliminated(monkeypatch):
     assert sizes == [2]
 
 
+@pytest.mark.hashseed
 def test_only_the_lp_sorts_product_states(monkeypatch):
     """The occupation LP is the one reader of the `sort_key` order of a
     query product (`test_occupation_lp_columns_are_in_sort_key_order` pins
@@ -1697,6 +1699,11 @@ def test_only_the_lp_sorts_product_states(monkeypatch):
     assert len(calls) == 431
 
 
+def _entry_count(m):
+    return sum(map(len, m.trans.values()))
+
+
+@pytest.mark.hashseed
 def test_each_entry_is_slotted_once(monkeypatch):
     """A check registers each transition entry of its models in its table
     once, and the well-definedness check reads the rows its queries or
@@ -1704,18 +1711,33 @@ def test_each_entry_is_slotted_once(monkeypatch):
     check makes one `PolyTable.slot` call per entry of the 256-state
     composition, plus one for the query's constant 1 (2 049 calls when
     `well_definedness` registered the entries again), and strong simulation
-    on the corpus pair one per entry of the two models (18 before)."""
-    calls = []
-    slot = PolyTable.slot
-    monkeypatch.setattr(PolyTable, "slot", lambda table, p: calls.append(1) or slot(table, p))
+    on the corpus pair one per entry of the two models (18 before).  The
+    monotonicity rule's premise is one `monotone_check` per component: one
+    slot per entry of its extended model's tau extension plus the query's
+    constant 1 (51 before), and one table vector per sample (44 before,
+    when a pre-pass evaluated every sample in a table of its own)."""
+    slots, points = [], []
+    slot, at = PolyTable.slot, PolyTable.at
+    monkeypatch.setattr(PolyTable, "slot", lambda table, p: slots.append(1) or slot(table, p))
+    monkeypatch.setattr(PolyTable, "at", lambda table, v: points.append(1) or at(table, v))
     models, box, _, guarantee = k_component_family(4)
     composed = functools.reduce(compose, models)
     assert region_sat(composed, box, guarantee, "cmp", 2).holds
-    assert len(calls) == sum(map(len, composed.trans.values())) + 1 == 1025
-    calls.clear()
+    assert len(slots) == _entry_count(composed) + 1 == 1025
+    slots.clear()
     pair = corpus.handoff_fixed(), corpus.split_responder()
     assert strong_sim_region(*pair, FiniteRegion.of([{"p": F(1, 10)}, {"p": F(9, 10)}])).holds
-    assert len(calls) == sum(len(d) for m in pair for d in m.trans.values()) == 9
+    assert len(slots) == sum(map(_entry_count, pair)) == 9
+    slots.clear()
+    points.clear()
+    pair = corpus.retry_component(), corpus.pipeline_component()
+    obj = safety(corpus.no_fail_dfa(), 1)
+    box = Box.of({"p": (0, 1), "q": (0, 1)})
+    assert apply_monotonicity(*pair, box, box, obj, "q", "down", resolution=2).concluded
+    extended = [tau_extend(alphabet_extend(m, obj.alphabet)) for m in pair]
+    assert [_entry_count(m) for m in extended] == [10, 19]
+    assert len(slots) == sum(_entry_count(m) + 1 for m in extended) == 31
+    assert len(points) == 2 * len(region_samples(box, 2)) == 32
 
 
 @settings(max_examples=40)
