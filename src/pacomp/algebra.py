@@ -163,11 +163,11 @@ class Polynomial:
             factors = ["%s^%d" % (v, e) if e > 1 else v for v, e in mono]
             mag = abs(coef)
             if not factors:
-                body = _fmt_rational(mag)
+                body = format_rational(mag)
             elif mag == 1:
                 body = "*".join(factors)
             else:
-                body = "*".join([_fmt_rational(mag)] + factors)
+                body = "*".join([format_rational(mag)] + factors)
             parts.append(("- " if coef < 0 else "+ ") + body)
         first = parts[0]
         head = ("-" + first[2:]) if first.startswith("- ") else first[2:]
@@ -177,12 +177,9 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _fmt_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def format_rational(q) -> str:
-    return _fmt_rational(Fraction(q))
+    q = Fraction(q)
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -234,15 +231,10 @@ def parse_poly(text: str) -> Polynomial:
     def peek():
         return tokens[idx]
 
-    def take(kind=None, value=None):
+    def take():
         nonlocal idx
-        tok = tokens[idx]
-        if kind and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", tok[2])
-        if value and tok[1] != value:
-            raise ParseError(f"expected {value!r}, found {tok[1]!r}", tok[2])
         idx += 1
-        return tok
+        return tokens[idx - 1]
 
     def parse_factor():
         tok = peek()
@@ -255,7 +247,9 @@ def parse_poly(text: str) -> Polynomial:
         elif tok[0] == "op" and tok[1] == "(":
             take()
             base = parse_expr()
-            take("op", ")")
+            close = take()
+            if close[1] != ")":
+                raise ParseError(f"expected ')', found {close[1]!r}", close[2])
         elif tok[0] == "op" and tok[1] == "-":
             take()
             return -parse_factor()
@@ -263,8 +257,8 @@ def parse_poly(text: str) -> Polynomial:
             raise ParseError(f"expected a factor, found {tok[1]!r}", tok[2])
         if peek()[0] == "op" and peek()[1] == "^":
             take()
-            exp = take("num")
-            if "/" in exp[1] or "." in exp[1]:
+            exp = take()
+            if exp[0] != "num" or "/" in exp[1] or "." in exp[1]:
                 raise ParseError("exponent must be a nonnegative integer", exp[2])
             base = base ** int(exp[1])
         return base
@@ -296,13 +290,6 @@ def parse_poly(text: str) -> Polynomial:
     if end[0] != "end":
         raise ParseError(f"trailing input {end[1]!r}", end[2])
     return result
-
-
-def poly_eval(poly, valuation) -> Fraction:
-    """Value of a polynomial at a valuation; a rational is its own value."""
-    if isinstance(poly, Polynomial):
-        return poly.evaluate(valuation)
-    return poly if isinstance(poly, Fraction) else Fraction(poly)
 
 
 class PolyTable:
@@ -392,11 +379,6 @@ class PolyTable:
 # Valuations
 # ---------------------------------------------------------------------------
 
-def valuation(mapping) -> dict:
-    """Normalize a parameter assignment to a dict of Fractions."""
-    return {str(k): Fraction(v) for k, v in dict(mapping).items()}
-
-
 def valuation_key(v) -> tuple:
     """Canonical hashable form used for ordering and deduplication."""
     return tuple(sorted((k, Fraction(val)) for k, val in v.items()))
@@ -443,7 +425,8 @@ class FiniteRegion:
 
     @staticmethod
     def of(valuations) -> "FiniteRegion":
-        keys = sorted({valuation_key(valuation(v)) for v in valuations})
+        keys = sorted({valuation_key({str(k): x for k, x in dict(v).items()})
+                       for v in valuations})
         return FiniteRegion(tuple(keys))
 
     def as_dicts(self):

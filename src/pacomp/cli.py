@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import os
 import sys
@@ -39,7 +40,7 @@ from .model import (
 )
 from .modelio import parse_region_arg, parse_valuation_arg
 from .proofrules import apply_rpa_rules
-from .report import digest_bytes, make_report, render_report
+from .report import make_report, render_report
 from .robust import conv_compose, interval_relax_compose, pa_reduce, rpa_compose
 from .semantics import strategy_project, validate_strategy
 from .simulate import robust_sim_region, strong_sim_region
@@ -73,7 +74,7 @@ class _Inputs:
         """Decode the document of `kind` (see `modelio.load_document`) in `path`."""
         with open(path, "rb") as fh:
             data = fh.read()
-        self.digests[path] = digest_bytes(data)
+        self.digests[path] = hashlib.sha256(data).hexdigest()
         doc = json.loads(data.decode("utf-8"))
         # reports produced by structural commands are loadable as their result
         report = doc.get("report") if isinstance(doc, dict) else None

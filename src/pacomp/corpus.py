@@ -215,7 +215,7 @@ def ab_prefix_dfa():
     return dfa_forbid_prefix(("a", "b"), {"a", "b"})
 
 
-def trivial_dfa(alphabet=("a", "b")):
+def trivial_dfa(alphabet):
     return dfa_forbid_symbols((), frozenset(alphabet))
 
 

@@ -273,9 +273,9 @@ def compose(m1: PPA, m2: PPA) -> PPA:
                     m1.alphabet | m2.alphabet)
 
 
-def unit_ppa(state="unit") -> PPA:
+def unit_ppa() -> PPA:
     """One state, no transitions, empty alphabet: the unit of composition."""
-    return make_ppa([state], state, frozenset(), {}, frozenset())
+    return make_ppa(["unit"], "unit", frozenset(), {}, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +360,8 @@ def dfa_forbid_symbols(symbols, alphabet) -> DFA:
     """Bad-prefix automaton for "no symbol of `symbols` ever occurs"."""
     bad = frozenset(symbols)
     if not bad:
-        return dfa_never_accepting(alphabet)
+        trans = {("ok", sym): "ok" for sym in alphabet}
+        return DFA(("ok",), "ok", frozenset(alphabet), trans, frozenset())
     trans = {}
     for sym in alphabet:
         trans[("ok", sym)] = "bad" if sym in bad else "ok"
@@ -399,11 +400,6 @@ def dfa_limit_count(symbol, limit, alphabet) -> DFA:
     for sym in alphabet:
         trans[("over", sym)] = "over"
     return DFA(states, 0, frozenset(alphabet), trans, frozenset({"over"}))
-
-
-def dfa_never_accepting(alphabet) -> DFA:
-    trans = {("ok", sym): "ok" for sym in alphabet}
-    return DFA(("ok",), "ok", frozenset(alphabet), trans, frozenset())
 
 
 def dfa_absorb_accepting(b: DFA) -> DFA:
@@ -470,18 +466,22 @@ def dfa_product(m: PPA, b: DFA):
 # Structural comparison up to canonical renaming
 # ---------------------------------------------------------------------------
 
-def reachable_states(m: PPA):
-    """States reachable from the initial state through declared transitions."""
-    seen = {m.initial}
-    frontier = [m.initial]
-    while frontier:
-        s = frontier.pop()
-        for a in m.enabled(s):
-            for t in m.trans[(s, a)]:
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-    return seen
+def reachable_states(m: PPA) -> dict:
+    """States reachable from the initial state through declared transitions,
+    numbered in BFS order from the initial state (action edges explored in
+    label order, successors in probability-polynomial order), so isomorphic
+    automata number their states alike."""
+    order = {m.initial: 0}
+    queue = [m.initial]
+    for s in queue:
+        edges = sorted((m.label[(s, a)], sort_key(a), a) for a in m.enabled(s))
+        for _, _, a in edges:
+            dist = m.trans[(s, a)]
+            for t in sorted(dist, key=lambda t: (str(Polynomial.coerce(dist[t])), sort_key(t))):
+                if t not in order:
+                    order[t] = len(order)
+                    queue.append(t)
+    return order
 
 
 def prune_unreachable(m: PPA) -> PPA:
@@ -501,23 +501,10 @@ def prune_unreachable(m: PPA) -> PPA:
 
 
 def canonical_form(m: PPA):
-    """Canonical structure summary, invariant under consistent state renaming.
-
-    States are renumbered by BFS order from the initial state (action edges
-    explored in label order, successors in probability-polynomial order), so
-    isomorphic automata yield equal summaries.
-    """
-    order = {m.initial: 0}
-    queue = [m.initial]
-    while queue:
-        s = queue.pop(0)
-        edges = sorted((m.label[(s, a)], sort_key(a), a) for a in m.enabled(s))
-        for _, _, a in edges:
-            dist = m.trans[(s, a)]
-            for t in sorted(dist, key=lambda t: (str(Polynomial.coerce(dist[t])), sort_key(t))):
-                if t not in order:
-                    order[t] = len(order)
-                    queue.append(t)
+    """Canonical structure summary, invariant under consistent state renaming:
+    states are renumbered by `reachable_states`, so isomorphic automata yield
+    equal summaries."""
+    order = reachable_states(m)
     summary = []
     for (s, a), dist in m.trans.items():
         if s not in order:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 from . import corpus
-from .algebra import Box, FiniteRegion, Polynomial, parse_poly, poly_eval, region_samples
+from .algebra import Box, FiniteRegion, Polynomial, parse_poly, region_samples
 from .model import (
     WellDefinedness,
     alphabet_extend,
@@ -119,14 +119,14 @@ def _anchors():
 
     def preservation_under_strategy():
         got = chain_language_prob(cv, sigma, corpus.no_fail_dfa())
-        return got == poly_eval(parse_poly(SOLUTION_FORMULA), v)
+        return got == parse_poly(SOLUTION_FORMULA).evaluate(v)
 
     def solution_function_grid():
         formula = parse_poly(SOLUTION_FORMULA)
         obj = safety(corpus.no_fail_dfa(), F(9, 10))
         grid = region_samples(Box.of({"p": (0, 1), "q": (0, 1)}), 1)
         return len(grid) >= 9 and all(
-            safety_prob(instantiate(comp, g), obj) == poly_eval(formula, g)
+            safety_prob(instantiate(comp, g), obj) == formula.evaluate(g)
             for g in grid
         )
 

@@ -399,7 +399,7 @@ RULES = {
 _RPA_KINDS = {"region-sat": "rpa-sat", "ag-triple": "rpa-triple"}
 
 
-def apply_rpa_rules(rule, *args, resolution=1) -> RuleApplication:
+def apply_rpa_rules(rule, *args) -> RuleApplication:
     """A robust rule is the pPA rule applied to the PA-reductions of its components.
 
     `args` fill the rule's arguments other than its regions, in `RULES` order.
@@ -422,7 +422,7 @@ def apply_rpa_rules(rule, *args, resolution=1) -> RuleApplication:
             kwargs[name] = trivial
         elif kind == [_R]:  # one per component of the list before it
             kwargs[name] = [trivial] * len(components)
-    app = fn(**kwargs, resolution=resolution)
+    app = fn(**kwargs)
     conclusion = None
     if app.conclusion is not None:
         conclusion = {k: v for k, v in app.conclusion.items() if k != "region"}

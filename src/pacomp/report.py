@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 
@@ -44,10 +43,6 @@ def scrub(obj):
     if type(obj) in modelio.DOCUMENT_ROW:  # a DFA, objective, region or strategy
         return modelio.dump_document(obj)
     raise TypeError(f"no report form for {type(obj).__name__} {obj!r}")
-
-
-def digest_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def make_report(command, inputs, body) -> dict:

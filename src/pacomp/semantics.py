@@ -41,8 +41,6 @@ class TabularStrategy:
     complete: bool = False
 
     def dist(self, path: Path) -> dict:
-        if path_len(path) >= self.horizon and path not in self.table:
-            return {}
         return self.table.get(path, {})
 
     def mass(self, path: Path, action) -> Fraction:

@@ -44,12 +44,12 @@ reward objective collects its reward.  A region check builds one table for
 its queries and the well-definedness check: each sample is one integer value
 vector of it, which `_checked_samples` validates, rewards included, for
 every sample before the first solve.  What depends only on which values are
-zero (and on the rewards' signs) is built once per such sign pattern:
-graph-preserving samples share one, and a sample with a smaller support,
-such as a p = 0 corner, gets its own.  `_MoQuery._flow` is the flow half of
-it (one successor-set map, the settle set and `stay` map over the actions
-that collect nothing, the occupation LP), and `_MoQuery._layout` adds the
-end-component guard and the threshold rows.  The guard finds the keys of the
+zero is built once per such support pattern: graph-preserving samples share
+one, and a sample with a smaller support, such as a p = 0 corner, gets its
+own.  `_MoQuery._flow` is the flow half of it (one successor-set map, the
+settle set and `stay` map over the actions that collect nothing, the
+occupation LP), and `_MoQuery._layout` adds the end-component guard and the
+threshold rows.  The guard finds the keys of the
 end components by SCC refinement over the successor sets
 (`_end_component_keys`) and refuses a reward objective that one of them
 collects.  It covers every product state, also those behind zero entries:
@@ -166,9 +166,9 @@ def safety(dfa, threshold) -> ProbObjective:
     return ProbObjective(">=", Fraction(threshold), dfa)
 
 
-def reward_objective(cmp, threshold, rewards, name="") -> RewardObjective:
+def reward_objective(cmp, threshold, rewards) -> RewardObjective:
     items = tuple(sorted(((str(s), Polynomial.coerce(r)) for s, r in dict(rewards).items())))
-    return RewardObjective(cmp, Fraction(threshold), items, name)
+    return RewardObjective(cmp, Fraction(threshold), items)
 
 
 def query_alphabet(query) -> frozenset:
@@ -380,7 +380,7 @@ def _chain_fill(plan, point):
 
 
 def _policy_shape(nodes, acts, succ, nums, gains, stop):
-    """What `_policy_iteration` reads of the sign pattern of the numerators
+    """What `_policy_iteration` reads of the support pattern of the numerators
     `nums`: the nodes, each action's `_chain_plan` row (1, succ, gain) of its
     nonzero entries, each deciding node's actions and a memo of each policy's
     plan.  A node outside `stop` picks one of its `acts`, the others stop;
@@ -621,11 +621,13 @@ class _MoQuery:
     targets from outside them, which absorb, or its reward.  Transition probabilities and rewards refer by index to
     their slots in a `PolyTable` that the caller may share with other queries
     and the well-definedness check, so a sample is one value vector of that
-    table.  What depends on which values are zero, and on the signs of the
-    rewards -- the end-component check, the settle set and `stay` map, and
-    the LP layout with its rows as integer templates -- is built once per
-    sign pattern (`_layout`), as is each objective's policy shape (`_shape`),
-    testing signs on the vector's numerators (its denominator is positive).
+    table.  What depends on which values are zero -- the end-component
+    check, the settle set and `stay` map, and the LP layout with its rows as
+    integer templates -- is built once per support pattern (`_layout`), as is
+    each objective's policy shape (`_shape`), keyed on which of the vector's
+    numerators are nonzero: rewards are refused when negative before any
+    solve, and a region sample's entries lie in [0, D], so signs would split
+    no pattern further.
     Each sample that `solve` leaves to the LP then only fills its integer
     rows from its vector (`_sample_lp`), solves it, and builds a witness when
     the conjunction is achievable.  `strategy_values` evaluates fixed
@@ -700,8 +702,8 @@ class _MoQuery:
 
     def _flow(self, nums):
         """The successor sets, the stay map and the occupation LP of one unit
-        of flow into the settle set, for the sign pattern of the table vector
-        numerators `nums`: a settle state can stay forever on actions that
+        of flow into the settle set, for the support pattern of the table
+        vector numerators `nums`: a settle state can stay forever on actions that
         collect nothing for any objective."""
         support = {
             key: tuple((t, k) for t, k in dist if nums[k])
@@ -719,8 +721,8 @@ class _MoQuery:
         return succ, stay, num_vars, rows, y_index, w_index
 
     def _layout(self, nums):
-        """`_flow` plus the threshold rows, as `_int_templates`, for the sign
-        pattern of the table vector numerators `nums`.
+        """`_flow` plus the threshold rows, as `_int_templates`, for the
+        support pattern of the table vector numerators `nums`.
 
         The end-component guard: no key of an end component of `_flow`'s
         successor sets (`_end_component_keys`, by SCC refinement) may collect
@@ -752,7 +754,7 @@ class _MoQuery:
     def bad_reach(self, point, i):
         """The maximal reach of probability objective i's targets at `point`,
         by policy iteration from that objective's last optimal policy.  Its
-        shape is kept per objective and sign pattern (`_shape`)."""
+        shape is kept per objective and support pattern (`_shape`)."""
         if self.init in self.targets[i]:
             return Fraction(1)
         shape = self._shape(point, i)
@@ -761,8 +763,8 @@ class _MoQuery:
 
     def _shape(self, point, i):
         """Objective i's `_policy_shape`, with stop set `stops[i]`, for the
-        sign pattern of the table vector `point`, built once per pattern."""
-        key = (i, tuple((n > 0) - (n < 0) for n in point[1]))
+        support pattern of the table vector `point`, built once per pattern."""
+        key = (i, tuple([n != 0 for n in point[1]]))
         shape = self._shapes.get(key)
         if shape is None:
             shape = self._shapes[key] = _policy_shape(
@@ -816,10 +818,10 @@ class _MoQuery:
     def _lp_solve(self, point):
         """`solve` by the occupation LP alone."""
         nums = point[1]
-        signs = tuple((n > 0) - (n < 0) for n in nums)
-        layout = self._layouts.get(signs)
+        support = tuple([n != 0 for n in nums])
+        layout = self._layouts.get(support)
         if layout is None:
-            layout = self._layouts[signs] = self._layout(nums)
+            layout = self._layouts[support] = self._layout(nums)
         num_vars, templates, y_index, w_index, stay = layout
         lp = _sample_lp(num_vars, templates, point)
         if self.strict:
@@ -937,8 +939,8 @@ class _StrategyChain:
     denominators, a stay row over D.  Called with a table vector, it gives
     one value per probability objective (the probability of never reaching
     its targets, which absorb), then one per reward objective (the expected
-    total reward).  The plans (`_chain_plan`) are keyed by which of the
-    slots the chain reads are nonzero, so a p = 0 corner gets its own.
+    total reward).  The plans (`_chain_plan`) are keyed by which entries of
+    the table vector are nonzero, so a p = 0 corner gets its own.
     """
 
     def __init__(self, query, mix, settle=None, stay=None):
@@ -976,14 +978,11 @@ class _StrategyChain:
             }
             for gains, stop in zip(query.gains, query.stops)
         ]
-        slots = {k for _, out, _ in moves.values() for *_, k in out}
-        slots.update(k for chain in self.chains if chain
-                     for *_, gain in chain.values() for _, k in gain)
-        self.slots, self._plans = sorted(slots), {}
+        self._plans = {}
 
     def __call__(self, point):
         nums = point[1]
-        key = tuple([nums[k] != 0 for k in self.slots])
+        key = tuple([n != 0 for n in nums])
         plans = self._plans.get(key)
         if plans is None:
             plans = self._plans[key] = [

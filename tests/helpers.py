@@ -16,7 +16,6 @@ from pacomp.algebra import (
     Polynomial,
     PolyTable,
     parse_rational,
-    poly_eval,
     region_samples,
     require_total,
     valuation_key,
@@ -768,7 +767,7 @@ def settle_reference(query, nums):
 
 def instantiate_objective(obj, v):
     if isinstance(obj, RewardObjective):
-        items = tuple((sym, poly_eval(r, v)) for sym, r in obj.rewards)
+        items = tuple((sym, r.evaluate(v)) for sym, r in obj.rewards)
         return RewardObjective(obj.cmp, obj.threshold, items, obj.name)
     return obj
 

@@ -243,6 +243,8 @@ def test_parse_error_position():
         ("p^1/2", "exponent must be a nonnegative integer", 2),
         ("p q", "trailing input 'q'", 2),
         ("p + ", "expected a factor, found ''", 4),
+        ("(p", "expected ')', found ''", 2),
+        ("p^q", "exponent must be a nonnegative integer", 2),
     ],
 )
 def test_parse_poly_errors_name_their_position(text, message, pos):

@@ -554,28 +554,55 @@ def test_rule_exit_code_puts_a_failure_before_an_attestation(corpus_dir, tmp_pat
         ("premise-failed", "checked-per-sample"), ("concluded", "attested")]
     assert code == 1
 
+_STEP_1 = "proof script: application 'step-1' argument"
+_SIMULATION = {"rule": "simulation", "m1": "m1", "m2": "m2", "m_assume": "m1",
+               "m_guarantee": "m2", "r1": "r1", "r2": "r2"}
+# case -> (mutation of `_asymmetric_script`, the format error it gets)
 _MALFORMED_SCRIPTS = {
-    "application-not-an-object": lambda s: s.update(applications=[5]),
-    "models-not-an-object": lambda s: s.update(models=["x"]),
-    "box-without-bounds": lambda s: s["regions"].update(r1={"type": "box"}),
-    "resolution-not-an-integer": lambda s: s["applications"][0].update(resolution="abc"),
-    "resolution-zero": lambda s: s["applications"][0].update(resolution=0),
-    "fairness-not-an-object": lambda s: s["applications"][0].update(fairness=["x"]),
-    "fairness-note-missing": lambda s: s["applications"][0].update(
-        fairness={"sets": [["a"]], "notes": ["external evidence A"]}
-    ),
+    "application-not-an-object": (lambda s: s.update(applications=[5]),
+                                  "$.applications[0]: expected an object, got 5"),
+    "models-not-an-object": (lambda s: s.update(models=["x"]),
+                             "$.models: expected an object, got ['x']"),
+    "box-without-bounds": (lambda s: s["regions"].update(r1={"type": "box"}),
+                           "$.regions.r1.bounds: missing field 'bounds'"),
+    "resolution-not-an-integer": (
+        lambda s: s["applications"][0].update(resolution="abc"),
+        f"{_STEP_1} 'resolution' at $.applications[0].resolution: "
+        "expected a positive integer, got 'abc'"),
+    "resolution-zero": (
+        lambda s: s["applications"][0].update(resolution=0),
+        f"{_STEP_1} 'resolution' at $.applications[0].resolution: "
+        "expected a positive integer, got 0"),
+    "fairness-not-an-object": (
+        lambda s: s["applications"][0].update(fairness=["x"]),
+        f"{_STEP_1} 'fairness' at $.applications[0].fairness: expected an object, got ['x']"),
+    "fairness-note-missing": (
+        lambda s: s["applications"][0].update(
+            fairness={"sets": [["a"]], "notes": ["external evidence A"]}),
+        f"{_STEP_1} 'fairness' at $.applications[0].fairness: "
+        "rule 'asymmetric' needs 2 fairness notes, got 1"),
+    "fairness-on-simulation": (
+        lambda s: s.update(applications=[dict(_SIMULATION, fairness={"sets": [["a"]]})]),
+        "proof script: application 'simulation' argument 'fairness' at "
+        "$.applications[0].fairness: rule 'simulation' has no fairness variant"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_MALFORMED_SCRIPTS))
 def test_malformed_proof_script_is_usage_error(case, corpus_dir, tmp_path, capsys):
     script = _asymmetric_script(corpus_dir)
-    _MALFORMED_SCRIPTS[case](script)
+    mutate, message = _MALFORMED_SCRIPTS[case]
+    mutate(script)
     path = tmp_path / "malformed.agproof.json"
     _write_json(path, script)
-    code, out, err = run(capsys, "rule", "--script", str(path))
-    assert code == 2 and out == ""
-    assert err.startswith("format error:") and "Traceback" not in err
+    assert run(capsys, "rule", "--script", str(path)) == (2, "", f"format error: {message}\n")
+
+
+def test_a_file_reference_needs_a_loader(corpus_dir):
+    script = _asymmetric_script(corpus_dir)
+    ref = script["models"]["m1"]
+    with pytest.raises(ParseError, match=re.escape(f"no loader for the file reference {ref!r}")):
+        modelio.load_document(script)
 
 
 def _monotonicity_script(corpus_dir):
@@ -1140,6 +1167,11 @@ _MALFORMED = {
     "contradiction: reward objective with dfa": (
         "reward", ("objectives", 0, "dfa"), _ONE_STATE_DFA,
         "$.objectives[0]: fields 'rewards' and 'dfa' exclude each other"),
+    "contradiction: prob objective without dfa": (
+        _ASSUME, ("objectives", 0, "dfa"), "<delete>", "$.objectives[0]: missing field 'dfa'"),
+    "contradiction: reward objective without rewards": (
+        "reward", ("objectives", 0, "rewards"), "<delete>",
+        "$.objectives[0]: missing field 'rewards'"),
     "contradiction: memoryless strategy with table": (
         "memoryless", ("table",), [], "fields 'choice' and 'table' exclude each other"),
     "contradiction: tabular strategy with choice": (
@@ -1767,6 +1799,25 @@ def test_monotone_cli(corpus_dir, tmp_path, capsys):
     code4, out4, err4 = run(capsys, *base, "--direction", "up")
     assert (code4, out4) == (2, "")
     assert err4 == "format error: monotonicity checks take a single-objective query\n"
+
+
+def test_an_infinite_expected_reward_is_reported_as_inf(tmp_path, capsys):
+    # s1's rewarded Dirac loop is reached with probability p, so the expected
+    # reward is 0 at p = 0 and infinite at every p > 0
+    model = str(tmp_path / "loop.ppa.json")
+    _write_json(model, {
+        "format": "pacomp/1", "type": "ppa", "states": ["s0", "s1", "s2"], "initial": "s0",
+        "params": ["p"], "alphabet": ["a", "b"], "transitions": [
+            {"state": "s0", "action": "x", "label": "b", "dist": [["s1", "p"], ["s2", "1 - p"]]},
+            {"state": "s1", "action": "loop", "label": "a", "dist": [["s1", "1"]]}]})
+    code, out, _ = run(capsys, "monotone", "--model", model,
+                       "--objective", _reward_query(tmp_path, "1"), "--region", "box.p=[0,1]",
+                       "--param", "p", "--direction", "down")
+    verdict = json.loads(out)["report"]["verdict"]
+    assert (code, verdict["status"]) == (1, "fails")
+    witness = {k: v for k, v in verdict["witness"].items() if k != "strategy"}
+    assert witness == {"low": {"p": "0"}, "high": {"p": "1/2"},
+                       "value_low": "0", "value_high": "inf"}
 
 
 def test_monotone_without_a_pair_to_compare_says_it_is_vacuous(corpus_dir, tmp_path, capsys):

@@ -226,10 +226,14 @@ def test_compose_product_entry():
 
 def test_compose_action_clash_rejected():
     # the action id "c" is fine for this model alone but collides with the
-    # other component's alphabet, which the composition must reject
+    # other component's alphabet, which the composition must reject; so do
+    # a model whose own alphabet names it and an extension by the symbol "c"
     bad = make_ppa(["u"], "u", set(), {("u", "c"): ("x", dirac("u"))}, {"x"})
-    with pytest.raises(ActionAlphabetClash):
-        compose(bad, corpus.retry_component())
+    for clash in (lambda: compose(bad, corpus.retry_component()),
+                  lambda: make_ppa(["u"], "u", set(), {("u", "c"): ("x", dirac("u"))}, {"x", "c"}),
+                  lambda: alphabet_extend(bad, {"c"})):
+        with pytest.raises(ActionAlphabetClash):
+            clash()
 
 
 @settings(max_examples=15)

@@ -161,6 +161,7 @@ def test_interval_bounds_validated():
         IntervalSet.of({"a": (F(3, 4), 1), "b": (F(1, 2), 1)})  # lower sum > 1
     with pytest.raises(InfeasibleIntervalSet):
         IntervalSet.of({"a": (0, F(1, 4)), "b": (0, F(1, 4))})  # upper sum < 1
+    assert not IntervalSet.of({"a": (0, 1), "b": (0, 1)}).contains({"c": 1})  # off its support
 
 
 def test_generator_cap():
@@ -189,6 +190,10 @@ def test_rpa_compose_unit():
     assert composed.alphabet == u1.alphabet
 
 
+# a product distribution whose left factor {s0: 1} the interval retry refuses
+_LEFT_OUTSIDE = {("s0", "t1"): F(1, 10), ("s0", "t2"): F(9, 10)}
+
+
 def test_product_membership_battery():
     # the paper suite's nonconvex-witness anchor states the refuted cell and
     # the members; here the factor it refutes with and the convex hull
@@ -201,6 +206,10 @@ def test_product_membership_battery():
         ("s1", "t2"): F(21, 80),
     }
     assert is_product_member(mu_conv, pset)[1]["left_factor"]["s0"] == F(3, 8)
+    for mu, reason in ((_LEFT_OUTSIDE, "left factor outside its set"),
+                       ({("s1", "t1"): F(1)}, "right factor outside its set")):
+        verdict, info = is_product_member(mu, pset)
+        assert (verdict, info["reason"]) == ("not-member", reason)
     # the convex combination belongs to the convex composition's vertex hull
     conv = conv_compose(corpus.interval_retry(), corpus.interval_responder())
     gens = generators(conv.utrans[(("s0", "t0"), ("s0_a", "t0_a"))])
@@ -332,6 +341,9 @@ def test_fix_nature_validates_membership():
                 }
             },
         )
+    exact = rpa_compose(corpus.interval_retry(), corpus.interval_responder())
+    with pytest.raises(ValueError, match="outside the product set"):
+        fix_nature(exact, {(("s0", "t0"), ("s0_a", "t0_a")): _LEFT_OUTSIDE})
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))

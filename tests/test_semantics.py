@@ -56,18 +56,19 @@ def test_measure_empty_strategy():
     assert pm.stopped[(m2.initial,)] == 1
 
 
-def test_measure_mass_conservation():
-    rng = random.Random(13)
-    for _ in range(20):
-        pa = random_pa(rng, "n", 3, ["a", "b"])
-        sigma = random_tabular_strategy(rng, pa, 3, complete=rng.random() < 0.5)
-        pm = measure(pa, sigma, 3)
-        frontier = sum(
-            (p for path, p in pm.probs.items() if (len(path) - 1) // 2 == 3),
-            F(0),
-        )
-        stopped = sum(pm.stopped.values(), F(0))
-        assert frontier + stopped == 1
+@settings(max_examples=20)
+@given(st.integers(0, 2**32))
+def test_measure_mass_conservation(seed):
+    rng = random.Random(seed)
+    pa = random_pa(rng, "n", 3, ["a", "b"])
+    sigma = random_tabular_strategy(rng, pa, 3, complete=rng.random() < 0.5)
+    pm = measure(pa, sigma, 3)
+    frontier = sum(
+        (p for path, p in pm.probs.items() if (len(path) - 1) // 2 == 3),
+        F(0),
+    )
+    stopped = sum(pm.stopped.values(), F(0))
+    assert frontier + stopped == 1
 
 
 def test_measure_requires_table_depth():
@@ -116,9 +117,12 @@ def test_lifted_paths_of_initial_component_path():
     )
 
 
-def test_fully_synchronized_lifting_is_injective():
-    left = random_pa(random.Random(1), "l", 2, ["a"])
-    right = random_pa(random.Random(2), "r", 2, ["a"])
+@settings(max_examples=10)
+@given(st.integers(0, 2**32))
+def test_fully_synchronized_lifting_is_injective(seed):
+    rng = random.Random(seed)
+    left = random_pa(rng, "l", 2, ["a"])
+    right = random_pa(rng, "r", 2, ["a"])
     comp = compose(left, right)
     for pi in enumerate_paths(right, 2):
         lifted = lifted_paths(pi, comp, right, side=2, horizon=2)
@@ -211,19 +215,20 @@ def _check_projection_definition(comp, parts, sigma, horizon):
     return checked
 
 
-def test_projection_matches_its_definition():
+@settings(max_examples=20)
+@given(st.integers(0, 2**32))
+def test_projection_matches_its_definition(seed):
     cv = composed_instance()
     assert _check_projection_definition(cv, instance_parts(), corpus.priority_strategy(cv), 4) > 0
-    rng = random.Random(29)
-    for _ in range(20):
-        left = random_pa(rng, "l", rng.randint(2, 4), ["a", "b"])
-        right = random_pa(rng, "r", rng.randint(2, 4), ["a", "c"])
-        comp = compose(left, right)
-        horizon = rng.randint(2, 3)
-        # tabulated one step deeper, so that a lift may end in a move made
-        # after an idle step at the horizon
-        sigma = random_tabular_strategy(rng, comp, horizon + 1, complete=rng.random() < 0.5)
-        assert _check_projection_definition(comp, (left, right), sigma, horizon) > 0
+    rng = random.Random(seed)
+    left = random_pa(rng, "l", rng.randint(2, 4), ["a", "b"])
+    right = random_pa(rng, "r", rng.randint(2, 4), ["a", "c"])
+    comp = compose(left, right)
+    horizon = rng.randint(2, 3)
+    # tabulated one step deeper, so that a lift may end in a move made
+    # after an idle step at the horizon
+    sigma = random_tabular_strategy(rng, comp, horizon + 1, complete=rng.random() < 0.5)
+    assert _check_projection_definition(comp, (left, right), sigma, horizon) > 0
 
 
 def test_union_cylinder_prob_counts_minimal_paths_once():

@@ -366,6 +366,7 @@ def test_is_strong_sim_rejects_undeclared_states():
     a, b = (instantiate(m, {"p": F(1, 10)}) for m in (a, b))
     rel = strong_sim(a, b)
     assert is_strong_sim(a, b, rel)
+    assert not is_strong_sim(a, b, rel - {(a.initial, b.initial)})
     for bad in (("nosuch", "t0"), ("s0", "nosuch")):
         with pytest.raises(ValueError, match="nosuch"):
             is_strong_sim(a, b, rel | {bad})

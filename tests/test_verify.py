@@ -12,7 +12,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from pacomp import corpus, exactlp, paper_suite, verify
-from pacomp.algebra import Box, FiniteRegion, Polynomial, PolyTable, parse_poly, poly_eval, region_samples
+from pacomp.algebra import Box, FiniteRegion, Polynomial, PolyTable, parse_poly, region_samples
 from pacomp.errors import (
     AlphabetMismatch,
     PacompError,
@@ -223,7 +223,7 @@ def test_safety_prob_solution_function():
     comp = composed()
     for v in (V, {"p": F(1, 2), "q": F(1, 5)}, {"p": F(9, 10), "q": 1}):
         got = safety_prob(instantiate(comp, v), safety(corpus.no_fail_dfa(), 1))
-        assert got == poly_eval(SOLUTION, v)
+        assert got == SOLUTION.evaluate(v)
     assert safety_prob(instantiate(comp, V), safety(corpus.no_fail_dfa(), 1)) == F(99, 100)
 
 
@@ -1082,8 +1082,8 @@ def test_negation_duality():
 
 def test_solution_function_values_decrease_in_q():
     comp = composed()
-    lo = poly_eval(SOLUTION, {"p": F(1, 10), "q": 0})
-    hi = poly_eval(SOLUTION, {"p": F(1, 10), "q": 1})
+    lo = SOLUTION.evaluate({"p": F(1, 10), "q": 0})
+    hi = SOLUTION.evaluate({"p": F(1, 10), "q": 1})
     assert lo == F(999, 1000) and hi == F(909, 1000) and lo >= hi
     obj = safety(corpus.no_fail_dfa(), 1)
     sigma_vals = []
