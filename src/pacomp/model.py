@@ -12,7 +12,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .algebra import Polynomial, PolyTable, require_total
-from .errors import ActionAlphabetClash, AlphabetMismatch
+from .errors import ActionAlphabetClash, AlphabetMismatch, IllDefinedValuationInRegion
 
 TAU_SYMBOL = "tau"
 TAU_ACTION = ("tau",)
@@ -211,6 +211,29 @@ def well_definedness(table: PolyTable, rows):
         return WellDefinedness.WELL_DEFINED
 
     return kind
+
+
+def require_sub_stochastic(point, entries):
+    """Refuse a parameter-free model whose rows are not sub-probability
+    distributions at its one table vector (D, nums): `entries` are its
+    `slotted` entries, and IllDefinedValuationInRegion is raised when an
+    entry is negative or a row sums above D (so every entry lies in [0, D]).
+    A row summing below D is accepted: strong simulation checks leaky rows.
+    """
+    den, nums = point
+    for key, row in entries.items():
+        total = 0
+        for _, k in row:
+            x = nums[k]
+            if x < 0:
+                break
+            total += x
+        else:
+            if total <= den:
+                continue
+        raise IllDefinedValuationInRegion(
+            f"the distribution of {key!r} has an entry outside [0, 1] or sums above 1"
+        )
 
 
 def well_defined(m: PPA, v) -> WellDefinedness:

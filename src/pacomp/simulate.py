@@ -8,10 +8,16 @@ is accepted outright when every successor of the left distribution is
 related to every successor of the right one and the left mass is at most the
 right mass (support masks); otherwise it is a one-element Hall check, then a
 greedy transport fill augmented along residual paths.  The greatest fixpoint
-is a worklist refinement (Baier, Engelen and Majster-Cederbaum, JCSS 2000):
-a failing pair re-queues only the surviving pairs of its predecessors, and
-the refinement stops as soon as the initial pair leaves, since the relation
-only shrinks.
+is a worklist refinement (Baier, Engelen and Majster-Cederbaum, JCSS 2000;
+Zhang, Hermanns, Eisenbrand and Jansen, LMCS 2008).  It starts from the
+label-compatible pairs: a left state is related to the right states that
+have every label it has, and a dead end to all of them.  No pair of the
+greatest fixpoint is lost, since all instances share their moves and labels,
+so a left label the right state lacks fails the matching clause at every
+instance, whatever the relation.  A failing pair re-queues only the
+surviving pairs of its predecessors, and the refinement stops as soon as
+the initial pair leaves, since the relation only shrinks.  The
+parameter-free checks refuse a row that is no sub-probability distribution.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import math
 from collections import deque
 
 from .algebra import PolyTable, valuation_key
-from .model import PPA, slotted, sort_key
+from .model import PPA, require_sub_stochastic, slotted, sort_key
 from .verify import VACUOUS, Verdict, _checked_samples
 
 
@@ -170,18 +176,34 @@ def _greatest_sim(m1: PPA, m2: PPA, ix1, ix2, instances):
     """Greatest relation whose pairs pass the matching clause at every instance.
 
     `instances` holds `_instance` tables of `m1` and `m2` (indexed as `ix1`
-    and `ix2`), which share their transitions and labels.  Worklist
-    refinement: when a pair (s1, s2) fails, the surviving pairs (u1, u2) with
-    s1 a successor of u1 and s2 one of u2 are re-queued, the only pairs whose
-    clause it can change.  Returns the relation, or None as soon as it loses
-    the initial pair.
+    and `ix2`), which share their transitions and labels.  The refinement
+    starts from the label-compatible pairs: left state i is related to the
+    right states that have every label i has (all of them for a dead end).
+    That loses no pair of the greatest fixpoint: every instance has the
+    moves of `ix1` and `ix2`, so a pair whose left state has a label the
+    right one lacks fails the matching clause at every instance, whatever
+    the relation.  Worklist refinement: when a pair (s1, s2) fails, the
+    surviving pairs (u1, u2) with s1 a successor of u1 and s2 one of u2 are
+    re-queued, the only pairs whose clause it can change.  Returns the
+    relation, or None as soon as it loses the initial pair.
     """
-    (index1, _, pred1), (index2, _, pred2) = ix1, ix2
+    (index1, moves1, pred1), (index2, moves2, pred2) = ix1, ix2
     n1, n2 = len(pred1), len(pred2)
-    full = (1 << n2) - 1
-    rel, queued = [full] * n1, [full] * n1
-    queue = deque((i, j) for i in range(n1) for j in range(n2))
+    has = {}  # label -> bitmask of the right states that have it
+    for j, by_label in enumerate(moves2):
+        for lab in by_label:
+            has[lab] = has.get(lab, 0) | 1 << j
+    rel = []
+    for by_label in moves1:
+        row = (1 << n2) - 1
+        for lab in by_label:
+            row &= has.get(lab, 0)
+        rel.append(row)
     initial = (index1[m1.initial], index2[m2.initial])
+    if not rel[initial[0]] >> initial[1] & 1:
+        return None
+    queued = rel.copy()
+    queue = deque((i, j) for i in range(n1) for j in _bits(rel[i]))
     while queue:
         i, j = queue.popleft()
         queued[i] ^= 1 << j
@@ -204,6 +226,16 @@ def _indexed_pair(m1: PPA, m2: PPA):
     return table, entries, _indexed(m1, entries[0]), _indexed(m2, entries[1])
 
 
+def _constant_instance(n1: PPA, n2: PPA):
+    """Both parameter-free models indexed, and their one `_instance`, after
+    refusing a row that is no sub-probability distribution."""
+    table, entries, ix1, ix2 = _indexed_pair(n1, n2)
+    point = table.at({})
+    for e in entries:
+        require_sub_stochastic(point, e)
+    return ix1, ix2, _instance(ix1, ix2, point[1])
+
+
 def _sampled_pair(m1: PPA, m2: PPA, region, resolution):
     """Both models' `slotted` entries in one table, each model indexed on
     its own, and `_checked_samples` of the region on their rows."""
@@ -213,11 +245,15 @@ def _sampled_pair(m1: PPA, m2: PPA, region, resolution):
 
 
 def strong_sim(n1: PPA, n2: PPA):
-    """Greatest strong simulation containing the initial pair, or None."""
+    """Greatest strong simulation containing the initial pair, or None.
+
+    Raises IllDefinedValuationInRegion for a row that is no sub-probability
+    distribution, as `is_strong_sim` does.
+    """
     if not (n1.is_pa and n2.is_pa):
         raise ValueError("strong simulation is checked on parameter-free models")
-    table, _, ix1, ix2 = _indexed_pair(n1, n2)
-    return _greatest_sim(n1, n2, ix1, ix2, [_instance(ix1, ix2, table.at({})[1])])
+    ix1, ix2, instance = _constant_instance(n1, n2)
+    return _greatest_sim(n1, n2, ix1, ix2, [instance])
 
 
 def is_strong_sim(n1: PPA, n2: PPA, rel) -> bool:
@@ -225,7 +261,7 @@ def is_strong_sim(n1: PPA, n2: PPA, rel) -> bool:
 
     Raises ValueError when a pair names a state its model does not declare.
     """
-    table, _, ix1, ix2 = _indexed_pair(n1, n2)
+    ix1, ix2, instance = _constant_instance(n1, n2)
     index1, index2 = ix1[0], ix2[0]
     rows = [0] * len(n1.states)
     for pair in rel:
@@ -235,7 +271,6 @@ def is_strong_sim(n1: PPA, n2: PPA, rel) -> bool:
         rows[index1[s1]] |= 1 << index2[s2]
     if not rows[index1[n1.initial]] >> index2[n2.initial] & 1:
         return False
-    instance = _instance(ix1, ix2, table.at({})[1])
     return all(_matches(instance, i, j, rows) for i, row in enumerate(rows) for j in _bits(row))
 
 

@@ -70,11 +70,12 @@ without settle mass: its chain over the product is built once and planned
 once per support pattern, so each sample only fills integer rows.
 
 A parameter-free solve is a `_MoQuery` at its one constant vector
-(`_constant_query`): `mo_achievable` solves its layout, `solution_value`
-(with `chain_language_prob`) fills a strategy's chain, `safety_prob` is one
-minus `bad_reach` of its one objective from a cold start, and
-`exp_total_reward` is policy iteration on the reward's gain map (maximum) or
-the gain map's cost row minimised over `_flow`'s LP (minimum).
+(`_constant_query`, which refuses, as `max_reach` does, a row that is no
+sub-probability distribution): `mo_achievable` solves its layout,
+`solution_value` (with `chain_language_prob`) fills a strategy's chain,
+`safety_prob` is one minus `bad_reach` of its one objective from a cold
+start, and `exp_total_reward` is policy iteration on the reward's gain map
+(maximum) or the gain map's cost row minimised over `_flow`'s LP (minimum).
 `monotone_check` fills each strategy's chain at every sampled valuation.
 The region checks share one sample loop.  Nothing is kept beyond one call.
 """
@@ -102,6 +103,7 @@ from .model import (
     PPA,
     WellDefinedness,
     dfa_absorb_accepting,
+    require_sub_stochastic,
     slotted,
     sort_key,
     tau_extend,
@@ -455,6 +457,7 @@ def max_reach(pa: PPA, targets):
     targets = frozenset(targets)
     table = PolyTable()
     succ, point = slotted(pa, table), table.at({})
+    require_sub_stochastic(point, succ)
     # targets stop; an action collects its one-step mass into them
     gains = {key: tuple(k for t, k in out if t in targets) for key, out in succ.items()}
     acts = {s: pa.enabled(s) for s in pa.states}
@@ -900,12 +903,14 @@ def _mo_queries(m: PPA, queries, strategy_class, table: PolyTable):
 def _constant_query(pa: PPA, query, strategy_class):
     """The `_MoQuery` of `query` on the parameter-free `pa` and its one table
     vector, after the checks of every parameter-free solve: the objectives'
-    alphabets lie in the model's, and no reward is negative."""
+    alphabets lie in the model's, every row is a sub-probability
+    distribution, and no reward is negative."""
     if not pa.is_pa:
         raise ValueError("a parameter-free model is needed; instantiate first")
     table = PolyTable()
-    _, (mo_query,) = _mo_queries(pa, [query], strategy_class, table)
+    entries, (mo_query,) = _mo_queries(pa, [query], strategy_class, table)
     point = table.at({})
+    require_sub_stochastic(point, entries)
     sym = mo_query.negative_reward(point)
     if sym is not None:
         raise ValueError(f"the reward of {sym!r} is negative")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from networkx.algorithms.flow import edmonds_karp
 
 from pacomp import corpus, simulate
-from pacomp.algebra import Box, FiniteRegion, PolyTable, region_samples
+from pacomp.algebra import Box, FiniteRegion, Polynomial, PolyTable, region_samples
 from pacomp.errors import IllDefinedValuationInRegion
 from pacomp.model import compose, dfa_forbid_symbols, instantiate, make_ppa, sort_key
 from pacomp.verify import region_sat, safety
@@ -263,6 +263,43 @@ def _coprime_pa(rng, prefix, n_states, labels, primes):
     return make_ppa(states, states[0], set(), trans, set(labels))
 
 
+def _labelled_pa(rng, prefix, labels, parametric=False):
+    """A PA, or with `parametric` a pPA over p well defined on [0, 1], whose
+    states draw their own label sets: about a quarter of them are dead ends,
+    the others have one or two moves for each label of a random nonempty
+    subset of `labels`."""
+    states = [f"{prefix}{i}" for i in range(rng.randint(2, 4))]
+    p = Polynomial.var("p")
+    trans = {}
+    for s in states:
+        if rng.random() < 0.25:
+            continue
+        for lab in rng.sample(labels, rng.randint(1, len(labels))):
+            for k in range(rng.randint(1, 2)):
+                t1, t2 = rng.choice(states), rng.choice(states)
+                if parametric and t1 != t2:
+                    dist = {t1: p, t2: 1 - p}
+                else:
+                    dist = random_dist(rng, states)
+                trans[(s, f"{s}_{lab}_{k}")] = (lab, dist)
+    return make_ppa(states, states[0], {"p"} if parametric else set(), trans, set(labels))
+
+
+def _check_region_pairs(pairs, box, resolution):
+    """robust_strong_sim and strong_sim_region on each pPA pair against the
+    naive fixpoint at the box's samples."""
+    samples = region_samples(box, resolution)
+    for n1, n2 in pairs:
+        instances = [(instantiate(n1, v), instantiate(n2, v)) for v in samples]
+        rel = robust_strong_sim(n1, n2, box, resolution)
+        assert rel == _naive_greatest_sim(n1, n2, instances)
+        verdict = strong_sim_region(n1, n2, box, resolution)
+        per_sample = [strong_sim(*inst) for inst in instances]
+        assert verdict.holds == all(r is not None for r in per_sample)
+        got = [d["relation"] for d in verdict.details]
+        assert got == [sorted(r, key=sort_key) for r in per_sample[:len(got)]]
+
+
 @settings(max_examples=25)
 @given(st.integers(0, 2**32))
 def test_simulation_relations_match_naive_fixpoint(seed):
@@ -272,7 +309,11 @@ def test_simulation_relations_match_naive_fixpoint(seed):
     Supports go up to 4 successors, about half of the rows of `a` and `b`
     are sub-stochastic (a pair whose successors are all related still needs
     the left mass at most the right one), and the reversed and unrelated
-    pairs often lose their initial pair, which ends the refinement early."""
+    pairs often lose their initial pair, which ends the refinement early.
+    The `_labelled_pa` draws, in both argument orders, check the
+    label-compatible relation the refinement starts from: states whose
+    label sets differ, a label only one model uses, dead ends (simulated by
+    every state), and a parametric pair of them over a box."""
     rng = random.Random(seed)
     a = random_pa(rng, "a", rng.randint(2, 4), ["a", "b"], leaky=True)
     b = random_pa(rng, "b", rng.randint(2, 4), ["a", "b"], leaky=True)
@@ -290,19 +331,20 @@ def test_simulation_relations_match_naive_fixpoint(seed):
     for n1, n2 in ((a, a), (a, b), (b, a), (fat, a), (a, fat)):
         assert strong_sim(n1, n2) == _naive_greatest_sim(n1, n2, [(n1, n2)])
 
+    # label sets that differ per state, "c" only on the right of (a, b)
+    a = _labelled_pa(rng, "a", ["a", "b"])
+    b = _labelled_pa(rng, "b", ["a", "b", "c"])
+    fat = _fatten(rng, a, rng.randint(1, 2), "u")
+    for n1, n2 in ((a, a), (a, b), (b, a), (a, fat), (fat, a), (b, b)):
+        assert strong_sim(n1, n2) == _naive_greatest_sim(n1, n2, [(n1, n2)])
+
     box = Box.of({"p": (F(1, 7), F(5, 6))})
-    samples = region_samples(box, 2)
     m1, m2 = random_parametric_pair(rng)
     m3, m4 = random_parametric_pair(rng)
-    for n1, n2 in ((m1, m1), (m1, m2), (m1, m3), (m3, m1), (m2, m4)):
-        instances = [(instantiate(n1, v), instantiate(n2, v)) for v in samples]
-        rel = robust_strong_sim(n1, n2, box, 2)
-        assert rel == _naive_greatest_sim(n1, n2, instances)
-        verdict = strong_sim_region(n1, n2, box, 2)
-        per_sample = [strong_sim(*inst) for inst in instances]
-        assert verdict.holds == all(r is not None for r in per_sample)
-        got = [d["relation"] for d in verdict.details]
-        assert got == [sorted(r, key=sort_key) for r in per_sample[:len(got)]]
+    _check_region_pairs(((m1, m1), (m1, m2), (m1, m3), (m3, m1), (m2, m4)), box, 2)
+    m5 = _labelled_pa(rng, "l", ["a", "b"], parametric=True)
+    m6 = _labelled_pa(rng, "r", ["a", "b", "c"], parametric=True)
+    _check_region_pairs(((m5, m5), (m5, m6), (m6, m5), (m6, m6)), box, 2)
 
 
 def test_a_lifting_needs_the_left_mass_at_most_the_right_mass():
@@ -321,14 +363,16 @@ def test_liftings_decided_without_a_transport(monkeypatch):
     """The number of `_transport` calls of one fixed self-simulation: a
     lifting between distributions whose successors are all related, with no
     more mass on the left, is accepted from the support masks alone (every
-    lifting of the first round is one), which took the count from 570."""
+    lifting of the first round is one), which took the count from 570; and
+    the refinement starts from the label-compatible pairs, which took it
+    from 365 (and the `_matches` calls from 541 to 272)."""
     calls = []
     transport = simulate._transport
     monkeypatch.setattr(simulate, "_transport",
                         lambda *args: calls.append(1) or transport(*args))
     a = random_pa(random.Random(5), "x", 20, ["a", "b"])
     assert strong_sim(a, a) is not None
-    assert len(calls) == 365
+    assert len(calls) == 306
 
 
 def _chain(prefix, labels):
@@ -339,17 +383,19 @@ def _chain(prefix, labels):
     return make_ppa(states, states[0], set(), trans, set(labels))
 
 
+@pytest.mark.hashseed
 def test_initial_pair_leaving_ends_the_refinement(monkeypatch):
-    """The initial pair's label mismatch refutes it at its first check; the
-    refinement returns None there, while the naive fixpoint (and the pairs
-    further down the chains) would still be refining."""
+    """The initial pair's label mismatch refutes it before any check: it is
+    not in the label-compatible relation the refinement starts from, while
+    the naive fixpoint (and the pairs further down the chains) would still
+    be refining."""
     m1, m2 = _chain("x", ["b", "a", "a", "a"]), _chain("y", ["a", "a", "a", "b"])
     checks = []
     matches = simulate._matches
     monkeypatch.setattr(simulate, "_matches",
                         lambda *args: checks.append(args[1:3]) or matches(*args))
     assert strong_sim(m1, m2) is None
-    assert checks == [(0, 0)]
+    assert checks == []
     assert _naive_greatest_sim(m1, m2, [(m1, m2)]) is None
     # the initial pair survives the first checks and leaves only once the
     # mismatch at the end of the chains has propagated back to it

@@ -37,7 +37,7 @@ from pacomp.model import (
 from pacomp.proofrules import apply_asym_n, apply_monotonicity
 from pacomp.robust import pa_reduce
 from pacomp.semantics import MemorylessStrategy
-from pacomp.simulate import strong_sim_region
+from pacomp.simulate import is_strong_sim, strong_sim, strong_sim_region
 from pacomp.verify import (
     INF,
     _chain_fill,
@@ -230,6 +230,38 @@ def test_safety_prob_solution_function():
 def test_safety_prob_vacuous_dfa():
     pa = instantiate(composed(), V)
     assert safety_prob(pa, safety(dfa_forbid_symbols((), pa.alphabet), 1)) == 1
+
+
+def _one_step(dist):
+    """s -x/a-> dist over t and u, each of which loops: t on b, u on c."""
+    trans = {("s", "x"): ("a", dist), ("t", "y"): ("b", {"t": 1}), ("u", "z"): ("c", {"u": 1})}
+    return make_ppa(["s", "t", "u"], "s", set(), trans, {"a", "b", "c"})
+
+
+def test_parameter_free_solves_refuse_non_probabilities():
+    """An entry outside [0, 1] or a row summing above 1 is refused by every
+    parameter-free solve, as `region_sat` refuses it at a sample; a
+    sub-stochastic row is a legal input (strong simulation checks them)."""
+    never_c = safety(dfa_forbid_symbols({"c"}, {"a", "b", "c"}), F(1, 2))
+    solves = (
+        lambda m: safety_prob(m, never_c),
+        lambda m: max_reach(m, {"u"}),
+        lambda m: mo_achievable(m, (never_c,)),
+        lambda m: strong_sim(m, m),
+        lambda m: is_strong_sim(m, m, {("s", "s")}),
+    )
+    for dist in ({"t": F(3, 2), "u": F(-1, 2)}, {"t": 1, "u": F(1, 2)}):
+        m = _one_step(dist)
+        for solve in solves:
+            with pytest.raises(IllDefinedValuationInRegion, match=r"\('s', 'x'\)"):
+                solve(m)
+        with pytest.raises(IllDefinedValuationInRegion):
+            region_sat(m, FiniteRegion.of([{}]), (never_c,))
+    leaky = _one_step({"t": F(1, 2)})
+    assert safety_prob(leaky, never_c) == 1
+    assert max_reach(leaky, {"t"})[0] == F(1, 2)
+    assert mo_achievable(leaky, (never_c,))[0] == "achievable"
+    assert strong_sim(leaky, leaky) is not None
 
 
 def test_safety_prob_interval_relaxation_instance():
