@@ -35,10 +35,11 @@ witnesses, the values of fixed strategies and every parameter-free solve.
 It is built once per query and model, on the model's transitions that
 `_mo_queries` registered once per table, after rejecting an objective whose
 alphabet exceeds the model's: the joint DFA product of the parametric model
-(its tau extension for partial strategies), the slot of every transition
-probability and reward in a `PolyTable` of distinct polynomials (`slotted`,
-which `max_reach` also uses for a PA's own transitions), and each objective
-as a stop set and a gain map, which every solver reads: a probability
+(its tau extension for partial strategies), its states numbered as ints in
+the order the search met them, the slot of every transition probability
+and reward in a `PolyTable` of distinct polynomials (`slotted`, which
+`max_reach` also uses for a PA's own transitions), and each objective as a
+stop set and a gain map, which every solver reads: a probability
 objective stops at its targets and collects the mass moved into them, a
 reward objective collects its reward.  A region check builds one table for
 its queries and the well-definedness check: each sample is one integer value
@@ -529,9 +530,9 @@ def _occupation_lp(init, states, acts, support, settle, extra=0):
     is taken in s, for s in `states` order and a in `acts[s]` order; then
     w[s], the probability of settling in s, for the settle states in
     `states` order; then `extra` columns left to the caller.  `_flow` passes
-    a product's states sorted by `sort_key`, the one reader of that order, and
-    a model enables each state's actions in it, so the y columns are the keys
-    in `sort_key` order.  Rows: one flow balance per state, in `states` order,
+    a product's state ids sorted by the `sort_key` of their tuples, the one
+    reader of that order, and a model enables each state's actions in it, so
+    the y columns are the keys in the `sort_key` order of (tuple, action).  Rows: one flow balance per state, in `states` order,
     then sum(w) = 1.  Row and column order fix the simplex's pivot path, so
     they must not change.  Returns the number of columns, the rows, y_index
     and w_index.
@@ -620,14 +621,26 @@ class _MoQuery:
     the objectives' absorbing bad-prefix DFAs, its states in the order the
     search met them, and per objective (probability objectives, then
     rewards) a stop set `stops[i]` and a gain map `gains[i]` from each
-    product key (ps, a) to the slots it collects: its entries into the
-    targets from outside them, which absorb, or its reward.  Transition probabilities and rewards refer by index to
-    their slots in a `PolyTable` that the caller may share with other queries
-    and the well-definedness check, so a sample is one value vector of that
-    table.  What depends on which values are zero -- the end-component
-    check, the settle set and `stay` map, and the LP layout with its rows as
-    integer templates -- is built once per support pattern (`_layout`), as is
-    each objective's policy shape (`_shape`), keyed on which of the vector's
+    product key (i, a) to the slots it collects: its entries into the
+    targets from outside them, which absorb, or its reward.
+
+    Its states are ids: the search numbers each state when it first meets
+    it, so `init` is 0 and `nodes[i]` is the (state, DFA states) tuple of
+    id i.  `acts`, `ptrans` {(i, a): ((successor id, slot), ...)}, the stop
+    sets, the gain maps and every solver's nodes read ids, and the DFA move
+    is computed once per (label, DFA states) pair.  Tuples come back in
+    three places only: `_flow` sorts the LP's states by the `sort_key` of
+    their tuples, `_verified` keys a witness's `mix`, `settle` and `stay` by
+    them, and `strategy_values` reads a strategy's choice at a tuple's model
+    state.
+
+    Transition probabilities and rewards refer by index to their slots in a
+    `PolyTable` that the caller may share with other queries and the
+    well-definedness check, so a sample is one value vector of that table.
+    What depends on which values are zero -- the end-component check, the
+    settle set and `stay` map, and the LP layout with its rows as integer
+    templates -- is built once per support pattern (`_layout`), as is each
+    objective's policy shape (`_shape`), keyed on which of the vector's
     numerators are nonzero: rewards are refused when negative before any
     solve, and a region sample's entries lie in [0, D], so signs would split
     no pattern further.
@@ -644,32 +657,38 @@ class _MoQuery:
         self.strict = any(o.cmp in ("<", ">") for o in query)
         slot = table.slot
         dfas = [dfa_absorb_accepting(o.dfa) for o in self.prob_objs]
-        init = (work.initial, tuple(b.initial for b in dfas))
-        acts, ptrans, plabel = {}, {}, {}
-        seen = {init}
-        stack = [init]
+        nodes = [(work.initial, tuple(b.initial for b in dfas))]
+        index = {nodes[0]: 0}
+        acts, ptrans, plabel, step = {}, {}, {}, {}  # step: (label, DFA states) -> next
+        stack = [0]
         while stack:
-            ps = stack.pop()
-            s, qs = ps
-            acts[ps] = work.enabled(s)
-            for a in acts[ps]:
+            i = stack.pop()
+            s, qs = nodes[i]
+            acts[i] = work.enabled(s)
+            for a in acts[i]:
                 lab = work.label[(s, a)]
-                nqs = tuple(
-                    b.trans[(q, lab)] if lab in b.alphabet else q
-                    for b, q in zip(dfas, qs)
-                )
-                ptrans[(ps, a)] = tuple(((t, nqs), k) for t, k in entries[(s, a)])
-                plabel[(ps, a)] = lab
-                for t, _ in ptrans[(ps, a)]:
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-        self.init, self.states = init, list(acts)
+                nqs = step.get((lab, qs))
+                if nqs is None:
+                    nqs = step[(lab, qs)] = tuple(
+                        b.trans[(q, lab)] if lab in b.alphabet else q
+                        for b, q in zip(dfas, qs)
+                    )
+                out = []
+                for t, k in entries[(s, a)]:
+                    j = index.get((t, nqs))
+                    if j is None:
+                        j = index[(t, nqs)] = len(nodes)
+                        nodes.append((t, nqs))
+                        stack.append(j)
+                    out.append((j, k))
+                ptrans[(i, a)] = tuple(out)
+                plabel[(i, a)] = lab
+        self.init, self.nodes, self.states = 0, nodes, list(acts)
         self.acts, self.ptrans, self.plabel = acts, ptrans, plabel
         self.objectives = self.prob_objs + self.rew_objs
         self.targets = [
-            frozenset(ps for ps in self.states if ps[1][i] in b.accepting)
-            for i, b in enumerate(dfas)
+            frozenset(i for i in self.states if nodes[i][1][j] in b.accepting)
+            for j, b in enumerate(dfas)
         ]
         self.stops = self.targets + [frozenset()] * len(self.rew_objs)
         self.reward_slots = [
@@ -700,8 +719,8 @@ class _MoQuery:
         reward objectives'.  Missing mass stops, and mass on an action the
         state does not enable is ignored.  Build it once per strategy: its
         chain is planned once per support pattern."""
-        choice = sigma.choice
-        return _StrategyChain(self, lambda ps: choice.get(ps[0]))
+        choice, nodes = sigma.choice, self.nodes
+        return _StrategyChain(self, lambda i: choice.get(nodes[i][0]))
 
     def _flow(self, nums):
         """The successor sets, the stay map and the occupation LP of one unit
@@ -714,13 +733,14 @@ class _MoQuery:
         }
         succ = {key: frozenset(t for t, _ in dist) for key, dist in support.items()}
 
-        def lingers(ps, a):
-            return not any(nums[k] for gains in self.gains for k in gains.get((ps, a), ()))
+        def lingers(i, a):
+            return not any(nums[k] for gains in self.gains for k in gains.get((i, a), ()))
 
         settle, stay = _settle(self.states, self.acts, succ, lingers)
+        nodes = self.nodes
         num_vars, rows, y_index, w_index = _occupation_lp(  # the LP reads sort_key order
-            self.init, sorted(self.states, key=sort_key), self.acts, support, settle,
-            int(self.strict))
+            self.init, sorted(self.states, key=lambda i: sort_key(nodes[i])), self.acts,
+            support, settle, int(self.strict))
         return succ, stay, num_vars, rows, y_index, w_index
 
     def _layout(self, nums):
@@ -810,12 +830,12 @@ class _MoQuery:
             policy, _ = _policy_iteration(self._shape(point, 0), point)
             stack = [self.init]
             while stack:
-                ps = stack.pop()
-                if ps in mix or ps not in policy:
+                i = stack.pop()
+                if i in mix or i not in policy:
                     continue  # visited, a target or a state without actions
-                a = policy[ps]
-                mix[ps] = {a: Fraction(1)}
-                stack.extend(t for t, k in self.ptrans[(ps, a)] if nums[k])
+                a = policy[i]
+                mix[i] = {a: Fraction(1)}
+                stack.extend(t for t, k in self.ptrans[(i, a)] if nums[k])
         return self._verified(point, mix, {}, {})
 
     def _lp_solve(self, point):
@@ -840,21 +860,21 @@ class _MoQuery:
     def _witness(self, point, x, y_index, w_index, stay):
         """The two-mode witness strategy of the LP solution x (`_verified`)."""
         mix, settle_mass = {}, {}
-        for ps in self.states:
+        for i in self.states:
             total = Fraction(0)
             weights = {}
-            for a in self.acts[ps]:
-                freq = x[y_index[(ps, a)]]
+            for a in self.acts[i]:
+                freq = x[y_index[(i, a)]]
                 if freq > 0:
                     weights[a] = freq
                     total += freq
-            w = x[w_index[ps]] if ps in w_index else Fraction(0)
+            w = x[w_index[i]] if i in w_index else Fraction(0)
             total += w
             if total == 0:
                 continue
-            mix[ps] = {a: v / total for a, v in weights.items()}
+            mix[i] = {a: v / total for a, v in weights.items()}
             if w:
-                settle_mass[ps] = w / total
+                settle_mass[i] = w / total
         return self._verified(point, mix, settle_mass, dict(stay))
 
     def _verified(self, point, mix, settle, stay):
@@ -865,12 +885,13 @@ class _MoQuery:
         for o, val in zip(self.objectives, vals):
             if not _cmp(val, o.cmp, o.threshold):
                 raise RuntimeError("internal: witness failed exact re-verification")
+        nodes = self.nodes
         return {
             "kind": "product-memoryless",
             "strategy_class": self.strategy_class,
-            "mix": mix,
-            "settle": settle,
-            "stay": stay,
+            "mix": {nodes[i]: d for i, d in mix.items()},
+            "settle": {nodes[i]: w for i, w in settle.items()},
+            "stay": {nodes[i]: a for i, a in stay.items()},
             "values": {
                 (o.name or f"objective-{k}"): val
                 for k, (o, val) in enumerate(zip(self.objectives, vals))
@@ -935,9 +956,12 @@ class _StrategyChain:
     """The Markov chain of a fixed two-mode strategy on a `_MoQuery`
     product, planned once per support pattern and filled per table vector.
 
-    Go-mode node ps plays mix(ps), ignoring mass on an action ps does not
-    enable, settles into stay mode with settle[ps], and stops with the
-    missing mass; stay-mode ps plays stay[ps] forever, or stops without one.
+    Its nodes are ("go", i) and ("stay", i) for the query's state ids i
+    (`query.nodes[i]` is the state's tuple), and `mix`, `settle` and `stay`
+    are keyed by ids; the witness that `_MoQuery._verified` reports reads
+    them as tuples.  Go-mode node i plays mix(i), ignoring mass on an action
+    i does not enable, settles into stay mode with settle[i], and stops with
+    the missing mass; stay-mode i plays stay[i] forever, or stops without one.
     Only the nodes reachable from the initial go node are built, each
     successor an entry (node, weight numerator, slot) of the query's
     transitions.  A go row is over D times the lcm of its weights'
@@ -956,19 +980,19 @@ class _StrategyChain:
             node = stack.pop()
             if node in moves:
                 continue
-            mode, ps = node
+            mode, i = node
             if mode == "go":
-                weights = [(w, (ps, a)) for a, w in (mix(ps) or {}).items()
-                           if w and (ps, a) in ptrans]
-                rest = settle.get(ps, 0)
+                weights = [(w, (i, a)) for a, w in (mix(i) or {}).items()
+                           if w and (i, a) in ptrans]
+                rest = settle.get(i, 0)
                 scale = lcm(rest.denominator, *(w.denominator for w, _ in weights))
                 picks = [(w.numerator * (scale // w.denominator), key) for w, key in weights]
                 out = [(("go", t), f, k) for f, key in picks for t, k in ptrans[key]]
                 if rest:
-                    out.append((("stay", ps), rest.numerator * (scale // rest.denominator),
+                    out.append((("stay", i), rest.numerator * (scale // rest.denominator),
                                 query.one))
             else:
-                scale, picks = 1, [(1, (ps, stay[ps]))] if ps in stay else []
+                scale, picks = 1, [(1, (i, stay[i]))] if i in stay else []
                 out = [(("stay", t), 1, k) for _, key in picks for t, k in ptrans[key]]
             moves[node] = scale, tuple(out), picks
             stack.extend(t for t, _, _ in out)

@@ -695,24 +695,27 @@ def chain_solve_reference(chain, gain, init=None):
 def witness_values_reference(query, point, mix, settle_mass, stay):
     """`verify._witness_values` as it was before fixed-strategy chains were
     planned: the two-mode chain over every state of the `_MoQuery` product
-    `query`, rebuilt at the table vector `point` in Fractions and solved by
+    `query`, rebuilt at the table vector `point` in Fractions over the
+    (state, DFA states) tuples that `query.nodes` names, and solved by
     `chain_solve_reference`.  Go-mode ps plays mix[ps] (mass on an action ps
     does not enable is ignored, missing mass stops) and settles with
-    settle_mass[ps]; stay-mode ps plays stay[ps] forever.  One value per
-    target set (the probability of never reaching it), then one per reward
-    objective (the expected total reward)."""
+    settle_mass[ps]; stay-mode ps plays stay[ps] forever; all three are
+    keyed by tuples, as a witness is.  One value per target set (the
+    probability of never reaching it), then one per reward objective (the
+    expected total reward)."""
     den, nums = point
+    states, trans, labels, init, targets = _tuple_product(query)
     trans = {
         key: {t: Fraction(nums[k], den) for t, k in dist if nums[k]}
-        for key, dist in query.ptrans.items()
+        for key, dist in trans.items()
     }
     rewards = [
         {key: Fraction(nums[slots[lab]], den) if lab in slots else Fraction(0)
-         for key, lab in query.plabel.items()}
+         for key, lab in labels.items()}
         for slots in query.reward_slots
     ]
     chain, gains = {}, [{} for _ in rewards]
-    for ps in query.states:
+    for ps in states:
         go, dist = ("go", ps), {}
         for a, w in mix.get(ps, {}).items():
             if not w or (ps, a) not in trans:
@@ -731,38 +734,52 @@ def witness_values_reference(query, point, mix, settle_mass, stay):
         chain[("stay", ps)] = succ = {("stay", t): p for t, p in trans[(ps, a)].items()}
         for t in succ:
             chain.setdefault(t, {})
-    init = ("go", query.init)
     out = []
-    for target in query.targets:
-        if query.init in target:
+    for target in targets:
+        if init in target:
             out.append(Fraction(0))
             continue
         absorbed = {s: {} if s[1] in target else dist for s, dist in chain.items()}
         gain = {s: sum((p for t, p in dist.items() if t[1] in target), Fraction(0))
                 for s, dist in absorbed.items()}
-        out.append(1 - chain_solve_reference(absorbed, gain, init)[init])
+        out.append(1 - chain_solve_reference(absorbed, gain, ("go", init))[("go", init)])
     for gain in gains:
-        out.append(chain_solve_reference(chain, gain, init)[init])
+        out.append(chain_solve_reference(chain, gain, ("go", init))[("go", init)])
     return out
+
+
+def _tuple_product(query):
+    """The `_MoQuery` product `query` with each state id read as the
+    (state, DFA states) tuple `query.nodes` maps it to: its states, its
+    transitions {(ps, a): ((t, slot), ...)}, its labels {(ps, a): label},
+    its initial state and its target sets."""
+    nodes = query.nodes
+    trans = {(nodes[i], a): tuple((nodes[j], k) for j, k in dist)
+             for (i, a), dist in query.ptrans.items()}
+    labels = {(nodes[i], a): lab for (i, a), lab in query.plabel.items()}
+    targets = [frozenset(nodes[i] for i in target) for target in query.targets]
+    return [nodes[i] for i in query.states], trans, labels, nodes[query.init], targets
 
 
 def settle_reference(query, nums):
     """`_MoQuery._flow`'s settle set and `stay` map as they were decided
     before each objective became a gain map, at the table vector numerators
-    `nums`: an action lingers when it collects no reward and every successor
-    it reaches has the state's signature, the objectives whose targets hold
-    it."""
-    sig = {ps: frozenset(i for i, target in enumerate(query.targets) if ps in target)
-           for ps in query.states}
-    succ = {key: frozenset(t for t, k in dist if nums[k]) for key, dist in query.ptrans.items()}
+    `nums`, over the (state, DFA states) tuples of `query.nodes`: an action
+    lingers when it collects no reward and every successor it reaches has
+    the state's signature, the objectives whose targets hold it."""
+    states, trans, labels, _, targets = _tuple_product(query)
+    sig = {ps: frozenset(i for i, target in enumerate(targets) if ps in target)
+           for ps in states}
+    succ = {key: frozenset(t for t, k in dist if nums[k]) for key, dist in trans.items()}
+    acts = {query.nodes[i]: query.acts[i] for i in query.states}
 
     def lingers(ps, a):
-        lab = query.plabel[(ps, a)]
+        lab = labels[(ps, a)]
         return all(not nums[slots[lab]] for slots in query.reward_slots if lab in slots) and all(
             sig[t] == sig[ps] for t in succ[(ps, a)]
         )
 
-    return _settle(query.states, query.acts, succ, lingers)
+    return _settle(states, acts, succ, lingers)
 
 
 def instantiate_objective(obj, v):
@@ -779,7 +796,7 @@ def strategy_value_reference(m, sigma, objective, v):
     table = PolyTable()
     _, (query,) = _mo_queries(instantiate(m, v), [(instantiate_objective(objective, v),)],
                               "cmp", table)
-    mix = {ps: sigma.choice[ps[0]] for ps in query.states if ps[0] in sigma.choice}
+    mix = {ps: sigma.choice[ps[0]] for ps in query.nodes if ps[0] in sigma.choice}
     return witness_values_reference(query, table.at({}), mix, {}, {})[0]
 
 

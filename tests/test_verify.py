@@ -765,8 +765,10 @@ def test_occupation_lp_columns_are_in_sort_key_order(seed):
         _, (query,) = _mo_queries(m, [(objective,)], cls, table)
         for v in region_samples(Box.of({"p": (0, 1)}), 1):
             *_, num_vars, _, y_index, w_index = query._flow(table.at(v)[1])
-            assert list(y_index) == sorted(query.ptrans, key=sort_key)
-            assert list(w_index) == sorted(w_index, key=sort_key)
+            nodes = query.nodes
+            assert list(y_index) == sorted(query.ptrans, key=lambda key: sort_key(
+                (nodes[key[0]], key[1])))
+            assert list(w_index) == sorted(w_index, key=lambda i: sort_key(nodes[i]))
             columns = [*y_index.values(), *w_index.values()]
             assert columns == list(range(len(columns))) and num_vars == len(columns)
 
@@ -916,7 +918,9 @@ def test_gain_maps_settle_and_evaluate_as_signatures_did():
             point = table.at(v)
             _, stay, *_, w_index = query._flow(point[1])
             settle, ref_stay = settle_reference(query, point[1])
-            assert (set(w_index), stay) == (settle, ref_stay)
+            nodes = query.nodes
+            assert ({nodes[i] for i in w_index}, {nodes[i]: a for i, a in stay.items()}) == (
+                settle, ref_stay)
             assert values(point) == [strategy_value_reference(query.model, sigma, o, v)
                                      for o in query.objectives]
             kinds.update(what for what, keeps in (
@@ -1787,7 +1791,7 @@ def test_strategy_chains_match_the_witness_reference(seed):
         reject()  # too many strategies to enumerate, about 1 seed in 1 200
     for sigma in strategies:
         values = query.strategy_values(sigma)
-        mix = {ps: sigma.choice[ps[0]] for ps in query.states if ps[0] in sigma.choice}
+        mix = {ps: sigma.choice[ps[0]] for ps in query.nodes if ps[0] in sigma.choice}
         for point in samples:
             assert values(point) == witness_values_reference(query, point, mix, {}, {})
         assert all(_successors_first(plan) for plans in values._plans.values()
