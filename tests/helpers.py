@@ -761,6 +761,31 @@ def _tuple_product(query):
     return [nodes[i] for i in query.states], trans, labels, nodes[query.init], targets
 
 
+def product_states_reference(m, dfas):
+    """The (state, DFA states) pairs of the product of m with the bad-prefix
+    DFAs `dfas`, found by breadth-first search from (initial, DFA initials):
+    an action of m labelled l moves each DFA whose alphabet holds l along l,
+    except from an accepting state, which absorbs, to every successor the
+    action's distribution lists."""
+    init = (m.initial, tuple(d.initial for d in dfas))
+    seen, frontier = {init}, [init]
+    while frontier:
+        nxt = []
+        for s, qs in frontier:
+            for a in m.enabled(s):
+                lab = m.label[(s, a)]
+                moved = tuple(
+                    q if q in d.accepting or lab not in d.alphabet else d.trans[(q, lab)]
+                    for d, q in zip(dfas, qs)
+                )
+                for t in m.trans[(s, a)]:
+                    if (t, moved) not in seen:
+                        seen.add((t, moved))
+                        nxt.append((t, moved))
+        frontier = nxt
+    return seen
+
+
 def settle_reference(query, nums):
     """`_MoQuery._flow`'s settle set and `stay` map as they were decided
     before each objective became a gain map, at the table vector numerators

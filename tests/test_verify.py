@@ -71,6 +71,7 @@ from helpers import (
     monotone_check_per_sample,
     occupation_rows_reference,
     policy_iteration_reference,
+    product_states_reference,
     random_memoryless_strategy,
     random_pa,
     random_parametric_pair,
@@ -771,6 +772,59 @@ def test_occupation_lp_columns_are_in_sort_key_order(seed):
             assert list(w_index) == sorted(w_index, key=lambda i: sort_key(nodes[i]))
             columns = [*y_index.values(), *w_index.values()]
             assert columns == list(range(len(columns))) and num_vars == len(columns)
+
+
+def test_product_ids_number_the_reference_product():
+    """`_MoQuery` numbers each state of its product once: its ids map to
+    exactly the (state, DFA states) pairs that an independent breadth-first
+    search reaches, with 0 the initial pair and every successor an id in
+    range, and the LP's columns follow the `sort_key` order of the ids'
+    tuples.  A witness names states of its query's product by their
+    tuples, never by ids: so do the LP witness of `mo_achievable` and the
+    policy witness of a failing `region_sat`.  The cases compose random pairs with one or two
+    DFAs of 2-4 states, in both strategy classes."""
+    seen = set()
+
+    def keys(witness):
+        return [*witness["mix"], *witness["settle"], *witness["stay"]]
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32))
+    def check(seed):
+        rng = random.Random(seed)
+        m = compose(*random_parametric_pair(rng))
+        alphabet = sorted(m.alphabet)
+        dfas = [random_safety_dfa(rng, alphabet, rng.randint(2, 4), allow_empty=False)
+                for _ in range(rng.randint(1, 2))]
+        objectives = tuple(ProbObjective(">=", F(0), d) for d in dfas)
+        pa = instantiate(m, {"p": F(1, 2)})
+        for cls in ("cmp", "prt"):
+            table = PolyTable()
+            _, (query,) = _mo_queries(m, [objectives], cls, table)
+            work = tau_extend(m) if cls == "prt" else m
+            product = product_states_reference(work, dfas)
+            nodes = query.nodes
+            assert sorted(query.states) == list(range(len(nodes)))
+            assert {nodes[i] for i in query.states} == product
+            assert nodes[query.init] == (work.initial, tuple(d.initial for d in dfas))
+            assert all(0 <= j < len(nodes) for dist in query.ptrans.values() for j, _ in dist)
+            y_index = query._flow(table.at({"p": F(1, 2)})[1])[4]
+            assert list(y_index) == sorted(query.ptrans, key=lambda key: sort_key(
+                (nodes[key[0]], key[1])))
+            status, witness = mo_achievable(pa, objectives, cls)
+            assert status == "achievable"
+            found = keys(witness)
+            assert all(isinstance(ps, tuple) and ps in product for ps in found)
+            seen.update(what for what in ("mix", "settle", "stay") if witness[what])
+            verdict = region_sat(m, Box.of({"p": (0, 1)}), (safety(dfas[-1], 1),), cls)
+            if verdict.status == "fails":  # its violation query has the last DFA alone
+                product = product_states_reference(work, dfas[-1:])
+                found = keys(verdict.witness["strategy"])
+                assert found and all(isinstance(ps, tuple) and ps in product for ps in found)
+                seen.add("fails")
+
+    check()
+    assert seen == {"mix", "settle", "stay", "fails"}
 
 
 def _fill_case(rng):
@@ -1733,6 +1787,25 @@ def test_only_the_lp_sorts_product_states(monkeypatch):
     query = (safety(guarantee[0].dfa, 0), reward_objective(">=", 0, {"t1": 1}))
     assert mo_achievable(instantiate(composed, {"p": 0}), query)[0] == "achievable"
     assert len(calls) == 431
+
+
+@pytest.mark.hashseed
+def test_product_ids_follow_discovery_order():
+    """A query product numbers its states in the order its search meets
+    them, which follows each state's enabled actions and each
+    distribution's entries, not the hash seed: the k = 4 family's monolithic
+    safety query and the corpus model's `cmp` box query have these counts
+    and first and last states under every seed."""
+    models, _, _, guarantee = k_component_family(4)
+    _, (query,) = _mo_queries(functools.reduce(compose, models), [guarantee], "cmp", PolyTable())
+    assert len(query.nodes) == 431
+    assert query.nodes[0] == (((("s0", "s0"), "s0"), "s0"), ("ok",))
+    assert query.nodes[-1] == (((("s0", "s0"), "s0"), "done"), ("ok",))
+    box_query = (safety(corpus.no_fail_dfa(), F(9, 10)),)
+    _, (query,) = _mo_queries(composed(), [box_query], "cmp", PolyTable())
+    assert len(query.nodes) == 11
+    assert query.nodes[0] == (("s0", "t0"), ("ok",))
+    assert query.nodes[-1] == (("s1", "t3"), ("bad",))
 
 
 def _entry_count(m):
