@@ -704,10 +704,10 @@ def witness_values_reference(query, point, mix, settle_mass, stay):
     probability of never reaching it), then one per reward objective (the
     expected total reward)."""
     den, nums = point
-    states, trans, labels, init, targets = _tuple_product(query)
+    states, ptrans, labels, init, targets = _tuple_product(query)
     trans = {
         key: {t: Fraction(nums[k], den) for t, k in dist if nums[k]}
-        for key, dist in trans.items()
+        for key, dist in ptrans.items()
     }
     rewards = [
         {key: Fraction(nums[slots[lab]], den) if lab in slots else Fraction(0)
@@ -734,7 +734,7 @@ def witness_values_reference(query, point, mix, settle_mass, stay):
         chain[("stay", ps)] = succ = {("stay", t): p for t, p in trans[(ps, a)].items()}
         for t in succ:
             chain.setdefault(t, {})
-    out = []
+    start, out = ("go", init), []
     for target in targets:
         if init in target:
             out.append(Fraction(0))
@@ -742,9 +742,9 @@ def witness_values_reference(query, point, mix, settle_mass, stay):
         absorbed = {s: {} if s[1] in target else dist for s, dist in chain.items()}
         gain = {s: sum((p for t, p in dist.items() if t[1] in target), Fraction(0))
                 for s, dist in absorbed.items()}
-        out.append(1 - chain_solve_reference(absorbed, gain, ("go", init))[("go", init)])
+        out.append(1 - chain_solve_reference(absorbed, gain, start)[start])
     for gain in gains:
-        out.append(chain_solve_reference(chain, gain, ("go", init))[("go", init)])
+        out.append(chain_solve_reference(chain, gain, start)[start])
     return out
 
 

@@ -754,10 +754,11 @@ def test_large_occupation_lp_probe():
 @settings(max_examples=40)
 @given(st.integers(0, 2**32))
 def test_occupation_lp_columns_are_in_sort_key_order(seed):
-    """`_flow` hands the LP the product's states in `sort_key` order, and
-    each state's enabled actions are in that order, so the columns are the
-    keys and the settle states in `sort_key` order: the pivot path does not
-    depend on the order in which the product's search met its states."""
+    """`_flow` hands the LP the product's state ids in the `sort_key` order
+    of their tuples (`query.nodes`), and each state's enabled actions are in
+    that order, so the columns are the keys (nodes[i], a) and the settle
+    states in `sort_key` order: the pivot path does not depend on the order
+    in which the product's search met, and numbered, its states."""
     rng = random.Random(seed)
     m = renamed_ppa(rng, compose(*random_parametric_pair(rng)))
     objective = safety(random_safety_dfa(rng, sorted(m.alphabet)), F(1, 2))
