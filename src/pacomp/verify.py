@@ -25,7 +25,10 @@ solvers are exact and end in two mechanisms:
 - one occupation-measure LP builder (`_occupation_lp`): expected
   state-action frequencies routing one unit of flow into a settle region,
   solved by the exact simplex, for multi-objective achievability and
-  minimal expected reward.  Its rows are compiled once per layout into
+  minimal expected reward.  It has rows and columns only for the live
+  states, those that can still reach an action that collects for some
+  objective; the flow into the other, dead, states settles at once, and
+  the last row counts it.  Its rows are compiled once per layout into
   integer templates (`_int_templates`); at a sample, each row is filled from
   the table vector's numerators and reduced by one gcd into the integer row
   that `LinearProgram` stores (`_sample_lp`), with no `Fraction`.
@@ -48,13 +51,13 @@ every sample before the first solve.  What depends only on which values are
 zero is built once per such support pattern: graph-preserving samples share
 one, and a sample with a smaller support, such as a p = 0 corner, gets its
 own.  `_MoQuery._flow` is the flow half of it (one successor-set map, the
-settle set and `stay` map over the actions that collect nothing, the
-occupation LP), and `_MoQuery._layout` adds the end-component guard and the
-threshold rows.  The guard finds the keys of the
-end components by SCC refinement over the successor sets
-(`_end_component_keys`) and refuses a reward objective that one of them
-collects.  It covers every product state, also those behind zero entries:
-the LP keeps their columns, so a rewarded cycle there could circulate.  Per
+settle set and `stay` map over the actions that collect nothing, the live
+states, the occupation LP), and `_MoQuery._layout` adds the end-component
+guard and the threshold rows.  The guard finds the keys of the end
+components by SCC refinement over the successor sets (`_end_component_keys`)
+and refuses a reward objective that one of them collects.  It covers every
+product state, also those behind zero entries: the LP keeps the columns of
+the live ones among them, so a rewarded cycle there could circulate.  Per
 sample, each probability objective under < or <= of the conjunction is first
 decided alone, by policy iteration from its own last optimal policy
 (`_MoQuery.bad_reach`): if some such objective cannot be met alone, the
@@ -521,7 +524,9 @@ def exp_total_reward(pa: PPA, rewards, mode="max"):
 # ---------------------------------------------------------------------------
 
 def _occupation_lp(init, states, acts, support, settle, extra=0):
-    """Occupation-measure LP of one unit of flow from `init` into `settle`.
+    """Occupation-measure LP of one unit of flow from `init` into `settle`,
+    over the live `states`: every other state is dead, settles at once, and
+    so needs no row or column.
 
     `support` maps each (state, action) key to its successors with nonzero
     probability, as (successor, k) pairs: the probability is entry k of a
@@ -530,25 +535,35 @@ def _occupation_lp(init, states, acts, support, settle, extra=0):
     is taken in s, for s in `states` order and a in `acts[s]` order; then
     w[s], the probability of settling in s, for the settle states in
     `states` order; then `extra` columns left to the caller.  `_flow` passes
-    a product's state ids sorted by the `sort_key` of their tuples, the one
+    the live state ids sorted by the `sort_key` of their tuples, the one
     reader of that order, and a model enables each state's actions in it, so
-    the y columns are the keys in the `sort_key` order of (tuple, action).  Rows: one flow balance per state, in `states` order,
-    then sum(w) = 1.  Row and column order fix the simplex's pivot path, so
-    they must not change.  Returns the number of columns, the rows, y_index
-    and w_index.
+    the y columns are the live keys in the `sort_key` order of (tuple,
+    action).  Rows: one flow balance per state, in `states` order, then the
+    unit of flow ends: sum(w) plus each y[key] times the probability that key
+    enters a dead state equals 1, or 0 when `init` is dead (then no flow
+    reaches a live state).  Row and column order fix the simplex's pivot
+    path, so they must not change.  Returns the number of columns, the rows,
+    y_index and w_index.
     """
     y_index = {key: j for j, key in enumerate((s, a) for s in states for a in acts[s])}
     w_index = {s: len(y_index) + i for i, s in enumerate(s for s in states if s in settle)}
     balance = {s: {} for s in states}
+    ends = {}  # the last row: the flow that settles or enters a dead state
     for key, j in y_index.items():
         balance[key[0]][j] = (1, (), ())
+        dead = ()
         for t, k in support[key]:
-            c, _, minus = balance[t].get(j, (0, (), ()))
-            balance[t][j] = (c, (), minus + (k,))
+            if t in balance:
+                c, _, minus = balance[t].get(j, (0, (), ()))
+                balance[t][j] = (c, (), minus + (k,))
+            else:
+                dead += (k,)
+        if dead:
+            ends[j] = (0, dead, ())
     for s, j in w_index.items():
-        balance[s][j] = (1, (), ())
+        balance[s][j] = ends[j] = (1, (), ())
     rows = [("eq", balance[s], 1 if s == init else 0) for s in states]
-    rows.append(("eq", {j: (1, (), ()) for j in w_index.values()}, 1))
+    rows.append(("eq", ends, 1 if init in balance else 0))
     return len(y_index) + len(w_index) + extra, rows, y_index, w_index
 
 
@@ -726,7 +741,16 @@ class _MoQuery:
         """The successor sets, the stay map and the occupation LP of one unit
         of flow into the settle set, for the support pattern of the table
         vector numerators `nums`: a settle state can stay forever on actions that
-        collect nothing for any objective."""
+        collect nothing for any objective.
+
+        The LP has rows and columns for the live states only: those from
+        which a path of nonzero entries leads to an action that collects for
+        some objective (one backward search from the actions that do not
+        linger).  The other states are dead: every path from one stays among
+        them and collects nothing, so they lie in the settle set and the
+        flow into them may settle at once (Prob0 in Baier and Katoen,
+        Principles of Model Checking, 2008).  The LP counts that flow in its
+        last row, and the witness settles it (`_witness`)."""
         support = {
             key: tuple((t, k) for t, k in dist if nums[k])
             for key, dist in self.ptrans.items()
@@ -737,9 +761,20 @@ class _MoQuery:
             return not any(nums[k] for gains in self.gains for k in gains.get((i, a), ()))
 
         settle, stay = _settle(self.states, self.acts, succ, lingers)
+        preds = {}
+        for (i, _), out in succ.items():
+            for t in out:
+                preds.setdefault(t, []).append(i)
+        live = {i for i, a in succ if not lingers(i, a)}
+        stack = list(live)
+        while stack:
+            for i in preds.get(stack.pop(), ()):
+                if i not in live:
+                    live.add(i)
+                    stack.append(i)
         nodes = self.nodes
         num_vars, rows, y_index, w_index = _occupation_lp(  # the LP reads sort_key order
-            self.init, sorted(self.states, key=lambda i: sort_key(nodes[i])), self.acts,
+            self.init, sorted(live, key=lambda i: sort_key(nodes[i])), self.acts,
             support, settle, int(self.strict))
         return succ, stay, num_vars, rows, y_index, w_index
 
@@ -750,8 +785,8 @@ class _MoQuery:
         The end-component guard: no key of an end component of `_flow`'s
         successor sets (`_end_component_keys`, by SCC refinement) may collect
         reward.  It covers every product state, also one that only zero
-        entries lead to: the LP keeps such a state's columns, so a rewarded
-        cycle there could still carry a circulation."""
+        entries lead to: the LP keeps such a state's columns when it is
+        live, so a rewarded cycle there could still carry a circulation."""
         succ, stay, num_vars, rows, y_index, w_index = self._flow(nums)
         rewards = self.gains[len(self.prob_objs):]
         if rewards and any(nums[k] > 0 for key in _end_component_keys(succ)
@@ -858,9 +893,17 @@ class _MoQuery:
         return "achievable", self._witness(point, x, y_index, w_index, stay)
 
     def _witness(self, point, x, y_index, w_index, stay):
-        """The two-mode witness strategy of the LP solution x (`_verified`)."""
-        mix, settle_mass = {}, {}
+        """The two-mode witness strategy of the LP solution x (`_verified`):
+        a live state plays its actions in proportion to their frequencies and
+        settles with its share of w, and a dead state that the flow enters
+        (the initial state, or a successor of a played action) plays nothing
+        and settles with probability 1, as the LP over every state could
+        route it."""
+        nums, live = point[1], {i for i, _ in y_index}
+        mix, settle_mass, entered = {}, {}, {self.init} - live
         for i in self.states:
+            if i not in live:
+                continue
             total = Fraction(0)
             weights = {}
             for a in self.acts[i]:
@@ -868,6 +911,8 @@ class _MoQuery:
                 if freq > 0:
                     weights[a] = freq
                     total += freq
+                    entered.update(t for t, k in self.ptrans[(i, a)]
+                                   if nums[k] and t not in live)
             w = x[w_index[i]] if i in w_index else Fraction(0)
             total += w
             if total == 0:
@@ -875,6 +920,8 @@ class _MoQuery:
             mix[i] = {a: v / total for a, v in weights.items()}
             if w:
                 settle_mass[i] = w / total
+        for i in entered:
+            mix[i], settle_mass[i] = {}, Fraction(1)
         return self._verified(point, mix, settle_mass, dict(stay))
 
     def _verified(self, point, mix, settle, stay):

@@ -807,6 +807,87 @@ def settle_reference(query, nums):
     return _settle(states, acts, succ, lingers)
 
 
+def live_states_reference(query, nums):
+    """The state ids of the `_MoQuery` product `query` that can still collect
+    at the table vector numerators `nums`: a forward search from each state
+    along nonzero entries meets an action whose gain for some objective has
+    a nonzero slot."""
+    collects = {i for gains in query.gains for (i, _), slots in gains.items()
+                if any(nums[k] for k in slots)}
+    live = set()
+    for s in query.states:
+        seen, stack = {s}, [s]
+        while stack and not seen & collects:
+            i = stack.pop()
+            for a in query.acts[i]:
+                for t, k in query.ptrans[(i, a)]:
+                    if nums[k] and t not in seen:
+                        seen.add(t)
+                        stack.append(t)
+        if seen & collects:
+            live.add(s)
+    return live
+
+
+def full_occupation_lp_reference(query, point, minimize=None):
+    """The occupation LP over every state of the `_MoQuery` product `query`,
+    as it was built before the dead states were left out, at the table
+    vector point = (D, nums), on `RationalLP` from `query.ptrans`, the gain
+    maps and `settle_reference`'s settle region.  Columns y[(i, a)] for
+    every key, w[i] for every settle state, then the shared slack when the
+    query is strict; rows: a flow balance per state, sum(w) = 1 and one
+    threshold row per objective (P(reach) is the gain collected, plus 1 when
+    the initial state is a target).
+
+    Returns (status, value): that of the largest slack when the query is
+    strict, of feasibility otherwise; with `minimize` = i, the threshold
+    rows are left out and the value is the least total of gain map i."""
+    den, nums = point
+    value = [Fraction(n, den) for n in nums]
+    keys = list(query.ptrans)
+    settle, _ = settle_reference(query, nums)
+    index = {ps: i for i, ps in enumerate(query.nodes)}
+    settle = [index[ps] for ps in settle]
+    y = {key: j for j, key in enumerate(keys)}
+    w = {i: len(keys) + j for j, i in enumerate(settle)}
+    strict = minimize is None and query.strict
+    lp = RationalLP(len(keys) + len(settle) + strict)
+    slack = lp.num_vars - 1
+    balance = {i: {} for i in query.states}
+    for key, j in y.items():
+        balance[key[0]][j] = balance[key[0]].get(j, 0) + 1
+        for t, k in query.ptrans[key]:
+            balance[t][j] = balance[t].get(j, 0) - value[k]
+    for i, j in w.items():
+        balance[i][j] = 1
+    for i, row in balance.items():
+        lp.add_eq(row, int(i == query.init))
+    lp.add_eq({j: 1 for j in w.values()}, 1)
+
+    def gain(i):
+        return {y[key]: sum(value[k] for k in slots) for key, slots in query.gains[i].items()}
+
+    if minimize is not None:
+        status, _, total = lp.solve(gain(minimize), maximize=False)
+        return status, total
+    for i, o in enumerate(query.objectives):
+        row = gain(i)
+        if isinstance(o, ProbObjective):  # P(reach) <= 1 - threshold, or >= under < and <=
+            bound = 1 - o.threshold - (query.init in query.stops[i])
+            upper, tight = o.cmp in (">=", ">"), o.cmp in (">", "<")
+        else:
+            bound, upper, tight = o.threshold, o.cmp in ("<=", "<"), o.cmp in (">", "<")
+        if tight:
+            row[slack] = 1 if upper else -1
+        (lp.add_ub if upper else lp.add_lb)(row, bound)
+    if not strict:
+        status, _, _ = lp.solve({})
+        return status, Fraction(0) if status == OPTIMAL else None
+    lp.add_ub({slack: 1}, 1)
+    status, _, top = lp.solve({slack: 1}, maximize=True)
+    return status, top
+
+
 def instantiate_objective(obj, v):
     if isinstance(obj, RewardObjective):
         items = tuple((sym, r.evaluate(v)) for sym, r in obj.rewards)

@@ -5,7 +5,8 @@ then solved again by the exact simplex and by HiGHS in floating point, on its
 integer rows turned back into rationals, under its own objective and under a
 random one (so that nonzero optima and unbounded programs occur).  The statuses must match, an exact optimum must
 lie within 1e-9 of HiGHS's, and the exact point must satisfy every row
-exactly.
+exactly.  The corpus holds LPs without columns, whose initial state is dead,
+and LPs whose last row counts flow into dead states.
 """
 
 import random
@@ -14,6 +15,7 @@ from math import gcd
 
 import pytest
 
+from pacomp import verify
 from pacomp.errors import UnboundedReward
 from pacomp.exactlp import INFEASIBLE, OPTIMAL, UNBOUNDED, LinearProgram
 from pacomp.model import compose
@@ -43,16 +45,25 @@ def _queries(rng, comp):
 def _recorded_lps(monkeypatch, seeds):
     """(lp, objective, maximize, number of objectives) of every simplex solve
     of `mo_achievable` on a composed pair of random PAs with 3..6 states
-    each, per seed."""
-    recorded = []
-    solve = LinearProgram.solve
+    each, per seed, and the number of occupation LPs built whose last row
+    counts flow into dead states (a y column with a slot in that row)."""
+    recorded, dead_entries, last = [], [], [False]
+    solve, occupation_lp = LinearProgram.solve, verify._occupation_lp
 
     def recording(lp, objective, maximize=True):
         recorded.append((lp, objective, maximize, len(query)))
+        dead_entries.append(last[0])  # each solve follows its own layout
         return solve(lp, objective, maximize)
+
+    def layout(*args):
+        out = occupation_lp(*args)
+        _, ends, _ = out[1][-1]
+        last[0] = any(plus for _, plus, _ in ends.values())
+        return out
 
     with monkeypatch.context() as patch:
         patch.setattr(LinearProgram, "solve", recording)
+        patch.setattr(verify, "_occupation_lp", layout)
         for seed in seeds:
             rng = random.Random(seed)
             m1 = random_pa(rng, "l", rng.randint(3, 6), ["a", "b"])
@@ -64,7 +75,7 @@ def _recorded_lps(monkeypatch, seeds):
                         mo_achievable(comp, query, strategy_class)
                     except UnboundedReward:
                         pass
-    return recorded
+    return recorded, sum(dead_entries)
 
 
 def _rational_rows(lp):
@@ -90,9 +101,15 @@ def _rational_rows(lp):
 
 def _highs(lp, objective, maximize):
     """(status, optimal value or None) of the LP by HiGHS, on its integer
-    rows turned back into rationals."""
+    rows turned back into rationals.  An LP without columns (its initial
+    state is dead, so no state has a column) is decided from its constant
+    rows, which `linprog` does not take: feasible iff each rhs is 0 or, in an
+    inequality, nonnegative."""
     n = lp.num_vars
     eq, ub = _rational_rows(lp)
+    if n == 0:
+        feasible = all(r == 0 for _, r in eq) and all(r >= 0 for _, r in ub)
+        return (OPTIMAL, 0) if feasible else (INFEASIBLE, None)
 
     def dense(rows):
         return [[float(coeffs.get(j, 0)) for j in range(n)] for coeffs, _ in rows] or None
@@ -119,12 +136,13 @@ def _assert_exactly_feasible(lp, x):
 
 
 def test_occupation_lps_agree_with_highs(monkeypatch):
-    recorded = _recorded_lps(monkeypatch, range(40))
+    recorded, dead_entries = _recorded_lps(monkeypatch, range(150))
     rng = random.Random(7)
     seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
-    with_rewards = 0
+    with_rewards = no_columns = 0
     for lp, objective, maximize, size in recorded:
         with_rewards += size > 1
+        no_columns += lp.num_vars == 0
         shuffled = {j: rng.choice([-1, 0, 0, 1, 2]) for j in range(lp.num_vars)}
         for obj, top in ((objective, maximize), (shuffled, rng.random() < 0.5)):
             status, x, value = lp.solve(obj, top)
@@ -138,4 +156,5 @@ def test_occupation_lps_agree_with_highs(monkeypatch):
             else:
                 assert x is None and value is None
     assert len(recorded) >= 100 and with_rewards >= 30
+    assert no_columns >= 5 and dead_entries >= 5, (no_columns, dead_entries)
     assert all(count >= 50 for count in seen.values()), seen

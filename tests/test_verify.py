@@ -67,7 +67,9 @@ from helpers import (
     chain_solve_reference,
     end_component_keys_reference,
     fraction_solve,
+    full_occupation_lp_reference,
     k_component_family,
+    live_states_reference,
     monotone_check_per_sample,
     occupation_rows_reference,
     policy_iteration_reference,
@@ -739,7 +741,8 @@ def test_an_objective_unachievable_alone_answers_a_query_with_rewards():
 
 
 def test_large_occupation_lp_probe():
-    # two 8-state random components: a 116-row, 430-column occupation LP
+    # two 8-state random components: a 58-row, 213-column occupation LP over
+    # the states that can still collect (116 x 430 over the whole product)
     rng = random.Random(5)
     m1 = random_pa(rng, "l", 8, ["a", "b"])
     m2 = random_pa(rng, "r", 8, ["a", "c"])
@@ -754,11 +757,12 @@ def test_large_occupation_lp_probe():
 @settings(max_examples=40)
 @given(st.integers(0, 2**32))
 def test_occupation_lp_columns_are_in_sort_key_order(seed):
-    """`_flow` hands the LP the product's state ids in the `sort_key` order
-    of their tuples (`query.nodes`), and each state's enabled actions are in
-    that order, so the columns are the keys (nodes[i], a) and the settle
-    states in `sort_key` order: the pivot path does not depend on the order
-    in which the product's search met, and numbered, its states."""
+    """`_flow` hands the LP the product's live state ids (those that can
+    still collect, `live_states_reference`) in the `sort_key` order of their
+    tuples (`query.nodes`), and each state's enabled actions are in that
+    order, so the columns are the live keys (nodes[i], a) and the live
+    settle states in `sort_key` order: the pivot path does not depend on the
+    order in which the product's search met, and numbered, its states."""
     rng = random.Random(seed)
     m = renamed_ppa(rng, compose(*random_parametric_pair(rng)))
     objective = safety(random_safety_dfa(rng, sorted(m.alphabet)), F(1, 2))
@@ -766,11 +770,14 @@ def test_occupation_lp_columns_are_in_sort_key_order(seed):
         table = PolyTable()
         _, (query,) = _mo_queries(m, [(objective,)], cls, table)
         for v in region_samples(Box.of({"p": (0, 1)}), 1):
-            *_, num_vars, _, y_index, w_index = query._flow(table.at(v)[1])
-            nodes = query.nodes
-            assert list(y_index) == sorted(query.ptrans, key=lambda key: sort_key(
-                (nodes[key[0]], key[1])))
-            assert list(w_index) == sorted(w_index, key=lambda i: sort_key(nodes[i]))
+            nums = table.at(v)[1]
+            *_, num_vars, _, y_index, w_index = query._flow(nums)
+            nodes, live = query.nodes, live_states_reference(query, nums)
+            assert list(y_index) == sorted((key for key in query.ptrans if key[0] in live),
+                                           key=lambda key: sort_key((nodes[key[0]], key[1])))
+            settle, _ = settle_reference(query, nums)
+            assert [nodes[i] for i in w_index] == sorted(
+                settle & {nodes[i] for i in live}, key=sort_key)
             columns = [*y_index.values(), *w_index.values()]
             assert columns == list(range(len(columns))) and num_vars == len(columns)
 
@@ -779,8 +786,8 @@ def test_product_ids_number_the_reference_product():
     """`_MoQuery` numbers each state of its product once: its ids map to
     exactly the (state, DFA states) pairs that an independent breadth-first
     search reaches, with 0 the initial pair and every successor an id in
-    range, and the LP's columns follow the `sort_key` order of the ids'
-    tuples.  A witness names states of its query's product by their
+    range, and the LP's columns are the live keys in the `sort_key` order
+    of the ids' tuples.  A witness names states of its query's product by their
     tuples, never by ids: so do the LP witness of `mo_achievable` and the
     policy witness of a failing `region_sat`.  The cases compose random pairs with one or two
     DFAs of 2-4 states, in both strategy classes."""
@@ -809,9 +816,10 @@ def test_product_ids_number_the_reference_product():
             assert {nodes[i] for i in query.states} == product
             assert nodes[query.init] == (work.initial, tuple(d.initial for d in dfas))
             assert all(0 <= j < len(nodes) for dist in query.ptrans.values() for j, _ in dist)
-            y_index = query._flow(table.at({"p": F(1, 2)})[1])[4]
-            assert list(y_index) == sorted(query.ptrans, key=lambda key: sort_key(
-                (nodes[key[0]], key[1])))
+            nums = table.at({"p": F(1, 2)})[1]
+            y_index, live = query._flow(nums)[4], live_states_reference(query, nums)
+            assert list(y_index) == sorted((key for key in query.ptrans if key[0] in live),
+                                           key=lambda key: sort_key((nodes[key[0]], key[1])))
             status, witness = mo_achievable(pa, objectives, cls)
             assert status == "achievable"
             found = keys(witness)
@@ -935,7 +943,9 @@ def test_gain_maps_settle_and_evaluate_as_signatures_did():
     """An action collects nothing for any objective iff it collects no
     reward and keeps its state's signature, because the DFA targets absorb:
     `_flow`'s settle set and `stay` map are `settle_reference`'s, and a fixed
-    strategy's values are `strategy_value_reference`'s.  The cases mix
+    strategy's values are `strategy_value_reference`'s; the LP's settle
+    columns are those of the settle states that can still collect
+    (`live_states_reference`).  The cases mix
     probability and reward objectives, sample the unit box's corners, where
     entries vanish, and some probability objective's targets hold the
     initial state.  Both an action that a reward keeps from settling and one
@@ -974,8 +984,9 @@ def test_gain_maps_settle_and_evaluate_as_signatures_did():
             _, stay, *_, w_index = query._flow(point[1])
             settle, ref_stay = settle_reference(query, point[1])
             nodes = query.nodes
+            live = {nodes[i] for i in live_states_reference(query, point[1])}
             assert ({nodes[i] for i in w_index}, {nodes[i]: a for i, a in stay.items()}) == (
-                settle, ref_stay)
+                settle & live, ref_stay)
             assert values(point) == [strategy_value_reference(query.model, sigma, o, v)
                                      for o in query.objectives]
             kinds.update(what for what, keeps in (
@@ -986,6 +997,102 @@ def test_gain_maps_settle_and_evaluate_as_signatures_did():
 
     check()
     assert kinds == {"initial target", "reward keeps", "entry keeps"}
+
+
+def _live_lp_case(rng):
+    """A composed model, its valuations and a query of 1-3 objectives:
+    probability objectives under all four comparisons mixed with reward
+    objectives.  Either a random parametric pair at the unit box's samples,
+    whose corners zero out entries, or a pair of random PAs with zero
+    entries at its one valuation."""
+    if rng.random() < 0.5:
+        m = compose(*random_parametric_pair(rng))
+        valuations = region_samples(Box.of({"p": (0, 1)}), rng.randint(1, 2))
+        p = Polynomial.var("p")
+        rewards = [1, p, F(2, 3) * p, (1 - 2 * p) ** 2]
+    else:
+        m = compose(random_pa(rng, "l", rng.randint(2, 3), ["a", "b"], zeros=True),
+                    random_pa(rng, "r", rng.randint(2, 3), ["a", "c"], zeros=True))
+        valuations, rewards = [{}], [1, F(2, 3)]
+    alphabet = sorted(m.alphabet)
+    cmps = ["<=", "<", ">=", ">"]
+    objectives = tuple(
+        ProbObjective(rng.choice(cmps), F(rng.randint(0, 4), 4),
+                      random_safety_dfa(rng, alphabet, allow_empty=False,
+                                        initial=rng.random() < 0.1))
+        if rng.random() < 0.6 else
+        reward_objective(rng.choice(cmps), F(rng.randint(0, 6), rng.choice([1, 2, 3])),
+                         {rng.choice(alphabet): rng.choice(rewards)})
+        for _ in range(rng.randint(1, 3))
+    )
+    return m, valuations, objectives
+
+
+def test_live_lp_agrees_with_the_full_lp():
+    """The occupation LP over the live states decides every query as the LP
+    over every product state did (`full_occupation_lp_reference`): the same
+    status and, for a strict query, the same largest slack; `_lp_solve`
+    answers achievable exactly when that LP does, and its witness passes
+    `_verified` and meets every objective on `witness_values_reference`'s
+    chain; the minimal expected reward of each reward objective is the one
+    the full LP gives.  The cases reach both statuses, strict queries,
+    dead initial states and entries from live into dead states."""
+    seen = set()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32))
+    def check(seed):
+        rng = random.Random(seed)
+        m, valuations, objectives = _live_lp_case(rng)
+        for cls in ("cmp", "prt"):
+            table = PolyTable()
+            _, (query,) = _mo_queries(m, [objectives], cls, table)
+            for v in valuations:
+                point = table.at(v)
+                try:
+                    num_vars, templates, y_index, *_ = query._layout(point[1])
+                except UnboundedReward:
+                    continue
+                lp = verify._sample_lp(num_vars, templates, point)
+                if query.strict:
+                    status, _, value = lp.solve({num_vars - 1: F(1)}, maximize=True)
+                else:
+                    status, x, _ = lp.solve({})
+                    value = F(0) if x is not None else None
+                assert (status, value) == full_occupation_lp_reference(query, point)
+                verdict, witness = query._lp_solve(point)
+                assert (verdict == "achievable") == (status == OPTIMAL and (
+                    not query.strict or value > 0))
+                if witness is not None:
+                    values = witness_values_reference(
+                        query, point, witness["mix"], witness["settle"], witness["stay"])
+                    assert all(verify._cmp(val, o.cmp, o.threshold)
+                               for o, val in zip(query.objectives, values))
+                live = {i for i, _ in y_index}
+                seen.add(verdict)
+                seen.update(what for what, found in (
+                    ("strict", query.strict),
+                    ("dead initial state", query.init not in live),
+                    ("dead entries", any(t not in live and point[1][k] for (i, _), dist
+                                         in query.ptrans.items() if i in live for t, k in dist)),
+                ) if found)
+        for v in valuations:
+            pa = instantiate(m, v)
+            for o in objectives:
+                if isinstance(o, ProbObjective):
+                    continue
+                rewards = {sym: r.evaluate(v) if isinstance(r, Polynomial) else r
+                           for sym, r in o.rewards}
+                ref_query, point = verify._constant_query(
+                    pa, (reward_objective(">=", 0, rewards),), "cmp")
+                status, least = full_occupation_lp_reference(ref_query, point, minimize=0)
+                assert exp_total_reward(pa, rewards, "min") == (
+                    least if status == OPTIMAL else INF)
+                seen.add("finite reward" if status == OPTIMAL else "infinite reward")
+
+    check()
+    assert seen == {"achievable", "unachievable", "strict", "dead initial state",
+                    "dead entries", "finite reward", "infinite reward"}, seen
 
 
 def test_prt_class_via_sink_extension():
@@ -1777,17 +1884,29 @@ def test_only_the_lp_sorts_product_states(monkeypatch):
     query product (`test_occupation_lp_columns_are_in_sort_key_order` pins
     its columns): the k = 4 family's monolithic safety check, which policy
     iteration decides, sorts nothing, and a conjunction with a reward on the
-    p = 0 instance reaches the LP, which sorts its 431 product states once."""
+    p = 0 instance reaches the LP, which sorts the 239 of its 431 product
+    states that can still collect once.  The corpus triple of the
+    `triple_box.json` golden solves one LP, of 10 rows and 25 columns (23 and
+    64 over the whole product)."""
     calls = []
     key = verify.sort_key
     monkeypatch.setattr(verify, "sort_key", lambda x: calls.append(1) or key(x))
     models, box, _, guarantee = k_component_family(4)
-    composed = functools.reduce(compose, models)
-    assert region_sat(composed, box, guarantee, "cmp", 2).holds
+    family = functools.reduce(compose, models)
+    assert region_sat(family, box, guarantee, "cmp", 2).holds
     assert calls == []
     query = (safety(guarantee[0].dfa, 0), reward_objective(">=", 0, {"t1": 1}))
-    assert mo_achievable(instantiate(composed, {"p": 0}), query)[0] == "achievable"
-    assert len(calls) == 431
+    assert mo_achievable(instantiate(family, {"p": 0}), query)[0] == "achievable"
+    assert len(calls) == 239
+    sizes = []
+    solve = LinearProgram.solve
+    monkeypatch.setattr(LinearProgram, "solve", lambda lp, objective, maximize=True: sizes.append(
+        (len(lp.eq) + len(lp.ub), lp.num_vars)) or solve(lp, objective, maximize))
+    assumption = (safety(corpus.limit_one_a_dfa(), F(9, 10)),)
+    guarantee = (safety(corpus.no_fail_dfa(), F(9, 10)),)
+    box = Box.of({"p": (0, F(1, 2)), "q": (F(1, 5), 1)})
+    assert ag_triple_check(composed(), box, assumption, guarantee, "prt", 3).status == "fails"
+    assert sizes == [(10, 25)]
 
 
 @pytest.mark.hashseed
