@@ -745,8 +745,7 @@ class _MoQuery:
 
         The LP has rows and columns for the live states only: those from
         which a path of nonzero entries leads to an action that collects for
-        some objective (one backward search from the actions that do not
-        linger).  The other states are dead: every path from one stays among
+        some objective (one backward search from those actions).  The other states are dead: every path from one stays among
         them and collects nothing, so they lie in the settle set and the
         flow into them may settle at once (Prob0 in Baier and Katoen,
         Principles of Model Checking, 2008).  The LP counts that flow in its
@@ -756,16 +755,14 @@ class _MoQuery:
             for key, dist in self.ptrans.items()
         }
         succ = {key: frozenset(t for t, _ in dist) for key, dist in support.items()}
-
-        def lingers(i, a):
-            return not any(nums[k] for gains in self.gains for k in gains.get((i, a), ()))
-
-        settle, stay = _settle(self.states, self.acts, succ, lingers)
+        collects = {key for gains in self.gains for key, slots in gains.items()
+                    if any(nums[k] for k in slots)}
+        settle, stay = _settle(self.states, self.acts, succ, lambda i, a: (i, a) not in collects)
         preds = {}
         for (i, _), out in succ.items():
             for t in out:
                 preds.setdefault(t, []).append(i)
-        live = {i for i, a in succ if not lingers(i, a)}
+        live = {i for i, _ in collects}
         stack = list(live)
         while stack:
             for i in preds.get(stack.pop(), ()):
