@@ -945,11 +945,11 @@ def test_gain_maps_settle_and_evaluate_as_signatures_did():
     `_flow`'s settle set and `stay` map are `settle_reference`'s, and a fixed
     strategy's values are `strategy_value_reference`'s; the LP's settle
     columns are those of the settle states that can still collect
-    (`live_states_reference`).  The cases mix
-    probability and reward objectives, sample the unit box's corners, where
-    entries vanish, and some probability objective's targets hold the
-    initial state.  Both an action that a reward keeps from settling and one
-    that only an entry into targets keeps from settling occur."""
+    (`live_states_reference`).  The cases mix probability and reward
+    objectives, sample the unit box's corners, where entries vanish, and
+    some probability objective's targets hold the initial state.  Both an
+    action that a reward keeps from settling and one that only an entry into
+    targets keeps from settling occur."""
     kinds = set()
     p = Polynomial.var("p")
 
