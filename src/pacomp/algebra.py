@@ -365,8 +365,14 @@ class PolyTable:
             a, b = x.numerator, x.denominator
             powers.append([a ** e * b ** (d - e) for e in range(d + 1)])
             den *= b ** d
-        values = [math.prod(p[e] for p, e in zip(powers, exps)) for exps in monos]
-        return den, [sum(c * values[j] for c, j in row) for row in rows]
+        values = [math.prod(map(list.__getitem__, powers, exps)) for exps in monos]
+        nums = []
+        for row in rows:
+            n = 0
+            for c, j in row:
+                n += c * values[j]
+            nums.append(n)
+        return den, nums
 
     def at(self, v):
         """The value vector (D, nums) at valuation v."""

@@ -202,13 +202,16 @@ def well_definedness(table: PolyTable, rows):
 
     def kind(point):
         den, nums = point
-        if any(not 0 <= nums[k] <= den for k in slots) or any(
-            sum(nums[k] for k in row) != den for row in rows
-        ):
-            return WellDefinedness.NEITHER
-        if all(nums[k] for k in live):
-            return WellDefinedness.GRAPH_PRESERVING
-        return WellDefinedness.WELL_DEFINED
+        for k in slots:
+            if not 0 <= nums[k] <= den:
+                return WellDefinedness.NEITHER
+        for row in rows:
+            if sum(map(nums.__getitem__, row)) != den:
+                return WellDefinedness.NEITHER
+        for k in live:
+            if not nums[k]:
+                return WellDefinedness.WELL_DEFINED
+        return WellDefinedness.GRAPH_PRESERVING
 
     return kind
 

@@ -12,9 +12,9 @@ solvers are exact and end in two mechanisms:
   one pass over the SCCs, the INF and zero states and the blocks of
   unknowns, one per SCC with successors first, and a fill (`_chain_fill`),
   which solves each block with its successors' values on the right (one
-  division for a state outside any cycle, an exact elimination for a
-  cyclic block) into integer values over one denominator (topological
-  solving, Ciesinski et al., QEST 2008).
+  division for a one-node block, its self-loop on the diagonal, an exact
+  elimination for a block of two or more nodes) into integer values over
+  one denominator (topological solving, Ciesinski et al., QEST 2008).
   It evaluates fixed strategies and witnesses (`_StrategyChain`), and
   drives the policy iteration (`_policy_iteration`) behind optimal
   reachability, safety probabilities, maximal expected reward and
@@ -353,16 +353,36 @@ def _chain_fill(plan, point):
     integer numerator over its own reduced denominator.  A block's integer
     rows have scale * D on the diagonal minus the numerators of its internal
     entries, all times the lcm of the outside successors' denominators,
-    with the gains and the outside successors' values on the right.  A block
-    without internal entries, a node without a self-loop, takes one
-    division; any other block one exact solve (`gauss_solve`).
+    with the gains and the outside successors' values on the right.  A
+    one-node block, every block of an acyclic chain, is solved in one pass
+    over its entries and one division, a self-loop taken off the diagonal,
+    which stays positive because the plan's blocks are transient; a block of
+    two or more nodes takes one exact solve (`gauss_solve`).
     """
     settled, blocks = plan
     den, nums = point
     solved = {}  # node: (numerator, denominator) in lowest terms
     for block in blocks:
+        if len(block) == 1:
+            (s, scale, out, gain), = block
+            diag, r, d = scale * den, 0, 1  # r / d: the gains and outside successors
+            for f, k in gain:
+                r += f * nums[k]
+            for t, f, k in out:
+                if t == s:
+                    diag -= f * nums[k]
+                    continue
+                n_t, d_t = solved[t]
+                if d % d_t:
+                    m = lcm(d, d_t)
+                    r, d = r * (m // d), m
+                r += f * nums[k] * n_t * (d // d_t)
+            d *= diag
+            g = gcd(r, d)
+            solved[s] = r // g, d // g
+            continue
         inside = {s: i for i, (s, *_) in enumerate(block)}
-        rows, rhs, internal = [], [], False
+        rows, rhs = [], []
         for i, (s, scale, out, gain) in enumerate(block):
             d = lcm(*(solved[t][1] for t, _, _ in out if t not in inside))
             row = [0] * len(block)
@@ -371,13 +391,12 @@ def _chain_fill(plan, point):
             for t, f, k in out:
                 if t in inside:
                     row[inside[t]] -= d * f * nums[k]
-                    internal = True
                 else:
                     n_t, d_t = solved[t]
                     r += f * nums[k] * n_t * (d // d_t)
             rows.append(row)
             rhs.append(r)
-        common, x = gauss_solve(rows, rhs) if internal else (rows[0][0], rhs)
+        common, x = gauss_solve(rows, rhs)
         for (s, *_), n in zip(block, x):
             g = gcd(n, common)
             solved[s] = n // g, common // g
@@ -429,20 +448,29 @@ def _policy_iteration(shape, point, start=None):
             chain = {s: rows[(s, policy[s])] if s in policy else stop for s in nodes}
             plans[key] = _chain_plan(chain, point)
         scale, x = _chain_fill(plans[key], point)
-        inf = {s for s, v in x.items() if v is INF}
         improved = False
         for s, opts in options.items():
-            if s in inf:
+            best = x[s]
+            if best is INF:
                 continue  # no backup exceeds INF
-            best_a, best = policy[s], den * x[s]
+            best_a, best = policy[s], den * best
             for a in opts:
                 _, out, gain = rows[(s, a)]
-                if inf and any(t in inf for t, _, _ in out):
-                    best_a = a  # an INF backup, which no later action exceeds
-                    break
-                v = sum(nums[k] for _, k in gain) * scale + sum(nums[k] * x[t] for t, _, k in out)
-                if v > best:
-                    best_a, best = a, v
+                v = 0
+                for _, k in gain:
+                    v += nums[k]
+                v *= scale
+                for t, _, k in out:
+                    x_t = x[t]
+                    if x_t is INF:
+                        break
+                    v += nums[k] * x_t
+                else:
+                    if v > best:
+                        best_a, best = a, v
+                    continue
+                best_a = a  # an INF backup, which no later action exceeds
+                break
             if best_a != policy[s]:
                 policy[s] = best_a
                 improved = True

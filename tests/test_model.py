@@ -49,6 +49,7 @@ from helpers import (
     random_interval_set,
     random_pa,
     random_parametric_pair,
+    random_poly,
     random_polytopic_rpa,
     random_safety_dfa,
     random_tabular_strategy,
@@ -145,6 +146,34 @@ def test_poly_table_vector_matches_evaluate(seed, resolution):
     slots = [table.slot(p) for p in entries]
     assert len(table.polys) == len(set(slots))
     for v in region_samples(_ORACLE_BOX, resolution):
+        den, nums = table.at(v)
+        assert type(den) is int and den > 0
+        assert len(nums) == len(table.polys) and all(type(n) is int for n in nums)
+        for p, k in zip(entries, slots):
+            assert F(nums[k], den) == Polynomial.coerce(p).evaluate(v)
+
+
+@settings(max_examples=40)
+@given(st.integers(0, 2**32), st.integers(0, 3))
+def test_poly_table_vector_matches_evaluate_at_every_parameter_count(seed, count):
+    """A table over no parameter, one, two or three: `random_poly`'s
+    polynomials over p, q, r keep the terms in the first `count` of them,
+    beside each such parameter alone and a rational, and every slot's
+    nums[k] / D equals `Polynomial.evaluate` at valuations with negative,
+    zero and fractional values."""
+    rng = random.Random(seed)
+    names = ("p", "q", "r")[:count]
+    entries = [Polynomial.var(name) for name in names]
+    entries += [
+        Polynomial({mono: c for mono, c in random_poly(rng).terms.items()
+                    if all(var in names for var, _ in mono)})
+        for _ in range(rng.randint(1, 6))
+    ]
+    entries.append(F(rng.randint(-5, 5), rng.randint(1, 7)))
+    table = PolyTable()
+    slots = [table.slot(p) for p in entries]
+    for _ in range(4):
+        v = {name: F(rng.randint(-6, 6), rng.randint(1, 5)) for name in names}
         den, nums = table.at(v)
         assert type(den) is int and den > 0
         assert len(nums) == len(table.polys) and all(type(n) is int for n in nums)

@@ -1838,9 +1838,10 @@ def test_chain_fill_matches_the_fraction_reference(seed):
 
 def test_random_chains_meet_every_kind_of_block():
     # over a fixed set of seeds, the chains of the test above have INF, 0
-    # and solved nodes, blocks solved by one division and by elimination,
-    # self-loop singletons among the latter, and closed rewarded cycles that
-    # leak mass, which are solved, not INF
+    # and solved nodes, one-node blocks solved by one division, self-loop
+    # singletons among them, blocks of two or more nodes solved by
+    # elimination, and closed rewarded cycles that leak mass, which are
+    # solved, not INF
     seen = set()
     for seed in range(200):
         rows, point, chain, gain, init = _random_chain(random.Random(seed))
@@ -1859,16 +1860,21 @@ def test_random_chains_meet_every_kind_of_block():
 
 @pytest.mark.hashseed
 def test_only_cyclic_blocks_are_eliminated(monkeypatch):
-    """`gauss_solve` runs once per block with an internal entry and never
-    for an acyclic chain: the k = 4 family's monolithic check and its
-    `asym-n` proof make no call, and a two-node rewarded cycle makes one of
-    size 2."""
+    """`gauss_solve` runs once per block of two or more nodes, and never for
+    an acyclic chain or a one-node self-loop: the k = 4 family's monolithic
+    check and its `asym-n` proof make no call, nor does a rewarded
+    self-loop, and a two-node rewarded cycle makes one of size 2."""
     sizes = []
     solve = verify.gauss_solve
     monkeypatch.setattr(verify, "gauss_solve", lambda rows, rhs: sizes.append(len(rows)) or solve(rows, rhs))
     models, box, assumptions, guarantee = k_component_family(4)
     assert region_sat(functools.reduce(compose, models), box, guarantee, "cmp", 2).holds
     assert apply_asym_n(models, [box] * 4, assumptions, guarantee, resolution=2).status == "concluded"
+    assert sizes == []
+    loop = make_ppa(["s0", "end"], "s0", set(), {
+        ("s0", "x"): ("a", {"s0": F(2, 3), "end": F(1, 3)}),
+    }, {"a"})
+    assert exp_total_reward(loop, {"a": 1}) == 3
     assert sizes == []
     m = make_ppa(["s0", "s1", "end"], "s0", set(), {
         ("s0", "x"): ("a", {"s1": F(1, 2), "end": F(1, 2)}),
